@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the paper's evaluation (§5).
+//! Regenerates every table and figure of the paper's evaluation (§5), plus
+//! the anytime-budget calibration sweep (`budget-regret`).
 //!
 //! ```text
 //! cargo run --release -p qo_bench --bin experiments -- all
@@ -6,23 +7,26 @@
 //! cargo run --release -p qo_bench --bin experiments -- table2 --threads 8
 //! ```
 //!
-//! `--threads N` (or the `QO_THREADS` env var) runs the pipeline's
-//! compile-bound stages on `N` worker threads (`0` = all cores); results
-//! are bit-identical to the serial default. `--cache on|off` (or `QO_CACHE`)
-//! toggles the compile-result cache, `--exec-cache on|off` (or
-//! `QO_EXEC_CACHE`) the execution-result cache, `--delta-compile on|off`
-//! (or `QO_DELTA`) delta treatment compilation, and `--feature-cache on|off`
-//! (or `QO_FEATURE_CACHE`) the span-feature cache — all bit-identical either
-//! way, only throughput differs (all on by default). `--snapshot-every N`
-//! (or `QO_SNAPSHOT_EVERY`) writes a durable-state snapshot to
+//! One experiment name (default `all`) and any of the flags below, in any
+//! order; these flags are the repository's only command-line knobs.
+//! `--threads N` runs the pipeline's compile-bound stages on `N` worker
+//! threads (`0` = all cores); results are bit-identical to the serial
+//! default. `--cache on|off` toggles the compile-result cache, `--exec-cache
+//! on|off` the execution-result cache, `--delta-compile on|off` delta
+//! treatment compilation, and `--feature-cache on|off` the span-feature
+//! cache — all bit-identical either way, only throughput differs (all on by
+//! default). `--snapshot-every N` writes a durable-state snapshot to
 //! `results/snapshots/<experiment>.qosnap` after every `N`-th simulated day
 //! of the closed-loop experiments (0 = never, the default) — outputs are
 //! bit-identical either way; the write cost lands in each day's
-//! `timings.snapshot_ns`. `--compile-budget N` (or `QO_COMPILE_BUDGET`)
-//! caps every counterfactual recompile at `N` optimizer tasks (0 =
-//! unlimited, the default): the anytime engine sheds exploration past the
-//! budget and extracts the best plan found so far — hint files and steering
-//! reports are budget-invariant; only the measurement path degrades.
+//! `timings.snapshot_ns`. `--compile-budget N` caps every counterfactual
+//! recompile at `N` optimizer tasks (0 = unlimited, the default): the
+//! anytime engine sheds exploration past the budget and extracts the best
+//! plan found so far — hint files and steering reports are
+//! budget-invariant; only the measurement path degrades. `--literals
+//! fresh|sticky[:days]|mixed:fraction` selects the workload's literal-redraw
+//! policy (it changes the workload, so only compare runs with the same
+//! policy).
 //!
 //! Each experiment writes its raw series to `results/<name>.csv` and prints
 //! a summary row comparing the paper's reported shape with the measured one.
@@ -32,333 +36,185 @@
 
 use flighting::{FlightBudget, FlightRequest, FlightingService};
 use qo_advisor::{
-    aggregate_impact, CacheConfig, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
-    HintedComparison, ParallelismConfig, PipelineConfig, ProductionSim, QoAdvisor,
+    aggregate_impact, CompileBudget, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
     RecommendStrategy, SnapshotPolicy, ValidationModel, ValidationSample,
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
+use scope_lang::{bind_script, Catalog};
 use scope_runtime::{Cluster, ClusterExecutor, Executor};
-use scope_workload::{build_view, LiteralPolicy, WorkloadConfig};
+use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
 
-/// Worker-thread override for every experiment in this run.
-static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-
-fn set_threads(threads: Option<usize>) {
-    let _ = THREADS.set(threads);
+/// The run-wide knobs: defaults overridden by the command line.
+struct Knobs {
+    /// The base pipeline configuration every experiment derives from:
+    /// defaults plus the CLI-selected parallelism, cache and budget knobs.
+    pipeline: PipelineConfig,
+    /// The literal-redraw policy of every simulated workload.
+    literals: LiteralPolicy,
+    /// Day-boundary snapshot cadence of the closed-loop experiments (0 = never).
+    snapshot_every: u32,
 }
 
-/// Compile-result-cache override for every experiment in this run.
-static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_cache(enabled: bool) {
-    let _ = CACHE.set(enabled);
-}
-
-fn parse_cache_flag(value: &str) -> bool {
+fn switch(value: &str) -> Result<bool, String> {
     match value {
-        "on" | "1" | "true" => true,
-        "off" | "0" | "false" => false,
-        other => {
-            eprintln!("cache flag must be on|off, got `{other}`");
-            std::process::exit(2);
+        "on" | "1" | "true" => Ok(true),
+        "off" | "0" | "false" => Ok(false),
+        other => Err(format!("expected on|off, got `{other}`")),
+    }
+}
+
+fn integer<T: std::str::FromStr>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("expected an integer, got `{value}`"))
+}
+
+type SetKnob = fn(&mut Knobs, &str) -> Result<(), String>;
+
+/// Every flag `experiments` accepts: its name and how its value lands in
+/// [`Knobs`].
+const FLAGS: &[(&str, SetKnob)] = &[
+    ("--threads", |k, v| {
+        k.pipeline.parallelism.threads = Some(integer(v)?);
+        Ok(())
+    }),
+    ("--cache", |k, v| {
+        k.pipeline.cache.enabled = switch(v)?;
+        Ok(())
+    }),
+    ("--exec-cache", |k, v| {
+        k.pipeline.exec_cache.enabled = switch(v)?;
+        Ok(())
+    }),
+    ("--delta-compile", |k, v| {
+        k.pipeline.delta.enabled = switch(v)?;
+        Ok(())
+    }),
+    ("--feature-cache", |k, v| {
+        k.pipeline.feature_cache.enabled = switch(v)?;
+        Ok(())
+    }),
+    ("--compile-budget", |k, v| {
+        k.pipeline.compile_budget = CompileBudget::parse(v)?;
+        Ok(())
+    }),
+    ("--snapshot-every", |k, v| {
+        k.snapshot_every = integer(v)?;
+        Ok(())
+    }),
+    ("--literals", |k, v| {
+        k.literals = v.parse()?;
+        Ok(())
+    }),
+];
+
+type Experiment = (&'static [&'static str], fn(&Knobs));
+
+/// Every experiment: the names that select it and the function that runs it.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["fig2", "fig4"], fig2_fig4),
+    (&["fig3", "fig5"], fig3_fig5),
+    (&["fig6"], fig6),
+    (&["fig7", "fig8"], fig7_fig8),
+    (&["fig9"], fig9),
+    (&["table2", "fig10", "fig11", "fig12"], table2_and_figs),
+    (&["table3"], table3),
+    (&["ablation-cost-gate"], ablation_cost_gate),
+    (&["ablation-span-features"], ablation_span_features),
+    (&["negi-cost"], negi_maintenance_cost),
+    (&["budget-regret"], budget_regret),
+];
+
+/// Parse the command line (program name already stripped) into the knobs
+/// and the selected experiment name (`all` when none is given). Flags may
+/// come before or after the name.
+fn parse_args(args: &[String]) -> Result<(Knobs, String), String> {
+    let mut knobs = Knobs {
+        pipeline: PipelineConfig::default(),
+        literals: LiteralPolicy::FreshEachRun,
+        snapshot_every: 0,
+    };
+    let mut which: Option<&String> = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg.starts_with("--") {
+            let (name, set) = FLAGS
+                .iter()
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            let value = args
+                .next()
+                .ok_or_else(|| format!("{name} requires a value"))?;
+            set(&mut knobs, value).map_err(|e| format!("{name}: {e}"))?;
+        } else if let Some(first) = which {
+            return Err(format!("one experiment per run: got `{first}` and `{arg}`"));
+        } else {
+            which = Some(arg);
         }
     }
-}
-
-/// Execution-result-cache override for every experiment in this run.
-static EXEC_CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_exec_cache(enabled: bool) {
-    let _ = EXEC_CACHE.set(enabled);
-}
-
-/// Delta-slate-compilation override for every experiment in this run.
-static DELTA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_delta(enabled: bool) {
-    let _ = DELTA.set(enabled);
-}
-
-/// Span-feature-cache override for every experiment in this run.
-static FEATURE_CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_feature_cache(enabled: bool) {
-    let _ = FEATURE_CACHE.set(enabled);
-}
-
-/// Anytime compile budget for the measurement-path (counterfactual)
-/// compiles of every closed-loop experiment in this run.
-static COMPILE_BUDGET: std::sync::OnceLock<qo_advisor::CompileBudget> = std::sync::OnceLock::new();
-
-fn set_compile_budget(budget: qo_advisor::CompileBudget) {
-    let _ = COMPILE_BUDGET.set(budget);
-}
-
-/// Parse via the shared [`qo_advisor::CompileBudget`] parser (same spellings
-/// as `QO_COMPILE_BUDGET` everywhere).
-fn parse_budget_flag(value: &str) -> qo_advisor::CompileBudget {
-    qo_advisor::CompileBudget::parse(value).unwrap_or_else(|e| {
-        eprintln!("bad compile budget: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Day-boundary snapshot cadence for the closed-loop experiments
-/// (0 = never).
-static SNAPSHOT_EVERY: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-
-fn set_snapshot_every(every: u32) {
-    let _ = SNAPSHOT_EVERY.set(every);
-}
-
-/// Install the CLI-selected snapshot policy on a closed-loop simulation,
-/// writing to `results/snapshots/<name>.qosnap`. No-op unless
-/// `--snapshot-every` (or `QO_SNAPSHOT_EVERY`) selected a cadence.
-fn apply_snapshot_policy(sim: &mut ProductionSim, name: &str) {
-    let every = *SNAPSHOT_EVERY.get_or_init(|| 0);
-    if every == 0 {
-        return;
+    let which = which.map_or("all", String::as_str);
+    if which != "all" && !EXPERIMENTS.iter().any(|(names, _)| names.contains(&which)) {
+        return Err(format!("unknown experiment `{which}`"));
     }
-    let dir = std::path::Path::new("results").join("snapshots");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(2);
+    Ok((knobs, which.to_string()))
+}
+
+impl Knobs {
+    /// The base workload every simulation experiment derives from: the
+    /// given shape plus the CLI-selected literal-redraw policy.
+    fn workload_config(
+        &self,
+        seed: u64,
+        num_templates: usize,
+        adhoc_per_day: usize,
+        max_instances_per_day: u32,
+    ) -> WorkloadConfig {
+        WorkloadConfig {
+            seed,
+            num_templates,
+            adhoc_per_day,
+            max_instances_per_day,
+            literals: self.literals,
+        }
     }
-    sim.set_snapshot_policy(Some(SnapshotPolicy {
-        path: dir.join(format!("{name}.qosnap")),
-        every,
-    }));
-}
 
-/// Literal-redraw policy for every simulated workload in this run.
-static LITERALS: std::sync::OnceLock<LiteralPolicy> = std::sync::OnceLock::new();
-
-fn set_literals(policy: LiteralPolicy) {
-    let _ = LITERALS.set(policy);
-}
-
-/// The CLI-selected literal-redraw policy (default: fresh every run).
-fn literal_policy() -> LiteralPolicy {
-    *LITERALS.get_or_init(|| LiteralPolicy::FreshEachRun)
-}
-
-/// Parse `fresh` | `sticky` | `sticky:N` | `mixed:F` via the shared
-/// [`LiteralPolicy`] parser (same spellings as `QO_LITERALS` everywhere).
-fn parse_literals_flag(value: &str) -> LiteralPolicy {
-    value.parse().unwrap_or_else(|e| {
-        eprintln!("bad literals flag: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The base pipeline configuration every experiment derives from: defaults
-/// plus the CLI-selected parallelism and cache switches.
-fn pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        parallelism: ParallelismConfig {
-            threads: *THREADS.get_or_init(|| None),
-        },
-        cache: if *CACHE.get_or_init(|| true) {
-            CacheConfig::default()
-        } else {
-            CacheConfig::disabled()
-        },
-        exec_cache: if *EXEC_CACHE.get_or_init(|| true) {
-            ExecCacheConfig::default()
-        } else {
-            ExecCacheConfig::disabled()
-        },
-        delta: if *DELTA.get_or_init(|| true) {
-            DeltaConfig::default()
-        } else {
-            DeltaConfig::disabled()
-        },
-        feature_cache: if *FEATURE_CACHE.get_or_init(|| true) {
-            FeatureCacheConfig::default()
-        } else {
-            FeatureCacheConfig::disabled()
-        },
-        compile_budget: *COMPILE_BUDGET.get_or_init(qo_advisor::CompileBudget::unlimited),
-        ..PipelineConfig::default()
-    }
-}
-
-/// The base workload every simulation experiment derives from: the given
-/// shape plus the CLI-selected literal-redraw policy.
-fn workload_config(
-    seed: u64,
-    num_templates: usize,
-    adhoc_per_day: usize,
-    max_instances_per_day: u32,
-) -> WorkloadConfig {
-    WorkloadConfig {
-        seed,
-        num_templates,
-        adhoc_per_day,
-        max_instances_per_day,
-        literals: literal_policy(),
+    /// Install the CLI-selected snapshot policy on a closed-loop
+    /// simulation, writing to `results/snapshots/<name>.qosnap`. No-op
+    /// unless `--snapshot-every` selected a cadence.
+    fn apply_snapshot_policy(&self, sim: &mut ProductionSim, name: &str) {
+        if self.snapshot_every == 0 {
+            return;
+        }
+        let dir = std::path::Path::new("results").join("snapshots");
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
+        sim.set_snapshot_policy(Some(SnapshotPolicy {
+            path: dir.join(format!("{name}.qosnap")),
+            every: self.snapshot_every,
+        }));
     }
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires an integer argument");
-                std::process::exit(2);
-            });
-        set_threads(Some(n));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_THREADS") {
-        let n = value.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("QO_THREADS must be an integer, got `{value}`");
-            std::process::exit(2);
-        });
-        set_threads(Some(n));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--cache requires on|off");
-            std::process::exit(2);
-        });
-        set_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_CACHE") {
-        set_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--exec-cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--exec-cache requires on|off");
-            std::process::exit(2);
-        });
-        set_exec_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_EXEC_CACHE") {
-        set_exec_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--delta-compile") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--delta-compile requires on|off");
-            std::process::exit(2);
-        });
-        set_delta(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_DELTA") {
-        set_delta(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--feature-cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--feature-cache requires on|off");
-            std::process::exit(2);
-        });
-        set_feature_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_FEATURE_CACHE") {
-        set_feature_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--compile-budget") {
-        let value = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--compile-budget requires a task count (0 = unlimited)");
-            std::process::exit(2);
-        });
-        set_compile_budget(parse_budget_flag(value));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_COMPILE_BUDGET") {
-        set_compile_budget(parse_budget_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--snapshot-every") {
-        let every = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--snapshot-every requires an integer argument (0 = never)");
-                std::process::exit(2);
-            });
-        set_snapshot_every(every);
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_SNAPSHOT_EVERY") {
-        set_snapshot_every(value.parse().unwrap_or_else(|_| {
-            eprintln!("QO_SNAPSHOT_EVERY must be an integer, got `{value}`");
-            std::process::exit(2);
-        }));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--literals") {
-        let policy = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--literals requires fresh|sticky[:days]|mixed:fraction");
-            std::process::exit(2);
-        });
-        set_literals(parse_literals_flag(policy));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_LITERALS") {
-        set_literals(parse_literals_flag(&value));
-    }
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let run = |name: &str| which == "all" || which == name;
-
-    if run("fig2") || run("fig4") {
-        fig2_fig4();
-    }
-    if run("fig3") || run("fig5") {
-        fig3_fig5();
-    }
-    if run("fig6") {
-        fig6();
-    }
-    if run("fig7") || run("fig8") {
-        fig7_fig8();
-    }
-    if run("fig9") {
-        fig9();
-    }
-    if run("table2") || run("fig10") || run("fig11") || run("fig12") {
-        table2_and_figs();
-    }
-    if run("table3") {
-        table3();
-    }
-    if run("ablation-cost-gate") {
-        ablation_cost_gate();
-    }
-    if run("ablation-span-features") {
-        ablation_span_features();
-    }
-    if run("negi-cost") {
-        negi_maintenance_cost();
-    }
-    if ![
-        "all",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "table2",
-        "table3",
-        "ablation-cost-gate",
-        "ablation-span-features",
-        "negi-cost",
-    ]
-    .contains(&which)
-    {
-        eprintln!("unknown experiment {which}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (knobs, which) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
+    });
+    for (names, run) in EXPERIMENTS {
+        if which == "all" || names.contains(&which.as_str()) {
+            run(&knobs);
+        }
     }
 }
 
 /// Figures 2 and 4: week-over-week instability of single A/B savings.
-fn fig2_fig4() {
+fn fig2_fig4(knobs: &Knobs) {
     println!("\n=== Figures 2 & 4: recurring-job stability (week0 vs week1) ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     let default = env.default_config();
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
@@ -432,9 +288,9 @@ fn fig2_fig4() {
 }
 
 /// Figures 3 and 5: A/A variance of latency vs PNhours.
-fn fig3_fig5() {
+fn fig3_fig5(knobs: &Knobs) {
     println!("\n=== Figures 3 & 5: A/A variance (10 runs per job) ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     let default = env.default_config();
     let jobs = env.workload.jobs_for_day(0);
     let mut points = Vec::new();
@@ -477,9 +333,9 @@ fn fig3_fig5() {
 }
 
 /// Figure 6: estimated-cost deltas do not predict latency deltas.
-fn fig6() {
+fn fig6(knobs: &Knobs) {
     println!("\n=== Figure 6: estimated-cost delta vs latency delta ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     let default = env.default_config();
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
@@ -591,9 +447,9 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
 }
 
 /// Figures 7 and 8: DataRead/DataWritten deltas correlate with PN deltas.
-fn fig7_fig8() {
+fn fig7_fig8(knobs: &Knobs) {
     println!("\n=== Figures 7 & 8: data deltas predict PNhours deltas ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     let samples = gather_samples(&env, 0..3, 0x77);
     let rows: Vec<String> = samples
         .iter()
@@ -631,9 +487,9 @@ fn fig7_fig8() {
 }
 
 /// Figure 9: validation-model accuracy on held-out days.
-fn fig9() {
+fn fig9(knobs: &Knobs) {
     println!("\n=== Figure 9: validation model, predicted vs actual PN delta ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     // Train on a 14-day window of random pre-production flights (Â§4.3);
     // evaluate against what actually happens in *production*: paired
     // default/flip runs of later days' jobs on the production cluster.
@@ -713,10 +569,13 @@ fn fig9() {
 }
 
 /// Table 2 and Figures 10-12: end-to-end production impact.
-fn table2_and_figs() {
+fn table2_and_figs(knobs: &Knobs) {
     println!("\n=== Table 2 + Figures 10-12: pre-production impact of QO-Advisor ===");
-    let mut sim = ProductionSim::new(workload_config(2022, 60, 15, 2), pipeline_config());
-    apply_snapshot_policy(&mut sim, "table2");
+    let mut sim = ProductionSim::new(
+        knobs.workload_config(2022, 60, 15, 2),
+        knobs.pipeline.clone(),
+    );
+    knobs.apply_snapshot_policy(&mut sim, "table2");
     sim.bootstrap_validation_model(5, 24)
         .expect("generated workloads compile on the default path");
     let outcomes = sim
@@ -776,12 +635,12 @@ fn table2_and_figs() {
 }
 
 /// Table 3: contextual bandit vs uniform-random rule flips.
-fn table3() {
+fn table3(knobs: &Knobs) {
     println!("\n=== Table 3: random vs CB rule flips ===");
-    let wl = workload_config(2022, 60, 15, 2);
+    let wl = knobs.workload_config(2022, 60, 15, 2);
     // Train the CB through the daily loop.
-    let mut sim = ProductionSim::new(wl.clone(), pipeline_config());
-    apply_snapshot_policy(&mut sim, "table3");
+    let mut sim = ProductionSim::new(wl.clone(), knobs.pipeline.clone());
+    knobs.apply_snapshot_policy(&mut sim, "table3");
     sim.bootstrap_validation_model(3, 16)
         .expect("generated workloads compile on the default path");
     for _ in 0..30 {
@@ -808,7 +667,7 @@ fn table3() {
         FlightingService::new(Cluster::preproduction(), FlightBudget::default()),
         PipelineConfig {
             strategy: RecommendStrategy::UniformRandom,
-            ..pipeline_config()
+            ..knobs.pipeline.clone()
         },
     );
     let report_rand = random.run_day(&view, eval_day).expect("pipeline day runs");
@@ -886,7 +745,7 @@ fn table3() {
 }
 
 /// §5.2 ablation: without estimated-cost gating, flighting drowns.
-fn ablation_cost_gate() {
+fn ablation_cost_gate(knobs: &Knobs) {
     println!("\n=== §5.2 ablation: estimated-cost gate removed ===");
     // A realistic (tight) daily flighting budget.
     let tight = FlightBudget {
@@ -895,7 +754,7 @@ fn ablation_cost_gate() {
         queue_size: 64,
     };
     let run_one = |gate: bool| {
-        let wl = workload_config(2022, 60, 15, 2);
+        let wl = knobs.workload_config(2022, 60, 15, 2);
         let mut sim = ProductionSim::new(
             wl,
             PipelineConfig {
@@ -903,7 +762,7 @@ fn ablation_cost_gate() {
                 est_cost_gate: gate,
                 flight_budget: tight.clone(),
                 max_flights_per_day: 64,
-                ..pipeline_config()
+                ..knobs.pipeline.clone()
             },
         );
         let out = sim
@@ -944,9 +803,9 @@ fn ablation_cost_gate() {
 /// CBs through the same daily loops — one with the full span context, one
 /// with span features stripped — then compare their single-day
 /// recommendation quality on identical jobs.
-fn ablation_span_features() {
+fn ablation_span_features(knobs: &Knobs) {
     println!("\n=== §6 ablation: span features in the CB context ===");
-    let wl = workload_config(2022, 60, 15, 2);
+    let wl = knobs.workload_config(2022, 60, 15, 2);
     // Accumulate the acting-policy quality over the back half of training
     // (the first half is warm-up for both variants).
     let run_policy = |span_features: bool| {
@@ -954,7 +813,7 @@ fn ablation_span_features() {
             wl.clone(),
             PipelineConfig {
                 span_features,
-                ..pipeline_config()
+                ..knobs.pipeline.clone()
             },
         );
         sim.bootstrap_validation_model(3, 16)
@@ -1016,9 +875,9 @@ fn ablation_span_features() {
 /// 2021 heuristic (sample 1000 configurations, flight the top 10) against
 /// QO-Advisor's per-job cost (2 recompiles, amortized span, ≤1 flight per
 /// template).
-fn negi_maintenance_cost() {
+fn negi_maintenance_cost(knobs: &Knobs) {
     println!("\n=== §2.2 maintenance cost: Negi et al. 2021 vs QO-Advisor ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs.literals);
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
         FlightBudget {
@@ -1082,4 +941,231 @@ fn negi_maintenance_cost() {
          the scaled-down sample count (5x more at the paper's 1000 samples).",
         (total_recompiles as f64 / take as f64) / 2.0
     );
+}
+
+/// Transform-heavy pipelines (stacked filters over projections, deep join
+/// chains) where exploration genuinely improves the objective — the seeded
+/// workload's generated plans are largely normalization-clean, so without
+/// these the regret column of the sweep is identically zero and the curve
+/// says nothing about where truncation starts costing plan quality.
+const DEEP_SCRIPTS: &[&str] = &[
+    r#"
+        t  = EXTRACT a:int, b:float FROM "store/t";
+        f1 = SELECT a, b FROM t WHERE b > 1;
+        f2 = SELECT a, b FROM f1 WHERE a < 10;
+        f3 = SELECT a, b FROM f2 WHERE b < 100;
+        OUTPUT f3 TO "out/f";
+    "#,
+    r#"
+        fact = EXTRACT k:int, m:int, v:float FROM "store/fact";
+        d1   = EXTRACT k:int, g:int FROM "store/d1";
+        p    = SELECT k, m, v FROM fact;
+        f1   = SELECT k, m, v FROM p WHERE v > 100;
+        f2   = SELECT k, m, v FROM f1 WHERE k < 50;
+        j    = SELECT * FROM f2 AS f JOIN d1 ON f.k == d1.k;
+        rpt  = SELECT g, SUM(v) AS total FROM j GROUP BY g;
+        OUTPUT rpt TO "out/cube";
+    "#,
+    r#"
+        s  = EXTRACT u:int, x:float, y:float FROM "store/s";
+        p1 = SELECT u, x, y FROM s;
+        p2 = SELECT u, x, y FROM p1;
+        f1 = SELECT u, x, y FROM p2 WHERE x > 0;
+        f2 = SELECT u, x, y FROM f1 WHERE y > 0;
+        f3 = SELECT u, x, y FROM f2 WHERE u > 10;
+        OUTPUT f3 TO "out/deep";
+    "#,
+];
+
+/// Anytime-optimization budget sweep: compile one seeded workload day under
+/// a ladder of [`CompileBudget`]s and report the tasks-vs-cost-regret curve
+/// — how much plan quality (the anytime objective: summed root-group best
+/// costs) each budget gives up against the unlimited compile, and what
+/// fraction of compiles it truncates. This is the load-shedding calibration
+/// artifact: pick the knee of the curve, not a guess, when setting
+/// `--compile-budget` / `StreamConfig::compile_budget`.
+fn budget_regret(knobs: &Knobs) {
+    println!("\n=== Anytime compile budget: tasks vs cost regret ===");
+    let optimizer = scope_opt::Optimizer::default();
+    let default = optimizer.default_config();
+    let mut plans: Vec<std::sync::Arc<scope_ir::LogicalPlan>> =
+        Workload::new(knobs.workload_config(2022, 24, 4, 1))
+            .jobs_for_day(0)
+            .into_iter()
+            .map(|job| job.plan)
+            .collect();
+    let workload_jobs = plans.len();
+    for script in DEEP_SCRIPTS {
+        plans.push(std::sync::Arc::new(
+            bind_script(script, &Catalog::default()).expect("deep scripts bind"),
+        ));
+    }
+    let compile = |plan, budget| {
+        optimizer
+            .compile_budgeted(plan, &default, budget)
+            .expect("generated workloads compile on the default path")
+    };
+
+    // Unlimited reference: the floor objective per job, and the cascade
+    // sizes the sweep ladder is judged against.
+    let reference: Vec<(f64, u64)> = plans
+        .iter()
+        .map(|plan| {
+            let full = compile(plan, CompileBudget::unlimited());
+            (full.objective, full.tasks_executed)
+        })
+        .collect();
+    let jobs = plans.len() as f64;
+    let mean_full_tasks = reference.iter().map(|(_, t)| *t).sum::<u64>() as f64 / jobs;
+    println!(
+        "  {} jobs ({workload_jobs} workload + {} transform-heavy), mean unlimited cascade {mean_full_tasks:.0} tasks",
+        plans.len(),
+        DEEP_SCRIPTS.len()
+    );
+
+    // Powers of two through the observed task range of the workload's
+    // cascades.
+    let mut rows = Vec::new();
+    for budget in (3..=12).map(|p| 1u64 << p) {
+        let mut regrets = Vec::with_capacity(plans.len());
+        let mut truncated = 0usize;
+        let mut tasks_total = 0u64;
+        for (plan, (full_objective, _)) in plans.iter().zip(&reference) {
+            let b = compile(plan, CompileBudget::tasks(budget));
+            truncated += usize::from(b.outcome.is_truncated());
+            tasks_total += b.tasks_executed;
+            // Relative cost regret of the anytime plan vs the full search;
+            // monotonicity guarantees this is >= 0 (up to f64 rounding).
+            regrets.push(b.objective / full_objective - 1.0);
+        }
+        let mean_regret = mean(&regrets);
+        let max_regret = regrets.iter().copied().fold(0.0, f64::max);
+        println!(
+            "  budget {budget:>5}: mean regret {:+.3}%, max {:+.3}%, {truncated}/{} truncated, mean {:.0} tasks",
+            mean_regret * 1e2,
+            max_regret * 1e2,
+            plans.len(),
+            tasks_total as f64 / jobs,
+        );
+        rows.push(format!(
+            "{budget},{mean_regret:.6},{max_regret:.6},{:.4},{:.1}",
+            truncated as f64 / jobs,
+            tasks_total as f64 / jobs,
+        ));
+    }
+    // The unlimited endpoint (budget 0): zero regret by construction.
+    rows.push(format!("0,0.000000,0.000000,0.0000,{mean_full_tasks:.1}"));
+    write_csv(
+        "budget_regret.csv",
+        "budget,mean_regret,max_regret,truncated_frac,mean_tasks",
+        &rows,
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Knobs, String), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_run_every_experiment_at_the_defaults() {
+        let (knobs, which) = parse(&[]).unwrap();
+        assert_eq!(which, "all");
+        assert_eq!(
+            format!("{:?}", knobs.pipeline),
+            format!("{:?}", PipelineConfig::default())
+        );
+        assert_eq!(knobs.snapshot_every, 0);
+        assert_eq!(
+            knobs.workload_config(1, 2, 3, 4).literals,
+            WorkloadConfig::default().literals
+        );
+    }
+
+    #[test]
+    fn each_flag_lands_in_its_config_field() {
+        let (knobs, which) = parse(&[
+            "--threads",
+            "8",
+            "--cache",
+            "off",
+            "table2",
+            "--exec-cache",
+            "0",
+            "--delta-compile",
+            "false",
+            "--feature-cache",
+            "off",
+            "--compile-budget",
+            "64",
+            "--snapshot-every",
+            "5",
+            "--literals",
+            "sticky:7",
+        ])
+        .unwrap();
+        assert_eq!(which, "table2");
+        let cfg = &knobs.pipeline;
+        assert_eq!(cfg.parallelism.threads, Some(8));
+        assert_eq!(cfg.cache, qo_advisor::CacheConfig::disabled());
+        assert_eq!(cfg.exec_cache, qo_advisor::ExecCacheConfig::disabled());
+        assert_eq!(cfg.delta, qo_advisor::DeltaConfig::disabled());
+        assert_eq!(
+            cfg.feature_cache,
+            qo_advisor::FeatureCacheConfig::disabled()
+        );
+        assert_eq!(cfg.compile_budget, CompileBudget::tasks(64));
+        assert_eq!(knobs.snapshot_every, 5);
+        let wl = knobs.workload_config(2022, 60, 15, 2);
+        assert_eq!(
+            wl.literals,
+            LiteralPolicy::Sticky {
+                redraw_every_days: 7
+            }
+        );
+        assert_eq!(
+            (
+                wl.seed,
+                wl.num_templates,
+                wl.adhoc_per_day,
+                wl.max_instances_per_day
+            ),
+            (2022, 60, 15, 2)
+        );
+        // One flag leaves the others at their defaults.
+        let cfg = parse(&["--cache", "on"]).unwrap().0.pipeline;
+        assert_eq!(cfg.cache, PipelineConfig::default().cache);
+        assert_eq!(cfg.parallelism.threads, None);
+    }
+
+    #[test]
+    fn every_experiment_name_is_accepted() {
+        for (names, _) in EXPERIMENTS {
+            for name in *names {
+                assert_eq!(parse(&[name]).unwrap().1, *name);
+            }
+        }
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        for (args, needle) in [
+            (&["--threads"][..], "requires a value"),
+            (&["table2", "--literals"], "requires a value"),
+            (&["--threads", "many"], "expected an integer"),
+            (&["--snapshot-every", "-1"], "expected an integer"),
+            (&["--cache", "maybe"], "expected on|off"),
+            (&["--compile-budget", "lots"], "invalid compile budget"),
+            (&["--literals", "mixed:2"], "outside [0, 1]"),
+            (&["--thraeds", "8"], "unknown flag `--thraeds`"),
+            (&["table2", "table3"], "one experiment per run"),
+            (&["table9"], "unknown experiment `table9`"),
+        ] {
+            let err = parse(args).map(|(_, which)| which).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Crash-recovery smoke driver: run the closed steering loop for N days,
 //! optionally snapshotting at every day boundary, or resume a snapshotted
-//! run and replay its tail. Prints one *normalized* `DailyReport` line per
-//! day run in THIS process (telemetry-only fields zeroed, exactly like
+//! run and replay its tail. Prints one `DailyReport::steering` line per
+//! day run in THIS process (telemetry-only fields defaulted, exactly like
 //! `tests/determinism.rs`), so a resumed tail can be byte-diffed against
 //! the same days of an uninterrupted golden run:
 //!
@@ -18,19 +18,9 @@
 //! CI's crash-recovery leg runs exactly this sequence and diffs the
 //! outputs; see `.github/workflows/ci.yml`.
 
-use qo_advisor::{DailyReport, PipelineConfig, ProductionSim, SnapshotPolicy};
+use qo_advisor::{PipelineConfig, ProductionSim, SnapshotPolicy};
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
-
-fn normalized(report: &DailyReport) -> String {
-    let mut r = report.clone();
-    r.compile_cache = Default::default();
-    r.exec_cache = Default::default();
-    r.delta_compile = Default::default();
-    r.feature_cache = Default::default();
-    r.timings = Default::default();
-    format!("{r:?}")
-}
 
 fn usage() -> ! {
     eprintln!("usage: recovery --days N --sis DIR --out FILE [--snapshot PATH] [--resume PATH]");
@@ -90,7 +80,7 @@ fn main() {
         let out = sim
             .advance_day()
             .expect("generated workloads compile on the default path");
-        lines.push(normalized(&out.report));
+        lines.push(format!("{:?}", out.report.steering()));
     }
     let mut body = lines.join("\n");
     body.push('\n');

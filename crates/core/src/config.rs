@@ -2,33 +2,26 @@
 //!
 //! # Runtime knobs
 //!
-//! Every throughput/workload knob reachable from the CLI tools
-//! (`experiments`, `probe`) in one place. Flags win over environment
-//! variables; all four knobs are *throughput or workload-shape* switches —
-//! `--threads`, `--cache`, and `--exec-cache` never change steering outputs
-//! (see `tests/determinism.rs`), `--literals` changes the generated workload
-//! itself.
+//! The `experiments` binary (`crates/bench/src/bin/experiments.rs`) is the
+//! one command-line knob surface; nothing reads environment variables. Every
+//! flag below except `--literals` is a *throughput or operational* switch
+//! that never changes steering outputs (see `tests/determinism.rs`);
+//! `--literals` changes the generated workload itself.
 //!
-//! | Env var         | `experiments` flag | Values                            | Effect |
-//! |-----------------|--------------------|-----------------------------------|--------|
-//! | `QO_THREADS`    | `--threads N`      | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`ParallelismConfig`]); unset/`1` = serial |
-//! | `QO_CACHE`      | `--cache V`        | `on`/`1`/`true`, `off`/`0`/`false`| Compile-result cache ([`scope_opt::CacheConfig`], on by default) shared across view building, span fixpoint, recommendation, flighting, and days |
-//! | `QO_EXEC_CACHE` | `--exec-cache V`   | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`scope_runtime::ExecCacheConfig`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
-//! | `QO_DELTA`      | `--delta-compile V`| `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`scope_opt::DeltaConfig`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles — byte-identical results, only throughput differs |
-//! | `QO_LITERALS`   | `--literals P`     | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::LiteralPolicy`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
-//! | `QO_FEATURE_CACHE` | `--feature-cache V` | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`crate::features::FeatureCache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block is built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day — byte-identical context vectors, only throughput differs |
-//! | `QO_SNAPSHOT_EVERY` | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`]): write the full steering state (bandit, SIS, flighting salt, explored set, monitor, warm span cache) to `results/snapshots/<experiment>.qosnap` at every Nth day boundary. Purely operational — steering outputs are bit-identical with snapshots on or off (`tests/snapshot_recovery.rs`); the write cost lands in `DailyReport.timings.snapshot_ns` |
-//! | `QO_SNAPSHOT` | *(probe only)* | file path | `probe` installs an every-day [`crate::snapshot::SnapshotPolicy`] at this path, reports per-day write cost and a timed end-of-run restore in its JSON record, and the `recovery` bin's `--snapshot`/`--resume` flags drive the CI crash-recovery smoke leg against the same format |
-//! | `QO_COMPILE_BUDGET` | `--compile-budget N` | integer N tasks (`0`/`unlimited`/`off` = unlimited, default) | Anytime compile budget ([`scope_opt::CompileBudget`]) for the loop's *measurement-path* compiles — the counterfactual default recompiles of hinted jobs. At N tasks the optimizer's task-queue cascade stops exploring after N tasks and extracts the best plan from the partial memo (`scope_opt::tasks`). Steering-path compiles (view build, span fixpoint, recommendation, flighting) always run to completion, so hint files and reports are budget-invariant; shed tallies land in `DailyReport.compile_budget`. Finite-budget compiles bypass the compile cache and delta compiler (truncated results are not cacheable under unbudgeted keys), so shed decisions are a pure function of `(plan, config, budget)` — deterministic at any thread count |
-//! | `QO_TENANTS` | `fleet --tenants N` | integer ≥ 1 (fleet probe default 64) | Tenant count for the multi-tenant fleet probe (`crates/bench/src/bin/fleet.rs`): N per-tenant steering loops ([`crate::fleet::Fleet`]) over one process-wide [`crate::pipeline::SharedCaches`]. A serving-scale knob, not a behavior knob — each tenant's outputs are byte-identical to running it alone (`tests/fleet_determinism.rs`) |
-//! | `QO_FLEET_WORKERS` | `fleet --workers N` | integer (`0` = all cores) | Worker threads of the fleet's streaming job pipeline ([`crate::fleet::StreamConfig`]): workers pull job arrivals off the bounded queue and build view rows; per-tenant reduces stay serial. Pure throughput knob |
+//! | `experiments` flag   | Values                            | Effect |
+//! |----------------------|-----------------------------------|--------|
+//! | `--threads N`        | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`PipelineConfig::parallelism`]); unset = serial |
+//! | `--cache V`          | `on`/`1`/`true`, `off`/`0`/`false`| Compile-result cache ([`PipelineConfig::cache`], on by default) shared across view building, span fixpoint, recommendation, flighting, and days |
+//! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
+//! | `--delta-compile V`  | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`PipelineConfig::delta`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles |
+//! | `--feature-cache V`  | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`PipelineConfig::feature_cache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block is built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day |
+//! | `--compile-budget N` | integer N tasks (`0`/`unlimited`/`off` = unlimited, default) | Anytime compile budget ([`PipelineConfig::compile_budget`]) for the loop's *measurement-path* compiles — the counterfactual default recompiles of hinted jobs. Steering-path compiles (view build, span fixpoint, recommendation, flighting) always run to completion, so hint files and reports are budget-invariant; shed tallies land in `DailyReport.compile_budget`. Finite-budget compiles bypass the compile cache and delta compiler (truncated results are not cacheable under unbudgeted keys), so shed decisions are a pure function of `(plan, config, budget)` — deterministic at any thread count |
+//! | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`], installed with [`crate::simulation::ProductionSim::set_snapshot_policy`]): write the full steering state to `results/snapshots/<experiment>.qosnap` at every Nth day boundary; the write cost lands in `DailyReport.timings.snapshot_ns` |
+//! | `--literals P`       | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::WorkloadConfig::literals`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
 //!
-//! `probe` reads the same environment variables; `experiments` also accepts
-//! the flags. Programmatic equivalents: [`PipelineConfig::parallelism`],
-//! [`PipelineConfig::cache`], [`PipelineConfig::exec_cache`],
-//! [`PipelineConfig::delta`], [`PipelineConfig::feature_cache`],
-//! [`scope_workload::WorkloadConfig::literals`], and
-//! [`crate::simulation::ProductionSim::set_snapshot_policy`].
+//! Fleet scale (tenant count, stream workers, per-job stream budget) is set
+//! programmatically through [`crate::fleet::FleetConfig`]; the `perf`
+//! benchmark's `fleet_zipf` workload (`perfbench/`) is its measured driver.
 
 use crate::features::FeatureCacheConfig;
 use flighting::FlightBudget;

@@ -100,7 +100,7 @@ pub fn span_block(span: &SpanResult, max_span_for_triples: usize) -> FeatureVect
     fv
 }
 
-/// Span-feature-cache configuration (the `QO_FEATURE_CACHE` knob).
+/// Span-feature-cache configuration (the `--feature-cache` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureCacheConfig {
     /// Disabled = rebuild the span block per job (the pre-cache behavior).
@@ -130,17 +130,6 @@ impl FeatureCacheConfig {
         Self {
             enabled: false,
             ..Self::default()
-        }
-    }
-
-    /// Parse the shared `QO_FEATURE_CACHE` / `--feature-cache` switch
-    /// spellings (`on`/`1`/`true`, `off`/`0`/`false`) into a config, so
-    /// every CLI entry point accepts the identical vocabulary.
-    pub fn parse_switch(value: &str) -> Result<Self, String> {
-        match value {
-            "on" | "1" | "true" => Ok(Self::default()),
-            "off" | "0" | "false" => Ok(Self::disabled()),
-            other => Err(format!("expected on|off, got `{other}`")),
         }
     }
 }

@@ -80,7 +80,7 @@ use scope_opt::{
     BudgetCounters, BudgetStats, BudgetedCompiler, CacheStats, CachingOptimizer, CompileBudget,
     HintSet, RuleConfig,
 };
-use scope_runtime::{CachingExecutor, ExecStats};
+use scope_runtime::CachingExecutor;
 use scope_workload::{build_view_row, JobInstance, ViewBuildError, ViewRow, WorkloadConfig};
 use sis::{SisError, SisStore};
 use std::path::Path;
@@ -360,20 +360,6 @@ impl Fleet {
                 .tenants
                 .iter()
                 .map(|t| t.sim.advisor.feature_stats())
-                .sum(),
-        }
-    }
-
-    /// Fleet-wide lifetime execution-cache counters (see
-    /// [`Fleet::compile_stats`]).
-    #[must_use]
-    pub fn exec_stats(&self) -> ExecStats {
-        match &self.shared {
-            Some(caches) => caches.exec_stats(),
-            None => self
-                .tenants
-                .iter()
-                .map(|t| t.sim.advisor.exec_stats())
                 .sum(),
         }
     }

@@ -141,8 +141,8 @@ impl ExecCounters {
 
 /// Wall-clock time of each phase of one simulated day, in nanoseconds —
 /// embedded in [`crate::DailyReport`] so the per-day perf trajectory is
-/// machine-readable (the `probe --json` output ships it into
-/// `results/BENCH_probe.json`; see `PERFORMANCE.md`).
+/// machine-readable (the `perf` benchmark's `core.*_ms_p50` layer metrics
+/// read it; see `perfbench/README.md`).
 ///
 /// Pure observability, like the cache counters: wall clocks obviously vary
 /// run to run, so reproducibility comparisons zero this field (see

@@ -138,15 +138,6 @@ impl SharedCaches {
             .unwrap_or_default()
     }
 
-    /// Lifetime execution-cache counters (all-zero when disabled).
-    #[must_use]
-    pub fn exec_stats(&self) -> ExecStats {
-        self.exec
-            .as_deref()
-            .map(ExecutionCache::stats)
-            .unwrap_or_default()
-    }
-
     /// Lifetime span-feature-cache counters (all-zero when disabled).
     #[must_use]
     pub fn feature_stats(&self) -> CacheStats {
@@ -231,14 +222,14 @@ pub struct DailyReport {
     pub exec_cache: ExecCounters,
     /// Delta-compilation telemetry: how the day's treatment slates were
     /// resolved (pruned / delta / full) and the base-memo cache traffic.
-    /// All-zero when `QO_DELTA=off`; observability only, zeroed in
-    /// reproducibility comparisons like the cache counters.
+    /// All-zero when delta compilation is off; observability only, zeroed
+    /// in reproducibility comparisons like the cache counters.
     pub delta_compile: scope_opt::DeltaStats,
     /// Span-feature-cache telemetry (all consumed by the Recommendation
-    /// stage, so no per-stage breakdown; all-zero when
-    /// `QO_FEATURE_CACHE=off`). Observability only — which lookup hits can
-    /// depend on parallel insert order, so reproducibility comparisons zero
-    /// this field like the other cache counters.
+    /// stage, so no per-stage breakdown; all-zero when the cache is off).
+    /// Observability only — which lookup hits can depend on parallel insert
+    /// order, so reproducibility comparisons zero this field like the other
+    /// cache counters.
     pub feature_cache: CacheStats,
     /// Anytime-budget shed tallies of this day's *finite-budget* compiles
     /// (the counterfactual recompiles under
@@ -252,6 +243,25 @@ pub struct DailyReport {
     /// Per-stage wall-clock timings of this day (observability only;
     /// zeroed in reproducibility comparisons).
     pub timings: crate::monitoring::StageTimings,
+}
+
+impl DailyReport {
+    /// The deterministic steering half of the report: a copy with the
+    /// telemetry-only fields (`compile_cache`, `exec_cache`,
+    /// `delta_compile`, `feature_cache`, `timings`) defaulted. This is what
+    /// the byte-identity contract compares across thread counts, cache
+    /// switches and restores; `compile_budget` is deterministic and stays.
+    #[must_use]
+    pub fn steering(&self) -> DailyReport {
+        DailyReport {
+            compile_cache: CacheCounters::default(),
+            exec_cache: ExecCounters::default(),
+            delta_compile: scope_opt::DeltaStats::default(),
+            feature_cache: CacheStats::default(),
+            timings: crate::monitoring::StageTimings::default(),
+            ..self.clone()
+        }
+    }
 }
 
 /// The QO-Advisor system: pipeline state that persists across days. The
@@ -479,13 +489,6 @@ impl QoAdvisor {
     #[must_use]
     pub fn executor_for(&self, cluster: Cluster) -> CachingExecutor {
         CachingExecutor::new(cluster, self.exec_cache.clone())
-    }
-
-    /// The pre-production executor flighting runs on (behind the shared
-    /// execution cache).
-    #[must_use]
-    pub fn preprod_executor(&self) -> &CachingExecutor {
-        &self.preprod_exec
     }
 
     /// Lifetime execution-cache counters (all-zero when the cache is off).

@@ -169,12 +169,6 @@ impl ProductionSim {
         self.advisor.optimizer()
     }
 
-    /// The production cluster model.
-    #[must_use]
-    pub fn prod_cluster(&self) -> &Cluster {
-        self.prod_exec.cluster()
-    }
-
     /// The production executor (the production cluster *behind the sim-wide
     /// execution cache*). Hand this to [`build_view`] when driving the
     /// workload manually so production runs share the loop's cache.

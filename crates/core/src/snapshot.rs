@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 /// When to write snapshots during [`ProductionSim::advance_day`]: after
 /// every `every`-th completed day, to `path` (atomically overwritten each
 /// time). `every = 1` snapshots at every day boundary — the crash-recovery
-/// regime of `tests/snapshot_recovery.rs` and the `QO_SNAPSHOT` probe knob.
+/// regime of `tests/snapshot_recovery.rs` and the `recovery` bin.
 #[derive(Debug, Clone)]
 pub struct SnapshotPolicy {
     pub path: PathBuf,

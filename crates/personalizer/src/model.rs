@@ -124,12 +124,6 @@ impl LinearModel {
         }
         self.updates += 1;
     }
-
-    /// L2 norm of the weight table (diagnostics).
-    #[must_use]
-    pub fn weight_norm(&self) -> f64 {
-        self.weights.iter().map(|w| w * w).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]

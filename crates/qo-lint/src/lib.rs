@@ -656,7 +656,7 @@ let b = 2; // qo-lint: allow(seed-salt) — trailing covers its own line
     fn path_policies() {
         assert!(rule_applies("QL01", "crates/core/src/stages.rs"));
         assert!(!rule_applies("QL01", "crates/scope-ir/src/sharded.rs"));
-        assert!(!rule_applies("QL02", "crates/bench/src/bin/probe.rs"));
+        assert!(!rule_applies("QL02", "crates/bench/src/bin/experiments.rs"));
         assert!(rule_applies("QL02", "crates/core/src/pipeline.rs"));
         assert!(!rule_applies("QL03", "crates/scope-ir/src/ids.rs"));
         assert!(rule_applies("QL05", "crates/flighting/src/service.rs"));

@@ -83,8 +83,7 @@ pub use scope_ir::counters::CacheStats;
 type Key = (u64, RuleBits);
 
 /// The sharded compile-result cache: a [`ShardedCache`] of full compile
-/// results (per-shard FIFO eviction with per-shard attribution — see
-/// [`CompileCache::shard_evictions`]) plus hit/miss/insert accounting.
+/// results (per-shard FIFO eviction) plus hit/miss/insert accounting.
 /// `&CompileCache` is `Sync`: parallel pipeline fan-outs hit it
 /// concurrently, readers sharing each shard lock.
 #[derive(Debug)]
@@ -183,7 +182,7 @@ impl CompileCache {
     }
 
     /// Snapshot of the monotonic counters. Evictions are summed from the
-    /// per-shard counters (see [`CompileCache::shard_evictions`]).
+    /// per-shard counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -192,15 +191,6 @@ impl CompileCache {
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.entries.evictions(),
         }
-    }
-
-    /// Evictions attributed to each shard, in shard order. Capacity is
-    /// enforced per shard, so skewed key distributions show up here as one
-    /// shard churning while the rest idle — invisible when the counter was
-    /// a single cache-wide atomic.
-    #[must_use]
-    pub fn shard_evictions(&self) -> Vec<u64> {
-        self.entries.shard_evictions()
     }
 
     /// Live entries across all shards.
@@ -275,18 +265,6 @@ impl CachingOptimizer {
             cache,
             delta,
         }
-    }
-
-    /// Handle to the compile cache for sharing with another optimizer.
-    #[must_use]
-    pub fn shared_cache(&self) -> Option<Arc<CompileCache>> {
-        self.cache.clone()
-    }
-
-    /// Handle to the delta compiler for sharing with another optimizer.
-    #[must_use]
-    pub fn shared_delta(&self) -> Option<Arc<DeltaCompiler>> {
-        self.delta.clone()
     }
 
     /// A pass-through wrapper (every compile goes straight to the inner
@@ -388,13 +366,6 @@ impl CachingOptimizer {
         let result = self.inner.compile_budgeted(plan, config, budget);
         counters.record(&result);
         result.map(|b| b.compiled)
-    }
-
-    /// The delta compiler behind [`CachingOptimizer::compile_slate`], when
-    /// enabled.
-    #[must_use]
-    pub fn delta_compiler(&self) -> Option<&DeltaCompiler> {
-        self.delta.as_deref()
     }
 
     /// Delta-compiler counter snapshot; all-zero when delta is disabled.
@@ -508,12 +479,6 @@ impl<'a> BudgetedCompiler<'a> {
             budget,
             counters,
         }
-    }
-
-    /// The fixed budget every compile through this view runs under.
-    #[must_use]
-    pub fn budget(&self) -> CompileBudget {
-        self.budget
     }
 }
 
@@ -692,12 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn evictions_are_attributed_to_the_shard_that_evicted() {
+    fn evictions_enforce_the_per_shard_capacity() {
         let opt = Optimizer::default();
-        // Several shards, one entry of headroom each: every eviction must
-        // land on the shard whose slice of the capacity overflowed, and the
-        // roll-up must equal the per-shard sum (the counter used to be one
-        // cache-wide atomic, which hid exactly this attribution).
+        // Several shards, one entry of headroom each (per-shard attribution
+        // itself is `ShardedCache`'s `evictions_attributed_per_shard`).
         let cache = CompileCache::new(CacheConfig {
             enabled: true,
             capacity: 4,
@@ -715,14 +678,7 @@ mod tests {
                 }),
             );
         }
-        let per_shard = cache.shard_evictions();
-        assert_eq!(per_shard.len(), 4);
-        let total: u64 = per_shard.iter().sum();
-        assert_eq!(
-            cache.stats().evictions,
-            total,
-            "stats roll up the per-shard eviction counters"
-        );
+        let total = cache.stats().evictions;
         // 12 inserts into 4 shards of capacity 1 must evict somewhere...
         assert!(total > 0, "per-shard capacity must have been exceeded");
         // ...and live entries respect the per-shard cap.

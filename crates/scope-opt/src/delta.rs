@@ -115,15 +115,6 @@ impl DeltaConfig {
             ..Self::default()
         }
     }
-
-    /// Parse the `QO_DELTA` / `--delta-compile` switch spellings.
-    pub fn parse_switch(value: &str) -> Result<Self, String> {
-        match value {
-            "on" | "1" | "true" => Ok(Self::default()),
-            "off" | "0" | "false" => Ok(Self::disabled()),
-            other => Err(format!("expected on|off, got `{other}`")),
-        }
-    }
 }
 
 /// Monotonic delta-compiler counters (snapshot semantics, like
@@ -832,16 +823,10 @@ mod tests {
     }
 
     #[test]
-    fn config_defaults_and_switch_parsing() {
+    fn config_defaults_and_serde() {
         let c = DeltaConfig::default();
         assert!(c.enabled && c.capacity > 0 && c.shards > 0);
         assert!(!DeltaConfig::disabled().enabled);
-        assert_eq!(DeltaConfig::parse_switch("on"), Ok(DeltaConfig::default()));
-        assert_eq!(
-            DeltaConfig::parse_switch("off"),
-            Ok(DeltaConfig::disabled())
-        );
-        assert!(DeltaConfig::parse_switch("bogus").is_err());
         let json = serde_json::to_string(&c).unwrap();
         assert_eq!(serde_json::from_str::<DeltaConfig>(&json).unwrap(), c);
     }

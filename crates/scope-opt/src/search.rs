@@ -201,6 +201,14 @@ impl Default for Optimizer {
     }
 }
 
+/// A fresh memo seeded with `plan`: the template seed, the memo, and the
+/// plan's root groups.
+fn seed_memo(plan: &LogicalPlan) -> (u64, Memo, Vec<GroupId>) {
+    let mut memo = Memo::new();
+    let roots = memo.copy_in(plan);
+    (plan.template_id().0, memo, roots)
+}
+
 impl Optimizer {
     #[must_use]
     pub fn new(rules: RuleSet, cost: CostModel, opts: SearchOptions) -> Self {
@@ -217,15 +225,23 @@ impl Optimizer {
         &self.opts
     }
 
-    #[must_use]
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The default rule configuration of this optimizer's registry.
     #[must_use]
     pub fn default_config(&self) -> RuleConfig {
         self.rules.default_config()
+    }
+
+    /// The prologue of every checked compile entry point: validate the
+    /// plan, run the disable-path check, then [`seed_memo`].
+    fn checked_seed(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<(u64, Memo, Vec<GroupId>), CompileError> {
+        plan.validate()
+            .map_err(|e| CompileError::Invalid(e.to_string()))?;
+        self.disable_path_check(config, plan.template_id().0)?;
+        Ok(seed_memo(plan))
     }
 
     /// Compile a logical plan under a rule configuration.
@@ -247,12 +263,7 @@ impl Optimizer {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<FullCompile, CompileError> {
-        plan.validate()
-            .map_err(|e| CompileError::Invalid(e.to_string()))?;
-        let template_seed = plan.template_id().0;
-        self.disable_path_check(config, template_seed)?;
-        let mut memo = Memo::new();
-        let roots = memo.copy_in(plan);
+        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
         let mut engine = TaskEngine::new(self);
         let run = engine.run(
             &mut memo,
@@ -279,12 +290,7 @@ impl Optimizer {
         config: &RuleConfig,
         budget: CompileBudget,
     ) -> Result<BudgetedCompile, CompileError> {
-        plan.validate()
-            .map_err(|e| CompileError::Invalid(e.to_string()))?;
-        let template_seed = plan.template_id().0;
-        self.disable_path_check(config, template_seed)?;
-        let mut memo = Memo::new();
-        let roots = memo.copy_in(plan);
+        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
         let mut engine = TaskEngine::new(self);
         let run = engine.run(&mut memo, &roots, config, template_seed, budget)?;
         Ok(BudgetedCompile {
@@ -306,9 +312,7 @@ impl Optimizer {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> (u64, Result<Compiled, CompileError>) {
-        let template_seed = plan.template_id().0;
-        let mut memo = Memo::new();
-        let roots = memo.copy_in(plan);
+        let (template_seed, mut memo, roots) = seed_memo(plan);
         let mut engine = TaskEngine::new(self);
         let result = engine
             .run(
@@ -332,12 +336,7 @@ impl Optimizer {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
-        plan.validate()
-            .map_err(|e| CompileError::Invalid(e.to_string()))?;
-        let template_seed = plan.template_id().0;
-        self.disable_path_check(config, template_seed)?;
-        let mut memo = Memo::new();
-        let roots = memo.copy_in(plan);
+        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
 
         self.explore(&mut memo, config);
         self.implement(&mut memo, config, template_seed)?;
@@ -838,50 +837,6 @@ mod tests {
     /// prices flips against — must agree between the task-queue engine
     /// (what `compile_full` records into every `BaseMemo`) and the
     /// recursive reference engine's own exploration.
-    /// The fired-transform trace — the exploration fact `crate::delta`
-    /// prices flips against — must agree between the task-queue engine
-    /// (what `compile_full` records into every `BaseMemo`) and the
-    /// recursive reference engine's own exploration.
-    #[test]
-    fn dbg_fired_trace() {
-        let opt = Optimizer::default();
-        let config = opt.default_config();
-        let big = r#"
-        t  = EXTRACT a:int, b:float FROM "store/t";
-        f1 = SELECT a, b FROM t WHERE b > 1;
-        f2 = SELECT a, b FROM f1 WHERE a < 10;
-        f3 = SELECT a, b FROM f2 WHERE b < 100;
-        OUTPUT f3 TO "out/f";
-    "#;
-        let p = bind_script(big, &Catalog::default()).unwrap();
-        let via_tasks = opt.compile_full(&p, &config).unwrap();
-        eprintln!(
-            "tasks fired: {:?}",
-            via_tasks.fired_transforms.iter().collect::<Vec<_>>()
-        );
-        let mut memo = Memo::new();
-        memo.copy_in(&p);
-        let transforms: Vec<_> = opt
-            .rules
-            .transforms_by_promise()
-            .into_iter()
-            .filter(|r| config.enabled(r.id))
-            .map(|r| r.id)
-            .collect();
-        eprintln!("enabled transforms: {:?}", transforms);
-        eprintln!(
-            "opts passes={} max_apps={}",
-            opt.opts.exploration_passes, opt.opts.max_transform_applications
-        );
-        let recursive_fired = opt.explore(&mut memo, &config);
-        eprintln!(
-            "recursive fired: {:?}",
-            recursive_fired.iter().collect::<Vec<_>>()
-        );
-        let rec = opt.compile_recursive(&p, &config).unwrap();
-        eprintln!("rec sig: {:?}", rec.signature.iter().collect::<Vec<_>>());
-    }
-
     #[test]
     fn task_engine_fired_trace_matches_recursive_explore() {
         // Stacked filters over a projection: a shape where the filter

@@ -112,7 +112,7 @@ impl CompileBudget {
         self.max_tasks.is_none()
     }
 
-    /// Parse the `QO_COMPILE_BUDGET` / `--compile-budget` knob: a positive
+    /// Parse the `experiments --compile-budget` knob: a positive
     /// task count, or `0`/`unlimited`/`off`/empty for no limit.
     pub fn parse(value: &str) -> Result<Self, String> {
         match value.trim() {

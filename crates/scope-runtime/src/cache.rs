@@ -79,17 +79,6 @@ impl ExecCacheConfig {
             ..Self::default()
         }
     }
-
-    /// Parse the shared `QO_EXEC_CACHE` / `--exec-cache` switch spellings
-    /// (`on`/`1`/`true`, `off`/`0`/`false`) into a config, so every CLI
-    /// entry point accepts the identical vocabulary.
-    pub fn parse_switch(value: &str) -> Result<Self, String> {
-        match value {
-            "on" | "1" | "true" => Ok(Self::default()),
-            "off" | "0" | "false" => Ok(Self::disabled()),
-            other => Err(format!("expected on|off, got `{other}`")),
-        }
-    }
 }
 
 /// Counters of the two memo levels, snapshotted together. `results` counts
@@ -548,17 +537,6 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: ExecCacheConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
-        // The shared CLI/env switch vocabulary.
-        for on in ["on", "1", "true"] {
-            assert_eq!(ExecCacheConfig::parse_switch(on), Ok(c));
-        }
-        for off in ["off", "0", "false"] {
-            assert_eq!(
-                ExecCacheConfig::parse_switch(off),
-                Ok(ExecCacheConfig::disabled())
-            );
-        }
-        assert!(ExecCacheConfig::parse_switch("bogus").is_err());
     }
 
     #[test]

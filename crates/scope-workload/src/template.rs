@@ -167,10 +167,9 @@ impl LiteralPolicy {
     }
 }
 
-/// Parse the CLI/env spelling of a policy: `fresh`, `sticky`, `sticky:N`
-/// (redraw every `N` days), or `mixed:F` (sticky fraction `F` in `[0, 1]`).
-/// Both the `experiments --literals` flag and the `QO_LITERALS` environment
-/// variable (probe and experiments) go through this one parser.
+/// Parse the CLI spelling of a policy (`experiments --literals`): `fresh`,
+/// `sticky`, `sticky:N` (redraw every `N` days), or `mixed:F` (sticky
+/// fraction `F` in `[0, 1]`).
 impl std::str::FromStr for LiteralPolicy {
     type Err = String;
 

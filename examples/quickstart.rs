@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qo_advisor::{span_block, FeatureCache, FeatureCacheConfig};
+use qo_advisor::{FeatureCache, FeatureCacheConfig};
 use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
@@ -66,36 +66,18 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    // 2b. Anytime compilation: `QO_COMPILE_BUDGET=N` caps the task-queue
-    // cascade at N exploration tasks and extracts the best plan from the
-    // partial memo (unlimited by default). At unlimited budget the result
-    // is byte-identical to `compile`; at a finite budget the compile may be
-    // truncated but still yields a valid executable plan.
-    let budget = std::env::var("QO_COMPILE_BUDGET").map_or_else(
-        |_| CompileBudget::unlimited(),
-        |value| {
-            CompileBudget::parse(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_COMPILE_BUDGET: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
+    // 2b. Anytime compilation: a `CompileBudget::tasks(n)` caps the
+    // task-queue cascade at n exploration tasks and extracts the best plan
+    // from the partial memo — possibly truncated, always a valid executable
+    // plan. At unlimited budget the result is byte-identical to `compile`.
     let budgeted = optimizer
-        .compile_budgeted(&plan, &default, budget)
+        .compile_budgeted(&plan, &default, CompileBudget::unlimited())
         .expect("budgeted compile shares the default path's success");
-    budgeted.compiled.physical.validate().expect("anytime plan");
-    if budget.is_unlimited() {
-        assert_eq!(budgeted.compiled.physical, compiled.physical);
-    }
+    assert!(!budgeted.outcome.is_truncated());
+    assert_eq!(budgeted.compiled.physical, compiled.physical);
     println!(
-        "anytime compile: {} tasks, objective {:.3e}{}",
-        budgeted.tasks_executed,
-        budgeted.objective,
-        if budgeted.outcome.is_truncated() {
-            " (truncated by budget)"
-        } else {
-            " (complete)"
-        }
+        "anytime compile: {} tasks, objective {:.3e} (complete)",
+        budgeted.tasks_executed, budgeted.objective
     );
 
     // 3. Compute the job span: every rule whose flip can change this plan.
@@ -109,49 +91,24 @@ fn main() {
     // 3b. The contextual bandit describes this span to its model as a
     // co-occurrence feature block (pairs + triples of span rules, §3.2/§6).
     // The block is template-stable, so the daily pipeline memoizes it in a
-    // span-feature cache; `QO_FEATURE_CACHE=off` disables the cache (on by
-    // default) — the features are byte-identical either way.
-    let fc = std::env::var("QO_FEATURE_CACHE").map_or_else(
-        |_| FeatureCacheConfig::default(),
-        |value| {
-            FeatureCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_FEATURE_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    let block = match fc.enabled.then(|| FeatureCache::new(fc)) {
-        Some(cache) => {
-            let first = cache.span_block_for(plan.template_id(), &span, 6);
-            // A recurrence of the template hits the cached block.
-            let again = cache.span_block_for(plan.template_id(), &span, 6);
-            assert_eq!(first.items(), again.items());
-            assert_eq!(cache.stats().hits, 1);
-            first
-        }
-        None => std::sync::Arc::new(span_block(&span, 6)),
-    };
+    // span-feature cache — the features are byte-identical to building them
+    // afresh with `span_block`.
+    let cache = FeatureCache::new(FeatureCacheConfig::default());
+    let block = cache.span_block_for(plan.template_id(), &span, 6);
+    // A recurrence of the template hits the cached block.
+    let again = cache.span_block_for(plan.template_id(), &span, 6);
+    assert_eq!(block.items(), again.items());
+    assert_eq!(cache.stats().hits, 1);
     println!(
-        "\nspan co-occurrence block: {} features (span-feature cache {})",
-        block.len(),
-        if fc.enabled { "on" } else { "off" }
+        "\nspan co-occurrence block: {} features (span-feature cache on)",
+        block.len()
     );
 
     // 4. Price every span flip as ONE treatment slate against the default
-    // configuration's shared base memo. `QO_DELTA=off` disables delta
-    // compilation (on by default) — the results are byte-identical either
-    // way, only throughput differs.
-    let delta = std::env::var("QO_DELTA").map_or_else(
-        |_| DeltaConfig::default(),
-        |value| {
-            DeltaConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_DELTA: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    let steering =
-        CachingOptimizer::new(optimizer.clone(), CacheConfig::default()).with_delta(delta);
+    // configuration's shared base memo (delta compilation: byte-identical
+    // to compiling each treatment from scratch, only faster).
+    let steering = CachingOptimizer::new(optimizer.clone(), CacheConfig::default())
+        .with_delta(DeltaConfig::default());
     let flips: Vec<RuleFlip> = span
         .span
         .iter()
@@ -161,10 +118,7 @@ fn main() {
         })
         .collect();
     let treatments: Vec<RuleConfig> = flips.iter().map(|f| default.with_flip(*f)).collect();
-    println!(
-        "\nsingle-flip recompilations (one slate, delta {}):",
-        delta.enabled
-    );
+    println!("\nsingle-flip recompilations (one delta-compiled slate):");
     let mut best: Option<(RuleFlip, f64)> = None;
     for (flip, result) in flips
         .iter()
@@ -188,18 +142,9 @@ fn main() {
     );
 
     // 5. Execute default vs steered on the simulated cluster, through the
-    // Executor trait. `QO_EXEC_CACHE=off` disables the execution-result
-    // cache (on by default) — results are bit-identical either way.
-    let exec_cache = std::env::var("QO_EXEC_CACHE").map_or_else(
-        |_| ExecCacheConfig::default(),
-        |value| {
-            ExecCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_EXEC_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    let executor = CachingExecutor::with_config(Cluster::default(), exec_cache);
+    // Executor trait and its execution-result cache (bit-identical to the
+    // plain `Cluster`).
+    let executor = CachingExecutor::with_config(Cluster::default(), ExecCacheConfig::default());
     let base = executor.execute(&compiled.physical, 42, 1);
     println!(
         "\ndefault run:  latency {:>7.1}s  PNhours {:>7.3}  vertices {:>4}  read {:.2e} B",

@@ -22,8 +22,8 @@
 //! per-job stream budget ([`StreamConfig::compile_budget`]).
 
 use qo_advisor::{
-    BudgetStats, CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats,
-    ExecCacheConfig, ExecCounters, ParallelismConfig, PipelineConfig, ProductionSim, StageTimings,
+    BudgetStats, CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, ParallelismConfig,
+    PipelineConfig, ProductionSim,
 };
 use scope_opt::{compute_span, BudgetOutcome, CompileBudget, Optimizer, RuleConfig, RuleFlip};
 use scope_workload::{Workload, WorkloadConfig};
@@ -228,28 +228,12 @@ fn run_sim(
         .collect()
 }
 
-/// Byte-level rendering with the telemetry-only fields zeroed. The
-/// `compile_budget` shed counters are **deterministic** (only finite-budget
-/// compiles are recorded, and the set of sheddable compiles is fixed by the
-/// workload), so they stay in the comparison. `zero_budget` additionally
-/// zeroes them — the cross-budget comparison, where the counters are the
-/// one field a finite budget is *allowed* to change.
-fn normalized(reports: &[DailyReport], zero_budget: bool) -> Vec<String> {
-    reports
-        .iter()
-        .map(|report| {
-            let mut report = report.clone();
-            report.compile_cache = CacheCounters::default();
-            report.exec_cache = ExecCounters::default();
-            report.delta_compile = DeltaStats::default();
-            report.feature_cache = CacheStats::default();
-            report.timings = StageTimings::default();
-            if zero_budget {
-                report.compile_budget = BudgetStats::default();
-            }
-            format!("{report:?}")
-        })
-        .collect()
+/// The steering half of each report. The `compile_budget` shed counters
+/// are **deterministic** (only finite-budget compiles are recorded, and the
+/// set of sheddable compiles is fixed by the workload), so they stay in the
+/// comparison.
+fn steering(reports: &[DailyReport]) -> Vec<DailyReport> {
+    reports.iter().map(DailyReport::steering).collect()
 }
 
 /// All published hint files in a SIS directory, name → raw bytes.
@@ -274,7 +258,7 @@ fn budgeted_runs_are_identical_across_threads_and_caches() {
     let tree = TempTree::new("determinism");
     let base_dir = tree.0.join("serial");
     let baseline_raw = run_sim(None, false, TIGHT_BUDGET, &base_dir);
-    let baseline = normalized(&baseline_raw, false);
+    let baseline = steering(&baseline_raw);
     let baseline_files = hint_files(&base_dir);
     assert!(
         !baseline_files.is_empty(),
@@ -290,7 +274,7 @@ fn budgeted_runs_are_identical_across_threads_and_caches() {
     for threads in [1usize, 2, 8] {
         for caches in [true, false] {
             let dir = tree.0.join(format!("t{threads}-c{caches}"));
-            let reports = normalized(&run_sim(Some(threads), caches, TIGHT_BUDGET, &dir), false);
+            let reports = steering(&run_sim(Some(threads), caches, TIGHT_BUDGET, &dir));
             assert_eq!(
                 reports, baseline,
                 "budgeted daily reports diverged at {threads} worker \
@@ -343,9 +327,20 @@ fn finite_pipeline_budget_never_touches_steering_outputs() {
         "a finite pipeline budget must never change published hints — it \
          sheds only counterfactual measurement compiles"
     );
+    // The cross-budget comparison: the shed counters are the one field a
+    // finite budget is *allowed* to change.
+    let sans_shed_counters = |reports: &[DailyReport]| -> Vec<DailyReport> {
+        reports
+            .iter()
+            .map(|report| DailyReport {
+                compile_budget: BudgetStats::default(),
+                ..report.steering()
+            })
+            .collect()
+    };
     assert_eq!(
-        normalized(&budgeted, true),
-        normalized(&unlimited, true),
+        sans_shed_counters(&budgeted),
+        sans_shed_counters(&unlimited),
         "outside the shed counters, a finite pipeline budget must not \
          change a single report field"
     );

@@ -16,13 +16,13 @@
 //! `compile_cache` / `exec_cache` / `delta_compile` telemetry and the
 //! per-stage wall-clock `timings`: they are *about* the machinery (all-zero
 //! with the knob off, eviction-order- or clock-dependent otherwise), not
-//! steering outputs. `normalized` zeroes them before formatting; everything
+//! steering outputs. `DailyReport::steering` defaults them; everything
 //! else must match to the byte.
 
 use qo_advisor::ProductionSim;
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats, ExecCacheConfig,
-    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig, StageTimings,
+    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, ExecCacheConfig,
+    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
@@ -112,22 +112,10 @@ fn run_sim(threads: Option<usize>, cache: CacheConfig, sis_dir: &Path) -> Vec<Da
     )
 }
 
-/// Byte-level rendering of the reports with the telemetry-only fields
-/// zeroed (observability about the machinery, not steering outputs — see
+/// The steering half of each report (telemetry-only fields defaulted — see
 /// module docs).
-fn normalized(reports: &[DailyReport]) -> Vec<String> {
-    reports
-        .iter()
-        .map(|report| {
-            let mut report = report.clone();
-            report.compile_cache = CacheCounters::default();
-            report.exec_cache = ExecCounters::default();
-            report.delta_compile = DeltaStats::default();
-            report.feature_cache = CacheStats::default();
-            report.timings = StageTimings::default();
-            format!("{report:?}")
-        })
-        .collect()
+fn steering(reports: &[DailyReport]) -> Vec<DailyReport> {
+    reports.iter().map(DailyReport::steering).collect()
 }
 
 /// All published hint files in a SIS directory, name → raw bytes.
@@ -150,7 +138,7 @@ fn reports_and_hint_files_are_identical_at_any_thread_count() {
     let _ = std::fs::remove_dir_all(&base.0);
 
     let serial_dir = base.0.join("serial");
-    let baseline_reports = normalized(&run_sim(None, CacheConfig::default(), &serial_dir));
+    let baseline_reports = steering(&run_sim(None, CacheConfig::default(), &serial_dir));
     let baseline_files = hint_files(&serial_dir);
 
     assert!(
@@ -161,7 +149,7 @@ fn reports_and_hint_files_are_identical_at_any_thread_count() {
 
     for threads in [1usize, 2, 8] {
         let dir = base.0.join(format!("t{threads}"));
-        let reports = normalized(&run_sim(Some(threads), CacheConfig::default(), &dir));
+        let reports = steering(&run_sim(Some(threads), CacheConfig::default(), &dir));
         assert_eq!(
             reports, baseline_reports,
             "daily reports diverged at {threads} worker threads"
@@ -190,7 +178,7 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
         DeltaConfig::disabled(),
         &off_dir,
     );
-    let baseline_reports = normalized(&off_reports_raw);
+    let baseline_reports = steering(&off_reports_raw);
     let baseline_files = hint_files(&off_dir);
 
     assert!(
@@ -213,7 +201,7 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
             "the cached run must actually hit, or this test compares nothing"
         );
         assert_eq!(
-            normalized(&raw),
+            steering(&raw),
             baseline_reports,
             "daily reports diverged between cache-off serial and cache-on \
              at {threads} worker threads"
@@ -239,7 +227,7 @@ fn reports_and_hint_files_are_identical_with_exec_cache_on_and_off() {
 
     for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
         let off_dir = base.0.join(format!("{policy}-off"));
-        let baseline_reports = normalized(&run_sim_of(
+        let baseline_reports = steering(&run_sim_of(
             wl.clone(),
             None,
             CacheConfig::disabled(),
@@ -271,7 +259,7 @@ fn reports_and_hint_files_are_identical_with_exec_cache_on_and_off() {
                 raw[0].exec_cache
             );
             assert_eq!(
-                normalized(&raw),
+                steering(&raw),
                 baseline_reports,
                 "{policy} daily reports diverged between exec-cache-off serial \
                  and exec-cache-on at {threads} worker threads"
@@ -307,7 +295,7 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
         DeltaConfig::disabled(),
         &off_dir,
     );
-    let baseline_reports = normalized(&off_reports);
+    let baseline_reports = steering(&off_reports);
     let baseline_files = hint_files(&off_dir);
     assert!(
         !baseline_files.is_empty(),
@@ -359,7 +347,7 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
             );
         }
         assert_eq!(
-            normalized(&raw),
+            steering(&raw),
             baseline_reports,
             "sticky daily reports diverged between cache-off serial and \
              cache-on at {threads} worker threads"
@@ -387,7 +375,7 @@ fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
 
     for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
         let off_dir = base.0.join(format!("{policy}-off"));
-        let baseline_reports = normalized(&run_sim_of(
+        let baseline_reports = steering(&run_sim_of(
             wl.clone(),
             None,
             CacheConfig::disabled(),
@@ -425,7 +413,7 @@ fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
                 raw[0].delta_compile
             );
             assert_eq!(
-                normalized(&raw),
+                steering(&raw),
                 baseline_reports,
                 "{policy} daily reports diverged between delta-off serial \
                  and delta-on at {threads} worker threads"
@@ -471,7 +459,7 @@ fn reports_and_hint_files_are_identical_with_feature_cache_and_batch_rank_on_and
         // Baseline: the pre-PR-6 recommend path (serial, both knobs off).
         let off_dir = base.0.join(format!("{policy}-off"));
         let off_raw = run_sim_with(wl.clone(), config_with(None, false, false), &off_dir);
-        let baseline_reports = normalized(&off_raw);
+        let baseline_reports = steering(&off_raw);
         let baseline_files = hint_files(&off_dir);
         assert!(
             !baseline_files.is_empty(),
@@ -497,7 +485,7 @@ fn reports_and_hint_files_are_identical_with_feature_cache_and_batch_rank_on_and
                     );
                 }
                 assert_eq!(
-                    normalized(&raw),
+                    steering(&raw),
                     baseline_reports,
                     "{policy} daily reports diverged from the both-off serial \
                      baseline at feature_cache={fc} batch_rank={br} \

@@ -11,7 +11,7 @@
 //! (worker count, queue capacity) is likewise a pure throughput knob.
 //!
 //! Structure mirrors `tests/determinism.rs` and `tests/snapshot_recovery.rs`:
-//! reports are compared after `normalized` zeroes the telemetry-only fields,
+//! reports are compared after `DailyReport::steering` defaults the telemetry-only fields,
 //! hint files as raw bytes.
 //!
 //! Legs:
@@ -30,8 +30,8 @@ use qo_advisor::fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, StreamConfig,
 };
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, CompileBudget, DailyReport, DeltaConfig, DeltaStats,
-    ExecCacheConfig, ExecCounters, FeatureCacheConfig, PipelineConfig, ProductionSim, StageTimings,
+    CacheConfig, CompileBudget, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
+    PipelineConfig, ProductionSim,
 };
 use scope_workload::WorkloadConfig;
 use sis::SisStore;
@@ -87,16 +87,6 @@ impl Drop for TempTree {
     }
 }
 
-fn normalized(report: &DailyReport) -> String {
-    let mut report = report.clone();
-    report.compile_cache = CacheCounters::default();
-    report.exec_cache = ExecCounters::default();
-    report.delta_compile = DeltaStats::default();
-    report.feature_cache = CacheStats::default();
-    report.timings = StageTimings::default();
-    format!("{report:?}")
-}
-
 /// All published hint files in a SIS directory, name → raw bytes.
 fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
@@ -117,15 +107,15 @@ fn run_fleet(
     config: &FleetConfig,
     root: &Path,
     days: u32,
-) -> Vec<Vec<String>> {
+) -> Vec<Vec<DailyReport>> {
     let mut fleet =
         Fleet::with_sis_root(workloads.to_vec(), config, root).expect("create tenant sis dirs");
-    let mut per_tenant: Vec<Vec<String>> = vec![Vec::new(); workloads.len()];
+    let mut per_tenant: Vec<Vec<DailyReport>> = vec![Vec::new(); workloads.len()];
     for _ in 0..days {
         let day = fleet.advance_day().expect("fleet day runs clean");
         assert_eq!(day.outcomes.len(), workloads.len());
         for (tenant, outcome) in day.outcomes.iter().enumerate() {
-            per_tenant[tenant].push(normalized(&outcome.report));
+            per_tenant[tenant].push(outcome.report.steering());
         }
     }
     per_tenant
@@ -139,7 +129,7 @@ fn run_isolated_sims(
     pipeline: &PipelineConfig,
     root: &Path,
     days: u32,
-) -> Vec<Vec<String>> {
+) -> Vec<Vec<DailyReport>> {
     workloads
         .iter()
         .enumerate()
@@ -152,11 +142,10 @@ fn run_isolated_sims(
             );
             (0..days)
                 .map(|_| {
-                    normalized(
-                        &sim.advance_day()
-                            .expect("generated workloads compile on the default path")
-                            .report,
-                    )
+                    sim.advance_day()
+                        .expect("generated workloads compile on the default path")
+                        .report
+                        .steering()
                 })
                 .collect()
         })
@@ -166,9 +155,9 @@ fn run_isolated_sims(
 fn assert_tenants_match_references(
     label: &str,
     fleet_root: &Path,
-    fleet_reports: &[Vec<String>],
+    fleet_reports: &[Vec<DailyReport>],
     reference_root: &Path,
-    reference_reports: &[Vec<String>],
+    reference_reports: &[Vec<DailyReport>],
 ) {
     let mut any_hints = false;
     for tenant in 0..fleet_reports.len() {
@@ -207,7 +196,7 @@ fn fleet_tenants_match_isolated_single_tenant_sims() {
         ("disjoint/shared/8w", &disjoint, true, 8),
     ];
     // One single-tenant reference per (population, cache setting).
-    type Reference = (PathBuf, Vec<Vec<String>>);
+    type Reference = (PathBuf, Vec<Vec<DailyReport>>);
     let mut references: BTreeMap<(bool, bool), Reference> = BTreeMap::new();
     for (label, workloads, caches, workers) in legs {
         let overlap = std::ptr::eq(workloads.as_ptr(), overlapping.as_ptr());
@@ -266,14 +255,14 @@ fn mid_fleet_snapshot_restore_resumes_byte_identical() {
     let mut golden = Fleet::with_sis_root(workloads.clone(), &config, &golden_root)
         .expect("create tenant sis dirs");
     golden.set_snapshot_policies(&snap_dir, BOUNDARY);
-    let mut golden_tail: Vec<Vec<String>> = vec![Vec::new(); TENANTS];
+    let mut golden_tail: Vec<Vec<DailyReport>> = vec![Vec::new(); TENANTS];
     let boundary_snaps = tree.0.join("boundary-snaps");
     let boundary_sis = tree.0.join("boundary-sis");
     for day in 0..TOTAL_DAYS {
         let outcome = golden.advance_day().expect("fleet day runs clean");
         if day >= BOUNDARY {
             for (tenant, out) in outcome.outcomes.iter().enumerate() {
-                golden_tail[tenant].push(normalized(&out.report));
+                golden_tail[tenant].push(out.report.steering());
             }
         }
         if day + 1 == BOUNDARY {
@@ -314,7 +303,7 @@ fn mid_fleet_snapshot_restore_resumes_byte_identical() {
         let outcome = resumed.advance_day().expect("resumed fleet day runs clean");
         for (tenant, out) in outcome.outcomes.iter().enumerate() {
             assert_eq!(
-                normalized(&out.report),
+                out.report.steering(),
                 golden_tail[tenant][(day - BOUNDARY) as usize],
                 "tenant {tenant} day-{day} report diverged after mid-fleet restore"
             );
@@ -404,7 +393,7 @@ fn stream_budget_sheds_deterministically_across_worker_counts() {
             root,
         )
         .expect("create tenant sis dirs");
-        let mut reports: Vec<Vec<String>> = Vec::new();
+        let mut reports: Vec<Vec<DailyReport>> = Vec::new();
         let mut shed_per_day: Vec<u64> = Vec::new();
         for _ in 0..DAYS {
             let day = fleet.advance_day().expect("shed fleet day runs clean");
@@ -419,7 +408,7 @@ fn stream_budget_sheds_deterministically_across_worker_counts() {
                  truncated counters"
             );
             shed_per_day.push(day.shed);
-            reports.push(day.outcomes.iter().map(|o| normalized(&o.report)).collect());
+            reports.push(day.outcomes.iter().map(|o| o.report.steering()).collect());
         }
         assert_eq!(
             fleet.metrics().shed,

@@ -12,7 +12,7 @@
 //! any steering output.
 //!
 //! Structure mirrors `tests/determinism.rs`: reports are compared after
-//! `normalized` zeroes the telemetry-only fields (cache counters and
+//! `DailyReport::steering` defaults the telemetry-only fields (cache counters and
 //! wall-clock timings — observability about the machinery, not steering
 //! outputs), and hint files are compared as raw bytes.
 //!
@@ -23,9 +23,8 @@
 //!     threads over a 6-day run, killed at every boundary 1..=5.
 
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats, ExecCacheConfig,
-    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig, ProductionSim,
-    SnapshotPolicy, StageTimings,
+    CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig, ParallelismConfig,
+    PipelineConfig, ProductionSim, SnapshotPolicy,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
@@ -80,16 +79,6 @@ impl Drop for TempTree {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-fn normalized(report: &DailyReport) -> String {
-    let mut report = report.clone();
-    report.compile_cache = CacheCounters::default();
-    report.exec_cache = ExecCounters::default();
-    report.delta_compile = DeltaStats::default();
-    report.feature_cache = CacheStats::default();
-    report.timings = StageTimings::default();
-    format!("{report:?}")
 }
 
 /// All published hint files in a SIS directory, name → raw bytes.
@@ -152,9 +141,8 @@ fn assert_kill_restore_equivalence(
     // Golden: never interrupted.
     let golden_dir = base.join("golden");
     let mut golden = fresh_sim(wl, config, &golden_dir);
-    let golden_reports: Vec<String> = (0..days)
-        .map(|_| normalized(&advance(&mut golden)))
-        .collect();
+    let golden_reports: Vec<DailyReport> =
+        (0..days).map(|_| advance(&mut golden).steering()).collect();
     let golden_files = hint_files(&golden_dir);
     assert!(
         !golden_files.is_empty(),
@@ -167,7 +155,7 @@ fn assert_kill_restore_equivalence(
     let victim_dir = base.join("victim");
     let mut victim = fresh_sim(wl, config, &victim_dir);
     for day in 0..days {
-        let report = normalized(&advance(&mut victim));
+        let report = advance(&mut victim).steering();
         assert_eq!(
             report, golden_reports[day as usize],
             "{label}: victim day-{day} report diverged from golden before any \
@@ -201,7 +189,7 @@ fn assert_kill_restore_equivalence(
             "{label}: restore at boundary {boundary} resumed at the wrong day"
         );
         for day in boundary..days {
-            let report = normalized(&advance(&mut resumed));
+            let report = advance(&mut resumed).steering();
             assert_eq!(
                 report, golden_reports[day as usize],
                 "{label}: day-{day} report diverged after kill/restore at \
