@@ -10,7 +10,7 @@
 //!
 //! | `experiments` flag   | Values                            | Effect |
 //! |----------------------|-----------------------------------|--------|
-//! | `--threads N`        | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`PipelineConfig::parallelism`]); unset = serial |
+//! | `--threads N`        | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`PipelineConfig::parallelism`]), which all run on the crate's one ordered parallel map (`stages::par_map`); unset or `1` = serial, inline on the caller's thread |
 //! | `--cache V`          | `on`/`1`/`true`, `off`/`0`/`false`| Compile-result cache ([`PipelineConfig::cache`], on by default) shared across view building, span fixpoint, recommendation, flighting, and days |
 //! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
 //! | `--delta-compile V`  | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`PipelineConfig::delta`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles |

@@ -13,8 +13,8 @@
 //!
 //! # Streaming pipeline
 //!
-//! The per-day rayon scope is replaced with a channel-based streaming
-//! pipeline:
+//! A fleet day is a channel-based streaming pipeline followed by a
+//! per-tenant reduce:
 //!
 //! ```text
 //!   producer ──▶ bounded mpsc job-arrival queue ──▶ worker pool
@@ -31,7 +31,8 @@
 //!            (counterfactuals, monitoring, the five pipeline stages —
 //!             rank/reward application stays in job order, preserving the
 //!             determinism contract per tenant; tenants reduce in parallel
-//!             because each touches only its own state)
+//!             through `stages::par_map`, workers taking the next tenant as
+//!             they free up, because each touches only its own state)
 //! ```
 //!
 //! Each worker stamps a **steering-latency clock** around its
@@ -74,6 +75,7 @@ use crate::monitoring::MonitorConfig;
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
 use crate::snapshot::SnapshotPolicy;
+use crate::stages::{par_map, resolve_workers};
 use scope_ir::ids::tenant_workload_seed;
 use scope_ir::LatencyHistogram;
 use scope_opt::{
@@ -118,18 +120,6 @@ impl Default for StreamConfig {
             workers: 0,
             queue_capacity: 256,
             compile_budget: CompileBudget::unlimited(),
-        }
-    }
-}
-
-impl StreamConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
         }
     }
 }
@@ -453,7 +443,7 @@ impl Fleet {
             .map(|t| t.sim.workload.jobs_for_day(t.sim.day))
             .collect();
         let total_jobs: usize = jobs_per_tenant.iter().map(Vec::len).sum();
-        let workers = self.stream.effective_workers().clamp(1, total_jobs.max(1));
+        let workers = resolve_workers(self.stream.workers).clamp(1, total_jobs.max(1));
 
         let (tx, rx) = mpsc::sync_channel::<Arrival>(self.stream.queue_capacity.max(1));
         let rx = Mutex::new(rx);
@@ -597,50 +587,18 @@ impl Fleet {
         Ok((views, view_ns, steering_latency, total_jobs as u64))
     }
 
-    /// Phase 3: the per-tenant serial reduce, parallel *across* tenants
-    /// (each chunk's thread mutates only its own tenants' state; the shared
-    /// caches are `&self`-concurrent).
+    /// Phase 3: the per-tenant serial reduce, parallel *across* tenants —
+    /// workers take the next unreduced tenant as they free up, each call
+    /// mutates only its own tenant's state, and the shared caches are
+    /// `&self`-concurrent. Outcomes come back in tenant order.
     fn reduce_days(&mut self, views: Vec<Vec<ViewRow>>) -> Result<Vec<DayOutcome>, PipelineError> {
-        let tenant_count = self.tenants.len();
-        let workers = self
-            .stream
-            .effective_workers()
-            .clamp(1, tenant_count.max(1));
-        let chunk_len = tenant_count.div_ceil(workers).max(1);
-        let mut view_iter = views.into_iter();
-        let mut chunks: Vec<(&mut [Tenant], Vec<Vec<ViewRow>>)> = Vec::new();
-        for tenant_chunk in self.tenants.chunks_mut(chunk_len) {
-            let chunk_views: Vec<_> = view_iter.by_ref().take(tenant_chunk.len()).collect();
-            chunks.push((tenant_chunk, chunk_views));
-        }
-        let per_chunk: Vec<Vec<Result<DayOutcome, PipelineError>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(tenant_chunk, chunk_views)| {
-                    s.spawn(move || {
-                        tenant_chunk
-                            .iter_mut()
-                            .zip(chunk_views)
-                            .map(|(tenant, view)| tenant.sim.finish_day(view))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| PipelineError::Invariant("fleet reduce worker panicked"))
-                })
-                .collect::<Result<Vec<_>, PipelineError>>()
-        })?;
-        let mut outcomes = Vec::with_capacity(tenant_count);
-        for chunk in per_chunk {
-            for outcome in chunk {
-                outcomes.push(outcome?);
-            }
-        }
-        Ok(outcomes)
+        let tenant_days = self.tenants.iter_mut().zip(views);
+        par_map(self.stream.workers, tenant_days, |(tenant, view)| {
+            tenant.sim.finish_day(view)
+        })
+        .map_err(|_| PipelineError::Invariant("fleet reduce worker panicked"))?
+        .into_iter()
+        .collect()
     }
 }
 

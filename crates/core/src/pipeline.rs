@@ -308,10 +308,6 @@ pub struct QoAdvisor {
     pub(crate) span_cache: FxHashMap<TemplateId, Option<(SpanResult, f64)>>,
     /// Templates already flighted on a previous day (§8 stateful mode).
     pub(crate) explored: rustc_hash::FxHashSet<TemplateId>,
-    /// Worker pool for the parallel stages, built once from
-    /// `config.parallelism` and reused by every per-day fan-out
-    /// (`None` = serial).
-    pub(crate) pool: Option<rayon::ThreadPool>,
 }
 
 impl QoAdvisor {
@@ -349,7 +345,6 @@ impl QoAdvisor {
         sis: SisStore,
         caches: &SharedCaches,
     ) -> Self {
-        let pool = stages::build_pool(config.parallelism);
         let exec_cache = caches.exec.clone();
         let preprod_exec = CachingExecutor::new(flighting.cluster().clone(), exec_cache.clone());
         Self {
@@ -369,7 +364,6 @@ impl QoAdvisor {
             config,
             span_cache: FxHashMap::default(),
             explored: rustc_hash::FxHashSet::default(),
-            pool,
         }
     }
 
@@ -577,7 +571,7 @@ impl QoAdvisor {
         // qo-lint: allow(ambient-entropy) — per-stage wall-clock telemetry only;
         // `DailyReport.timings` is zeroed before every byte-identity comparison
         let t0 = std::time::Instant::now();
-        let spanned = stages::feature_gen(self, view, &mut report);
+        let spanned = stages::feature_gen(self, view, &mut report)?;
         report.timings.feature_gen_ns = elapsed(t0);
         let s1 = self.optimizer.stats();
         let f1 = self.feature_stats();

@@ -6,11 +6,13 @@
 //! ```
 //!
 //! The two compile-bound stages — span computation in [`feature_gen`] and
-//! recompilation in [`recommend`] — fan out across threads under
-//! [`ParallelismConfig`]. Everything that mutates shared state (the span
-//! cache, the contextual bandit, SIS) runs in serial reduces over the
-//! fan-out results, **in input order**, so a day's outputs are bit-identical
-//! at any thread count:
+//! slate construction plus recompilation in [`recommend`] — fan out through
+//! [`par_map`], this crate's one ordered parallel map (the fleet's
+//! per-tenant reduce calls it too), at the width
+//! [`crate::config::ParallelismConfig`] asks for. Everything that mutates
+//! shared state (the span cache, the contextual bandit, SIS) runs in serial
+//! reduces over the fan-out results, **in input order**, so a day's outputs
+//! are bit-identical at any thread count:
 //!
 //! * `feature_gen` computes missing spans in parallel, then installs them in
 //!   the cache in first-seen template order;
@@ -30,15 +32,13 @@
 //! `Compiler::compile_slate`, priced incrementally against the plan's
 //! shared base memo (`scope_opt::delta`). Compilation is deterministic and
 //! delta results are byte-identical to from-scratch compiles, so the
-//! cache and the delta compiler — like the thread pool — are throughput
+//! cache and the delta compiler — like the thread count — are throughput
 //! knobs, never behavior knobs.
 
-use crate::config::{ParallelismConfig, RecommendStrategy};
+use crate::config::RecommendStrategy;
 use crate::features::{action_slate, job_features, reward_from_costs, span_block};
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation};
 use personalizer::{FeatureVector, RankRequest, RankResponse, SparseSlate};
-use rayon::prelude::*;
-use rayon::ThreadPool;
 use rustc_hash::{FxHashMap, FxHashSet};
 use scope_ir::ids::{mix64, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
 use scope_ir::logical::LogicalPlan;
@@ -46,33 +46,71 @@ use scope_ir::TemplateId;
 use scope_opt::{compute_span, CachingOptimizer, CompileError, Hint, RuleFlip, SpanResult};
 use scope_workload::ViewRow;
 use sis::HintFile;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
-/// Build the worker pool a pipeline configuration asks for, once per
-/// [`QoAdvisor`] (stages run several fan-outs per day; the pool is reused
-/// across all of them). `None` = run stages serially.
-pub(crate) fn build_pool(par: ParallelismConfig) -> Option<ThreadPool> {
-    match par.threads {
-        None | Some(1) => None,
-        // Pool construction only fails on resource exhaustion; serial
-        // execution is elementwise identical (`par_map` requires pure
-        // closures), so fall back instead of panicking.
-        Some(n) => rayon::ThreadPoolBuilder::new().num_threads(n).build().ok(),
+/// Resolve a configured worker count: `0` means one per available core.
+pub(crate) fn resolve_workers(workers: usize) -> usize {
+    if workers > 0 {
+        workers
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
 }
 
-/// Map `f` over `items`, preserving input order. Serial without a pool;
-/// either way the result is elementwise identical because `f` must be pure.
-pub(crate) fn par_map<'a, T, U, F>(pool: Option<&ThreadPool>, items: &'a [T], f: F) -> Vec<U>
+/// Map `f` over `items` on up to `workers` threads (`0` = all cores, see
+/// [`resolve_workers`]) and return the results **in input order** — the one
+/// parallel primitive on the steering path. `f` must be pure per item, so
+/// the output is elementwise identical at any width.
+///
+/// Workers are scoped threads that pull the next item from the shared input
+/// iterator (locked only for `next()`, never while `f` runs), so skewed
+/// per-item cost balances itself and borrowed, `&mut` and owned items all
+/// work. At one worker — or one item — `f` runs inline on the caller's
+/// thread. Every worker is joined before returning.
+///
+/// # Errors
+///
+/// The panic payload when `f` panicked, at any width; the surviving workers
+/// still drain the remaining items first.
+pub(crate) fn par_map<I, U, F>(workers: usize, items: I, f: F) -> std::thread::Result<Vec<U>>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
     U: Send,
-    F: Fn(&'a T) -> U + Sync,
+    F: Fn(I::Item) -> U + Sync,
 {
-    match pool {
-        None => items.iter().map(f).collect(),
-        Some(pool) => pool.install(|| items.par_iter().map(f).collect()),
+    let items = items.into_iter();
+    let len = items.len();
+    let workers = resolve_workers(workers).min(len);
+    if workers <= 1 {
+        // Same contract as a worker-thread panic below: the caller gets
+        // `Err` and whatever `f` was mutating is as suspect as it is there.
+        return catch_unwind(AssertUnwindSafe(|| items.map(&f).collect()));
     }
+    let source = Mutex::new(items.enumerate());
+    let parts: Vec<std::thread::Result<Vec<(usize, U)>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    // A poisoned lock means a sibling panicked inside the
+                    // iterator itself; stop, its join reports the panic.
+                    while let Some((i, item)) = source.lock().ok().and_then(|mut it| it.next()) {
+                        local.push((i, f(item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut tagged = Vec::with_capacity(len);
+    for part in parts {
+        tagged.extend(part?);
+    }
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    Ok(tagged.into_iter().map(|(_, out)| out).collect())
 }
 
 /// The span-cache entry for one template: the default-configuration
@@ -135,7 +173,7 @@ pub(crate) fn feature_gen<'v>(
     qa: &mut QoAdvisor,
     view: &'v [ViewRow],
     report: &mut DailyReport,
-) -> FeatureGenOutput<'v> {
+) -> Result<FeatureGenOutput<'v>, PipelineError> {
     let mut rows: Vec<&ViewRow> = Vec::new();
     for row in view {
         if !row.recurring {
@@ -161,9 +199,11 @@ pub(crate) fn feature_gen<'v>(
 
     let optimizer = &qa.optimizer;
     let iterations = qa.config.span_max_iterations;
-    let computed = par_map(qa.pool.as_ref(), &pending, |(_, plan)| {
+    let workers = qa.config.parallelism.threads.unwrap_or(1); // unset = serial
+    let computed = par_map(workers, &pending, |(_, plan)| {
         compute_template_span(optimizer, plan, iterations)
-    });
+    })
+    .map_err(|_| PipelineError::Invariant("feature-generation worker panicked"))?;
     for ((template, _), entry) in pending.iter().zip(computed) {
         qa.span_cache.insert(*template, entry);
     }
@@ -180,7 +220,7 @@ pub(crate) fn feature_gen<'v>(
         })
         .collect();
     report.jobs_with_span = jobs.len();
-    FeatureGenOutput { jobs }
+    Ok(FeatureGenOutput { jobs })
 }
 
 /// The Personalizer interactions decided for one job during the serial rank
@@ -223,6 +263,7 @@ pub(crate) fn recommend(
     let optimizer = &qa.optimizer;
     let config = &qa.config;
     let feature_cache = qa.feature_cache.as_ref();
+    let workers = config.parallelism.threads.unwrap_or(1); // unset = serial
     let batch = config.strategy == RecommendStrategy::ContextualBandit && config.cb.batch_rank;
     type JobSlate = (
         FeatureVector,
@@ -230,7 +271,7 @@ pub(crate) fn recommend(
         Vec<Option<RuleFlip>>,
         Option<Arc<SparseSlate>>,
     );
-    let slates: Vec<JobSlate> = par_map(qa.pool.as_ref(), jobs, |job| {
+    let slates: Vec<JobSlate> = par_map(workers, jobs, |job| {
         let mut context = job_features(&job.row.features);
         if config.span_features {
             match feature_cache {
@@ -250,7 +291,8 @@ pub(crate) fn recommend(
             None => Arc::new(SparseSlate::build(&context, &actions, config.cb.dim_bits)),
         });
         (context, actions, flips, sparse)
-    });
+    })
+    .map_err(|_| PipelineError::Invariant("slate-construction worker panicked"))?;
 
     // Phase 2: serial rank pass, job order. Every rank call happens before
     // any reward, so event ids are sequential regardless of thread count
@@ -372,13 +414,14 @@ pub(crate) fn recommend(
         train_task.push(train_idx);
         act_task.push(act_idx);
     }
-    let costs: Vec<Vec<Result<f64, CompileError>>> = par_map(qa.pool.as_ref(), &slates, |slate| {
+    let costs: Vec<Vec<Result<f64, CompileError>>> = par_map(workers, &slates, |slate| {
         optimizer
             .compile_slate(slate.plan, &default_config, &slate.treatments)
             .into_iter()
             .map(|result| result.map(|compiled| compiled.est_cost))
             .collect()
-    });
+    })
+    .map_err(|_| PipelineError::Invariant("recompile worker panicked"))?;
 
     // Phase 4: serial reduce, job order — bandit rewards, Table-3 counters,
     // and the estimated-cost gate (§5.6).
@@ -571,4 +614,68 @@ pub(crate) fn publish(
     }
     report.sis_version = qa.sis.version();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// One `par_map` call over `len` `(&mut visit counter, owned label)`
+    /// pairs. Once two workers are live, the first item blocks until the
+    /// last one has finished, so completion order is forced to differ from
+    /// input order (and the call would time out if the input lock were held
+    /// while `f` runs).
+    fn map_under_skew(workers: usize, len: usize) {
+        let labels: Vec<String> = (0..len).map(|i| format!("item-{i}")).collect();
+        let mut visits = vec![0u32; len];
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let skewed = workers.min(len) > 1;
+        let items = visits.iter_mut().zip(labels.clone()).enumerate();
+        let out = par_map(workers, items, |(i, (visit, label))| {
+            *visit += 1;
+            if skewed && i == 0 {
+                let last_done = rx.lock().unwrap().recv_timeout(Duration::from_secs(30));
+                assert!(last_done.is_ok(), "later items never ran beside item 0");
+            }
+            if skewed && i == len - 1 {
+                tx.send(()).unwrap();
+            }
+            label
+        });
+        assert_eq!(out.ok(), Some(labels), "workers={workers} len={len}");
+        assert!(
+            visits.iter().all(|&v| v == 1),
+            "workers={workers} len={len}"
+        );
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_and_visits_each_item_once() {
+        for workers in [1, 2, 8] {
+            for len in [0, 1, workers - 1, 100] {
+                map_under_skew(workers, len);
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_turns_a_panicking_item_into_an_error() {
+        for workers in [1, 2, 8] {
+            let out = par_map(workers, 0..10u32, |i| {
+                assert_ne!(i, 3, "planted panic");
+                i
+            });
+            assert!(out.is_err(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn zero_workers_means_all_cores() {
+        assert!(resolve_workers(0) >= 1);
+        assert_eq!(resolve_workers(3), 3);
+        assert_eq!(par_map(0, [1, 2, 3], |x| x * 2).ok(), Some(vec![2, 4, 6]));
+    }
 }

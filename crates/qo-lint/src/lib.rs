@@ -19,7 +19,7 @@
 //! | QL03 | `seed-salt`      | raw seed-salt integer literals outside `scope_ir::ids` (the centralized seed vocabulary) |
 //! | QL04 | `derived-memo-eq`| deriving `PartialEq`/`Eq`/`Hash`/`Serialize`/`Deserialize` on a struct carrying an atomic fingerprint memo (the memo must stay invisible to equality/serde) |
 //! | QL05 | `unwrap-expect`  | `.unwrap()`/`.expect(` in the staged pipeline, `ProductionSim`, flighting, and snapshot/restore (`scope-state`) paths — typed errors only |
-//! | QL06 | `par-accumulate` | accumulation (`+=`, `.sum()`, `.reduce()`, `.fold()`, `.for_each()`) inside rayon regions — reduces go through the serial deterministic reduce helpers |
+//! | QL06 | `par-accumulate` | accumulation (`+=`, `.sum()`, `.reduce()`, `.fold()`, `.for_each()`) inside parallel regions (`par_*(` calls; here `stages::par_map`) — reduces go through the serial deterministic reduce helpers |
 //!
 //! QL00 (`allow-syntax`) reports malformed allow annotations themselves.
 //!
@@ -108,7 +108,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "QL06",
         key: "par-accumulate",
-        summary: "no accumulation into shared state inside rayon regions; use the serial reduce helpers",
+        summary: "no accumulation into shared state inside parallel regions; use the serial reduce helpers",
     },
 ];
 
@@ -130,8 +130,11 @@ pub fn rule_by_key(key: &str) -> Option<&'static RuleInfo> {
 /// * QL02: the bench/timing crate (`crates/bench/**`) measures wall-clock
 ///   by design;
 /// * QL03: `scope-ir/src/ids.rs` IS the seed vocabulary;
-/// * QL05: scoped *to* the five staged pipeline functions
-///   (`core/src/stages.rs`), the pipeline driver (`core/src/pipeline.rs`),
+/// * QL05: scoped *to* the five staged pipeline functions and the
+///   `par_map` helper beside them (`core/src/stages.rs` — the steering
+///   path's fan-out thread code lives in this linted file, so a worker
+///   panic must surface as a typed error, never an `expect` on a join),
+///   the pipeline driver (`core/src/pipeline.rs`),
 ///   `ProductionSim` (`core/src/simulation.rs`), the multi-tenant fleet
 ///   service (`core/src/fleet.rs`), the snapshot/restore path
 ///   (`core/src/snapshot.rs` and the whole `scope-state` crate — a corrupt

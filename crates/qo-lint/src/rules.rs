@@ -498,15 +498,16 @@ pub fn ql05_unwrap_expect(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Accumulation methods QL06 flags inside rayon regions.
+/// Accumulation methods QL06 flags inside parallel regions.
 const ACCUM_METHODS: &[&str] = &["sum", "product", "reduce", "fold", "for_each"];
 
-/// QL06 — accumulation inside rayon regions.
+/// QL06 — accumulation inside parallel regions.
 ///
-/// A *rayon region* is the call-chain statement containing a `par_*` or
-/// `.install(` token: from that token until the chain's nesting depth
-/// closes or a `;`/`,` at the starting depth. Within it, compound
-/// assignments (`+=`, `-=`, `*=`, `/=`) and
+/// A *parallel region* is the call-chain statement containing a `par_*(`
+/// call — in this workspace `stages::par_map(`, the one ordered parallel
+/// map: from that token until the chain's nesting depth closes or a
+/// `;`/`,` at the starting depth. Within it, compound assignments (`+=`,
+/// `-=`, `*=`, `/=`) and
 /// `.sum()/.product()/.reduce()/.fold()/.for_each()` calls are flagged:
 /// float accumulation order must not depend on thread interleaving, so
 /// reduces go through the serial deterministic reduce helpers
@@ -520,11 +521,7 @@ pub fn ql06_par_accumulate(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         let Some(name) = ident(ctx, i) else { continue };
         let is_par =
             (name.starts_with("par_") || name == "into_par_iter") && ctx.lx.is_punct(i + 1, '(');
-        let is_install = name == "install"
-            && ctx.lx.is_punct(i + 1, '(')
-            && i >= 1
-            && ctx.lx.is_punct(i - 1, '.');
-        if !is_par && !is_install {
+        if !is_par {
             continue;
         }
         let d0 = ctx.depth[i];
@@ -546,7 +543,7 @@ pub fn ql06_par_accumulate(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                         "QL06",
                         line,
                         format!(
-                            "`{c}=` inside a rayon region — accumulate through the serial \
+                            "`{c}=` inside a parallel region — accumulate through the serial \
                              deterministic reduce helpers, not shared state"
                         ),
                     );
@@ -562,7 +559,7 @@ pub fn ql06_par_accumulate(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                         "QL06",
                         line,
                         format!(
-                            "`.{m}(` inside a rayon region — reduction order must not depend \
+                            "`.{m}(` inside a parallel region — reduction order must not depend \
                              on thread interleaving; collect in input order and reduce \
                              serially"
                         ),
@@ -618,9 +615,14 @@ fn f(s: &S, v: &Vec<u64>) {
     }
 
     #[test]
-    fn ql06_pure_par_map_collect_is_clean() {
-        let src = "fn f(items: &[u64]) -> Vec<u64> {\n\
-                   items.par_iter().map(|x| x + 1).collect()\n}\n";
-        assert!(lint_source("crates/x/src/lib.rs", src).is_empty());
+    fn ql06_pure_par_map_is_clean_and_accumulating_one_is_not() {
+        let pure = "fn f(items: &[u64]) -> Vec<u64> {\n\
+                    par_map(2, items, |x| x + 1).unwrap_or_default()\n}\n";
+        assert!(lint_source("crates/x/src/lib.rs", pure).is_empty());
+        let racy = "fn f(items: &[f64], total: &Mutex<f64>) {\n\
+                    let _ = par_map(2, items, |x| *total.lock() += x);\n}\n";
+        let diags = lint_source("crates/x/src/lib.rs", racy);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), ("QL06", 2));
     }
 }

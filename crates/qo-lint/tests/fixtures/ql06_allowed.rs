@@ -1,6 +1,6 @@
 // QL06 allowlisted negative: fan out in parallel, collect in input order,
 // reduce serially — plus one justified order-free side effect.
-use rayon::prelude::*;
+// (`par_iter` stands for any `par_*(` call; the rule keys on the name.)
 
 pub fn total(xs: &[f64]) -> f64 {
     let parts: Vec<f64> = xs.par_iter().map(|x| x * 2.0).collect();

@@ -1,6 +1,6 @@
-// QL06 positive: float accumulation inside rayon regions — reduction order
+// QL06 positive: float accumulation inside parallel regions — reduction order
 // would depend on thread interleaving.
-use rayon::prelude::*;
+// (`par_iter` stands for any `par_*(` call; the rule keys on the name.)
 
 pub fn total(xs: &[f64]) -> f64 {
     xs.par_iter().sum()

@@ -245,7 +245,7 @@ impl BaseMemo {
         let full = optimizer.compile_full(plan, base)?;
         // Pre-warm the physical fingerprint once so every pruned clone
         // carries the memo (same reasoning as the compile cache's pre-warm).
-        let _ = full.compiled.physical.fingerprint();
+        let _ = full.run.compiled.physical.fingerprint();
         let n = full.memo.group_count();
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
         for gi in 0..n as u32 {
@@ -262,10 +262,10 @@ impl BaseMemo {
             plan_fingerprint: plan.fingerprint(),
             base_bits: *base.bits(),
             template_seed: plan.template_id().0,
-            compiled: full.compiled,
+            compiled: full.run.compiled,
             memo: full.memo,
             roots: full.roots,
-            fired_transforms: full.fired_transforms,
+            fired_transforms: full.run.fired_transforms,
             parents,
             fires: RwLock::new(FxHashMap::default()),
         })
@@ -570,9 +570,12 @@ impl DeltaCompiler {
             }
             PricedTreatment::NeedsFull => {
                 self.full.fetch_add(1, Ordering::Relaxed);
-                let (tasks, result) = optimizer.compile_replay(plan, treatment);
+                // Unchecked: the identical plan was validated at base-build
+                // time and `price` already ran the disable-path check.
+                let unlimited = crate::tasks::CompileBudget::unlimited();
+                let (tasks, full) = optimizer.compile_tasks(plan, treatment, unlimited, false);
                 self.replay_tasks.fetch_add(tasks, Ordering::Relaxed);
-                result
+                full.map(|full| full.run.compiled)
             }
         }
     }

@@ -19,7 +19,7 @@ use crate::registry::{
     RULE_SCRIPT_STITCH, RULE_SHUFFLE_ELIMINATION, RULE_STATS_ANNOTATE,
 };
 use crate::rules::apply_transform;
-use crate::tasks::{BudgetedCompile, CompileBudget, TaskEngine};
+use crate::tasks::{BudgetedCompile, CompileBudget, EngineRun, TaskEngine};
 use rustc_hash::FxHashMap;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::{PhysicalNode, PhysicalOp, PhysicalPlan, PhysicalTuning};
@@ -152,21 +152,16 @@ pub trait Compiler {
     }
 }
 
-/// Everything one from-scratch compilation produces: the [`Compiled`] result
-/// plus the artifacts [`crate::delta::BaseMemo`] freezes for incremental
+/// Everything one from-scratch compilation produces: the engine's
+/// [`EngineRun`] (the [`Compiled`] result and the exploration trace facts)
+/// plus the memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
 /// treatment pricing.
 pub(crate) struct FullCompile {
-    pub compiled: Compiled,
+    pub run: EngineRun,
     /// The fully explored, implemented, and costed memo.
     pub memo: Memo,
     /// Root group per plan output, in output order.
     pub roots: Vec<GroupId>,
-    /// Transform rules that produced at least one rewrite during
-    /// exploration. This is a strict superset of the transforms visible in
-    /// memo provenance: a rewrite consumes exploration budget even when the
-    /// materialized expression is rejected by dedup or the per-group cap, so
-    /// only a rule absent from this set is provably trace-invisible.
-    pub fired_transforms: RuleBits,
 }
 
 /// The SCOPE-like optimizer.
@@ -244,40 +239,55 @@ impl Optimizer {
         Ok(seed_memo(plan))
     }
 
+    /// The one task-queue compile (`crate::tasks`) behind every entry point
+    /// below: seed a memo and run the cascade under `budget`. `checked`
+    /// validates the plan and runs the disable-path check first
+    /// ([`Optimizer::checked_seed`]); only `crate::delta`'s full-fallback
+    /// replay passes `false`, having done both already. Returns the
+    /// engine's task count (also when the run fails) beside the result.
+    pub(crate) fn compile_tasks(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+        budget: CompileBudget,
+        checked: bool,
+    ) -> (u64, Result<FullCompile, CompileError>) {
+        let seeded = if checked {
+            self.checked_seed(plan, config)
+        } else {
+            Ok(seed_memo(plan))
+        };
+        let (template_seed, mut memo, roots) = match seeded {
+            Ok(seeded) => seeded,
+            Err(e) => return (0, Err(e)),
+        };
+        let mut engine = TaskEngine::new(self);
+        let run = engine.run(&mut memo, &roots, config, template_seed, budget);
+        let full = run.map(|run| FullCompile { run, memo, roots });
+        (engine.tasks_executed, full)
+    }
+
     /// Compile a logical plan under a rule configuration.
     pub fn compile(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
-        self.compile_full(plan, config).map(|full| full.compiled)
+        self.compile_full(plan, config)
+            .map(|full| full.run.compiled)
     }
 
     /// [`Optimizer::compile`] keeping the explored memo and the exploration
     /// trace facts ([`FullCompile`]) — what `crate::delta` freezes into a
-    /// [`crate::delta::BaseMemo`]. Runs the task-queue engine
-    /// (`crate::tasks`) at unlimited budget, which is byte-identical to the
-    /// recursive reference engine.
+    /// [`crate::delta::BaseMemo`]. An unlimited-budget run, which is
+    /// byte-identical to the recursive reference engine.
     pub(crate) fn compile_full(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<FullCompile, CompileError> {
-        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
-        let mut engine = TaskEngine::new(self);
-        let run = engine.run(
-            &mut memo,
-            &roots,
-            config,
-            template_seed,
-            CompileBudget::unlimited(),
-        )?;
-        Ok(FullCompile {
-            compiled: run.compiled,
-            memo,
-            roots,
-            fired_transforms: run.fired_transforms,
-        })
+        self.compile_tasks(plan, config, CompileBudget::unlimited(), true)
+            .1
     }
 
     /// Compile under a [`CompileBudget`]: the task-queue engine explores
@@ -290,40 +300,14 @@ impl Optimizer {
         config: &RuleConfig,
         budget: CompileBudget,
     ) -> Result<BudgetedCompile, CompileError> {
-        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
-        let mut engine = TaskEngine::new(self);
-        let run = engine.run(&mut memo, &roots, config, template_seed, budget)?;
+        let (tasks_executed, full) = self.compile_tasks(plan, config, budget, true);
+        let run = full?.run;
         Ok(BudgetedCompile {
             compiled: run.compiled,
             outcome: run.outcome,
-            tasks_executed: engine.tasks_executed,
+            tasks_executed,
             objective: run.objective,
         })
-    }
-
-    /// Task-queue replay of one from-scratch compile, skipping plan
-    /// validation and the disable-path check — the `crate::delta`
-    /// full-fallback entry, whose caller already validated the identical
-    /// plan at base-build time and ran the disable-path check in `price`.
-    /// Returns the engine's task count alongside the result so the delta
-    /// layer can account replayed work.
-    pub(crate) fn compile_replay(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> (u64, Result<Compiled, CompileError>) {
-        let (template_seed, mut memo, roots) = seed_memo(plan);
-        let mut engine = TaskEngine::new(self);
-        let result = engine
-            .run(
-                &mut memo,
-                &roots,
-                config,
-                template_seed,
-                CompileBudget::unlimited(),
-            )
-            .map(|run| run.compiled);
-        (engine.tasks_executed, result)
     }
 
     /// The original recursive-descent engine, kept as the differential
@@ -854,13 +838,13 @@ mod tests {
         let config = opt.default_config();
         let via_tasks = opt.compile_full(&p, &config).unwrap();
         assert!(
-            !via_tasks.fired_transforms.is_empty(),
+            !via_tasks.run.fired_transforms.is_empty(),
             "some transform must fire for this shape"
         );
         let mut memo = Memo::new();
         memo.copy_in(&p);
         let recursive_fired = opt.explore(&mut memo, &config);
-        assert_eq!(via_tasks.fired_transforms, recursive_fired);
+        assert_eq!(via_tasks.run.fired_transforms, recursive_fired);
     }
 
     #[test]

@@ -236,6 +236,11 @@ pub(crate) struct TaskEngine<'a> {
 /// Everything one engine run produces beyond the [`Compiled`] artifact.
 pub(crate) struct EngineRun {
     pub(crate) compiled: Compiled,
+    /// Transform rules that produced at least one rewrite during
+    /// exploration. This is a strict superset of the transforms visible in
+    /// memo provenance: a rewrite consumes exploration budget even when the
+    /// materialized expression is rejected by dedup or the per-group cap, so
+    /// only a rule absent from this set is provably trace-invisible.
     pub(crate) fired_transforms: RuleBits,
     pub(crate) outcome: BudgetOutcome,
     pub(crate) objective: f64,

@@ -16,7 +16,8 @@
 //!
 //! Legs:
 //!   * fleet-vs-isolated: overlapping and disjoint tenants × shared/private
-//!     caches × 1/8 stream workers against independent single-tenant sims;
+//!     caches × 1/8 stream workers (plus 3 workers over 7 tenants) against
+//!     independent single-tenant sims;
 //!   * mid-run kill/restore: per-tenant snapshots taken mid-fleet-run
 //!     restore into a fresh fleet and finish byte-identical (extends the
 //!     PR 8 crash-recovery harness to the fleet);
@@ -189,19 +190,27 @@ fn fleet_tenants_match_isolated_single_tenant_sims() {
     let tree = TempTree::new("isolation");
     let overlapping = overlapping_workloads(TENANTS, &workload());
     let disjoint = disjoint_workloads(TENANTS, &workload());
-    let legs: [(&str, &[WorkloadConfig], bool, usize); 4] = [
+    // A tenant count the worker count does not divide: the per-tenant
+    // reduce hands tenants out one at a time, so no worker owns a fixed
+    // share.
+    let disjoint7 = disjoint_workloads(7, &workload());
+    let legs: [(&str, &[WorkloadConfig], bool, usize); 5] = [
         ("overlap/shared/8w", &overlapping, true, 8),
         ("overlap/shared/1w", &overlapping, true, 1),
         ("overlap/nocache/8w", &overlapping, false, 8),
         ("disjoint/shared/8w", &disjoint, true, 8),
+        ("disjoint7/shared/3w", &disjoint7, true, 3),
     ];
     // One single-tenant reference per (population, cache setting).
     type Reference = (PathBuf, Vec<Vec<DailyReport>>);
-    let mut references: BTreeMap<(bool, bool), Reference> = BTreeMap::new();
+    let mut references: BTreeMap<(usize, bool, bool), Reference> = BTreeMap::new();
     for (label, workloads, caches, workers) in legs {
         let overlap = std::ptr::eq(workloads.as_ptr(), overlapping.as_ptr());
-        let reference = references.entry((overlap, caches)).or_insert_with(|| {
-            let root = tree.0.join(format!("ref-{overlap}-{caches}"));
+        let key = (workloads.len(), overlap, caches);
+        let reference = references.entry(key).or_insert_with(|| {
+            let root = tree
+                .0
+                .join(format!("ref-{}-{overlap}-{caches}", workloads.len()));
             let reports = run_isolated_sims(workloads, &config_with(caches), &root, DAYS);
             (root, reports)
         });
