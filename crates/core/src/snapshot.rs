@@ -201,9 +201,7 @@ impl QoAdvisor {
                 ),
             });
         }
-        let scratch = Personalizer::new(self.config.cb.clone());
-        scratch
-            .restore_state(snap.personalizer.clone())
+        let personalizer = Personalizer::from_state(self.config.cb.clone(), &snap.personalizer)
             .map_err(|e| SnapshotError::Mismatch {
                 what: format!("personalizer: {e}"),
             })?;
@@ -213,7 +211,7 @@ impl QoAdvisor {
                 what: format!("sis: {e}"),
             })?;
         // Infallible from here on.
-        self.personalizer = scratch;
+        self.personalizer = personalizer;
         self.flighting.restore_batch_salt(snap.flighting.batch_salt);
         self.validation = snap.validation.map(|v| ValidationModel {
             intercept: v.intercept,
@@ -665,6 +663,25 @@ mod tests {
         fresh.restore(&path).unwrap();
         assert_eq!(fresh.export_state(), sim.export_state());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_size_tracks_what_the_bandit_learned() {
+        // Default `dim_bits` 20: a dense table alone is 8 MiB. The snapshot
+        // pays 12 bytes per learned weight plus a small remainder (hints,
+        // span cache, counters); that nothing in it grows per *reward* is
+        // pinned by personalizer's `state_does_not_grow_with_rewarded_events`.
+        let mut sim = small_sim();
+        sim.bootstrap_validation_model(2, 8).unwrap();
+        sim.run(5).unwrap();
+        let snap = sim.export_state();
+        let nonzero_slots = snap.personalizer.weights.len();
+        assert!(nonzero_slots > 0, "five days must have taught it something");
+        let bytes = snap.to_bytes().len();
+        assert!(
+            bytes <= 64 * 1024 + 12 * nonzero_slots,
+            "{bytes}-byte snapshot for {nonzero_slots} learned weights"
+        );
     }
 
     #[test]

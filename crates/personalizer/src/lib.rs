@@ -17,7 +17,7 @@
 //!   telemetry offline", §6);
 //! * [`slate`] — batched slate scoring over a CSR sparse layout,
 //!   bit-identical to per-action scoring;
-//! * [`service`] — the rank/reward facade with an event log.
+//! * [`service`] — the rank/reward facade with a pending-event log.
 
 pub mod bandit;
 pub mod counterfactual;

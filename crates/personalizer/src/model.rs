@@ -33,10 +33,18 @@ impl LinearModel {
         }
     }
 
-    /// The raw weight table (snapshot export; diagnostics).
+    /// The table in snapshot form: `(slot, value)` for every slot whose
+    /// **bit pattern** is not `+0.0`, ascending — one scan, no dense copy.
+    /// Comparing bits (not `!= 0.0`) keeps `-0.0`, NaNs and subnormals, so
+    /// [`LinearModel::from_sparse`] rebuilds the table bit for bit.
     #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
+    pub fn sparse_weights(&self) -> Vec<(u32, f64)> {
+        self.weights
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.to_bits() != 0)
+            .map(|(slot, &w)| (slot as u32, w))
+            .collect()
     }
 
     /// The hashed-table size exponent this model was built with.
@@ -45,16 +53,42 @@ impl LinearModel {
         self.dim_bits
     }
 
-    /// Rebuild a model from snapshot parts. Returns `None` (instead of
-    /// panicking like [`LinearModel::new`]) when `dim_bits` is out of range
-    /// or the weight table does not match `2^dim_bits` — restore paths must
-    /// fail typed, never panic.
-    #[must_use]
-    pub fn from_parts(dim_bits: u32, weights: Vec<f64>, updates: u64) -> Option<Self> {
-        if !(8..=26).contains(&dim_bits) || weights.len() != 1usize << dim_bits {
-            return None;
+    /// Is `sparse` the canonical [`LinearModel::sparse_weights`] form of a
+    /// `2^dim_bits` table: `dim_bits` in range, slots strictly ascending
+    /// and inside the table, no stored `+0.0`? One encoding per table is
+    /// what makes export → restore → export a byte fixpoint; the snapshot
+    /// decoder and [`LinearModel::from_sparse`] both check it here.
+    pub fn check_sparse(dim_bits: u32, sparse: &[(u32, f64)]) -> Result<(), String> {
+        if !(8..=26).contains(&dim_bits) {
+            return Err(format!("dim_bits {dim_bits} out of range 8..=26"));
         }
-        Some(Self {
+        let mut prev = None;
+        for &(slot, w) in sparse {
+            if prev.is_some_and(|p| slot <= p) {
+                return Err(format!("weight slot {slot} repeated or out of order"));
+            }
+            if slot >> dim_bits != 0 {
+                return Err(format!("weight slot {slot} outside the 2^{dim_bits} table"));
+            }
+            if w.to_bits() == 0 {
+                return Err(format!("weight slot {slot} stores +0.0 (absent is zero)"));
+            }
+            prev = Some(slot);
+        }
+        Ok(())
+    }
+
+    /// Rebuild a model from its snapshot form, scattering `sparse` into one
+    /// zeroed table. Errors (instead of panicking like
+    /// [`LinearModel::new`]) on anything [`LinearModel::check_sparse`]
+    /// rejects — restore paths must fail typed, never panic.
+    pub fn from_sparse(dim_bits: u32, sparse: &[(u32, f64)], updates: u64) -> Result<Self, String> {
+        Self::check_sparse(dim_bits, sparse)?;
+        let mut weights = vec![0.0; 1 << dim_bits];
+        for &(slot, w) in sparse {
+            weights[slot as usize] = w;
+        }
+        Ok(Self {
             weights,
             dim_bits,
             updates,

@@ -1,10 +1,9 @@
-//! The Personalizer facade: a rank/reward service with a durable event log,
-//! mirroring how QO-Advisor integrates with Azure Personalizer (§4.2): rank
-//! calls return an event id; rewards arrive later (after recompilation
-//! computes the cost ratio) keyed by that id.
+//! The Personalizer facade: a rank/reward service with a durable pending-
+//! event log, mirroring how QO-Advisor integrates with Azure Personalizer
+//! (§4.2): rank calls return an event id; rewards arrive later (after
+//! recompilation computes the cost ratio) keyed by that id.
 
 use crate::bandit::{CbConfig, ContextualBandit, RankDecision};
-use crate::counterfactual::LoggedOutcome;
 use crate::features::FeatureVector;
 use crate::model::LinearModel;
 use crate::slate::SparseSlate;
@@ -48,13 +47,16 @@ pub struct PendingEventState {
 /// The full durable state of a [`Personalizer`], as exported for (and
 /// restored from) a `scope-state` snapshot. Everything the rank/reward
 /// loop's future behavior depends on is here: the model weight table and
-/// its counters, the event-id allocator, the pending decisions, and the
-/// counterfactual history. `pending` is sorted by event id so the export
-/// itself is deterministic.
+/// its counters, the event-id allocator, and the pending decisions — sized
+/// by what the bandit learned, not by the table or by how long it has run.
+/// `pending` is sorted by event id so the export itself is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersonalizerState {
     pub dim_bits: u32,
-    pub weights: Vec<f64>,
+    /// The `2^dim_bits` weight table in its canonical sparse form
+    /// ([`LinearModel::sparse_weights`]): every slot whose bit pattern is
+    /// not `+0.0`, ascending by slot.
+    pub weights: Vec<(u32, f64)>,
     /// Model updates absorbed ([`crate::model::LinearModel::updates`]).
     pub updates: u64,
     /// Rewarded events absorbed ([`ContextualBandit::events`]).
@@ -62,7 +64,6 @@ pub struct PersonalizerState {
     /// Next event id the allocator will hand out.
     pub next_event: u64,
     pub pending: Vec<PendingEventState>,
-    pub history: Vec<LoggedOutcome>,
 }
 
 /// The decision service. Interior mutability lets rank/reward interleave
@@ -76,7 +77,6 @@ pub struct Personalizer {
 struct Inner {
     bandit: ContextualBandit,
     pending: FxHashMap<u64, PendingEvent>,
-    history: Vec<LoggedOutcome>,
     next_event: u64,
 }
 
@@ -96,6 +96,34 @@ impl Inner {
         );
         RankResponse { event_id, decision }
     }
+
+    /// The live state a snapshot export describes, under `config`.
+    fn from_state(config: CbConfig, state: &PersonalizerState) -> Result<Inner, String> {
+        if config.dim_bits != state.dim_bits {
+            return Err(format!(
+                "snapshot bandit table uses dim_bits {} but this process is configured with {}",
+                state.dim_bits, config.dim_bits
+            ));
+        }
+        let model = LinearModel::from_sparse(state.dim_bits, &state.weights, state.updates)?;
+        let mut pending = FxHashMap::default();
+        // qo-lint: allow(unordered-iter) — snapshot Vec, sorted at export
+        for p in &state.pending {
+            let event = PendingEvent {
+                context: p.context.clone(),
+                action: p.action.clone(),
+                probability: p.probability,
+            };
+            if pending.insert(p.event_id, event).is_some() {
+                return Err(format!("duplicate pending event id {}", p.event_id));
+            }
+        }
+        Ok(Inner {
+            bandit: ContextualBandit::from_parts(config, model, state.events),
+            pending,
+            next_event: state.next_event,
+        })
+    }
 }
 
 impl Personalizer {
@@ -105,7 +133,6 @@ impl Personalizer {
             inner: Mutex::new(Inner {
                 bandit: ContextualBandit::new(config),
                 pending: FxHashMap::default(),
-                history: Vec::new(),
                 next_event: 1,
             }),
         }
@@ -175,8 +202,8 @@ impl Personalizer {
     }
 
     /// Reward a previously ranked event; updates the model off-policy and
-    /// appends to the counterfactual log. Unknown ids are ignored (Azure
-    /// Personalizer drops late rewards the same way).
+    /// forgets the event. Unknown ids are ignored (Azure Personalizer drops
+    /// late rewards the same way).
     pub fn reward(&self, event_id: u64, reward: f64) {
         let mut inner = self.inner.lock();
         let Some(ev) = inner.pending.remove(&event_id) else {
@@ -185,11 +212,6 @@ impl Personalizer {
         inner
             .bandit
             .reward(&ev.context, &ev.action, reward, ev.probability);
-        inner.history.push(LoggedOutcome {
-            target_agrees: true, // filled properly by evaluate_against
-            logged_probability: ev.probability,
-            reward,
-        });
     }
 
     /// Greedy decision without logging (deployment-time inference).
@@ -207,13 +229,9 @@ impl Personalizer {
         self.inner.lock().pending.len()
     }
 
-    /// Raw logged outcomes (for counterfactual estimators).
-    pub fn history(&self) -> Vec<LoggedOutcome> {
-        self.inner.lock().history.clone()
-    }
-
     /// Export the full durable state for a snapshot. Deterministic: the
-    /// pending map is sorted by event id before leaving the lock.
+    /// pending map is sorted by event id before leaving the lock, and the
+    /// weight table leaves as one scan into its sparse form.
     #[must_use]
     pub fn export_state(&self) -> PersonalizerState {
         let inner = self.inner.lock();
@@ -232,18 +250,26 @@ impl Personalizer {
         pending.sort_by_key(|p| p.event_id);
         PersonalizerState {
             dim_bits: model.dim_bits(),
-            weights: model.weights().to_vec(),
+            weights: model.sparse_weights(),
             updates: model.updates,
             events: inner.bandit.events,
             next_event: inner.next_event,
             pending,
-            history: inner.history.clone(),
         }
+    }
+
+    /// A service resuming from a snapshot export: [`Personalizer::new`] +
+    /// [`Personalizer::restore_state`] in one step, so the weight table is
+    /// allocated once. Same checks and errors as `restore_state`.
+    pub fn from_state(config: CbConfig, state: &PersonalizerState) -> Result<Self, String> {
+        Ok(Self {
+            inner: Mutex::new(Inner::from_state(config, state)?),
+        })
     }
 
     /// Replace the live state with a snapshot export. The bandit keeps its
     /// construction-time [`CbConfig`]; the snapshot must have been taken
-    /// under the same hashed-table size, and a malformed weight table is an
+    /// under the same hashed-table size, and a malformed weight list is an
     /// error (restore never panics and never partially applies). Only
     /// `dim_bits` is checked *here* — it is the one knob that makes the
     /// state structurally uninterpretable. The remaining `CbConfig` fields
@@ -252,41 +278,7 @@ impl Personalizer {
     /// method is ever reached on the steering-loop restore path.
     pub fn restore_state(&self, state: PersonalizerState) -> Result<(), String> {
         let mut inner = self.inner.lock();
-        let config = inner.bandit.config().clone();
-        if config.dim_bits != state.dim_bits {
-            return Err(format!(
-                "snapshot bandit table uses dim_bits {} but this process is configured with {}",
-                state.dim_bits, config.dim_bits
-            ));
-        }
-        let Some(model) = LinearModel::from_parts(state.dim_bits, state.weights, state.updates)
-        else {
-            return Err(format!(
-                "snapshot weight table does not match 2^{} entries",
-                state.dim_bits
-            ));
-        };
-        let mut pending = FxHashMap::default();
-        // qo-lint: allow(unordered-iter) — snapshot Vec, sorted at export
-        for p in state.pending {
-            if pending
-                .insert(
-                    p.event_id,
-                    PendingEvent {
-                        context: p.context,
-                        action: p.action,
-                        probability: p.probability,
-                    },
-                )
-                .is_some()
-            {
-                return Err(format!("duplicate pending event id {}", p.event_id));
-            }
-        }
-        inner.bandit = ContextualBandit::from_parts(config, model, state.events);
-        inner.pending = pending;
-        inner.history = state.history;
-        inner.next_event = state.next_event;
+        *inner = Inner::from_state(inner.bandit.config().clone(), &state)?;
         Ok(())
     }
 }
@@ -318,7 +310,6 @@ mod tests {
         svc.reward(resp.event_id, 1.0);
         assert_eq!(svc.pending(), 0);
         assert_eq!(svc.events(), 1);
-        assert_eq!(svc.history().len(), 1);
     }
 
     #[test]
@@ -410,18 +401,110 @@ mod tests {
         assert_eq!(svc.export_state(), fresh.export_state());
     }
 
+    /// One feature, one action, propensity 1 and learning rate 1: each
+    /// reward moves the feature's slot to exactly that reward.
+    fn set_slot(svc: &Personalizer, slot: u64, reward: f64) {
+        let resp = svc.rank(&RankRequest {
+            context: FeatureVector::new(),
+            actions: vec![FeatureVector::from_items(vec![(slot, 1.0)])],
+            seed: 0,
+            log_uniform: true,
+        });
+        svc.reward(resp.event_id, reward);
+    }
+
+    #[test]
+    fn sparse_export_is_canonical_and_a_restore_fixpoint() {
+        let config = CbConfig {
+            learning_rate: 1.0,
+            dim_bits: 12,
+            ..CbConfig::default()
+        };
+        let svc = Personalizer::new(config.clone());
+        set_slot(&svc, 5, 0.75);
+        set_slot(&svc, 9, 1.0);
+        set_slot(&svc, 9, 0.0); // written, then back to +0.0: no entry
+        let mut state = svc.export_state();
+        assert_eq!(state.weights, vec![(5, 0.75)]);
+
+        // An explicit -0.0 is not +0.0: its entry stays, bit for bit.
+        state.weights.push((77, -0.0));
+        svc.restore_state(state.clone()).unwrap();
+        let exported = svc.export_state();
+        assert_eq!(exported, state, "export/restore/export fixpoint");
+        assert_eq!(exported.weights[1].1.to_bits(), (-0.0f64).to_bits());
+        let fresh = Personalizer::from_state(config, &exported).unwrap();
+        assert_eq!(fresh.export_state(), exported);
+
+        // Future decisions are bit-identical between original and restoree.
+        for seed in 0..20 {
+            let a = svc.rank(&request(seed, false));
+            let b = fresh.rank(&request(seed, false));
+            assert_eq!(a.event_id, b.event_id);
+            assert_eq!(a.decision, b.decision);
+            svc.reward(a.event_id, 0.25);
+            fresh.reward(b.event_id, 0.25);
+        }
+        assert_eq!(svc.export_state(), fresh.export_state());
+    }
+
+    #[test]
+    fn state_does_not_grow_with_rewarded_events() {
+        // What a service holds is what it exports. Destructuring without
+        // `..` stops compiling when the state gains a field, so whoever
+        // adds one has to decide here whether it grows per event.
+        fn footprint(state: PersonalizerState) -> (usize, usize) {
+            let PersonalizerState {
+                dim_bits: _,
+                weights,
+                updates: _,
+                events: _,
+                next_event: _,
+                pending,
+            } = state;
+            (weights.len(), pending.len())
+        }
+        let svc = Personalizer::new(CbConfig {
+            dim_bits: 12,
+            ..CbConfig::default()
+        });
+        let run = |events: u64| {
+            for seed in 0..events {
+                let resp = svc.rank(&request(seed, true));
+                svc.reward(resp.event_id, (seed % 3) as f64);
+            }
+        };
+        run(100); // touch every slot this slate can reach
+        let before = footprint(svc.export_state());
+        run(10_000);
+        assert_eq!(svc.events(), 10_100);
+        assert_eq!(footprint(svc.export_state()), before);
+        assert_eq!(before.1, 0, "every event was rewarded");
+    }
+
     #[test]
     fn restore_rejects_mismatched_table_sizes() {
         let svc = Personalizer::new(CbConfig::default());
-        let mut state = svc.export_state();
-        state.weights.pop();
-        assert!(svc.restore_state(state).is_err(), "short weight table");
+        let good = svc.export_state();
+        for (weights, why) in [
+            (vec![(1 << 20, 1.0)], "slot past the table"),
+            (vec![(7, 1.0), (3, 1.0)], "unsorted"),
+            (vec![(3, 1.0), (3, 2.0)], "duplicate slot"),
+            (vec![(3, 0.0)], "stored +0.0"),
+        ] {
+            let bad = PersonalizerState {
+                weights,
+                ..good.clone()
+            };
+            assert!(svc.restore_state(bad).is_err(), "{why}");
+        }
+        assert_eq!(svc.export_state(), good, "failed restore mutates nothing");
         let other = Personalizer::new(CbConfig {
             dim_bits: 12,
             ..CbConfig::default()
         });
         assert!(
-            other.restore_state(svc.export_state()).is_err(),
+            other.restore_state(good).is_err(),
             "dim_bits mismatch between snapshot and live config"
         );
     }

@@ -135,12 +135,12 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Collection length prefix. Bounded by the remaining payload (every
-    /// element costs at least one byte), so a corrupt length cannot drive a
-    /// huge allocation.
-    pub fn take_len(&mut self) -> Result<usize, SnapshotError> {
+    /// Collection length prefix for elements of at least `min_elem_bytes`
+    /// each. A count the remaining payload cannot hold is `Truncated` here,
+    /// before the caller sizes a `Vec` by it.
+    pub fn take_len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
         let len = self.take_u32()? as usize;
-        if len > self.remaining() {
+        if len.saturating_mul(min_elem_bytes) > self.remaining() {
             return Err(SnapshotError::Truncated { what: self.what });
         }
         Ok(len)
@@ -196,7 +196,28 @@ mod tests {
         assert!(r.take_bool().unwrap());
         assert!(!r.take_bool().unwrap());
         // take_len guards against lengths past the payload end.
-        assert_eq!(r.take_len(), Err(SnapshotError::Truncated { what: "test" }));
+        assert_eq!(
+            r.take_len(1),
+            Err(SnapshotError::Truncated { what: "test" })
+        );
+    }
+
+    #[test]
+    fn take_len_bounds_the_count_by_the_element_size() {
+        let mut bytes = 2u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 23]);
+        // Two 12-byte elements need 24 bytes; 23 remain.
+        assert_eq!(
+            Reader::new(&bytes, "pairs").take_len(12),
+            Err(SnapshotError::Truncated { what: "pairs" })
+        );
+        assert_eq!(Reader::new(&bytes, "pairs").take_len(11), Ok(2));
+        // A count that would overflow `n * min` is still just truncated.
+        let huge = u32::MAX.to_le_bytes();
+        assert_eq!(
+            Reader::new(&huge, "pairs").take_len(usize::MAX),
+            Err(SnapshotError::Truncated { what: "pairs" })
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::codec::{Reader, Writer};
 use crate::error::SnapshotError;
 use crate::frame::{atomic_write, section, FrameReader, FrameWriter};
-use personalizer::{FeatureVector, LoggedOutcome, PendingEventState, PersonalizerState};
+use personalizer::{FeatureVector, LinearModel, PendingEventState, PersonalizerState};
 use scope_ir::TemplateId;
 use scope_opt::{Hint, RuleBits, RuleFlip, RuleId, SpanResult, RULE_COUNT};
 use std::path::Path;
@@ -242,7 +242,7 @@ pub(crate) fn encode_sis(state: &SisState) -> Vec<u8> {
 pub(crate) fn decode_sis(bytes: &[u8]) -> Result<SisState, SnapshotError> {
     let mut r = Reader::new(bytes, "sis section");
     let version = r.take_u32()?;
-    let n = r.take_len()?;
+    let n = r.take_len(8 + 2 + 1)?;
     let mut hints = Vec::with_capacity(n);
     for _ in 0..n {
         let template = TemplateId(r.take_u64()?);
@@ -266,7 +266,7 @@ fn encode_feature_vector(w: &mut Writer, fv: &FeatureVector) {
 }
 
 fn decode_feature_vector(r: &mut Reader<'_>) -> Result<FeatureVector, SnapshotError> {
-    let n = r.take_len()?;
+    let n = r.take_len(8 + 8)?;
     let mut items = Vec::with_capacity(n);
     for _ in 0..n {
         let key = r.take_u64()?;
@@ -280,7 +280,8 @@ pub(crate) fn encode_personalizer(state: &PersonalizerState) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u32(state.dim_bits);
     w.put_len(state.weights.len());
-    for &weight in &state.weights {
+    for &(slot, weight) in &state.weights {
+        w.put_u32(slot);
         w.put_f64(weight);
     }
     w.put_u64(state.updates);
@@ -293,27 +294,25 @@ pub(crate) fn encode_personalizer(state: &PersonalizerState) -> Vec<u8> {
         encode_feature_vector(&mut w, &p.action);
         w.put_f64(p.probability);
     }
-    w.put_len(state.history.len());
-    for h in &state.history {
-        w.put_bool(h.target_agrees);
-        w.put_f64(h.logged_probability);
-        w.put_f64(h.reward);
-    }
     w.into_bytes()
 }
 
 pub(crate) fn decode_personalizer(bytes: &[u8]) -> Result<PersonalizerState, SnapshotError> {
     let mut r = Reader::new(bytes, "personalizer section");
     let dim_bits = r.take_u32()?;
-    let n_weights = r.take_len()?;
+    let n_weights = r.take_len(4 + 8)?;
     let mut weights = Vec::with_capacity(n_weights);
     for _ in 0..n_weights {
-        weights.push(r.take_f64()?);
+        weights.push((r.take_u32()?, r.take_f64()?));
     }
+    // One encoding per table, or export → restore → export is no fixpoint.
+    LinearModel::check_sparse(dim_bits, &weights).map_err(|e| SnapshotError::Corrupt {
+        what: format!("personalizer section: {e}"),
+    })?;
     let updates = r.take_u64()?;
     let events = r.take_u64()?;
     let next_event = r.take_u64()?;
-    let n_pending = r.take_len()?;
+    let n_pending = r.take_len(8 + 4 + 4 + 8)?;
     let mut pending = Vec::with_capacity(n_pending);
     for _ in 0..n_pending {
         let event_id = r.take_u64()?;
@@ -327,18 +326,6 @@ pub(crate) fn decode_personalizer(bytes: &[u8]) -> Result<PersonalizerState, Sna
             probability,
         });
     }
-    let n_history = r.take_len()?;
-    let mut history = Vec::with_capacity(n_history);
-    for _ in 0..n_history {
-        let target_agrees = r.take_bool()?;
-        let logged_probability = r.take_f64()?;
-        let reward = r.take_f64()?;
-        history.push(LoggedOutcome {
-            target_agrees,
-            logged_probability,
-            reward,
-        });
-    }
     r.finish()?;
     Ok(PersonalizerState {
         dim_bits,
@@ -347,7 +334,6 @@ pub(crate) fn decode_personalizer(bytes: &[u8]) -> Result<PersonalizerState, Sna
         events,
         next_event,
         pending,
-        history,
     })
 }
 
@@ -396,7 +382,7 @@ pub(crate) fn encode_explored(state: &ExploredState) -> Vec<u8> {
 
 pub(crate) fn decode_explored(bytes: &[u8]) -> Result<ExploredState, SnapshotError> {
     let mut r = Reader::new(bytes, "explored section");
-    let n = r.take_len()?;
+    let n = r.take_len(8)?;
     let mut templates = Vec::with_capacity(n);
     for _ in 0..n {
         templates.push(TemplateId(r.take_u64()?));
@@ -425,7 +411,7 @@ pub(crate) fn encode_monitor(state: &MonitorState) -> Vec<u8> {
 pub(crate) fn decode_monitor(bytes: &[u8]) -> Result<MonitorState, SnapshotError> {
     let mut r = Reader::new(bytes, "monitor section");
     let config_fingerprint = r.take_u64()?;
-    let n = r.take_len()?;
+    let n = r.take_len(8 + 8 + 4 + 4)?;
     let mut templates = Vec::with_capacity(n);
     for _ in 0..n {
         let template = TemplateId(r.take_u64()?);
@@ -439,7 +425,7 @@ pub(crate) fn decode_monitor(bytes: &[u8]) -> Result<MonitorState, SnapshotError
             consecutive_regressions,
         });
     }
-    let n_rev = r.take_len()?;
+    let n_rev = r.take_len(8)?;
     let mut reverted = Vec::with_capacity(n_rev);
     for _ in 0..n_rev {
         reverted.push(TemplateId(r.take_u64()?));
@@ -471,7 +457,7 @@ pub(crate) fn encode_span_cache(state: &SpanCacheState) -> Vec<u8> {
 
 pub(crate) fn decode_span_cache(bytes: &[u8]) -> Result<SpanCacheState, SnapshotError> {
     let mut r = Reader::new(bytes, "span-cache section");
-    let n = r.take_len()?;
+    let n = r.take_len(8 + 1)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let template = TemplateId(r.take_u64()?);
@@ -643,7 +629,7 @@ mod tests {
             },
             personalizer: PersonalizerState {
                 dim_bits: 8,
-                weights: (0..256).map(|i| i as f64 * 0.125 - 3.0).collect(),
+                weights: vec![(0, -3.0), (17, 0.125), (255, 28.875)],
                 updates: 17,
                 events: 17,
                 next_event: 23,
@@ -652,11 +638,6 @@ mod tests {
                     context: fv(&[(1, 1.0), (9, 0.5)]),
                     action: fv(&[(4, 1.0)]),
                     probability: 0.25,
-                }],
-                history: vec![LoggedOutcome {
-                    target_agrees: true,
-                    logged_probability: 0.2,
-                    reward: 1.5,
                 }],
             },
             flighting: FlightingState { batch_salt: 9 },

@@ -17,7 +17,12 @@ pub const MAGIC: [u8; 8] = *b"QOSNAP\r\n";
 /// v2: `META` gained the pipeline-config fingerprint and `MONITOR` the
 /// monitor-config fingerprint, so a snapshot restored under different
 /// tuning is a typed mismatch instead of a silent divergence.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// v3: `PERSONALIZER` carries the weight table as its non-`+0.0` slots and
+/// no reward history, so a snapshot is the size of what the bandit learned.
+/// There is one decoder: snapshots are overwritten daily and nothing
+/// deployed holds a v2 file, so v2 is [`SnapshotError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section flag: the payload is a warm cache — deterministically
 /// rebuildable, safe to drop on restore, and skipped (not an error) when a
@@ -32,8 +37,10 @@ pub mod section {
     pub const META: u16 = 1;
     /// SIS store version + installed hints (authoritative).
     pub const SIS: u16 = 2;
-    /// Personalizer bandit weights, counters, pending events, and the
-    /// counterfactual history (authoritative).
+    /// Personalizer bandit state (authoritative): `dim_bits u32 · n u32 ·
+    /// n × (slot u32, weight f64-bits)` — the table's non-`+0.0` slots,
+    /// strictly ascending — then the update / event / next-event-id
+    /// counters (`u64` each) and the pending events.
     pub const PERSONALIZER: u16 = 3;
     /// Flighting batch salt — the loop's only cross-day RNG position
     /// (authoritative).

@@ -29,6 +29,11 @@
 //! [`scope_ir::ids::stable_hash64`], the workspace's FNV-1a — no new hash
 //! constants, per qo-lint QL03.
 //!
+//! The bandit's `2^dim_bits` weight table travels as its non-`+0.0` slots,
+//! strictly ascending ([`frame::section::PERSONALIZER`]): a snapshot is the
+//! size of what was learned, and the decoder rejects any other encoding of
+//! the same table, so export → restore → export is a byte fixpoint.
+//!
 //! Sections are either **authoritative** (the restore fails without them:
 //! SIS version + hints, bandit weights, flighting RNG position, …) or
 //! **warm** ([`frame::FLAG_WARM`]): deterministically rebuildable caches

@@ -3,7 +3,7 @@
 //! exercised) built from fixed values, so its serialized bytes are
 //! reproducible — `tests/golden.rs` pins them as the committed fixture.
 
-use personalizer::{FeatureVector, LoggedOutcome, PendingEventState, PersonalizerState};
+use personalizer::{FeatureVector, PendingEventState, PersonalizerState};
 use scope_ir::TemplateId;
 use scope_opt::{Hint, RuleBits, RuleFlip, RuleId, SpanResult};
 use scope_state::{
@@ -54,7 +54,7 @@ pub fn sample_snapshot() -> SteeringSnapshot {
         },
         personalizer: PersonalizerState {
             dim_bits: 8,
-            weights: (0..256).map(|i| f64::from(i) * 0.125 - 3.0).collect(),
+            weights: vec![(0, -3.0), (17, 0.125), (200, -0.0), (255, 28.875)],
             updates: 17,
             events: 17,
             next_event: 23,
@@ -63,11 +63,6 @@ pub fn sample_snapshot() -> SteeringSnapshot {
                 context: fv(&[(1, 1.0), (9, 0.5)]),
                 action: fv(&[(4, 1.0)]),
                 probability: 0.25,
-            }],
-            history: vec![LoggedOutcome {
-                target_agrees: true,
-                logged_probability: 0.2,
-                reward: 1.5,
             }],
         },
         flighting: FlightingState { batch_salt: 9 },

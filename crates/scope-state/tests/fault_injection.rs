@@ -8,6 +8,7 @@
 mod common;
 
 use common::sample_snapshot;
+use scope_state::codec::Writer;
 use scope_state::frame::section;
 use scope_state::{
     FrameReader, FrameWriter, SnapshotError, SteeringSnapshot, FORMAT_VERSION, MAGIC,
@@ -29,6 +30,44 @@ fn section_spans(bytes: &[u8]) -> Vec<(u16, Range<usize>)> {
     }
     assert_eq!(off, bytes.len(), "walker disagrees with the writer");
     spans
+}
+
+/// The sample snapshot with section `id`'s payload replaced. The frame
+/// stays intact (the writer recomputes the checksum), so whatever error
+/// comes back is the component codec's.
+fn with_section_payload(id: u16, payload: Vec<u8>) -> Vec<u8> {
+    let parsed = FrameReader::from_bytes(&sample_snapshot().to_bytes()).unwrap();
+    let mut w = FrameWriter::new();
+    for s in parsed.sections() {
+        let payload = if s.id == id {
+            payload.clone()
+        } else {
+            s.payload.clone()
+        };
+        if s.is_warm() {
+            w.push_warm(s.id, payload);
+        } else {
+            w.push(s.id, payload);
+        }
+    }
+    w.to_bytes()
+}
+
+/// A hand-written v3 PERSONALIZER payload: `weights` verbatim (canonical
+/// or not), zero counters, then `tail` where the pending events go.
+fn personalizer_payload(dim_bits: u32, weights: &[(u32, f64)], tail: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u32(dim_bits);
+    w.put_len(weights.len());
+    for &(slot, weight) in weights {
+        w.put_u32(slot);
+        w.put_f64(weight);
+    }
+    for _counter in ["updates", "events", "next_event"] {
+        w.put_u64(0);
+    }
+    w.put_bytes(tail);
+    w.into_bytes()
 }
 
 #[test]
@@ -107,6 +146,21 @@ fn bumped_format_version_is_unsupported() {
         SteeringSnapshot::from_bytes(&bytes).unwrap_err(),
         SnapshotError::UnsupportedVersion {
             found: FORMAT_VERSION + 1,
+            supported: FORMAT_VERSION
+        }
+    );
+}
+
+#[test]
+fn previous_format_version_is_unsupported() {
+    // One decoder: a v2 file (dense table + reward history) is as
+    // unreadable as a future one, and says so before any section decodes.
+    let mut bytes = sample_snapshot().to_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        SteeringSnapshot::from_bytes(&bytes).unwrap_err(),
+        SnapshotError::UnsupportedVersion {
+            found: 2,
             supported: FORMAT_VERSION
         }
     );
@@ -196,8 +250,6 @@ fn bad_enum_tag_inside_a_section_is_corrupt() {
     // Hand-craft a meta payload with an unknown literal-policy tag; the
     // frame is intact (checksum recomputed by the writer), so the error
     // comes from the component codec, typed — not a panic.
-    let snap = sample_snapshot();
-    let parsed = FrameReader::from_bytes(&snap.to_bytes()).unwrap();
     let mut meta = Vec::new();
     meta.extend_from_slice(&7u32.to_le_bytes()); // day
     meta.extend_from_slice(&1u64.to_le_bytes()); // config fingerprint
@@ -207,19 +259,54 @@ fn bad_enum_tag_inside_a_section_is_corrupt() {
     meta.extend_from_slice(&3u64.to_le_bytes()); // adhoc_per_day
     meta.extend_from_slice(&1u32.to_le_bytes()); // max_instances_per_day
     meta.push(99); // unknown literal-policy tag
-    let mut w = FrameWriter::new();
-    w.push(section::META, meta);
-    for s in parsed.sections().iter().filter(|s| s.id != section::META) {
-        if s.is_warm() {
-            w.push_warm(s.id, s.payload.clone());
-        } else {
-            w.push(s.id, s.payload.clone());
-        }
-    }
-    let err = SteeringSnapshot::from_bytes(&w.to_bytes()).unwrap_err();
+    let err = SteeringSnapshot::from_bytes(&with_section_payload(section::META, meta)).unwrap_err();
     assert!(
         matches!(&err, SnapshotError::Corrupt { what } if what.contains("literal-policy tag")),
         "unexpected {err:?}"
+    );
+}
+
+#[test]
+fn non_canonical_weight_lists_are_corrupt() {
+    // One encoding per table: a checksum-valid section whose weight list is
+    // not the canonical sparse form is rejected, typed, never scattered.
+    let ok = personalizer_payload(8, &[(3, 1.0), (255, -0.0)], &0u32.to_le_bytes());
+    SteeringSnapshot::from_bytes(&with_section_payload(section::PERSONALIZER, ok)).unwrap();
+    for (dim_bits, weights, why) in [
+        (8, &[(7, 1.0), (3, 1.0)][..], "unsorted pair"),
+        (8, &[(3, 1.0), (3, 2.0)], "duplicate slot"),
+        (8, &[(256, 1.0)], "slot == 2^dim_bits"),
+        (8, &[(3, 0.0)], "stored +0.0"),
+        (7, &[], "dim_bits below the table range"),
+        (27, &[], "dim_bits above the table range"),
+    ] {
+        let payload = personalizer_payload(dim_bits, weights, &0u32.to_le_bytes());
+        let err =
+            SteeringSnapshot::from_bytes(&with_section_payload(section::PERSONALIZER, payload))
+                .unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Corrupt { what } if what.starts_with("personalizer section")),
+            "{why}: unexpected {err:?}"
+        );
+    }
+}
+
+#[test]
+fn element_count_is_bounded_by_element_size_not_byte_count() {
+    // A crafted `n_pending` equal to the bytes that follow it: every
+    // pending event encodes to at least 24 bytes, so the count is refused
+    // before a `Vec` is sized by it. (The bound itself — `n * min_elem <=
+    // remaining` — is pinned in `codec`'s unit tests; `unsafe` is forbidden
+    // here, so no counting allocator.)
+    let mut tail = vec![0u8; 4 + 4096];
+    tail[..4].copy_from_slice(&4096u32.to_le_bytes());
+    let payload = personalizer_payload(8, &[], &tail);
+    assert_eq!(
+        SteeringSnapshot::from_bytes(&with_section_payload(section::PERSONALIZER, payload))
+            .unwrap_err(),
+        SnapshotError::Truncated {
+            what: "personalizer section"
+        }
     );
 }
 

@@ -64,6 +64,7 @@ fn format_constants_are_pinned() {
     // Bumping either constant is a breaking format change: the golden
     // fixture must be renamed and re-blessed in the same commit.
     // v2: config fingerprints added to the META and MONITOR sections.
-    assert_eq!(FORMAT_VERSION, 2);
+    // v3: PERSONALIZER holds the sparse weight list and no reward history.
+    assert_eq!(FORMAT_VERSION, 3);
     assert_eq!(MAGIC, *b"QOSNAP\r\n");
 }

@@ -7,7 +7,7 @@
 mod common;
 
 use common::sample_snapshot;
-use personalizer::{FeatureVector, LoggedOutcome, PendingEventState, PersonalizerState};
+use personalizer::{FeatureVector, PendingEventState, PersonalizerState};
 use proptest::prelude::*;
 use scope_ir::TemplateId;
 use scope_opt::{Hint, RuleBits, RuleFlip, RuleId, SpanResult, RULE_COUNT};
@@ -15,6 +15,7 @@ use scope_state::{
     ExploredState, FlightingState, LiteralsId, MetaState, MonitorState, MonitorTemplateState,
     SisState, SpanCacheEntry, SpanCacheState, SteeringSnapshot, ValidationState, WorkloadIdentity,
 };
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Strategies.
@@ -100,34 +101,54 @@ fn pending_event() -> impl Strategy<Value = PendingEventState> {
     )
 }
 
-fn logged_outcome() -> impl Strategy<Value = LoggedOutcome> {
-    (any::<bool>(), 0.0..1.0, finite_f64()).prop_map(
-        |(target_agrees, logged_probability, reward)| LoggedOutcome {
-            target_agrees,
-            logged_probability,
-            reward,
-        },
+/// Any stored weight: everything but `+0.0`, whose slots are absent. NaN
+/// is left to the bit-exact test below (`PartialEq` cannot vouch for it).
+fn stored_weight() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::MIN_POSITIVE),
+        1.0e-9..1.0e12,
+        -1.0e12..-1.0e-9,
+    ]
+}
+
+/// A `(dim_bits, canonical sparse table)` pair: empty, completely full, or
+/// scattered over a table of any legal size.
+fn sparse_weights() -> impl Strategy<Value = (u32, Vec<(u32, f64)>)> {
+    let empty = (8u32..27).prop_map(|dim_bits| (dim_bits, Vec::new()));
+    let full = prop::collection::vec(stored_weight(), 256..257)
+        .prop_map(|weights| (8, (0u32..).zip(weights).collect()));
+    let scattered = (
+        8u32..27,
+        prop::collection::vec((any::<u64>(), stored_weight()), 0..64),
     )
+        .prop_map(|(dim_bits, draws)| {
+            // The map sorts the slots and drops repeats.
+            let slots: BTreeMap<u32, f64> = draws
+                .into_iter()
+                .map(|(r, w)| ((r >> (64 - dim_bits)) as u32, w))
+                .collect();
+            (dim_bits, slots.into_iter().collect())
+        });
+    prop_oneof![empty, full, scattered]
 }
 
 fn personalizer_state() -> impl Strategy<Value = PersonalizerState> {
     (
-        (0u32..10, prop::collection::vec(finite_f64(), 0..64)),
+        sparse_weights(),
         (any::<u64>(), any::<u64>(), any::<u64>()),
         prop::collection::vec(pending_event(), 0..4),
-        prop::collection::vec(logged_outcome(), 0..4),
     )
         .prop_map(
-            |((dim_bits, weights), (updates, events, next_event), pending, history)| {
-                PersonalizerState {
-                    dim_bits,
-                    weights,
-                    updates,
-                    events,
-                    next_event,
-                    pending,
-                    history,
-                }
+            |((dim_bits, weights), (updates, events, next_event), pending)| PersonalizerState {
+                dim_bits,
+                weights,
+                updates,
+                events,
+                next_event,
+                pending,
             },
         )
 }
@@ -340,24 +361,31 @@ fn nan_negative_zero_and_infinities_round_trip_bit_exactly() {
         w_read: -0.0,
         w_written: f64::NEG_INFINITY,
     });
-    snap.personalizer.weights = vec![f64::INFINITY, f64::MIN_POSITIVE, -0.0];
+    // `-0.0` is not `+0.0`: it is stored, and comes back as `-0.0`.
+    snap.personalizer.weights = vec![
+        (0, f64::INFINITY),
+        (3, f64::MIN_POSITIVE),
+        (4, -0.0),
+        (255, f64::NAN),
+    ];
     let decoded = SteeringSnapshot::from_bytes(&snap.to_bytes()).unwrap();
     let v = decoded.validation.unwrap();
     assert_eq!(v.intercept.to_bits(), f64::NAN.to_bits());
     assert_eq!(v.w_read.to_bits(), (-0.0f64).to_bits());
     assert_eq!(v.w_written.to_bits(), f64::NEG_INFINITY.to_bits());
-    let bits: Vec<u64> = decoded
+    let bits: Vec<(u32, u64)> = decoded
         .personalizer
         .weights
         .iter()
-        .map(|w| w.to_bits())
+        .map(|&(slot, w)| (slot, w.to_bits()))
         .collect();
     assert_eq!(
         bits,
         vec![
-            f64::INFINITY.to_bits(),
-            f64::MIN_POSITIVE.to_bits(),
-            (-0.0f64).to_bits()
+            (0, f64::INFINITY.to_bits()),
+            (3, f64::MIN_POSITIVE.to_bits()),
+            (4, (-0.0f64).to_bits()),
+            (255, f64::NAN.to_bits()),
         ]
     );
 }
