@@ -42,7 +42,7 @@ use qo_advisor::{
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
 use scope_lang::{bind_script, Catalog};
-use scope_runtime::{Cluster, ClusterExecutor, Executor};
+use scope_runtime::{Cluster, Executor};
 use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
 
 /// The run-wide knobs: defaults overridden by the command line.
@@ -223,7 +223,7 @@ fn fig2_fig4(knobs: &Knobs) {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod_exec = Cluster::preproduction();
 
     // Every estimated-cost-improving span flip of two days of jobs (the
     // candidates the early pipeline would have A/B-tested).
@@ -344,7 +344,7 @@ fn fig6(knobs: &Knobs) {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod_exec = Cluster::preproduction();
     let mut est = Vec::new();
     let mut lat = Vec::new();
     // ~5 days of jobs, every lower-estimate flip per job (paper: 950 jobs
@@ -414,7 +414,7 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod_exec = Cluster::preproduction();
     let mut samples = Vec::new();
     for day in days {
         let jobs = env.spanned_jobs(day);
@@ -885,7 +885,7 @@ fn negi_maintenance_cost(knobs: &Knobs) {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod_exec = Cluster::preproduction();
     // A scaled-down heuristic (200 samples instead of 1000) keeps the bench
     // quick; the printed numbers extrapolate linearly.
     let heuristic = qo_advisor::Negi2021 {

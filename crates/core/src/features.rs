@@ -13,7 +13,6 @@ use scope_ir::ids::{mix64, SLATE_ACTION_SENTINEL, SLATE_FP_SEED};
 use scope_ir::{ShardedCache, TemplateId};
 use scope_opt::{CacheStats, RuleFlip, RuleId, RuleSet, SpanResult};
 use scope_workload::Table1Features;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Build the CB context vector for one job.
@@ -105,21 +104,11 @@ pub fn span_block(span: &SpanResult, max_span_for_triples: usize) -> FeatureVect
 pub struct FeatureCacheConfig {
     /// Disabled = rebuild the span block per job (the pre-cache behavior).
     pub enabled: bool,
-    /// Maximum cached span blocks across all shards (FIFO per shard beyond
-    /// this; `0` = unbounded). One entry per live template, so this stays
-    /// tiny next to the compile cache.
-    pub capacity: usize,
-    /// Lock shards (clamped to a power of two in `[1, 1024]`).
-    pub shards: usize,
 }
 
 impl Default for FeatureCacheConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            capacity: 1 << 12,
-            shards: 16,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -127,12 +116,16 @@ impl FeatureCacheConfig {
     /// A disabled cache (the `--feature-cache off` setting).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
+
+/// Maximum cached entries of each map across all shards (FIFO per shard
+/// beyond this). One entry per live template, so this stays tiny next to
+/// the compile cache.
+const CAPACITY: usize = 1 << 12;
+/// Lock shards of each map.
+const SHARDS: usize = 16;
 
 /// Shard router for the span-feature cache: the key is already two hashes,
 /// so one `mix64` folds it.
@@ -184,20 +177,19 @@ pub struct FeatureCache {
     /// log-bucketed, so run-to-run noise rarely moves a bucket), and
     /// fingerprinting the inputs costs ~2% of refolding them.
     slates: ShardedCache<(u64, u64), Arc<SparseSlate>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+}
+
+impl Default for FeatureCache {
+    fn default() -> Self {
+        Self::sized(CAPACITY, SHARDS)
+    }
 }
 
 impl FeatureCache {
-    #[must_use]
-    pub fn new(config: FeatureCacheConfig) -> Self {
+    fn sized(capacity: usize, shards: usize) -> Self {
         Self {
-            entries: ShardedCache::new(config.capacity, config.shards, span_key_hash),
-            slates: ShardedCache::new(config.capacity, config.shards, span_key_hash),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            entries: ShardedCache::new(capacity, shards, span_key_hash),
+            slates: ShardedCache::new(capacity, shards, span_key_hash),
         }
     }
 
@@ -210,17 +202,10 @@ impl FeatureCache {
         span: &SpanResult,
         max_span_for_triples: usize,
     ) -> Arc<FeatureVector> {
-        let key = (template.0, span.span.fingerprint());
-        if let Some(block) = self.entries.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return block;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let block = Arc::new(span_block(span, max_span_for_triples));
-        if self.entries.insert(key, block.clone()) {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        block
+        self.entries
+            .get_or_insert_with((template.0, span.span.fingerprint()), || {
+                Arc::new(span_block(span, max_span_for_triples))
+            })
     }
 
     /// The built rank slate for `(context, actions)` under `template`,
@@ -237,28 +222,16 @@ impl FeatureCache {
         dim_bits: u32,
     ) -> Arc<SparseSlate> {
         let key = (template.0, slate_fingerprint(context, actions, dim_bits));
-        if let Some(slate) = self.slates.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return slate;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let slate = Arc::new(SparseSlate::build(context, actions, dim_bits));
-        if self.slates.insert(key, slate.clone()) {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        slate
+        self.slates.get_or_insert_with(key, || {
+            Arc::new(SparseSlate::build(context, actions, dim_bits))
+        })
     }
 
     /// Lifetime counters (same vocabulary as the compile/execution caches),
     /// summed over the span-block and slate maps.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.entries.evictions() + self.slates.evictions(),
-        }
+        self.entries.stats() + self.slates.stats()
     }
 
     /// Cached span blocks and slates currently held.
@@ -407,7 +380,7 @@ mod tests {
     #[test]
     fn feature_cache_returns_identical_blocks_and_counts() {
         let (_, span, _) = sample_span();
-        let cache = FeatureCache::new(FeatureCacheConfig::default());
+        let cache = FeatureCache::default();
         let t = TemplateId(9);
         let a = cache.span_block_for(t, &span, 12);
         let b = cache.span_block_for(t, &span, 12);
@@ -424,7 +397,7 @@ mod tests {
     #[test]
     fn slate_cache_returns_identical_slates_and_keys_by_content() {
         let (opt, span, t1) = sample_span();
-        let cache = FeatureCache::new(FeatureCacheConfig::default());
+        let cache = FeatureCache::default();
         let t = TemplateId(9);
         let context = context_features(&t1, &span, 12);
         let (actions, _) = action_slate(&span, opt.rules());
@@ -452,11 +425,7 @@ mod tests {
     #[test]
     fn feature_cache_evicts_fifo_beyond_capacity() {
         let (_, span, _) = sample_span();
-        let cache = FeatureCache::new(FeatureCacheConfig {
-            enabled: true,
-            capacity: 2,
-            shards: 1,
-        });
+        let cache = FeatureCache::sized(2, 1);
         for t in 0..3 {
             let _ = cache.span_block_for(TemplateId(t), &span, 12);
         }

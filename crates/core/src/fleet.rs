@@ -500,28 +500,19 @@ impl Fleet {
                                 // steering-latency clock; telemetry only
                                 let t = std::time::Instant::now();
                                 // Load shedding: a finite stream budget routes
-                                // the job's compiles through a budgeted view
-                                // of the tenant's optimizer (still a pure
-                                // per-job function — see `StreamConfig`).
-                                let row = if budget.is_unlimited() {
-                                    build_view_row(
-                                        &a.job,
-                                        ctx.optimizer,
-                                        &ctx.hints,
-                                        &ctx.default,
-                                        ctx.executor,
-                                    )
-                                } else {
-                                    let shedding =
-                                        BudgetedCompiler::new(ctx.optimizer, budget, ctx.counters);
-                                    build_view_row(
-                                        &a.job,
-                                        &shedding,
-                                        &ctx.hints,
-                                        &ctx.default,
-                                        ctx.executor,
-                                    )
-                                };
+                                // the job's compiles through the task engine
+                                // (still a pure per-job function — see
+                                // `StreamConfig`); an unlimited one passes
+                                // straight through to the tenant's optimizer.
+                                let shedding =
+                                    BudgetedCompiler::new(ctx.optimizer, budget, ctx.counters);
+                                let row = build_view_row(
+                                    &a.job,
+                                    &shedding,
+                                    &ctx.hints,
+                                    &ctx.default,
+                                    ctx.executor,
+                                );
                                 let ns = t.elapsed().as_nanos() as u64;
                                 hist.record(ns);
                                 rows.push((a.tenant, a.index, ns, row));

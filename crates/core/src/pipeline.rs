@@ -107,25 +107,16 @@ pub struct SharedCaches {
 }
 
 impl SharedCaches {
-    /// One set of caches sized per `config` — the same construction
-    /// [`QoAdvisor::with_sis_store`] performs privately, hoisted out so N
-    /// advisors can point at one instance.
+    /// The caches `config` enables, each at its fixed size — the same
+    /// construction [`QoAdvisor::with_sis_store`] performs privately,
+    /// hoisted out so N advisors can point at one instance.
     #[must_use]
     pub fn from_config(config: &PipelineConfig) -> Self {
         Self {
-            compile: config
-                .cache
-                .enabled
-                .then(|| Arc::new(CompileCache::new(config.cache))),
-            delta: config
-                .delta
-                .enabled
-                .then(|| Arc::new(DeltaCompiler::new(config.delta))),
+            compile: config.cache.enabled.then(Arc::default),
+            delta: config.delta.enabled.then(Arc::default),
             exec: ExecutionCache::shared(config.exec_cache),
-            feature: config
-                .feature_cache
-                .enabled
-                .then(|| Arc::new(FeatureCache::new(config.feature_cache))),
+            feature: config.feature_cache.enabled.then(Arc::default),
         }
     }
 

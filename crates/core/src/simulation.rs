@@ -402,6 +402,47 @@ mod tests {
         }
     }
 
+    /// Telemetry parity: what counts as a lookup, a hit, an insert must not
+    /// drift when the bookkeeping moves. The literals were recorded by this
+    /// exact run (seed 41, 12 templates, 3 serial days — serial, so exact)
+    /// at commit 56820a5, where each cache still counted in its own atomics;
+    /// `perf`'s hit-ratio metrics are ratios of these counters.
+    #[test]
+    fn cache_telemetry_matches_the_recorded_counts() {
+        use scope_opt::{CacheStats, DeltaStats};
+        use scope_runtime::ExecStats;
+
+        let stats = |hits, misses| CacheStats {
+            hits,
+            misses,
+            inserts: misses,
+            evictions: 0,
+        };
+        let mut sim = small_sim();
+        sim.run(3).unwrap();
+        let advisor = &sim.advisor;
+        assert_eq!(advisor.cache_stats(), stats(26, 89));
+        assert_eq!(
+            advisor.exec_stats(),
+            ExecStats {
+                results: stats(0, 42),
+                graphs: stats(2, 40),
+            }
+        );
+        assert_eq!(advisor.feature_stats(), stats(32, 26));
+        assert_eq!(
+            advisor.delta_stats(),
+            DeltaStats {
+                pruned: 0,
+                delta: 35,
+                full: 0,
+                base_builds: 38,
+                base_hits: 27,
+                replay_tasks: 54,
+            }
+        );
+    }
+
     #[test]
     fn advance_day_attributes_production_compiles_to_their_stage() {
         let mut sim = small_sim();

@@ -12,15 +12,19 @@
 //! (`scope_runtime::ExecutionCache`), the delta compiler's base-memo cache,
 //! and the span-feature cache all build on it.
 //!
-//! Hit/miss accounting stays with the callers: each wrapper counts lookups
-//! in its own atomics (some count a `get` miss, some count a whole
-//! get-or-compute), so the helper only owns what is intrinsically per-shard
-//! — the entries, the FIFO order, and the eviction counters.
+//! The cache also owns the hit/miss/insert accounting, so every wrapper
+//! reports the same thing: one [`ShardedCache::get`] is one hit or one miss,
+//! one [`ShardedCache::insert`] that stores is one insert, and
+//! [`ShardedCache::get_or_insert_with`] is exactly that pair around a build
+//! that runs outside any lock. [`ShardedCache::stats`] snapshots them with
+//! the per-shard eviction counters summed.
 
+use crate::counters::CacheStats;
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[derive(Debug)]
 struct Shard<K, V> {
@@ -29,8 +33,8 @@ struct Shard<K, V> {
     order: VecDeque<K>,
     /// Evictions performed by *this* shard. Eviction is a per-shard event
     /// (each shard enforces its own slice of the capacity), so the counter
-    /// lives under the shard lock; [`ShardedCache::evictions`] sums these
-    /// and [`ShardedCache::shard_evictions`] exposes the attribution.
+    /// lives under the shard lock; [`ShardedCache::stats`] sums these and
+    /// [`ShardedCache::shard_evictions`] exposes the attribution.
     evictions: u64,
 }
 
@@ -59,6 +63,10 @@ pub struct ShardedCache<K, V> {
     /// Per-shard entry cap derived from the total capacity.
     shard_capacity: usize,
     hasher: fn(&K) -> u64,
+    /// Cache-wide lookup/insert counters (statistics only: `Relaxed`).
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
@@ -77,6 +85,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             shard_capacity,
             hasher,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
         }
     }
 
@@ -85,20 +96,27 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         &self.shards[(h as usize) & (self.shards.len() - 1)]
     }
 
-    /// A clone of the stored value, if present. (Values are cheap clones
-    /// everywhere this is used: `Arc`s, `Copy` metric structs, or shared
-    /// compile results.)
+    /// A clone of the stored value, if present, counted as one hit or one
+    /// miss. (Values are cheap clones everywhere this is used: `Arc`s,
+    /// `Copy` metric structs, or shared compile results.)
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shard_for(key).read().map.get(key).cloned()
+        let found = self.shard_for(key).read().map.get(key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Insert `value` unless the key is already present: a concurrent writer
     /// may have inserted while the caller computed, both hold the identical
     /// value (the cached computations are deterministic), so first writer
     /// wins and the duplicate work is only a perf loss. Returns whether this
-    /// call inserted, evicting oldest-first if the shard's capacity slice
-    /// overflowed.
+    /// call inserted (counted as one insert), evicting oldest-first if the
+    /// shard's capacity slice overflowed.
     pub fn insert(&self, key: K, value: V) -> bool {
         let shard = self.shard_for(&key);
         let mut guard = shard.write();
@@ -106,6 +124,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             return false;
         };
         slot.insert(value);
+        self.inserts.fetch_add(1, Ordering::Relaxed);
         guard.order.push_back(key);
         while guard.map.len() > self.shard_capacity {
             let Some(oldest) = guard.order.pop_front() else {
@@ -117,10 +136,29 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         true
     }
 
-    /// Total evictions across all shards.
+    /// The stored value for `key`, or `build()`'s, stored and returned: one
+    /// [`ShardedCache::get`] then, on a miss, one [`ShardedCache::insert`].
+    /// `build` runs outside any lock — concurrent misses on different keys
+    /// never serialize, a build may re-enter the cache, and concurrent
+    /// misses on one key each build the identical value (first writer wins).
+    pub fn get_or_insert_with(&self, key: K, build: impl FnOnce() -> V) -> V {
+        if let Some(found) = self.get(&key) {
+            return found;
+        }
+        let built = build();
+        self.insert(key, built.clone());
+        built
+    }
+
+    /// Snapshot of the monotonic counters, evictions summed over the shards.
     #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().evictions).sum()
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            inserts: self.inserts.load(Ordering::Relaxed),
+            evictions: self.shards.iter().map(|s| s.read().evictions).sum(),
+        }
     }
 
     /// Evictions attributed to each shard, in shard order. Capacity is
@@ -142,7 +180,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Drop every entry (eviction counters keep running).
+    /// Drop every entry (counters keep running).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
             let mut guard = shard.write();
@@ -179,7 +217,7 @@ mod tests {
             assert!(c.insert(k, k));
         }
         assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.get(&0), None, "oldest entry evicted first");
         assert_eq!(c.get(&2), Some(2), "newest entry survives");
     }
@@ -195,7 +233,7 @@ mod tests {
         let per_shard = c.shard_evictions();
         assert_eq!(per_shard.len(), 4);
         assert_eq!(per_shard, vec![1, 1, 1, 1]);
-        assert_eq!(c.evictions(), 4);
+        assert_eq!(c.stats().evictions, 4);
         assert_eq!(c.len(), 4);
     }
 
@@ -206,7 +244,7 @@ mod tests {
             c.insert(k, k);
         }
         assert_eq!(c.len(), 1000);
-        assert_eq!(c.evictions(), 0);
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
@@ -225,9 +263,58 @@ mod tests {
         let c = cache(1, 1);
         c.insert(1, 1);
         c.insert(2, 2);
-        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.stats().evictions, 1);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.evictions(), 1, "counters are monotonic across clears");
+        assert_eq!(
+            c.stats().evictions,
+            1,
+            "counters are monotonic across clears"
+        );
+    }
+
+    #[test]
+    fn counters_follow_get_and_insert() {
+        let c = cache(16, 4);
+        assert_eq!(c.get_or_insert_with(1, || 10), 10, "miss builds and stores");
+        assert_eq!(c.get_or_insert_with(1, || 99), 10, "hit never builds");
+        assert!(!c.insert(1, 99), "a duplicate insert counts nothing");
+        let after_pair = CacheStats {
+            hits: 1,
+            misses: 1,
+            inserts: 1,
+            evictions: 0,
+        };
+        assert_eq!(c.stats(), after_pair);
+        c.clear();
+        assert_eq!(c.stats(), after_pair, "clear keeps every counter");
+        assert_eq!(c.get(&1), None);
+        assert_eq!(c.stats().misses, 2, "a bare get counts too");
+    }
+
+    #[test]
+    fn racing_builds_run_unlocked_and_first_writer_wins() {
+        // One shard, so both callers contend on the same lock.
+        let c = cache(16, 1);
+        let both_missed = std::sync::Barrier::new(2);
+        let racer = || {
+            c.get_or_insert_with(1, || {
+                // Neither build returns before both lookups missed...
+                both_missed.wait();
+                // ...and a build may re-enter the cache: this takes the
+                // shard lock, so a build run under it would deadlock here.
+                let _ = c.shard_evictions();
+                7
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(racer);
+            let b = s.spawn(racer);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), (7, 7), "both callers hold equal values");
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 2, 1));
+        assert_eq!(c.len(), 1);
     }
 }

@@ -32,32 +32,19 @@ use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Knobs of the compile-result cache.
+/// The compile-result cache's one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Master switch. Disabled, every compile goes straight to the
     /// optimizer (the pre-cache behavior, bit-for-bit).
     pub enabled: bool,
-    /// Maximum cached compile results across all shards (`0` = unbounded).
-    pub capacity: usize,
-    /// Lock shards (rounded up to a power of two, clamped to 1..=1024).
-    /// More shards = less write contention under parallel fan-outs.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            // ~25x the per-day insert volume of the largest simulated
-            // workloads; bounds worst-case memory at roughly tens of MB of
-            // retained physical plans.
-            capacity: 1 << 14,
-            shards: 16,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -65,12 +52,17 @@ impl CacheConfig {
     /// The cache turned off (compiles go straight to the optimizer).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
+
+/// Maximum cached compile results across all shards: ~25x the per-day
+/// insert volume of the largest simulated workloads; bounds worst-case
+/// memory at roughly tens of MB of retained physical plans.
+const CAPACITY: usize = 1 << 14;
+/// Lock shards (more shards = less write contention under parallel
+/// fan-outs).
+const SHARDS: usize = 16;
 
 /// The shared counter vocabulary (also used by the execution-result cache in
 /// `scope-runtime`); re-exported here so compile-cache callers keep writing
@@ -83,30 +75,44 @@ pub use scope_ir::counters::CacheStats;
 type Key = (u64, RuleBits);
 
 /// The sharded compile-result cache: a [`ShardedCache`] of full compile
-/// results (per-shard FIFO eviction) plus hit/miss/insert accounting.
+/// results (per-shard FIFO eviction, hit/miss/insert accounting).
 /// `&CompileCache` is `Sync`: parallel pipeline fan-outs hit it
 /// concurrently, readers sharing each shard lock.
 #[derive(Debug)]
 pub struct CompileCache {
     entries: ShardedCache<Key, Result<Compiled, CompileError>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
 }
 
 fn compile_key_hash(key: &Key) -> u64 {
     mix64(key.0, key.1.fingerprint())
 }
 
+/// Pre-warm the physical plan's fingerprint memo once per unique compile —
+/// through the reference, so the *caller's* value (and every clone taken
+/// from it afterwards, including the stored one) carries the memo and
+/// downstream execution-cache lookups (`scope_runtime::CachingExecutor`)
+/// cost an atomic load instead of a serialize-and-hash per execution.
+fn prewarm(result: &Result<Compiled, CompileError>) {
+    if let Ok(compiled) = result {
+        let _ = compiled.physical.fingerprint();
+    }
+}
+
+impl Default for CompileCache {
+    fn default() -> Self {
+        Self::sized(CAPACITY, SHARDS)
+    }
+}
+
 impl CompileCache {
-    #[must_use]
-    pub fn new(config: CacheConfig) -> Self {
+    fn sized(capacity: usize, shards: usize) -> Self {
         Self {
-            entries: ShardedCache::new(config.capacity, config.shards, compile_key_hash),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            entries: ShardedCache::new(capacity, shards, compile_key_hash),
         }
+    }
+
+    fn key(plan: &LogicalPlan, config: &RuleConfig) -> Key {
+        (Self::plan_fingerprint(plan), *config.bits())
     }
 
     /// Stable fingerprint of a plan's exact serialized form (memoized inside
@@ -119,41 +125,34 @@ impl CompileCache {
     }
 
     /// The cached compile entry point: return the stored result for
-    /// `(plan, config)` or compile, store, and return it. Compilation runs
-    /// *outside* any lock, so concurrent misses on different keys never
-    /// serialize on each other.
+    /// `(plan, config)` or run `compile`, store, and return its result.
+    /// `compile` runs *outside* any lock, so concurrent misses on different
+    /// keys never serialize on each other.
     pub fn get_or_compile(
         &self,
-        optimizer: &Optimizer,
         plan: &LogicalPlan,
         config: &RuleConfig,
+        compile: impl FnOnce() -> Result<Compiled, CompileError>,
     ) -> Result<Compiled, CompileError> {
-        if let Some(cached) = self.lookup(plan, config) {
-            return cached;
-        }
-        let result = optimizer.compile(plan, config);
-        self.insert(plan, config, &result);
-        result
+        self.entries
+            .get_or_insert_with(Self::key(plan, config), || {
+                let result = compile();
+                prewarm(&result);
+                result
+            })
     }
 
-    /// Counted lookup: the stored result for `(plan, config)`, bumping the
-    /// hit/miss counters. The delta slate path uses this (paired with
-    /// [`CompileCache::insert`]) so a slate's cache traffic is accounted
-    /// exactly like [`CompileCache::get_or_compile`]'s.
+    /// Counted lookup: the stored result for `(plan, config)`. The delta
+    /// slate path uses this (paired with [`CompileCache::insert`]) so a
+    /// slate's cache traffic is accounted exactly like
+    /// [`CompileCache::get_or_compile`]'s.
     #[must_use]
     pub fn lookup(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Option<Result<Compiled, CompileError>> {
-        let key = (Self::plan_fingerprint(plan), *config.bits());
-        let found = self.entries.get(&key);
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.entries.get(&Self::key(plan, config))
     }
 
     /// Store a compile result computed elsewhere (a delta-compiled
@@ -166,31 +165,14 @@ impl CompileCache {
         config: &RuleConfig,
         result: &Result<Compiled, CompileError>,
     ) {
-        // Pre-warm the physical plan's fingerprint memo once per unique
-        // compile — through the reference, so the *caller's* value (and
-        // every clone taken from it afterwards, including the one stored
-        // below) carries the memo and downstream execution-cache lookups
-        // (`scope_runtime::CachingExecutor`) cost an atomic load instead of
-        // a serialize-and-hash per execution.
-        if let Ok(compiled) = result {
-            let _ = compiled.physical.fingerprint();
-        }
-        let key = (Self::plan_fingerprint(plan), *config.bits());
-        if self.entries.insert(key, result.clone()) {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
+        prewarm(result);
+        self.entries.insert(Self::key(plan, config), result.clone());
     }
 
-    /// Snapshot of the monotonic counters. Evictions are summed from the
-    /// per-shard counters.
+    /// Snapshot of the monotonic counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.entries.evictions(),
-        }
+        self.entries.stats()
     }
 
     /// Live entries across all shards.
@@ -237,7 +219,7 @@ impl CachingOptimizer {
     #[must_use]
     pub fn new(inner: Optimizer, config: CacheConfig) -> Self {
         Self {
-            cache: config.enabled.then(|| Arc::new(CompileCache::new(config))),
+            cache: config.enabled.then(Arc::default),
             inner,
             delta: None,
         }
@@ -246,7 +228,7 @@ impl CachingOptimizer {
     /// Enable (or explicitly disable) delta slate compilation per `config`.
     #[must_use]
     pub fn with_delta(mut self, config: DeltaConfig) -> Self {
-        self.delta = config.enabled.then(|| Arc::new(DeltaCompiler::new(config)));
+        self.delta = config.enabled.then(Arc::default);
         self
     }
 
@@ -264,17 +246,6 @@ impl CachingOptimizer {
             inner,
             cache,
             delta,
-        }
-    }
-
-    /// A pass-through wrapper (every compile goes straight to the inner
-    /// optimizer).
-    #[must_use]
-    pub fn uncached(inner: Optimizer) -> Self {
-        Self {
-            inner,
-            cache: None,
-            delta: None,
         }
     }
 
@@ -324,17 +295,15 @@ impl CachingOptimizer {
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
         match (&self.cache, &self.delta) {
-            (Some(cache), Some(delta)) if *config == self.inner.default_config() => {
-                if let Some(cached) = cache.lookup(plan, config) {
-                    return cached;
-                }
-                let result = delta
-                    .base_for(&self.inner, plan, config)
-                    .map(|base| base.compiled().clone());
-                cache.insert(plan, config, &result);
-                result
+            (Some(cache), Some(delta)) if *config == self.inner.default_config() => cache
+                .get_or_compile(plan, config, || {
+                    delta
+                        .base_for(&self.inner, plan, config)
+                        .map(|base| base.compiled().clone())
+                }),
+            (Some(cache), _) => {
+                cache.get_or_compile(plan, config, || self.inner.compile(plan, config))
             }
-            (Some(cache), _) => cache.get_or_compile(&self.inner, plan, config),
             (None, _) => self.inner.compile(plan, config),
         }
     }
@@ -377,11 +346,11 @@ impl CachingOptimizer {
             .unwrap_or_default()
     }
 
-    /// Price a treatment slate: compile-cache lookups first, then the delta
-    /// compiler for the misses (inserting its byte-identical results under
-    /// the same `(fingerprint, RuleBits)` keys a from-scratch compile would
-    /// use), falling back to per-treatment compiles when delta is disabled
-    /// or the base itself fails to compile.
+    /// Price a treatment slate: compile-cache lookups first, then one
+    /// [`DeltaCompiler::compile_slate`] over the misses (inserting its
+    /// byte-identical results under the same `(fingerprint, RuleBits)` keys
+    /// a from-scratch compile would use), or per-treatment compiles when
+    /// delta is disabled.
     pub fn compile_slate(
         &self,
         plan: &LogicalPlan,
@@ -394,37 +363,31 @@ impl CachingOptimizer {
                 .map(|treatment| self.compile(plan, treatment))
                 .collect();
         };
-        let mut slots: Vec<Option<Result<Compiled, CompileError>>> = match &self.cache {
-            Some(cache) => treatments
-                .iter()
-                .map(|treatment| cache.lookup(plan, treatment))
-                .collect(),
-            None => treatments.iter().map(|_| None).collect(),
-        };
-        if slots.iter().any(Option::is_none) {
-            let base_memo = delta.base_for(&self.inner, plan, base);
-            for (slot, treatment) in slots.iter_mut().zip(treatments) {
-                if slot.is_some() {
-                    continue;
-                }
-                let result = match &base_memo {
-                    Ok(base_memo) => delta.price_with(&self.inner, base_memo, plan, treatment),
-                    Err(_) => {
-                        // No base to share: price this treatment from
-                        // scratch (still counted, still cached).
-                        delta.record_full();
-                        self.inner.compile(plan, treatment)
-                    }
-                };
-                if let Some(cache) = &self.cache {
-                    cache.insert(plan, treatment, &result);
-                }
-                *slot = Some(result);
-            }
-        }
-        slots
+        let cache = self.cache.as_deref();
+        let cached: Vec<Option<Result<Compiled, CompileError>>> = treatments
+            .iter()
+            .map(|treatment| cache.and_then(|cache| cache.lookup(plan, treatment)))
+            .collect();
+        let missed: Vec<RuleConfig> = treatments
+            .iter()
+            .zip(&cached)
+            .filter_map(|(treatment, hit)| hit.is_none().then_some(*treatment))
+            .collect();
+        let mut priced = delta
+            .compile_slate(&self.inner, plan, base, &missed)
+            .into_iter();
+        cached
             .into_iter()
-            .map(|slot| slot.expect("every slate slot resolved"))
+            .zip(treatments)
+            .map(|(hit, treatment)| {
+                hit.unwrap_or_else(|| {
+                    let result = priced.next().expect("one priced result per cache miss");
+                    if let Some(cache) = cache {
+                        cache.insert(plan, treatment, &result);
+                    }
+                    result
+                })
+            })
             .collect()
     }
 }
@@ -537,11 +500,15 @@ mod tests {
     #[test]
     fn hit_returns_identical_compiled_result() {
         let opt = Optimizer::default();
-        let cache = CompileCache::new(CacheConfig::default());
+        let cache = CompileCache::default();
         let p = plan();
         let cfg = opt.default_config();
-        let first = cache.get_or_compile(&opt, &p, &cfg).unwrap();
-        let second = cache.get_or_compile(&opt, &p, &cfg).unwrap();
+        let first = cache
+            .get_or_compile(&p, &cfg, || opt.compile(&p, &cfg))
+            .unwrap();
+        let second = cache
+            .get_or_compile(&p, &cfg, || opt.compile(&p, &cfg))
+            .unwrap();
         assert_eq!(first.physical, second.physical);
         assert_eq!(first.signature, second.signature);
         assert!((first.est_cost - second.est_cost).abs() < 1e-12);
@@ -555,7 +522,7 @@ mod tests {
     #[test]
     fn distinct_configs_and_plans_get_distinct_entries() {
         let opt = Optimizer::default();
-        let cache = CompileCache::new(CacheConfig::default());
+        let cache = CompileCache::default();
         let p = plan();
         let default = opt.default_config();
         // Same plan, two configs.
@@ -570,8 +537,8 @@ mod tests {
             rule: off_rule,
             enable: true,
         });
-        let _ = cache.get_or_compile(&opt, &p, &default);
-        let _ = cache.get_or_compile(&opt, &p, &flipped);
+        let _ = cache.get_or_compile(&p, &default, || opt.compile(&p, &default));
+        let _ = cache.get_or_compile(&p, &flipped, || opt.compile(&p, &flipped));
         assert_eq!(cache.len(), 2);
         // Same template, different literal => different plan fingerprint.
         let other = bind_script(
@@ -591,7 +558,7 @@ mod tests {
     #[test]
     fn cached_rule_instability_is_replayed_not_recompiled() {
         let opt = Optimizer::default();
-        let cache = CompileCache::new(CacheConfig::default());
+        let cache = CompileCache::default();
         let p = plan();
         let default = opt.default_config();
         // Find any single flip whose compilation fails with RuleInstability.
@@ -611,8 +578,8 @@ mod tests {
             // instability draws are seeded: tolerate a lucky template.
             return;
         };
-        let first = cache.get_or_compile(&opt, &p, &cfg);
-        let second = cache.get_or_compile(&opt, &p, &cfg);
+        let first = cache.get_or_compile(&p, &cfg, || opt.compile(&p, &cfg));
+        let second = cache.get_or_compile(&p, &cfg, || opt.compile(&p, &cfg));
         assert!(matches!(first, Err(CompileError::RuleInstability { .. })));
         assert_eq!(first, second, "the cached failure replays identically");
         let stats = cache.stats();
@@ -627,11 +594,7 @@ mod tests {
     fn capacity_evicts_oldest_entries_fifo() {
         let opt = Optimizer::default();
         // One shard, room for exactly 2 entries.
-        let cache = CompileCache::new(CacheConfig {
-            enabled: true,
-            capacity: 2,
-            shards: 1,
-        });
+        let cache = CompileCache::sized(2, 1);
         let p = plan();
         let default = opt.default_config();
         let mut configs = Vec::new();
@@ -642,17 +605,17 @@ mod tests {
             }));
         }
         for cfg in &configs {
-            let _ = cache.get_or_compile(&opt, &p, cfg);
+            let _ = cache.get_or_compile(&p, cfg, || opt.compile(&p, cfg));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // Oldest (configs[0]) was evicted: looking it up again misses.
         let before = cache.stats();
-        let _ = cache.get_or_compile(&opt, &p, &configs[0]);
+        let _ = cache.get_or_compile(&p, &configs[0], || opt.compile(&p, &configs[0]));
         assert_eq!(cache.stats().since(&before).misses, 1);
         // Newest still hits.
         let before = cache.stats();
-        let _ = cache.get_or_compile(&opt, &p, &configs[2]);
+        let _ = cache.get_or_compile(&p, &configs[2], || opt.compile(&p, &configs[2]));
         assert_eq!(cache.stats().since(&before).hits, 1);
     }
 
@@ -661,22 +624,15 @@ mod tests {
         let opt = Optimizer::default();
         // Several shards, one entry of headroom each (per-shard attribution
         // itself is `ShardedCache`'s `evictions_attributed_per_shard`).
-        let cache = CompileCache::new(CacheConfig {
-            enabled: true,
-            capacity: 4,
-            shards: 4,
-        });
+        let cache = CompileCache::sized(4, 4);
         let p = plan();
         let default = opt.default_config();
         for rule in opt.rules().flippable().take(12) {
-            let _ = cache.get_or_compile(
-                &opt,
-                &p,
-                &default.with_flip(RuleFlip {
-                    rule,
-                    enable: !default.enabled(rule),
-                }),
-            );
+            let cfg = default.with_flip(RuleFlip {
+                rule,
+                enable: !default.enabled(rule),
+            });
+            let _ = cache.get_or_compile(&p, &cfg, || opt.compile(&p, &cfg));
         }
         let total = cache.stats().evictions;
         // 12 inserts into 4 shards of capacity 1 must evict somewhere...
@@ -689,7 +645,7 @@ mod tests {
     #[test]
     fn lookup_and_insert_mirror_get_or_compile_counters() {
         let opt = Optimizer::default();
-        let cache = CompileCache::new(CacheConfig::default());
+        let cache = CompileCache::default();
         let p = plan();
         let cfg = opt.default_config();
         assert!(cache.lookup(&p, &cfg).is_none());
@@ -711,7 +667,7 @@ mod tests {
     #[test]
     fn caching_optimizer_is_transparent_and_countable() {
         let cached = CachingOptimizer::new(Optimizer::default(), CacheConfig::default());
-        let uncached = CachingOptimizer::uncached(Optimizer::default());
+        let uncached = CachingOptimizer::new(Optimizer::default(), CacheConfig::disabled());
         let p = plan();
         let cfg = cached.default_config();
         let a = cached.compile(&p, &cfg).unwrap();
@@ -725,11 +681,51 @@ mod tests {
     }
 
     #[test]
+    fn unlimited_budget_compiler_is_a_passthrough() {
+        let p = plan();
+        let steering = || {
+            CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
+                .with_delta(DeltaConfig::default())
+        };
+        let (bare, wrapped) = (steering(), steering());
+        let counters = BudgetCounters::default();
+        let budgeted = BudgetedCompiler::new(&wrapped, CompileBudget::unlimited(), &counters);
+        let default = bare.default_config();
+        let treatments: Vec<RuleConfig> = bare
+            .rules()
+            .flippable()
+            .take(6)
+            .map(|rule| {
+                default.with_flip(RuleFlip {
+                    rule,
+                    enable: !default.enabled(rule),
+                })
+            })
+            .collect();
+        // Twice, so the second round is served from the caches on both sides.
+        for _ in 0..2 {
+            assert_eq!(
+                Compiler::compile(&budgeted, &p, &default),
+                bare.compile(&p, &default)
+            );
+            assert_eq!(
+                Compiler::compile_slate(&budgeted, &p, &default, &treatments),
+                bare.compile_slate(&p, &default, &treatments)
+            );
+        }
+        assert!(bare.stats().hits > 0);
+        assert_eq!(wrapped.stats(), bare.stats(), "same compile-cache traffic");
+        assert_eq!(wrapped.delta_stats(), bare.delta_stats());
+        assert_eq!(counters.stats(), Default::default(), "nothing can shed");
+    }
+
+    #[test]
     fn clear_empties_every_shard() {
         let opt = Optimizer::default();
-        let cache = CompileCache::new(CacheConfig::default());
+        let cache = CompileCache::default();
         let p = plan();
-        let _ = cache.get_or_compile(&opt, &p, &opt.default_config());
+        let cfg = opt.default_config();
+        let _ = cache.get_or_compile(&p, &cfg, || opt.compile(&p, &cfg));
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -739,7 +735,6 @@ mod tests {
     fn config_defaults_and_disabled() {
         let c = CacheConfig::default();
         assert!(c.enabled);
-        assert!(c.capacity > 0 && c.shards > 0);
         assert!(!CacheConfig::disabled().enabled);
         let json = serde_json::to_string(&c).unwrap();
         let back: CacheConfig = serde_json::from_str(&json).unwrap();

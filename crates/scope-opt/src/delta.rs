@@ -78,31 +78,17 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Knobs of the delta compiler's base-memo cache.
+/// The delta compiler's one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaConfig {
     /// Master switch. Disabled, every slate compile goes through the
     /// ordinary per-treatment path (byte-identical, only slower).
     pub enabled: bool,
-    /// Maximum retained base memos across all shards (`0` = unbounded). A
-    /// base memo holds a full explored memo (~tens of KB for simulated
-    /// plans), so this bounds the dominant memory cost of delta compilation.
-    pub capacity: usize,
-    /// Lock shards (rounded up to a power of two, clamped to 1..=1024).
-    pub shards: usize,
 }
 
 impl Default for DeltaConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            // Plenty for the live plan population of the simulated
-            // workloads (sticky literals keep ~1 plan per template alive;
-            // fresh literals rotate through FIFO), while bounding worst-case
-            // memory at tens of MB of retained memos.
-            capacity: 512,
-            shards: 8,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -110,12 +96,18 @@ impl DeltaConfig {
     /// Delta compilation turned off (slates compile treatment by treatment).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
+
+/// Maximum retained base memos across all shards. A base memo holds a full
+/// explored memo (~tens of KB for simulated plans), so this bounds the
+/// dominant memory cost of delta compilation at tens of MB — plenty for the
+/// live plan population of the simulated workloads (sticky literals keep ~1
+/// plan per template alive; fresh literals rotate through FIFO).
+const BASE_CAPACITY: usize = 512;
+/// Lock shards of the base-memo cache.
+const BASE_SHARDS: usize = 8;
 
 /// Monotonic delta-compiler counters (snapshot semantics, like
 /// [`crate::CacheStats`]): how each priced treatment was resolved, plus
@@ -130,7 +122,7 @@ pub struct DeltaStats {
     /// Treatments that fell back to a from-scratch compile (exploration-
     /// affecting flips, or a base compile that itself failed).
     pub full: u64,
-    /// Base memos built from scratch.
+    /// Base-memo cache misses (each builds the base from scratch).
     pub base_builds: u64,
     /// Base-memo cache hits.
     pub base_hits: u64,
@@ -497,21 +489,22 @@ pub struct DeltaCompiler {
     pruned: AtomicU64,
     delta: AtomicU64,
     full: AtomicU64,
-    base_builds: AtomicU64,
-    base_hits: AtomicU64,
     replay_tasks: AtomicU64,
 }
 
+impl Default for DeltaCompiler {
+    fn default() -> Self {
+        Self::sized(BASE_CAPACITY, BASE_SHARDS)
+    }
+}
+
 impl DeltaCompiler {
-    #[must_use]
-    pub fn new(config: DeltaConfig) -> Self {
+    fn sized(capacity: usize, shards: usize) -> Self {
         Self {
-            bases: ShardedCache::new(config.capacity, config.shards, base_key_hash),
+            bases: ShardedCache::new(capacity, shards, base_key_hash),
             pruned: AtomicU64::new(0),
             delta: AtomicU64::new(0),
             full: AtomicU64::new(0),
-            base_builds: AtomicU64::new(0),
-            base_hits: AtomicU64::new(0),
             replay_tasks: AtomicU64::new(0),
         }
     }
@@ -528,10 +521,8 @@ impl DeltaCompiler {
     ) -> Result<Arc<BaseMemo>, CompileError> {
         let key = (plan.fingerprint(), *base.bits());
         if let Some(cached) = self.bases.get(&key) {
-            self.base_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(cached);
         }
-        self.base_builds.fetch_add(1, Ordering::Relaxed);
         let built = Arc::new(BaseMemo::build(optimizer, plan, base)?);
         // First writer wins on concurrent builds (both built the identical
         // artifact — compilation is deterministic).
@@ -580,14 +571,9 @@ impl DeltaCompiler {
         }
     }
 
-    /// Count a treatment that bypassed delta entirely (base compile failed).
-    pub(crate) fn record_full(&self) {
-        self.full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Price a whole slate: get-or-build the base memo, then resolve each
-    /// treatment. One result per treatment, in input order, byte-identical
-    /// to from-scratch compiles.
+    /// Price a whole slate: get-or-build the base memo (not even looked up
+    /// for an empty slate), then resolve each treatment. One result per
+    /// treatment, in input order, byte-identical to from-scratch compiles.
     pub fn compile_slate(
         &self,
         optimizer: &Optimizer,
@@ -595,15 +581,20 @@ impl DeltaCompiler {
         base: &RuleConfig,
         treatments: &[RuleConfig],
     ) -> Vec<Result<Compiled, CompileError>> {
+        if treatments.is_empty() {
+            return Vec::new();
+        }
         match self.base_for(optimizer, plan, base) {
             Ok(base_memo) => treatments
                 .iter()
                 .map(|t| self.price_with(optimizer, &base_memo, plan, t))
                 .collect(),
+            // No base to share: price every treatment from scratch (still
+            // counted, and still cached by the caller).
             Err(_) => treatments
                 .iter()
                 .map(|t| {
-                    self.record_full();
+                    self.full.fetch_add(1, Ordering::Relaxed);
                     optimizer.compile(plan, t)
                 })
                 .collect(),
@@ -613,12 +604,13 @@ impl DeltaCompiler {
     /// Snapshot of the monotonic counters.
     #[must_use]
     pub fn stats(&self) -> DeltaStats {
+        let bases = self.bases.stats();
         DeltaStats {
             pruned: self.pruned.load(Ordering::Relaxed),
             delta: self.delta.load(Ordering::Relaxed),
             full: self.full.load(Ordering::Relaxed),
-            base_builds: self.base_builds.load(Ordering::Relaxed),
-            base_hits: self.base_hits.load(Ordering::Relaxed),
+            base_builds: bases.misses,
+            base_hits: bases.hits,
             replay_tasks: self.replay_tasks.load(Ordering::Relaxed),
         }
     }
@@ -769,7 +761,7 @@ mod tests {
         let opt = Optimizer::default();
         let p = plan();
         let default = opt.default_config();
-        let dc = DeltaCompiler::new(DeltaConfig::default());
+        let dc = DeltaCompiler::default();
         // Two off-by-default parametric enables: guaranteed delta path.
         let treatments: Vec<RuleConfig> = opt
             .rules()
@@ -808,11 +800,7 @@ mod tests {
     fn base_capacity_evicts_fifo() {
         let opt = Optimizer::default();
         let default = opt.default_config();
-        let dc = DeltaCompiler::new(DeltaConfig {
-            enabled: true,
-            capacity: 2,
-            shards: 1,
-        });
+        let dc = DeltaCompiler::sized(2, 1);
         for literal in ["100", "200", "300"] {
             let p = bind_script(
                 &SCRIPT.replace("spend > 100", &format!("spend > {literal}")),
@@ -828,7 +816,7 @@ mod tests {
     #[test]
     fn config_defaults_and_serde() {
         let c = DeltaConfig::default();
-        assert!(c.enabled && c.capacity > 0 && c.shards > 0);
+        assert!(c.enabled);
         assert!(!DeltaConfig::disabled().enabled);
         let json = serde_json::to_string(&c).unwrap();
         assert_eq!(serde_json::from_str::<DeltaConfig>(&json).unwrap(), c);
@@ -842,7 +830,7 @@ mod tests {
         let opt = Optimizer::default();
         let p = plan();
         let default = opt.default_config();
-        let dc = DeltaCompiler::new(DeltaConfig::default());
+        let dc = DeltaCompiler::default();
         let base = dc.base_for(&opt, &p, &default).unwrap();
 
         let mut dirty_flip = None;

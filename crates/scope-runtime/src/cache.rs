@@ -37,36 +37,19 @@ use scope_ir::ids::mix64;
 use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Knobs of the execution-result cache.
+/// The execution-result cache's one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecCacheConfig {
     /// Master switch. Disabled, every execution goes straight to the
     /// simulator (the pre-cache behavior, bit-for-bit).
     pub enabled: bool,
-    /// Maximum cached execution results across all shards (`0` = unbounded).
-    pub capacity: usize,
-    /// Maximum memoized stage graphs across all shards (`0` = unbounded).
-    /// Bounded separately because one graph serves many `(seeds, epoch)`
-    /// results and graphs are the heavier objects.
-    pub graph_capacity: usize,
-    /// Lock shards (rounded up to a power of two, clamped to 1..=1024).
-    pub shards: usize,
 }
 
 impl Default for ExecCacheConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            // ExecutionMetrics is a flat 80-byte struct, so even the full
-            // capacity is a few MB; sized for ~weeks of simulated days.
-            capacity: 1 << 15,
-            // One graph per distinct physical plan actually executed.
-            graph_capacity: 1 << 13,
-            shards: 16,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -74,12 +57,20 @@ impl ExecCacheConfig {
     /// The cache turned off (executions go straight to the simulator).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
+
+/// Maximum cached execution results across all shards. `ExecutionMetrics`
+/// is a flat 80-byte struct, so even the full capacity is a few MB; sized
+/// for ~weeks of simulated days.
+const RESULT_CAPACITY: usize = 1 << 15;
+/// Maximum memoized stage graphs across all shards: one graph per distinct
+/// physical plan actually executed. Bounded separately because one graph
+/// serves many `(seeds, epoch)` results and graphs are the heavier objects.
+const GRAPH_CAPACITY: usize = 1 << 13;
+/// Lock shards of each memo level.
+const SHARDS: usize = 16;
 
 /// Counters of the two memo levels, snapshotted together. `results` counts
 /// whole-run replays (each `execute` call is exactly one lookup); `graphs`
@@ -166,8 +157,8 @@ fn graph_key_hash(key: &GraphKey) -> u64 {
 }
 
 /// The sharded execution-result cache: two [`ShardedCache`]s (the
-/// workspace-wide lock-sharded FIFO cache) — one per memo level — plus
-/// hit/miss/insert accounting. `&ExecutionCache` is `Sync`; one instance is
+/// workspace-wide lock-sharded, self-counting FIFO cache), one per memo
+/// level. `&ExecutionCache` is `Sync`; one instance is
 /// shared (via `Arc`) by every [`CachingExecutor`] of a simulation —
 /// production and pre-production alike — the way one `CompileCache` spans
 /// every compile of the pipeline.
@@ -175,26 +166,19 @@ fn graph_key_hash(key: &GraphKey) -> u64 {
 pub struct ExecutionCache {
     results: ShardedCache<ResultKey, ExecutionMetrics>,
     graphs: ShardedCache<GraphKey, Arc<StageGraph>>,
-    r_hits: AtomicU64,
-    r_misses: AtomicU64,
-    r_inserts: AtomicU64,
-    g_hits: AtomicU64,
-    g_misses: AtomicU64,
-    g_inserts: AtomicU64,
+}
+
+impl Default for ExecutionCache {
+    fn default() -> Self {
+        Self::sized(RESULT_CAPACITY, GRAPH_CAPACITY, SHARDS)
+    }
 }
 
 impl ExecutionCache {
-    #[must_use]
-    pub fn new(config: ExecCacheConfig) -> Self {
+    fn sized(capacity: usize, graph_capacity: usize, shards: usize) -> Self {
         Self {
-            results: ShardedCache::new(config.capacity, config.shards, result_key_hash),
-            graphs: ShardedCache::new(config.graph_capacity, config.shards, graph_key_hash),
-            r_hits: AtomicU64::new(0),
-            r_misses: AtomicU64::new(0),
-            r_inserts: AtomicU64::new(0),
-            g_hits: AtomicU64::new(0),
-            g_misses: AtomicU64::new(0),
-            g_inserts: AtomicU64::new(0),
+            results: ShardedCache::new(capacity, shards, result_key_hash),
+            graphs: ShardedCache::new(graph_capacity, shards, graph_key_hash),
         }
     }
 
@@ -202,7 +186,7 @@ impl ExecutionCache {
     /// shape [`CachingExecutor::new`] and the pipeline plumbing consume.
     #[must_use]
     pub fn shared(config: ExecCacheConfig) -> Option<Arc<Self>> {
-        config.enabled.then(|| Arc::new(Self::new(config)))
+        config.enabled.then(Arc::default)
     }
 
     /// The memoized stage graph of `plan` on hardware `config` (epoch
@@ -213,20 +197,10 @@ impl ExecutionCache {
         config_epoch: u64,
         config: &ClusterConfig,
     ) -> Arc<StageGraph> {
-        let key = (plan.fingerprint(), config_epoch);
-        if let Some(graph) = self.graphs.get(&key) {
-            self.g_hits.fetch_add(1, Ordering::Relaxed);
-            return graph;
-        }
-        self.g_misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock; concurrent misses on one key build the
-        // identical graph (construction is deterministic), first writer
-        // wins.
-        let graph = Arc::new(StageGraph::build(plan, config));
-        if self.graphs.insert(key, Arc::clone(&graph)) {
-            self.g_inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        graph
+        self.graphs
+            .get_or_insert_with((plan.fingerprint(), config_epoch), || {
+                Arc::new(StageGraph::build(plan, config))
+            })
     }
 
     /// The cached execution entry point: replay the stored metrics for
@@ -242,40 +216,23 @@ impl ExecutionCache {
         run_seed: u64,
     ) -> ExecutionMetrics {
         let key = (plan.fingerprint(), job_seed, run_seed, cluster_epoch);
-        if let Some(cached) = self.results.get(&key) {
-            self.r_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-        self.r_misses.fetch_add(1, Ordering::Relaxed);
-        let graph = self.stage_graph(plan, config_epoch, &cluster.config);
-        let metrics = execute_stages(&graph, cluster, job_seed, run_seed);
-        if self.results.insert(key, metrics) {
-            self.r_inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        metrics
+        self.results.get_or_insert_with(key, || {
+            let graph = self.stage_graph(plan, config_epoch, &cluster.config);
+            execute_stages(&graph, cluster, job_seed, run_seed)
+        })
     }
 
-    /// Snapshot of the monotonic counters. Evictions come from the
-    /// per-shard counters inside each [`ShardedCache`].
+    /// Snapshot of the monotonic counters of both memo levels.
     #[must_use]
     pub fn stats(&self) -> ExecStats {
         ExecStats {
-            results: CacheStats {
-                hits: self.r_hits.load(Ordering::Relaxed),
-                misses: self.r_misses.load(Ordering::Relaxed),
-                inserts: self.r_inserts.load(Ordering::Relaxed),
-                evictions: self.results.evictions(),
-            },
-            graphs: CacheStats {
-                hits: self.g_hits.load(Ordering::Relaxed),
-                misses: self.g_misses.load(Ordering::Relaxed),
-                inserts: self.g_inserts.load(Ordering::Relaxed),
-                evictions: self.graphs.evictions(),
-            },
+            results: self.results.stats(),
+            graphs: self.graphs.stats(),
         }
     }
 
-    /// Live cached results across all shards.
+    /// Live cached results across all shards (stage graphs are counted by
+    /// [`ExecutionCache::graph_len`], not here).
     #[must_use]
     pub fn len(&self) -> usize {
         self.results.len()
@@ -287,9 +244,11 @@ impl ExecutionCache {
         self.graphs.len()
     }
 
+    /// No cached *results* (`len() == 0`); memoized stage graphs alone do
+    /// not make the cache non-empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.results.is_empty() && self.graphs.is_empty()
+        self.len() == 0
     }
 
     /// Drop every entry (counters keep running).
@@ -333,13 +292,6 @@ impl CachingExecutor {
     #[must_use]
     pub fn with_config(cluster: Cluster, config: ExecCacheConfig) -> Self {
         Self::new(cluster, ExecutionCache::shared(config))
-    }
-
-    /// A pass-through wrapper (every execution goes straight to the
-    /// simulator).
-    #[must_use]
-    pub fn uncached(cluster: Cluster) -> Self {
-        Self::new(cluster, None)
     }
 
     #[must_use]
@@ -448,6 +400,13 @@ mod tests {
         let cache = cached.cache().unwrap();
         assert_eq!(cache.graph_len(), 1);
         assert_eq!(cache.len(), 5);
+        // `len`/`is_empty` speak for the results only: with just the stage
+        // graph memoized, the cache holds no result.
+        let graph_only = ExecutionCache::default();
+        let cluster = cached.cluster();
+        let _ = graph_only.stage_graph(&plan, cluster.config_epoch(), &cluster.config);
+        assert_eq!((graph_only.graph_len(), graph_only.len()), (1, 0));
+        assert!(graph_only.is_empty());
     }
 
     #[test]
@@ -476,7 +435,7 @@ mod tests {
     #[test]
     fn uncached_executor_is_pure_pass_through() {
         let plan = physical(1e6);
-        let uncached = CachingExecutor::uncached(Cluster::default());
+        let uncached = CachingExecutor::new(Cluster::default(), None);
         let m = uncached.execute(&plan, 2, 2);
         assert_eq!(m, execute(&plan, uncached.cluster(), 2, 2));
         assert_eq!(uncached.stats(), ExecStats::default());
@@ -487,12 +446,7 @@ mod tests {
     #[test]
     fn capacity_evicts_results_fifo() {
         let plan = physical(1e6);
-        let cache = ExecutionCache::new(ExecCacheConfig {
-            enabled: true,
-            capacity: 2,
-            graph_capacity: 0,
-            shards: 1,
-        });
+        let cache = ExecutionCache::sized(2, 0, 1);
         let cluster = Cluster::default();
         let (ce, ee) = (cluster.config_epoch(), cluster.epoch());
         for run in 0..3 {
@@ -532,7 +486,6 @@ mod tests {
     fn config_defaults_and_serde() {
         let c = ExecCacheConfig::default();
         assert!(c.enabled);
-        assert!(c.capacity > 0 && c.graph_capacity > 0 && c.shards > 0);
         assert!(!ExecCacheConfig::disabled().enabled);
         let json = serde_json::to_string(&c).unwrap();
         let back: ExecCacheConfig = serde_json::from_str(&json).unwrap();

@@ -22,8 +22,8 @@ use scope_ir::physical::PhysicalPlan;
 ///
 /// The contract every implementation must honor: **execution is
 /// deterministic given `(plan, job_seed, run_seed)`** — same inputs, same
-/// metrics, bit for bit. [`Cluster`] and [`ClusterExecutor`] execute
-/// directly; [`crate::CachingExecutor`] memoizes stage graphs and execution
+/// metrics, bit for bit. A bare [`Cluster`] executes directly;
+/// [`crate::CachingExecutor`] memoizes stage graphs and execution
 /// results behind the same interface, which the contract makes invisible.
 pub trait Executor {
     /// The cluster (hardware + variance model) this executor runs on.
@@ -48,37 +48,6 @@ impl Executor for Cluster {
     }
 }
 
-/// The plain owning executor: a [`Cluster`] behind the [`Executor`] trait,
-/// with no caching — the uncached counterpart of
-/// [`crate::CachingExecutor`], the way `scope_opt`'s bare `Optimizer` is the
-/// uncached counterpart of its `CachingOptimizer`.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterExecutor {
-    cluster: Cluster,
-}
-
-impl ClusterExecutor {
-    #[must_use]
-    pub fn new(cluster: Cluster) -> Self {
-        Self { cluster }
-    }
-
-    #[must_use]
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-}
-
-impl Executor for ClusterExecutor {
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
-        execute(plan, &self.cluster, job_seed, run_seed)
-    }
-}
-
 /// Execute a physical plan. `job_seed` identifies the job instance (its data
 /// layout); `run_seed` identifies the run — two executions with the same
 /// seeds are identical, two runs with different `run_seed` model an A/A pair.
@@ -93,7 +62,7 @@ pub fn execute(
     execute_stages(&graph, cluster, job_seed, run_seed)
 }
 
-/// Execute a pre-built stage graph (exposed for benchmarks).
+/// Execute a pre-built stage graph (the execution cache runs memoized ones).
 #[must_use]
 pub fn execute_stages(
     graph: &StageGraph,

@@ -20,10 +20,10 @@
 //!
 //! Execution is deterministic given `(plan, cluster, job_seed, run_seed)`,
 //! which the [`Executor`] trait turns into an architecture: call sites are
-//! generic over it, a bare [`Cluster`] (or [`ClusterExecutor`]) executes
-//! directly, and [`CachingExecutor`] memoizes stage graphs and whole
-//! execution results in a shared [`ExecutionCache`] — bit-identically, the
-//! execution-side mirror of `scope_opt`'s compile-result cache.
+//! generic over it, a bare [`Cluster`] executes directly, and
+//! [`CachingExecutor`] memoizes stage graphs and whole execution results in
+//! a shared [`ExecutionCache`] — bit-identically, the execution-side mirror
+//! of `scope_opt`'s compile-result cache.
 
 pub mod cache;
 pub mod cluster;
@@ -33,6 +33,6 @@ pub mod stage;
 
 pub use cache::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache};
 pub use cluster::{Cluster, ClusterConfig, VarianceModel};
-pub use executor::{execute, ClusterExecutor, Executor};
+pub use executor::{execute, Executor};
 pub use metrics::{rel_delta, ExecutionMetrics};
 pub use stage::{StageGraph, StageWork};

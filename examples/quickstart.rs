@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qo_advisor::{FeatureCache, FeatureCacheConfig};
+use qo_advisor::FeatureCache;
 use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
@@ -93,7 +93,7 @@ fn main() {
     // The block is template-stable, so the daily pipeline memoizes it in a
     // span-feature cache — the features are byte-identical to building them
     // afresh with `span_block`.
-    let cache = FeatureCache::new(FeatureCacheConfig::default());
+    let cache = FeatureCache::default();
     let block = cache.span_block_for(plan.template_id(), &span, 6);
     // A recurrence of the template hits the cached block.
     let again = cache.span_block_for(plan.template_id(), &span, 6);

@@ -204,7 +204,7 @@ fn trait_default_compile_slate_is_per_treatment_compilation() {
 fn shared_delta_compiler_amortizes_base_memos_across_slates() {
     let (optimizer, jobs) = seeded_day();
     let default = optimizer.default_config();
-    let dc = DeltaCompiler::new(DeltaConfig::default());
+    let dc = DeltaCompiler::default();
     let mut plans_with_slates = 0usize;
     for job in jobs.iter().take(10) {
         let slate = span_slate(&optimizer, &job.plan);
