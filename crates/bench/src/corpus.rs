@@ -1,7 +1,6 @@
 //! Shared experiment corpora: jobs, spans, and per-flip recompile results,
 //! built once per experiment run.
 
-use qo_advisor::reward_from_costs;
 use scope_ir::ids::mix64;
 use scope_opt::{compute_span, Optimizer, RuleConfig, RuleFlip, SpanResult};
 use scope_runtime::Cluster;
@@ -101,12 +100,6 @@ impl Env {
     #[must_use]
     pub fn default_config(&self) -> RuleConfig {
         self.optimizer.default_config()
-    }
-
-    /// Clipped CB-style reward of a flip (diagnostics in summaries).
-    #[must_use]
-    pub fn flip_reward(&self, job: &SpannedJob, cost: Option<f64>) -> f64 {
-        reward_from_costs(job.default_cost, cost, 2.0)
     }
 }
 

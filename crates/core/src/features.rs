@@ -11,7 +11,7 @@
 use personalizer::{FeatureVector, SparseSlate};
 use scope_ir::ids::{mix64, SLATE_ACTION_SENTINEL, SLATE_FP_SEED};
 use scope_ir::{ShardedCache, TemplateId};
-use scope_opt::{CacheStats, RuleFlip, RuleId, RuleSet, SpanResult};
+use scope_opt::{CacheStats, RuleFlip, RuleSet, SpanResult};
 use scope_workload::Table1Features;
 use std::sync::Arc;
 
@@ -286,12 +286,6 @@ pub fn reward_from_costs(default_cost: f64, new_cost: Option<f64>, clip: f64) ->
         Some(new) if new > 0.0 => (default_cost / new).min(clip),
         _ => 0.0,
     }
-}
-
-/// Rule id of an action index in the slate, for diagnostics.
-#[must_use]
-pub fn action_rule(flips: &[Option<RuleFlip>], index: usize) -> Option<RuleId> {
-    flips.get(index).and_then(|f| f.map(|f| f.rule))
 }
 
 #[cfg(test)]

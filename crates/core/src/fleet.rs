@@ -13,18 +13,21 @@
 //!
 //! # Streaming pipeline
 //!
-//! A fleet day is a channel-based streaming pipeline followed by a
-//! per-tenant reduce:
+//! A fleet day is a producer feeding the crate's one parallel map, followed
+//! by a per-tenant reduce through the same map:
 //!
 //! ```text
-//!   producer ──▶ bounded mpsc job-arrival queue ──▶ worker pool
-//!   (round-robins the     (backpressure: a full      (each worker pulls a
-//!    fleet's arrivals)     queue blocks, never        JobInstance, times one
-//!                          drops)                     build_view_row call)
+//!   producer thread ──▶ bounded mpsc queue ──▶ stages::par_map
+//!   (round-robins the     of (tenant, job)      (the queue's receiver is the
+//!    fleet's arrivals)    arrivals; a full       map's input iterator: each
+//!                         queue blocks the       worker pulls an arrival and
+//!                         producer, never        times one build_view_row;
+//!                         drops)                 rows return in arrival order)
 //!                                   │
 //!                                   ▼
-//!            per-tenant reorder to job order (restores build_view's output
-//!            byte-for-byte; `build_view_row` is pure per job)
+//!            regroup by tenant — arrival order is ascending per tenant, so
+//!            each view is a plain push, byte-for-byte `build_view`'s output
+//!            (`build_view_row` is pure per job)
 //!                                   │
 //!                                   ▼
 //!            per-tenant SERIAL reduce: `ProductionSim::finish_day`
@@ -35,12 +38,18 @@
 //!             they free up, because each touches only its own state)
 //! ```
 //!
-//! Each worker stamps a **steering-latency clock** around its
+//! The stream owns only the producer and the queue; threads, hand-out,
+//! ordering and panic handling are `par_map`'s. The receiver moves *into*
+//! the map, so when the workers stop — done, or dead from a panicking row —
+//! the queue closes, the blocked producer's `send` fails, and the day
+//! returns a typed error instead of hanging.
+//!
+//! Each row carries a **steering-latency clock** around its
 //! `build_view_row` call (the per-job compile-with-hints + execute path — the
-//! latency a tenant's job observes from the steering layer) into a
-//! per-worker [`LatencyHistogram`]; histograms merge bucket-wise into the
-//! day's and the fleet's lifetime distribution (p50/p95/p99), next to a
-//! jobs/sec throughput counter ([`FleetMetrics`]).
+//! latency a tenant's job observes from the steering layer); the day's
+//! [`LatencyHistogram`] is filled from the returned rows and merged into the
+//! fleet's lifetime distribution (p50/p95/p99), next to a jobs/sec
+//! throughput counter ([`FleetMetrics`]).
 //!
 //! # Load shedding
 //!
@@ -71,22 +80,19 @@
 //! budgeted* run. `tests/fleet_determinism.rs` pins the contract.
 
 use crate::config::PipelineConfig;
+use crate::meter::{Lap, Sample, Stage};
 use crate::monitoring::MonitorConfig;
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
 use crate::snapshot::SnapshotPolicy;
-use crate::stages::{par_map, resolve_workers};
+use crate::stages::par_map;
 use scope_ir::ids::tenant_workload_seed;
 use scope_ir::LatencyHistogram;
-use scope_opt::{
-    BudgetCounters, BudgetStats, BudgetedCompiler, CacheStats, CachingOptimizer, CompileBudget,
-    HintSet, RuleConfig,
-};
-use scope_runtime::CachingExecutor;
+use scope_opt::{BudgetedCompiler, CacheStats, CompileBudget, HintSet, RuleConfig};
 use scope_workload::{build_view_row, JobInstance, ViewBuildError, ViewRow, WorkloadConfig};
 use sis::{SisError, SisStore};
 use std::path::Path;
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 
 /// Streaming-pipeline knobs: the worker pool and the arrival queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,27 +211,13 @@ pub struct Fleet {
     metrics: FleetMetrics,
 }
 
-/// One queued job arrival, tagged with its tenant and its position in the
-/// tenant's daily job order (the reorder key that restores `build_view`'s
-/// output order after arbitrary worker scheduling).
-struct Arrival {
-    tenant: usize,
-    index: usize,
-    job: JobInstance,
-}
+/// One streamed row: `(tenant, position in the tenant's daily job order,
+/// steering-latency nanoseconds, the row)`.
+type StreamedRow = (usize, usize, u64, Result<ViewRow, ViewBuildError>);
 
-/// The immutable per-tenant state a worker needs to build one view row.
-struct TenantCtx<'a> {
-    optimizer: &'a CachingOptimizer,
-    executor: &'a CachingExecutor,
-    hints: HintSet,
-    default: RuleConfig,
-    /// The tenant advisor's shed counters: workers record every
-    /// finite-budget view-build compile here, so per-tenant `DailyReport`
-    /// attribution and the fleet-wide [`FleetMetrics::shed`] total reconcile
-    /// against one tally.
-    counters: &'a BudgetCounters,
-}
+/// One tenant's streamed day: its view in job order, and the summed
+/// steering-latency nanoseconds of its rows.
+type TenantView = (Vec<ViewRow>, u64);
 
 impl Fleet {
     /// A fleet with in-memory SIS stores, one tenant per workload.
@@ -368,33 +360,18 @@ impl Fleet {
         // qo-lint: allow(ambient-entropy) — fleet throughput telemetry only;
         // per-tenant outputs are compared with timings zeroed
         let t_day = std::time::Instant::now();
-        let budget0: Vec<BudgetStats> = self
+        let meters = self
             .tenants
             .iter()
-            .map(|t| t.sim.advisor.budget_stats())
+            .map(|t| t.sim.advisor.sample())
             .collect();
-        let (views, view_ns, steering_latency, jobs) = self.stream_views()?;
-        let mut outcomes = self.reduce_days(views)?;
-        let mut shed = 0u64;
-        for ((tenant, (outcome, ns)), b0) in self
-            .tenants
+        let (views, steering_latency) = self.stream_views()?;
+        let outcomes = self.reduce_days(views, meters)?;
+        let shed = outcomes
             .iter()
-            .zip(outcomes.iter_mut().zip(view_ns))
-            .zip(budget0)
-        {
-            // Attribute each tenant's summed per-job build time as its
-            // view-build wall clock (the streaming analogue of
-            // `advance_day`'s serial measurement; per-stage *cache* counters
-            // stay zero for view_build here because shared-cache traffic
-            // cannot be attributed to one tenant).
-            outcome.report.timings.view_build_ns = ns;
-            // Widen the reduce's shed attribution to the whole fleet day:
-            // worker-side view-build sheds happen before `finish_day`'s
-            // snapshot, and they belong to this tenant's day. Per-tenant
-            // counters make this deterministic at any worker count.
-            outcome.report.compile_budget = tenant.sim.advisor.budget_stats().since(&b0);
-            shed += outcome.report.compile_budget.truncated;
-        }
+            .map(|o| o.report.compile_budget.truncated)
+            .sum();
+        let jobs = steering_latency.count();
         let wall_ns = t_day.elapsed().as_nanos() as u64;
         self.metrics.steering_latency.merge(&steering_latency);
         self.metrics.jobs += jobs;
@@ -418,179 +395,150 @@ impl Fleet {
         (0..days).map(|_| self.advance_day()).collect()
     }
 
-    /// Phase 1+2: stream every tenant's arrivals through the worker pool and
-    /// reassemble per-tenant views in job order. Returns the views, each
-    /// tenant's summed per-job build nanoseconds, the day's latency
-    /// histogram, and the arrival count.
-    #[allow(clippy::type_complexity)]
-    fn stream_views(
-        &self,
-    ) -> Result<(Vec<Vec<ViewRow>>, Vec<u64>, LatencyHistogram, u64), PipelineError> {
-        let contexts: Vec<TenantCtx> = self
+    /// Phase 1+2: stream every tenant's arrivals through [`stream`] and
+    /// regroup the rows into per-tenant views in job order. Returns each
+    /// tenant's view with its summed per-job build nanoseconds, and the
+    /// day's latency histogram.
+    fn stream_views(&self) -> Result<(Vec<TenantView>, LatencyHistogram), PipelineError> {
+        // Per tenant: today's jobs, and what steers them — its live hints
+        // over its default configuration, as of before the first arrival.
+        let days: Vec<(Vec<JobInstance>, HintSet, RuleConfig)> = self
             .tenants
             .iter()
-            .map(|t| TenantCtx {
-                optimizer: t.sim.advisor.caching_optimizer(),
-                executor: t.sim.prod_executor(),
-                hints: t.sim.advisor.sis().snapshot(),
-                default: t.sim.advisor.optimizer().default_config(),
-                counters: t.sim.advisor.budget_counters(),
+            .map(|Tenant { sim, .. }| {
+                let jobs = sim.workload.jobs_for_day(sim.day);
+                let default = sim.advisor.optimizer().default_config();
+                (jobs, sim.advisor.sis().snapshot(), default)
             })
             .collect();
-        let jobs_per_tenant: Vec<Vec<JobInstance>> = self
-            .tenants
-            .iter()
-            .map(|t| t.sim.workload.jobs_for_day(t.sim.day))
-            .collect();
-        let total_jobs: usize = jobs_per_tenant.iter().map(Vec::len).sum();
-        let workers = resolve_workers(self.stream.workers).clamp(1, total_jobs.max(1));
-
-        let (tx, rx) = mpsc::sync_channel::<Arrival>(self.stream.queue_capacity.max(1));
-        let rx = Mutex::new(rx);
-        let jobs_ref = &jobs_per_tenant;
-        let contexts_ref = &contexts;
-        let rx_ref = &rx;
-        let budget = self.stream.compile_budget;
-
-        type WorkerRows = Vec<(usize, usize, u64, Result<ViewRow, ViewBuildError>)>;
-        let worker_outputs: Result<Vec<(WorkerRows, LatencyHistogram)>, PipelineError> =
-            std::thread::scope(|s| {
-                let producer = s.spawn(move || {
-                    // Round-robin the fleet's arrivals (an interleaved
-                    // arrival stream, not tenant-by-tenant batches). A full
-                    // queue blocks here — bounded backpressure.
-                    let mut cursors = vec![0usize; jobs_ref.len()];
-                    loop {
-                        let mut sent_any = false;
-                        for (tenant, list) in jobs_ref.iter().enumerate() {
-                            let index = cursors[tenant];
-                            if index < list.len() {
-                                cursors[tenant] += 1;
-                                sent_any = true;
-                                let arrival = Arrival {
-                                    tenant,
-                                    index,
-                                    job: list[index].clone(),
-                                };
-                                if tx.send(arrival).is_err() {
-                                    return; // all workers gone (panic path)
-                                }
-                            }
-                        }
-                        if !sent_any {
-                            break; // tx drops here; workers drain and stop
-                        }
-                    }
-                });
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(move || {
-                            let mut rows: WorkerRows = Vec::new();
-                            let mut hist = LatencyHistogram::new();
-                            loop {
-                                let arrival = {
-                                    // Poisoned only if a sibling worker
-                                    // panicked; stop and let scope propagate.
-                                    let Ok(guard) = rx_ref.lock() else { break };
-                                    guard.recv()
-                                };
-                                let Ok(a) = arrival else { break };
-                                let ctx = &contexts_ref[a.tenant];
-                                // qo-lint: allow(ambient-entropy) — the per-job
-                                // steering-latency clock; telemetry only
-                                let t = std::time::Instant::now();
-                                // Load shedding: a finite stream budget routes
-                                // the job's compiles through the task engine
-                                // (still a pure per-job function — see
-                                // `StreamConfig`); an unlimited one passes
-                                // straight through to the tenant's optimizer.
-                                let shedding =
-                                    BudgetedCompiler::new(ctx.optimizer, budget, ctx.counters);
-                                let row = build_view_row(
-                                    &a.job,
-                                    &shedding,
-                                    &ctx.hints,
-                                    &ctx.default,
-                                    ctx.executor,
-                                );
-                                let ns = t.elapsed().as_nanos() as u64;
-                                hist.record(ns);
-                                rows.push((a.tenant, a.index, ns, row));
-                            }
-                            (rows, hist)
-                        })
-                    })
-                    .collect();
-                producer
-                    .join()
-                    .map_err(|_| PipelineError::Invariant("fleet producer panicked"))?;
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| PipelineError::Invariant("fleet worker panicked"))
-                    })
-                    .collect()
-            });
-        let worker_outputs = worker_outputs?;
-
-        // Reassemble: per tenant, rows back in job order — byte-identical to
-        // a serial `build_view`. Errors resolve to the lowest (tenant, job)
-        // so the failure surfaced is scheduling-independent.
-        let mut slots: Vec<Vec<Option<ViewRow>>> = jobs_per_tenant
-            .iter()
-            .map(|list| list.iter().map(|_| None).collect())
-            .collect();
-        let mut view_ns: Vec<u64> = vec![0; jobs_per_tenant.len()];
-        let mut first_error: Option<(usize, usize, ViewBuildError)> = None;
+        let lens: Vec<usize> = days.iter().map(|(jobs, ..)| jobs.len()).collect();
+        let rows = stream(&lens, &self.stream, |(tenant, index)| {
+            let (sim, (jobs, hints, default)) = (&self.tenants[tenant].sim, &days[tenant]);
+            // qo-lint: allow(ambient-entropy) — the per-job steering-latency
+            // clock; telemetry only
+            let t = std::time::Instant::now();
+            // Load shedding: a finite stream budget routes the job's
+            // compiles through the task engine (still a pure per-job
+            // function — see `StreamConfig`); an unlimited one passes
+            // straight through to the tenant's optimizer. Sheds land in the
+            // tenant advisor's own counters, so per-tenant `DailyReport`
+            // attribution and [`FleetMetrics::shed`] reconcile to one tally.
+            let shedding = BudgetedCompiler::new(
+                sim.advisor.caching_optimizer(),
+                self.stream.compile_budget,
+                sim.advisor.budget_counters(),
+            );
+            let job = &jobs[index];
+            let row = build_view_row(job, &shedding, hints, default, sim.prod_executor());
+            (tenant, index, t.elapsed().as_nanos() as u64, row)
+        })?;
         let mut steering_latency = LatencyHistogram::new();
-        for (rows, hist) in worker_outputs {
-            steering_latency.merge(&hist);
-            for (tenant, index, ns, row) in rows {
-                view_ns[tenant] += ns;
-                match row {
-                    Ok(row) => slots[tenant][index] = Some(row),
-                    Err(e) => {
-                        let worse = first_error
-                            .as_ref()
-                            .is_none_or(|(t0, i0, _)| (tenant, index) < (*t0, *i0));
-                        if worse {
-                            first_error = Some((tenant, index, e));
-                        }
-                    }
-                }
-            }
+        for (_, _, ns, _) in &rows {
+            steering_latency.record(*ns);
         }
-        if let Some((_, _, error)) = first_error {
-            return Err(PipelineError::View(error));
-        }
-        let views: Vec<Vec<ViewRow>> = slots
-            .into_iter()
-            .map(|tenant_slots| {
-                tenant_slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.ok_or(PipelineError::Invariant("fleet worker dropped an arrival"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<_, _>>()?;
-        Ok((views, view_ns, steering_latency, total_jobs as u64))
+        Ok((regroup(rows, &lens)?, steering_latency))
     }
 
     /// Phase 3: the per-tenant serial reduce, parallel *across* tenants —
     /// workers take the next unreduced tenant as they free up, each call
     /// mutates only its own tenant's state, and the shared caches are
     /// `&self`-concurrent. Outcomes come back in tenant order.
-    fn reduce_days(&mut self, views: Vec<Vec<ViewRow>>) -> Result<Vec<DayOutcome>, PipelineError> {
-        let tenant_days = self.tenants.iter_mut().zip(views);
-        par_map(self.stream.workers, tenant_days, |(tenant, view)| {
-            tenant.sim.finish_day(view)
-        })
-        .map_err(|_| PipelineError::Invariant("fleet reduce worker panicked"))?
-        .into_iter()
-        .collect()
+    ///
+    /// `meters` were sampled before the stream: each tenant's streamed view
+    /// build is billed as the lap `finish_day` never saw — its summed per-job
+    /// build time (the streaming analogue of `advance_day`'s serial
+    /// measurement) and its worker-side sheds (per-tenant counters, so
+    /// deterministic at any worker count). The lap's cache counters stay
+    /// zero: shared-cache traffic during the stream cannot be attributed to
+    /// one tenant.
+    fn reduce_days(
+        &mut self,
+        views: Vec<TenantView>,
+        meters: Vec<Sample>,
+    ) -> Result<Vec<DayOutcome>, PipelineError> {
+        let tenant_days = self.tenants.iter_mut().zip(views).zip(meters);
+        let reduce = |((tenant, (view, ns)), mut meter): ((&mut Tenant, _), Sample)| {
+            let budget = meter.lap(&tenant.sim.advisor).budget;
+            let mut outcome = tenant.sim.finish_day(view)?;
+            let view_build = Lap {
+                budget,
+                ns,
+                ..Lap::default()
+            };
+            outcome.report.bill(Stage::ViewBuild, view_build);
+            Ok(outcome)
+        };
+        par_map(self.stream.workers, tenant_days, reduce)
+            .map_err(|_| PipelineError::Invariant("fleet reduce worker panicked"))?
+            .into_iter()
+            .collect()
     }
+}
+
+/// The arrival stream: a producer thread round-robins `(tenant, index)`
+/// arrivals — `lens[t]` of them for tenant `t`, an interleaved stream, not
+/// tenant-by-tenant batches — into a bounded queue (a full queue blocks the
+/// producer: backpressure, never a drop), and [`par_map`] maps `row` over the
+/// queue's receiver. Returns the rows in arrival order.
+///
+/// The receiver moves into the map, which drops it when its workers stop, so
+/// a panicking `row` closes the queue under the producer instead of leaving
+/// it blocked on a full one: both threads are joined on every path.
+fn stream<R: Send>(
+    lens: &[usize],
+    config: &StreamConfig,
+    row: impl Fn((usize, usize)) -> R + Sync,
+) -> Result<Vec<R>, PipelineError> {
+    let (tx, rx) = mpsc::sync_channel::<(usize, usize)>(config.queue_capacity.max(1));
+    std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            for index in 0..lens.iter().copied().max().unwrap_or(0) {
+                for (tenant, &len) in lens.iter().enumerate() {
+                    if index < len && tx.send((tenant, index)).is_err() {
+                        return; // the map stopped early: a row panicked
+                    }
+                }
+            }
+        });
+        let arrivals = rx.into_iter().take(lens.iter().sum());
+        let rows = par_map(config.workers, arrivals, row);
+        producer
+            .join()
+            .map_err(|_| PipelineError::Invariant("fleet producer panicked"))?;
+        rows.map_err(|_| PipelineError::Invariant("fleet worker panicked"))
+    })
+}
+
+/// Regroup streamed rows (arrival order: ascending job index within each
+/// tenant) into per-tenant `(view, summed build nanoseconds)`, tenant `t`
+/// expecting `lens[t]` rows — byte-identical to a serial `build_view` per
+/// tenant.
+///
+/// # Errors
+///
+/// The lowest-`(tenant, job)` [`ViewBuildError`] when any row failed, so the
+/// failure surfaced is scheduling-independent; otherwise
+/// [`PipelineError::Invariant`] when a tenant's view came back short.
+fn regroup(rows: Vec<StreamedRow>, lens: &[usize]) -> Result<Vec<TenantView>, PipelineError> {
+    let mut tenants: Vec<TenantView> = vec![(Vec::new(), 0); lens.len()];
+    let mut errors = Vec::new();
+    for (tenant, index, ns, row) in rows {
+        let (view, view_ns) = &mut tenants[tenant];
+        *view_ns += ns;
+        match row {
+            Ok(row) => view.push(row),
+            Err(e) => errors.push((tenant, index, e)),
+        }
+    }
+    if let Some((_, _, error)) = errors.into_iter().min_by_key(|(t, i, _)| (*t, *i)) {
+        return Err(PipelineError::View(error));
+    }
+    for ((view, _), &len) in tenants.iter().zip(lens) {
+        if view.len() != len {
+            return Err(PipelineError::Invariant("fleet worker dropped an arrival"));
+        }
+    }
+    Ok(tenants)
 }
 
 /// N tenants running the *same* workload: full template overlap, identical
@@ -700,9 +648,9 @@ mod tests {
     #[test]
     fn stream_shape_is_a_pure_throughput_knob() {
         // Tiny queue + 1 worker vs big queue + 8 workers: identical reports.
-        let run = |workers: usize, queue: usize| {
+        let run = |workloads: Vec<WorkloadConfig>, workers: usize, queue: usize| {
             let mut fleet = Fleet::new(
-                overlapping_workloads(2, &small_workload()),
+                workloads,
                 &FleetConfig {
                     stream: StreamConfig {
                         workers,
@@ -713,19 +661,188 @@ mod tests {
                 },
             );
             let days = fleet.run(2).expect("fleet days run clean");
-            days.into_iter()
+            let jobs: u64 = days.iter().map(|d| d.jobs).sum();
+            let reports = days
+                .into_iter()
                 .flat_map(|d| d.outcomes)
-                .map(|o| {
-                    let mut r = o.report;
-                    r.compile_cache = Default::default();
-                    r.exec_cache = Default::default();
-                    r.delta_compile = Default::default();
-                    r.feature_cache = Default::default();
-                    r.timings = Default::default();
-                    format!("{r:?}")
-                })
+                .map(|o| format!("{:?}", o.report.steering()))
+                .collect::<Vec<_>>();
+            (jobs, reports)
+        };
+        let two = || overlapping_workloads(2, &small_workload());
+        let serial = run(two(), 1, 1);
+        for (workers, queue) in [(8, 512), (2, 1), (3, 7)] {
+            assert_eq!(serial, run(two(), workers, queue), "{workers}x{queue}");
+        }
+        // More workers than the whole fleet has jobs.
+        let tiny = || {
+            vec![WorkloadConfig {
+                num_templates: 2,
+                adhoc_per_day: 0,
+                ..small_workload()
+            }]
+        };
+        let serial = run(tiny(), 1, 1);
+        assert!((1..16).contains(&serial.0), "jobs: {}", serial.0);
+        assert_eq!(serial, run(tiny(), 16, 4));
+    }
+
+    /// The producer's interleaving and `par_map`'s input-order results, with
+    /// no fleet around them.
+    #[test]
+    fn stream_round_robins_arrivals_and_returns_them_in_arrival_order() {
+        for (workers, queue_capacity) in [(1, 1), (2, 1), (8, 64)] {
+            let config = StreamConfig {
+                workers,
+                queue_capacity,
+                ..StreamConfig::default()
+            };
+            let rows = stream(&[3, 0, 1, 2], &config, |arrival| arrival);
+            let expected = vec![(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)];
+            assert_eq!(rows, Ok(expected), "{workers}x{queue_capacity}");
+            assert_eq!(stream(&[], &config, |arrival| arrival), Ok(vec![]));
+            assert_eq!(stream(&[0, 0], &config, |arrival| arrival), Ok(vec![]));
+        }
+    }
+
+    /// A dead worker pool must not hang the fleet day. The first arrival's
+    /// row panics with 63 more queued behind a one-slot queue: at one worker
+    /// that kills the whole pool, and a receiver that outlived its workers
+    /// would leave the producer blocked in `send` forever. `stream` returns
+    /// only after joining the producer, so an answer inside the timeout
+    /// shows both.
+    #[test]
+    fn a_panicking_row_is_a_typed_error_not_a_hang() {
+        for workers in [1, 2] {
+            let (done, result) = mpsc::channel();
+            std::thread::spawn(move || {
+                let config = StreamConfig {
+                    workers,
+                    queue_capacity: 1,
+                    ..StreamConfig::default()
+                };
+                let rows = stream(&[32, 32], &config, |arrival| {
+                    assert_ne!(arrival, (0, 0), "planted panic");
+                    arrival
+                });
+                let _ = done.send(rows);
+            });
+            let rows = result
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("stream hung: the producer never saw its queue close");
+            assert_eq!(
+                rows,
+                Err(PipelineError::Invariant("fleet worker panicked")),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn regroup_restores_job_order_and_keeps_the_documented_error_rule() {
+        // Synthetic rows: one real row, tagged through `job_seed`.
+        let sim = ProductionSim::new(small_workload(), PipelineConfig::default());
+        let template = scope_workload::build_view(
+            &sim.workload.jobs_for_day(0)[..1],
+            sim.advisor.caching_optimizer(),
+            &sim.advisor.sis().snapshot(),
+            sim.prod_executor(),
+        )
+        .expect("generated workloads compile")
+        .remove(0);
+        let ok = |t: usize, i: usize| {
+            let row = ViewRow {
+                job_seed: (t * 100 + i) as u64,
+                ..template.clone()
+            };
+            (t, i, 10, Ok(row))
+        };
+        let err = |t: usize, i: usize| {
+            let error = ViewBuildError {
+                job_id: template.job_id,
+                job_name: format!("t{t}-j{i}"),
+                template: template.template,
+                error: scope_opt::CompileError::Invalid("planted".into()),
+            };
+            (t, i, 1, Err(error))
+        };
+        let tags = |views: &[TenantView]| {
+            views
+                .iter()
+                .map(|(view, ns)| (view.iter().map(|r| r.job_seed).collect::<Vec<_>>(), *ns))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(run(1, 1), run(8, 512));
+
+        // Interleaved arrivals regroup into per-tenant job order; build
+        // nanoseconds sum per tenant.
+        let views = regroup(vec![ok(0, 0), ok(1, 0), ok(0, 1), ok(0, 2)], &[3, 1]).unwrap();
+        assert_eq!(tags(&views), [(vec![0, 1, 2], 30), (vec![100], 10)]);
+
+        // Errors from two tenants, arriving out of order: the lowest
+        // (tenant, job) wins, whatever arrived first.
+        let rows = vec![ok(0, 0), err(1, 0), ok(0, 1), err(0, 2), err(1, 1)];
+        match regroup(rows, &[3, 2]) {
+            Err(PipelineError::View(e)) => assert_eq!(e.job_name, "t0-j2"),
+            other => panic!("expected the (0, 2) view error, got {other:?}"),
+        }
+
+        // A missing arrival — at the end, or in the middle — is a short
+        // result, and an error row still outranks it.
+        let dropped = Err(PipelineError::Invariant("fleet worker dropped an arrival"));
+        assert_eq!(regroup(vec![ok(0, 0)], &[2]).map(|v| tags(&v)), dropped);
+        let gap = vec![ok(0, 0), ok(0, 2)];
+        assert_eq!(regroup(gap, &[3]).map(|v| tags(&v)), dropped);
+        assert!(matches!(
+            regroup(vec![err(0, 1)], &[3]),
+            Err(PipelineError::View(_))
+        ));
+
+        // Zero jobs and zero tenants are empty views, not errors.
+        assert_eq!(
+            tags(&regroup(vec![], &[0, 0]).unwrap()),
+            vec![(vec![], 0); 2]
+        );
+        assert!(regroup(vec![], &[]).unwrap().is_empty());
+    }
+
+    /// Day totals under a finite stream budget: the streamed view build is
+    /// billed as one more lap, so each tenant's `compile_budget` is its
+    /// advisor's lifetime shed delta over the fleet day — worker-side
+    /// view-build sheds plus `finish_day`'s — and the fleet's `shed` is their
+    /// sum.
+    #[test]
+    fn a_budgeted_fleet_day_bills_every_shed_to_its_tenant() {
+        let mut fleet = Fleet::new(
+            disjoint_workloads(3, &small_workload()),
+            &FleetConfig {
+                stream: StreamConfig {
+                    workers: 2,
+                    compile_budget: CompileBudget::tasks(64),
+                    ..StreamConfig::default()
+                },
+                ..FleetConfig::default()
+            },
+        );
+        fleet.advance_day().expect("day 0 runs clean");
+        let before: Vec<_> = fleet
+            .tenants()
+            .iter()
+            .map(|t| t.sim.advisor.budget_stats())
+            .collect();
+        let day = fleet.advance_day().expect("day 1 runs clean");
+        for ((tenant, outcome), before) in fleet.tenants().iter().zip(&day.outcomes).zip(&before) {
+            let moved = tenant.sim.advisor.budget_stats().since(before);
+            assert_eq!(outcome.report.compile_budget, moved, "tenant {}", tenant.id);
+            assert!(moved.total() > 0, "every view-build compile is budgeted");
+            assert_eq!(
+                outcome.report.compile_cache.view_build,
+                CacheStats::default()
+            );
+        }
+        assert!(day.shed > 0, "a 64-task budget truncates something");
+        assert_eq!(fleet.metrics().shed, {
+            let lifetime = fleet.tenants().iter().map(|t| t.sim.advisor.budget_stats());
+            lifetime.map(|b| b.truncated).sum::<u64>()
+        });
     }
 }

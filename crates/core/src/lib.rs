@@ -66,6 +66,7 @@ pub mod baselines;
 pub mod config;
 pub mod features;
 pub mod fleet;
+mod meter;
 pub mod monitoring;
 pub mod pipeline;
 pub mod simulation;
@@ -83,7 +84,8 @@ pub use fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, FleetDayOutcome, FleetMetrics,
     StreamConfig, Tenant,
 };
-pub use monitoring::{CacheCounters, ExecCounters, MonitorConfig, RegressionMonitor, StageTimings};
+pub use meter::{CacheCounters, ExecCounters, StageCounters, StageTimings};
+pub use monitoring::{MonitorConfig, RegressionMonitor};
 pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation, SharedCaches};
 pub use scope_opt::{
     BudgetCounters, BudgetOutcome, BudgetStats, CacheConfig, CacheStats, CompileBudget,

@@ -15,182 +15,6 @@ use scope_ir::TemplateId;
 use scope_workload::ViewRow;
 use serde::{Deserialize, Serialize};
 
-/// One day's compile-result-cache telemetry, embedded in
-/// [`crate::DailyReport`] so the daily report carries the hit/miss/insert/
-/// evict trajectory alongside the steering counters — attributed to the
-/// pipeline stage (or simulator phase) that issued each lookup, so the
-/// report shows *where* the cache earns its keep: under a sticky
-/// [`scope_workload::LiteralPolicy`] the `view_build` stage dominates
-/// (recurring production scripts rebind the identical plan every day),
-/// while with fresh literals only the within-day repeats
-/// (`feature_gen`/`flight`) hit.
-///
-/// These are *observability* counters, not steering outputs: the cached
-/// results themselves are byte-identical to recompiles, but which lookup
-/// hits can depend on eviction order under parallel inserts, so
-/// reproducibility comparisons zero this field (see `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Production compiles while building the daily view (filled by
-    /// [`crate::ProductionSim::advance_day`]; zero for a bare
-    /// [`crate::QoAdvisor::run_day`], which is handed a prebuilt view).
-    pub view_build: scope_opt::CacheStats,
-    /// Counterfactual default-configuration compiles of hinted production
-    /// jobs (also a [`crate::ProductionSim`] phase).
-    pub counterfactual: scope_opt::CacheStats,
-    /// Task 1 — Feature Generation: the span fixpoint's recompiles.
-    pub feature_gen: scope_opt::CacheStats,
-    /// Task 2 — Recommendation: the chosen-flip recompiles.
-    pub recommend: scope_opt::CacheStats,
-    /// Task 3 — Flighting: baseline/treatment validation compiles.
-    pub flight: scope_opt::CacheStats,
-}
-
-impl CacheCounters {
-    /// Counter-wise roll-up across every stage.
-    #[must_use]
-    pub fn total(&self) -> scope_opt::CacheStats {
-        [
-            self.view_build,
-            self.counterfactual,
-            self.feature_gen,
-            self.recommend,
-            self.flight,
-        ]
-        .into_iter()
-        .sum()
-    }
-
-    /// Total lookups across stages.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.total().lookups()
-    }
-
-    /// Total hits across stages.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.total().hits
-    }
-
-    /// Hit fraction across stages in `[0, 1]` (0 when nothing was looked
-    /// up).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.total().hit_rate()
-    }
-}
-
-/// One day's execution-result-cache telemetry, embedded in
-/// [`crate::DailyReport`] beside [`CacheCounters`] — the same per-stage
-/// attribution, on the execution side. Only three phases of a day execute
-/// plans: building the production view, the counterfactual default runs,
-/// and flighting's baseline/treatment pairs. Each carries a
-/// [`scope_runtime::ExecStats`] with two levels — `results` (whole simulated
-/// runs replayed from cache) and `graphs` (memoized stage-graph builds,
-/// consulted on result misses): in the closed loop run seeds are fresh every
-/// day, so `graphs` is where recurring plans pay off, while `results` hits
-/// on exact re-runs (A/A probes, repeated experiment evaluation).
-///
-/// Observability only, like the compile counters: reproducibility
-/// comparisons zero this field (see `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Production runs while building the daily view (filled by
-    /// [`crate::ProductionSim::advance_day`]).
-    pub view_build: scope_runtime::ExecStats,
-    /// Counterfactual default-plan runs of hinted production jobs.
-    pub counterfactual: scope_runtime::ExecStats,
-    /// Task 3 — Flighting: baseline/treatment pre-production runs.
-    pub flight: scope_runtime::ExecStats,
-}
-
-impl ExecCounters {
-    /// Counter-wise roll-up across every stage.
-    #[must_use]
-    pub fn total(&self) -> scope_runtime::ExecStats {
-        [self.view_build, self.counterfactual, self.flight]
-            .into_iter()
-            .sum()
-    }
-
-    /// Total executions that consulted the cache.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.total().lookups()
-    }
-
-    /// Executions replayed entirely from cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.total().hits()
-    }
-
-    /// Whole-run replay rate across stages in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.total().hit_rate()
-    }
-
-    /// Fraction of executions that at least reused a memoized stage graph.
-    #[must_use]
-    pub fn partial_hit_rate(&self) -> f64 {
-        self.total().partial_hit_rate()
-    }
-}
-
-/// Wall-clock time of each phase of one simulated day, in nanoseconds —
-/// embedded in [`crate::DailyReport`] so the per-day perf trajectory is
-/// machine-readable (the `perf` benchmark's `core.*_ms_p50` layer metrics
-/// read it; see `perfbench/README.md`).
-///
-/// Pure observability, like the cache counters: wall clocks obviously vary
-/// run to run, so reproducibility comparisons zero this field (see
-/// `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Production view building ([`crate::ProductionSim::advance_day`] only;
-    /// zero for a bare [`crate::QoAdvisor::run_day`]).
-    pub view_build_ns: u64,
-    /// Counterfactual default compiles + runs of hinted production jobs.
-    pub counterfactual_ns: u64,
-    /// Task 1 — Feature Generation (span fixpoint).
-    pub feature_gen_ns: u64,
-    /// Task 2 — Recommendation (+ recompilation / slate pricing).
-    pub recommend_ns: u64,
-    /// Task 3 — Flighting.
-    pub flight_ns: u64,
-    /// Task 4 — Validation.
-    pub validate_ns: u64,
-    /// Task 5 — Hint Generation / SIS publish.
-    pub publish_ns: u64,
-    /// Durable-state snapshot write at the day boundary (zero unless a
-    /// [`crate::snapshot::SnapshotPolicy`] is installed and fired today).
-    pub snapshot_ns: u64,
-    /// Durable-state snapshot *restore* that brought the sim to this day
-    /// (zero unless this day resumed from
-    /// [`crate::ProductionSim::restore`]). A restore happens between days,
-    /// so the day resuming from it carries the cost — the read-side mirror
-    /// of `snapshot_ns`.
-    pub restore_ns: u64,
-}
-
-impl StageTimings {
-    /// Total instrumented nanoseconds of the day.
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.view_build_ns
-            + self.counterfactual_ns
-            + self.feature_gen_ns
-            + self.recommend_ns
-            + self.flight_ns
-            + self.validate_ns
-            + self.publish_ns
-            + self.snapshot_ns
-            + self.restore_ns
-    }
-}
-
 /// Monitor configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitorConfig {

@@ -5,7 +5,7 @@
 
 use crate::config::PipelineConfig;
 use crate::features::FeatureCache;
-use crate::monitoring::{CacheCounters, ExecCounters};
+use crate::meter::{CacheCounters, ExecCounters, Stage, StageTimings};
 use crate::stages;
 use crate::validation_model::{ValidationModel, ValidationSample};
 use flighting::{FlightRequest, FlightingService};
@@ -206,18 +206,26 @@ pub struct DailyReport {
     pub sis_version: u32,
     /// Compile-result-cache telemetry (all-zero when the cache is off).
     /// Observability only — reproducibility comparisons zero this field.
+    ///
+    /// Each stage's counters are the cache's lifetime counters differenced
+    /// over the stage. Inside a shared-cache fleet (`crate::fleet`) those
+    /// are *process-wide* caches, read while other tenants reduce
+    /// concurrently, so a tenant's per-stage counters include its
+    /// neighbours' traffic. Telemetry only, and not fixed here: per-tenant
+    /// attribution needs a recorder on the lookup path (ROADMAP item 4a).
     pub compile_cache: CacheCounters,
-    /// Execution-result-cache telemetry, attributed the same way
-    /// (all-zero when the cache is off; zeroed in reproducibility
-    /// comparisons).
+    /// Execution-result-cache telemetry, attributed the same way — with the
+    /// same shared-cache caveat as `compile_cache` (all-zero when the cache
+    /// is off; zeroed in reproducibility comparisons).
     pub exec_cache: ExecCounters,
     /// Delta-compilation telemetry: how the day's treatment slates were
     /// resolved (pruned / delta / full) and the base-memo cache traffic.
     /// All-zero when delta compilation is off; observability only, zeroed
     /// in reproducibility comparisons like the cache counters.
     pub delta_compile: scope_opt::DeltaStats,
-    /// Span-feature-cache telemetry (all consumed by the Recommendation
-    /// stage, so no per-stage breakdown; all-zero when the cache is off).
+    /// Span-feature-cache telemetry: a day total (Recommendation is the
+    /// cache's only consumer, so no per-stage breakdown; all-zero when the
+    /// cache is off).
     /// Observability only — which lookup hits can depend on parallel insert
     /// order, so reproducibility comparisons zero this field like the other
     /// cache counters.
@@ -233,7 +241,7 @@ pub struct DailyReport {
     pub compile_budget: BudgetStats,
     /// Per-stage wall-clock timings of this day (observability only;
     /// zeroed in reproducibility comparisons).
-    pub timings: crate::monitoring::StageTimings,
+    pub timings: StageTimings,
 }
 
 impl DailyReport {
@@ -249,7 +257,7 @@ impl DailyReport {
             exec_cache: ExecCounters::default(),
             delta_compile: scope_opt::DeltaStats::default(),
             feature_cache: CacheStats::default(),
-            timings: crate::monitoring::StageTimings::default(),
+            timings: StageTimings::default(),
             ..self.clone()
         }
     }
@@ -553,44 +561,20 @@ impl QoAdvisor {
             jobs_total: view.len(),
             ..DailyReport::default()
         };
-        // Stages run sequentially (each fans out internally), so snapshots
+        // Stages run sequentially (each fans out internally), so the laps
         // between them attribute every cache lookup — and every wall-clock
-        // nanosecond — to exactly one stage.
-        let elapsed = |t: std::time::Instant| t.elapsed().as_nanos() as u64;
-        let d0 = self.optimizer.delta_stats();
-        let s0 = self.optimizer.stats();
-        // qo-lint: allow(ambient-entropy) — per-stage wall-clock telemetry only;
-        // `DailyReport.timings` is zeroed before every byte-identity comparison
-        let t0 = std::time::Instant::now();
+        // nanosecond — to exactly one stage (see `crate::meter`).
+        let mut meter = self.sample();
         let spanned = stages::feature_gen(self, view, &mut report)?;
-        report.timings.feature_gen_ns = elapsed(t0);
-        let s1 = self.optimizer.stats();
-        let f1 = self.feature_stats();
-        let t1 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
+        report.bill(Stage::FeatureGen, meter.lap(self));
         let recommended = stages::recommend(self, &spanned, day, &mut report)?;
-        report.timings.recommend_ns = elapsed(t1);
-        // Recommendation is the only consumer of the span-feature cache.
-        report.feature_cache = self.feature_stats().since(&f1);
-        let s2 = self.optimizer.stats();
-        let e2 = self.exec_stats();
-        let t2 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
+        report.bill(Stage::Recommend, meter.lap(self));
         let flighted = stages::flight(self, recommended, &mut report);
-        report.timings.flight_ns = elapsed(t2);
-        let s3 = self.optimizer.stats();
-        let e3 = self.exec_stats();
-        let t3 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
+        report.bill(Stage::Flight, meter.lap(self));
         let validated = stages::validate(self, &flighted, &mut report);
-        report.timings.validate_ns = elapsed(t3);
-        let t4 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
+        report.bill(Stage::Validate, meter.lap(self));
         stages::publish(self, validated, day, &mut report)?;
-        report.timings.publish_ns = elapsed(t4);
-        report.compile_cache.feature_gen = s1.since(&s0);
-        report.compile_cache.recommend = s2.since(&s1);
-        report.compile_cache.flight = s3.since(&s2);
-        // Flighting is the only pipeline stage that executes plans, and the
-        // pipeline (recommendation + flighting) is the only slate compiler.
-        report.exec_cache.flight = e3.since(&e2);
-        report.delta_compile = self.optimizer.delta_stats().since(&d0);
+        report.bill(Stage::Publish, meter.lap(self));
         Ok(report)
     }
 
@@ -761,17 +745,16 @@ mod tests {
 
     #[test]
     fn compile_cache_counters_surface_and_do_not_change_steering() {
-        use crate::monitoring::CacheCounters;
         use scope_opt::CacheConfig;
 
         let mut qa = advisor(RecommendStrategy::ContextualBandit);
         let view = day_view(&qa, 5, 0);
         let report = qa.run_day(&view, 0).unwrap();
-        assert!(report.compile_cache.lookups() > 0);
+        assert!(report.compile_cache.total().lookups() > 0);
         // The span fixpoint alone repeats the default compile of every
         // spanned template, so a day with spans always hits.
-        assert!(report.compile_cache.hits() > 0);
-        assert_eq!(qa.cache_stats().hits, report.compile_cache.hits());
+        assert!(report.compile_cache.total().hits > 0);
+        assert_eq!(qa.cache_stats().hits, report.compile_cache.total().hits);
         // A bare run_day is handed a prebuilt view: the simulator-only
         // stages stay zero, every lookup lands in a pipeline stage.
         assert_eq!(report.compile_cache.view_build, CacheStats::default());

@@ -4,6 +4,7 @@
 //! behind Table 2 and Figures 10-12.
 
 use crate::config::PipelineConfig;
+use crate::meter::Stage;
 use crate::monitoring::{MonitorConfig, RegressionMonitor};
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, SharedCaches};
 use crate::validation_model::{ValidationModel, ValidationSample};
@@ -237,32 +238,20 @@ impl ProductionSim {
     pub fn advance_day(&mut self) -> Result<DayOutcome, PipelineError> {
         let jobs = self.workload.jobs_for_day(self.day);
         let hints = self.advisor.sis().snapshot();
-        let s0 = self.advisor.cache_stats();
-        let e0 = self.advisor.exec_stats();
-        let d0 = self.advisor.delta_stats();
-        // qo-lint: allow(ambient-entropy) — view-build wall-clock telemetry only;
-        // timings are zeroed before every byte-identity comparison
-        let t0 = std::time::Instant::now();
+        let mut meter = self.advisor.sample();
         let view = build_view(
             &jobs,
             self.advisor.caching_optimizer(),
             &hints,
             &self.prod_exec,
         )?;
-        let view_build_ns = t0.elapsed().as_nanos() as u64;
-        let s1 = self.advisor.cache_stats();
-        let e1 = self.advisor.exec_stats();
-
+        let view_build = meter.lap(&self.advisor);
         let mut outcome = self.finish_day(view)?;
-        outcome.report.compile_cache.view_build = s1.since(&s0);
-        outcome.report.exec_cache.view_build = e1.since(&e0);
-        outcome.report.timings.view_build_ns = view_build_ns;
-        // Widen finish_day's delta snapshot to the whole simulated day:
-        // default-configuration compile misses during view building route
+        // Default-configuration compile misses during view building route
         // through the delta compiler's base builder (that is where most
-        // `base_builds` land under fresh literals), and they belong to this
-        // day's traffic.
-        outcome.report.delta_compile = self.advisor.delta_stats().since(&d0);
+        // `base_builds` land under fresh literals): billing the lap adds
+        // them to the day's delta total on top of finish_day's.
+        outcome.report.bill(Stage::ViewBuild, view_build);
         Ok(outcome)
     }
 
@@ -287,10 +276,7 @@ impl ProductionSim {
     /// [`ProductionSim::advance_day`] does.
     pub fn finish_day(&mut self, view: Vec<ViewRow>) -> Result<DayOutcome, PipelineError> {
         let day = self.day;
-        let s1 = self.advisor.cache_stats();
-        let e1 = self.advisor.exec_stats();
-        let d1 = self.advisor.delta_stats();
-        let b1 = self.advisor.budget_stats();
+        let mut meter = self.advisor.sample();
 
         // Counterfactual default runs for hinted jobs (same run seed). The
         // compiles go through the advisor's compile-result cache and the
@@ -300,7 +286,6 @@ impl ProductionSim {
         // return a best-effort plan from a partially explored memo without
         // touching what the pipeline recommends or publishes.
         let default_config = self.advisor.optimizer().default_config();
-        let t1 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — telemetry
         let mut comparisons = Vec::new();
         for row in view.iter().filter(|r| r.hint_applied) {
             let Ok(default_compiled) = self.advisor.compile_shedding(&row.plan, &default_config)
@@ -318,9 +303,7 @@ impl ProductionSim {
                 steered: row.metrics,
             });
         }
-        let counterfactual_ns = t1.elapsed().as_nanos() as u64;
-        let s2 = self.advisor.cache_stats();
-        let e2 = self.advisor.exec_stats();
+        let counterfactual = meter.lap(&self.advisor);
 
         // §8 monitoring: revert hints that regress in production.
         let mut reverted = Vec::new();
@@ -333,11 +316,7 @@ impl ProductionSim {
         }
 
         let mut report = self.advisor.run_day(&view, day)?;
-        report.compile_cache.counterfactual = s2.since(&s1);
-        report.exec_cache.counterfactual = e2.since(&e1);
-        report.delta_compile = self.advisor.delta_stats().since(&d1);
-        report.compile_budget = self.advisor.budget_stats().since(&b1);
-        report.timings.counterfactual_ns = counterfactual_ns;
+        report.bill(Stage::Counterfactual, counterfactual);
         // A restore that brought this sim to the current day bills its wall
         // cost to the day that resumes from it.
         report.timings.restore_ns = std::mem::take(&mut self.pending_restore_ns);
@@ -443,6 +422,111 @@ mod tests {
         );
     }
 
+    /// Telemetry parity, per day and per field: the meter (`crate::meter`)
+    /// must bill exactly what the hand-threaded counter snapshots it
+    /// replaced did. The literals are every telemetry field of every
+    /// `DailyReport` of this run (seed 41, 3 serial days — serial, so exact)
+    /// as recorded at commit 2a16c8a, before the meter existed; and because
+    /// laps tile the day, each day total must equal the advisor's
+    /// lifetime-counter delta over that `advance_day`.
+    #[test]
+    fn daily_telemetry_matches_the_recorded_days_and_the_lifetime_deltas() {
+        use crate::{CacheCounters, ExecCounters};
+        use scope_opt::{BudgetStats, CacheStats, DeltaStats};
+        use scope_runtime::ExecStats;
+
+        let stats = |hits, misses| CacheStats {
+            hits,
+            misses,
+            inserts: misses,
+            evictions: 0,
+        };
+        let exec = |results, graphs| ExecStats { results, graphs };
+        let delta = |delta, base_builds, base_hits, replay_tasks| DeltaStats {
+            delta,
+            base_builds,
+            base_hits,
+            replay_tasks,
+            ..DeltaStats::default()
+        };
+        // (view_build, feature_gen, recommend, flight) compile counters,
+        // (view_build, flight) exec counters, feature cache, delta compile;
+        // no hint matched in these three days, so counterfactuals are zero.
+        let recorded = [
+            (
+                [stats(0, 12), stats(18, 12), stats(0, 8), stats(0, 0)],
+                [exec(stats(0, 12), stats(0, 12)), ExecStats::default()],
+                stats(0, 18),
+                delta(8, 12, 8, 14),
+            ),
+            (
+                [stats(0, 13), stats(2, 2), stats(0, 15), stats(0, 0)],
+                [exec(stats(0, 13), stats(0, 13)), ExecStats::default()],
+                stats(15, 5),
+                delta(15, 13, 10, 24),
+            ),
+            (
+                [stats(0, 13), stats(2, 2), stats(0, 12), stats(4, 0)],
+                [
+                    exec(stats(0, 13), stats(0, 13)),
+                    exec(stats(0, 4), stats(2, 2)),
+                ],
+                stats(17, 3),
+                delta(12, 13, 9, 16),
+            ),
+        ];
+        // Read through the public accessors, not the meter under test.
+        let lifetime = |qa: &QoAdvisor| {
+            let (compile, exec) = (qa.cache_stats(), qa.exec_stats());
+            let (feature, delta) = (qa.feature_stats(), qa.delta_stats());
+            (compile, exec, feature, delta, qa.budget_stats())
+        };
+        let mut sim = small_sim();
+        for (day, (compile, execs, feature, delta)) in recorded.into_iter().enumerate() {
+            let before = lifetime(&sim.advisor);
+            let report = sim.advance_day().unwrap().report;
+            let after = lifetime(&sim.advisor);
+            assert_eq!(
+                report.compile_cache,
+                CacheCounters {
+                    view_build: compile[0],
+                    feature_gen: compile[1],
+                    recommend: compile[2],
+                    flight: compile[3],
+                    ..CacheCounters::default()
+                },
+                "day {day}"
+            );
+            assert_eq!(
+                report.exec_cache,
+                ExecCounters {
+                    view_build: execs[0],
+                    flight: execs[1],
+                    ..ExecCounters::default()
+                },
+                "day {day}"
+            );
+            assert_eq!(report.feature_cache, feature, "day {day}");
+            assert_eq!(report.delta_compile, delta, "day {day}");
+            assert_eq!(report.compile_budget, BudgetStats::default(), "day {day}");
+            let total = (
+                report.compile_cache.total(),
+                report.exec_cache.total(),
+                report.feature_cache,
+                report.delta_compile,
+                report.compile_budget,
+            );
+            let moved = (
+                after.0.since(&before.0),
+                after.1.since(&before.1),
+                after.2.since(&before.2),
+                after.3.since(&before.3),
+                after.4.since(&before.4),
+            );
+            assert_eq!(total, moved, "day {day}");
+        }
+    }
+
     #[test]
     fn advance_day_attributes_production_compiles_to_their_stage() {
         let mut sim = small_sim();
@@ -525,7 +609,7 @@ mod tests {
         let day_off = off.advance_day().unwrap();
         assert_eq!(
             day_off.report.exec_cache,
-            crate::monitoring::ExecCounters::default(),
+            crate::ExecCounters::default(),
             "a disabled execution cache must report zero telemetry"
         );
         assert_eq!(off.advisor.exec_stats(), Default::default());

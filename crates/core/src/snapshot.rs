@@ -243,29 +243,6 @@ impl QoAdvisor {
         }
         Ok(())
     }
-
-    /// Write this advisor's snapshot (as of completed day `day`) to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the file cannot be written.
-    pub fn snapshot(&self, path: impl AsRef<Path>, day: u32) -> Result<(), SnapshotError> {
-        self.export_state(day).write_to(path)
-    }
-
-    /// Restore this advisor from a snapshot file, returning the day the
-    /// snapshot was taken at (the next day to run).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: unreadable file, bad magic, unsupported
-    /// version, truncation, checksum mismatch, corruption, or a
-    /// configuration mismatch. On error the advisor is unchanged.
-    pub fn restore(&mut self, path: impl AsRef<Path>) -> Result<u32, SnapshotError> {
-        let snap = SteeringSnapshot::read_from(path)?;
-        self.import_state(&snap)?;
-        Ok(snap.meta.day)
-    }
 }
 
 impl ProductionSim {
@@ -385,19 +362,6 @@ impl ProductionSim {
     /// [`crate::StageTimings::snapshot_ns`].
     pub fn set_snapshot_policy(&mut self, policy: Option<SnapshotPolicy>) {
         self.snapshot_policy = policy;
-    }
-
-    /// Builder form of [`ProductionSim::set_snapshot_policy`].
-    #[must_use]
-    pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
-        self.snapshot_policy = Some(policy);
-        self
-    }
-
-    /// The installed snapshot policy, if any.
-    #[must_use]
-    pub fn snapshot_policy(&self) -> Option<&SnapshotPolicy> {
-        self.snapshot_policy.as_ref()
     }
 
     /// The day-boundary hook called by [`ProductionSim::advance_day`] after

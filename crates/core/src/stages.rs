@@ -66,8 +66,12 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 /// Workers are scoped threads that pull the next item from the shared input
 /// iterator (locked only for `next()`, never while `f` runs), so skewed
 /// per-item cost balances itself and borrowed, `&mut` and owned items all
-/// work. At one worker — or one item — `f` runs inline on the caller's
-/// thread. Every worker is joined before returning.
+/// work. The iterator may block in `next()` — the fleet's arrival queue
+/// does — and is dropped before this returns, on success and on panic, so a
+/// producer feeding it sees its channel close. No more workers start than
+/// the iterator's `size_hint` upper bound; at one worker — or one item — `f`
+/// runs inline on the caller's thread. Every worker is joined before
+/// returning.
 ///
 /// # Errors
 ///
@@ -76,13 +80,13 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 pub(crate) fn par_map<I, U, F>(workers: usize, items: I, f: F) -> std::thread::Result<Vec<U>>
 where
     I: IntoIterator,
-    I::IntoIter: ExactSizeIterator + Send,
+    I::IntoIter: Send,
     U: Send,
     F: Fn(I::Item) -> U + Sync,
 {
     let items = items.into_iter();
-    let len = items.len();
-    let workers = resolve_workers(workers).min(len);
+    let (at_least, at_most) = items.size_hint();
+    let workers = resolve_workers(workers).min(at_most.unwrap_or(usize::MAX));
     if workers <= 1 {
         // Same contract as a worker-thread panic below: the caller gets
         // `Err` and whatever `f` was mutating is as suspect as it is there.
@@ -105,7 +109,7 @@ where
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut tagged = Vec::with_capacity(len);
+    let mut tagged = Vec::with_capacity(at_least);
     for part in parts {
         tagged.extend(part?);
     }
@@ -142,27 +146,11 @@ pub struct SpannedJob<'v> {
     pub default_cost: f64,
 }
 
-/// Output of Task 1 — Feature Generation.
-pub struct FeatureGenOutput<'v> {
-    pub jobs: Vec<SpannedJob<'v>>,
-}
-
-/// Output of Task 2 — Recommendation (+ Recompilation): candidates that
-/// survived the estimated-cost gate, in job order.
-pub struct RecommendOutput {
-    pub candidates: Vec<Recommendation>,
-}
-
 /// Output of Task 3 — Flighting: the flighted representatives, index-aligned
 /// with their outcomes.
 pub struct FlightOutput {
     pub reps: Vec<Recommendation>,
     pub outcomes: Vec<flighting::FlightOutcome>,
-}
-
-/// Output of Task 4 — Validation.
-pub struct ValidateOutput {
-    pub accepted: Vec<Hint>,
 }
 
 /// Task 1 — Feature Generation: select today's recurring jobs and attach
@@ -173,7 +161,7 @@ pub(crate) fn feature_gen<'v>(
     qa: &mut QoAdvisor,
     view: &'v [ViewRow],
     report: &mut DailyReport,
-) -> Result<FeatureGenOutput<'v>, PipelineError> {
+) -> Result<Vec<SpannedJob<'v>>, PipelineError> {
     let mut rows: Vec<&ViewRow> = Vec::new();
     for row in view {
         if !row.recurring {
@@ -220,7 +208,7 @@ pub(crate) fn feature_gen<'v>(
         })
         .collect();
     report.jobs_with_span = jobs.len();
-    Ok(FeatureGenOutput { jobs })
+    Ok(jobs)
 }
 
 /// The Personalizer interactions decided for one job during the serial rank
@@ -246,13 +234,14 @@ enum ActDecision {
 /// Task 2 — Recommendation + Recompilation, in three phases:
 /// parallel slate construction, serial rank pass, parallel recompile
 /// fan-out, then a serial reduce applying rewards and report counters.
+/// Returns the candidates that survived the estimated-cost gate, in job
+/// order.
 pub(crate) fn recommend(
     qa: &mut QoAdvisor,
-    input: &FeatureGenOutput<'_>,
+    jobs: &[SpannedJob<'_>],
     day: u32,
     report: &mut DailyReport,
-) -> Result<RecommendOutput, PipelineError> {
-    let jobs = &input.jobs;
+) -> Result<Vec<Recommendation>, PipelineError> {
     let default_config = qa.optimizer.default_config();
 
     // Phase 1: context + action slates are pure per-job features — fan out.
@@ -365,63 +354,42 @@ pub(crate) fn recommend(
         decisions.push(JobDecisions { train, act });
     }
 
-    // Phase 3: recompile fan-out, one *slate* per job — the job's 1-2
-    // distinct treatment configurations priced together against the default
-    // base configuration, so `Compiler::compile_slate` can reuse the plan's
-    // base memo across them (and, through the shared `DeltaCompiler`,
-    // across jobs, stages, and days). When the training and acting passes
-    // chose the same flip the compile is shared (compilation is
-    // deterministic, so this is observationally identical to compiling
-    // twice).
-    struct CompileSlate<'v> {
-        plan: &'v LogicalPlan,
-        treatments: Vec<scope_opt::RuleConfig>,
-    }
-    /// Where a job's decision's cost lives: `(slate index, treatment index)`.
-    type TaskRef = Option<(usize, usize)>;
-    let mut slates: Vec<CompileSlate<'_>> = Vec::new();
-    let mut train_task: Vec<TaskRef> = Vec::with_capacity(jobs.len());
-    let mut act_task: Vec<TaskRef> = Vec::with_capacity(jobs.len());
-    for (job, decision) in jobs.iter().zip(&decisions) {
-        let train_flip = decision.train.and_then(|(_, flip)| flip);
-        let act_flip = match decision.act {
-            ActDecision::Flip(flip, _) => Some(flip),
-            ActDecision::Noop(_) => None,
-        };
-        if train_flip.is_none() && act_flip.is_none() {
-            train_task.push(None);
-            act_task.push(None);
-            continue;
-        }
-        let slate_idx = slates.len();
-        let mut treatments = Vec::with_capacity(2);
-        let train_idx = train_flip.map(|flip| {
-            treatments.push(default_config.with_flip(flip));
-            (slate_idx, treatments.len() - 1)
-        });
-        let act_idx = match (act_flip, train_flip, train_idx) {
-            (Some(act), Some(train), Some(idx)) if act == train => Some(idx),
-            (Some(flip), _, _) => {
-                treatments.push(default_config.with_flip(flip));
-                Some((slate_idx, treatments.len() - 1))
-            }
-            (None, _, _) => None,
-        };
-        slates.push(CompileSlate {
-            plan: &job.row.plan,
-            treatments,
-        });
-        train_task.push(train_idx);
-        act_task.push(act_idx);
-    }
-    let costs: Vec<Vec<Result<f64, CompileError>>> = par_map(workers, &slates, |slate| {
+    // Phase 3: recompile fan-out, one *slate* per job — its 0-2 distinct
+    // treatment configurations (the training flip, then the acting flip if
+    // it differs) priced together against the default base configuration,
+    // so `Compiler::compile_slate` can reuse the plan's base memo across
+    // them (and, through the shared `DeltaCompiler`, across jobs, stages,
+    // and days). When both passes chose the same flip the compile is shared
+    // (compilation is deterministic, so this is observationally identical
+    // to compiling twice); an empty slate compiles nothing.
+    let treatments: Vec<Vec<_>> = decisions
+        .iter()
+        .map(|decision| {
+            let train = decision.train.and_then(|(_, flip)| flip);
+            let act = match decision.act {
+                ActDecision::Flip(flip, _) if Some(flip) != train => Some(flip),
+                _ => None,
+            };
+            let flips = train.into_iter().chain(act);
+            flips.map(|flip| default_config.with_flip(flip)).collect()
+        })
+        .collect();
+    let slates = jobs.iter().zip(&treatments);
+    let costs: Vec<Vec<Result<f64, CompileError>>> = par_map(workers, slates, |(job, slate)| {
         optimizer
-            .compile_slate(slate.plan, &default_config, &slate.treatments)
+            .compile_slate(&job.row.plan, &default_config, slate)
             .into_iter()
             .map(|result| result.map(|compiled| compiled.est_cost))
             .collect()
     })
     .map_err(|_| PipelineError::Invariant("recompile worker panicked"))?;
+    // A decision's cost sits at its treatment's position in its own job's
+    // slate.
+    let cost_of = |job: usize, flip: RuleFlip| {
+        let treatment = default_config.with_flip(flip);
+        let at = treatments[job].iter().position(|t| *t == treatment)?;
+        costs[job].get(at)
+    };
 
     // Phase 4: serial reduce, job order — bandit rewards, Table-3 counters,
     // and the estimated-cost gate (§5.6).
@@ -431,8 +399,8 @@ pub(crate) fn recommend(
         if let Some((event, flip)) = decision.train {
             let reward = match flip {
                 None => 1.0, // no-op: cost ratio is exactly 1
-                Some(_) => {
-                    let cost = train_task[i].and_then(|(s, t)| costs[s][t].as_ref().ok().copied());
+                Some(flip) => {
+                    let cost = cost_of(i, flip).and_then(|cost| cost.as_ref().ok().copied());
                     reward_from_costs(default_cost, cost, qa.config.reward_clip)
                 }
             };
@@ -449,9 +417,9 @@ pub(crate) fn recommend(
             }
             ActDecision::Flip(flip, event) => {
                 report.total_default_cost += default_cost;
-                // A `Flip` decision always records the (slate, treatment)
-                // indices of its recompile; a miss is a scheduling bug.
-                let Some(outcome) = act_task[i].map(|(s, t)| &costs[s][t]) else {
+                // A `Flip` decision's treatment is always in its job's slate;
+                // a miss is a scheduling bug.
+                let Some(outcome) = cost_of(i, flip) else {
                     return Err(PipelineError::Invariant(
                         "flip decision without a recompiled treatment",
                     ));
@@ -507,7 +475,7 @@ pub(crate) fn recommend(
             }
         }
     }
-    Ok(RecommendOutput { candidates })
+    Ok(candidates)
 }
 
 /// Task 3 — Flighting: one representative job per template (picked
@@ -515,11 +483,11 @@ pub(crate) fn recommend(
 /// A/B-tested in pre-production under the flighting budget.
 pub(crate) fn flight(
     qa: &mut QoAdvisor,
-    input: RecommendOutput,
+    candidates: Vec<Recommendation>,
     report: &mut DailyReport,
 ) -> FlightOutput {
     let mut by_template: FxHashMap<TemplateId, Recommendation> = FxHashMap::default();
-    for cand in input.candidates {
+    for cand in candidates {
         by_template.entry(cand.template).or_insert(cand);
     }
     // qo-lint: allow(unordered-iter) — collected then totally ordered by the
@@ -554,12 +522,12 @@ pub(crate) fn flight(
 }
 
 /// Task 4 — Validation: accept a flight only when the (modeled) PNhours
-/// delta clears the safety threshold.
+/// delta clears the safety threshold. Returns the accepted hints.
 pub(crate) fn validate(
     qa: &QoAdvisor,
     input: &FlightOutput,
     report: &mut DailyReport,
-) -> ValidateOutput {
+) -> Vec<Hint> {
     let mut accepted: Vec<Hint> = Vec::new();
     for (rec, outcome) in input.reps.iter().zip(input.outcomes.iter()) {
         match outcome {
@@ -588,23 +556,23 @@ pub(crate) fn validate(
             flighting::FlightOutcome::Filtered => report.flight_filtered += 1,
         }
     }
-    ValidateOutput { accepted }
+    accepted
 }
 
 /// Task 5 — Hint Generation: merge today's accepted hints with the live
 /// set and publish a new SIS version.
 pub(crate) fn publish(
     qa: &mut QoAdvisor,
-    input: ValidateOutput,
+    accepted: Vec<Hint>,
     day: u32,
     report: &mut DailyReport,
 ) -> Result<(), PipelineError> {
     let mut merged = qa.sis.snapshot();
-    for h in &input.accepted {
+    for h in &accepted {
         merged.insert(*h);
     }
-    report.hints_published = input.accepted.len();
-    if !input.accepted.is_empty() {
+    report.hints_published = accepted.len();
+    if !accepted.is_empty() {
         let version = qa.sis.version() + 1;
         qa.sis.publish(HintFile {
             version,
@@ -619,6 +587,7 @@ pub(crate) fn publish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -658,6 +627,54 @@ mod tests {
             for len in [0, 1, workers - 1, 100] {
                 map_under_skew(workers, len);
             }
+        }
+    }
+
+    /// A receiver's iterator that records its own drop.
+    struct Source<'a>(mpsc::IntoIter<u32>, &'a AtomicBool);
+
+    impl Iterator for Source<'_> {
+        type Item = u32;
+        fn next(&mut self) -> Option<u32> {
+            self.0.next()
+        }
+    }
+
+    impl Drop for Source<'_> {
+        fn drop(&mut self) {
+            self.1.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// The fleet's shape: the input is a channel's receiver, fed one item at
+    /// a time by a thread that waits for each result before sending the
+    /// next — so workers block in `next()` while the source is still
+    /// yielding, and the source must be gone when `par_map` returns.
+    #[test]
+    fn par_map_maps_a_source_that_yields_while_workers_wait() {
+        for workers in [1, 2, 8] {
+            let (tx, rx) = mpsc::sync_channel::<u32>(1);
+            let (seen_tx, seen_rx) = mpsc::channel::<u32>();
+            let seen_tx = Mutex::new(seen_tx);
+            let dropped = AtomicBool::new(false);
+            let out = std::thread::scope(|s| {
+                s.spawn(move || {
+                    for i in 0..50 {
+                        tx.send(i).expect("the map is still pulling");
+                        let seen = seen_rx.recv_timeout(Duration::from_secs(30));
+                        assert_eq!(seen, Ok(i), "item {i} is mapped before the next is sent");
+                    }
+                }); // `tx` drops with the feeder: end of input
+                let out = par_map(workers, Source(rx.into_iter(), &dropped), |i| {
+                    seen_tx.lock().unwrap().send(i).unwrap();
+                    i * 2
+                });
+                assert!(dropped.load(Ordering::SeqCst), "workers={workers}");
+                out
+            });
+            // Order kept, each item exactly once.
+            let doubled: Vec<u32> = (0..50).map(|i| i * 2).collect();
+            assert_eq!(out.ok(), Some(doubled), "workers={workers}");
         }
     }
 

@@ -197,7 +197,7 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
         let dir = base.0.join(format!("cached-t{threads}"));
         let raw = run_sim(Some(threads), CacheConfig::default(), &dir);
         assert!(
-            raw.iter().any(|r| r.compile_cache.hits() > 0),
+            raw.iter().any(|r| r.compile_cache.total().hits > 0),
             "the cached run must actually hit, or this test compares nothing"
         );
         assert_eq!(
@@ -322,10 +322,10 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
                 warm.compile_cache
             );
             assert!(
-                warm.compile_cache.hit_rate() >= 0.5,
+                warm.compile_cache.total().hit_rate() >= 0.5,
                 "day {} compile hit rate {:.2} below 50%: {:?}",
                 warm.day,
-                warm.compile_cache.hit_rate(),
+                warm.compile_cache.total().hit_rate(),
                 warm.compile_cache
             );
             // Execution side: run seeds are fresh every day, so full-result
