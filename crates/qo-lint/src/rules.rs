@@ -239,14 +239,14 @@ pub fn ql02_ambient_entropy(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 }
 
 /// Call names whose integer-literal arguments are seed salts by definition.
-const SEED_CALLEES: &[&str] = &["mix64", "hash_value", "seed_from_u64"];
+const SEED_CALLEES: &[&str] = &["mix64", "hash_value", "structural_hash", "seed_from_u64"];
 
 /// QL03 — raw seed-salt integer literals outside `scope_ir::ids`.
 ///
 /// Flags an integer literal (hex with ≥ 2 digits, or decimal ≥ 256) when
 /// it appears (a) anywhere inside a call to `mix64`/`hash_value`/
-/// `seed_from_u64`, or (b) as the initializer of a binding or field whose
-/// name contains `seed`/`salt`. Small decimal ordinals (stage numbers,
+/// `structural_hash`/`seed_from_u64`, or (b) as the initializer of a
+/// binding or field whose name contains `seed`/`salt`. Small decimal ordinals (stage numbers,
 /// counts) pass; the point is derivation salts, which in this workspace
 /// are invariably hex-spelled or named.
 pub fn ql03_seed_salt(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {

@@ -55,62 +55,17 @@ impl fmt::Display for TemplateId {
     }
 }
 
-/// Stable 64-bit FNV-1a hash used to derive deterministic per-entity RNG
-/// seeds and template identities. Not a general-purpose hasher: it exists so
-/// that ids are reproducible across runs and platforms (unlike `DefaultHasher`
-/// whose algorithm is unspecified).
-#[must_use]
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// Combine two 64-bit values into one (splitmix-style finalizer). Used to
-/// derive independent sub-seeds, e.g. `seed(job) ⊕ seed(run_index)`.
-#[must_use]
-pub fn mix64(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministically fold a serialized [`serde::Value`] tree into a 64-bit
-/// hash (leaf kind tags keep e.g. `0u64` and `false` distinct). This is the
-/// basis of every exact "fingerprint" in the workspace: logical plans (the
-/// compile-cache key), physical plans and cluster configurations (the
-/// execution-cache key).
-#[must_use]
-pub fn hash_value(value: &serde::Value, h: u64) -> u64 {
-    match value {
-        serde::Value::Null => mix64(h, 0xA0),
-        serde::Value::Bool(b) => mix64(h, 0xB0 | u64::from(*b)),
-        serde::Value::U64(v) => mix64(mix64(h, 0xC0), *v),
-        serde::Value::I64(v) => mix64(mix64(h, 0xC1), *v as u64),
-        serde::Value::F64(v) => mix64(mix64(h, 0xC2), v.to_bits()),
-        serde::Value::Str(s) => mix64(mix64(h, 0xD0), stable_hash64(s.as_bytes())),
-        serde::Value::Array(items) => {
-            let mut h = mix64(mix64(h, 0xE0), items.len() as u64);
-            for item in items {
-                h = hash_value(item, h);
-            }
-            h
-        }
-        serde::Value::Object(fields) => {
-            let mut h = mix64(mix64(h, 0xF0), fields.len() as u64);
-            for (key, value) in fields {
-                h = hash_value(value, mix64(h, stable_hash64(key.as_bytes())));
-            }
-            h
-        }
-    }
-}
+/// The hash primitives every seed and fingerprint in the workspace derives
+/// from. They are defined beside the vendored `serde::Serialize` because the
+/// derive macro's streaming walk ([`Serialize::structural_hash`]) is spelled
+/// with them; this module stays their public home.
+///
+/// [`hash_value`] is the reference walk over a materialized [`serde::Value`]
+/// tree. No fingerprint calls it any more — [`crate::LogicalPlan`],
+/// [`crate::PhysicalPlan`], the cluster epochs and the memo's dedup key all
+/// use `structural_hash`, which returns the same bits without building the
+/// tree — it is kept as the oracle `tests/structural_hash.rs` compares against.
+pub use serde::hash::{hash_value, mix64, stable_hash64};
 
 // ---------------------------------------------------------------------
 // Named salt vocabulary (qo-lint rule QL03).
@@ -147,6 +102,8 @@ pub const PHYSICAL_FP_SALT: u64 = 0x0e8e_c0de_5ca1_ab1e;
 pub const CLUSTER_CONFIG_EPOCH_SALT: u64 = 0xc105_7e40_0000_0001;
 /// Salt of the cluster *variance-model* half of the execution epoch.
 pub const CLUSTER_VARIANCE_EPOCH_SALT: u64 = 0x0e8e_0000_0000_0002;
+/// Salt of the optimizer memo's expression dedup key (`scope_opt::memo`).
+pub const MEMO_EXPR_KEY_SALT: u64 = 0x3e30_de00_0000_0003;
 
 /// Salt of the per-(template, config) experimental-rule instability draw
 /// (`scope_opt::registry`).

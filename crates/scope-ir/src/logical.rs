@@ -8,7 +8,7 @@
 //! is preserved by construction and checked by [`LogicalPlan::validate`].
 
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{hash_value, stable_hash64, NodeId, TemplateId, LOGICAL_FP_SALT};
+use crate::ids::{stable_hash64, NodeId, TemplateId, LOGICAL_FP_SALT};
 use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
 use serde::{Deserialize, Serialize};
@@ -277,6 +277,16 @@ impl Serialize for LogicalPlan {
             ("nodes".to_string(), self.nodes.to_value()),
             ("outputs".to_string(), self.outputs.to_value()),
         ])
+    }
+
+    fn structural_hash(&self, h: u64) -> u64 {
+        use serde::hash::{key, map};
+        let h = map(h, 2);
+        let h = self
+            .nodes
+            .structural_hash(key(h, const { stable_hash64(b"nodes") }));
+        self.outputs
+            .structural_hash(key(h, const { stable_hash64(b"outputs") }))
     }
 }
 
@@ -627,12 +637,14 @@ impl LogicalPlan {
         TemplateId(stable_hash64(self.normalized_signature().as_bytes()))
     }
 
-    /// Exact fingerprint of this plan: a stable hash over its serialized
-    /// form — operators, expressions, **literals**, estimated *and* actual
-    /// statistics. Two plans with equal fingerprints compile identically
-    /// under any configuration, which is what makes this the compile-result
-    /// cache key; contrast [`LogicalPlan::template_id`], which normalizes
-    /// literals away and so conflates plans that compile differently.
+    /// Exact fingerprint of this plan: the stable structural hash of its
+    /// serialized form ([`Serialize::structural_hash`], which walks the plan
+    /// itself and never builds that form) — operators, expressions,
+    /// **literals**, estimated *and* actual statistics. Two plans with equal
+    /// fingerprints compile identically under any configuration, which is
+    /// what makes this the compile-result cache key; contrast
+    /// [`LogicalPlan::template_id`], which normalizes literals away and so
+    /// conflates plans that compile differently.
     ///
     /// Memoized: the first call walks the plan, later calls (including on
     /// clones of an already-fingerprinted plan) are one atomic load.
@@ -642,13 +654,13 @@ impl LogicalPlan {
         if memo != 0 {
             debug_assert_eq!(
                 memo,
-                hash_value(&self.to_value(), LOGICAL_FP_SALT).max(1),
+                self.structural_hash(LOGICAL_FP_SALT).max(1),
                 "memoized logical fingerprint diverged from a fresh recompute \
                  (plan mutated after fingerprinting?)"
             );
             return memo;
         }
-        let fp = hash_value(&self.to_value(), LOGICAL_FP_SALT).max(1);
+        let fp = self.structural_hash(LOGICAL_FP_SALT).max(1);
         self.fp_memo.store(fp, Ordering::Relaxed);
         fp
     }

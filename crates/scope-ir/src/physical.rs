@@ -8,7 +8,7 @@
 //! optimizer rules use to express alternative physical configurations.
 
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{hash_value, NodeId, PHYSICAL_FP_SALT};
+use crate::ids::{stable_hash64, NodeId, PHYSICAL_FP_SALT};
 use crate::logical::{JoinKind, SortKey};
 use crate::stats::NodeStats;
 use serde::{Deserialize, Serialize};
@@ -264,6 +264,16 @@ impl Serialize for PhysicalPlan {
             ("outputs".to_string(), self.outputs.to_value()),
         ])
     }
+
+    fn structural_hash(&self, h: u64) -> u64 {
+        use serde::hash::{key, map};
+        let h = map(h, 2);
+        let h = self
+            .nodes
+            .structural_hash(key(h, const { stable_hash64(b"nodes") }));
+        self.outputs
+            .structural_hash(key(h, const { stable_hash64(b"outputs") }))
+    }
 }
 
 impl Deserialize for PhysicalPlan {
@@ -298,10 +308,12 @@ impl PhysicalPlan {
         self.fp_memo.store(0, Ordering::Relaxed);
     }
 
-    /// Exact fingerprint of this plan: a stable hash over its serialized
-    /// form — operators, expressions, literals, statistics, and tuning
-    /// knobs. Two plans with equal fingerprints execute identically under
-    /// any `(cluster, job_seed, run_seed)`, which is what makes this the
+    /// Exact fingerprint of this plan: the stable structural hash of its
+    /// serialized form ([`Serialize::structural_hash`], which walks the plan
+    /// itself and never builds that form) — operators, expressions,
+    /// literals, statistics, and tuning knobs. Two plans with equal
+    /// fingerprints execute identically under any
+    /// `(cluster, job_seed, run_seed)`, which is what makes this the
     /// execution-result cache key (the runtime simulator is a pure function
     /// of the plan bytes, the cluster model, and the seeds).
     ///
@@ -313,13 +325,13 @@ impl PhysicalPlan {
         if memo != 0 {
             debug_assert_eq!(
                 memo,
-                hash_value(&self.to_value(), PHYSICAL_FP_SALT).max(1),
+                self.structural_hash(PHYSICAL_FP_SALT).max(1),
                 "memoized physical fingerprint diverged from a fresh recompute \
                  (plan mutated after fingerprinting?)"
             );
             return memo;
         }
-        let fp = hash_value(&self.to_value(), PHYSICAL_FP_SALT).max(1);
+        let fp = self.structural_hash(PHYSICAL_FP_SALT).max(1);
         self.fp_memo.store(fp, Ordering::Relaxed);
         fp
     }

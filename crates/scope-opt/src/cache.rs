@@ -13,10 +13,12 @@
 //! lock-sharded FIFO cache), keyed by `(plan fingerprint, RuleBits)` and
 //! storing full `Result<Compiled, CompileError>` values — **failures are
 //! cached too**, so a flip known to crash compilation for a template is
-//! replayed instead of recompiled. The plan fingerprint hashes the
-//! *serialized* plan, not the template id: two instances of one template
-//! differ in literals and actual statistics, and conflating them would make
-//! cached runs observably different from uncached ones.
+//! replayed instead of recompiled. The plan fingerprint is the structural
+//! hash of the *whole* plan ([`LogicalPlan::fingerprint`]: every field its
+//! serialized form has, hashed without serializing), not the template id:
+//! two instances of one template differ in literals and actual statistics,
+//! and conflating them would make cached runs observably different from
+//! uncached ones.
 //!
 //! [`CachingOptimizer`] packages an [`Optimizer`] with an optional cache
 //! behind the [`Compiler`] trait, so span computation, recommendation
@@ -69,7 +71,7 @@ const SHARDS: usize = 16;
 /// `scope_opt::CacheStats`.
 pub use scope_ir::counters::CacheStats;
 
-/// Cache key: exact plan identity (hash of the serialized plan — literals,
+/// Cache key: exact plan identity ([`LogicalPlan::fingerprint`] — literals,
 /// estimated *and* actual statistics included) plus the full 256-bit rule
 /// configuration.
 type Key = (u64, RuleBits);
@@ -115,8 +117,8 @@ impl CompileCache {
         (Self::plan_fingerprint(plan), *config.bits())
     }
 
-    /// Stable fingerprint of a plan's exact serialized form (memoized inside
-    /// the plan, so repeat lookups on one plan cost an atomic load).
+    /// Stable structural fingerprint of a plan (memoized inside the plan, so
+    /// repeat lookups on one plan cost an atomic load).
     /// Deliberately *not* [`LogicalPlan::template_id`]: the template id
     /// normalizes literals away, but compile results depend on them.
     #[must_use]
@@ -201,7 +203,7 @@ impl CompileCache {
 ///
 /// The caches sit behind `Arc`s so several `CachingOptimizer`s can share one
 /// process-wide cache (fleet mode: N tenants, one compile cache). Sharing is
-/// sound because the keys are tenant-invariant — the exact serialized-plan
+/// sound because the keys are tenant-invariant — the exact structural plan
 /// fingerprint plus the full `RuleBits` — so a hit returns exactly what a
 /// local compile would have produced, whichever tenant inserted it.
 #[derive(Debug)]

@@ -385,7 +385,9 @@ impl BaseMemo {
         }
     }
 
-    /// The incremental pass: clone the base memo, rebuild the physical
+    /// The incremental pass: fork the base memo (pointer copies; every
+    /// group's logical half and every clean group's candidate list stay
+    /// shared with the base), rebuild the physical
     /// candidates of dirty groups under the treatment configuration — as a
     /// [`TaskEngine`] replay of exactly those groups' ImplementGroup tasks —
     /// invalidate `Best` on them and every ancestor, then re-cost and
@@ -401,8 +403,6 @@ impl BaseMemo {
         all: bool,
     ) -> (u64, Result<Compiled, CompileError>) {
         let n = self.memo.group_count();
-        // Decide the re-implementation set on the *base* memo, then fork
-        // without cloning the candidate lists about to be rebuilt.
         let reimplement: Vec<bool> = (0..n as u32)
             .map(|gi| {
                 all || self
@@ -413,7 +413,7 @@ impl BaseMemo {
                     .any(|e| tags.contains(&e.op.tag()))
             })
             .collect();
-        let mut memo = self.memo.fork_for_delta(&reimplement);
+        let mut memo = self.memo.fork_for_delta();
         let mut engine = TaskEngine::new(optimizer);
         if let Err(e) =
             engine.replay_implement(&mut memo, &reimplement, treatment, self.template_seed)
@@ -444,6 +444,11 @@ impl BaseMemo {
             &self.roots,
             self.template_seed,
             treatment.bits().fingerprint(),
+        );
+        debug_assert!(
+            memo.group_ids()
+                .all(|g| memo.group(g).shares_logical_with(self.memo.group(g))),
+            "a delta pass copied a logical half it only reads"
         );
         (engine.tasks_executed, result)
     }
@@ -885,6 +890,90 @@ mod tests {
         } else {
             assert!(full_tasks > 0, "failed replays still ran the cascade");
         }
+    }
+
+    /// A delta pass reads the base's logical halves and clean candidate
+    /// lists in place. Replay the worst case by hand — every group dirty —
+    /// then price a 20-treatment delta slate from two threads: no forked
+    /// group may own a copy of its logical half, and the shared base (its
+    /// `Compiled`, every group's candidate list and `Best`) must come out
+    /// bit-identical.
+    #[test]
+    fn delta_passes_share_the_base_and_leave_it_untouched() {
+        let opt = Optimizer::default();
+        let p = plan();
+        let default = opt.default_config();
+        let base = BaseMemo::build(&opt, &p, &default).unwrap();
+        let groups: Vec<GroupId> = base.memo.group_ids().collect();
+        let state = |base: &BaseMemo| -> Vec<(*const Vec<crate::memo::PExpr>, u64, usize)> {
+            groups
+                .iter()
+                .map(|&g| {
+                    let group = base.memo.group(g);
+                    let best = group.best.expect("base memo is fully costed");
+                    (Arc::as_ptr(&group.pexprs), best.cost.to_bits(), best.pexpr)
+                })
+                .collect()
+        };
+        let (compiled_before, state_before) = (base.compiled.clone(), state(&base));
+
+        let treatment = default.with_flip(RuleFlip {
+            rule: crate::registry::RULE_SHUFFLE_ELIMINATION,
+            enable: false,
+        });
+        let mut fork = base.memo.fork_for_delta();
+        let all = vec![true; groups.len()];
+        TaskEngine::new(&opt)
+            .replay_implement(&mut fork, &all, &treatment, base.template_seed)
+            .unwrap();
+        for &g in &groups {
+            fork.group_mut(g).best = None;
+        }
+        let mut visiting = vec![false; groups.len()];
+        for &root in &base.roots {
+            opt.best_cost(&mut fork, root, &mut visiting);
+        }
+        for &g in &groups {
+            assert!(fork.group(g).shares_logical_with(base.memo.group(g)));
+            assert!(!Arc::ptr_eq(
+                &fork.group(g).pexprs,
+                &base.memo.group(g).pexprs
+            ));
+        }
+        drop(fork);
+
+        let slate: Vec<RuleConfig> = opt
+            .rules()
+            .flippable()
+            .map(|rule| {
+                default.with_flip(RuleFlip {
+                    rule,
+                    enable: !default.enabled(rule),
+                })
+            })
+            .filter(|t| matches!(base.price(&opt, t), PricedTreatment::Delta(_)))
+            .take(20)
+            .collect();
+        assert_eq!(slate.len(), 20, "the registry has >20 impl-layer flips");
+        let scratch: Vec<_> = slate.iter().map(|t| opt.compile(&p, t)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for (treatment, expected) in slate.iter().zip(&scratch) {
+                        let PricedTreatment::Delta(priced) = base.price(&opt, treatment) else {
+                            panic!("classification is a pure function of (base, treatment)")
+                        };
+                        assert_eq!(&priced, expected);
+                    }
+                });
+            }
+        });
+        assert_eq!(base.compiled, compiled_before);
+        assert_eq!(
+            base.compiled.est_cost.to_bits(),
+            compiled_before.est_cost.to_bits()
+        );
+        assert_eq!(state(&base), state_before);
     }
 
     #[test]

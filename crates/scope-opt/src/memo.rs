@@ -32,16 +32,26 @@
 //!   expressions, priced with its children's best costs; clearing the entry
 //!   and re-running `best_cost` always reproduces it. Delta compilation
 //!   clears exactly the entries whose inputs a rule flip touched.
+//! * **The logical half is written by one owner.** A group's
+//!   [`GroupLogical`] sits behind an `Arc` that is unique while the memo is
+//!   being explored and shared once `Memo::fork_for_delta` has handed it
+//!   to a treatment's fork. Exploration reaches it with `Arc::get_mut` only
+//!   — never `Arc::make_mut` — so growing a shared half is a typed error,
+//!   not a silent copy that would detach the fork from its base.
 
 use crate::config::{RuleBits, RuleId};
+use crate::search::CompileError;
 use rustc_hash::FxHashMap;
-use scope_ir::ids::stable_hash64;
+use scope_ir::ids::{mix64, MEMO_EXPR_KEY_SALT};
 use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan};
 use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalTuning};
 use scope_ir::schema::{Column, DataType, Schema};
 use scope_ir::stats::{DualStats, NodeStats};
 use scope_ir::NodeId;
+use serde::Serialize;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Index of a group in the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,20 +157,45 @@ pub struct Best {
     pub pexpr: usize,
 }
 
-/// One memo group: a set of logically equivalent expressions (`lexprs`, all
-/// producing the same output relation), their physical implementation
-/// candidates (`pexprs`, rebuilt per rule configuration), and the costing
-/// winner (`best`, `None` until `best_cost` runs or after a delta pass
-/// invalidates it). `schema`/`stats`/`dist` are fixed when the group is
+/// The half of a group that is fixed once exploration ends: the logically
+/// equivalent expressions (`lexprs`, all producing the same output relation)
+/// and the metadata derived from the first of them when the group was
 /// interned (see the module-level invariants).
-#[derive(Debug, Clone)]
-pub struct Group {
+#[derive(Debug)]
+pub struct GroupLogical {
     pub schema: Schema,
     pub stats: NodeStats,
     pub dist: Dist,
     pub lexprs: Vec<MExpr>,
-    pub pexprs: Vec<PExpr>,
+}
+
+/// One memo group: its shared [`GroupLogical`] half (read through `Deref`),
+/// the physical implementation candidates (`pexprs`, rebuilt per rule
+/// configuration) and the costing winner (`best`, `None` until `best_cost`
+/// runs or after a delta pass invalidates it). Both `Arc`s are what a delta
+/// fork copies instead of the data behind them.
+#[derive(Debug)]
+pub struct Group {
+    logical: Arc<GroupLogical>,
+    pub pexprs: Arc<Vec<PExpr>>,
     pub best: Option<Best>,
+}
+
+impl Deref for Group {
+    type Target = GroupLogical;
+
+    fn deref(&self) -> &GroupLogical {
+        &self.logical
+    }
+}
+
+impl Group {
+    /// Whether `self` and `other` read the very same logical half — true of
+    /// every group of a delta fork and its base.
+    #[must_use]
+    pub(crate) fn shares_logical_with(&self, other: &Group) -> bool {
+        Arc::ptr_eq(&self.logical, &other.logical)
+    }
 }
 
 /// A rewrite result: a new operator tree whose leaves are existing groups.
@@ -170,10 +205,11 @@ pub enum Node {
     Op(LogicalOp, Vec<Node>),
 }
 
-/// The memo. `Clone` is what makes a frozen base memo shareable: the delta
-/// compiler (`crate::delta`) clones the base compilation's memo per
-/// treatment and mutates only the cloned `pexprs`/`best` of affected groups.
-#[derive(Debug, Default, Clone)]
+/// The memo. A frozen base memo is shared by forking it
+/// (`Memo::fork_for_delta`): the delta compiler (`crate::delta`) forks the
+/// base compilation's memo per treatment and replaces only the `pexprs` /
+/// `best` of affected groups.
+#[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
     /// Dedup index: expression fingerprint -> owning group.
@@ -202,32 +238,20 @@ impl Memo {
         self.groups.len()
     }
 
-    /// Fork for an incremental (delta) pass: clone the groups — with the
-    /// physical candidates of `reimplement`-marked groups left empty, since
-    /// the caller rebuilds them immediately — and skip the dedup index
-    /// entirely (a delta pass never interns new expressions). Cheaper than
-    /// `Clone` by exactly the state a treatment is about to overwrite.
+    /// Fork for an incremental (delta) pass: two pointer copies per group —
+    /// the logical half and the candidate list are shared with `self`, and a
+    /// treatment replaces the `pexprs` / `best` of the groups it dirties —
+    /// and no dedup index (a delta pass never interns new expressions).
     #[must_use]
-    pub(crate) fn fork_for_delta(&self, reimplement: &[bool]) -> Memo {
-        debug_assert_eq!(reimplement.len(), self.groups.len());
+    pub(crate) fn fork_for_delta(&self) -> Memo {
         Memo {
             groups: self
                 .groups
                 .iter()
-                .zip(reimplement)
-                .map(|(group, redo)| {
-                    if *redo {
-                        Group {
-                            schema: group.schema.clone(),
-                            stats: group.stats,
-                            dist: group.dist.clone(),
-                            lexprs: group.lexprs.clone(),
-                            pexprs: Vec::new(),
-                            best: None,
-                        }
-                    } else {
-                        group.clone()
-                    }
+                .map(|group| Group {
+                    logical: Arc::clone(&group.logical),
+                    pexprs: Arc::clone(&group.pexprs),
+                    best: group.best,
                 })
                 .collect(),
             index: FxHashMap::default(),
@@ -239,16 +263,34 @@ impl Memo {
         (0..self.groups.len() as u32).map(GroupId)
     }
 
-    /// Fingerprint an expression for deduplication. Covers the operator's
-    /// full parameterization (selectivities included, via `Debug`) and the
-    /// child group ids.
+    /// Fingerprint an expression for deduplication: the operator's
+    /// structural hash (its full parameterization, selectivities included)
+    /// folded with the child group ids.
     fn expr_key(op: &LogicalOp, children: &[GroupId]) -> u64 {
-        let mut s = format!("{op:?}|");
-        for c in children {
-            s.push_str(&c.0.to_string());
-            s.push(',');
-        }
-        stable_hash64(s.as_bytes())
+        children.iter().fold(
+            mix64(
+                op.structural_hash(MEMO_EXPR_KEY_SALT),
+                children.len() as u64,
+            ),
+            |h, c| mix64(h, u64::from(c.0)),
+        )
+    }
+
+    /// The group the dedup index files `key` under, if any. A 64-bit key
+    /// match is taken as equality; debug builds check that the owning group
+    /// really holds an equal expression, so a collision cannot silently merge
+    /// two inequivalent ones.
+    fn indexed(&self, key: u64, op: &LogicalOp, children: &[GroupId]) -> Option<GroupId> {
+        let gid = *self.index.get(&key)?;
+        debug_assert!(
+            self.group(gid)
+                .lexprs
+                .iter()
+                .any(|e| e.op == *op && e.children == children),
+            "expr_key collision: {gid} holds no expression equal to {} over {children:?}",
+            op.tag()
+        );
+        Some(gid)
     }
 
     /// Intern an expression: return its existing group or create a new one.
@@ -259,7 +301,7 @@ impl Memo {
         provenance: RuleBits,
     ) -> GroupId {
         let key = Self::expr_key(&op, &children);
-        if let Some(&gid) = self.index.get(&key) {
+        if let Some(gid) = self.indexed(key, &op, &children) {
             return gid;
         }
         let schema = self.derive_schema(&op, &children);
@@ -267,15 +309,17 @@ impl Memo {
         let dist = self.derive_dist(&op, &children);
         let gid = GroupId(self.groups.len() as u32);
         self.groups.push(Group {
-            schema,
-            stats,
-            dist,
-            lexprs: vec![MExpr {
-                op,
-                children,
-                provenance,
-            }],
-            pexprs: Vec::new(),
+            logical: Arc::new(GroupLogical {
+                schema,
+                stats,
+                dist,
+                lexprs: vec![MExpr {
+                    op,
+                    children,
+                    provenance,
+                }],
+            }),
+            pexprs: Arc::default(),
             best: None,
         });
         self.index.insert(key, gid);
@@ -286,6 +330,10 @@ impl Memo {
     /// Add an equivalent expression to an existing group. Returns the index
     /// of the new expression, or `None` if it was already known (in this or
     /// any other group) or the group is at capacity.
+    ///
+    /// # Errors
+    /// [`CompileError::Invalid`] if the group's logical half is shared with
+    /// a delta fork: only a memo still under exploration may grow.
     pub fn add_to_group(
         &mut self,
         gid: GroupId,
@@ -293,23 +341,26 @@ impl Memo {
         children: Vec<GroupId>,
         provenance: RuleBits,
         max_exprs_per_group: usize,
-    ) -> Option<usize> {
+    ) -> Result<Option<usize>, CompileError> {
         let key = Self::expr_key(&op, &children);
-        if self.index.contains_key(&key) {
-            return None;
+        if self.indexed(key, &op, &children).is_some()
+            || self.group(gid).lexprs.len() >= max_exprs_per_group
+        {
+            return Ok(None);
         }
-        if self.groups[gid.index()].lexprs.len() >= max_exprs_per_group {
-            return None;
-        }
-        self.index.insert(key, gid);
-        let group = &mut self.groups[gid.index()];
-        group.lexprs.push(MExpr {
+        let Some(logical) = Arc::get_mut(&mut self.groups[gid.index()].logical) else {
+            return Err(CompileError::Invalid(format!(
+                "memo invariant: exploration reached {gid}, whose logical half a delta fork shares"
+            )));
+        };
+        logical.lexprs.push(MExpr {
             op,
             children,
             provenance,
         });
+        self.index.insert(key, gid);
         self.lexpr_count += 1;
-        Some(group.lexprs.len() - 1)
+        Ok(Some(logical.lexprs.len() - 1))
     }
 
     /// Materialize a rewrite tree: intern interior nodes bottom-up and
@@ -696,6 +747,7 @@ mod tests {
                 RuleBits::empty(),
                 8,
             )
+            .unwrap()
             .is_none());
         // Distinct expr accepted.
         assert!(memo
@@ -709,6 +761,7 @@ mod tests {
                 RuleBits::empty(),
                 8,
             )
+            .unwrap()
             .is_some());
         // Cap enforcement.
         assert!(memo
@@ -722,7 +775,80 @@ mod tests {
                 RuleBits::empty(),
                 2,
             )
+            .unwrap()
             .is_none());
+    }
+
+    /// Dedup soundness: a 64-bit key match is trusted as equality, so debug
+    /// builds verify it. Plant the key of one expression on the group of
+    /// another and intern it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "expr_key collision")]
+    fn a_planted_key_collision_is_caught_not_merged() {
+        let mut memo = Memo::new();
+        let t = memo.intern(scan_op("t", 10.0, 10.0), vec![], RuleBits::empty());
+        let other = scan_op("u", 10.0, 10.0);
+        memo.index.insert(Memo::expr_key(&other, &[]), t);
+        memo.intern(other, vec![], RuleBits::empty());
+    }
+
+    #[test]
+    fn expr_key_separates_operator_children_and_arity() {
+        let key = |op: &LogicalOp, children: &[u32]| {
+            Memo::expr_key(
+                op,
+                &children.iter().map(|&c| GroupId(c)).collect::<Vec<_>>(),
+            )
+        };
+        let filter = |sel: f64| LogicalOp::Filter {
+            predicate: ScalarExpr::lit_int(1),
+            selectivity: DualStats::exact(sel),
+        };
+        assert_eq!(key(&filter(0.5), &[3]), key(&filter(0.5), &[3]));
+        assert_ne!(key(&filter(0.5), &[3]), key(&filter(0.25), &[3]));
+        assert_ne!(key(&filter(0.5), &[3]), key(&filter(0.5), &[4]));
+        assert_ne!(
+            key(&LogicalOp::Union, &[1, 2]),
+            key(&LogicalOp::Union, &[2, 1])
+        );
+        assert_ne!(
+            key(&LogicalOp::Union, &[1, 2]),
+            key(&LogicalOp::Union, &[1, 2, 0])
+        );
+    }
+
+    /// A forked memo shares every logical half with its base, so neither
+    /// side may grow one: `add_to_group` reports the shared half as an
+    /// invariant error instead of silently copying it.
+    #[test]
+    fn growing_a_shared_logical_half_is_a_typed_error() {
+        let mut memo = Memo::new();
+        let scan = memo.intern(scan_op("t", 10.0, 10.0), vec![], RuleBits::empty());
+        let filter = |lit: i64| LogicalOp::Filter {
+            predicate: ScalarExpr::lit_int(lit),
+            selectivity: DualStats::exact(0.5),
+        };
+        let g = memo.intern(filter(1), vec![scan], RuleBits::empty());
+        let fork = memo.fork_for_delta();
+        assert!(fork.group(g).shares_logical_with(memo.group(g)));
+        let grown = memo.add_to_group(g, filter(2), vec![scan], RuleBits::empty(), 8);
+        assert!(
+            matches!(&grown, Err(CompileError::Invalid(m)) if m.contains("memo invariant")),
+            "{grown:?}"
+        );
+        assert_eq!(
+            memo.group(g).lexprs.len(),
+            1,
+            "nothing was copied or pushed"
+        );
+        assert_eq!(memo.lexpr_count, 2);
+        // Once the fork is gone the half is unique again and may grow.
+        drop(fork);
+        assert_eq!(
+            memo.add_to_group(g, filter(2), vec![scan], RuleBits::empty(), 8),
+            Ok(Some(1))
+        );
     }
 
     #[test]

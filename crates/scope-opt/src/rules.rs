@@ -46,10 +46,31 @@ pub fn apply_transform(kind: TransformKind, memo: &Memo, gid: GroupId, eidx: usi
     .collect()
 }
 
-/// Fetch the (op, children) of an expression without holding a borrow.
-fn expr_parts(memo: &Memo, gid: GroupId, eidx: usize) -> (LogicalOp, Vec<GroupId>) {
+/// The (op, children) of an expression, borrowed: a rule whose root does
+/// not match returns before anything is cloned, and one that does clones
+/// only the fields that go into its rewrite.
+fn expr_parts(memo: &Memo, gid: GroupId, eidx: usize) -> (&LogicalOp, &[GroupId]) {
     let e = &memo.group(gid).lexprs[eidx];
-    (e.op.clone(), e.children.clone())
+    (&e.op, &e.children)
+}
+
+/// The (predicate, selectivity, input group) of a `Filter` expression — the
+/// root every filter-pushdown rule matches — or `None` for any other root.
+fn filter_parts(
+    memo: &Memo,
+    gid: GroupId,
+    eidx: usize,
+) -> Option<(&ScalarExpr, DualStats, GroupId)> {
+    match expr_parts(memo, gid, eidx) {
+        (
+            LogicalOp::Filter {
+                predicate,
+                selectivity,
+            },
+            children,
+        ) => Some((predicate, *selectivity, children[0])),
+        _ => None,
+    }
 }
 
 fn width(memo: &Memo, g: GroupId) -> usize {
@@ -57,15 +78,7 @@ fn width(memo: &Memo, g: GroupId) -> usize {
 }
 
 fn filter_push_project(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Project { exprs } = &ce.op else {
@@ -106,15 +119,7 @@ fn filter_push_project(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Nod
 }
 
 fn filter_push_join(memo: &Memo, gid: GroupId, eidx: usize, left: bool) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Join {
@@ -179,15 +184,7 @@ fn filter_push_join(memo: &Memo, gid: GroupId, eidx: usize, left: bool) -> Optio
 }
 
 fn filter_push_union(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         if !matches!(ce.op, LogicalOp::Union) {
@@ -212,15 +209,7 @@ fn filter_push_union(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>
 }
 
 fn filter_merge(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Filter {
@@ -246,15 +235,7 @@ fn filter_merge(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
 }
 
 fn filter_push_aggregate(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Aggregate {
@@ -292,15 +273,7 @@ fn filter_push_aggregate(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<N
 }
 
 fn filter_push_sort(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Sort { keys } = &ce.op else {
@@ -348,7 +321,7 @@ fn join_assoc_left(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> 
         // new outer join) and B-vs-C (move to the new inner join).
         let mut inner_on = Vec::new();
         let mut outer_extra = Vec::new();
-        for &(l, r) in &on2 {
+        for &(l, r) in on2 {
             if l < aw {
                 outer_extra.push((l, bw + r));
             } else {
@@ -364,7 +337,7 @@ fn join_assoc_left(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> 
             LogicalOp::Join {
                 kind: JoinKind::Inner,
                 on: inner_on,
-                selectivity: s2,
+                selectivity: *s2,
             },
             vec![Node::Group(bg), Node::Group(cg)],
         );
@@ -406,7 +379,7 @@ fn join_assoc_right(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>>
         let bw = width(memo, bg);
         let mut inner_on = Vec::new();
         let mut outer_extra = Vec::new();
-        for &(l, r) in &on2 {
+        for &(l, r) in on2 {
             if r < bw {
                 inner_on.push((l, r)); // A vs B
             } else {
@@ -422,7 +395,7 @@ fn join_assoc_right(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>>
             LogicalOp::Join {
                 kind: JoinKind::Inner,
                 on: inner_on,
-                selectivity: s2,
+                selectivity: *s2,
             },
             vec![Node::Group(ag), Node::Group(bg)],
         );
@@ -506,7 +479,7 @@ fn sort_remove_redundant(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<N
 
 fn top_sort_fuse(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
     let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Top { k, keys } = op else {
+    let &LogicalOp::Top { k, ref keys } = op else {
         return None;
     };
     let child = children[0];
@@ -701,14 +674,14 @@ fn semi_join_reduction(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Nod
         LogicalOp::Join {
             kind: JoinKind::LeftSemi,
             on: on.clone(),
-            selectivity,
+            selectivity: *selectivity,
         },
         vec![Node::Group(lg), Node::Group(rg)],
     );
     Some(vec![Node::Op(
         LogicalOp::Join {
             kind: JoinKind::Inner,
-            on,
+            on: on.clone(),
             selectivity: new_sel,
         },
         vec![semi, Node::Group(rg)],
@@ -716,15 +689,7 @@ fn semi_join_reduction(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Nod
 }
 
 fn filter_push_process(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
-    let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Filter {
-        predicate,
-        selectivity,
-    } = op
-    else {
-        return None;
-    };
-    let child = children[0];
+    let (predicate, selectivity, child) = filter_parts(memo, gid, eidx)?;
     let mut out = Vec::new();
     for ce in &memo.group(child).lexprs {
         let LogicalOp::Process {
@@ -755,7 +720,7 @@ fn filter_push_process(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Nod
 
 fn top_push_union(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>> {
     let (op, children) = expr_parts(memo, gid, eidx);
-    let LogicalOp::Top { k, keys } = op else {
+    let &LogicalOp::Top { k, ref keys } = op else {
         return None;
     };
     let child = children[0];
@@ -990,6 +955,7 @@ mod tests {
         let (op, children) = memo2.materialize(rewrites[0].clone(), RuleBits::empty());
         let idx = memo2
             .add_to_group(abc, op, children, RuleBits::empty(), 16)
+            .unwrap()
             .unwrap();
         let inner_group = memo2.group(abc).lexprs[idx].children[1];
         let inner_rows = memo2.group(inner_group).stats.rows.actual;
@@ -1378,7 +1344,7 @@ mod tests {
         // (the new union's children already contain Top expressions).
         let prov = RuleBits::empty();
         let (op, ch) = memo.materialize(rewrites[0].clone(), prov);
-        memo.add_to_group(t, op, ch, prov, 8).unwrap();
+        memo.add_to_group(t, op, ch, prov, 8).unwrap().unwrap();
         assert!(apply_transform(TransformKind::TopPushUnion, &memo, t, 1).is_empty());
     }
 
@@ -1432,7 +1398,7 @@ mod tests {
         let rewrites = apply_transform(TransformKind::SemiJoinReduction, &memo, j, 0);
         let prov = RuleBits::empty();
         let (op, ch) = memo.materialize(rewrites[0].clone(), prov);
-        let idx = memo.add_to_group(j, op, ch, prov, 8).unwrap();
+        let idx = memo.add_to_group(j, op, ch, prov, 8).unwrap().unwrap();
         // The new expression's left side is the semi-reduced group; the rule
         // must refuse to reduce again.
         assert!(apply_transform(TransformKind::SemiJoinReduction, &memo, j, idx).is_empty());

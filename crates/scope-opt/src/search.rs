@@ -27,6 +27,7 @@ use scope_ir::stats::NodeStats;
 use scope_ir::NodeId;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// Knobs bounding the search. Defaults approximate a production optimizer's
 /// time budget scaled down to simulation size.
@@ -322,7 +323,7 @@ impl Optimizer {
     ) -> Result<Compiled, CompileError> {
         let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
 
-        self.explore(&mut memo, config);
+        self.explore(&mut memo, config)?;
         self.implement(&mut memo, config, template_seed)?;
         let mut visiting = vec![false; memo.group_count()];
         for &root in &roots {
@@ -399,7 +400,7 @@ impl Optimizer {
     /// disabling a transform can be replayed without re-exploring (a rule
     /// that never fired consumed no budget, so removing it leaves the trace
     /// bit-identical).
-    fn explore(&self, memo: &mut Memo, config: &RuleConfig) -> RuleBits {
+    fn explore(&self, memo: &mut Memo, config: &RuleConfig) -> Result<RuleBits, CompileError> {
         let transforms: Vec<(RuleId, crate::registry::TransformKind, RuleBits)> = self
             .rules
             .transforms_by_promise()
@@ -423,11 +424,11 @@ impl Optimizer {
                 .collect();
             while let Some((g, e)) = worklist.pop_front() {
                 if budget == 0 {
-                    return fired;
+                    return Ok(fired);
                 }
                 for (rule_id, kind, bit) in &transforms {
                     if budget == 0 {
-                        return fired;
+                        return Ok(fired);
                     }
                     let rewrites = apply_transform(*kind, memo, g, e);
                     if !rewrites.is_empty() {
@@ -435,7 +436,7 @@ impl Optimizer {
                     }
                     for node in rewrites {
                         if budget == 0 {
-                            return fired;
+                            return Ok(fired);
                         }
                         budget -= 1;
                         let provenance = memo.group(g).lexprs[e].provenance.union(bit);
@@ -452,14 +453,14 @@ impl Optimizer {
                             children,
                             provenance,
                             self.opts.max_exprs_per_group,
-                        ) {
+                        )? {
                             worklist.push_back((g, idx));
                         }
                     }
                 }
             }
         }
-        fired
+        Ok(fired)
     }
 
     /// The implementation-rule context for a configuration (the policy rules
@@ -518,7 +519,7 @@ impl Optimizer {
             let tag = memo.group(g).lexprs[0].op.tag().to_string();
             return Err(CompileError::NoImplementation { tag });
         }
-        memo.group_mut(g).pexprs = produced;
+        memo.group_mut(g).pexprs = Arc::new(produced);
         Ok(())
     }
 
@@ -552,40 +553,34 @@ impl Optimizer {
         }
         visiting[g.index()] = true;
         let out_stats = memo.group(g).stats;
-        let n = memo.group(g).pexprs.len();
+        // Hold the candidate list while recursing into children (which needs
+        // `&mut memo`): one pointer copy instead of a clone per candidate.
+        let pexprs = Arc::clone(&memo.group(g).pexprs);
         let mut best = Best {
             cost: f64::INFINITY,
             pexpr: usize::MAX,
         };
-        for i in 0..n {
-            let (children, exchanges, pre_local, claimed, op) = {
-                let p = &memo.group(g).pexprs[i];
-                (
-                    p.children.clone(),
-                    p.exchanges.clone(),
-                    p.pre_local.clone(),
-                    p.claimed,
-                    p.op.clone(),
-                )
-            };
+        for (i, p) in pexprs.iter().enumerate() {
             let mut total = 0.0;
-            let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(children.len());
-            for (j, &c) in children.iter().enumerate() {
+            let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(p.children.len());
+            for (j, &c) in p.children.iter().enumerate() {
                 total += self.best_cost(memo, c, visiting);
                 let mut cstats = memo.group(c).stats;
-                if let Some(pre) = pre_local[j] {
+                if let Some(pre) = p.pre_local[j] {
                     let (pc, reduced) = self.cost.pre_local_cost_and_rows(pre, &cstats, &out_stats);
                     total += pc;
                     cstats = reduced;
                 }
-                if let Some(spec) = &exchanges[j] {
+                if let Some(spec) = &p.exchanges[j] {
                     // The consumer's IO knob scales its shuffle edges (e.g.
                     // variants that read compressed/compact shuffle input).
-                    total += self.cost.exchange_cost(spec, &cstats) * claimed.io_mult;
+                    total += self.cost.exchange_cost(spec, &cstats) * p.claimed.io_mult;
                 }
                 edge_stats.push(cstats);
             }
-            total += self.cost.local_cost(&op, &out_stats, &edge_stats, &claimed);
+            total += self
+                .cost
+                .local_cost(&p.op, &out_stats, &edge_stats, &p.claimed);
             if total < best.cost {
                 best = Best {
                     cost: total,
@@ -843,7 +838,7 @@ mod tests {
         );
         let mut memo = Memo::new();
         memo.copy_in(&p);
-        let recursive_fired = opt.explore(&mut memo, &config);
+        let recursive_fired = opt.explore(&mut memo, &config).unwrap();
         assert_eq!(via_tasks.run.fired_transforms, recursive_fired);
     }
 

@@ -265,7 +265,7 @@ impl<'a> TaskEngine<'a> {
         template_seed: u64,
         budget: CompileBudget,
     ) -> Result<EngineRun, CompileError> {
-        let (fired_transforms, outcome) = self.explore(memo, config, budget);
+        let (fired_transforms, outcome) = self.explore(memo, config, budget)?;
         self.implement_all(memo, config, template_seed)?;
         let mut visiting = vec![false; memo.group_count()];
         for &root in roots {
@@ -295,7 +295,7 @@ impl<'a> TaskEngine<'a> {
         memo: &mut Memo,
         config: &RuleConfig,
         budget: CompileBudget,
-    ) -> (RuleBits, BudgetOutcome) {
+    ) -> Result<(RuleBits, BudgetOutcome), CompileError> {
         let transforms: Vec<(RuleId, TransformKind, RuleBits)> = self
             .opt
             .rules()
@@ -322,7 +322,7 @@ impl<'a> TaskEngine<'a> {
                     if self.tasks_executed >= max {
                         // The popped task goes unexecuted too.
                         let tasks_remaining = queue.len() as u64 + 1;
-                        return (fired, BudgetOutcome::Truncated { tasks_remaining });
+                        return Ok((fired, BudgetOutcome::Truncated { tasks_remaining }));
                     }
                 }
                 self.tasks_executed += 1;
@@ -371,7 +371,7 @@ impl<'a> TaskEngine<'a> {
                                 children,
                                 provenance,
                                 opts.max_exprs_per_group,
-                            ) {
+                            )? {
                                 queue.push_back(Task::ExploreExpr(g, idx));
                             }
                         }
@@ -381,7 +381,7 @@ impl<'a> TaskEngine<'a> {
                 }
             }
         }
-        (fired, BudgetOutcome::Complete)
+        Ok((fired, BudgetOutcome::Complete))
     }
 
     /// Implementation epilogue: one ImplementGroup task per memo group, in

@@ -1,6 +1,6 @@
 //! Cluster hardware model and the cloud variance model.
 
-use scope_ir::ids::{hash_value, mix64, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
+use scope_ir::ids::{mix64, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
 use serde::{Deserialize, Serialize};
 
 /// Hardware constants of the simulated cluster.
@@ -132,7 +132,9 @@ impl Cluster {
     /// which differ only in noise.
     #[must_use]
     pub fn config_epoch(&self) -> u64 {
-        hash_value(&self.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT).max(1)
+        self.config
+            .structural_hash(CLUSTER_CONFIG_EPOCH_SALT)
+            .max(1)
     }
 
     /// Stable fingerprint of the full execution environment (hardware *and*
@@ -143,7 +145,7 @@ impl Cluster {
     pub fn epoch(&self) -> u64 {
         mix64(
             self.config_epoch(),
-            hash_value(&self.variance.to_value(), CLUSTER_VARIANCE_EPOCH_SALT),
+            self.variance.structural_hash(CLUSTER_VARIANCE_EPOCH_SALT),
         )
         .max(1)
     }
@@ -199,6 +201,23 @@ mod tests {
         fat.config.tokens_per_job *= 2;
         assert_ne!(fat.config_epoch(), prod.config_epoch());
         assert_ne!(fat.epoch(), prod.epoch());
+    }
+
+    /// Literal values recorded at the last commit that computed epochs by
+    /// serializing (PR 23): they key the stage-graph memo and the
+    /// execution-result cache, so a change here is a deliberate re-key. The
+    /// oracle comparison holds in release too, where no `debug_assert` runs.
+    #[test]
+    fn epochs_keep_their_pinned_values() {
+        let prod = Cluster::default();
+        assert_eq!(prod.config_epoch(), 0x008b_2fb3_18b2_13ea);
+        assert_eq!(prod.epoch(), 0x875e_63c3_1373_dbd6);
+        assert_eq!(Cluster::deterministic().epoch(), 0xa363_544d_18ef_a5f3);
+        assert_eq!(Cluster::preproduction().epoch(), 0xbb8e_ac17_905f_ab0e);
+        assert_eq!(
+            prod.config_epoch(),
+            scope_ir::ids::hash_value(&prod.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT)
+        );
     }
 
     #[test]

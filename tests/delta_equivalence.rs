@@ -230,3 +230,59 @@ fn shared_delta_compiler_amortizes_base_memos_across_slates() {
         "the second slate of each plan reuses the cached base"
     );
 }
+
+/// A base memo is shared, not copied: pricing a 20-treatment slate against
+/// one `BaseMemo` from two threads at once — every treatment forks the memo
+/// by pointer copy and rewrites only its own physical half — leaves the
+/// base's `Compiled` bit-identical and every priced result equal to a
+/// from-scratch compile. In debug builds each delta pass also asserts that
+/// every forked group's logical half is still the base's own allocation
+/// (`Arc::ptr_eq`); `scope_opt::delta`'s unit tests check that, and every
+/// `Best` entry, directly — the memo is not reachable from out here.
+#[test]
+fn a_base_memo_priced_from_two_threads_is_shared_and_unchanged() {
+    let (optimizer, jobs) = seeded_day();
+    let default = optimizer.default_config();
+    let job = &jobs[0];
+    let base = BaseMemo::build(&optimizer, &job.plan, &default).unwrap();
+    let before = base.compiled().clone();
+    // 20 treatments that take the delta path (implementation-layer flips).
+    let slate: Vec<RuleConfig> = optimizer
+        .rules()
+        .flippable()
+        .map(|rule| {
+            default.with_flip(RuleFlip {
+                rule,
+                enable: !default.enabled(rule),
+            })
+        })
+        .filter(|t| matches!(base.price(&optimizer, t), PricedTreatment::Delta(_)))
+        .take(20)
+        .collect();
+    assert_eq!(slate.len(), 20);
+    let scratch: Vec<_> = slate
+        .iter()
+        .map(|t| optimizer.compile(&job.plan, t))
+        .collect();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for (treatment, expected) in slate.iter().zip(&scratch) {
+                    match base.price(&optimizer, treatment) {
+                        PricedTreatment::Delta(priced) => assert_eq!(&priced, expected),
+                        other => panic!("delta flip re-classified as {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(*base.compiled(), before);
+    assert_eq!(
+        base.compiled().est_cost.to_bits(),
+        before.est_cost.to_bits()
+    );
+    assert_eq!(
+        base.compiled().physical.fingerprint(),
+        before.physical.fingerprint()
+    );
+}
