@@ -281,6 +281,7 @@ mod tests {
                 },
                 sorted: false,
                 compressed: false,
+                bytes: 0.0,
             },
             &input,
         );
@@ -289,6 +290,7 @@ mod tests {
                 scheme: Partitioning::Broadcast,
                 sorted: false,
                 compressed: false,
+                bytes: 0.0,
             },
             &input,
         );
@@ -306,6 +308,7 @@ mod tests {
             },
             sorted: false,
             compressed,
+            bytes: 0.0,
         };
         assert!(m.exchange_cost(&spec(true), &input) < m.exchange_cost(&spec(false), &input));
     }
@@ -321,6 +324,7 @@ mod tests {
             },
             sorted: false,
             compressed: false,
+            bytes: 0.0,
         };
         let sorted = ExchangeSpec {
             sorted: true,

@@ -415,9 +415,7 @@ impl BaseMemo {
             .collect();
         let mut memo = self.memo.fork_for_delta();
         let mut engine = TaskEngine::new(optimizer);
-        if let Err(e) =
-            engine.replay_implement(&mut memo, &reimplement, treatment, self.template_seed)
-        {
+        if let Err(e) = engine.replay_implement(&mut memo, &reimplement, treatment) {
             return (engine.tasks_executed, Err(e));
         }
         let mut stale = reimplement;
@@ -924,7 +922,7 @@ mod tests {
         let mut fork = base.memo.fork_for_delta();
         let all = vec![true; groups.len()];
         TaskEngine::new(&opt)
-            .replay_implement(&mut fork, &all, &treatment, base.template_seed)
+            .replay_implement(&mut fork, &all, &treatment)
             .unwrap();
         for &g in &groups {
             fork.group_mut(g).best = None;

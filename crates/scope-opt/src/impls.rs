@@ -5,22 +5,28 @@
 //! edge, whether data must be moved (and how) by comparing the child group's
 //! natural distribution with the operator's requirement, subject to the
 //! `ShuffleElimination` policy rule.
+//!
+//! Implement once, tune many: the fallback rule and every parametric variant
+//! implement a logical expression *canonically*, so they differ only in
+//! tuning and share one [`PShape`] (`build_shape` with no `ImplKind`).
+//! Nothing here depends on a candidate's tuning — exchange partition counts
+//! are sized and per-template truth is drawn at extraction, for the winner
+//! only (`sized_scheme`, `Optimizer::extract`).
 
-use crate::memo::{Dist, ExchangeSpec, GroupId, Memo, PExpr, PreLocal};
-use crate::registry::{ImplKind, ParametricSpec, RuleBehavior, RuleDef, RuleSet};
+use crate::memo::{Dist, ExchangeSpec, GroupId, Memo, PExpr, PShape, PreLocal};
+use crate::registry::{ImplKind, ParametricSpec, RuleBehavior, RuleDef};
 use crate::search::SearchOptions;
 use scope_ir::logical::LogicalOp;
 use scope_ir::physical::{AggMode, Partitioning, PhysicalOp, PhysicalTuning, ScanVariant};
+use std::sync::Arc;
 
 /// Context shared across implementation-rule applications for one compile.
 pub struct ImplContext<'a> {
-    pub rules: &'a RuleSet,
     pub opts: &'a SearchOptions,
     /// `ShuffleElimination` policy rule enabled.
     pub shuffle_elimination: bool,
     /// `IntermediateCompression` policy rule enabled.
     pub compression: bool,
-    pub template_seed: u64,
 }
 
 /// Number of partitions for an exchange moving approximately `bytes_est`
@@ -36,120 +42,149 @@ pub fn choose_partitions(bytes_est: f64, opts: &SearchOptions, parallelism_mult:
     (scaled as u32).clamp(1, opts.max_partitions)
 }
 
-/// Apply one implementation or parametric rule to a logical expression.
-/// Returns `None` when the rule does not apply (wrong operator, inputs out
-/// of its applicability envelope, …).
+/// The partitioning an exchange of a shape takes under the consumer's
+/// `claimed` tuning: a hash or range scheme gets its partition count sized
+/// from the bytes it moves, scaled by the consumer's IO knob (the bytes its
+/// shuffle edges move) and parallelism knob; broadcast and gather are fixed.
 #[must_use]
-pub fn implement_expr(
+pub(crate) fn sized_scheme(
+    spec: &ExchangeSpec,
+    claimed: &PhysicalTuning,
+    opts: &SearchOptions,
+) -> Partitioning {
+    let partitions =
+        || choose_partitions(spec.bytes * claimed.io_mult, opts, claimed.parallelism_mult);
+    match &spec.scheme {
+        Partitioning::Hash { columns, .. } => Partitioning::Hash {
+            columns: columns.clone(),
+            partitions: partitions(),
+        },
+        Partitioning::Range { columns, .. } => Partitioning::Range {
+            columns: columns.clone(),
+            partitions: partitions(),
+        },
+        fixed => fixed.clone(),
+    }
+}
+
+/// Apply one implementation or parametric rule to a logical expression.
+/// A concrete `Implement(kind)` rule builds its own shape; the fallback and
+/// parametric rules share `canonical` (the expression's canonical
+/// [`build_shape`]) and differ only in claimed tuning. Returns `None` when
+/// the rule does not apply (wrong operator, inputs out of its applicability
+/// envelope, …).
+#[must_use]
+pub(crate) fn implement_expr(
     rule: &RuleDef,
     memo: &Memo,
     gid: GroupId,
     eidx: usize,
+    canonical: Option<&Arc<PShape>>,
     ctx: &ImplContext<'_>,
 ) -> Option<PExpr> {
     let expr = &memo.group(gid).lexprs[eidx];
-    let mut provenance = expr.provenance;
-    provenance.insert(rule.id);
-    let (claimed, actual) = match &rule.behavior {
-        RuleBehavior::Implement(ImplKind::NestedLoopJoin) => {
-            // Nested loop is modelled as a single-partition join with a
-            // steep CPU penalty (its quadratic work), honest on both sides.
-            let t = PhysicalTuning {
-                cpu_mult: 6.0,
-                io_mult: 1.0,
-                parallelism_mult: 1.0,
+    let (claimed, shape) = match &rule.behavior {
+        RuleBehavior::Implement(kind) => {
+            let claimed = if *kind == ImplKind::NestedLoopJoin {
+                // Nested loop is modelled as a single-partition join with a
+                // steep CPU penalty (its quadratic work), honest on both
+                // sides.
+                PhysicalTuning {
+                    cpu_mult: 6.0,
+                    io_mult: 1.0,
+                    parallelism_mult: 1.0,
+                }
+            } else {
+                PhysicalTuning::IDENTITY
             };
-            (t, t)
+            (
+                claimed,
+                Arc::new(build_shape(memo, gid, eidx, Some(*kind), ctx)?),
+            )
         }
-        RuleBehavior::Implement(_) => (PhysicalTuning::IDENTITY, PhysicalTuning::IDENTITY),
-        RuleBehavior::FallbackImpl => {
-            let t = PhysicalTuning {
+        RuleBehavior::FallbackImpl => (
+            PhysicalTuning {
                 cpu_mult: ctx.opts.fallback_cpu_penalty,
                 io_mult: ctx.opts.fallback_io_penalty,
                 parallelism_mult: 1.0,
-            };
-            (t, t)
-        }
+            },
+            Arc::clone(canonical?),
+        ),
         RuleBehavior::Parametric(spec) => {
             if !parametric_matches(spec, &expr.op) {
                 return None;
             }
-            (
-                spec.claimed,
-                ctx.rules.actual_tuning(rule.id, ctx.template_seed),
-            )
+            (spec.claimed, Arc::clone(canonical?))
         }
         _ => return None,
     };
-    let kind = match &rule.behavior {
-        RuleBehavior::Implement(kind) => Some(*kind),
-        _ => None,
-    };
-    build_pexpr(
-        memo, gid, eidx, kind, rule, claimed, actual, provenance, ctx,
-    )
+    let mut provenance = expr.provenance;
+    provenance.insert(rule.id);
+    Some(PExpr {
+        shape,
+        claimed,
+        rule: rule.id,
+        provenance,
+    })
 }
 
-/// Construct the physical expression. `kind == None` means "canonical
-/// implementation for this operator" (fallback and parametric rules).
-#[allow(clippy::too_many_arguments)]
-fn build_pexpr(
+/// Construct the physical shape. `kind == None` means "canonical
+/// implementation for this operator": what the fallback rule and every
+/// matching parametric rule share (`None` back only for an operator without
+/// one; there is none today). Hash and range partition counts are left 0 for
+/// [`sized_scheme`] to fill in.
+pub(crate) fn build_shape(
     memo: &Memo,
     gid: GroupId,
     eidx: usize,
     kind: Option<ImplKind>,
-    rule: &RuleDef,
-    claimed: PhysicalTuning,
-    actual: PhysicalTuning,
-    provenance: crate::config::RuleBits,
     ctx: &ImplContext<'_>,
-) -> Option<PExpr> {
+) -> Option<PShape> {
     let expr = &memo.group(gid).lexprs[eidx];
-    let children = expr.children.clone();
+    let children = &expr.children;
     let child_stats = |i: usize| memo.group(children[i]).stats;
     let child_dist = |i: usize| &memo.group(children[i]).dist;
     let mk = |op: PhysicalOp,
               exchanges: Vec<Option<ExchangeSpec>>,
               pre_local: Vec<Option<PreLocal>>,
               elided: bool| {
-        Some(PExpr {
+        Some(PShape {
             op,
             children: children.clone(),
             exchanges,
             pre_local,
-            claimed,
-            actual,
-            rule: rule.id,
-            provenance,
             elided_exchange: elided,
         })
     };
-    // The consumer's IO knob scales the bytes its shuffle edges move, so it
-    // participates in partition sizing as well.
-    let hash_exchange = |cols: Vec<usize>, bytes: f64| ExchangeSpec {
-        scheme: Partitioning::Hash {
-            columns: cols,
-            partitions: choose_partitions(
-                bytes * claimed.io_mult,
-                ctx.opts,
-                claimed.parallelism_mult,
-            ),
-        },
-        sorted: false,
+    let exchange = |scheme: Partitioning, sorted: bool, bytes: f64| ExchangeSpec {
+        scheme,
+        sorted,
         compressed: ctx.compression,
+        bytes,
     };
-    let range_exchange = |cols: Vec<usize>, bytes: f64| ExchangeSpec {
-        scheme: Partitioning::Range {
-            columns: cols,
-            partitions: choose_partitions(
-                bytes * claimed.io_mult,
-                ctx.opts,
-                claimed.parallelism_mult,
-            ),
-        },
-        sorted: true,
-        compressed: ctx.compression,
+    let hash_exchange = |columns: Vec<usize>, bytes: f64| {
+        let partitions = 0;
+        exchange(
+            Partitioning::Hash {
+                columns,
+                partitions,
+            },
+            false,
+            bytes,
+        )
     };
+    let range_exchange = |columns: Vec<usize>, bytes: f64| {
+        let partitions = 0;
+        exchange(
+            Partitioning::Range {
+                columns,
+                partitions,
+            },
+            true,
+            bytes,
+        )
+    };
+    let gather = |sorted: bool| exchange(Partitioning::Gather, sorted, 0.0);
 
     match (&expr.op, kind) {
         (LogicalOp::Extract { table }, Some(ImplKind::Scan) | None) => mk(
@@ -249,14 +284,7 @@ fn build_pexpr(
                             kind: *jk,
                             on: on.clone(),
                         },
-                        vec![
-                            None,
-                            Some(ExchangeSpec {
-                                scheme: Partitioning::Broadcast,
-                                sorted: false,
-                                compressed: ctx.compression,
-                            }),
-                        ],
+                        vec![None, Some(exchange(Partitioning::Broadcast, false, 0.0))],
                         vec![None, None],
                         false,
                     )
@@ -267,19 +295,12 @@ fn build_pexpr(
                     if lrows * rrows > ctx.opts.nested_loop_limit {
                         return None;
                     }
-                    let gather = || {
-                        Some(ExchangeSpec {
-                            scheme: Partitioning::Gather,
-                            sorted: false,
-                            compressed: ctx.compression,
-                        })
-                    };
                     mk(
                         PhysicalOp::HashJoin {
                             kind: *jk,
                             on: on.clone(),
                         },
-                        vec![gather(), gather()],
+                        vec![Some(gather(false)), Some(gather(false))],
                         vec![None, None],
                         false,
                     )
@@ -290,15 +311,11 @@ fn build_pexpr(
         (LogicalOp::Aggregate { group_by, aggs, .. }, akind) => {
             let bytes = child_stats(0).estimated_bytes();
             let keyed = !group_by.is_empty();
-            let key_exchange = |compressed_ctx: &ImplContext<'_>| {
+            let key_exchange = || {
                 if keyed {
                     hash_exchange(group_by.clone(), bytes)
                 } else {
-                    ExchangeSpec {
-                        scheme: Partitioning::Gather,
-                        sorted: false,
-                        compressed: compressed_ctx.compression,
-                    }
+                    gather(false)
                 }
             };
             match akind {
@@ -311,7 +328,7 @@ fn build_pexpr(
                         elided = true;
                         None
                     } else {
-                        Some(key_exchange(ctx))
+                        Some(key_exchange())
                     };
                     mk(
                         PhysicalOp::HashAggregate {
@@ -379,11 +396,7 @@ fn build_pexpr(
                 k: *k,
                 keys: keys.clone(),
             },
-            vec![Some(ExchangeSpec {
-                scheme: Partitioning::Gather,
-                sorted: true,
-                compressed: ctx.compression,
-            })],
+            vec![Some(gather(true))],
             vec![Some(PreLocal::LocalTopK(*k))],
             false,
         ),
@@ -438,9 +451,10 @@ fn build_pexpr(
     }
 }
 
-/// Whether a parametric spec's target matches a logical operator. Join
-/// parametric variants only decorate inner-join implementations (semi joins
-/// introduced by rewrites keep canonical implementations).
+/// Whether a parametric spec's target matches a logical operator: its tag,
+/// whatever the operator's parameters. Join variants therefore decorate every
+/// `Join` — `LeftSemi` joins introduced by rewrites included — which is also
+/// the tag-level granularity `crate::delta` dirties groups at.
 #[must_use]
 pub fn parametric_matches(spec: &ParametricSpec, op: &LogicalOp) -> bool {
     spec.target == op.tag()
@@ -451,20 +465,26 @@ mod tests {
     use super::*;
     use crate::config::RuleBits;
     use crate::registry::RuleSet;
-    use crate::search::SearchOptions;
+    use crate::search::{Optimizer, SearchOptions};
     use scope_ir::expr::ScalarExpr;
     use scope_ir::logical::{JoinKind, TableRef};
     use scope_ir::schema::{Column, DataType, Schema};
     use scope_ir::stats::DualStats;
+    use scope_lang::{bind_script, Catalog, TableInfo};
 
-    fn ctx<'a>(rules: &'a RuleSet, opts: &'a SearchOptions) -> ImplContext<'a> {
+    fn ctx(opts: &SearchOptions) -> ImplContext<'_> {
         ImplContext {
-            rules,
             opts,
             shuffle_elimination: true,
             compression: false,
-            template_seed: 42,
         }
+    }
+
+    /// [`implement_expr`] on a group's first expression, with its canonical
+    /// shape built the way `Optimizer::implement_group` builds it.
+    fn implement(rule: &RuleDef, memo: &Memo, g: GroupId, c: &ImplContext<'_>) -> Option<PExpr> {
+        let canonical = build_shape(memo, g, 0, None, c).map(Arc::new);
+        implement_expr(rule, memo, g, 0, canonical.as_ref(), c)
     }
 
     fn scan(memo: &mut Memo, name: &str, rows: f64, row_len: u16) -> GroupId {
@@ -481,8 +501,35 @@ mod tests {
         )
     }
 
+    fn join(memo: &mut Memo, kind: JoinKind, l: GroupId, r: GroupId, sel: f64) -> GroupId {
+        memo.intern(
+            LogicalOp::Join {
+                kind,
+                on: vec![(0, 0)],
+                selectivity: DualStats::exact(sel),
+            },
+            vec![l, r],
+            RuleBits::empty(),
+        )
+    }
+
     fn rule_named<'a>(rules: &'a RuleSet, name: &str) -> &'a RuleDef {
         rules.rules().iter().find(|r| r.name == name).unwrap()
+    }
+
+    /// The first parametric rule targeting `tag` that passes `keep`.
+    fn parametric<'a>(
+        rules: &'a RuleSet,
+        tag: &str,
+        keep: impl Fn(&RuleDef) -> bool,
+    ) -> &'a RuleDef {
+        rules
+            .rules()
+            .iter()
+            .find(|r| {
+                matches!(&r.behavior, RuleBehavior::Parametric(s) if s.target == tag) && keep(r)
+            })
+            .unwrap()
     }
 
     #[test]
@@ -503,27 +550,12 @@ mod tests {
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e7, 20);
         let b = scan(&mut memo, "b", 1e7, 20);
-        let j = memo.intern(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                on: vec![(0, 0)],
-                selectivity: DualStats::exact(1e-7),
-            },
-            vec![a, b],
-            RuleBits::empty(),
-        );
-        let p = implement_expr(
-            rule_named(&rules, "HashJoinImpl"),
-            &memo,
-            j,
-            0,
-            &ctx(&rules, &opts),
-        )
-        .unwrap();
-        assert!(matches!(p.op, PhysicalOp::HashJoin { .. }));
-        assert!(p.exchanges[0].is_some());
-        assert!(p.exchanges[1].is_some());
-        assert!(!p.elided_exchange);
+        let j = join(&mut memo, JoinKind::Inner, a, b, 1e-7);
+        let p = implement(rule_named(&rules, "HashJoinImpl"), &memo, j, &ctx(&opts)).unwrap();
+        assert!(matches!(p.shape.op, PhysicalOp::HashJoin { .. }));
+        assert!(p.shape.exchanges[0].is_some());
+        assert!(p.shape.exchanges[1].is_some());
+        assert!(!p.shape.elided_exchange);
     }
 
     #[test]
@@ -534,34 +566,18 @@ mod tests {
         let a = scan(&mut memo, "a", 1e8, 40);
         let small = scan(&mut memo, "s", 1000.0, 10);
         let big = scan(&mut memo, "bigt", 1e8, 40);
-        let j_small = memo.intern(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                on: vec![(0, 0)],
-                selectivity: DualStats::exact(1e-8),
-            },
-            vec![a, small],
-            RuleBits::empty(),
-        );
-        let j_big = memo.intern(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                on: vec![(0, 0)],
-                selectivity: DualStats::exact(1e-8),
-            },
-            vec![a, big],
-            RuleBits::empty(),
-        );
-        let c = ctx(&rules, &opts);
+        let j_small = join(&mut memo, JoinKind::Inner, a, small, 1e-8);
+        let j_big = join(&mut memo, JoinKind::Inner, a, big, 1e-8);
+        let c = ctx(&opts);
         let bc = rule_named(&rules, "BroadcastJoinImpl");
-        let ok = implement_expr(bc, &memo, j_small, 0, &c).unwrap();
-        assert!(ok.exchanges[0].is_none(), "probe side stays in place");
+        let ok = implement(bc, &memo, j_small, &c).unwrap();
+        assert!(ok.shape.exchanges[0].is_none(), "probe side stays in place");
         assert!(matches!(
-            ok.exchanges[1].as_ref().unwrap().scheme,
+            ok.shape.exchanges[1].as_ref().unwrap().scheme,
             Partitioning::Broadcast
         ));
         assert!(
-            implement_expr(bc, &memo, j_big, 0, &c).is_none(),
+            implement(bc, &memo, j_big, &c).is_none(),
             "big side not broadcast"
         );
     }
@@ -574,15 +590,7 @@ mod tests {
         let a = scan(&mut memo, "a", 1e7, 20);
         let b = scan(&mut memo, "b", 1e7, 20);
         // First join partitions output on left key 0.
-        let j1 = memo.intern(
-            LogicalOp::Join {
-                kind: JoinKind::Inner,
-                on: vec![(0, 0)],
-                selectivity: DualStats::exact(1e-7),
-            },
-            vec![a, b],
-            RuleBits::empty(),
-        );
+        let j1 = join(&mut memo, JoinKind::Inner, a, b, 1e-7);
         // Aggregate on column 0 of the join output: already hash-distributed.
         let g = memo.intern(
             LogicalOp::Aggregate {
@@ -593,15 +601,15 @@ mod tests {
             vec![j1],
             RuleBits::empty(),
         );
-        let c = ctx(&rules, &opts);
-        let p = implement_expr(rule_named(&rules, "HashAggImpl"), &memo, g, 0, &c).unwrap();
-        assert!(p.exchanges[0].is_none(), "exchange eliminated");
-        assert!(p.elided_exchange);
+        let c = ctx(&opts);
+        let p = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c).unwrap();
+        assert!(p.shape.exchanges[0].is_none(), "exchange eliminated");
+        assert!(p.shape.elided_exchange);
         // With the policy off, the exchange is materialized.
-        let mut c_off = ctx(&rules, &opts);
+        let mut c_off = ctx(&opts);
         c_off.shuffle_elimination = false;
-        let p2 = implement_expr(rule_named(&rules, "HashAggImpl"), &memo, g, 0, &c_off).unwrap();
-        assert!(p2.exchanges[0].is_some());
+        let p2 = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c_off).unwrap();
+        assert!(p2.shape.exchanges[0].is_some());
     }
 
     #[test]
@@ -629,24 +637,28 @@ mod tests {
             vec![a],
             RuleBits::empty(),
         );
-        let c = ctx(&rules, &opts);
+        let c = ctx(&opts);
         let split = rule_named(&rules, "AggSplitLocalGlobal");
-        let p = implement_expr(split, &memo, ok, 0, &c).unwrap();
-        assert_eq!(p.pre_local[0], Some(PreLocal::PartialAgg));
+        let p = implement(split, &memo, ok, &c).unwrap();
+        assert_eq!(p.shape.pre_local[0], Some(PreLocal::PartialAgg));
         assert!(matches!(
-            p.op,
+            p.shape.op,
             PhysicalOp::HashAggregate {
                 mode: AggMode::Final,
                 ..
             }
         ));
-        assert!(implement_expr(split, &memo, bad, 0, &c).is_none());
+        assert!(implement(split, &memo, bad, &c).is_none());
     }
 
+    /// A parametric candidate carries only its claimed tuning; the
+    /// per-template truth reaches the plan when the candidate wins and is
+    /// emitted — as `actual_tuning(rule, template_seed)`.
     #[test]
     fn parametric_rule_carries_claimed_and_actual_tuning() {
-        let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
+        let opt = Optimizer::default();
+        let rules = opt.rules();
+        let config = opt.default_config();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
         let f = memo.intern(
@@ -657,17 +669,37 @@ mod tests {
             vec![a],
             RuleBits::empty(),
         );
-        let c = ctx(&rules, &opts);
-        // Find a parametric rule targeting Filter.
-        let prule = rules
-            .rules()
-            .iter()
-            .find(|r| matches!(&r.behavior, RuleBehavior::Parametric(s) if s.target == "Filter"))
-            .unwrap();
-        let p = implement_expr(prule, &memo, f, 0, &c).unwrap();
+        let out = memo.intern(
+            LogicalOp::Output {
+                path: "out/f".into(),
+            },
+            vec![f],
+            RuleBits::empty(),
+        );
+        let c = opt.impl_context(&config);
+        for g in [a, f, out] {
+            opt.implement_group(&mut memo, g, &config, &c).unwrap();
+        }
+        // A default-on variant: stable, so extraction cannot fail on it.
+        let prule = parametric(rules, "Filter", |r| r.category.default_on());
+        let p = implement(prule, &memo, f, &c).unwrap();
         assert!(!p.claimed.is_identity());
-        assert_eq!(p.actual, rules.actual_tuning(prule.id, 42));
         assert!(p.provenance.contains(prule.id));
+        // Make it the filter group's only candidate, so it wins.
+        memo.group_mut(f).pexprs = Arc::new(vec![p]);
+        let mut visiting = vec![false; memo.group_count()];
+        opt.best_cost(&mut memo, out, &mut visiting);
+        let compiled = opt
+            .extract(&memo, &[out], 42, config.bits().fingerprint())
+            .unwrap();
+        let filter = compiled
+            .physical
+            .nodes()
+            .iter()
+            .find(|n| matches!(n.op, PhysicalOp::FilterExec { .. }))
+            .unwrap();
+        assert_eq!(filter.tuning, rules.actual_tuning(prule.id, 42));
+        assert_ne!(filter.tuning, rules.actual_tuning(prule.id, 43));
     }
 
     #[test]
@@ -676,11 +708,10 @@ mod tests {
         let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
-        let c = ctx(&rules, &opts);
-        let fb = rule_named(&rules, "FallbackExec");
-        let p = implement_expr(fb, &memo, a, 0, &c).unwrap();
+        let fallback = rules.rule(crate::registry::RULE_FALLBACK_EXEC);
+        let p = implement(fallback, &memo, a, &ctx(&opts)).unwrap();
         assert!((p.claimed.cpu_mult - opts.fallback_cpu_penalty).abs() < 1e-12);
-        assert!(matches!(p.op, PhysicalOp::TableScan { .. }));
+        assert!(matches!(p.shape.op, PhysicalOp::TableScan { .. }));
     }
 
     #[test]
@@ -698,15 +729,123 @@ mod tests {
             vec![a],
             RuleBits::empty(),
         );
-        let c = ctx(&rules, &opts);
-        assert!(
-            implement_expr(rule_named(&rules, "StreamAggImpl"), &memo, global, 0, &c).is_none()
-        );
+        let c = ctx(&opts);
+        assert!(implement(rule_named(&rules, "StreamAggImpl"), &memo, global, &c).is_none());
         // HashAgg on a global aggregate gathers to one partition.
-        let p = implement_expr(rule_named(&rules, "HashAggImpl"), &memo, global, 0, &c).unwrap();
+        let p = implement(rule_named(&rules, "HashAggImpl"), &memo, global, &c).unwrap();
         assert!(matches!(
-            p.exchanges[0].as_ref().unwrap().scheme,
+            p.shape.exchanges[0].as_ref().unwrap().scheme,
             Partitioning::Gather
         ));
+    }
+
+    /// Parametric join variants match on the tag alone, so they decorate a
+    /// `LeftSemi` join too (`delta::classify` dirties groups at the same
+    /// granularity); pinned because narrowing it would move steering.
+    #[test]
+    fn parametric_join_variants_decorate_semi_joins() {
+        let rules = RuleSet::standard();
+        let opts = SearchOptions::default();
+        let mut memo = Memo::new();
+        let a = scan(&mut memo, "a", 1e6, 20);
+        let b = scan(&mut memo, "b", 1e4, 20);
+        let semi = join(&mut memo, JoinKind::LeftSemi, a, b, 1e-4);
+        let prule = parametric(&rules, "Join", |_| true);
+        let RuleBehavior::Parametric(spec) = &prule.behavior else {
+            unreachable!()
+        };
+        assert!(parametric_matches(spec, &memo.group(semi).lexprs[0].op));
+        let p = implement(prule, &memo, semi, &ctx(&opts)).unwrap();
+        assert!(matches!(
+            p.shape.op,
+            PhysicalOp::HashJoin {
+                kind: JoinKind::LeftSemi,
+                ..
+            }
+        ));
+        assert_eq!(p.claimed, spec.claimed);
+    }
+
+    /// Implement once, tune many, on a join + aggregate script under the
+    /// default configuration: the fallback and every parametric candidate of
+    /// one logical expression share one shape, a `PExpr` is only that shape
+    /// plus its own tuning and provenance, and the emitted hash exchanges have
+    /// the partition counts the eager per-candidate sizing gave (recorded at
+    /// the parent of this change, along with the plan's fingerprint).
+    #[test]
+    fn candidates_share_canonical_shapes_and_winners_are_sized_at_extraction() {
+        let script = r#"
+            sales = EXTRACT user:int, item:int, spend:float FROM "store/sales";
+            users = EXTRACT user:int, region:string FROM "store/users";
+            j     = SELECT * FROM sales AS s JOIN users AS u ON s.user == u.user;
+            agg   = SELECT region, SUM(spend) AS total FROM j GROUP BY region;
+            OUTPUT agg TO "out/by_region";
+        "#;
+        let mut catalog = Catalog::default();
+        let rows = |n: f64| TableInfo {
+            rows: DualStats::exact(n),
+        };
+        catalog.register("store/sales", rows(1e8));
+        catalog.register("store/users", rows(5e6));
+        let plan = bind_script(script, &catalog).unwrap();
+        let opt = Optimizer::default();
+        let full = opt.compile_full(&plan, &opt.default_config()).unwrap();
+
+        let mut shared = 0;
+        for g in full.memo.group_ids() {
+            let group = full.memo.group(g);
+            let mut variants: Vec<&PExpr> = Vec::new();
+            let mut fallbacks = 0;
+            for p in group.pexprs.iter() {
+                // Exhaustive: a new field (an op, a Vec) fails to compile here.
+                let PExpr {
+                    shape,
+                    claimed: _,
+                    rule,
+                    provenance: _,
+                } = p;
+                match opt.rules().rule(*rule).behavior {
+                    RuleBehavior::Parametric(_) => variants.push(p),
+                    RuleBehavior::FallbackImpl => {
+                        fallbacks += 1;
+                        for v in variants.drain(..) {
+                            assert!(Arc::ptr_eq(&v.shape, shape), "{g}: {}", v.rule);
+                            shared += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert!(
+                variants.is_empty(),
+                "{g}: each expression ends with its fallback"
+            );
+            assert_eq!(
+                fallbacks,
+                group.lexprs.len(),
+                "{g}: one fallback per expression"
+            );
+        }
+        assert!(shared > 20, "parametric variants share shapes: {shared}");
+
+        let compiled = &full.run.compiled;
+        let partitions: Vec<u32> = compiled
+            .physical
+            .nodes()
+            .iter()
+            .filter_map(|n| match &n.op {
+                PhysicalOp::Exchange {
+                    scheme: scheme @ (Partitioning::Hash { .. } | Partitioning::Range { .. }),
+                } => Some(scheme.partitions()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(partitions, [64, 64, 256]);
+        // The join's winner is a parametric variant, so its claimed tuning
+        // sized the join's two exchanges.
+        assert!(compiled
+            .signature
+            .contains(rule_named(opt.rules(), "JoinPrefetch209").id));
+        assert_eq!(compiled.physical.fingerprint(), 0x359f_1150_9b4c_b528);
     }
 }

@@ -22,8 +22,8 @@
 //!   when the group is interned and never revised — equivalent expressions
 //!   added later share them by the group equivalence contract (rewrites are
 //!   cardinality-preserving on the group's output).
-//! * **Physical children mirror logical children.** Every [`PExpr`] built by
-//!   `crate::impls` copies its logical expression's child-group list
+//! * **Physical children mirror logical children.** Every [`PShape`] built
+//!   by `crate::impls` copies its logical expression's child-group list
 //!   verbatim, so the logical edges are the complete group-dependency graph
 //!   — the delta compiler derives its invalidation (reverse-edge) closure
 //!   from them alone.
@@ -105,11 +105,17 @@ pub struct MExpr {
 /// An exchange on one input edge of a physical expression.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeSpec {
+    /// In a [`PShape`], a hash or range scheme's partition count is left 0:
+    /// it depends on the candidate's claimed tuning, and the cost model never
+    /// reads it, so extraction sizes it for the winner only (from `bytes`).
     pub scheme: Partitioning,
     /// Range exchanges deliver sorted runs (adds a sort cost component).
     pub sorted: bool,
     /// Intermediate-compression policy applied to this edge.
     pub compressed: bool,
+    /// Estimated bytes the exchange moves, before the consumer's IO knob:
+    /// what a hash or range partition count is sized from.
+    pub bytes: f64,
 }
 
 /// Local pre-reduction applied on the producer side of an exchange.
@@ -121,29 +127,37 @@ pub enum PreLocal {
     LocalTopK(u64),
 }
 
-/// A physical expression: an implementation choice for one logical
-/// expression, with per-edge exchanges and dual tuning.
+/// The physical shape of an implementation: operator, input edges and the
+/// exchanges on them — everything about a candidate but its tuning. The
+/// fallback rule and every parametric variant of one logical expression
+/// implement it canonically, so they share one `Arc<PShape>`.
 #[derive(Debug, Clone)]
-pub struct PExpr {
+pub struct PShape {
     pub op: PhysicalOp,
     pub children: Vec<GroupId>,
     /// Per-child-edge exchange requirement (None = pipelined locally).
     pub exchanges: Vec<Option<ExchangeSpec>>,
     /// Per-child-edge producer-side pre-reduction.
     pub pre_local: Vec<Option<PreLocal>>,
+    /// Whether the `ShuffleElimination` policy removed at least one input
+    /// exchange from this shape (credits the policy rule in the signature).
+    pub elided_exchange: bool,
+}
+
+/// A physical expression: one implementation rule's candidate for a logical
+/// expression — a shared [`PShape`] plus the tuning the cost model sees. The
+/// runtime's per-template truth (`actual` tuning) is drawn at extraction,
+/// for the winner only.
+#[derive(Debug, Clone)]
+pub struct PExpr {
+    pub shape: Arc<PShape>,
     /// Tuning the cost model sees.
     pub claimed: PhysicalTuning,
-    /// Tuning the runtime simulator sees (per-template truth).
-    pub actual: PhysicalTuning,
     /// Implementation rule that produced this expression.
     pub rule: RuleId,
     /// Provenance inherited from the implemented logical expression plus
     /// `rule` itself.
     pub provenance: RuleBits,
-    /// Whether the `ShuffleElimination` policy removed at least one input
-    /// exchange from this expression (credits the policy rule in the
-    /// signature).
-    pub elided_exchange: bool,
 }
 
 /// The winner of a group after costing: the **first** index among the

@@ -188,6 +188,9 @@ pub struct RuleSet {
     /// the implementation pass's innermost loop (once per logical
     /// expression per compile, and again per dirty group per delta pass).
     impls_by_tag: rustc_hash::FxHashMap<&'static str, Vec<u16>>,
+    /// Transform rule ids in descending promise order, precomputed for the
+    /// same reason: every compile's exploration walks them.
+    transforms_by_promise: Vec<u16>,
 }
 
 impl RuleSet {
@@ -543,10 +546,21 @@ impl RuleSet {
             };
             impls_by_tag.entry(tag).or_default().push(r.id.0);
         }
+        let mut transforms: Vec<&RuleDef> = rules
+            .iter()
+            .filter(|r| matches!(r.behavior, RuleBehavior::Transform(_)))
+            .collect();
+        transforms.sort_by(|a, b| b.promise.total_cmp(&a.promise).then(a.id.0.cmp(&b.id.0)));
+        let transforms_by_promise = transforms.iter().map(|r| r.id.0).collect();
+        debug_assert!(matches!(
+            rules[RULE_FALLBACK_EXEC.index()].behavior,
+            RuleBehavior::FallbackImpl
+        ));
         Self {
             rules,
             default_config: RuleConfig::from_bits(default_bits),
             impls_by_tag,
+            transforms_by_promise,
         }
     }
 
@@ -572,16 +586,11 @@ impl RuleSet {
     }
 
     /// Transform rules in descending promise order (the deterministic order
-    /// the search applies them in).
-    #[must_use]
-    pub fn transforms_by_promise(&self) -> Vec<&RuleDef> {
-        let mut t: Vec<&RuleDef> = self
-            .rules
+    /// the search applies them in; precomputed at construction).
+    pub fn transforms_by_promise(&self) -> impl Iterator<Item = &RuleDef> + '_ {
+        self.transforms_by_promise
             .iter()
-            .filter(|r| matches!(r.behavior, RuleBehavior::Transform(_)))
-            .collect();
-        t.sort_by(|a, b| b.promise.total_cmp(&a.promise).then(a.id.0.cmp(&b.id.0)));
-        t
+            .map(|&raw| &self.rules[raw as usize])
     }
 
     /// Implementation + parametric rules applicable to a logical tag, in
@@ -791,7 +800,7 @@ mod tests {
     #[test]
     fn transforms_sorted_by_promise() {
         let rs = RuleSet::standard();
-        let t = rs.transforms_by_promise();
+        let t: Vec<&RuleDef> = rs.transforms_by_promise().collect();
         for pair in t.windows(2) {
             assert!(pair[0].promise >= pair[1].promise);
         }

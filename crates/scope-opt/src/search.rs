@@ -11,10 +11,10 @@
 
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::cost::CostModel;
-use crate::impls::{implement_expr, ImplContext};
-use crate::memo::{Best, GroupId, Memo, PreLocal};
+use crate::impls::{build_shape, implement_expr, sized_scheme, ImplContext};
+use crate::memo::{Best, GroupId, Memo, PExpr, PreLocal};
 use crate::registry::{
-    RuleBehavior, RuleSet, RULE_DEGREE_OF_PARALLELISM, RULE_EXCHANGE_PLACEMENT,
+    RuleBehavior, RuleSet, RULE_DEGREE_OF_PARALLELISM, RULE_EXCHANGE_PLACEMENT, RULE_FALLBACK_EXEC,
     RULE_INTERMEDIATE_COMPRESSION, RULE_MEMO_DEDUP, RULE_PLAN_SERIALIZE, RULE_PREDICATE_NORMALIZE,
     RULE_SCRIPT_STITCH, RULE_SHUFFLE_ELIMINATION, RULE_STATS_ANNOTATE,
 };
@@ -324,7 +324,7 @@ impl Optimizer {
         let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
 
         self.explore(&mut memo, config)?;
-        self.implement(&mut memo, config, template_seed)?;
+        self.implement(&mut memo, config)?;
         let mut visiting = vec![false; memo.group_count()];
         for &root in &roots {
             self.best_cost(&mut memo, root, &mut visiting);
@@ -404,7 +404,6 @@ impl Optimizer {
         let transforms: Vec<(RuleId, crate::registry::TransformKind, RuleBits)> = self
             .rules
             .transforms_by_promise()
-            .into_iter()
             .filter(|r| config.enabled(r.id))
             .map(|r| {
                 let RuleBehavior::Transform(kind) = r.behavior else {
@@ -467,28 +466,19 @@ impl Optimizer {
     /// it enables). Shared with `crate::delta`, whose re-implementation of
     /// dirty groups must see exactly the context a from-scratch compile
     /// would build.
-    pub(crate) fn impl_context(&self, config: &RuleConfig, template_seed: u64) -> ImplContext<'_> {
+    pub(crate) fn impl_context(&self, config: &RuleConfig) -> ImplContext<'_> {
         ImplContext {
-            rules: &self.rules,
             opts: &self.opts,
             shuffle_elimination: config.enabled(RULE_SHUFFLE_ELIMINATION),
             compression: config.enabled(RULE_INTERMEDIATE_COMPRESSION),
-            template_seed,
         }
-    }
-
-    /// The required fallback implementation rule.
-    pub(crate) fn fallback_rule(&self) -> &crate::registry::RuleDef {
-        self.rules
-            .rules()
-            .iter()
-            .find(|r| matches!(r.behavior, RuleBehavior::FallbackImpl))
-            .expect("registry always has the fallback rule")
     }
 
     /// Build one group's physical-expression list: the enabled
     /// implementation/parametric candidates of every logical expression (in
-    /// registry order) plus the required fallback. This is the unit of work
+    /// registry order) plus the required fallback. Each logical expression's
+    /// canonical shape is built once and shared by the fallback and every
+    /// matching parametric candidate. This is the unit of work
     /// `crate::delta` redoes per dirty group, so it must stay the exact loop
     /// body of [`Optimizer::implement`].
     pub(crate) fn implement_group(
@@ -497,21 +487,22 @@ impl Optimizer {
         g: GroupId,
         config: &RuleConfig,
         ctx: &ImplContext<'_>,
-        fallback: &crate::registry::RuleDef,
     ) -> Result<(), CompileError> {
         let n = memo.group(g).lexprs.len();
         let mut produced = Vec::new();
         for e in 0..n {
             let tag = memo.group(g).lexprs[e].op.tag();
+            let canonical = build_shape(memo, g, e, None, ctx).map(Arc::new);
             for rule in self.rules.impls_for(tag) {
                 if !config.enabled(rule.id) {
                     continue;
                 }
-                if let Some(p) = implement_expr(rule, memo, g, e, ctx) {
+                if let Some(p) = implement_expr(rule, memo, g, e, canonical.as_ref(), ctx) {
                     produced.push(p);
                 }
             }
-            if let Some(p) = implement_expr(fallback, memo, g, e, ctx) {
+            let fallback = self.rules.rule(RULE_FALLBACK_EXEC);
+            if let Some(p) = implement_expr(fallback, memo, g, e, canonical.as_ref(), ctx) {
                 produced.push(p);
             }
         }
@@ -525,16 +516,10 @@ impl Optimizer {
 
     /// Implementation: every logical expression gets the enabled
     /// implementation/parametric candidates plus the required fallback.
-    fn implement(
-        &self,
-        memo: &mut Memo,
-        config: &RuleConfig,
-        template_seed: u64,
-    ) -> Result<(), CompileError> {
-        let ctx = self.impl_context(config, template_seed);
-        let fallback = self.fallback_rule();
+    fn implement(&self, memo: &mut Memo, config: &RuleConfig) -> Result<(), CompileError> {
+        let ctx = self.impl_context(config);
         for g in memo.group_ids().collect::<Vec<_>>() {
-            self.implement_group(memo, g, config, &ctx, fallback)?;
+            self.implement_group(memo, g, config, &ctx)?;
         }
         Ok(())
     }
@@ -560,18 +545,20 @@ impl Optimizer {
             cost: f64::INFINITY,
             pexpr: usize::MAX,
         };
+        let mut edge_stats: Vec<NodeStats> = Vec::new();
         for (i, p) in pexprs.iter().enumerate() {
+            let shape = &*p.shape;
             let mut total = 0.0;
-            let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(p.children.len());
-            for (j, &c) in p.children.iter().enumerate() {
+            edge_stats.clear();
+            for (j, &c) in shape.children.iter().enumerate() {
                 total += self.best_cost(memo, c, visiting);
                 let mut cstats = memo.group(c).stats;
-                if let Some(pre) = p.pre_local[j] {
+                if let Some(pre) = shape.pre_local[j] {
                     let (pc, reduced) = self.cost.pre_local_cost_and_rows(pre, &cstats, &out_stats);
                     total += pc;
                     cstats = reduced;
                 }
-                if let Some(spec) = &p.exchanges[j] {
+                if let Some(spec) = &shape.exchanges[j] {
                     // The consumer's IO knob scales its shuffle edges (e.g.
                     // variants that read compressed/compact shuffle input).
                     total += self.cost.exchange_cost(spec, &cstats) * p.claimed.io_mult;
@@ -580,7 +567,7 @@ impl Optimizer {
             }
             total += self
                 .cost
-                .local_cost(&p.op, &out_stats, &edge_stats, &p.claimed);
+                .local_cost(&shape.op, &out_stats, &edge_stats, &p.claimed);
             if total < best.cost {
                 best = Best {
                     cost: total,
@@ -607,31 +594,31 @@ impl Optimizer {
         template_seed: u64,
         config_fingerprint: u64,
     ) -> Result<Compiled, CompileError> {
-        let mut plan = PhysicalPlan::new();
-        let mut mapping: FxHashMap<GroupId, NodeId> = FxHashMap::default();
-        let mut signature = RuleBits::empty();
-        let mut est_cost = 0.0;
-        let mut any_exchange = false;
-        let mut any_elided = false;
-        let mut any_compressed = false;
-        let compression_io = self.rules.compression_actual_io(template_seed);
-
+        let mut out = Extraction {
+            plan: PhysicalPlan::new(),
+            mapping: FxHashMap::default(),
+            signature: RuleBits::empty(),
+            est_cost: 0.0,
+            any_exchange: false,
+            any_elided: false,
+            any_compressed: false,
+            template_seed,
+            compression_io: self.rules.compression_actual_io(template_seed),
+        };
         for &root in roots {
-            self.emit(
-                memo,
-                root,
-                &mut plan,
-                &mut mapping,
-                &mut signature,
-                &mut est_cost,
-                &mut any_exchange,
-                &mut any_elided,
-                &mut any_compressed,
-                compression_io,
-            );
-            let node = mapping[&root];
-            plan.mark_output(node);
+            self.emit(memo, root, &mut out);
+            let node = out.mapping[&root];
+            out.plan.mark_output(node);
         }
+        let Extraction {
+            plan,
+            mut signature,
+            est_cost,
+            any_exchange,
+            any_elided,
+            any_compressed,
+            ..
+        } = out;
 
         // Required bookkeeping rules always contribute.
         for id in [
@@ -671,49 +658,43 @@ impl Optimizer {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        memo: &Memo,
-        g: GroupId,
-        plan: &mut PhysicalPlan,
-        mapping: &mut FxHashMap<GroupId, NodeId>,
-        signature: &mut RuleBits,
-        est_cost: &mut f64,
-        any_exchange: &mut bool,
-        any_elided: &mut bool,
-        any_compressed: &mut bool,
-        compression_io: f64,
-    ) {
-        if mapping.contains_key(&g) {
+    /// The tuning the runtime simulator sees for a winner: a parametric
+    /// rule's per-template truth ([`RuleSet::actual_tuning`]), drawn here —
+    /// for the emitted plan only, never per candidate — and every other
+    /// rule's claimed tuning, which is honest.
+    fn actual_tuning(&self, p: &PExpr, template_seed: u64) -> PhysicalTuning {
+        match self.rules.rule(p.rule).behavior {
+            RuleBehavior::Parametric(_) => self.rules.actual_tuning(p.rule, template_seed),
+            _ => p.claimed,
+        }
+    }
+
+    /// Emit group `g`'s winner (children first, each group once): its
+    /// shape's operator, pre-reductions and exchanges, with every hash or
+    /// range exchange sized under the winner's claimed tuning
+    /// ([`sized_scheme`]) and every node tuned with the winner's actual
+    /// tuning; its estimated cost and provenance accumulate into `out`.
+    fn emit(&self, memo: &Memo, g: GroupId, out: &mut Extraction) {
+        if out.mapping.contains_key(&g) {
             return;
         }
         let group = memo.group(g);
         let best = group.best.expect("costing ran before extraction");
         let pexpr = &group.pexprs[best.pexpr];
+        let shape = &*pexpr.shape;
+        let actual = self.actual_tuning(pexpr, out.template_seed);
         let out_stats = group.stats;
 
-        let mut child_nodes: Vec<NodeId> = Vec::with_capacity(pexpr.children.len());
-        let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(pexpr.children.len());
-        for (j, &c) in pexpr.children.iter().enumerate() {
-            self.emit(
-                memo,
-                c,
-                plan,
-                mapping,
-                signature,
-                est_cost,
-                any_exchange,
-                any_elided,
-                any_compressed,
-                compression_io,
-            );
-            let mut node = mapping[&c];
+        let mut child_nodes: Vec<NodeId> = Vec::with_capacity(shape.children.len());
+        let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(shape.children.len());
+        for (j, &c) in shape.children.iter().enumerate() {
+            self.emit(memo, c, out);
+            let mut node = out.mapping[&c];
             let mut cstats = memo.group(c).stats;
-            if let Some(pre) = pexpr.pre_local[j] {
+            if let Some(pre) = shape.pre_local[j] {
                 let (pc, reduced) = self.cost.pre_local_cost_and_rows(pre, &cstats, &out_stats);
-                *est_cost += pc;
-                let pre_op = match (pre, &pexpr.op) {
+                out.est_cost += pc;
+                let pre_op = match (pre, &shape.op) {
                     (PreLocal::PartialAgg, PhysicalOp::HashAggregate { group_by, aggs, .. }) => {
                         PhysicalOp::HashAggregate {
                             group_by: group_by.clone(),
@@ -737,23 +718,23 @@ impl Optimizer {
                         op.tag()
                     ),
                 };
-                node = plan.add(PhysicalNode {
+                node = out.plan.add(PhysicalNode {
                     op: pre_op,
                     children: vec![node],
                     stats: reduced,
-                    tuning: pexpr.actual,
+                    tuning: actual,
                 });
                 cstats = reduced;
             }
-            if let Some(spec) = &pexpr.exchanges[j] {
-                *est_cost += self.cost.exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
-                *any_exchange = true;
+            if let Some(spec) = &shape.exchanges[j] {
+                out.est_cost += self.cost.exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
+                out.any_exchange = true;
                 // True bytes moved combine the compression policy's realized
                 // ratio with the consumer's actual IO knob.
-                let mut io_mult = pexpr.actual.io_mult;
+                let mut io_mult = actual.io_mult;
                 let cpu_mult = if spec.compressed {
-                    *any_compressed = true;
-                    io_mult *= compression_io;
+                    out.any_compressed = true;
+                    io_mult *= out.compression_io;
                     1.1
                 } else {
                     1.0
@@ -763,9 +744,9 @@ impl Optimizer {
                     io_mult,
                     parallelism_mult: 1.0,
                 };
-                node = plan.add(PhysicalNode {
+                node = out.plan.add(PhysicalNode {
                     op: PhysicalOp::Exchange {
-                        scheme: spec.scheme.clone(),
+                        scheme: sized_scheme(spec, &pexpr.claimed, &self.opts),
                     },
                     children: vec![node],
                     stats: cstats,
@@ -775,21 +756,36 @@ impl Optimizer {
             child_nodes.push(node);
             edge_stats.push(cstats);
         }
-        *est_cost += self
+        out.est_cost += self
             .cost
-            .local_cost(&pexpr.op, &out_stats, &edge_stats, &pexpr.claimed);
-        if pexpr.elided_exchange {
-            *any_elided = true;
+            .local_cost(&shape.op, &out_stats, &edge_stats, &pexpr.claimed);
+        if shape.elided_exchange {
+            out.any_elided = true;
         }
-        *signature = signature.union(&pexpr.provenance);
-        let node = plan.add(PhysicalNode {
-            op: pexpr.op.clone(),
+        out.signature = out.signature.union(&pexpr.provenance);
+        let node = out.plan.add(PhysicalNode {
+            op: shape.op.clone(),
             children: child_nodes,
             stats: out_stats,
-            tuning: pexpr.actual,
+            tuning: actual,
         });
-        mapping.insert(g, node);
+        out.mapping.insert(g, node);
     }
+}
+
+/// What [`Optimizer::extract`] accumulates while emitting winners, plus the
+/// template's per-template truth inputs.
+struct Extraction {
+    plan: PhysicalPlan,
+    mapping: FxHashMap<GroupId, NodeId>,
+    signature: RuleBits,
+    est_cost: f64,
+    any_exchange: bool,
+    any_elided: bool,
+    any_compressed: bool,
+    template_seed: u64,
+    /// The compression policy's realized IO ratio for this template.
+    compression_io: f64,
 }
 
 #[cfg(test)]

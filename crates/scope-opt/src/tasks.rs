@@ -266,7 +266,7 @@ impl<'a> TaskEngine<'a> {
         budget: CompileBudget,
     ) -> Result<EngineRun, CompileError> {
         let (fired_transforms, outcome) = self.explore(memo, config, budget)?;
-        self.implement_all(memo, config, template_seed)?;
+        self.implement_all(memo, config)?;
         let mut visiting = vec![false; memo.group_count()];
         for &root in roots {
             self.opt.best_cost(memo, root, &mut visiting);
@@ -300,7 +300,6 @@ impl<'a> TaskEngine<'a> {
             .opt
             .rules()
             .transforms_by_promise()
-            .into_iter()
             .filter(|r| config.enabled(r.id))
             .map(|r| {
                 let RuleBehavior::Transform(kind) = r.behavior else {
@@ -387,15 +386,10 @@ impl<'a> TaskEngine<'a> {
     /// Implementation epilogue: one ImplementGroup task per memo group, in
     /// group-id order — never budget-gated, so extraction always has a
     /// physical candidate (the required fallback) for every group.
-    fn implement_all(
-        &mut self,
-        memo: &mut Memo,
-        config: &RuleConfig,
-        template_seed: u64,
-    ) -> Result<(), CompileError> {
+    fn implement_all(&mut self, memo: &mut Memo, config: &RuleConfig) -> Result<(), CompileError> {
         let groups: Vec<GroupId> = memo.group_ids().collect();
         let mut queue: VecDeque<Task> = groups.into_iter().map(Task::ImplementGroup).collect();
-        self.drain_implement(memo, &mut queue, config, template_seed)
+        self.drain_implement(memo, &mut queue, config)
     }
 
     /// Delta replay entry: re-implement exactly the invalidated groups as
@@ -407,7 +401,6 @@ impl<'a> TaskEngine<'a> {
         memo: &mut Memo,
         dirty: &[bool],
         config: &RuleConfig,
-        template_seed: u64,
     ) -> Result<(), CompileError> {
         let mut queue: VecDeque<Task> = dirty
             .iter()
@@ -415,7 +408,7 @@ impl<'a> TaskEngine<'a> {
             .filter(|(_, d)| **d)
             .map(|(gi, _)| Task::ImplementGroup(GroupId(gi as u32)))
             .collect();
-        self.drain_implement(memo, &mut queue, config, template_seed)
+        self.drain_implement(memo, &mut queue, config)
     }
 
     fn drain_implement(
@@ -423,16 +416,14 @@ impl<'a> TaskEngine<'a> {
         memo: &mut Memo,
         queue: &mut VecDeque<Task>,
         config: &RuleConfig,
-        template_seed: u64,
     ) -> Result<(), CompileError> {
-        let ctx = self.opt.impl_context(config, template_seed);
-        let fallback = self.opt.fallback_rule();
+        let ctx = self.opt.impl_context(config);
         while let Some(task) = queue.pop_front() {
             let Task::ImplementGroup(g) = task else {
                 unreachable!()
             };
             self.tasks_executed += 1;
-            self.opt.implement_group(memo, g, config, &ctx, fallback)?;
+            self.opt.implement_group(memo, g, config, &ctx)?;
         }
         Ok(())
     }

@@ -63,7 +63,6 @@ fn corpus_memo_sizes_are_what_the_debug_text_key_produced() {
     let all_transforms = optimizer
         .rules()
         .transforms_by_promise()
-        .into_iter()
         .filter(|rule| rule.flippable())
         .fold(default, |config, rule| {
             config.with_flip(RuleFlip {
