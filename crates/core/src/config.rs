@@ -28,10 +28,10 @@ use flighting::FlightBudget;
 use personalizer::CbConfig;
 use scope_opt::{CacheConfig, CompileBudget, DeltaConfig};
 use scope_runtime::ExecCacheConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the Recommendation task chooses flips (Table 3 compares these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RecommendStrategy {
     /// Contextual bandit (production QO-Advisor).
     ContextualBandit,
@@ -47,7 +47,7 @@ pub enum RecommendStrategy {
 /// Results are **bit-identical at any setting**: parallel stages only run
 /// pure per-job compiles, and all bandit-state mutation happens in a
 /// deterministic serial reduce afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ParallelismConfig {
     /// Worker threads for the parallel stages. `None` (default) keeps the
     /// original single-threaded execution; `Some(0)` uses every available

@@ -13,10 +13,10 @@
 use rustc_hash::FxHashMap;
 use scope_ir::TemplateId;
 use scope_workload::ViewRow;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MonitorConfig {
     /// Relative PNhours increase over the baseline that counts as a
     /// regression observation (production noise is ~5%, so 0.08 means a

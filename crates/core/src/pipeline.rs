@@ -15,8 +15,8 @@ use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{
-    BudgetCounters, BudgetStats, CacheStats, CachingOptimizer, CompileCache, CompileError,
-    Compiled, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
+    BudgetCounters, BudgetStats, BudgetedCompiler, CacheStats, CachingOptimizer, CompileCache,
+    CompileError, Compiled, Compiler, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
 };
 use scope_runtime::{CachingExecutor, Cluster, ExecStats, ExecutionCache};
 use scope_workload::{ViewBuildError, ViewRow};
@@ -411,22 +411,11 @@ impl QoAdvisor {
         &self.optimizer
     }
 
-    /// Compile through the advisor's compile-result cache (when enabled).
-    /// Byte-identical to `self.optimizer().compile(..)`, only faster on
-    /// repeats — callers like the production simulator use this so their
-    /// recompiles share the pipeline's cache.
-    pub fn compile(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        self.optimizer.compile(plan, config)
-    }
-
     /// Compile under the pipeline's anytime budget
-    /// ([`PipelineConfig::compile_budget`]), recording the shed outcome in
-    /// this advisor's budget counters. On the default unlimited budget this
-    /// is exactly [`QoAdvisor::compile`]; at a finite budget the compile
+    /// ([`PipelineConfig::compile_budget`]) through a [`BudgetedCompiler`],
+    /// recording the shed outcome in this advisor's budget counters. On the
+    /// default unlimited budget this is exactly a compile through
+    /// [`QoAdvisor::caching_optimizer`]; at a finite budget the compile
     /// bypasses the cache and delta compiler (truncated results are not
     /// cacheable under unbudgeted keys) and may return a best-effort plan
     /// extracted from a partially explored memo. The measurement path — the
@@ -437,12 +426,12 @@ impl QoAdvisor {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
-        self.optimizer.compile_shedding(
-            plan,
-            config,
+        BudgetedCompiler::new(
+            &self.optimizer,
             self.config.compile_budget,
             &self.budget_counters,
         )
+        .compile(plan, config)
     }
 
     /// The shared shed counters behind [`QoAdvisor::compile_shedding`] (a

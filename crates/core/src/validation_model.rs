@@ -8,10 +8,10 @@
 //! trained on flighting results gathered over a multi-day window and applied
 //! with a safety threshold (−0.1 in production).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One training/evaluation point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ValidationSample {
     pub data_read_delta: f64,
     pub data_written_delta: f64,
@@ -19,7 +19,7 @@ pub struct ValidationSample {
 }
 
 /// `pn_delta ≈ w0 + w1·data_read_delta + w2·data_written_delta`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ValidationModel {
     pub intercept: f64,
     pub w_read: f64,
@@ -184,16 +184,5 @@ mod tests {
             10
         ];
         assert!(ValidationModel::fit(&same).is_none());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = ValidationModel {
-            intercept: 0.01,
-            w_read: 0.5,
-            w_written: 0.2,
-        };
-        let s = serde_json::to_string(&m).unwrap();
-        assert_eq!(serde_json::from_str::<ValidationModel>(&s).unwrap(), m);
     }
 }

@@ -1,9 +1,9 @@
 //! Flighting budgets: per-job cap, total time budget, queue size (§4.3).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Budget configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlightBudget {
     /// Maximum simulated seconds one flight may take (paper: 24 hours).
     pub max_job_seconds: f64,

@@ -1,11 +1,11 @@
 //! Flight outcomes and A/B measurements.
 
 use scope_runtime::ExecutionMetrics;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The A/B measurement of one successful flight: one baseline run and one
 /// treatment run of the same job in pre-production.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FlightMeasurement {
     pub baseline: ExecutionMetrics,
     pub treatment: ExecutionMetrics,
@@ -43,7 +43,7 @@ impl FlightMeasurement {
 
 /// Outcome of one flighting request (§4.3: "failure ... timeout ...
 /// filtered ... success").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FlightOutcome {
     Success(FlightMeasurement),
     /// Ran out of per-job or total time budget.

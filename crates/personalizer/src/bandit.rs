@@ -12,7 +12,7 @@ use crate::model::LinearModel;
 use crate::slate::SparseSlate;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Down-weight applied to the context×action quadratic block of the joint
 /// representation (see [`ContextualBandit::joint`]). Shared with the batched
@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const QUADRATIC_SCALE: f64 = 0.5;
 
 /// Bandit hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CbConfig {
     /// Exploration rate of the learned policy.
     pub epsilon: f64,

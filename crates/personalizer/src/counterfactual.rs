@@ -7,10 +7,10 @@
 //! `1[target == logged] / p_logged`; SNIPS normalizes by the summed weights
 //! to trade a little bias for much lower variance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One logged decision with the target policy's agreement bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LoggedOutcome {
     /// Would the target policy have chosen the logged action?
     pub target_agrees: bool,

@@ -1,11 +1,11 @@
 //! Sparse feature vectors with the hashing trick.
 
 use scope_ir::ids::{mix64, stable_hash64};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A sparse feature vector: (hashed id, value) pairs. Feature identity is a
 /// 64-bit hash of `namespace|name`; models fold it into their table size.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FeatureVector {
     items: Vec<(u64, f64)>,
 }

@@ -3,7 +3,7 @@
 
 use crate::features::FeatureVector;
 use crate::slate::SparseSlate;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A linear model over a hashed weight table of `2^dim_bits` entries,
 /// trained by normalized SGD: every update moves the *prediction* by
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// correction across features proportionally to their squared values. This
 /// is why the featurization weights interaction features below main-effect
 /// features — the distribution of the correction follows `value²`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinearModel {
     weights: Vec<f64>,
     dim_bits: u32,

@@ -7,8 +7,8 @@ use crate::bandit::{CbConfig, ContextualBandit, RankDecision};
 use crate::features::FeatureVector;
 use crate::model::LinearModel;
 use crate::slate::SparseSlate;
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A rank request: context plus candidate actions.
 #[derive(Debug, Clone)]
@@ -138,9 +138,15 @@ impl Personalizer {
         }
     }
 
+    /// The service state, recovered if another caller panicked holding it:
+    /// one failed rank or reward must not take every later call down too.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Rank a slate; the decision is logged as pending until rewarded.
     pub fn rank(&self, req: &RankRequest) -> RankResponse {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let decision = if req.log_uniform {
             inner
                 .bandit
@@ -164,7 +170,7 @@ impl Personalizer {
             req.actions.len(),
             "slate laid out for a different action set"
         );
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let decision = if req.log_uniform {
             inner.bandit.rank_uniform_slate(slate, req.seed)
         } else {
@@ -178,7 +184,7 @@ impl Personalizer {
     /// only changes on [`Personalizer::reward`], so in a ranks-then-rewards
     /// pass one score vector per distinct slate serves every rank over it.
     pub fn scores_slate(&self, slate: &SparseSlate) -> Vec<f64> {
-        self.inner.lock().bandit.scores_slate(slate)
+        self.lock().bandit.scores_slate(slate)
     }
 
     /// [`Personalizer::rank_slate`] with the scoring pass hoisted out:
@@ -192,7 +198,7 @@ impl Personalizer {
             req.actions.len(),
             "scores computed for a different action set"
         );
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let decision = if req.log_uniform {
             ContextualBandit::rank_uniform_scored(scores.to_vec(), req.seed)
         } else {
@@ -205,7 +211,7 @@ impl Personalizer {
     /// forgets the event. Unknown ids are ignored (Azure Personalizer drops
     /// late rewards the same way).
     pub fn reward(&self, event_id: u64, reward: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let Some(ev) = inner.pending.remove(&event_id) else {
             return;
         };
@@ -216,17 +222,17 @@ impl Personalizer {
 
     /// Greedy decision without logging (deployment-time inference).
     pub fn best_action(&self, context: &FeatureVector, actions: &[FeatureVector]) -> RankDecision {
-        self.inner.lock().bandit.rank_greedy(context, actions)
+        self.lock().bandit.rank_greedy(context, actions)
     }
 
     /// Events absorbed so far.
     pub fn events(&self) -> u64 {
-        self.inner.lock().bandit.events
+        self.lock().bandit.events
     }
 
     /// Number of rank calls not yet rewarded.
     pub fn pending(&self) -> usize {
-        self.inner.lock().pending.len()
+        self.lock().pending.len()
     }
 
     /// Export the full durable state for a snapshot. Deterministic: the
@@ -234,7 +240,7 @@ impl Personalizer {
     /// weight table leaves as one scan into its sparse form.
     #[must_use]
     pub fn export_state(&self) -> PersonalizerState {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let model = inner.bandit.model();
         let mut pending: Vec<PendingEventState> = inner
             .pending
@@ -277,7 +283,7 @@ impl Personalizer {
     /// fingerprint in the snapshot's META section, checked before this
     /// method is ever reached on the steering-loop restore path.
     pub fn restore_state(&self, state: PersonalizerState) -> Result<(), String> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         *inner = Inner::from_state(inner.bandit.config().clone(), &state)?;
         Ok(())
     }

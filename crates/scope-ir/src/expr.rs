@@ -5,11 +5,11 @@
 //! (2) estimating selectivities the optimizer's cost model consumes, and
 //! (3) normalizing into template signatures for recurring-job detection.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A literal value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Value {
     Int(i64),
     Float(f64),
@@ -29,7 +29,7 @@ impl fmt::Display for Value {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BinOp {
     Eq,
     Ne,
@@ -77,7 +77,7 @@ impl BinOp {
 /// Scalar expression over the input schema of an operator. Column references
 /// are positional (`Column(i)` is the i-th input column), which keeps rewrite
 /// rules free of name-resolution concerns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ScalarExpr {
     Column(usize),
     Literal(Value),
@@ -248,7 +248,7 @@ impl fmt::Display for ScalarExpr {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AggFunc {
     Count,
     Sum,
@@ -280,7 +280,7 @@ impl AggFunc {
 }
 
 /// One aggregate expression, e.g. `SUM($2) AS total`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AggExpr {
     pub func: AggFunc,
     /// Input column index; `None` means `COUNT(*)`.

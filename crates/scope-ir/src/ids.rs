@@ -15,7 +15,7 @@ use std::fmt;
 
 /// Index of a node inside a plan arena ([`crate::LogicalPlan`] /
 /// [`crate::PhysicalPlan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +33,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of one submitted job (one execution of a script).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for JobId {

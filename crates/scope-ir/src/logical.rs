@@ -11,7 +11,7 @@ use crate::expr::{AggExpr, ScalarExpr};
 use crate::ids::{stable_hash64, NodeId, TemplateId, LOGICAL_FP_SALT};
 use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// A base dataset reference with dual cardinality statistics. `rows.actual`
 /// is what the simulator executes against; `rows.estimated` is the (possibly
 /// stale) catalog value the optimizer sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TableRef {
     pub name: Arc<str>,
     pub schema: Schema,
@@ -37,7 +37,7 @@ impl TableRef {
 }
 
 /// Join kinds supported by the algebra.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum JoinKind {
     Inner,
     LeftOuter,
@@ -56,7 +56,7 @@ impl JoinKind {
 }
 
 /// One sort key: column index + direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct SortKey {
     pub column: usize,
     pub descending: bool,
@@ -83,7 +83,7 @@ impl SortKey {
 /// Logical operators. Arity is fixed per variant and enforced by
 /// [`LogicalPlan::validate`]: `Extract` is a leaf, `Join` is binary, `Union`
 /// is n-ary (n ≥ 2), everything else is unary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum LogicalOp {
     /// Scan a base dataset (SCOPE `EXTRACT`).
     Extract { table: TableRef },
@@ -162,7 +162,7 @@ impl LogicalOp {
 }
 
 /// One node of the logical DAG.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LogicalNode {
     pub op: LogicalOp,
     pub children: Vec<NodeId>,
@@ -287,16 +287,6 @@ impl Serialize for LogicalPlan {
             .structural_hash(key(h, const { stable_hash64(b"nodes") }));
         self.outputs
             .structural_hash(key(h, const { stable_hash64(b"outputs") }))
-    }
-}
-
-impl Deserialize for LogicalPlan {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            nodes: Deserialize::from_value(value.get_field("nodes")?)?,
-            outputs: Deserialize::from_value(value.get_field("outputs")?)?,
-            fp_memo: AtomicU64::new(0),
-        })
     }
 }
 
@@ -988,9 +978,6 @@ mod tests {
         assert_eq!(p.to_value(), pristine.to_value());
         // Clones carry the memo and agree.
         assert_eq!(p.clone().fingerprint(), fp);
-        // A deserialized copy recomputes to the same value.
-        let back = LogicalPlan::from_value(&p.to_value()).unwrap();
-        assert_eq!(back.fingerprint(), fp);
         // Mutation invalidates the memo.
         let extra = p.add(
             LogicalOp::Extract {

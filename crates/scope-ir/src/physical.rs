@@ -11,13 +11,13 @@ use crate::expr::{AggExpr, ScalarExpr};
 use crate::ids::{stable_hash64, NodeId, PHYSICAL_FP_SALT};
 use crate::logical::{JoinKind, SortKey};
 use crate::stats::NodeStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How rows are distributed across the vertices of a stage.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub enum Partitioning {
     /// Hash-partition on columns into `partitions` buckets.
     Hash {
@@ -60,7 +60,7 @@ impl Partitioning {
 }
 
 /// Scan implementation flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ScanVariant {
     /// Plain sequential extract.
     Sequential,
@@ -69,7 +69,7 @@ pub enum ScanVariant {
 }
 
 /// Aggregation execution mode, produced by the local/global split rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AggMode {
     /// Single-phase aggregation (after a full shuffle on the keys).
     Single,
@@ -83,7 +83,7 @@ pub enum AggMode {
 /// rules leave these at identity; *parametric* rules (the long tail of the
 /// 256-rule registry) produce alternatives with non-identity knobs, modelling
 /// SCOPE rules that trade CPU for I/O or change intra-stage parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhysicalTuning {
     /// Scales per-row CPU work of this operator.
     pub cpu_mult: f64,
@@ -113,7 +113,7 @@ impl Default for PhysicalTuning {
 }
 
 /// Physical operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum PhysicalOp {
     TableScan {
         table: Arc<str>,
@@ -207,7 +207,7 @@ impl PhysicalOp {
 }
 
 /// One node of the physical DAG, with statistics stamped by the optimizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhysicalNode {
     pub op: PhysicalOp,
     pub children: Vec<NodeId>,
@@ -273,16 +273,6 @@ impl Serialize for PhysicalPlan {
             .structural_hash(key(h, const { stable_hash64(b"nodes") }));
         self.outputs
             .structural_hash(key(h, const { stable_hash64(b"outputs") }))
-    }
-}
-
-impl Deserialize for PhysicalPlan {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            nodes: Deserialize::from_value(value.get_field("nodes")?)?,
-            outputs: Deserialize::from_value(value.get_field("outputs")?)?,
-            fp_memo: AtomicU64::new(0),
-        })
     }
 }
 
@@ -588,14 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let p = sample();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PhysicalPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
     fn fingerprint_memo_is_invisible_and_reset_on_mutation() {
         let p = sample();
         let pristine = sample();
@@ -607,9 +589,6 @@ mod tests {
         assert_eq!(p.to_value(), pristine.to_value());
         // Clones carry the memo and agree.
         assert_eq!(p.clone().fingerprint(), fp);
-        // A deserialized copy recomputes to the same value.
-        let back = PhysicalPlan::from_value(&p.to_value()).unwrap();
-        assert_eq!(back.fingerprint(), fp);
         // Mutation invalidates the memo.
         let mut q = p.clone();
         let extra = scan(&mut q, "zz", 7.0);

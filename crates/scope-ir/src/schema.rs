@@ -1,12 +1,12 @@
 //! Row schemas for datasets flowing between operators.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// Scalar data types supported by the SCOPE-like engine. The width feeds the
 /// average-row-length statistic, which in turn drives I/O costing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DataType {
     Int,
     Float,
@@ -43,7 +43,7 @@ impl fmt::Display for DataType {
 }
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Column {
     pub name: Arc<str>,
     pub ty: DataType,
@@ -65,7 +65,7 @@ impl fmt::Display for Column {
 }
 
 /// An ordered list of columns. Cheap to clone (`Arc` column names).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct Schema {
     columns: Vec<Column>,
 }

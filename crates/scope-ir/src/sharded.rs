@@ -1,6 +1,6 @@
 //! Generic lock-sharded FIFO cache.
 //!
-//! Four caches in this workspace share one shape: N `parking_lot::RwLock`
+//! Four caches in this workspace share one shape: N `std::sync::RwLock`
 //! shards selected by a stable hash of the key, a per-shard slice of the
 //! total capacity, first-writer-wins inserts (the cached computations are
 //! deterministic, so concurrent writers hold identical values), FIFO
@@ -20,11 +20,17 @@
 //! the per-shard eviction counters summed.
 
 use crate::counters::CacheStats;
-use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// Shard locks recover from poisoning: a cached value is a pure function of
+/// its key, so a panicking holder leaves nothing half-true behind.
+fn read<K, V>(shard: &RwLock<Shard<K, V>>) -> RwLockReadGuard<'_, Shard<K, V>> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug)]
 struct Shard<K, V> {
@@ -101,7 +107,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// `Copy` metric structs, or shared compile results.)
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = self.shard_for(key).read().map.get(key).cloned();
+        let found = read(self.shard_for(key)).map.get(key).cloned();
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -119,7 +125,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// shard's capacity slice overflowed.
     pub fn insert(&self, key: K, value: V) -> bool {
         let shard = self.shard_for(&key);
-        let mut guard = shard.write();
+        let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
         let std::collections::hash_map::Entry::Vacant(slot) = guard.map.entry(key.clone()) else {
             return false;
         };
@@ -157,7 +163,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.shards.iter().map(|s| s.read().evictions).sum(),
+            evictions: self.shards.iter().map(|s| read(s).evictions).sum(),
         }
     }
 
@@ -166,13 +172,13 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// shard churning while the rest idle.
     #[must_use]
     pub fn shard_evictions(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.read().evictions).collect()
+        self.shards.iter().map(|s| read(s).evictions).collect()
     }
 
     /// Live entries across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| read(s).map.len()).sum()
     }
 
     #[must_use]
@@ -183,7 +189,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// Drop every entry (counters keep running).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut guard = shard.write();
+            let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
             guard.map.clear();
             guard.order.clear();
         }

@@ -10,10 +10,10 @@
 //! cardinalities on base tables and (b) heuristic vs. true selectivities on
 //! predicates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A pair of (true, estimated) values for one statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DualStats {
     /// Ground truth, visible only to the execution simulator.
     pub actual: f64,
@@ -54,7 +54,7 @@ impl DualStats {
 }
 
 /// Per-node statistics attached to optimized plan nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeStats {
     /// Output rows (true and estimated).
     pub rows: DualStats,

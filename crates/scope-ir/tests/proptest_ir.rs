@@ -189,12 +189,4 @@ proptest! {
         let plan_b = build(&shifted);
         prop_assert_eq!(plan_a.template_id(), plan_b.template_id());
     }
-
-    #[test]
-    fn serde_roundtrip_preserves_plan(steps in prop::collection::vec(step_strategy(), 1..20)) {
-        let plan = build(&steps);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: LogicalPlan = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(plan, back);
-    }
 }

@@ -33,11 +33,11 @@ use crate::tasks::{BudgetCounters, CompileBudget};
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::sharded::ShardedCache;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// The compile-result cache's one knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheConfig {
     /// Master switch. Disabled, every compile goes straight to the
     /// optimizer (the pre-cache behavior, bit-for-bit).
@@ -310,35 +310,6 @@ impl CachingOptimizer {
         }
     }
 
-    /// Compile under a [`CompileBudget`], recording the outcome of every
-    /// *finite*-budget compile in `counters` — the pipeline's load-shedding
-    /// entry point.
-    ///
-    /// Budget/cache-key soundness (see `crate::tasks`): the compile cache
-    /// and the delta compiler are keyed on `(plan, config)` only, so their
-    /// results are valid solely for budget-independent compiles. An
-    /// unlimited budget routes through them unchanged (and is never
-    /// counted — it cannot shed). A finite budget bypasses both and runs
-    /// the task engine from scratch: truncated results are never cached,
-    /// never served from cache, and never priced against a base memo frozen
-    /// at a different truncation point. The finite path is a pure function
-    /// of `(plan, config, budget)`, so shed decisions stay deterministic
-    /// across thread counts and cache states.
-    pub fn compile_shedding(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-        budget: CompileBudget,
-        counters: &BudgetCounters,
-    ) -> Result<Compiled, CompileError> {
-        if budget.is_unlimited() {
-            return self.compile(plan, config);
-        }
-        let result = self.inner.compile_budgeted(plan, config, budget);
-        counters.record(&result);
-        result.map(|b| b.compiled)
-    }
-
     /// Delta-compiler counter snapshot; all-zero when delta is disabled.
     #[must_use]
     pub fn delta_stats(&self) -> DeltaStats {
@@ -418,13 +389,23 @@ impl Compiler for CachingOptimizer {
 }
 
 /// A [`Compiler`] view over a [`CachingOptimizer`] with a fixed
-/// [`CompileBudget`]: the pipeline's generic compile sites (span fixpoint,
-/// view building, recommendation slates, flighting) work unchanged, while
-/// every finite-budget compile routes through
-/// [`CachingOptimizer::compile_shedding`] — task engine from scratch,
-/// cache/delta bypassed, outcome recorded in the shared [`BudgetCounters`].
-/// At unlimited budget this is a zero-cost passthrough, byte-identical to
-/// handing out the `CachingOptimizer` itself.
+/// [`CompileBudget`] — the pipeline's load-shedding compile path. The
+/// pipeline's generic compile sites (span fixpoint, view building,
+/// recommendation slates, flighting) work unchanged, while every
+/// finite-budget compile runs the task engine from scratch and records its
+/// outcome in the shared [`BudgetCounters`]. At unlimited budget this is a
+/// zero-cost passthrough, byte-identical to handing out the
+/// `CachingOptimizer` itself.
+///
+/// Budget/cache-key soundness (see `crate::tasks`): the compile cache and
+/// the delta compiler are keyed on `(plan, config)` only, so their results
+/// are valid solely for budget-independent compiles. An unlimited budget
+/// routes through them unchanged (and is never counted — it cannot shed).
+/// A finite budget bypasses both: truncated results are never cached, never
+/// served from cache, and never priced against a base memo frozen at a
+/// different truncation point. The finite path is a pure function of
+/// `(plan, config, budget)`, so shed decisions stay deterministic across
+/// thread counts and cache states.
 #[derive(Debug, Clone, Copy)]
 pub struct BudgetedCompiler<'a> {
     inner: &'a CachingOptimizer,
@@ -457,8 +438,12 @@ impl Compiler for BudgetedCompiler<'_> {
     }
 
     fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError> {
-        self.inner
-            .compile_shedding(plan, config, self.budget, self.counters)
+        if self.budget.is_unlimited() {
+            return self.inner.compile(plan, config);
+        }
+        let result = self.inner.inner.compile_budgeted(plan, config, self.budget);
+        self.counters.record(&result);
+        result.map(|b| b.compiled)
     }
 
     fn compile_slate(
@@ -738,8 +723,5 @@ mod tests {
         let c = CacheConfig::default();
         assert!(c.enabled);
         assert!(!CacheConfig::disabled().enabled);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -32,7 +32,7 @@ impl fmt::Display for RuleId {
 
 /// A fixed 256-bit set over rule ids. Used for both rule *configurations*
 /// (which rules may fire) and rule *signatures* (which rules did fire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct RuleBits {
     words: [u64; RULE_COUNT / 64],
 }
@@ -184,7 +184,7 @@ impl fmt::Display for RuleFlip {
 }
 
 /// A rule configuration: the set of rules the optimizer may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RuleConfig {
     bits: RuleBits,
 }
@@ -333,13 +333,5 @@ mod tests {
         assert!(b.contains(RuleId(100)));
         b.toggle(RuleId(100));
         assert!(!b.contains(RuleId(100)));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let b: RuleBits = [RuleId(7), RuleId(70), RuleId(170)].into_iter().collect();
-        let json = serde_json::to_string(&b).unwrap();
-        let back: RuleBits = serde_json::from_str(&json).unwrap();
-        assert_eq!(b, back);
     }
 }

@@ -68,18 +68,17 @@ use crate::registry::{impl_targets, RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
 use crate::search::{CompileError, Compiled, Optimizer};
 use crate::tasks::TaskEngine;
-use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::sharded::ShardedCache;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The delta compiler's one knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeltaConfig {
     /// Master switch. Disabled, every slate compile goes through the
     /// ordinary per-treatment path (byte-identical, only slower).
@@ -461,7 +460,12 @@ impl BaseMemo {
     /// per kind — the memo is frozen, so the answer never changes; a racing
     /// duplicate computation produces the identical value.
     fn transform_fires(&self, kind: TransformKind) -> bool {
-        if let Some(&fires) = self.fires.read().get(&kind) {
+        if let Some(&fires) = self
+            .fires
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&kind)
+        {
             return fires;
         }
         let fires = (0..self.memo.group_count() as u32).any(|gi| {
@@ -469,7 +473,10 @@ impl BaseMemo {
             (0..self.memo.group(g).lexprs.len())
                 .any(|e| !apply_transform(kind, &self.memo, g, e).is_empty())
         });
-        self.fires.write().insert(kind, fires);
+        self.fires
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(kind, fires);
         fires
     }
 }
@@ -821,8 +828,7 @@ mod tests {
         let c = DeltaConfig::default();
         assert!(c.enabled);
         assert!(!DeltaConfig::disabled().enabled);
-        let json = serde_json::to_string(&c).unwrap();
-        assert_eq!(serde_json::from_str::<DeltaConfig>(&json).unwrap(), c);
+        assert_eq!(serde_json::to_string(&c).unwrap(), r#"{"enabled":true}"#);
     }
 
     /// Satellite pin: delta replays redo only the invalidated work, and the

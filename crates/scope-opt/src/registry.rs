@@ -19,11 +19,11 @@ use scope_ir::ids::{
     RULE_INSTABILITY_SALT, TUNING_NOISE_AXIS_FLIP,
 };
 use scope_ir::PhysicalTuning;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Rule categories from the paper (§2.1). The category decides the default
 /// state and how the span algorithm treats the rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RuleCategory {
     /// Must always be enabled to get valid plans. Never flipped.
     Required,

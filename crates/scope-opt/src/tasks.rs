@@ -62,7 +62,7 @@
 //! not depend on the budget. We take the conservative side of the issue's
 //! dichotomy: **finite-budget compiles are uncacheable** — they bypass the
 //! compile cache and the delta compiler entirely
-//! ([`crate::cache::CachingOptimizer::compile_shedding`]) and always run
+//! ([`crate::cache::BudgetedCompiler`]) and always run
 //! this engine from scratch. Equivalently, the budget is morally part of
 //! the cache key and only the unlimited point is ever populated. Delta
 //! pricing is also only sound at unlimited budget (a base memo frozen at
@@ -73,13 +73,13 @@ use crate::memo::{GroupId, Memo};
 use crate::registry::{RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
 use crate::search::{CompileError, Compiled, Optimizer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Work limit of one compile. The default is unlimited: the engine then
 /// behaves exactly like the recursive reference engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CompileBudget {
     /// Maximum exploration tasks (ExploreGroup + ExploreExpr + ApplyRule)
     /// the engine may execute; `None` is unlimited. Implementation,
@@ -191,7 +191,7 @@ impl BudgetCounters {
 
 /// Snapshot of [`BudgetCounters`]: monotonic totals, differenced per day by
 /// the pipeline exactly like the cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BudgetStats {
     /// Finite-budget compiles whose exploration ran to completion.
     pub complete: u64,

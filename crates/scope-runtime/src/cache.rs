@@ -36,11 +36,11 @@ use scope_ir::counters::CacheStats;
 use scope_ir::ids::mix64;
 use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// The execution-result cache's one knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExecCacheConfig {
     /// Master switch. Disabled, every execution goes straight to the
     /// simulator (the pre-cache behavior, bit-for-bit).
@@ -487,9 +487,7 @@ mod tests {
         let c = ExecCacheConfig::default();
         assert!(c.enabled);
         assert!(!ExecCacheConfig::disabled().enabled);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ExecCacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
+        assert_eq!(serde_json::to_string(&c).unwrap(), r#"{"enabled":true}"#);
     }
 
     #[test]

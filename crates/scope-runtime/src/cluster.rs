@@ -1,10 +1,10 @@
 //! Cluster hardware model and the cloud variance model.
 
 use scope_ir::ids::{mix64, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hardware constants of the simulated cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClusterConfig {
     /// Per-vertex IO bandwidth, bytes/sec (reads and exchange traffic).
     pub io_bandwidth: f64,
@@ -44,7 +44,7 @@ impl Default for ClusterConfig {
 
 /// Cloud variance model (paper §5.1). All noise is multiplicative and drawn
 /// per (job, run) from deterministic seeds, so experiments are reproducible.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VarianceModel {
     /// Lognormal sigma of per-vertex *duration* noise (drives latency:
     /// stages wait for their slowest vertex).

@@ -12,7 +12,6 @@ use crate::metrics::ExecutionMetrics;
 use crate::stage::StageGraph;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rand_distr::{normal_from_uniforms, normal_uniform_pair, Distribution, LogNormal};
 use scope_ir::ids::{exec_base_seed, exec_stage_seed};
 use scope_ir::physical::PhysicalPlan;
 
@@ -74,22 +73,17 @@ pub fn execute_stages(
     let var = &cluster.variance;
     let base_seed = exec_base_seed(job_seed, run_seed);
     let mut run_rng = StdRng::seed_from_u64(base_seed);
-    let vertex_noise = LogNormal::new(0.0, var.vertex_sigma.max(1e-9)).expect("sigma >= 0");
-    let cpu_noise = LogNormal::new(0.0, var.cpu_sigma.max(1e-9)).expect("sigma >= 0");
+    let cpu_sigma = var.cpu_sigma.max(1e-9);
     // Whole-run environment multiplier: cluster-wide interference that does
     // not average out across vertices.
     let run_cpu_mult = if var.run_cpu_sigma > 0.0 {
-        LogNormal::new(0.0, var.run_cpu_sigma)
-            .expect("sigma > 0")
-            .sample(&mut run_rng)
+        (var.run_cpu_sigma * standard_normal(&mut run_rng)).exp()
     } else {
         1.0
     };
     // Run-level bandwidth interference: scales I/O *time*, never bytes.
     let run_io_mult = if var.run_io_sigma > 0.0 {
-        LogNormal::new(0.0, var.run_io_sigma)
-            .expect("sigma > 0")
-            .sample(&mut run_rng)
+        (var.run_io_sigma * standard_normal(&mut run_rng)).exp()
     } else {
         1.0
     };
@@ -132,7 +126,7 @@ pub fn execute_stages(
             }
             pairs[..vertices]
                 .iter()
-                .map(|&(u1, u2)| cpu_noise.from_normal(normal_from_uniforms(u1, u2)))
+                .map(|&(u1, u2)| (cpu_sigma * normal_from_uniforms(u1, u2)).exp())
                 .sum::<f64>()
                 / vertices as f64
         } else {
@@ -150,7 +144,7 @@ pub fn execute_stages(
         let per_vertex = (stage_cpu_sec + stage_io_sec) / p;
         let waves = (p / f64::from(cfg.tokens_per_job.max(1))).ceil().max(1.0);
         let worst = if var.vertex_sigma > 0.0 || var.straggler_prob > 0.0 {
-            worst_vertex_multiplier(&mut rng, vertices.min(512), &vertex_noise, var)
+            worst_vertex_multiplier(&mut rng, vertices.min(512), var)
         } else {
             1.0
         };
@@ -214,12 +208,7 @@ pub fn execute_stages(
 /// `tests/legacy_values.rs`); under a heavy-tailed lognormal `worst` grows
 /// within a few draws and the filter then rejects the bulk of a wide
 /// stage's vertices.
-fn worst_vertex_multiplier(
-    rng: &mut StdRng,
-    n: usize,
-    vertex_noise: &LogNormal,
-    var: &crate::cluster::VarianceModel,
-) -> f64 {
+fn worst_vertex_multiplier(rng: &mut StdRng, n: usize, var: &crate::cluster::VarianceModel) -> f64 {
     debug_assert!(n <= 512);
     let mut u1s = [0.0f64; 512];
     let mut u2s = [0.0f64; 512];
@@ -247,13 +236,40 @@ fn worst_vertex_multiplier(
         if mults[i] == 1.0 && u1s[i] >= threshold {
             continue;
         }
-        let m = vertex_noise.from_normal(normal_from_uniforms(u1s[i], u2s[i])) * mults[i];
+        let m = (sigma * normal_from_uniforms(u1s[i], u2s[i])).exp() * mults[i];
         if m > worst {
             worst = m;
             threshold = skip_above(worst);
         }
     }
     worst
+}
+
+/// The Box-Muller uniform pair for one normal deviate: `u1` in `(0, 1]`
+/// (a zero is re-drawn), `u2` in `[0, 1)`. Split from the transform so the
+/// samplers above can drain the stream first and skip the transcendentals
+/// of draws a bound proves irrelevant.
+fn normal_uniform_pair(rng: &mut StdRng) -> (f64, f64) {
+    loop {
+        let u1: f64 = rng.random();
+        let u2: f64 = rng.random();
+        if u1 > 0.0 {
+            return (u1, u2);
+        }
+    }
+}
+
+/// The Box-Muller transform of a pair drawn by [`normal_uniform_pair`].
+fn normal_from_uniforms(u1: f64, u2: f64) -> f64 {
+    debug_assert!(u1 > 0.0, "Box-Muller u1 must be positive");
+    let r = (-2.0 * u1.ln()).sqrt();
+    r * (std::f64::consts::TAU * u2).cos()
+}
+
+/// One standard normal deviate; a lognormal draw is `exp(sigma * z)`.
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let (u1, u2) = normal_uniform_pair(rng);
+    normal_from_uniforms(u1, u2)
 }
 
 #[cfg(test)]
@@ -353,18 +369,14 @@ mod tests {
         assert!(m.io_sec > 0.0 && m.cpu_sec > 0.0);
     }
 
-    /// The draw-by-draw loop `worst_vertex_multiplier` replaced, verbatim:
-    /// sample, coin, conditional slowdown, running max — one RNG round-trip
-    /// per vertex.
-    fn worst_vertex_reference(
-        rng: &mut StdRng,
-        n: usize,
-        vertex_noise: &LogNormal,
-        var: &VarianceModel,
-    ) -> f64 {
+    /// The draw-by-draw loop `worst_vertex_multiplier` replaced: sample,
+    /// coin, conditional slowdown, running max — one RNG round-trip per
+    /// vertex.
+    fn worst_vertex_reference(rng: &mut StdRng, n: usize, var: &VarianceModel) -> f64 {
+        let sigma = var.vertex_sigma.max(1e-9);
         let mut worst = 1.0f64;
         for _ in 0..n {
-            let mut m = vertex_noise.sample(rng);
+            let mut m = (sigma * standard_normal(rng)).exp();
             if rng.random::<f64>() < var.straggler_prob {
                 m *= rng.random_range(var.straggler_slowdown.0..=var.straggler_slowdown.1);
             }
@@ -391,13 +403,12 @@ mod tests {
                 straggler_prob: prob,
                 ..VarianceModel::default()
             };
-            let noise = LogNormal::new(0.0, sigma.max(1e-9)).unwrap();
             for seed in 0..200 {
                 for n in [1usize, 7, 64, 512] {
                     let mut vec_rng = StdRng::seed_from_u64(seed);
                     let mut ref_rng = StdRng::seed_from_u64(seed);
-                    let got = worst_vertex_multiplier(&mut vec_rng, n, &noise, &var);
-                    let want = worst_vertex_reference(&mut ref_rng, n, &noise, &var);
+                    let got = worst_vertex_multiplier(&mut vec_rng, n, &var);
+                    let want = worst_vertex_reference(&mut ref_rng, n, &var);
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),

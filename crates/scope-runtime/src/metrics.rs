@@ -1,10 +1,10 @@
 //! Runtime metrics logged by the SCOPE-like runtime (paper §2.1): job
 //! latency, vertices count, PNhours, bytes read/written, and memory.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Metrics of one job execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct ExecutionMetrics {
     /// End-to-end job latency in seconds (critical path over stages).
     pub latency_sec: f64,
@@ -99,18 +99,5 @@ mod tests {
         assert!((new.pn_delta(&base) + 0.1).abs() < 1e-12);
         assert!((new.latency_delta(&base) - 0.2).abs() < 1e-12);
         assert!((new.vertices_delta(&base) + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = ExecutionMetrics {
-            pn_hours: 1.5,
-            latency_sec: 30.0,
-            vertices: 8,
-            ..Default::default()
-        };
-        let s = serde_json::to_string(&m).unwrap();
-        let back: ExecutionMetrics = serde_json::from_str(&s).unwrap();
-        assert_eq!(m, back);
     }
 }

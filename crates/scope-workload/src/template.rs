@@ -9,12 +9,12 @@ use scope_ir::ids::{
 };
 use scope_ir::stats::DualStats;
 use scope_lang::{Catalog, TableInfo};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Structural pattern of a template. The mix approximates the operator
 /// composition of analytical SCOPE workloads: aggregation reports, join
 /// pipelines, ingestion unions with user code, and top-k dashboards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Pattern {
     FilterAgg,
     JoinAgg,
@@ -62,7 +62,7 @@ impl Pattern {
 }
 
 /// One base table of a template.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TableDef {
     pub path: String,
     /// Long-run cardinality; the catalog estimate every instance sees.
@@ -70,7 +70,7 @@ pub struct TableDef {
 }
 
 /// Structural metadata of a template (used by tests and reports).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TemplateStats {
     pub pattern: Pattern,
     pub num_tables: usize,
@@ -78,7 +78,7 @@ pub struct TemplateStats {
 
 /// A recurring job template: a script skeleton with literal placeholders
 /// (`__L0__`, `__L1__`, …) plus its base tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TemplateSpec {
     pub seed: u64,
     /// Base of the submitted job name (instances append date/run suffixes).
@@ -109,7 +109,7 @@ pub struct TemplateSpec {
 /// [`FreshEachRun`]: LiteralPolicy::FreshEachRun
 /// [`Sticky`]: LiteralPolicy::Sticky
 /// [`Mixed`]: LiteralPolicy::Mixed
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub enum LiteralPolicy {
     /// Redraw literals on every `(day, instance)` — the original behavior.
     #[default]

@@ -15,12 +15,12 @@ use scope_ir::logical::{LogicalOp, LogicalPlan};
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{CompileError, Compiler, HintSet, RuleBits};
 use scope_runtime::{ExecutionMetrics, Executor};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// Table 1 job-level features after super-root aggregation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table1Features {
     /// Normalized Job Name (min, Job Metadata, J).
     pub normalized_name: String,

@@ -1,11 +1,11 @@
 //! Versioned, validated hint storage.
 
-use parking_lot::RwLock;
 use scope_ir::TemplateId;
 use scope_opt::{Hint, HintSet, RuleConfig, RULE_COUNT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// The on-disk hint file format published by the pipeline's Hint Generation
 /// task ("the output is saved to a file in the SIS pre-defined format", §4.4).
@@ -72,6 +72,12 @@ struct State {
 }
 
 impl SisStore {
+    /// Reads recover a poisoned lock: a writer only assigns `version` and
+    /// `hints`, so a panicking holder cannot leave either half-built.
+    fn state(&self) -> RwLockReadGuard<'_, State> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// In-memory store (most tests and simulations).
     #[must_use]
     pub fn in_memory() -> Self {
@@ -119,7 +125,7 @@ impl SisStore {
     /// version-probing caller believes absent.
     pub fn publish(&self, file: HintFile) -> Result<u32, SisError> {
         Self::validate(&file)?;
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         if file.version <= state.version {
             return Err(SisError::StaleVersion {
                 proposed: file.version,
@@ -167,14 +173,14 @@ impl SisStore {
         // The version comes from the filename, so a stale directory is a
         // no-op before any file is read — a corrupt file that would install
         // nothing must not fail the reload.
-        if version <= self.state.read().version {
+        if version <= self.state().version {
             return Ok(None);
         }
         let json = std::fs::read_to_string(path).map_err(|e| SisError::Io(e.to_string()))?;
         let file: HintFile =
             serde_json::from_str(&json).map_err(|e| SisError::Io(e.to_string()))?;
         Self::validate(&file)?;
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         if version <= state.version {
             return Ok(None);
         }
@@ -207,7 +213,7 @@ impl SisStore {
                 current: 0,
             });
         }
-        let mut state = self.state.write();
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
         if state.version != 0 {
             return Err(SisError::NotPristine {
                 current: state.version,
@@ -220,12 +226,12 @@ impl SisStore {
 
     /// Current installed version (0 = nothing installed).
     pub fn version(&self) -> u32 {
-        self.state.read().version
+        self.state().version
     }
 
     /// Number of installed hints.
     pub fn len(&self) -> usize {
-        self.state.read().hints.len()
+        self.state().hints.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -234,12 +240,12 @@ impl SisStore {
 
     /// The compile-time lookup: effective configuration for a template.
     pub fn config_for(&self, template: TemplateId, default: &RuleConfig) -> RuleConfig {
-        self.state.read().hints.config_for(template, default)
+        self.state().hints.config_for(template, default)
     }
 
     /// Snapshot of the installed hints (e.g. for the engine's hint cache).
     pub fn snapshot(&self) -> HintSet {
-        self.state.read().hints.clone()
+        self.state().hints.clone()
     }
 }
 
