@@ -247,10 +247,11 @@ impl ProductionSim {
         )?;
         let view_build = meter.lap(&self.advisor);
         let mut outcome = self.finish_day(view)?;
-        // Default-configuration compile misses during view building route
-        // through the delta compiler's base builder (that is where most
-        // `base_builds` land under fresh literals): billing the lap adds
-        // them to the day's delta total on top of finish_day's.
+        // Recurring jobs' default-configuration compile misses during view
+        // building route through the delta compiler's base builder (that is
+        // where most `base_builds` land under fresh literals; ad-hoc jobs
+        // build none): billing the lap adds them to the day's delta total on
+        // top of finish_day's.
         outcome.report.bill(Stage::ViewBuild, view_build);
         Ok(outcome)
     }
@@ -385,7 +386,9 @@ mod tests {
     /// drift when the bookkeeping moves. The literals were recorded by this
     /// exact run (seed 41, 12 templates, 3 serial days — serial, so exact)
     /// at commit 56820a5, where each cache still counted in its own atomics;
-    /// `perf`'s hit-ratio metrics are ratios of these counters.
+    /// `perf`'s hit-ratio metrics are ratios of these counters. One literal
+    /// moved on purpose since: `base_builds` 38 → 29, once ad-hoc jobs (3 a
+    /// day) stopped building base memos (`Compiler::compile_unsteered`).
     #[test]
     fn cache_telemetry_matches_the_recorded_counts() {
         use scope_opt::{CacheStats, DeltaStats};
@@ -415,7 +418,7 @@ mod tests {
                 pruned: 0,
                 delta: 35,
                 full: 0,
-                base_builds: 38,
+                base_builds: 29,
                 base_hits: 27,
                 replay_tasks: 54,
             }
@@ -428,7 +431,9 @@ mod tests {
     /// `DailyReport` of this run (seed 41, 3 serial days — serial, so exact)
     /// as recorded at commit 2a16c8a, before the meter existed; and because
     /// laps tile the day, each day total must equal the advisor's
-    /// lifetime-counter delta over that `advance_day`.
+    /// lifetime-counter delta over that `advance_day`. Each day's
+    /// `base_builds` has since dropped by its 3 ad-hoc jobs (12, 13, 13 →
+    /// 9, 10, 10): their compiles no longer build base memos.
     #[test]
     fn daily_telemetry_matches_the_recorded_days_and_the_lifetime_deltas() {
         use crate::{CacheCounters, ExecCounters};
@@ -457,13 +462,13 @@ mod tests {
                 [stats(0, 12), stats(18, 12), stats(0, 8), stats(0, 0)],
                 [exec(stats(0, 12), stats(0, 12)), ExecStats::default()],
                 stats(0, 18),
-                delta(8, 12, 8, 14),
+                delta(8, 9, 8, 14),
             ),
             (
                 [stats(0, 13), stats(2, 2), stats(0, 15), stats(0, 0)],
                 [exec(stats(0, 13), stats(0, 13)), ExecStats::default()],
                 stats(15, 5),
-                delta(15, 13, 10, 24),
+                delta(15, 10, 10, 24),
             ),
             (
                 [stats(0, 13), stats(2, 2), stats(0, 12), stats(4, 0)],
@@ -472,7 +477,7 @@ mod tests {
                     exec(stats(0, 4), stats(2, 2)),
                 ],
                 stats(17, 3),
-                delta(12, 13, 9, 16),
+                delta(12, 10, 9, 16),
             ),
         ];
         // Read through the public accessors, not the meter under test.
@@ -525,6 +530,46 @@ mod tests {
             );
             assert_eq!(total, moved, "day {day}");
         }
+    }
+
+    /// Only steerable plans leave a base memo behind. Under sticky literals
+    /// a recurring plan's base memo is built on the first day the plan runs
+    /// and reused on every later day, while ad-hoc jobs (fresh every day)
+    /// build none. So each day's `base_builds` is exactly that day's newly
+    /// seen recurring plans, and once every template has run (periods are
+    /// at most 7 days) the count stops growing.
+    #[test]
+    fn sticky_sim_builds_base_memos_only_for_recurring_plans() {
+        let mut sim = ProductionSim::new(
+            WorkloadConfig {
+                seed: 41,
+                num_templates: 12,
+                adhoc_per_day: 3,
+                max_instances_per_day: 2,
+                literals: scope_workload::LiteralPolicy::Sticky {
+                    redraw_every_days: 0,
+                },
+            },
+            PipelineConfig::default(),
+        );
+        let mut seen = std::collections::HashSet::new();
+        for day in 0..10 {
+            let jobs = sim.workload.jobs_for_day(sim.day);
+            assert!(
+                jobs.iter().any(|j| !j.recurring),
+                "day {day} runs ad-hoc jobs"
+            );
+            let new_plans = jobs
+                .iter()
+                .filter(|j| j.recurring && seen.insert(j.plan.fingerprint()))
+                .count() as u64;
+            let report = sim.advance_day().unwrap().report;
+            assert_eq!(report.delta_compile.base_builds, new_plans, "day {day}");
+            if day >= 7 {
+                assert_eq!(new_plans, 0, "day {day}: every template has run");
+            }
+        }
+        assert_eq!(sim.advisor.delta_stats().base_builds, seen.len() as u64);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod tests {
         "#;
         let plan = bind_script(src, &Catalog::default()).unwrap();
         let opt = Optimizer::default();
-        opt.compile(&plan, &opt.default_config()).unwrap().physical
+        std::sync::Arc::unwrap_or_clone(opt.compile(&plan, &opt.default_config()).unwrap().physical)
     }
 
     #[test]

@@ -326,6 +326,13 @@ impl PhysicalPlan {
         fp
     }
 
+    /// Whether [`PhysicalPlan::fingerprint`] is memoized, i.e. the next call
+    /// is one atomic load. Never computes it.
+    #[must_use]
+    pub fn is_fingerprinted(&self) -> bool {
+        self.fp_memo.load(Ordering::Relaxed) != 0
+    }
+
     #[must_use]
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -581,7 +588,9 @@ mod tests {
     fn fingerprint_memo_is_invisible_and_reset_on_mutation() {
         let p = sample();
         let pristine = sample();
+        assert!(!p.is_fingerprinted());
         let fp = p.fingerprint();
+        assert!(p.is_fingerprinted());
         assert_eq!(fp, pristine.fingerprint(), "structurally equal plans agree");
         // The memo must not leak into equality, Debug, or serialization.
         assert_eq!(p, pristine);
@@ -593,6 +602,7 @@ mod tests {
         let mut q = p.clone();
         let extra = scan(&mut q, "zz", 7.0);
         q.mark_output(extra);
+        assert!(!q.is_fingerprinted());
         assert_ne!(q.fingerprint(), fp);
     }
 

@@ -104,7 +104,8 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
 
     /// A clone of the stored value, if present, counted as one hit or one
     /// miss. (Values are cheap clones everywhere this is used: `Arc`s,
-    /// `Copy` metric structs, or shared compile results.)
+    /// `Copy` metric structs, or compile results whose physical plan sits
+    /// behind an `Arc`.)
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
         let found = read(self.shard_for(key)).map.get(key).cloned();
@@ -122,9 +123,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// value (the cached computations are deterministic), so first writer
     /// wins and the duplicate work is only a perf loss. Returns whether this
     /// call inserted (counted as one insert), evicting oldest-first if the
-    /// shard's capacity slice overflowed.
+    /// shard's capacity slice overflowed. Evicted values are dropped after
+    /// the shard lock is released: freeing a large value (a base memo) can
+    /// take tens of microseconds, and the shard's readers need not wait.
     pub fn insert(&self, key: K, value: V) -> bool {
         let shard = self.shard_for(&key);
+        let mut evicted = Vec::new();
         let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
         let std::collections::hash_map::Entry::Vacant(slot) = guard.map.entry(key.clone()) else {
             return false;
@@ -136,9 +140,11 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             let Some(oldest) = guard.order.pop_front() else {
                 break;
             };
-            guard.map.remove(&oldest);
+            evicted.extend(guard.map.remove(&oldest));
             guard.evictions += 1;
         }
+        drop(guard);
+        drop(evicted);
         true
     }
 
@@ -241,6 +247,49 @@ mod tests {
         assert_eq!(per_shard, vec![1, 1, 1, 1]);
         assert_eq!(c.stats().evictions, 4);
         assert_eq!(c.len(), 4);
+    }
+
+    /// A cached value that, when dropped, checks whether `try_read` on its
+    /// shard succeeds: [`ShardedCache::insert`] must free what it evicts
+    /// after releasing the write lock, so readers never wait on a slow drop.
+    /// The verdict is counted, not asserted, because a `Drop` that panics
+    /// during another panic's unwinding aborts the test binary.
+    #[derive(Clone)]
+    struct LockProbe;
+
+    static PROBED: std::sync::OnceLock<ShardedCache<u64, LockProbe>> = std::sync::OnceLock::new();
+    static UNLOCKED_DROPS: AtomicU64 = AtomicU64::new(0);
+    static LOCKED_DROPS: AtomicU64 = AtomicU64::new(0);
+
+    impl Drop for LockProbe {
+        fn drop(&mut self) {
+            if let Some(cache) = PROBED.get() {
+                let verdict = if cache.shards[0].try_read().is_ok() {
+                    &UNLOCKED_DROPS
+                } else {
+                    &LOCKED_DROPS
+                };
+                verdict.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_values_drop_outside_the_shard_lock() {
+        let cache = PROBED.get_or_init(|| ShardedCache::new(2, 1, |k| *k));
+        let drops = || {
+            (
+                UNLOCKED_DROPS.load(Ordering::Relaxed),
+                LOCKED_DROPS.load(Ordering::Relaxed),
+            )
+        };
+        for k in 0..5 {
+            assert!(cache.insert(k, LockProbe));
+        }
+        assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(drops(), (3, 0), "one unlocked drop per eviction");
+        assert!(!cache.insert(4, LockProbe));
+        assert_eq!(drops(), (4, 0), "a losing duplicate is dropped unlocked");
     }
 
     #[test]

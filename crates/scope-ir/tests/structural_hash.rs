@@ -147,7 +147,7 @@ fn every_corpus_plan_streams_like_the_tree() {
         let compiled = optimizer
             .compile(&job.plan, &default)
             .expect("corpus compiles under the default configuration");
-        assert_streams_like_the_tree(&compiled.physical);
+        assert_streams_like_the_tree(&*compiled.physical);
     }
 }
 

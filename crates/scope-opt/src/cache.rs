@@ -32,6 +32,7 @@ use crate::search::{CompileError, Compiled, Compiler, Optimizer};
 use crate::tasks::{BudgetCounters, CompileBudget};
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
+use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::Serialize;
 use std::sync::Arc;
@@ -89,15 +90,21 @@ fn compile_key_hash(key: &Key) -> u64 {
     mix64(key.0, key.1.fingerprint())
 }
 
-/// Pre-warm the physical plan's fingerprint memo once per unique compile —
-/// through the reference, so the *caller's* value (and every clone taken
-/// from it afterwards, including the stored one) carries the memo and
-/// downstream execution-cache lookups (`scope_runtime::CachingExecutor`)
-/// cost an atomic load instead of a serialize-and-hash per execution.
-fn prewarm(result: &Result<Compiled, CompileError>) {
-    if let Ok(compiled) = result {
+/// The value the cache stores for one insert: a fresh deep copy of the
+/// physical plan — one copy per insert, never per hit, since every hit and
+/// the inserting caller share it behind the `Arc`. The copy is deliberate:
+/// it lays the long-lived plan's nodes out together, instead of keeping the
+/// plan extraction built in among the freed memo's allocations. Its
+/// fingerprint memo is pre-warmed once here, so every holder's
+/// execution-cache lookup (`scope_runtime::CachingExecutor`) is one atomic
+/// load instead of a hash walk.
+fn stored_copy(result: &Result<Compiled, CompileError>) -> Result<Compiled, CompileError> {
+    let mut stored = result.clone();
+    if let Ok(compiled) = &mut stored {
+        compiled.physical = Arc::new(PhysicalPlan::clone(&compiled.physical));
         let _ = compiled.physical.fingerprint();
     }
+    stored
 }
 
 impl Default for CompileCache {
@@ -127,7 +134,8 @@ impl CompileCache {
     }
 
     /// The cached compile entry point: return the stored result for
-    /// `(plan, config)` or run `compile`, store, and return its result.
+    /// `(plan, config)` or run `compile`, store, and return the stored
+    /// result (the same shared plan every later hit returns).
     /// `compile` runs *outside* any lock, so concurrent misses on different
     /// keys never serialize on each other.
     pub fn get_or_compile(
@@ -137,11 +145,7 @@ impl CompileCache {
         compile: impl FnOnce() -> Result<Compiled, CompileError>,
     ) -> Result<Compiled, CompileError> {
         self.entries
-            .get_or_insert_with(Self::key(plan, config), || {
-                let result = compile();
-                prewarm(&result);
-                result
-            })
+            .get_or_insert_with(Self::key(plan, config), || stored_copy(&compile()))
     }
 
     /// Counted lookup: the stored result for `(plan, config)`. The delta
@@ -160,15 +164,17 @@ impl CompileCache {
     /// Store a compile result computed elsewhere (a delta-compiled
     /// treatment inserts under the same `(fingerprint, RuleBits)` key a
     /// from-scratch compile would use — the results are byte-identical, so
-    /// the cache cannot tell them apart).
+    /// the cache cannot tell them apart). Returns the stored copy, so the
+    /// caller can hold the same shared plan later hits return.
     pub fn insert(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
         result: &Result<Compiled, CompileError>,
-    ) {
-        prewarm(result);
-        self.entries.insert(Self::key(plan, config), result.clone());
+    ) -> Result<Compiled, CompileError> {
+        let stored = stored_copy(result);
+        self.entries.insert(Self::key(plan, config), stored.clone());
+        stored
     }
 
     /// Snapshot of the monotonic counters.
@@ -303,10 +309,24 @@ impl CachingOptimizer {
                         .base_for(&self.inner, plan, config)
                         .map(|base| base.compiled().clone())
                 }),
-            (Some(cache), _) => {
-                cache.get_or_compile(plan, config, || self.inner.compile(plan, config))
-            }
-            (None, _) => self.inner.compile(plan, config),
+            _ => self.compile_unsteered(plan, config),
+        }
+    }
+
+    /// [`CachingOptimizer::compile`] for a plan that will never be steered
+    /// (see [`Compiler::compile_unsteered`]): through the compile cache when
+    /// enabled, but never through the delta compiler's base builder, so an
+    /// ad-hoc job leaves no base memo behind to churn the recurring jobs'
+    /// memos out of the FIFO. It keeps its compile-cache entry: fleet
+    /// tenants that share a workload seed share their ad-hoc plans too.
+    pub fn compile_unsteered(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Compiled, CompileError> {
+        match &self.cache {
+            Some(cache) => cache.get_or_compile(plan, config, || self.inner.compile(plan, config)),
+            None => self.inner.compile(plan, config),
         }
     }
 
@@ -355,10 +375,10 @@ impl CachingOptimizer {
             .map(|(hit, treatment)| {
                 hit.unwrap_or_else(|| {
                     let result = priced.next().expect("one priced result per cache miss");
-                    if let Some(cache) = cache {
-                        cache.insert(plan, treatment, &result);
+                    match cache {
+                        Some(cache) => cache.insert(plan, treatment, &result),
+                        None => result,
                     }
-                    result
                 })
             })
             .collect()
@@ -376,6 +396,14 @@ impl Compiler for CachingOptimizer {
 
     fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError> {
         CachingOptimizer::compile(self, plan, config)
+    }
+
+    fn compile_unsteered(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Compiled, CompileError> {
+        CachingOptimizer::compile_unsteered(self, plan, config)
     }
 
     fn compile_slate(
@@ -426,6 +454,18 @@ impl<'a> BudgetedCompiler<'a> {
             counters,
         }
     }
+
+    /// The finite-budget compile: the task engine from scratch, its outcome
+    /// recorded in the shared counters.
+    fn compile_within_budget(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Compiled, CompileError> {
+        let result = self.inner.inner.compile_budgeted(plan, config, self.budget);
+        self.counters.record(&result);
+        result.map(|b| b.compiled)
+    }
 }
 
 impl Compiler for BudgetedCompiler<'_> {
@@ -441,9 +481,18 @@ impl Compiler for BudgetedCompiler<'_> {
         if self.budget.is_unlimited() {
             return self.inner.compile(plan, config);
         }
-        let result = self.inner.inner.compile_budgeted(plan, config, self.budget);
-        self.counters.record(&result);
-        result.map(|b| b.compiled)
+        self.compile_within_budget(plan, config)
+    }
+
+    fn compile_unsteered(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Compiled, CompileError> {
+        if self.budget.is_unlimited() {
+            return self.inner.compile_unsteered(plan, config);
+        }
+        self.compile_within_budget(plan, config)
     }
 
     fn compile_slate(
@@ -638,17 +687,66 @@ mod tests {
         assert!(cache.lookup(&p, &cfg).is_none());
         assert_eq!(cache.stats().misses, 1);
         let result = opt.compile(&p, &cfg);
-        cache.insert(&p, &cfg, &result);
+        let stored = cache.insert(&p, &cfg, &result);
         assert_eq!(cache.stats().inserts, 1);
-        // The caller's value was pre-warmed through the reference, so the
-        // fingerprint memo is already set on `result` itself.
+        assert_eq!(stored, result, "the stored copy equals what was priced");
         let looked_up = cache.lookup(&p, &cfg).expect("inserted result hits");
-        assert_eq!(looked_up, result);
+        assert!(Arc::ptr_eq(
+            &looked_up.unwrap().physical,
+            &stored.unwrap().physical
+        ));
         assert_eq!(cache.stats().hits, 1);
         // Duplicate insert: first writer wins, no double count.
-        cache.insert(&p, &cfg, &result);
+        let _ = cache.insert(&p, &cfg, &result);
         assert_eq!(cache.stats().inserts, 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Hits share the one compact copy the insert made instead of copying
+    /// the plan, and that copy carries its fingerprint memo, so every holder
+    /// (the execution cache's key lookup) reads it with one atomic load.
+    #[test]
+    fn hits_share_the_stored_plan_and_its_fingerprint_memo() {
+        let cached = CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
+            .with_delta(DeltaConfig::default());
+        let p = plan();
+        let default = cached.default_config();
+        let flipped = default.with_flip(RuleFlip {
+            rule: crate::registry::RULE_SHUFFLE_ELIMINATION,
+            enable: false,
+        });
+        // The default configuration's miss goes through the base builder,
+        // the flipped one's through a plain compile: both store one copy.
+        for cfg in [default, flipped] {
+            let miss = cached.compile(&p, &cfg).unwrap();
+            let first = cached.compile(&p, &cfg).unwrap();
+            let second = cached.compile(&p, &cfg).unwrap();
+            assert!(Arc::ptr_eq(&first.physical, &second.physical));
+            assert!(Arc::ptr_eq(&miss.physical, &first.physical));
+            assert!(first.physical.is_fingerprinted(), "pre-warmed on insert");
+            let direct = Optimizer::default().compile(&p, &cfg).unwrap();
+            assert!(!direct.physical.is_fingerprinted());
+            assert_eq!(direct, first, "sharing is invisible to equality");
+            assert_eq!(first.physical.fingerprint(), direct.physical.fingerprint());
+        }
+        assert_eq!(cached.stats().hits, 4);
+    }
+
+    #[test]
+    fn unsteered_compiles_share_the_cache_but_build_no_base_memo() {
+        let steering = CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
+            .with_delta(DeltaConfig::default());
+        let p = plan();
+        let default = steering.default_config();
+        let unsteered = steering.compile_unsteered(&p, &default);
+        assert_eq!(steering.delta_stats(), DeltaStats::default());
+        assert_eq!(unsteered, Optimizer::default().compile(&p, &default));
+        // Either entry point then hits the one compile-cache entry.
+        let steered = steering.compile(&p, &default);
+        assert_eq!(steered, unsteered);
+        let stats = steering.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(steering.delta_stats().base_builds, 0);
     }
 
     #[test]

@@ -102,8 +102,11 @@ impl DeltaConfig {
 /// Maximum retained base memos across all shards. A base memo holds a full
 /// explored memo (~tens of KB for simulated plans), so this bounds the
 /// dominant memory cost of delta compilation at tens of MB — plenty for the
-/// live plan population of the simulated workloads (sticky literals keep ~1
-/// plan per template alive; fresh literals rotate through FIFO).
+/// live plan population of the simulated workloads. Only steerable plans
+/// build one: ad-hoc jobs compile through
+/// [`Compiler::compile_unsteered`](crate::search::Compiler::compile_unsteered),
+/// so their memos never enter the FIFO. Sticky literals therefore keep ~1
+/// plan per recurring template alive; fresh literals rotate through FIFO.
 const BASE_CAPACITY: usize = 512;
 /// Lock shards of the base-memo cache.
 const BASE_SHARDS: usize = 8;
@@ -234,8 +237,8 @@ impl BaseMemo {
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
         let full = optimizer.compile_full(plan, base)?;
-        // Pre-warm the physical fingerprint once so every pruned clone
-        // carries the memo (same reasoning as the compile cache's pre-warm).
+        // Pre-warm the physical fingerprint once: every pruned result shares
+        // this plan, so each reads it with one atomic load.
         let _ = full.run.compiled.physical.fingerprint();
         let n = full.memo.group_count();
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];

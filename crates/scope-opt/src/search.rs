@@ -104,10 +104,15 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// A successful compilation.
+/// A successful compilation. Cloning one is cheap: the plan is shared, so
+/// compile-cache hits, pruned treatments and the base memo's hand-off to the
+/// compile cache all bump a refcount instead of copying every node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Compiled {
-    pub physical: PhysicalPlan,
+    /// The chosen physical plan, immutable once extracted. Compares by value
+    /// (`Arc`'s `PartialEq`), so two compiles of one `(plan, config)` are
+    /// equal whether or not they share an allocation.
+    pub physical: Arc<PhysicalPlan>,
     /// Total estimated cost (the optimizer's belief; see `scope-runtime` for
     /// ground truth).
     pub est_cost: f64,
@@ -130,6 +135,20 @@ pub trait Compiler {
     fn rules(&self) -> &RuleSet;
     fn default_config(&self) -> RuleConfig;
     fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError>;
+
+    /// Compile a plan the pipeline will never steer (an ad-hoc job: hints
+    /// are keyed by template and only recurring templates come back). The
+    /// result is [`Compiler::compile`]'s; the difference is what stays
+    /// behind. [`crate::cache::CachingOptimizer`] overrides it to skip the
+    /// delta compiler's base memo, which only treatment pricing reads, while
+    /// still sharing the compile-cache entry.
+    fn compile_unsteered(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Compiled, CompileError> {
+        self.compile(plan, config)
+    }
 
     /// Price a *slate* of treatment configurations against one base
     /// configuration of the same plan — the shape of the pipeline's two
@@ -649,7 +668,7 @@ impl Optimizer {
 
         debug_assert!(plan.validate().is_ok(), "extractor must emit valid plans");
         Ok(Compiled {
-            physical: plan,
+            physical: Arc::new(plan),
             est_cost,
             signature,
             memo_groups: memo.group_count(),

@@ -297,7 +297,7 @@ mod tests {
         );
         let plan = bind_script(SCRIPT, &catalog).unwrap();
         let opt = scope_opt::Optimizer::default();
-        opt.compile(&plan, &opt.default_config()).unwrap().physical
+        std::sync::Arc::unwrap_or_clone(opt.compile(&plan, &opt.default_config()).unwrap().physical)
     }
 
     #[test]

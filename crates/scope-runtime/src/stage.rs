@@ -262,7 +262,7 @@ mod tests {
     fn compiled_plan(src: &str) -> PhysicalPlan {
         let plan = bind_script(src, &Catalog::default()).unwrap();
         let opt = Optimizer::default();
-        opt.compile(&plan, &opt.default_config()).unwrap().physical
+        std::sync::Arc::unwrap_or_clone(opt.compile(&plan, &opt.default_config()).unwrap().physical)
     }
 
     const SCRIPT: &str = r#"

@@ -31,7 +31,7 @@ fn physical(rows: f64) -> scope_ir::physical::PhysicalPlan {
     );
     let plan = bind_script(SCRIPT, &catalog).unwrap();
     let opt = scope_opt::Optimizer::default();
-    opt.compile(&plan, &opt.default_config()).unwrap().physical
+    std::sync::Arc::unwrap_or_clone(opt.compile(&plan, &opt.default_config()).unwrap().physical)
 }
 
 /// `(cluster, input rows, job_seed, run_seed) -> Debug rendering` captured

@@ -12,7 +12,8 @@ fn compiled(seed: u64, day: u32) -> Option<scope_ir::PhysicalPlan> {
     let (script, catalog) = spec.instantiate(day, 0);
     let plan = bind_script(&script, &catalog).ok()?;
     let opt = Optimizer::default();
-    Some(opt.compile(&plan, &opt.default_config()).ok()?.physical)
+    let compiled = opt.compile(&plan, &opt.default_config()).ok()?;
+    Some(std::sync::Arc::unwrap_or_clone(compiled.physical))
 }
 
 proptest! {

@@ -209,21 +209,28 @@ pub fn build_view_row<C: Compiler, E: Executor>(
 ) -> Result<ViewRow, ViewBuildError> {
     let hinted = hints.lookup(job.template).is_some();
     let config = hints.config_for(job.template, default);
-    let (compiled, hint_applied) = match optimizer.compile(&job.plan, &config) {
-        Ok(c) => (c, hinted),
-        Err(CompileError::RuleInstability { .. }) if hinted => {
-            match optimizer.compile(&job.plan, default) {
-                Ok(c) => (c, false),
-                Err(error) => {
-                    return Err(ViewBuildError {
-                        job_id: job.job_id,
-                        job_name: job.name.clone(),
-                        template: job.template,
-                        error,
-                    })
-                }
-            }
+    // Only recurring jobs are ever steered; an ad-hoc job's compile leaves
+    // nothing behind for treatment pricing (see `Compiler::compile_unsteered`).
+    let compile = |config: &scope_opt::RuleConfig| {
+        if job.recurring {
+            optimizer.compile(&job.plan, config)
+        } else {
+            optimizer.compile_unsteered(&job.plan, config)
         }
+    };
+    let (compiled, hint_applied) = match compile(&config) {
+        Ok(c) => (c, hinted),
+        Err(CompileError::RuleInstability { .. }) if hinted => match compile(default) {
+            Ok(c) => (c, false),
+            Err(error) => {
+                return Err(ViewBuildError {
+                    job_id: job.job_id,
+                    job_name: job.name.clone(),
+                    template: job.template,
+                    error,
+                })
+            }
+        },
         Err(error) => {
             return Err(ViewBuildError {
                 job_id: job.job_id,
