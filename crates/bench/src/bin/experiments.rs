@@ -983,7 +983,7 @@ const DEEP_SCRIPTS: &[&str] = &[
 /// costs) each budget gives up against the unlimited compile, and what
 /// fraction of compiles it truncates. This is the load-shedding calibration
 /// artifact: pick the knee of the curve, not a guess, when setting
-/// `--compile-budget` / `StreamConfig::compile_budget`.
+/// `--compile-budget` (`PipelineConfig::compile_budget`).
 fn budget_regret(knobs: &Knobs) {
     println!("\n=== Anytime compile budget: tasks vs cost regret ===");
     let optimizer = scope_opt::Optimizer::default();

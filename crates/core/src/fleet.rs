@@ -53,18 +53,15 @@
 //!
 //! # Load shedding
 //!
-//! [`StreamConfig::compile_budget`] bounds the compile work each job may
-//! spend: with a finite task budget, workers compile through a
-//! [`BudgetedCompiler`] whose task-queue cascade stops exploring at the
-//! budget and extracts the best plan found so far from the partial memo
-//! (`scope_opt::tasks`) — the job still ships, on a possibly-worse plan.
-//! Shed decisions are *static*, a pure function of `(plan, config, budget)`
-//! — never of queue depth, worker count, or scheduling — so a saturated
-//! queue degrades latency, not determinism. Truncation tallies surface per
-//! tenant in `DailyReport.compile_budget`, per day in
-//! [`FleetDayOutcome::shed`], and fleet-lifetime in [`FleetMetrics::shed`];
-//! shed jobs still stamp the steering-latency histogram (their cheaper
-//! compiles are exactly the latency relief the budget buys).
+//! The stream itself never sheds: every view-build compile runs to
+//! completion through the tenant's caching optimizer. A tenant whose
+//! [`PipelineConfig::compile_budget`] is finite sheds in its own reduce, in
+//! the counterfactual recompiles of hinted jobs
+//! ([`crate::QoAdvisor::compile_shedding`]) — a pure function of
+//! `(plan, config, budget)`, never of queue depth, worker count or
+//! scheduling. Truncation tallies surface per tenant in
+//! `DailyReport.compile_budget`, per day in [`FleetDayOutcome::shed`], and
+//! fleet-lifetime in [`FleetMetrics::shed`].
 //!
 //! # Determinism contract, per tenant
 //!
@@ -75,12 +72,11 @@
 //! make this hold: `build_view_row` is pure per job (so arrival interleaving
 //! cannot change any row), and everything stateful is applied in
 //! [`ProductionSim::finish_day`]'s per-tenant serial reduce in job order.
-//! A finite stream budget keeps the contract at any worker count (sheds are
-//! per-job-pure); it changes outputs only relative to a *differently
-//! budgeted* run. `tests/fleet_determinism.rs` pins the contract.
+//! A finite pipeline budget keeps the contract at any worker count (sheds are
+//! per-job-pure). `tests/fleet_determinism.rs` pins the contract.
 
 use crate::config::PipelineConfig;
-use crate::meter::{Lap, Sample, Stage};
+use crate::meter::{Lap, Stage};
 use crate::monitoring::MonitorConfig;
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
@@ -88,7 +84,7 @@ use crate::snapshot::SnapshotPolicy;
 use crate::stages::par_map;
 use scope_ir::ids::tenant_workload_seed;
 use scope_ir::LatencyHistogram;
-use scope_opt::{BudgetedCompiler, CacheStats, CompileBudget, HintSet, RuleConfig};
+use scope_opt::{CacheStats, HintSet, RuleConfig};
 use scope_workload::{build_view_row, JobInstance, ViewBuildError, ViewRow, WorkloadConfig};
 use sis::{SisError, SisStore};
 use std::path::Path;
@@ -104,20 +100,6 @@ pub struct StreamConfig {
     /// Bounded capacity of the job-arrival queue. A full queue blocks the
     /// producer (backpressure); arrivals are never dropped.
     pub queue_capacity: usize,
-    /// Per-job anytime compile budget the workers apply to view-build
-    /// compiles — the fleet's load-shedding knob. Unlimited (the default)
-    /// keeps the streaming pipeline a pure throughput knob; a finite task
-    /// budget trades plan quality for bounded per-job compile work: each
-    /// worker compiles through a [`BudgetedCompiler`], which sheds
-    /// exploration past the budget and extracts the best plan found so far
-    /// from the partial memo. Shedding is *static and deterministic* — a
-    /// budgeted compile is a pure function of `(plan, config, budget)`,
-    /// never of queue depth or worker scheduling — so per-tenant outputs
-    /// remain byte-identical at any worker count; only which plans ship
-    /// changes with the budget itself. Shed tallies land per tenant in
-    /// [`crate::pipeline::DailyReport::compile_budget`] and fleet-wide in
-    /// [`FleetMetrics::shed`].
-    pub compile_budget: CompileBudget,
 }
 
 impl Default for StreamConfig {
@@ -125,7 +107,6 @@ impl Default for StreamConfig {
         Self {
             workers: 0,
             queue_capacity: 256,
-            compile_budget: CompileBudget::unlimited(),
         }
     }
 }
@@ -162,10 +143,9 @@ pub struct FleetMetrics {
     /// Jobs served over the fleet's lifetime.
     pub jobs: u64,
     /// Finite-budget compiles truncated by the anytime budget over the
-    /// fleet's lifetime (view-build sheds under the stream budget plus each
-    /// tenant's counterfactual sheds) — the load-shedding counter. Always 0
-    /// on unlimited budgets; equals the sum of per-tenant
-    /// `DailyReport.compile_budget.truncated` otherwise.
+    /// fleet's lifetime (the tenants' counterfactual sheds) — the
+    /// load-shedding counter. Always 0 on unlimited budgets; equals the sum
+    /// of per-tenant `DailyReport.compile_budget.truncated` otherwise.
     pub shed: u64,
     /// Wall-clock nanoseconds spent inside [`Fleet::advance_day`].
     pub wall_ns: u64,
@@ -360,13 +340,8 @@ impl Fleet {
         // qo-lint: allow(ambient-entropy) — fleet throughput telemetry only;
         // per-tenant outputs are compared with timings zeroed
         let t_day = std::time::Instant::now();
-        let meters = self
-            .tenants
-            .iter()
-            .map(|t| t.sim.advisor.sample())
-            .collect();
         let (views, steering_latency) = self.stream_views()?;
-        let outcomes = self.reduce_days(views, meters)?;
+        let outcomes = self.reduce_days(views)?;
         let shed = outcomes
             .iter()
             .map(|o| o.report.compile_budget.truncated)
@@ -417,19 +392,8 @@ impl Fleet {
             // qo-lint: allow(ambient-entropy) — the per-job steering-latency
             // clock; telemetry only
             let t = std::time::Instant::now();
-            // Load shedding: a finite stream budget routes the job's
-            // compiles through the task engine (still a pure per-job
-            // function — see `StreamConfig`); an unlimited one passes
-            // straight through to the tenant's optimizer. Sheds land in the
-            // tenant advisor's own counters, so per-tenant `DailyReport`
-            // attribution and [`FleetMetrics::shed`] reconcile to one tally.
-            let shedding = BudgetedCompiler::new(
-                sim.advisor.caching_optimizer(),
-                self.stream.compile_budget,
-                sim.advisor.budget_counters(),
-            );
-            let job = &jobs[index];
-            let row = build_view_row(job, &shedding, hints, default, sim.prod_executor());
+            let optimizer = sim.advisor.caching_optimizer();
+            let row = build_view_row(&jobs[index], optimizer, hints, default, sim.prod_executor());
             (tenant, index, t.elapsed().as_nanos() as u64, row)
         })?;
         let mut steering_latency = LatencyHistogram::new();
@@ -444,24 +408,16 @@ impl Fleet {
     /// mutates only its own tenant's state, and the shared caches are
     /// `&self`-concurrent. Outcomes come back in tenant order.
     ///
-    /// `meters` were sampled before the stream: each tenant's streamed view
-    /// build is billed as the lap `finish_day` never saw — its summed per-job
-    /// build time (the streaming analogue of `advance_day`'s serial
-    /// measurement) and its worker-side sheds (per-tenant counters, so
-    /// deterministic at any worker count). The lap's cache counters stay
-    /// zero: shared-cache traffic during the stream cannot be attributed to
-    /// one tenant.
-    fn reduce_days(
-        &mut self,
-        views: Vec<TenantView>,
-        meters: Vec<Sample>,
-    ) -> Result<Vec<DayOutcome>, PipelineError> {
-        let tenant_days = self.tenants.iter_mut().zip(views).zip(meters);
-        let reduce = |((tenant, (view, ns)), mut meter): ((&mut Tenant, _), Sample)| {
-            let budget = meter.lap(&tenant.sim.advisor).budget;
+    /// Each tenant's streamed view build is billed as the lap `finish_day`
+    /// never saw: its summed per-job build time, the streaming analogue of
+    /// `advance_day`'s serial measurement. The lap's counters stay zero: the
+    /// stream never sheds, and shared-cache traffic during the stream cannot
+    /// be attributed to one tenant.
+    fn reduce_days(&mut self, views: Vec<TenantView>) -> Result<Vec<DayOutcome>, PipelineError> {
+        let tenant_days = self.tenants.iter_mut().zip(views);
+        let reduce = |(tenant, (view, ns)): (&mut Tenant, TenantView)| {
             let mut outcome = tenant.sim.finish_day(view)?;
             let view_build = Lap {
-                budget,
                 ns,
                 ..Lap::default()
             };
@@ -655,7 +611,6 @@ mod tests {
                     stream: StreamConfig {
                         workers,
                         queue_capacity: queue,
-                        ..StreamConfig::default()
                     },
                     ..FleetConfig::default()
                 },
@@ -695,7 +650,6 @@ mod tests {
             let config = StreamConfig {
                 workers,
                 queue_capacity,
-                ..StreamConfig::default()
             };
             let rows = stream(&[3, 0, 1, 2], &config, |arrival| arrival);
             let expected = vec![(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)];
@@ -719,7 +673,6 @@ mod tests {
                 let config = StreamConfig {
                     workers,
                     queue_capacity: 1,
-                    ..StreamConfig::default()
                 };
                 let rows = stream(&[32, 32], &config, |arrival| {
                     assert_ne!(arrival, (0, 0), "planted panic");
@@ -805,44 +758,62 @@ mod tests {
         assert!(regroup(vec![], &[]).unwrap().is_empty());
     }
 
-    /// Day totals under a finite stream budget: the streamed view build is
-    /// billed as one more lap, so each tenant's `compile_budget` is its
-    /// advisor's lifetime shed delta over the fleet day — worker-side
-    /// view-build sheds plus `finish_day`'s — and the fleet's `shed` is their
-    /// sum.
+    /// Day totals under a finite pipeline budget, run until every tenant has
+    /// hinted jobs to measure: each tenant's `compile_budget` is its
+    /// advisor's lifetime shed delta over the fleet day (the counterfactual
+    /// recompiles of its hinted jobs, all inside its reduce), each day's
+    /// `shed` is the sum over tenants, and the fleet's lifetime `shed`
+    /// accumulates the days.
     #[test]
     fn a_budgeted_fleet_day_bills_every_shed_to_its_tenant() {
         let mut fleet = Fleet::new(
             disjoint_workloads(3, &small_workload()),
             &FleetConfig {
+                pipeline: PipelineConfig {
+                    compile_budget: scope_opt::CompileBudget::tasks(48),
+                    ..PipelineConfig::default()
+                },
                 stream: StreamConfig {
                     workers: 2,
-                    compile_budget: CompileBudget::tasks(64),
                     ..StreamConfig::default()
                 },
                 ..FleetConfig::default()
             },
         );
-        fleet.advance_day().expect("day 0 runs clean");
-        let before: Vec<_> = fleet
-            .tenants()
-            .iter()
-            .map(|t| t.sim.advisor.budget_stats())
-            .collect();
-        let day = fleet.advance_day().expect("day 1 runs clean");
-        for ((tenant, outcome), before) in fleet.tenants().iter().zip(&day.outcomes).zip(&before) {
-            let moved = tenant.sim.advisor.budget_stats().since(before);
-            assert_eq!(outcome.report.compile_budget, moved, "tenant {}", tenant.id);
-            assert!(moved.total() > 0, "every view-build compile is budgeted");
-            assert_eq!(
-                outcome.report.compile_cache.view_build,
-                CacheStats::default()
-            );
+        let mut truncated = [0; 3];
+        let mut shed = 0;
+        // Eight days: the last tenant's first hinted job arrives on day 7.
+        for day in 0..8 {
+            let before: Vec<_> = fleet
+                .tenants()
+                .iter()
+                .map(|t| t.sim.advisor.budget_stats())
+                .collect();
+            let outcome = fleet.advance_day().expect("fleet days run clean");
+            let tenants = fleet.tenants().iter().zip(&outcome.outcomes).zip(&before);
+            for ((tenant, tenant_day), before) in tenants {
+                let moved = tenant.sim.advisor.budget_stats().since(before);
+                let report = &tenant_day.report;
+                assert_eq!(
+                    report.compile_budget, moved,
+                    "day {day} tenant {}",
+                    tenant.id
+                );
+                assert_eq!(report.compile_cache.view_build, CacheStats::default());
+                truncated[tenant.id as usize] += moved.truncated;
+            }
+            let day_total: u64 = outcome
+                .outcomes
+                .iter()
+                .map(|o| o.report.compile_budget.truncated)
+                .sum();
+            assert_eq!(outcome.shed, day_total, "day {day}");
+            shed += outcome.shed;
+            assert_eq!(fleet.metrics().shed, shed, "day {day}");
         }
-        assert!(day.shed > 0, "a 64-task budget truncates something");
-        assert_eq!(fleet.metrics().shed, {
-            let lifetime = fleet.tenants().iter().map(|t| t.sim.advisor.budget_stats());
-            lifetime.map(|b| b.truncated).sum::<u64>()
-        });
+        assert!(
+            truncated.iter().all(|&t| t > 0),
+            "every tenant must shed, or dropping it from a sum goes unseen: {truncated:?}"
+        );
     }
 }

@@ -15,8 +15,8 @@ use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{
-    BudgetCounters, BudgetStats, BudgetedCompiler, CacheStats, CachingOptimizer, CompileCache,
-    CompileError, Compiled, Compiler, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
+    BudgetCounters, BudgetStats, CacheStats, CachingOptimizer, CompileCache, CompileError,
+    Compiled, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
 };
 use scope_runtime::{CachingExecutor, Cluster, ExecStats, ExecutionCache};
 use scope_workload::{ViewBuildError, ViewRow};
@@ -108,8 +108,8 @@ pub struct SharedCaches {
 
 impl SharedCaches {
     /// The caches `config` enables, each at its fixed size — the same
-    /// construction [`QoAdvisor::with_sis_store`] performs privately,
-    /// hoisted out so N advisors can point at one instance.
+    /// construction [`QoAdvisor::new`] performs privately, hoisted out so N
+    /// advisors can point at one instance.
     #[must_use]
     pub fn from_config(config: &PipelineConfig) -> Self {
         Self {
@@ -230,14 +230,14 @@ pub struct DailyReport {
     /// order, so reproducibility comparisons zero this field like the other
     /// cache counters.
     pub feature_cache: CacheStats,
-    /// Anytime-budget shed tallies of this day's *finite-budget* compiles
-    /// (the counterfactual recompiles under
-    /// [`crate::config::PipelineConfig::compile_budget`], plus a fleet's
-    /// per-job view-build compiles under its stream budget). All-zero on the
-    /// default unlimited budget. Unlike the cache counters this field is
-    /// **deterministic** — a finite-budget compile is a pure function of
-    /// `(plan, config, budget)`, never of thread count or cache state — so
-    /// reproducibility comparisons do NOT zero it.
+    /// Anytime-budget shed tallies of this day's *finite-budget* compiles:
+    /// the counterfactual recompiles under
+    /// [`crate::config::PipelineConfig::compile_budget`], the loop's only
+    /// budgeted compiles (a fleet's tenants shed the same way, in their own
+    /// reduce). All-zero on the default unlimited budget. Unlike the cache
+    /// counters this field is **deterministic** — a finite-budget compile is
+    /// a pure function of `(plan, config, budget)`, never of thread count or
+    /// cache state — so reproducibility comparisons do NOT zero it.
     pub compile_budget: BudgetStats,
     /// Per-stage wall-clock timings of this day (observability only;
     /// zeroed in reproducibility comparisons).
@@ -294,10 +294,9 @@ pub struct QoAdvisor {
     pub(crate) feature_cache: Option<Arc<FeatureCache>>,
     /// Shed tallies of every finite-budget compile issued on this advisor's
     /// behalf: the simulator's counterfactual recompiles
-    /// ([`crate::ProductionSim::finish_day`]) and, in a fleet, the workers'
-    /// per-job view-build compiles. Unlimited compiles are never recorded,
-    /// so the counters stay all-zero — and the field invisible — on default
-    /// configurations.
+    /// ([`crate::ProductionSim::finish_day`]). Unlimited compiles are never
+    /// recorded, so the counters stay all-zero — and the field invisible — on
+    /// default configurations.
     pub(crate) budget_counters: BudgetCounters,
     pub(crate) validation: Option<ValidationModel>,
     pub(crate) sis: SisStore,
@@ -310,26 +309,15 @@ pub struct QoAdvisor {
 }
 
 impl QoAdvisor {
+    /// A single-tenant advisor: an in-memory SIS store and private caches
+    /// per `config`.
     #[must_use]
     pub fn new(optimizer: Optimizer, flighting: FlightingService, config: PipelineConfig) -> Self {
-        Self::with_sis_store(optimizer, flighting, config, SisStore::in_memory())
-    }
-
-    /// Like [`QoAdvisor::new`] but publishing into an explicit SIS store
-    /// (e.g. a disk-backed one, so published hint files can be inspected).
-    /// Builds private caches per `config` — the single-tenant path.
-    #[must_use]
-    pub fn with_sis_store(
-        optimizer: Optimizer,
-        flighting: FlightingService,
-        config: PipelineConfig,
-        sis: SisStore,
-    ) -> Self {
         let caches = SharedCaches::from_config(&config);
-        Self::with_shared_caches(optimizer, flighting, config, sis, &caches)
+        Self::with_shared_caches(optimizer, flighting, config, SisStore::in_memory(), &caches)
     }
 
-    /// Like [`QoAdvisor::with_sis_store`] but pointing every cache layer at
+    /// An advisor publishing into `sis` with every cache layer pointing at
     /// caches owned elsewhere — the fleet path, where N advisors share one
     /// process-wide [`SharedCaches`]. Caches are throughput knobs, never
     /// behavior knobs (the PR 1 contract), and the shared keys are
@@ -412,13 +400,13 @@ impl QoAdvisor {
     }
 
     /// Compile under the pipeline's anytime budget
-    /// ([`PipelineConfig::compile_budget`]) through a [`BudgetedCompiler`],
-    /// recording the shed outcome in this advisor's budget counters. On the
-    /// default unlimited budget this is exactly a compile through
-    /// [`QoAdvisor::caching_optimizer`]; at a finite budget the compile
-    /// bypasses the cache and delta compiler (truncated results are not
-    /// cacheable under unbudgeted keys) and may return a best-effort plan
-    /// extracted from a partially explored memo. The measurement path — the
+    /// ([`PipelineConfig::compile_budget`]). On the default unlimited budget
+    /// this is exactly a compile through [`QoAdvisor::caching_optimizer`]. At
+    /// a finite budget it runs [`Optimizer::compile_budgeted`] from scratch,
+    /// bypassing the cache and the delta compiler (truncated results are not
+    /// cacheable under unbudgeted keys), records the shed outcome in this
+    /// advisor's budget counters, and may return a best-effort plan extracted
+    /// from a partially explored memo. The measurement path — the
     /// simulator's counterfactual recompiles — routes through here; the
     /// steering path never does, so hints stay budget-invariant.
     pub fn compile_shedding(
@@ -426,21 +414,13 @@ impl QoAdvisor {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
-        BudgetedCompiler::new(
-            &self.optimizer,
-            self.config.compile_budget,
-            &self.budget_counters,
-        )
-        .compile(plan, config)
-    }
-
-    /// The shared shed counters behind [`QoAdvisor::compile_shedding`] (a
-    /// fleet's view-build workers record their per-job budgeted compiles
-    /// here too, so one advisor's tallies cover every finite-budget compile
-    /// issued on its behalf).
-    #[must_use]
-    pub fn budget_counters(&self) -> &BudgetCounters {
-        &self.budget_counters
+        let budget = self.config.compile_budget;
+        if budget.is_unlimited() {
+            return self.optimizer.compile(plan, config);
+        }
+        let result = self.optimizer().compile_budgeted(plan, config, budget);
+        self.budget_counters.record(&result);
+        result.map(|b| b.compiled)
     }
 
     /// Lifetime anytime-budget shed tallies (all-zero while every compile

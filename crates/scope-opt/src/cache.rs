@@ -29,7 +29,6 @@ use crate::config::{RuleBits, RuleConfig};
 use crate::delta::{DeltaCompiler, DeltaConfig, DeltaStats};
 use crate::registry::RuleSet;
 use crate::search::{CompileError, Compiled, Compiler, Optimizer};
-use crate::tasks::{BudgetCounters, CompileBudget};
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::PhysicalPlan;
@@ -416,104 +415,6 @@ impl Compiler for CachingOptimizer {
     }
 }
 
-/// A [`Compiler`] view over a [`CachingOptimizer`] with a fixed
-/// [`CompileBudget`] — the pipeline's load-shedding compile path. The
-/// pipeline's generic compile sites (span fixpoint, view building,
-/// recommendation slates, flighting) work unchanged, while every
-/// finite-budget compile runs the task engine from scratch and records its
-/// outcome in the shared [`BudgetCounters`]. At unlimited budget this is a
-/// zero-cost passthrough, byte-identical to handing out the
-/// `CachingOptimizer` itself.
-///
-/// Budget/cache-key soundness (see `crate::tasks`): the compile cache and
-/// the delta compiler are keyed on `(plan, config)` only, so their results
-/// are valid solely for budget-independent compiles. An unlimited budget
-/// routes through them unchanged (and is never counted — it cannot shed).
-/// A finite budget bypasses both: truncated results are never cached, never
-/// served from cache, and never priced against a base memo frozen at a
-/// different truncation point. The finite path is a pure function of
-/// `(plan, config, budget)`, so shed decisions stay deterministic across
-/// thread counts and cache states.
-#[derive(Debug, Clone, Copy)]
-pub struct BudgetedCompiler<'a> {
-    inner: &'a CachingOptimizer,
-    budget: CompileBudget,
-    counters: &'a BudgetCounters,
-}
-
-impl<'a> BudgetedCompiler<'a> {
-    #[must_use]
-    pub fn new(
-        inner: &'a CachingOptimizer,
-        budget: CompileBudget,
-        counters: &'a BudgetCounters,
-    ) -> Self {
-        Self {
-            inner,
-            budget,
-            counters,
-        }
-    }
-
-    /// The finite-budget compile: the task engine from scratch, its outcome
-    /// recorded in the shared counters.
-    fn compile_within_budget(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        let result = self.inner.inner.compile_budgeted(plan, config, self.budget);
-        self.counters.record(&result);
-        result.map(|b| b.compiled)
-    }
-}
-
-impl Compiler for BudgetedCompiler<'_> {
-    fn rules(&self) -> &RuleSet {
-        self.inner.rules()
-    }
-
-    fn default_config(&self) -> RuleConfig {
-        self.inner.default_config()
-    }
-
-    fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError> {
-        if self.budget.is_unlimited() {
-            return self.inner.compile(plan, config);
-        }
-        self.compile_within_budget(plan, config)
-    }
-
-    fn compile_unsteered(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        if self.budget.is_unlimited() {
-            return self.inner.compile_unsteered(plan, config);
-        }
-        self.compile_within_budget(plan, config)
-    }
-
-    fn compile_slate(
-        &self,
-        plan: &LogicalPlan,
-        base: &RuleConfig,
-        treatments: &[RuleConfig],
-    ) -> Vec<Result<Compiled, CompileError>> {
-        if self.budget.is_unlimited() {
-            return self.inner.compile_slate(plan, base, treatments);
-        }
-        // Budgeted slates bypass delta: a base memo frozen at one truncation
-        // point cannot soundly replay another (see `crate::tasks`). Each
-        // treatment runs the engine under the same per-compile budget.
-        treatments
-            .iter()
-            .map(|treatment| self.compile(plan, treatment))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,45 +664,6 @@ mod tests {
         assert_eq!(cached.stats().hits, 1);
         assert_eq!(uncached.stats(), CacheStats::default());
         assert!(uncached.cache().is_none());
-    }
-
-    #[test]
-    fn unlimited_budget_compiler_is_a_passthrough() {
-        let p = plan();
-        let steering = || {
-            CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
-                .with_delta(DeltaConfig::default())
-        };
-        let (bare, wrapped) = (steering(), steering());
-        let counters = BudgetCounters::default();
-        let budgeted = BudgetedCompiler::new(&wrapped, CompileBudget::unlimited(), &counters);
-        let default = bare.default_config();
-        let treatments: Vec<RuleConfig> = bare
-            .rules()
-            .flippable()
-            .take(6)
-            .map(|rule| {
-                default.with_flip(RuleFlip {
-                    rule,
-                    enable: !default.enabled(rule),
-                })
-            })
-            .collect();
-        // Twice, so the second round is served from the caches on both sides.
-        for _ in 0..2 {
-            assert_eq!(
-                Compiler::compile(&budgeted, &p, &default),
-                bare.compile(&p, &default)
-            );
-            assert_eq!(
-                Compiler::compile_slate(&budgeted, &p, &default, &treatments),
-                bare.compile_slate(&p, &default, &treatments)
-            );
-        }
-        assert!(bare.stats().hits > 0);
-        assert_eq!(wrapped.stats(), bare.stats(), "same compile-cache traffic");
-        assert_eq!(wrapped.delta_stats(), bare.delta_stats());
-        assert_eq!(counters.stats(), Default::default(), "nothing can shed");
     }
 
     #[test]

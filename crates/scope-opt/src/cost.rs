@@ -11,182 +11,142 @@ use crate::memo::{ExchangeSpec, PreLocal};
 use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalTuning};
 use scope_ir::stats::NodeStats;
 
-/// Cost model constants (abstract cost units; 1 unit ≈ 1 byte moved or a
-/// comparable amount of CPU work).
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Per-byte cost of reading base data.
-    pub read_byte: f64,
-    /// Per-byte cost of writing final outputs.
-    pub write_byte: f64,
-    /// Per-byte cost of moving data through an exchange.
-    pub shuffle_byte: f64,
-    /// Extra per-row cost when a range exchange must sort its runs.
-    pub sort_row_log: f64,
-    /// Per-row CPU unit (scaled by operator weights below).
-    pub cpu_row: f64,
-    /// Hash-join build-side per-row weight.
-    pub hash_build: f64,
-    /// Hash-join probe-side per-row weight.
-    pub hash_probe: f64,
-    /// Merge-join per-row weight (both sides).
-    pub merge_row: f64,
-    /// Nested-loop per-pair weight.
-    pub nl_pair: f64,
-    /// Hash-aggregation per-input-row weight.
-    pub hash_agg_row: f64,
-    /// Stream-aggregation per-input-row weight (cheaper, needs order).
-    pub stream_agg_row: f64,
-    /// Window function per-row weight.
-    pub window_row: f64,
-    /// Process (UDF) per-row weight, multiplied by the UDF's cpu factor.
-    pub process_row: f64,
-    /// Claimed IO discount of compressed exchanges.
-    pub compression_io: f64,
-    /// Claimed CPU surcharge of compressed exchanges (per byte).
-    pub compression_cpu: f64,
-}
+// Cost model constants (abstract cost units; 1 unit ≈ 1 byte moved or a
+// comparable amount of CPU work).
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            read_byte: 1.0,
-            write_byte: 1.5,
-            shuffle_byte: 2.0,
-            sort_row_log: 0.05,
-            cpu_row: 0.2,
-            hash_build: 1.5,
-            hash_probe: 1.0,
-            merge_row: 0.7,
-            nl_pair: 0.01,
-            hash_agg_row: 1.2,
-            stream_agg_row: 0.6,
-            window_row: 1.5,
-            process_row: 2.0,
-            compression_io: 0.8,
-            compression_cpu: 0.15,
+/// Per-byte cost of reading base data.
+const READ_BYTE: f64 = 1.0;
+/// Per-byte cost of writing final outputs.
+const WRITE_BYTE: f64 = 1.5;
+/// Per-byte cost of moving data through an exchange.
+const SHUFFLE_BYTE: f64 = 2.0;
+/// Extra per-row cost when a range exchange must sort its runs.
+const SORT_ROW_LOG: f64 = 0.05;
+/// Per-row CPU unit (scaled by operator weights below).
+const CPU_ROW: f64 = 0.2;
+/// Hash-join build-side per-row weight.
+const HASH_BUILD: f64 = 1.5;
+/// Hash-join probe-side per-row weight.
+const HASH_PROBE: f64 = 1.0;
+/// Merge-join per-row weight (both sides).
+const MERGE_ROW: f64 = 0.7;
+/// Hash-aggregation per-input-row weight.
+const HASH_AGG_ROW: f64 = 1.2;
+/// Stream-aggregation per-input-row weight (cheaper, needs order).
+const STREAM_AGG_ROW: f64 = 0.6;
+/// Window function per-row weight.
+const WINDOW_ROW: f64 = 1.5;
+/// Process (UDF) per-row weight, multiplied by the UDF's cpu factor.
+const PROCESS_ROW: f64 = 2.0;
+/// Claimed IO discount of compressed exchanges.
+const COMPRESSION_IO: f64 = 0.8;
+/// Claimed CPU surcharge of compressed exchanges (per byte).
+const COMPRESSION_CPU: f64 = 0.15;
+
+/// Estimated cost of one operator instance, excluding its input
+/// exchanges and children.
+#[must_use]
+pub(crate) fn local_cost(
+    op: &PhysicalOp,
+    out: &NodeStats,
+    children: &[NodeStats],
+    tuning: &PhysicalTuning,
+) -> f64 {
+    let out_rows = out.rows.estimated.max(0.0);
+    let out_bytes = out.estimated_bytes().max(0.0);
+    let in_rows = |i: usize| children.get(i).map_or(0.0, |c| c.rows.estimated.max(0.0));
+    let cpu = |units: f64| units * CPU_ROW * tuning.cpu_mult;
+    let io = |bytes: f64| bytes * tuning.io_mult;
+    match op {
+        PhysicalOp::TableScan { .. } => io(out_bytes * READ_BYTE),
+        PhysicalOp::FilterExec { predicate } => cpu(in_rows(0) * predicate.cpu_weight().max(0.1)),
+        PhysicalOp::ProjectExec { exprs } => {
+            let weight: f64 = exprs
+                .iter()
+                .map(|(e, _)| e.cpu_weight())
+                .sum::<f64>()
+                .max(0.1);
+            cpu(in_rows(0) * weight * 0.5)
         }
+        PhysicalOp::HashJoin { .. } => {
+            cpu(in_rows(1) * HASH_BUILD + in_rows(0) * HASH_PROBE + out_rows * 0.3)
+        }
+        PhysicalOp::MergeJoin { .. } => cpu((in_rows(0) + in_rows(1)) * MERGE_ROW + out_rows * 0.3),
+        PhysicalOp::BroadcastJoin { .. } => {
+            // Replication cost is carried by the broadcast exchange; the
+            // local probe is hash-join-like with a small build.
+            cpu(in_rows(1) * HASH_BUILD + in_rows(0) * HASH_PROBE + out_rows * 0.3)
+        }
+        PhysicalOp::HashAggregate { .. } => cpu(in_rows(0) * HASH_AGG_ROW + out_rows * 0.5),
+        PhysicalOp::StreamAggregate { .. } => cpu(in_rows(0) * STREAM_AGG_ROW + out_rows * 0.3),
+        PhysicalOp::SortExec { .. } => {
+            let n = in_rows(0).max(2.0);
+            cpu(n * n.log2() * SORT_ROW_LOG / CPU_ROW)
+        }
+        PhysicalOp::TopNExec { .. } => cpu(in_rows(0) * 0.4),
+        PhysicalOp::WindowExec { .. } => cpu(in_rows(0) * WINDOW_ROW),
+        PhysicalOp::ProcessExec { cpu_factor, .. } => cpu(in_rows(0) * PROCESS_ROW * cpu_factor),
+        PhysicalOp::UnionAllExec => 0.0,
+        PhysicalOp::Exchange { .. } => 0.0, // costed via exchange_cost
+        PhysicalOp::OutputExec { .. } => io(out_bytes * WRITE_BYTE),
     }
 }
 
-impl CostModel {
-    /// Estimated cost of one operator instance, excluding its input
-    /// exchanges and children.
-    #[must_use]
-    pub fn local_cost(
-        &self,
-        op: &PhysicalOp,
-        out: &NodeStats,
-        children: &[NodeStats],
-        tuning: &PhysicalTuning,
-    ) -> f64 {
-        let out_rows = out.rows.estimated.max(0.0);
-        let out_bytes = out.estimated_bytes().max(0.0);
-        let in_rows = |i: usize| children.get(i).map_or(0.0, |c| c.rows.estimated.max(0.0));
-        let cpu = |units: f64| units * self.cpu_row * tuning.cpu_mult;
-        let io = |bytes: f64| bytes * tuning.io_mult;
-        match op {
-            PhysicalOp::TableScan { .. } => io(out_bytes * self.read_byte),
-            PhysicalOp::FilterExec { predicate } => {
-                cpu(in_rows(0) * predicate.cpu_weight().max(0.1))
-            }
-            PhysicalOp::ProjectExec { exprs } => {
-                let weight: f64 = exprs
-                    .iter()
-                    .map(|(e, _)| e.cpu_weight())
-                    .sum::<f64>()
-                    .max(0.1);
-                cpu(in_rows(0) * weight * 0.5)
-            }
-            PhysicalOp::HashJoin { .. } => {
-                cpu(in_rows(1) * self.hash_build + in_rows(0) * self.hash_probe + out_rows * 0.3)
-            }
-            PhysicalOp::MergeJoin { .. } => {
-                cpu((in_rows(0) + in_rows(1)) * self.merge_row + out_rows * 0.3)
-            }
-            PhysicalOp::BroadcastJoin { .. } => {
-                // Replication cost is carried by the broadcast exchange; the
-                // local probe is hash-join-like with a small build.
-                cpu(in_rows(1) * self.hash_build + in_rows(0) * self.hash_probe + out_rows * 0.3)
-            }
-            PhysicalOp::HashAggregate { .. } => {
-                cpu(in_rows(0) * self.hash_agg_row + out_rows * 0.5)
-            }
-            PhysicalOp::StreamAggregate { .. } => {
-                cpu(in_rows(0) * self.stream_agg_row + out_rows * 0.3)
-            }
-            PhysicalOp::SortExec { .. } => {
-                let n = in_rows(0).max(2.0);
-                cpu(n * n.log2() * self.sort_row_log / self.cpu_row)
-            }
-            PhysicalOp::TopNExec { .. } => cpu(in_rows(0) * 0.4),
-            PhysicalOp::WindowExec { .. } => cpu(in_rows(0) * self.window_row),
-            PhysicalOp::ProcessExec { cpu_factor, .. } => {
-                cpu(in_rows(0) * self.process_row * cpu_factor)
-            }
-            PhysicalOp::UnionAllExec => 0.0,
-            PhysicalOp::Exchange { .. } => 0.0, // costed via exchange_cost
-            PhysicalOp::OutputExec { .. } => io(out_bytes * self.write_byte),
-        }
+/// Estimated cost of moving `input` through an exchange.
+#[must_use]
+pub(crate) fn exchange_cost(spec: &ExchangeSpec, input: &NodeStats) -> f64 {
+    let rows = input.rows.estimated.max(0.0);
+    let bytes = input.estimated_bytes().max(0.0);
+    let replication = match &spec.scheme {
+        // Broadcast replicates the input to every consumer partition.
+        Partitioning::Broadcast => 8.0,
+        _ => 1.0,
+    };
+    let mut cost = bytes * SHUFFLE_BYTE * replication;
+    if spec.compressed {
+        cost = cost * COMPRESSION_IO + bytes * COMPRESSION_CPU;
     }
-
-    /// Estimated cost of moving `input` through an exchange.
-    #[must_use]
-    pub fn exchange_cost(&self, spec: &ExchangeSpec, input: &NodeStats) -> f64 {
-        let rows = input.rows.estimated.max(0.0);
-        let bytes = input.estimated_bytes().max(0.0);
-        let replication = match &spec.scheme {
-            // Broadcast replicates the input to every consumer partition.
-            Partitioning::Broadcast => 8.0,
-            _ => 1.0,
-        };
-        let mut cost = bytes * self.shuffle_byte * replication;
-        if spec.compressed {
-            cost = cost * self.compression_io + bytes * self.compression_cpu;
-        }
-        if spec.sorted {
-            let n = rows.max(2.0);
-            cost += n * n.log2() * self.sort_row_log;
-        }
-        cost
+    if spec.sorted {
+        let n = rows.max(2.0);
+        cost += n * n.log2() * SORT_ROW_LOG;
     }
+    cost
+}
 
-    /// Estimated cost of a producer-side pre-reduction (partial aggregation
-    /// or local top-k) plus the reduced row count that flows into the
-    /// exchange above it.
-    #[must_use]
-    pub fn pre_local_cost_and_rows(
-        &self,
-        pre: PreLocal,
-        input: &NodeStats,
-        out: &NodeStats,
-    ) -> (f64, NodeStats) {
-        match pre {
-            PreLocal::PartialAgg => {
-                let reduced = NodeStats {
-                    rows: scope_ir::stats::DualStats::new(
-                        partial_rows(input.rows.actual, out.rows.actual),
-                        partial_rows(input.rows.estimated, out.rows.estimated),
-                    ),
-                    avg_row_len: out.avg_row_len,
-                    distinct: out.distinct,
-                };
-                let cost = input.rows.estimated.max(0.0) * self.hash_agg_row * self.cpu_row;
-                (cost, reduced)
-            }
-            PreLocal::LocalTopK(k) => {
-                let cap = (k * 32) as f64;
-                let reduced = NodeStats {
-                    rows: scope_ir::stats::DualStats::new(
-                        input.rows.actual.min(cap),
-                        input.rows.estimated.min(cap),
-                    ),
-                    avg_row_len: input.avg_row_len,
-                    distinct: input.distinct,
-                };
-                let cost = input.rows.estimated.max(0.0) * 0.4 * self.cpu_row;
-                (cost, reduced)
-            }
+/// Estimated cost of a producer-side pre-reduction (partial aggregation
+/// or local top-k) plus the reduced row count that flows into the
+/// exchange above it.
+#[must_use]
+pub(crate) fn pre_local_cost_and_rows(
+    pre: PreLocal,
+    input: &NodeStats,
+    out: &NodeStats,
+) -> (f64, NodeStats) {
+    match pre {
+        PreLocal::PartialAgg => {
+            let reduced = NodeStats {
+                rows: scope_ir::stats::DualStats::new(
+                    partial_rows(input.rows.actual, out.rows.actual),
+                    partial_rows(input.rows.estimated, out.rows.estimated),
+                ),
+                avg_row_len: out.avg_row_len,
+                distinct: out.distinct,
+            };
+            let cost = input.rows.estimated.max(0.0) * HASH_AGG_ROW * CPU_ROW;
+            (cost, reduced)
+        }
+        PreLocal::LocalTopK(k) => {
+            let cap = (k * 32) as f64;
+            let reduced = NodeStats {
+                rows: scope_ir::stats::DualStats::new(
+                    input.rows.actual.min(cap),
+                    input.rows.estimated.min(cap),
+                ),
+                avg_row_len: input.avg_row_len,
+                distinct: input.distinct,
+            };
+            let cost = input.rows.estimated.max(0.0) * 0.4 * CPU_ROW;
+            (cost, reduced)
         }
     }
 }
@@ -214,9 +174,8 @@ mod tests {
 
     #[test]
     fn scan_cost_is_io_bound() {
-        let m = CostModel::default();
         let out = stats(1000.0, 100.0);
-        let c = m.local_cost(
+        let c = local_cost(
             &PhysicalOp::TableScan {
                 table: "t".into(),
                 variant: scope_ir::ScanVariant::Sequential,
@@ -230,14 +189,13 @@ mod tests {
 
     #[test]
     fn tuning_scales_cost_dimensions() {
-        let m = CostModel::default();
         let out = stats(1000.0, 100.0);
         let scan = PhysicalOp::TableScan {
             table: "t".into(),
             variant: scope_ir::ScanVariant::Sequential,
         };
-        let base = m.local_cost(&scan, &out, &[], &PhysicalTuning::IDENTITY);
-        let tuned = m.local_cost(
+        let base = local_cost(&scan, &out, &[], &PhysicalTuning::IDENTITY);
+        let tuned = local_cost(
             &scan,
             &out,
             &[],
@@ -251,13 +209,13 @@ mod tests {
         let filt = PhysicalOp::FilterExec {
             predicate: ScalarExpr::lit_int(1),
         };
-        let fb = m.local_cost(
+        let fb = local_cost(
             &filt,
             &out,
             &[stats(1000.0, 100.0)],
             &PhysicalTuning::IDENTITY,
         );
-        let ft = m.local_cost(
+        let ft = local_cost(
             &filt,
             &out,
             &[stats(1000.0, 100.0)],
@@ -271,9 +229,8 @@ mod tests {
 
     #[test]
     fn broadcast_exchange_costs_more_than_hash() {
-        let m = CostModel::default();
         let input = stats(10_000.0, 50.0);
-        let hash = m.exchange_cost(
+        let hash = exchange_cost(
             &ExchangeSpec {
                 scheme: Partitioning::Hash {
                     columns: vec![0],
@@ -285,7 +242,7 @@ mod tests {
             },
             &input,
         );
-        let bcast = m.exchange_cost(
+        let bcast = exchange_cost(
             &ExchangeSpec {
                 scheme: Partitioning::Broadcast,
                 sorted: false,
@@ -299,7 +256,6 @@ mod tests {
 
     #[test]
     fn compression_discounts_io() {
-        let m = CostModel::default();
         let input = stats(10_000.0, 50.0);
         let spec = |compressed| ExchangeSpec {
             scheme: Partitioning::Hash {
@@ -310,12 +266,11 @@ mod tests {
             compressed,
             bytes: 0.0,
         };
-        assert!(m.exchange_cost(&spec(true), &input) < m.exchange_cost(&spec(false), &input));
+        assert!(exchange_cost(&spec(true), &input) < exchange_cost(&spec(false), &input));
     }
 
     #[test]
     fn sorted_exchange_adds_sort_cost() {
-        let m = CostModel::default();
         let input = stats(10_000.0, 50.0);
         let plain = ExchangeSpec {
             scheme: Partitioning::Range {
@@ -330,15 +285,14 @@ mod tests {
             sorted: true,
             ..plain.clone()
         };
-        assert!(m.exchange_cost(&sorted, &input) > m.exchange_cost(&plain, &input));
+        assert!(exchange_cost(&sorted, &input) > exchange_cost(&plain, &input));
     }
 
     #[test]
     fn partial_agg_reduces_rows_flowing_into_exchange() {
-        let m = CostModel::default();
         let input = stats(1_000_000.0, 40.0);
         let out = stats(100.0, 20.0);
-        let (cost, reduced) = m.pre_local_cost_and_rows(PreLocal::PartialAgg, &input, &out);
+        let (cost, reduced) = pre_local_cost_and_rows(PreLocal::PartialAgg, &input, &out);
         assert!(cost > 0.0);
         assert!(reduced.rows.estimated < input.rows.estimated / 100.0);
         assert!((reduced.rows.estimated - 1600.0).abs() < 1e-6);
@@ -346,19 +300,17 @@ mod tests {
 
     #[test]
     fn local_topk_caps_rows() {
-        let m = CostModel::default();
         let input = stats(1_000_000.0, 40.0);
         let out = stats(10.0, 40.0);
-        let (_, reduced) = m.pre_local_cost_and_rows(PreLocal::LocalTopK(10), &input, &out);
+        let (_, reduced) = pre_local_cost_and_rows(PreLocal::LocalTopK(10), &input, &out);
         assert!((reduced.rows.estimated - 320.0).abs() < 1e-6);
     }
 
     #[test]
     fn stream_agg_cheaper_than_hash_agg_locally() {
-        let m = CostModel::default();
         let input = [stats(100_000.0, 40.0)];
         let out = stats(100.0, 20.0);
-        let hash = m.local_cost(
+        let hash = local_cost(
             &PhysicalOp::HashAggregate {
                 group_by: vec![0],
                 aggs: vec![],
@@ -368,7 +320,7 @@ mod tests {
             &input,
             &PhysicalTuning::IDENTITY,
         );
-        let stream = m.local_cost(
+        let stream = local_cost(
             &PhysicalOp::StreamAggregate {
                 group_by: vec![0],
                 aggs: vec![],

@@ -129,7 +129,7 @@ pub struct DeltaStats {
     /// Base-memo cache hits.
     pub base_hits: u64,
     /// Task-queue tasks executed by replays through this compiler: the
-    /// ImplementGroup tasks of delta passes (dirty groups only) plus the
+    /// implementation tasks of delta passes (dirty groups only) plus the
     /// full cascade of NeedsFull fallbacks. The task-count pin test uses
     /// this to prove delta replays redo *only* the invalidated work.
     pub replay_tasks: u64,
@@ -288,7 +288,7 @@ impl BaseMemo {
     }
 
     /// [`BaseMemo::price`] plus the number of task-queue tasks the pricing
-    /// replayed (the ImplementGroup tasks of a delta pass; zero for pruned
+    /// replayed (the implementation tasks of a delta pass; zero for pruned
     /// or needs-full resolutions). [`DeltaCompiler`] accounts these in
     /// [`DeltaStats::replay_tasks`].
     pub(crate) fn price_counted(
@@ -391,7 +391,7 @@ impl BaseMemo {
     /// group's logical half and every clean group's candidate list stay
     /// shared with the base), rebuild the physical
     /// candidates of dirty groups under the treatment configuration — as a
-    /// [`TaskEngine`] replay of exactly those groups' ImplementGroup tasks —
+    /// [`TaskEngine`] replay of exactly those groups' implementation tasks —
     /// invalidate `Best` on them and every ancestor, then re-cost and
     /// re-extract. Clean groups keep their base `Best` entries, which a
     /// from-scratch compile of the treatment would reproduce bit-for-bit

@@ -15,14 +15,29 @@
 
 use crate::memo::{Dist, ExchangeSpec, GroupId, Memo, PExpr, PShape, PreLocal};
 use crate::registry::{ImplKind, ParametricSpec, RuleBehavior, RuleDef};
-use crate::search::SearchOptions;
 use scope_ir::logical::LogicalOp;
 use scope_ir::physical::{AggMode, Partitioning, PhysicalOp, PhysicalTuning, ScanVariant};
 use std::sync::Arc;
 
-/// Context shared across implementation-rule applications for one compile.
-pub struct ImplContext<'a> {
-    pub opts: &'a SearchOptions,
+/// Estimated build-side bytes above which broadcast joins are rejected.
+const BROADCAST_THRESHOLD_BYTES: f64 = 6.4e7;
+/// Estimated |L|·|R| above which nested-loop joins are rejected.
+const NESTED_LOOP_LIMIT: f64 = 1e8;
+/// Target estimated bytes per partition when sizing exchanges. Sizing on
+/// bytes (not rows) is what couples data-volume reductions to vertex counts —
+/// the paper's "I/O reduction might be a natural result of fewer vertices"
+/// observation (§5.5).
+const BYTES_PER_PARTITION: f64 = 6.4e7;
+/// Hard cap on exchange partitions.
+const MAX_PARTITIONS: u32 = 256;
+/// CPU penalty of the required fallback implementations.
+const FALLBACK_CPU_PENALTY: f64 = 1.7;
+/// IO penalty of the required fallback implementations.
+const FALLBACK_IO_PENALTY: f64 = 1.25;
+
+/// Context shared across implementation-rule applications for one compile:
+/// the policy rules the configuration enables.
+pub struct ImplContext {
     /// `ShuffleElimination` policy rule enabled.
     pub shuffle_elimination: bool,
     /// `IntermediateCompression` policy rule enabled.
@@ -35,11 +50,11 @@ pub struct ImplContext<'a> {
 /// that shrinks the data flowing through an exchange also shrinks the
 /// downstream vertex count.
 #[must_use]
-pub fn choose_partitions(bytes_est: f64, opts: &SearchOptions, parallelism_mult: f64) -> u32 {
-    let raw = (bytes_est / opts.bytes_per_partition).ceil().max(1.0);
+pub fn choose_partitions(bytes_est: f64, parallelism_mult: f64) -> u32 {
+    let raw = (bytes_est / BYTES_PER_PARTITION).ceil().max(1.0);
     let pow2 = raw.log2().ceil().exp2();
     let scaled = (pow2 * parallelism_mult).round().max(1.0);
-    (scaled as u32).clamp(1, opts.max_partitions)
+    (scaled as u32).clamp(1, MAX_PARTITIONS)
 }
 
 /// The partitioning an exchange of a shape takes under the consumer's
@@ -47,13 +62,8 @@ pub fn choose_partitions(bytes_est: f64, opts: &SearchOptions, parallelism_mult:
 /// from the bytes it moves, scaled by the consumer's IO knob (the bytes its
 /// shuffle edges move) and parallelism knob; broadcast and gather are fixed.
 #[must_use]
-pub(crate) fn sized_scheme(
-    spec: &ExchangeSpec,
-    claimed: &PhysicalTuning,
-    opts: &SearchOptions,
-) -> Partitioning {
-    let partitions =
-        || choose_partitions(spec.bytes * claimed.io_mult, opts, claimed.parallelism_mult);
+pub(crate) fn sized_scheme(spec: &ExchangeSpec, claimed: &PhysicalTuning) -> Partitioning {
+    let partitions = || choose_partitions(spec.bytes * claimed.io_mult, claimed.parallelism_mult);
     match &spec.scheme {
         Partitioning::Hash { columns, .. } => Partitioning::Hash {
             columns: columns.clone(),
@@ -80,7 +90,7 @@ pub(crate) fn implement_expr(
     gid: GroupId,
     eidx: usize,
     canonical: Option<&Arc<PShape>>,
-    ctx: &ImplContext<'_>,
+    ctx: &ImplContext,
 ) -> Option<PExpr> {
     let expr = &memo.group(gid).lexprs[eidx];
     let (claimed, shape) = match &rule.behavior {
@@ -104,8 +114,8 @@ pub(crate) fn implement_expr(
         }
         RuleBehavior::FallbackImpl => (
             PhysicalTuning {
-                cpu_mult: ctx.opts.fallback_cpu_penalty,
-                io_mult: ctx.opts.fallback_io_penalty,
+                cpu_mult: FALLBACK_CPU_PENALTY,
+                io_mult: FALLBACK_IO_PENALTY,
                 parallelism_mult: 1.0,
             },
             Arc::clone(canonical?),
@@ -138,7 +148,7 @@ pub(crate) fn build_shape(
     gid: GroupId,
     eidx: usize,
     kind: Option<ImplKind>,
-    ctx: &ImplContext<'_>,
+    ctx: &ImplContext,
 ) -> Option<PShape> {
     let expr = &memo.group(gid).lexprs[eidx];
     let children = &expr.children;
@@ -276,7 +286,7 @@ pub(crate) fn build_shape(
                 }
                 Some(ImplKind::BroadcastJoin) => {
                     // Only worthwhile (and allowed) for small build sides.
-                    if child_stats(1).estimated_bytes() > ctx.opts.broadcast_threshold_bytes {
+                    if child_stats(1).estimated_bytes() > BROADCAST_THRESHOLD_BYTES {
                         return None;
                     }
                     mk(
@@ -292,7 +302,7 @@ pub(crate) fn build_shape(
                 Some(ImplKind::NestedLoopJoin) => {
                     let (lrows, rrows) =
                         (child_stats(0).rows.estimated, child_stats(1).rows.estimated);
-                    if lrows * rrows > ctx.opts.nested_loop_limit {
+                    if lrows * rrows > NESTED_LOOP_LIMIT {
                         return None;
                     }
                     mk(
@@ -465,16 +475,15 @@ mod tests {
     use super::*;
     use crate::config::RuleBits;
     use crate::registry::RuleSet;
-    use crate::search::{Optimizer, SearchOptions};
+    use crate::search::Optimizer;
     use scope_ir::expr::ScalarExpr;
     use scope_ir::logical::{JoinKind, TableRef};
     use scope_ir::schema::{Column, DataType, Schema};
     use scope_ir::stats::DualStats;
     use scope_lang::{bind_script, Catalog, TableInfo};
 
-    fn ctx(opts: &SearchOptions) -> ImplContext<'_> {
+    fn ctx() -> ImplContext {
         ImplContext {
-            opts,
             shuffle_elimination: true,
             compression: false,
         }
@@ -482,7 +491,7 @@ mod tests {
 
     /// [`implement_expr`] on a group's first expression, with its canonical
     /// shape built the way `Optimizer::implement_group` builds it.
-    fn implement(rule: &RuleDef, memo: &Memo, g: GroupId, c: &ImplContext<'_>) -> Option<PExpr> {
+    fn implement(rule: &RuleDef, memo: &Memo, g: GroupId, c: &ImplContext) -> Option<PExpr> {
         let canonical = build_shape(memo, g, 0, None, c).map(Arc::new);
         implement_expr(rule, memo, g, 0, canonical.as_ref(), c)
     }
@@ -534,24 +543,23 @@ mod tests {
 
     #[test]
     fn choose_partitions_is_pow2_and_clamped() {
-        let opts = SearchOptions::default(); // 64 MB per partition
-        assert_eq!(choose_partitions(1e6, &opts, 1.0), 1);
-        assert_eq!(choose_partitions(2e8, &opts, 1.0), 4);
-        assert_eq!(choose_partitions(1e14, &opts, 1.0), opts.max_partitions);
+        // 64 MB per partition.
+        assert_eq!(choose_partitions(1e6, 1.0), 1);
+        assert_eq!(choose_partitions(2e8, 1.0), 4);
+        assert_eq!(choose_partitions(1e14, 1.0), MAX_PARTITIONS);
         // Parallelism knob halves/doubles.
-        assert_eq!(choose_partitions(2e8, &opts, 2.0), 8);
-        assert_eq!(choose_partitions(2e8, &opts, 0.5), 2);
+        assert_eq!(choose_partitions(2e8, 2.0), 8);
+        assert_eq!(choose_partitions(2e8, 0.5), 2);
     }
 
     #[test]
     fn hash_join_impl_adds_exchanges_on_both_sides() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e7, 20);
         let b = scan(&mut memo, "b", 1e7, 20);
         let j = join(&mut memo, JoinKind::Inner, a, b, 1e-7);
-        let p = implement(rule_named(&rules, "HashJoinImpl"), &memo, j, &ctx(&opts)).unwrap();
+        let p = implement(rule_named(&rules, "HashJoinImpl"), &memo, j, &ctx()).unwrap();
         assert!(matches!(p.shape.op, PhysicalOp::HashJoin { .. }));
         assert!(p.shape.exchanges[0].is_some());
         assert!(p.shape.exchanges[1].is_some());
@@ -561,14 +569,13 @@ mod tests {
     #[test]
     fn broadcast_join_requires_small_build_side() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e8, 40);
         let small = scan(&mut memo, "s", 1000.0, 10);
         let big = scan(&mut memo, "bigt", 1e8, 40);
         let j_small = join(&mut memo, JoinKind::Inner, a, small, 1e-8);
         let j_big = join(&mut memo, JoinKind::Inner, a, big, 1e-8);
-        let c = ctx(&opts);
+        let c = ctx();
         let bc = rule_named(&rules, "BroadcastJoinImpl");
         let ok = implement(bc, &memo, j_small, &c).unwrap();
         assert!(ok.shape.exchanges[0].is_none(), "probe side stays in place");
@@ -585,7 +592,6 @@ mod tests {
     #[test]
     fn shuffle_elimination_skips_exchange_when_distribution_matches() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e7, 20);
         let b = scan(&mut memo, "b", 1e7, 20);
@@ -601,12 +607,12 @@ mod tests {
             vec![j1],
             RuleBits::empty(),
         );
-        let c = ctx(&opts);
+        let c = ctx();
         let p = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c).unwrap();
         assert!(p.shape.exchanges[0].is_none(), "exchange eliminated");
         assert!(p.shape.elided_exchange);
         // With the policy off, the exchange is materialized.
-        let mut c_off = ctx(&opts);
+        let mut c_off = ctx();
         c_off.shuffle_elimination = false;
         let p2 = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c_off).unwrap();
         assert!(p2.shape.exchanges[0].is_some());
@@ -616,7 +622,6 @@ mod tests {
     fn agg_split_requires_decomposable_aggregates() {
         use scope_ir::expr::{AggExpr, AggFunc};
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e7, 20);
         let ok = memo.intern(
@@ -637,7 +642,7 @@ mod tests {
             vec![a],
             RuleBits::empty(),
         );
-        let c = ctx(&opts);
+        let c = ctx();
         let split = rule_named(&rules, "AggSplitLocalGlobal");
         let p = implement(split, &memo, ok, &c).unwrap();
         assert_eq!(p.shape.pre_local[0], Some(PreLocal::PartialAgg));
@@ -705,19 +710,17 @@ mod tests {
     #[test]
     fn fallback_applies_penalty_tuning() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
         let fallback = rules.rule(crate::registry::RULE_FALLBACK_EXEC);
-        let p = implement(fallback, &memo, a, &ctx(&opts)).unwrap();
-        assert!((p.claimed.cpu_mult - opts.fallback_cpu_penalty).abs() < 1e-12);
+        let p = implement(fallback, &memo, a, &ctx()).unwrap();
+        assert!((p.claimed.cpu_mult - FALLBACK_CPU_PENALTY).abs() < 1e-12);
         assert!(matches!(p.shape.op, PhysicalOp::TableScan { .. }));
     }
 
     #[test]
     fn stream_agg_needs_keys() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
         let global = memo.intern(
@@ -729,7 +732,7 @@ mod tests {
             vec![a],
             RuleBits::empty(),
         );
-        let c = ctx(&opts);
+        let c = ctx();
         assert!(implement(rule_named(&rules, "StreamAggImpl"), &memo, global, &c).is_none());
         // HashAgg on a global aggregate gathers to one partition.
         let p = implement(rule_named(&rules, "HashAggImpl"), &memo, global, &c).unwrap();
@@ -745,7 +748,6 @@ mod tests {
     #[test]
     fn parametric_join_variants_decorate_semi_joins() {
         let rules = RuleSet::standard();
-        let opts = SearchOptions::default();
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
         let b = scan(&mut memo, "b", 1e4, 20);
@@ -755,7 +757,7 @@ mod tests {
             unreachable!()
         };
         assert!(parametric_matches(spec, &memo.group(semi).lexprs[0].op));
-        let p = implement(prule, &memo, semi, &ctx(&opts)).unwrap();
+        let p = implement(prule, &memo, semi, &ctx()).unwrap();
         assert!(matches!(
             p.shape.op,
             PhysicalOp::HashJoin {

@@ -20,8 +20,9 @@
 //!   [`cache::CachingOptimizer`], both behind the [`search::Compiler`]
 //!   trait);
 //! * an **anytime task-queue engine** ([`tasks`]): exploration runs as an
-//!   explicit ExploreGroup/ExploreExpr/ApplyRule/ImplementGroup cascade
-//!   under a [`tasks::CompileBudget`], so every compile is interruptible —
+//!   explicit ExploreGroup/ExploreExpr/ApplyRule cascade under a
+//!   [`tasks::CompileBudget`], then an implementation epilogue of one task
+//!   per memo group, so every compile is interruptible —
 //!   at budget exhaustion the best plan so far is extracted from the
 //!   partial memo and tagged [`tasks::BudgetOutcome::Truncated`]; at
 //!   unlimited budget the cascade is byte-identical to the recursive
@@ -32,9 +33,9 @@
 //!   (re-implementing only the groups the flip touches, replaying provable
 //!   no-ops) — byte-identical to from-scratch compiles, and the engine
 //!   behind [`search::Compiler::compile_slate`];
-//! * a cost model that prices plans from *estimated* statistics and
+//! * a fixed cost model that prices plans from *estimated* statistics and
 //!   *claimed* tuning only, reproducing SCOPE's estimated-vs-real divergence
-//!   ([`cost::CostModel`]).
+//!   ([`cost`]).
 //!
 //! # Quick start
 //!
@@ -71,12 +72,11 @@ pub mod search;
 pub mod span;
 pub mod tasks;
 
-pub use cache::{BudgetedCompiler, CacheConfig, CacheStats, CachingOptimizer, CompileCache};
+pub use cache::{CacheConfig, CacheStats, CachingOptimizer, CompileCache};
 pub use config::{RuleBits, RuleConfig, RuleFlip, RuleId, RULE_COUNT};
-pub use cost::CostModel;
 pub use delta::{BaseMemo, DeltaCompiler, DeltaConfig, DeltaStats, PricedTreatment};
 pub use hints::{Hint, HintSet};
 pub use registry::{RuleCategory, RuleDef, RuleSet};
-pub use search::{CompileError, Compiled, Compiler, Optimizer, SearchOptions};
+pub use search::{CompileError, Compiled, Compiler, Optimizer};
 pub use span::{compute_span, SpanResult};
 pub use tasks::{BudgetCounters, BudgetOutcome, BudgetStats, BudgetedCompile, CompileBudget};

@@ -707,7 +707,7 @@ impl RuleSet {
     }
 
     /// True IO multiplier of the intermediate-compression policy for a
-    /// template (claimed is [`crate::cost::CostModel::compression_io`]; the
+    /// template (claimed is the cost model's `COMPRESSION_IO`; the
     /// realized ratio depends on how compressible the template's data is).
     #[must_use]
     pub fn compression_actual_io(&self, template_seed: u64) -> f64 {

@@ -10,7 +10,7 @@
 //! estimated cost, exactly the behaviour QO-Advisor exploits in SCOPE.
 
 use crate::config::{RuleBits, RuleConfig, RuleId};
-use crate::cost::CostModel;
+use crate::cost::{exchange_cost, local_cost, pre_local_cost_and_rows};
 use crate::impls::{build_shape, implement_expr, sized_scheme, ImplContext};
 use crate::memo::{Best, GroupId, Memo, PExpr, PreLocal};
 use crate::registry::{
@@ -29,48 +29,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-/// Knobs bounding the search. Defaults approximate a production optimizer's
-/// time budget scaled down to simulation size.
-#[derive(Debug, Clone)]
-pub struct SearchOptions {
-    /// Global budget of transform-rule applications per compile.
-    pub max_transform_applications: usize,
-    /// Maximum logical expressions per memo group.
-    pub max_exprs_per_group: usize,
-    /// Exploration passes over the expression worklist.
-    pub exploration_passes: usize,
-    /// Estimated build-side bytes above which broadcast joins are rejected.
-    pub broadcast_threshold_bytes: f64,
-    /// Estimated |L|·|R| above which nested-loop joins are rejected.
-    pub nested_loop_limit: f64,
-    /// Target estimated bytes per partition when sizing exchanges. Sizing
-    /// on bytes (not rows) is what couples data-volume reductions to vertex
-    /// counts — the paper's "I/O reduction might be a natural result of
-    /// fewer vertices" observation (§5.5).
-    pub bytes_per_partition: f64,
-    /// Hard cap on exchange partitions.
-    pub max_partitions: u32,
-    /// CPU penalty of the required fallback implementations.
-    pub fallback_cpu_penalty: f64,
-    /// IO penalty of the required fallback implementations.
-    pub fallback_io_penalty: f64,
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        Self {
-            max_transform_applications: 1500,
-            max_exprs_per_group: 8,
-            exploration_passes: 2,
-            broadcast_threshold_bytes: 6.4e7,
-            nested_loop_limit: 1e8,
-            bytes_per_partition: 6.4e7,
-            max_partitions: 256,
-            fallback_cpu_penalty: 1.7,
-            fallback_io_penalty: 1.25,
-        }
-    }
-}
+/// Global budget of transform-rule applications per compile. Together with
+/// the per-group cap and the pass count below, it bounds the search the way a
+/// production optimizer's time budget does, scaled down to simulation size.
+pub(crate) const MAX_TRANSFORM_APPLICATIONS: usize = 1500;
+/// Maximum logical expressions per memo group.
+pub(crate) const MAX_EXPRS_PER_GROUP: usize = 8;
+/// Exploration passes over the expression worklist.
+pub(crate) const EXPLORATION_PASSES: usize = 2;
 
 /// Compilation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -184,12 +150,12 @@ pub(crate) struct FullCompile {
     pub roots: Vec<GroupId>,
 }
 
-/// The SCOPE-like optimizer.
+/// The SCOPE-like optimizer. Its one input is the rule registry: the cost
+/// model (`crate::cost`) and the search limits are fixed, because steering
+/// moves only the rule configuration (paper §2.4).
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     rules: RuleSet,
-    cost: CostModel,
-    opts: SearchOptions,
 }
 
 impl Compiler for Optimizer {
@@ -208,11 +174,9 @@ impl Compiler for Optimizer {
 
 impl Default for Optimizer {
     fn default() -> Self {
-        Self::new(
-            RuleSet::standard(),
-            CostModel::default(),
-            SearchOptions::default(),
-        )
+        Self {
+            rules: RuleSet::standard(),
+        }
     }
 }
 
@@ -226,18 +190,8 @@ fn seed_memo(plan: &LogicalPlan) -> (u64, Memo, Vec<GroupId>) {
 
 impl Optimizer {
     #[must_use]
-    pub fn new(rules: RuleSet, cost: CostModel, opts: SearchOptions) -> Self {
-        Self { rules, cost, opts }
-    }
-
-    #[must_use]
     pub fn rules(&self) -> &RuleSet {
         &self.rules
-    }
-
-    #[must_use]
-    pub fn options(&self) -> &SearchOptions {
-        &self.opts
     }
 
     /// The default rule configuration of this optimizer's registry.
@@ -434,8 +388,8 @@ impl Optimizer {
             })
             .collect();
         let mut fired = RuleBits::empty();
-        let mut budget = self.opts.max_transform_applications;
-        for _pass in 0..self.opts.exploration_passes {
+        let mut budget = MAX_TRANSFORM_APPLICATIONS;
+        for _pass in 0..EXPLORATION_PASSES {
             let mut worklist: VecDeque<(GroupId, usize)> = memo
                 .group_ids()
                 .flat_map(|g| (0..memo.group(g).lexprs.len()).map(move |e| (g, e)))
@@ -465,13 +419,9 @@ impl Optimizer {
                         for ng in groups_before..memo.group_count() {
                             worklist.push_back((GroupId(ng as u32), 0));
                         }
-                        if let Some(idx) = memo.add_to_group(
-                            g,
-                            op,
-                            children,
-                            provenance,
-                            self.opts.max_exprs_per_group,
-                        )? {
+                        if let Some(idx) =
+                            memo.add_to_group(g, op, children, provenance, MAX_EXPRS_PER_GROUP)?
+                        {
                             worklist.push_back((g, idx));
                         }
                     }
@@ -485,9 +435,8 @@ impl Optimizer {
     /// it enables). Shared with `crate::delta`, whose re-implementation of
     /// dirty groups must see exactly the context a from-scratch compile
     /// would build.
-    pub(crate) fn impl_context(&self, config: &RuleConfig) -> ImplContext<'_> {
+    pub(crate) fn impl_context(&self, config: &RuleConfig) -> ImplContext {
         ImplContext {
-            opts: &self.opts,
             shuffle_elimination: config.enabled(RULE_SHUFFLE_ELIMINATION),
             compression: config.enabled(RULE_INTERMEDIATE_COMPRESSION),
         }
@@ -505,7 +454,7 @@ impl Optimizer {
         memo: &mut Memo,
         g: GroupId,
         config: &RuleConfig,
-        ctx: &ImplContext<'_>,
+        ctx: &ImplContext,
     ) -> Result<(), CompileError> {
         let n = memo.group(g).lexprs.len();
         let mut produced = Vec::new();
@@ -573,20 +522,18 @@ impl Optimizer {
                 total += self.best_cost(memo, c, visiting);
                 let mut cstats = memo.group(c).stats;
                 if let Some(pre) = shape.pre_local[j] {
-                    let (pc, reduced) = self.cost.pre_local_cost_and_rows(pre, &cstats, &out_stats);
+                    let (pc, reduced) = pre_local_cost_and_rows(pre, &cstats, &out_stats);
                     total += pc;
                     cstats = reduced;
                 }
                 if let Some(spec) = &shape.exchanges[j] {
                     // The consumer's IO knob scales its shuffle edges (e.g.
                     // variants that read compressed/compact shuffle input).
-                    total += self.cost.exchange_cost(spec, &cstats) * p.claimed.io_mult;
+                    total += exchange_cost(spec, &cstats) * p.claimed.io_mult;
                 }
                 edge_stats.push(cstats);
             }
-            total += self
-                .cost
-                .local_cost(&shape.op, &out_stats, &edge_stats, &p.claimed);
+            total += local_cost(&shape.op, &out_stats, &edge_stats, &p.claimed);
             if total < best.cost {
                 best = Best {
                     cost: total,
@@ -711,7 +658,7 @@ impl Optimizer {
             let mut node = out.mapping[&c];
             let mut cstats = memo.group(c).stats;
             if let Some(pre) = shape.pre_local[j] {
-                let (pc, reduced) = self.cost.pre_local_cost_and_rows(pre, &cstats, &out_stats);
+                let (pc, reduced) = pre_local_cost_and_rows(pre, &cstats, &out_stats);
                 out.est_cost += pc;
                 let pre_op = match (pre, &shape.op) {
                     (PreLocal::PartialAgg, PhysicalOp::HashAggregate { group_by, aggs, .. }) => {
@@ -746,7 +693,7 @@ impl Optimizer {
                 cstats = reduced;
             }
             if let Some(spec) = &shape.exchanges[j] {
-                out.est_cost += self.cost.exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
+                out.est_cost += exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
                 out.any_exchange = true;
                 // True bytes moved combine the compression policy's realized
                 // ratio with the consumer's actual IO knob.
@@ -765,7 +712,7 @@ impl Optimizer {
                 };
                 node = out.plan.add(PhysicalNode {
                     op: PhysicalOp::Exchange {
-                        scheme: sized_scheme(spec, &pexpr.claimed, &self.opts),
+                        scheme: sized_scheme(spec, &pexpr.claimed),
                     },
                     children: vec![node],
                     stats: cstats,
@@ -775,9 +722,7 @@ impl Optimizer {
             child_nodes.push(node);
             edge_stats.push(cstats);
         }
-        out.est_cost += self
-            .cost
-            .local_cost(&shape.op, &out_stats, &edge_stats, &pexpr.claimed);
+        out.est_cost += local_cost(&shape.op, &out_stats, &edge_stats, &pexpr.claimed);
         if shape.elided_exchange {
             out.any_elided = true;
         }

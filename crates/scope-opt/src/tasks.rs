@@ -3,9 +3,9 @@
 //!
 //! # Task cascade
 //!
-//! The recursive exploration of `crate::search` is restructured as four
-//! task kinds over one deterministic deque (optd's task cascade, scaled to
-//! this registry):
+//! The recursive exploration of `crate::search` is restructured as three
+//! exploration task kinds over one deterministic deque (optd's task cascade,
+//! scaled to this registry), followed by a plain implementation loop:
 //!
 //! ```text
 //!   ExploreGroup(g)        — seed of a pass: fan out ExploreExpr(g, e) for
@@ -17,9 +17,10 @@
 //!   ApplyRule(g, e, t)     — run one transform; materialize its rewrites;
 //!                            discovered work (new interior groups, new
 //!                            expressions of g) joins the BACK of the queue
-//!   ImplementGroup(g)      — implementation epilogue: build the group's
-//!                            physical candidates (impl/parametric rules in
-//!                            registry order + the required fallback)
+//!   implement_group(g)     — implementation epilogue, one task per group in
+//!                            group-id order: build the group's physical
+//!                            candidates (impl/parametric rules in registry
+//!                            order + the required fallback)
 //! ```
 //!
 //! Front-expansion for fan-out plus back-insertion for discovered work
@@ -34,15 +35,15 @@
 //! [`CompileBudget`] bounds *exploration* tasks: the budget is checked when
 //! an ExploreGroup/ExploreExpr/ApplyRule task is popped, and on exhaustion
 //! the remaining exploration queue is dropped and the engine proceeds
-//! straight to the epilogue. ImplementGroup tasks, costing, and extraction
+//! straight to the epilogue. Implementation, costing, and extraction
 //! always run: every group holds at least its copied-in logical expression
 //! and the required fallback rule implements every operator, so anytime
 //! extraction from a partially explored memo is always a valid executable
 //! plan. The result is tagged [`BudgetOutcome::Truncated`] with the number
 //! of dropped exploration tasks (later passes that were never seeded are
-//! not counted). The pre-existing rewrite budget
-//! (`SearchOptions::max_transform_applications`) is a *search heuristic*,
-//! not an interruption: exhausting it is still [`BudgetOutcome::Complete`].
+//! not counted). The search's own rewrite limit
+//! (`search::MAX_TRANSFORM_APPLICATIONS`) is a *search heuristic*, not an
+//! interruption: exhausting it is still [`BudgetOutcome::Complete`].
 //!
 //! # Anytime monotonicity
 //!
@@ -59,20 +60,25 @@
 //! # Cache-key soundness
 //!
 //! A compile cache keyed on `(plan, config)` may only serve results that do
-//! not depend on the budget. We take the conservative side of the issue's
-//! dichotomy: **finite-budget compiles are uncacheable** — they bypass the
-//! compile cache and the delta compiler entirely
-//! ([`crate::cache::BudgetedCompiler`]) and always run
-//! this engine from scratch. Equivalently, the budget is morally part of
-//! the cache key and only the unlimited point is ever populated. Delta
-//! pricing is also only sound at unlimited budget (a base memo frozen at
-//! one truncation point cannot replay another), so finite budgets skip it.
+//! not depend on the budget. We take the conservative side:
+//! **finite-budget compiles are uncacheable**. [`Optimizer::compile_budgeted`]
+//! bypasses the compile cache and the delta compiler entirely and always runs
+//! this engine from scratch; its one budgeted caller in the pipeline,
+//! `QoAdvisor::compile_shedding`, calls it directly at a finite budget and
+//! goes through the caches only at an unlimited one. Equivalently, the budget
+//! is morally part of the cache key and only the unlimited point is ever
+//! populated. Delta pricing is also only sound at unlimited budget (a base
+//! memo frozen at one truncation point cannot replay another), so finite
+//! budgets skip it.
 
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::memo::{GroupId, Memo};
 use crate::registry::{RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
-use crate::search::{CompileError, Compiled, Optimizer};
+use crate::search::{
+    CompileError, Compiled, Optimizer, EXPLORATION_PASSES, MAX_EXPRS_PER_GROUP,
+    MAX_TRANSFORM_APPLICATIONS,
+};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,14 +221,13 @@ impl BudgetStats {
     }
 }
 
-/// One unit of engine work. Exploration tasks (the first three) are
-/// budget-gated; ImplementGroup is the mandatory epilogue.
+/// One unit of budget-gated exploration work (the implementation epilogue is
+/// a plain loop, [`TaskEngine::implement_all`]).
 enum Task {
     ExploreGroup(GroupId),
     ExploreExpr(GroupId, usize),
     /// `usize` indexes the promise-ordered enabled-transform list.
     ApplyRule(GroupId, usize, usize),
-    ImplementGroup(GroupId),
 }
 
 /// The task-queue engine over one memo. Holds the running task count so
@@ -288,7 +293,7 @@ impl<'a> TaskEngine<'a> {
 
     /// Exploration cascade. Reproduces the recursive engine's worklist
     /// order exactly (see the module docs for the queue discipline); the
-    /// rewrite budget `max_transform_applications` halts all passes exactly
+    /// rewrite limit `MAX_TRANSFORM_APPLICATIONS` halts all passes exactly
     /// where the recursive engine returned.
     fn explore(
         &mut self,
@@ -310,11 +315,10 @@ impl<'a> TaskEngine<'a> {
                 (r.id, kind, bit)
             })
             .collect();
-        let opts = self.opt.options();
         let mut fired = RuleBits::empty();
-        let mut rewrites_left = opts.max_transform_applications;
+        let mut rewrites_left = MAX_TRANSFORM_APPLICATIONS;
         let mut queue: VecDeque<Task> = VecDeque::new();
-        'passes: for _pass in 0..opts.exploration_passes {
+        'passes: for _pass in 0..EXPLORATION_PASSES {
             queue.extend(memo.group_ids().map(Task::ExploreGroup));
             while let Some(task) = queue.pop_front() {
                 if let Some(max) = budget.max_tasks {
@@ -364,64 +368,53 @@ impl<'a> TaskEngine<'a> {
                             for ng in groups_before..memo.group_count() {
                                 queue.push_back(Task::ExploreExpr(GroupId(ng as u32), 0));
                             }
-                            if let Some(idx) = memo.add_to_group(
-                                g,
-                                op,
-                                children,
-                                provenance,
-                                opts.max_exprs_per_group,
-                            )? {
+                            if let Some(idx) =
+                                memo.add_to_group(g, op, children, provenance, MAX_EXPRS_PER_GROUP)?
+                            {
                                 queue.push_back(Task::ExploreExpr(g, idx));
                             }
                         }
                     }
-                    // Epilogue tasks never enter the exploration queue.
-                    Task::ImplementGroup(_) => unreachable!(),
                 }
             }
         }
         Ok((fired, BudgetOutcome::Complete))
     }
 
-    /// Implementation epilogue: one ImplementGroup task per memo group, in
-    /// group-id order — never budget-gated, so extraction always has a
-    /// physical candidate (the required fallback) for every group.
+    /// Implementation epilogue: one task per memo group, in group-id order
+    /// — never budget-gated, so extraction always has a physical candidate
+    /// (the required fallback) for every group.
     fn implement_all(&mut self, memo: &mut Memo, config: &RuleConfig) -> Result<(), CompileError> {
         let groups: Vec<GroupId> = memo.group_ids().collect();
-        let mut queue: VecDeque<Task> = groups.into_iter().map(Task::ImplementGroup).collect();
-        self.drain_implement(memo, &mut queue, config)
+        self.implement(memo, groups, config)
     }
 
-    /// Delta replay entry: re-implement exactly the invalidated groups as
-    /// ImplementGroup tasks, in group-id order. This is the whole work of a
-    /// delta recompile — `crate::delta` forked the memo, this replays the
-    /// dirty part of the implementation cascade against the treatment.
+    /// Delta replay entry: re-implement exactly the invalidated groups, in
+    /// group-id order, one task each. This is the whole work of a delta
+    /// recompile — `crate::delta` forked the memo, this replays the dirty
+    /// part of the implementation epilogue against the treatment.
     pub(crate) fn replay_implement(
         &mut self,
         memo: &mut Memo,
         dirty: &[bool],
         config: &RuleConfig,
     ) -> Result<(), CompileError> {
-        let mut queue: VecDeque<Task> = dirty
+        let groups = dirty
             .iter()
             .enumerate()
             .filter(|(_, d)| **d)
-            .map(|(gi, _)| Task::ImplementGroup(GroupId(gi as u32)))
-            .collect();
-        self.drain_implement(memo, &mut queue, config)
+            .map(|(gi, _)| GroupId(gi as u32));
+        self.implement(memo, groups, config)
     }
 
-    fn drain_implement(
+    fn implement(
         &mut self,
         memo: &mut Memo,
-        queue: &mut VecDeque<Task>,
+        groups: impl IntoIterator<Item = GroupId>,
         config: &RuleConfig,
     ) -> Result<(), CompileError> {
         let ctx = self.opt.impl_context(config);
-        while let Some(task) = queue.pop_front() {
-            let Task::ImplementGroup(g) = task else {
-                unreachable!()
-            };
+        for g in groups {
             self.tasks_executed += 1;
             self.opt.implement_group(memo, g, config, &ctx)?;
         }

@@ -18,9 +18,9 @@
 //! | [`sis`] | Versioned hint store (Stats & Insight Service substitute) |
 //! | [`qo_advisor`] | The paper's contribution: the five-task steering pipeline |
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results of every table and
-//! figure.
+//! See `README.md` for the quickstart and the per-experiment commands,
+//! `ARCHITECTURE.md` for the system inventory and its contracts, and
+//! `PERFORMANCE.md` for every measured result and how to reproduce it.
 //!
 //! ## A complete steering loop in a few lines
 //!

@@ -18,8 +18,8 @@
 //!   byte-identical to an unlimited run.
 //!
 //! `tests/determinism.rs` proves the cache/thread contract at unlimited
-//! budget; `tests/fleet_determinism.rs` covers the fleet's separate
-//! per-job stream budget ([`StreamConfig::compile_budget`]).
+//! budget; `tests/fleet_determinism.rs` covers the same pipeline budget
+//! inside a fleet, at 1 and 8 stream workers.
 
 use qo_advisor::{
     BudgetStats, CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, ParallelismConfig,
@@ -349,8 +349,5 @@ fn finite_pipeline_budget_never_touches_steering_outputs() {
 #[test]
 fn compile_budget_defaults_to_unlimited() {
     assert!(PipelineConfig::default().compile_budget.is_unlimited());
-    assert!(qo_advisor::fleet::StreamConfig::default()
-        .compile_budget
-        .is_unlimited());
     assert_eq!(CompileBudget::default(), CompileBudget::unlimited());
 }

@@ -24,6 +24,8 @@
 //!   * restore billing: a day resumed from [`ProductionSim::restore`]
 //!     carries the restore's wall cost in `timings.restore_ns` (and only
 //!     that day does);
+//!   * load shedding: under a tight pipeline compile budget the tenants shed
+//!     identically at 1 and 8 stream workers, and the shed totals reconcile;
 //!   * serving bar: overlapping tenants' shared caches lift the lifetime
 //!     compile+feature hit rate ≥ 1.2x over isolated per-tenant caches.
 
@@ -222,7 +224,6 @@ fn fleet_tenants_match_isolated_single_tenant_sims() {
                 stream: StreamConfig {
                     workers,
                     queue_capacity: if workers == 1 { 1 } else { 256 },
-                    ..StreamConfig::default()
                 },
                 isolated_caches: false,
             },
@@ -369,33 +370,31 @@ fn restore_cost_is_billed_into_the_resumed_day() {
     );
 }
 
-/// Load shedding under saturation: a tight per-job stream budget
-/// ([`StreamConfig::compile_budget`]) sheds view-build compile work
+/// Load shedding inside a fleet: a tight [`PipelineConfig::compile_budget`]
+/// sheds the tenants' counterfactual recompiles of hinted jobs
 /// **deterministically** — byte-identical per-tenant reports (shed counters
 /// included) and hint files at 1 and 8 stream workers — and the shed
 /// accounting reconciles at every level: each day's
 /// [`FleetDayOutcome::shed`] equals the sum of its tenants'
 /// `compile_budget.truncated`, and [`FleetMetrics::shed`] accumulates the
-/// days. The budget changes which plans ship (anytime extraction from
-/// truncated cascades), so this leg is about *deterministic* shedding, not
-/// output invariance — that contract belongs to the pipeline budget
-/// (`tests/budget_equivalence.rs`).
+/// days. The run is long enough for hinted jobs to exist, so something
+/// sheds.
 #[test]
-fn stream_budget_sheds_deterministically_across_worker_counts() {
+fn pipeline_budget_sheds_deterministically_across_worker_counts() {
     let tree = TempTree::new("shed");
     let workloads = overlapping_workloads(TENANTS, &workload());
-    // Tight enough to truncate essentially every view-build cascade of the
-    // saturated queue (their exploration runs thousands of tasks).
-    let budget = CompileBudget::tasks(64);
+    let pipeline = PipelineConfig {
+        compile_budget: CompileBudget::tasks(48),
+        ..config_with(true)
+    };
     let run = |workers: usize, root: &PathBuf| {
         let mut fleet = Fleet::with_sis_root(
             workloads.clone(),
             &FleetConfig {
-                pipeline: config_with(true),
+                pipeline: pipeline.clone(),
                 stream: StreamConfig {
                     workers,
                     queue_capacity: if workers == 1 { 1 } else { 64 },
-                    compile_budget: budget,
                 },
                 isolated_caches: false,
             },
@@ -432,7 +431,7 @@ fn stream_budget_sheds_deterministically_across_worker_counts() {
     let (reports_w8, shed_w8) = run(8, &w8_root);
     assert!(
         shed_w1.iter().sum::<u64>() > 0,
-        "the tight stream budget must actually shed, or this test compares \
+        "the tight pipeline budget must actually shed, or this test compares \
          nothing: {shed_w1:?}"
     );
     assert_eq!(
@@ -453,7 +452,7 @@ fn stream_budget_sheds_deterministically_across_worker_counts() {
             w1_files,
             hint_files(&w8_root.join(&dir)),
             "tenant {t} hint files diverged between 1 and 8 stream workers \
-             under the stream budget"
+             under the pipeline budget"
         );
     }
     assert!(
