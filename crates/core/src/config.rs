@@ -19,8 +19,8 @@
 //! | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`], installed with [`crate::simulation::ProductionSim::set_snapshot_policy`]): write the full steering state to `results/snapshots/<experiment>.qosnap` at every Nth day boundary; the write cost lands in `DailyReport.timings.snapshot_ns` |
 //! | `--literals P`       | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::WorkloadConfig::literals`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
 //!
-//! Fleet scale (tenant count, stream workers, arrival-queue capacity) is set
-//! programmatically through [`crate::fleet::FleetConfig`]; the `perf`
+//! Fleet scale (tenant count, fleet-day workers) is set programmatically
+//! through [`crate::fleet::FleetConfig`]; the `perf`
 //! benchmark's `fleet_zipf` workload (`perfbench/`) is its measured driver.
 //! A fleet sheds only through its tenants' [`PipelineConfig::compile_budget`].
 

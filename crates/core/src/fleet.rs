@@ -11,38 +11,31 @@
 //! and span features are shared across tenants because every key is
 //! tenant-invariant (see [`SharedCaches`] for the argument).
 //!
-//! # Streaming pipeline
+//! # One day loop
 //!
-//! A fleet day is a producer feeding the crate's one parallel map, followed
-//! by a per-tenant reduce through the same map:
+//! A fleet day is the single-tenant day over N tenants: three passes of the
+//! crate's one parallel map (`stages::par_map`), each returning its results
+//! in input order, at [`StreamConfig::workers`]:
 //!
 //! ```text
-//!   producer thread ──▶ bounded mpsc queue ──▶ stages::par_map
-//!   (round-robins the     of (tenant, job)      (the queue's receiver is the
-//!    fleet's arrivals)    arrivals; a full       map's input iterator: each
-//!                         queue blocks the       worker pulls an arrival and
-//!                         producer, never        times one build_view_row;
-//!                         drops)                 rows return in arrival order)
+//!   per tenant: Workload::jobs_for_day
 //!                                   │
 //!                                   ▼
-//!            regroup by tenant — arrival order is ascending per tenant, so
-//!            each view is a plain push, byte-for-byte `build_view`'s output
-//!            (`build_view_row` is pure per job)
+//!   day::views — every tenant's jobs laid end to end (tenant-major, job
+//!   order within a tenant), one clocked build_view_row per job, the results
+//!   split back per tenant by length: each view is byte-for-byte
+//!   `build_view`'s output (`build_view_row` is pure per job)
 //!                                   │
 //!                                   ▼
-//!            per-tenant SERIAL reduce: `ProductionSim::finish_day`
-//!            (counterfactuals, monitoring, the five pipeline stages —
-//!             rank/reward application stays in job order, preserving the
-//!             determinism contract per tenant; tenants reduce in parallel
-//!             through `stages::par_map`, workers taking the next tenant as
-//!             they free up, because each touches only its own state)
+//!   per tenant: the SERIAL reduce `ProductionSim::finish_day`
+//!   (counterfactuals, monitoring, the five pipeline stages — rank/reward
+//!    application stays in job order, preserving the determinism contract
+//!    per tenant; workers take the next tenant as they free up, because
+//!    each touches only its own state)
 //! ```
 //!
-//! The stream owns only the producer and the queue; threads, hand-out,
-//! ordering and panic handling are `par_map`'s. The receiver moves *into*
-//! the map, so when the workers stop — done, or dead from a panicking row —
-//! the queue closes, the blocked producer's `send` fails, and the day
-//! returns a typed error instead of hanging.
+//! [`ProductionSim::advance_day`] is the same `day::views` call over one
+//! tenant at width 1.
 //!
 //! Each row carries a **steering-latency clock** around its
 //! `build_view_row` call (the per-job compile-with-hints + execute path — the
@@ -53,29 +46,30 @@
 //!
 //! # Load shedding
 //!
-//! The stream itself never sheds: every view-build compile runs to
+//! The view build itself never sheds: every view-build compile runs to
 //! completion through the tenant's caching optimizer. A tenant whose
 //! [`PipelineConfig::compile_budget`] is finite sheds in its own reduce, in
 //! the counterfactual recompiles of hinted jobs
 //! ([`crate::QoAdvisor::compile_shedding`]) — a pure function of
-//! `(plan, config, budget)`, never of queue depth, worker count or
-//! scheduling. Truncation tallies surface per tenant in
-//! `DailyReport.compile_budget`, per day in [`FleetDayOutcome::shed`], and
-//! fleet-lifetime in [`FleetMetrics::shed`].
+//! `(plan, config, budget)`, never of worker count or scheduling.
+//! Truncation tallies surface per tenant in `DailyReport.compile_budget`,
+//! per day in [`FleetDayOutcome::shed`], and fleet-lifetime in
+//! [`FleetMetrics::shed`].
 //!
 //! # Determinism contract, per tenant
 //!
-//! A tenant inside a fleet — any worker count, any queue capacity, shared or
-//! private caches — produces byte-identical `DailyReport`s (normalized:
-//! cache/timing telemetry zeroed) and byte-identical SIS hint files to the
-//! same workload run alone in a single-tenant [`ProductionSim`]. Two things
-//! make this hold: `build_view_row` is pure per job (so arrival interleaving
-//! cannot change any row), and everything stateful is applied in
+//! A tenant inside a fleet — any worker count, shared or private caches —
+//! produces byte-identical `DailyReport`s (normalized: cache/timing
+//! telemetry zeroed) and byte-identical SIS hint files to the same workload
+//! run alone in a single-tenant [`ProductionSim`]. Two things make this
+//! hold: `build_view_row` is pure per job (so which worker builds which row,
+//! and when, cannot change any row), and everything stateful is applied in
 //! [`ProductionSim::finish_day`]'s per-tenant serial reduce in job order.
 //! A finite pipeline budget keeps the contract at any worker count (sheds are
 //! per-job-pure). `tests/fleet_determinism.rs` pins the contract.
 
 use crate::config::PipelineConfig;
+use crate::day::{self, TenantView};
 use crate::meter::{Lap, Stage};
 use crate::monitoring::MonitorConfig;
 use crate::pipeline::{PipelineError, SharedCaches};
@@ -84,21 +78,19 @@ use crate::snapshot::SnapshotPolicy;
 use crate::stages::par_map;
 use scope_ir::ids::tenant_workload_seed;
 use scope_ir::LatencyHistogram;
-use scope_opt::{CacheStats, HintSet, RuleConfig};
-use scope_workload::{build_view_row, JobInstance, ViewBuildError, ViewRow, WorkloadConfig};
+use scope_opt::CacheStats;
+use scope_workload::WorkloadConfig;
 use sis::{SisError, SisStore};
 use std::path::Path;
-use std::sync::mpsc;
 
-/// Streaming-pipeline knobs: the worker pool and the arrival queue.
+/// Fleet-day parallelism: the worker pool of the day's three passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Worker threads pulling arrivals from the queue (`0` = one per
-    /// available core). Purely a throughput knob: per-tenant outputs are
-    /// byte-identical at any worker count.
+    /// Worker threads for job generation, the view build and the per-tenant
+    /// reduce (`0` = one per available core). Purely a throughput knob:
+    /// per-tenant outputs are byte-identical at any worker count.
     pub workers: usize,
-    /// Bounded capacity of the job-arrival queue. A full queue blocks the
-    /// producer (backpressure); arrivals are never dropped.
+    /// No effect; ROADMAP 1a deletes it with the harness's mention.
     pub queue_capacity: usize,
 }
 
@@ -190,14 +182,6 @@ pub struct Fleet {
     stream: StreamConfig,
     metrics: FleetMetrics,
 }
-
-/// One streamed row: `(tenant, position in the tenant's daily job order,
-/// steering-latency nanoseconds, the row)`.
-type StreamedRow = (usize, usize, u64, Result<ViewRow, ViewBuildError>);
-
-/// One tenant's streamed day: its view in job order, and the summed
-/// steering-latency nanoseconds of its rows.
-type TenantView = (Vec<ViewRow>, u64);
 
 impl Fleet {
     /// A fleet with in-memory SIS stores, one tenant per workload.
@@ -291,12 +275,6 @@ impl Fleet {
         &self.metrics
     }
 
-    /// The process-wide shared caches, when this fleet shares them.
-    #[must_use]
-    pub fn shared_caches(&self) -> Option<&SharedCaches> {
-        self.shared.as_ref()
-    }
-
     /// Fleet-wide lifetime compile-cache counters: the shared cache's, or
     /// the sum over per-tenant private caches in the isolated regime — the
     /// like-for-like comparison behind the cross-tenant hit-uplift number.
@@ -326,10 +304,10 @@ impl Fleet {
         }
     }
 
-    /// Advance every tenant by one day through the streaming pipeline:
-    /// stream all tenants' arrivals through the shared worker pool, then
-    /// run each tenant's serial reduce ([`ProductionSim::finish_day`]).
-    /// Updates [`Fleet::metrics`].
+    /// Advance every tenant by one day: generate every tenant's jobs, build
+    /// all their views on the shared worker pool (`day::views`), then run
+    /// each tenant's serial reduce ([`ProductionSim::finish_day`]). Updates
+    /// [`Fleet::metrics`].
     ///
     /// # Errors
     ///
@@ -340,7 +318,11 @@ impl Fleet {
         // qo-lint: allow(ambient-entropy) — fleet throughput telemetry only;
         // per-tenant outputs are compared with timings zeroed
         let t_day = std::time::Instant::now();
-        let (views, steering_latency) = self.stream_views()?;
+        let workers = self.stream.workers;
+        let sims: Vec<&ProductionSim> = self.tenants.iter().map(|t| &t.sim).collect();
+        let jobs = par_map(workers, &sims, |sim| sim.workload.jobs_for_day(sim.day))
+            .map_err(|_| PipelineError::Invariant("job-generation worker panicked"))?;
+        let (views, steering_latency) = day::views(&sims, &jobs, workers)?;
         let outcomes = self.reduce_days(views)?;
         let shed = outcomes
             .iter()
@@ -370,49 +352,16 @@ impl Fleet {
         (0..days).map(|_| self.advance_day()).collect()
     }
 
-    /// Phase 1+2: stream every tenant's arrivals through [`stream`] and
-    /// regroup the rows into per-tenant views in job order. Returns each
-    /// tenant's view with its summed per-job build nanoseconds, and the
-    /// day's latency histogram.
-    fn stream_views(&self) -> Result<(Vec<TenantView>, LatencyHistogram), PipelineError> {
-        // Per tenant: today's jobs, and what steers them — its live hints
-        // over its default configuration, as of before the first arrival.
-        let days: Vec<(Vec<JobInstance>, HintSet, RuleConfig)> = self
-            .tenants
-            .iter()
-            .map(|Tenant { sim, .. }| {
-                let jobs = sim.workload.jobs_for_day(sim.day);
-                let default = sim.advisor.optimizer().default_config();
-                (jobs, sim.advisor.sis().snapshot(), default)
-            })
-            .collect();
-        let lens: Vec<usize> = days.iter().map(|(jobs, ..)| jobs.len()).collect();
-        let rows = stream(&lens, &self.stream, |(tenant, index)| {
-            let (sim, (jobs, hints, default)) = (&self.tenants[tenant].sim, &days[tenant]);
-            // qo-lint: allow(ambient-entropy) — the per-job steering-latency
-            // clock; telemetry only
-            let t = std::time::Instant::now();
-            let optimizer = sim.advisor.caching_optimizer();
-            let row = build_view_row(&jobs[index], optimizer, hints, default, sim.prod_executor());
-            (tenant, index, t.elapsed().as_nanos() as u64, row)
-        })?;
-        let mut steering_latency = LatencyHistogram::new();
-        for (_, _, ns, _) in &rows {
-            steering_latency.record(*ns);
-        }
-        Ok((regroup(rows, &lens)?, steering_latency))
-    }
-
-    /// Phase 3: the per-tenant serial reduce, parallel *across* tenants —
-    /// workers take the next unreduced tenant as they free up, each call
-    /// mutates only its own tenant's state, and the shared caches are
+    /// The per-tenant serial reduce, parallel *across* tenants — workers
+    /// take the next unreduced tenant as they free up, each call mutates
+    /// only its own tenant's state, and the shared caches are
     /// `&self`-concurrent. Outcomes come back in tenant order.
     ///
-    /// Each tenant's streamed view build is billed as the lap `finish_day`
-    /// never saw: its summed per-job build time, the streaming analogue of
-    /// `advance_day`'s serial measurement. The lap's counters stay zero: the
-    /// stream never sheds, and shared-cache traffic during the stream cannot
-    /// be attributed to one tenant.
+    /// Each tenant's view build is billed as the lap `finish_day` never saw:
+    /// its summed per-job build time, the fleet's analogue of
+    /// [`ProductionSim::advance_day`]'s meter lap. The lap's counters stay
+    /// zero: the view build never sheds, and shared-cache traffic while all
+    /// tenants build at once cannot be attributed to one tenant.
     fn reduce_days(&mut self, views: Vec<TenantView>) -> Result<Vec<DayOutcome>, PipelineError> {
         let tenant_days = self.tenants.iter_mut().zip(views);
         let reduce = |(tenant, (view, ns)): (&mut Tenant, TenantView)| {
@@ -429,72 +378,6 @@ impl Fleet {
             .into_iter()
             .collect()
     }
-}
-
-/// The arrival stream: a producer thread round-robins `(tenant, index)`
-/// arrivals — `lens[t]` of them for tenant `t`, an interleaved stream, not
-/// tenant-by-tenant batches — into a bounded queue (a full queue blocks the
-/// producer: backpressure, never a drop), and [`par_map`] maps `row` over the
-/// queue's receiver. Returns the rows in arrival order.
-///
-/// The receiver moves into the map, which drops it when its workers stop, so
-/// a panicking `row` closes the queue under the producer instead of leaving
-/// it blocked on a full one: both threads are joined on every path.
-fn stream<R: Send>(
-    lens: &[usize],
-    config: &StreamConfig,
-    row: impl Fn((usize, usize)) -> R + Sync,
-) -> Result<Vec<R>, PipelineError> {
-    let (tx, rx) = mpsc::sync_channel::<(usize, usize)>(config.queue_capacity.max(1));
-    std::thread::scope(|s| {
-        let producer = s.spawn(move || {
-            for index in 0..lens.iter().copied().max().unwrap_or(0) {
-                for (tenant, &len) in lens.iter().enumerate() {
-                    if index < len && tx.send((tenant, index)).is_err() {
-                        return; // the map stopped early: a row panicked
-                    }
-                }
-            }
-        });
-        let arrivals = rx.into_iter().take(lens.iter().sum());
-        let rows = par_map(config.workers, arrivals, row);
-        producer
-            .join()
-            .map_err(|_| PipelineError::Invariant("fleet producer panicked"))?;
-        rows.map_err(|_| PipelineError::Invariant("fleet worker panicked"))
-    })
-}
-
-/// Regroup streamed rows (arrival order: ascending job index within each
-/// tenant) into per-tenant `(view, summed build nanoseconds)`, tenant `t`
-/// expecting `lens[t]` rows — byte-identical to a serial `build_view` per
-/// tenant.
-///
-/// # Errors
-///
-/// The lowest-`(tenant, job)` [`ViewBuildError`] when any row failed, so the
-/// failure surfaced is scheduling-independent; otherwise
-/// [`PipelineError::Invariant`] when a tenant's view came back short.
-fn regroup(rows: Vec<StreamedRow>, lens: &[usize]) -> Result<Vec<TenantView>, PipelineError> {
-    let mut tenants: Vec<TenantView> = vec![(Vec::new(), 0); lens.len()];
-    let mut errors = Vec::new();
-    for (tenant, index, ns, row) in rows {
-        let (view, view_ns) = &mut tenants[tenant];
-        *view_ns += ns;
-        match row {
-            Ok(row) => view.push(row),
-            Err(e) => errors.push((tenant, index, e)),
-        }
-    }
-    if let Some((_, _, error)) = errors.into_iter().min_by_key(|(t, i, _)| (*t, *i)) {
-        return Err(PipelineError::View(error));
-    }
-    for ((view, _), &len) in tenants.iter().zip(lens) {
-        if view.len() != len {
-            return Err(PipelineError::Invariant("fleet worker dropped an arrival"));
-        }
-    }
-    Ok(tenants)
 }
 
 /// N tenants running the *same* workload: full template overlap, identical
@@ -597,20 +480,18 @@ mod tests {
             "identical tenants must hit each other's compile entries: \
              shared {s:?} vs isolated {i:?}"
         );
-        assert!(shared.shared_caches().is_some());
-        assert!(isolated.shared_caches().is_none());
     }
 
     #[test]
     fn stream_shape_is_a_pure_throughput_knob() {
-        // Tiny queue + 1 worker vs big queue + 8 workers: identical reports.
-        let run = |workloads: Vec<WorkloadConfig>, workers: usize, queue: usize| {
+        // 1 worker vs 2, 3 or 8: identical reports.
+        let run = |workloads: Vec<WorkloadConfig>, workers: usize| {
             let mut fleet = Fleet::new(
                 workloads,
                 &FleetConfig {
                     stream: StreamConfig {
                         workers,
-                        queue_capacity: queue,
+                        ..StreamConfig::default()
                     },
                     ..FleetConfig::default()
                 },
@@ -625,9 +506,9 @@ mod tests {
             (jobs, reports)
         };
         let two = || overlapping_workloads(2, &small_workload());
-        let serial = run(two(), 1, 1);
-        for (workers, queue) in [(8, 512), (2, 1), (3, 7)] {
-            assert_eq!(serial, run(two(), workers, queue), "{workers}x{queue}");
+        let serial = run(two(), 1);
+        for workers in [8, 2, 3] {
+            assert_eq!(serial, run(two(), workers), "workers={workers}");
         }
         // More workers than the whole fleet has jobs.
         let tiny = || {
@@ -637,125 +518,9 @@ mod tests {
                 ..small_workload()
             }]
         };
-        let serial = run(tiny(), 1, 1);
+        let serial = run(tiny(), 1);
         assert!((1..16).contains(&serial.0), "jobs: {}", serial.0);
-        assert_eq!(serial, run(tiny(), 16, 4));
-    }
-
-    /// The producer's interleaving and `par_map`'s input-order results, with
-    /// no fleet around them.
-    #[test]
-    fn stream_round_robins_arrivals_and_returns_them_in_arrival_order() {
-        for (workers, queue_capacity) in [(1, 1), (2, 1), (8, 64)] {
-            let config = StreamConfig {
-                workers,
-                queue_capacity,
-            };
-            let rows = stream(&[3, 0, 1, 2], &config, |arrival| arrival);
-            let expected = vec![(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)];
-            assert_eq!(rows, Ok(expected), "{workers}x{queue_capacity}");
-            assert_eq!(stream(&[], &config, |arrival| arrival), Ok(vec![]));
-            assert_eq!(stream(&[0, 0], &config, |arrival| arrival), Ok(vec![]));
-        }
-    }
-
-    /// A dead worker pool must not hang the fleet day. The first arrival's
-    /// row panics with 63 more queued behind a one-slot queue: at one worker
-    /// that kills the whole pool, and a receiver that outlived its workers
-    /// would leave the producer blocked in `send` forever. `stream` returns
-    /// only after joining the producer, so an answer inside the timeout
-    /// shows both.
-    #[test]
-    fn a_panicking_row_is_a_typed_error_not_a_hang() {
-        for workers in [1, 2] {
-            let (done, result) = mpsc::channel();
-            std::thread::spawn(move || {
-                let config = StreamConfig {
-                    workers,
-                    queue_capacity: 1,
-                };
-                let rows = stream(&[32, 32], &config, |arrival| {
-                    assert_ne!(arrival, (0, 0), "planted panic");
-                    arrival
-                });
-                let _ = done.send(rows);
-            });
-            let rows = result
-                .recv_timeout(std::time::Duration::from_secs(30))
-                .expect("stream hung: the producer never saw its queue close");
-            assert_eq!(
-                rows,
-                Err(PipelineError::Invariant("fleet worker panicked")),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn regroup_restores_job_order_and_keeps_the_documented_error_rule() {
-        // Synthetic rows: one real row, tagged through `job_seed`.
-        let sim = ProductionSim::new(small_workload(), PipelineConfig::default());
-        let template = scope_workload::build_view(
-            &sim.workload.jobs_for_day(0)[..1],
-            sim.advisor.caching_optimizer(),
-            &sim.advisor.sis().snapshot(),
-            sim.prod_executor(),
-        )
-        .expect("generated workloads compile")
-        .remove(0);
-        let ok = |t: usize, i: usize| {
-            let row = ViewRow {
-                job_seed: (t * 100 + i) as u64,
-                ..template.clone()
-            };
-            (t, i, 10, Ok(row))
-        };
-        let err = |t: usize, i: usize| {
-            let error = ViewBuildError {
-                job_id: template.job_id,
-                job_name: format!("t{t}-j{i}"),
-                template: template.template,
-                error: scope_opt::CompileError::Invalid("planted".into()),
-            };
-            (t, i, 1, Err(error))
-        };
-        let tags = |views: &[TenantView]| {
-            views
-                .iter()
-                .map(|(view, ns)| (view.iter().map(|r| r.job_seed).collect::<Vec<_>>(), *ns))
-                .collect::<Vec<_>>()
-        };
-
-        // Interleaved arrivals regroup into per-tenant job order; build
-        // nanoseconds sum per tenant.
-        let views = regroup(vec![ok(0, 0), ok(1, 0), ok(0, 1), ok(0, 2)], &[3, 1]).unwrap();
-        assert_eq!(tags(&views), [(vec![0, 1, 2], 30), (vec![100], 10)]);
-
-        // Errors from two tenants, arriving out of order: the lowest
-        // (tenant, job) wins, whatever arrived first.
-        let rows = vec![ok(0, 0), err(1, 0), ok(0, 1), err(0, 2), err(1, 1)];
-        match regroup(rows, &[3, 2]) {
-            Err(PipelineError::View(e)) => assert_eq!(e.job_name, "t0-j2"),
-            other => panic!("expected the (0, 2) view error, got {other:?}"),
-        }
-
-        // A missing arrival — at the end, or in the middle — is a short
-        // result, and an error row still outranks it.
-        let dropped = Err(PipelineError::Invariant("fleet worker dropped an arrival"));
-        assert_eq!(regroup(vec![ok(0, 0)], &[2]).map(|v| tags(&v)), dropped);
-        let gap = vec![ok(0, 0), ok(0, 2)];
-        assert_eq!(regroup(gap, &[3]).map(|v| tags(&v)), dropped);
-        assert!(matches!(
-            regroup(vec![err(0, 1)], &[3]),
-            Err(PipelineError::View(_))
-        ));
-
-        // Zero jobs and zero tenants are empty views, not errors.
-        assert_eq!(
-            tags(&regroup(vec![], &[0, 0]).unwrap()),
-            vec![(vec![], 0); 2]
-        );
-        assert!(regroup(vec![], &[]).unwrap().is_empty());
+        assert_eq!(serial, run(tiny(), 16));
     }
 
     /// Day totals under a finite pipeline budget, run until every tenant has

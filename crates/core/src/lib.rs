@@ -64,6 +64,7 @@
 
 pub mod baselines;
 pub mod config;
+mod day;
 pub mod features;
 pub mod fleet;
 mod meter;

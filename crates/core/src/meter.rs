@@ -51,7 +51,7 @@ pub struct StageCounters<S> {
     /// Production compiles and runs while building the daily view (billed by
     /// [`crate::ProductionSim::advance_day`]; zero for a bare
     /// [`crate::QoAdvisor::run_day`], which is handed a prebuilt view, and
-    /// inside a fleet, whose streamed view building cannot be attributed to
+    /// inside a fleet, whose all-tenant view build cannot be attributed to
     /// one tenant).
     pub view_build: S,
     /// Counterfactual default-configuration compiles and runs of hinted

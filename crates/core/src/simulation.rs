@@ -4,6 +4,7 @@
 //! behind Table 2 and Figures 10-12.
 
 use crate::config::PipelineConfig;
+use crate::day;
 use crate::meter::Stage;
 use crate::monitoring::{MonitorConfig, RegressionMonitor};
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, SharedCaches};
@@ -236,15 +237,12 @@ impl ProductionSim {
     /// pipeline failure ([`PipelineError::Publish`] /
     /// [`PipelineError::Invariant`]) from the daily run.
     pub fn advance_day(&mut self) -> Result<DayOutcome, PipelineError> {
-        let jobs = self.workload.jobs_for_day(self.day);
-        let hints = self.advisor.sis().snapshot();
+        let jobs = [self.workload.jobs_for_day(self.day)];
         let mut meter = self.advisor.sample();
-        let view = build_view(
-            &jobs,
-            self.advisor.caching_optimizer(),
-            &hints,
-            &self.prod_exec,
-        )?;
+        // A fleet of one, built serially: a 2-thread single-tenant view
+        // build is slower than a serial one today.
+        let (views, _) = day::views(&[&*self], &jobs, 1)?;
+        let view = views.into_iter().next().unwrap_or_default().0;
         let view_build = meter.lap(&self.advisor);
         let mut outcome = self.finish_day(view)?;
         // Recurring jobs' default-configuration compile misses during view
@@ -260,10 +258,10 @@ impl ProductionSim {
     /// counterfactual default runs, §8 monitoring, the five pipeline stages,
     /// the day increment, and any due snapshot.
     /// [`ProductionSim::advance_day`] is exactly [`build_view`] followed by
-    /// this; the fleet's streaming pipeline (`crate::fleet`) builds views on
-    /// a shared worker pool and feeds them here — the per-tenant *serial
-    /// reduce* that keeps rank/reward application in job order and thereby
-    /// preserves the determinism contract per tenant.
+    /// this; a fleet (`crate::fleet`) builds every tenant's view on a shared
+    /// worker pool and feeds each here — the per-tenant *serial reduce* that
+    /// keeps rank/reward application in job order and thereby preserves the
+    /// determinism contract per tenant.
     ///
     /// `view` must be what [`build_view`] would have produced for this sim's
     /// current day — same jobs, same hint snapshot, same row order. The
@@ -570,6 +568,69 @@ mod tests {
             }
         }
         assert_eq!(sim.advisor.delta_stats().base_builds, seen.len() as u64);
+    }
+
+    /// `advance_day` is its documented decomposition — `jobs_for_day`, the
+    /// reference `build_view`, then `finish_day`, the day `perf` traces —
+    /// on every steering output: reports, counterfactual comparisons,
+    /// reverts, the SIS version and the published hint files.
+    #[test]
+    fn advance_day_is_build_view_then_finish_day() {
+        let root = std::env::temp_dir().join(format!("qo-sim-decomposed-{}", std::process::id()));
+        let sim_in = |name: &str| {
+            let workload = WorkloadConfig {
+                seed: 99,
+                num_templates: 24,
+                adhoc_per_day: 3,
+                max_instances_per_day: 2,
+                literals: scope_workload::LiteralPolicy::Sticky {
+                    redraw_every_days: 0,
+                },
+            };
+            let sis = sis::SisStore::at_dir(root.join(name)).unwrap();
+            let mut sim = ProductionSim::with_sis_store(workload, PipelineConfig::default(), sis)
+                .with_monitoring(MonitorConfig::default());
+            sim.bootstrap_validation_model(2, 8).unwrap();
+            sim
+        };
+        let (mut whole, mut decomposed) = (sim_in("whole"), sim_in("decomposed"));
+        let (mut published, mut compared) = (0, 0);
+        for day in 0..4 {
+            let a = whole.advance_day().unwrap();
+            let jobs = decomposed.workload.jobs_for_day(decomposed.day);
+            let hints = decomposed.advisor.sis().snapshot();
+            let optimizer = decomposed.advisor.caching_optimizer();
+            let view = build_view(&jobs, optimizer, &hints, decomposed.prod_executor()).unwrap();
+            let b = decomposed.finish_day(view).unwrap();
+            assert_eq!(a.report.steering(), b.report.steering(), "day {day}");
+            let comparisons = |o: &DayOutcome| format!("{:?}", o.comparisons);
+            assert_eq!(comparisons(&a), comparisons(&b), "day {day}");
+            assert_eq!(a.reverted, b.reverted, "day {day}");
+            let versions = [&whole, &decomposed].map(|sim| sim.advisor.sis().version());
+            assert_eq!(versions[0], versions[1], "day {day}");
+            published += a.report.hints_published;
+            compared += a.comparisons.len();
+        }
+        assert!(
+            published > 0 && compared > 0,
+            "{published} hints, {compared} comparisons"
+        );
+        let files = |name: &str| {
+            let mut files: Vec<_> = std::fs::read_dir(root.join(name))
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    (
+                        path.file_name().unwrap().to_owned(),
+                        std::fs::read(&path).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        assert_eq!(files("whole"), files("decomposed"));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!
 //! The two compile-bound stages — span computation in [`feature_gen`] and
 //! slate construction plus recompilation in [`recommend`] — fan out through
-//! [`par_map`], this crate's one ordered parallel map (the fleet's
-//! per-tenant reduce calls it too), at the width
-//! [`crate::config::ParallelismConfig`] asks for. Everything that mutates
-//! shared state (the span cache, the contextual bandit, SIS) runs in serial
-//! reduces over the fan-out results, **in input order**, so a day's outputs
-//! are bit-identical at any thread count:
+//! [`par_map`], this crate's one ordered parallel map (the day's view build
+//! and the fleet's job generation and per-tenant reduce call it too), at the
+//! width [`crate::config::ParallelismConfig`] asks for. Everything that
+//! mutates shared state (the span cache, the contextual bandit, SIS) runs in
+//! serial reduces over the fan-out results, **in input order**, so a day's
+//! outputs are bit-identical at any thread count:
 //!
 //! * `feature_gen` computes missing spans in parallel, then installs them in
 //!   the cache in first-seen template order;
@@ -66,9 +66,9 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 /// Workers are scoped threads that pull the next item from the shared input
 /// iterator (locked only for `next()`, never while `f` runs), so skewed
 /// per-item cost balances itself and borrowed, `&mut` and owned items all
-/// work. The iterator may block in `next()` — the fleet's arrival queue
-/// does — and is dropped before this returns, on success and on panic, so a
-/// producer feeding it sees its channel close. No more workers start than
+/// work. The iterator may block in `next()`, stalling only the worker that
+/// asked, and is dropped before this returns, on success and on panic (the
+/// crate's callers pass slices and vectors). No more workers start than
 /// the iterator's `size_hint` upper bound; at one worker — or one item — `f`
 /// runs inline on the caller's thread. Every worker is joined before
 /// returning.
@@ -646,7 +646,7 @@ mod tests {
         }
     }
 
-    /// The fleet's shape: the input is a channel's receiver, fed one item at
+    /// A blocking source: the input is a channel's receiver, fed one item at
     /// a time by a thread that waits for each result before sending the
     /// next — so workers block in `next()` while the source is still
     /// yielding, and the source must be gone when `par_map` returns.

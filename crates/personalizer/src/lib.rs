@@ -12,22 +12,17 @@
 //!   trained by importance-weighted regression;
 //! * [`bandit`] — epsilon-greedy exploration, uniform logging policy, and
 //!   IPS-corrected off-policy updates;
-//! * [`counterfactual`] — IPS/SNIPS estimators for offline policy evaluation
-//!   ("we use counter-factual evaluations where we can rely on past
-//!   telemetry offline", §6);
 //! * [`slate`] — batched slate scoring over a CSR sparse layout,
 //!   bit-identical to per-action scoring;
 //! * [`service`] — the rank/reward facade with a pending-event log.
 
 pub mod bandit;
-pub mod counterfactual;
 pub mod features;
 pub mod model;
 pub mod service;
 pub mod slate;
 
 pub use bandit::{CbConfig, ContextualBandit, RankDecision};
-pub use counterfactual::{ips_estimate, snips_estimate, LoggedOutcome};
 pub use features::FeatureVector;
 pub use model::LinearModel;
 pub use service::{PendingEventState, Personalizer, PersonalizerState, RankRequest, RankResponse};

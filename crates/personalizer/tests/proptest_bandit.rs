@@ -1,8 +1,6 @@
 //! Property-based tests for the bandit's statistical invariants.
 
-use personalizer::{
-    ips_estimate, snips_estimate, CbConfig, ContextualBandit, FeatureVector, LoggedOutcome,
-};
+use personalizer::{CbConfig, ContextualBandit, FeatureVector};
 use proptest::prelude::*;
 
 fn fv(names: &[String]) -> FeatureVector {
@@ -56,55 +54,6 @@ proptest! {
         let s = cb.scores(&ctx, &[a]);
         prop_assert!(s[0].is_finite());
         prop_assert!(s[0].abs() < 100.0, "score {}", s[0]);
-    }
-
-    /// IPS of the logging policy itself equals the empirical mean reward
-    /// (sanity identity: importance weights cancel exactly).
-    #[test]
-    fn ips_of_logging_policy_is_mean_reward(
-        rewards in prop::collection::vec(0.0f64..2.0, 1..100),
-        k in 2usize..8,
-    ) {
-        let events: Vec<LoggedOutcome> = rewards
-            .iter()
-            .map(|&r| LoggedOutcome {
-                target_agrees: true,
-                logged_probability: 1.0 / k as f64,
-                reward: r / k as f64, // pre-scale so IPS telescopes to mean
-            })
-            .collect();
-        let mean: f64 = events.iter().map(|e| e.reward).sum::<f64>() / events.len() as f64;
-        let ips = ips_estimate(&events);
-        prop_assert!((ips - mean * k as f64).abs() < 1e-9);
-    }
-
-    /// SNIPS is always within the observed reward range (self-normalization
-    /// makes it a convex combination of agreeing rewards).
-    #[test]
-    fn snips_is_convex_combination(
-        events in prop::collection::vec(
-            (any::<bool>(), 0.01f64..1.0, 0.0f64..2.0),
-            1..100,
-        )
-    ) {
-        let log: Vec<LoggedOutcome> = events
-            .iter()
-            .map(|&(agrees, p, r)| LoggedOutcome {
-                target_agrees: agrees,
-                logged_probability: p,
-                reward: r,
-            })
-            .collect();
-        let v = snips_estimate(&log);
-        let agreeing: Vec<f64> =
-            log.iter().filter(|e| e.target_agrees).map(|e| e.reward).collect();
-        if agreeing.is_empty() {
-            prop_assert_eq!(v, 0.0);
-        } else {
-            let lo = agreeing.iter().cloned().fold(f64::MAX, f64::min);
-            let hi = agreeing.iter().cloned().fold(f64::MIN, f64::max);
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} not in [{lo},{hi}]");
-        }
     }
 
     /// The uniform logging policy is genuinely uniform across seeds.

@@ -18,7 +18,7 @@
 //! | QL02 | `ambient-entropy`| `thread_rng`, `from_entropy`, `SystemTime`, `Instant::now` in steering code — all RNG must flow from the named seed helpers in `scope_ir::ids` |
 //! | QL03 | `seed-salt`      | raw seed-salt integer literals outside `scope_ir::ids` (the centralized seed vocabulary) |
 //! | QL04 | `derived-memo-eq`| deriving `PartialEq`/`Eq`/`Hash`/`Serialize`/`Deserialize` on a struct carrying an atomic fingerprint memo (the memo must stay invisible to equality/serde) |
-//! | QL05 | `unwrap-expect`  | `.unwrap()`/`.expect(` in the staged pipeline, `ProductionSim`, flighting, and snapshot/restore (`scope-state`) paths — typed errors only |
+//! | QL05 | `unwrap-expect`  | `.unwrap()`/`.expect(` anywhere in `qo_advisor` (`crates/core/src`), the task-queue compile engine, flighting, and snapshot/restore (`scope-state`) — typed errors only |
 //! | QL06 | `par-accumulate` | accumulation (`+=`, `.sum()`, `.reduce()`, `.fold()`, `.for_each()`) inside parallel regions (`par_*(` calls; here `stages::par_map`) — reduces go through the serial deterministic reduce helpers |
 //!
 //! QL00 (`allow-syntax`) reports malformed allow annotations themselves.
@@ -103,7 +103,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "QL05",
         key: "unwrap-expect",
-        summary: "no .unwrap()/.expect( in the staged pipeline, ProductionSim, or flighting paths",
+        summary: "no .unwrap()/.expect( in qo_advisor, the task-queue compiler, flighting, or scope-state",
     },
     RuleInfo {
         id: "QL06",
@@ -130,18 +130,14 @@ pub fn rule_by_key(key: &str) -> Option<&'static RuleInfo> {
 /// * QL02: the bench/timing crate (`crates/bench/**`) measures wall-clock
 ///   by design;
 /// * QL03: `scope-ir/src/ids.rs` IS the seed vocabulary;
-/// * QL05: scoped *to* the five staged pipeline functions and the
-///   `par_map` helper beside them (`core/src/stages.rs` — the steering
-///   path's fan-out thread code lives in this linted file, so a worker
-///   panic must surface as a typed error, never an `expect` on a join),
-///   the pipeline driver (`core/src/pipeline.rs`),
-///   `ProductionSim` (`core/src/simulation.rs`), the multi-tenant fleet
-///   service (`core/src/fleet.rs`), the snapshot/restore path
-///   (`core/src/snapshot.rs` and the whole `scope-state` crate — a corrupt
-///   snapshot must surface as a typed `SnapshotError`, never a panic), the
-///   task-queue compile engine (`scope-opt/src/tasks.rs` — every compile,
-///   budgeted or not, runs through it, so it must fail as a typed
-///   `CompileError`), and the flighting crate.
+/// * QL05: scoped *to* the whole `qo_advisor` crate (`core/src/**` — the
+///   staged pipeline, its `par_map` fan-out, whose worker panics must
+///   surface as typed errors, never an `expect` on a join, the day loop,
+///   `ProductionSim`, the fleet, snapshot/restore), the `scope-state` crate
+///   (a corrupt snapshot must surface as a typed `SnapshotError`, never a
+///   panic), the task-queue compile engine (`scope-opt/src/tasks.rs` —
+///   every compile, budgeted or not, runs through it, so it must fail as a
+///   typed `CompileError`), and the flighting crate.
 #[must_use]
 pub fn rule_applies(rule_id: &str, path: &str) -> bool {
     let in_scanned_tree = (path.starts_with("crates/") && path.contains("/src/"))
@@ -158,15 +154,9 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
         "QL02" => !path.starts_with("crates/bench/"),
         "QL03" => path != "crates/scope-ir/src/ids.rs",
         "QL05" => {
-            matches!(
-                path,
-                "crates/core/src/stages.rs"
-                    | "crates/core/src/pipeline.rs"
-                    | "crates/core/src/simulation.rs"
-                    | "crates/core/src/fleet.rs"
-                    | "crates/core/src/snapshot.rs"
-                    | "crates/scope-opt/src/tasks.rs"
-            ) || path.starts_with("crates/flighting/src/")
+            path == "crates/scope-opt/src/tasks.rs"
+                || path.starts_with("crates/core/src/")
+                || path.starts_with("crates/flighting/src/")
                 || path.starts_with("crates/scope-state/src/")
         }
         _ => true,
@@ -666,6 +656,9 @@ let b = 2; // qo-lint: allow(seed-salt) — trailing covers its own line
         assert!(rule_applies("QL05", "crates/scope-state/src/frame.rs"));
         assert!(rule_applies("QL05", "crates/core/src/snapshot.rs"));
         assert!(rule_applies("QL05", "crates/core/src/fleet.rs"));
+        assert!(rule_applies("QL05", "crates/core/src/day.rs"));
+        assert!(rule_applies("QL05", "crates/core/src/meter.rs"));
+        assert!(!rule_applies("QL05", "crates/core/tests/whatever.rs"));
         assert!(rule_applies("QL05", "crates/scope-opt/src/tasks.rs"));
         assert!(!rule_applies("QL05", "crates/scope-opt/src/search.rs"));
         assert!(!rule_applies("QL05", "crates/personalizer/src/bandit.rs"));

@@ -472,8 +472,8 @@ pub fn ql04_derived_memo_eq(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// QL05 — `.unwrap()` / `.expect(` in the staged pipeline, `ProductionSim`,
-/// and flighting paths (path scope lives in [`crate::rule_applies`]).
+/// QL05 — `.unwrap()` / `.expect(` in `qo_advisor` and the other steering
+/// paths (path scope lives in [`crate::rule_applies`]).
 /// Typed errors only — extend `PipelineError`/`ViewBuildError` instead.
 pub fn ql05_unwrap_expect(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     for i in 0..ctx.lx.tokens.len() {

@@ -188,10 +188,9 @@ pub fn build_view<C: Compiler, E: Executor>(
 /// This function is *pure* given its inputs: the row depends only on the
 /// job, the hint set, the default configuration, and the (deterministic)
 /// compiler and executor — never on other jobs or on call order. That is
-/// what lets a fleet's streaming worker pool (`qo_advisor`'s fleet module)
-/// build rows for many tenants' jobs in whatever order workers pull them
-/// from the arrival queue, reorder each tenant's rows back to job order, and
-/// obtain byte-for-byte the view a serial [`build_view`] would have built.
+/// what lets `qo_advisor`'s day loop build many tenants' rows on a worker
+/// pool, in whatever order the workers take them, and still obtain per
+/// tenant byte-for-byte the view a serial [`build_view`] would have built.
 ///
 /// `default` must be `optimizer.default_config()`; it is a parameter only so
 /// per-job callers don't recompute it.

@@ -1,14 +1,14 @@
 //! Tenant isolation of the multi-tenant fleet: every tenant inside a
-//! [`qo_advisor::fleet::Fleet`] — shared process-wide caches, streaming
-//! worker pool, bounded arrival queue — must produce byte-identical daily
+//! [`qo_advisor::fleet::Fleet`] — shared process-wide caches, one worker
+//! pool building every tenant's view — must produce byte-identical daily
 //! reports and byte-identical published SIS hint files to the same workload
 //! run alone in a single-tenant [`ProductionSim`].
 //!
 //! This is the contract that makes shared-cache tenancy deployable: the
 //! shared compile / execution / delta-base / span-feature caches are keyed
 //! on tenant-invariant plan identities, so cross-tenant sharing changes hit
-//! rates and wall clocks, never steering outputs. The streaming pipeline
-//! (worker count, queue capacity) is likewise a pure throughput knob.
+//! rates and wall clocks, never steering outputs. The worker count is
+//! likewise a pure throughput knob (`queue_capacity` has no effect).
 //!
 //! Structure mirrors `tests/determinism.rs` and `tests/snapshot_recovery.rs`:
 //! reports are compared after `DailyReport::steering` defaults the telemetry-only fields,
