@@ -68,8 +68,10 @@ fn clocked_rows<J: Sync, R: Send>(
         .flat_map(|(tenant, jobs)| jobs.iter().map(move |job| (tenant, job)))
         .collect();
     let mut rows = par_map(workers, laid_out, |(tenant, job)| {
-        // qo-lint: allow(ambient-entropy) — the per-job steering-latency
-        // clock; telemetry only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the per-job steering-latency clock; telemetry only"
+        )]
         let t = std::time::Instant::now();
         let row = row(tenant, job);
         (t.elapsed().as_nanos() as u64, row)

@@ -16,32 +16,19 @@ use scope_workload::Table1Features;
 use std::sync::Arc;
 
 /// Build the CB context vector for one job.
-#[must_use]
-pub fn context_features(
-    table1: &Table1Features,
-    span: &SpanResult,
-    max_span_for_triples: usize,
-) -> FeatureVector {
-    context_features_opt(table1, span, max_span_for_triples, true)
-}
-
-/// [`context_features`] with the span block optional (the §6 ablation).
 ///
 /// The context is the concatenation [`job_features`] ⧺ [`span_block`], in
 /// that item order — callers that cache the (template-stable) span block
 /// rebuild the identical vector by extending the job block with the cached
 /// one.
 #[must_use]
-pub fn context_features_opt(
+pub fn context_features(
     table1: &Table1Features,
     span: &SpanResult,
     max_span_for_triples: usize,
-    include_span: bool,
 ) -> FeatureVector {
     let mut fv = job_features(table1);
-    if include_span {
-        fv.extend_from(&span_block(span, max_span_for_triples));
-    }
+    fv.extend_from(&span_block(span, max_span_for_triples));
     fv
 }
 
@@ -364,11 +351,6 @@ mod tests {
         let mut split = job_features(&t1);
         split.extend_from(&span_block(&span, 12));
         assert_eq!(whole, split, "split halves concatenate bit-identically");
-        // Span off = job block alone.
-        assert_eq!(
-            context_features_opt(&t1, &span, 12, false),
-            job_features(&t1)
-        );
     }
 
     #[test]

@@ -315,8 +315,10 @@ impl Fleet {
     /// compile fails (deterministic regardless of worker scheduling), or any
     /// typed pipeline failure from a tenant's reduce.
     pub fn advance_day(&mut self) -> Result<FleetDayOutcome, PipelineError> {
-        // qo-lint: allow(ambient-entropy) — fleet throughput telemetry only;
-        // per-tenant outputs are compared with timings zeroed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fleet throughput telemetry only; per-tenant outputs are compared with timings zeroed"
+        )]
         let t_day = std::time::Instant::now();
         let workers = self.stream.workers;
         let sims: Vec<&ProductionSim> = self.tenants.iter().map(|t| &t.sim).collect();

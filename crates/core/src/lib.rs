@@ -1,6 +1,6 @@
-// The steering loop returns typed errors instead of panicking (qo-lint
-// rule QL05); tests may unwrap freely. Deeper determinism rules live in
-// `crates/qo-lint`.
+// The steering loop returns typed errors instead of panicking; tests may
+// unwrap freely. The rest of the determinism contract is the workspace
+// `clippy.toml` plus `crates/qo-lint` (ARCHITECTURE.md).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **QO-Advisor**: a steered query optimizer pipeline — the Rust
 //! reproduction of *"Deploying a Steered Query Optimizer in Production at
@@ -78,8 +78,8 @@ pub mod validation_model;
 pub use baselines::{random_flip, Negi2021, Negi2021Outcome};
 pub use config::{ParallelismConfig, PipelineConfig, RecommendStrategy};
 pub use features::{
-    action_slate, context_features, context_features_opt, job_features, reward_from_costs,
-    span_block, FeatureCache, FeatureCacheConfig,
+    action_slate, context_features, job_features, reward_from_costs, span_block, FeatureCache,
+    FeatureCacheConfig,
 };
 pub use fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, FleetDayOutcome, FleetMetrics,

@@ -166,6 +166,10 @@ pub(crate) struct Lap {
 
 impl QoAdvisor {
     /// Read the meter: every lifetime counter, then the clock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the day loop's one stage clock; `DailyReport.timings` is zeroed before every byte-identity comparison"
+    )]
     pub(crate) fn sample(&self) -> Sample {
         Sample {
             compile: self.cache_stats(),
@@ -173,8 +177,6 @@ impl QoAdvisor {
             feature: self.feature_stats(),
             delta: self.delta_stats(),
             budget: self.budget_stats(),
-            // qo-lint: allow(ambient-entropy) — the day loop's one stage clock;
-            // `DailyReport.timings` is zeroed before every byte-identity comparison
             at: Instant::now(),
         }
     }

@@ -134,9 +134,12 @@ impl RegressionMonitor {
     /// a typed mismatch instead of a silent divergence.
     #[must_use]
     pub fn export_state(&self) -> scope_state::MonitorState {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected and sorted by template below"
+        )]
         let mut templates: Vec<scope_state::MonitorTemplateState> = self
             .templates
-            // qo-lint: allow(unordered-iter) — collected and sorted by template below
             .iter()
             .map(|(&template, s)| scope_state::MonitorTemplateState {
                 template,
@@ -159,7 +162,6 @@ impl RegressionMonitor {
     pub fn restore_state(&mut self, state: &scope_state::MonitorState) {
         self.templates = state
             .templates
-            // qo-lint: allow(unordered-iter) — snapshot Vec, sorted at export
             .iter()
             .map(|t| {
                 (

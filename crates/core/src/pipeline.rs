@@ -25,9 +25,10 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A daily-pipeline failure. The steering path returns typed errors instead
-/// of panicking (qo-lint rule QL05): a broken externally-supplied plan, a
-/// rejected SIS publish, or a violated internal invariant all surface here
-/// rather than taking the whole loop down with an `unwrap`.
+/// of panicking (`clippy::unwrap_used` at the crate root): a broken
+/// externally-supplied plan, a rejected SIS publish, or a violated internal
+/// invariant all surface here rather than taking the whole loop down with an
+/// `unwrap`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PipelineError {
     /// A production job's *default-path* compile failed while building the

@@ -124,8 +124,10 @@ impl QoAdvisor {
     /// both on top of this.
     #[must_use]
     pub fn export_state(&self, day: u32) -> SteeringSnapshot {
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
         let mut explored: Vec<_> = self.explored.iter().copied().collect();
         explored.sort_unstable();
+        #[expect(clippy::disallowed_methods, reason = "sorted by template below")]
         let mut entries: Vec<_> = self
             .span_cache
             .iter()
@@ -347,8 +349,10 @@ impl ProductionSim {
     /// Any [`SnapshotError`]; on error the simulation is unchanged (and
     /// nothing is billed).
     pub fn restore(&mut self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        // qo-lint: allow(ambient-entropy) — restore-cost wall-clock telemetry
-        // only; timings are zeroed before every byte-identity comparison
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "restore-cost wall-clock telemetry only; timings are zeroed before every byte-identity comparison"
+        )]
         let t = std::time::Instant::now();
         let snap = SteeringSnapshot::read_from(path)?;
         self.import_state(&snap)?;
@@ -374,8 +378,10 @@ impl ProductionSim {
         if !policy.fires_after(self.day) {
             return Ok(0);
         }
-        // qo-lint: allow(ambient-entropy) — snapshot-cost wall-clock telemetry
-        // only; timings are zeroed before every byte-identity comparison
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot-cost wall-clock telemetry only; timings are zeroed before every byte-identity comparison"
+        )]
         let t = std::time::Instant::now();
         self.snapshot(&policy.path)?;
         Ok(t.elapsed().as_nanos() as u64)

@@ -490,8 +490,10 @@ pub(crate) fn flight(
     for cand in candidates {
         by_template.entry(cand.template).or_insert(cand);
     }
-    // qo-lint: allow(unordered-iter) — collected then totally ordered by the
-    // (cost_delta, template) sort immediately below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "collected then totally ordered by the (cost_delta, template) sort immediately below"
+    )]
     let mut reps: Vec<Recommendation> = by_template.into_values().collect();
     reps.sort_by(|a, b| {
         a.cost_delta()

@@ -1,5 +1,5 @@
 // Flighting sits on the steering path: typed errors / failure outcomes
-// instead of panics (qo-lint rule QL05); tests may unwrap freely.
+// instead of panics; tests may unwrap freely.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! The Flighting Service: SCOPE's pre-production A/B testing infrastructure
 //! (paper §2.1, §4.3).

@@ -1,3 +1,6 @@
+// The bandit sits on the steering path: typed errors instead of panics;
+// tests may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! A contextual-bandit decision service — the reproduction's substitute for
 //! Azure Personalizer (paper §4.2, ref. 1).
 //!

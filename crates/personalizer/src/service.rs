@@ -107,7 +107,6 @@ impl Inner {
         }
         let model = LinearModel::from_sparse(state.dim_bits, &state.weights, state.updates)?;
         let mut pending = FxHashMap::default();
-        // qo-lint: allow(unordered-iter) — snapshot Vec, sorted at export
         for p in &state.pending {
             let event = PendingEvent {
                 context: p.context.clone(),
@@ -242,9 +241,12 @@ impl Personalizer {
     pub fn export_state(&self) -> PersonalizerState {
         let inner = self.lock();
         let model = inner.bandit.model();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected and sorted by event id below"
+        )]
         let mut pending: Vec<PendingEventState> = inner
             .pending
-            // qo-lint: allow(unordered-iter) — collected and sorted by event id below
             .iter()
             .map(|(&event_id, ev)| PendingEventState {
                 event_id,

@@ -77,11 +77,6 @@ impl Lexed {
         self.tokens.get(i).map(|t| &t.kind)
     }
 
-    /// True when token `i` is the identifier `name`.
-    pub fn is_ident(&self, i: usize, name: &str) -> bool {
-        matches!(self.kind(i), Some(Tok::Ident(s)) if s == name)
-    }
-
     /// True when token `i` is the punctuation `c`.
     pub fn is_punct(&self, i: usize, c: char) -> bool {
         matches!(self.kind(i), Some(Tok::Punct(p)) if *p == c)

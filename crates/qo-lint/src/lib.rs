@@ -5,20 +5,20 @@
 //!
 //! The dynamic determinism tests in `tests/determinism.rs` can only catch a
 //! hazard a seed happens to expose; this pass catches the *constructions*
-//! that produce such hazards before they ship. It is a hand-rolled
-//! lexer/token scanner (`lexer`) plus six token-level rules (`rules`) — no
-//! `syn`, in the same spirit as PR 1's hand-rolled serde derive, because
-//! the workspace vendors every dependency by hand.
+//! that produce such hazards before they ship. It holds only the rules
+//! rustc and clippy cannot express: hash-order iteration and the wall clock
+//! are `clippy.toml`'s `disallowed-methods` plus
+//! `clippy::iter_over_hash_type`, unwraps are `clippy::unwrap_used`/
+//! `expect_used` at the steering crates' roots, and a derive that would see
+//! an atomic fingerprint memo does not compile. It is a hand-rolled
+//! lexer/token scanner (`lexer`) plus two token-level rules (`rules`) — no
+//! `syn`, because the workspace vendors every dependency by hand.
 //!
 //! # Rules
 //!
 //! | id   | key              | protects against |
 //! |------|------------------|------------------|
-//! | QL01 | `unordered-iter` | iterating `HashMap`/`FxHashMap`/`HashSet`/`FxHashSet` in output-affecting code (iteration order is seed/layout-dependent) |
-//! | QL02 | `ambient-entropy`| `thread_rng`, `from_entropy`, `SystemTime`, `Instant::now` in steering code — all RNG must flow from the named seed helpers in `scope_ir::ids` |
 //! | QL03 | `seed-salt`      | raw seed-salt integer literals outside `scope_ir::ids` (the centralized seed vocabulary) |
-//! | QL04 | `derived-memo-eq`| deriving `PartialEq`/`Eq`/`Hash`/`Serialize`/`Deserialize` on a struct carrying an atomic fingerprint memo (the memo must stay invisible to equality/serde) |
-//! | QL05 | `unwrap-expect`  | `.unwrap()`/`.expect(` anywhere in `qo_advisor` (`crates/core/src`), the task-queue compile engine, flighting, and snapshot/restore (`scope-state`) — typed errors only |
 //! | QL06 | `par-accumulate` | accumulation (`+=`, `.sum()`, `.reduce()`, `.fold()`, `.for_each()`) inside parallel regions (`par_*(` calls; here `stages::par_map`) — reduces go through the serial deterministic reduce helpers |
 //!
 //! QL00 (`allow-syntax`) reports malformed allow annotations themselves.
@@ -29,14 +29,13 @@
 //! the line above:
 //!
 //! ```text
-//! // qo-lint: allow(unordered-iter) — counters only, aggregation is order-free
+//! // qo-lint: allow(seed-salt) — top-level demo seed, not a derivation salt
 //! ```
 //!
 //! The reason after the closing parenthesis is mandatory; an allow without
 //! one (or with an unknown key) is itself a QL00 diagnostic. Rule ids
-//! (`QL01`) are accepted as keys too. Some paths are allowlisted wholesale
-//! in [`rule_applies`] (e.g. sharded-cache internals for QL01, the bench
-//! crate for QL02, `scope_ir::ids` itself for QL03).
+//! (`QL03`) are accepted as keys too. `scope_ir::ids` itself is exempt
+//! from QL03 in [`rule_applies`].
 
 pub mod lexer;
 pub mod rules;
@@ -81,29 +80,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "qo-lint allow annotations must name a known rule key and carry a justification",
     },
     RuleInfo {
-        id: "QL01",
-        key: "unordered-iter",
-        summary: "no unordered HashMap/FxHashMap/HashSet/FxHashSet iteration in output-affecting code",
-    },
-    RuleInfo {
-        id: "QL02",
-        key: "ambient-entropy",
-        summary: "no ambient entropy or wall-clock (thread_rng/from_entropy/SystemTime/Instant::now) in steering code",
-    },
-    RuleInfo {
         id: "QL03",
         key: "seed-salt",
         summary: "no raw seed-salt integer literals outside scope_ir::ids",
-    },
-    RuleInfo {
-        id: "QL04",
-        key: "derived-memo-eq",
-        summary: "no derived PartialEq/Eq/Hash/serde impls on structs carrying an atomic fingerprint memo",
-    },
-    RuleInfo {
-        id: "QL05",
-        key: "unwrap-expect",
-        summary: "no .unwrap()/.expect( in qo_advisor, the task-queue compiler, flighting, or scope-state",
     },
     RuleInfo {
         id: "QL06",
@@ -124,20 +103,7 @@ pub fn rule_by_key(key: &str) -> Option<&'static RuleInfo> {
 /// * all rules: only `crates/*/src/**`, `src/**`, and `examples/**` are
 ///   scanned at all (test/bench directories exercise, not produce, the
 ///   steered outputs);
-/// * QL01: sharded-cache internals and counter aggregation are allowlisted
-///   (`scope-ir/src/sharded.rs`, `scope-ir/src/counters.rs`) — both
-///   aggregate per-shard state behind order-free reductions;
-/// * QL02: the bench/timing crate (`crates/bench/**`) measures wall-clock
-///   by design;
-/// * QL03: `scope-ir/src/ids.rs` IS the seed vocabulary;
-/// * QL05: scoped *to* the whole `qo_advisor` crate (`core/src/**` — the
-///   staged pipeline, its `par_map` fan-out, whose worker panics must
-///   surface as typed errors, never an `expect` on a join, the day loop,
-///   `ProductionSim`, the fleet, snapshot/restore), the `scope-state` crate
-///   (a corrupt snapshot must surface as a typed `SnapshotError`, never a
-///   panic), the task-queue compile engine (`scope-opt/src/tasks.rs` —
-///   every compile, budgeted or not, runs through it, so it must fail as a
-///   typed `CompileError`), and the flighting crate.
+/// * QL03: `scope-ir/src/ids.rs` IS the seed vocabulary.
 #[must_use]
 pub fn rule_applies(rule_id: &str, path: &str) -> bool {
     let in_scanned_tree = (path.starts_with("crates/") && path.contains("/src/"))
@@ -147,18 +113,7 @@ pub fn rule_applies(rule_id: &str, path: &str) -> bool {
         return false;
     }
     match rule_id {
-        "QL01" => !matches!(
-            path,
-            "crates/scope-ir/src/sharded.rs" | "crates/scope-ir/src/counters.rs"
-        ),
-        "QL02" => !path.starts_with("crates/bench/"),
         "QL03" => path != "crates/scope-ir/src/ids.rs",
-        "QL05" => {
-            path == "crates/scope-opt/src/tasks.rs"
-                || path.starts_with("crates/core/src/")
-                || path.starts_with("crates/flighting/src/")
-                || path.starts_with("crates/scope-state/src/")
-        }
         _ => true,
     }
 }
@@ -425,20 +380,8 @@ fn depths(lx: &Lexed) -> Vec<i32> {
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(rel_path, source);
     let mut out = ctx.allow_diags.clone();
-    if rule_applies("QL01", rel_path) {
-        rules::ql01_unordered_iter(&ctx, &mut out);
-    }
-    if rule_applies("QL02", rel_path) {
-        rules::ql02_ambient_entropy(&ctx, &mut out);
-    }
     if rule_applies("QL03", rel_path) {
         rules::ql03_seed_salt(&ctx, &mut out);
-    }
-    if rule_applies("QL04", rel_path) {
-        rules::ql04_derived_memo_eq(&ctx, &mut out);
-    }
-    if rule_applies("QL05", rel_path) {
-        rules::ql05_unwrap_expect(&ctx, &mut out);
     }
     if rule_applies("QL06", rel_path) {
         rules::ql06_par_accumulate(&ctx, &mut out);
@@ -602,22 +545,22 @@ fn prod2() { let z = 3; }
     #[test]
     fn allow_annotations_cover_their_line_and_the_next() {
         let src = "\
-// qo-lint: allow(unordered-iter) — standalone covers next line
+// qo-lint: allow(par-accumulate) — standalone covers next line
 let a = 1;
 let b = 2; // qo-lint: allow(seed-salt) — trailing covers its own line
 ";
         let ctx = FileCtx::new("crates/x/src/lib.rs", src);
-        assert!(ctx.allowed(2, "unordered-iter"));
-        assert!(!ctx.allowed(3, "unordered-iter"));
+        assert!(ctx.allowed(2, "par-accumulate"));
+        assert!(!ctx.allowed(3, "par-accumulate"));
         assert!(ctx.allowed(3, "seed-salt"));
         assert!(ctx.allow_diags.is_empty());
     }
 
     #[test]
     fn allow_without_reason_is_ql00_and_grants_nothing() {
-        let src = "let a = 1; // qo-lint: allow(unordered-iter)\n";
+        let src = "let a = 1; // qo-lint: allow(seed-salt)\n";
         let ctx = FileCtx::new("crates/x/src/lib.rs", src);
-        assert!(!ctx.allowed(1, "unordered-iter"));
+        assert!(!ctx.allowed(1, "seed-salt"));
         assert_eq!(ctx.allow_diags.len(), 1);
         assert_eq!(ctx.allow_diags[0].rule, "QL00");
     }
@@ -647,22 +590,12 @@ let b = 2; // qo-lint: allow(seed-salt) — trailing covers its own line
 
     #[test]
     fn path_policies() {
-        assert!(rule_applies("QL01", "crates/core/src/stages.rs"));
-        assert!(!rule_applies("QL01", "crates/scope-ir/src/sharded.rs"));
-        assert!(!rule_applies("QL02", "crates/bench/src/bin/experiments.rs"));
-        assert!(rule_applies("QL02", "crates/core/src/pipeline.rs"));
+        assert!(rule_applies("QL06", "crates/core/src/stages.rs"));
+        assert!(rule_applies("QL03", "crates/bench/src/bin/experiments.rs"));
+        assert!(rule_applies("QL03", "examples/quickstart.rs"));
         assert!(!rule_applies("QL03", "crates/scope-ir/src/ids.rs"));
-        assert!(rule_applies("QL05", "crates/flighting/src/service.rs"));
-        assert!(rule_applies("QL05", "crates/scope-state/src/frame.rs"));
-        assert!(rule_applies("QL05", "crates/core/src/snapshot.rs"));
-        assert!(rule_applies("QL05", "crates/core/src/fleet.rs"));
-        assert!(rule_applies("QL05", "crates/core/src/day.rs"));
-        assert!(rule_applies("QL05", "crates/core/src/meter.rs"));
-        assert!(!rule_applies("QL05", "crates/core/tests/whatever.rs"));
-        assert!(rule_applies("QL05", "crates/scope-opt/src/tasks.rs"));
-        assert!(!rule_applies("QL05", "crates/scope-opt/src/search.rs"));
-        assert!(!rule_applies("QL05", "crates/personalizer/src/bandit.rs"));
-        assert!(!rule_applies("QL01", "crates/core/tests/whatever.rs"));
+        assert!(!rule_applies("QL06", "crates/core/tests/whatever.rs"));
+        assert!(!rule_applies("QL03", "vendor/serde/src/lib.rs"));
     }
 
     #[test]
@@ -670,8 +603,8 @@ let b = 2; // qo-lint: allow(seed-salt) — trailing covers its own line
         let diags = vec![Diagnostic {
             file: "a.rs".into(),
             line: 3,
-            rule: "QL01",
-            key: "unordered-iter",
+            rule: "QL03",
+            key: "seed-salt",
             message: "say \"hi\"".into(),
         }];
         let json = render_json(&diags);

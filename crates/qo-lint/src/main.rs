@@ -1,4 +1,5 @@
-//! `qo-lint` CLI — run the determinism rules over the workspace.
+//! `qo-lint` CLI — run the determinism rules clippy cannot express over
+//! the workspace.
 //!
 //! ```text
 //! cargo run -p qo-lint --            # report findings (exit 0)
@@ -31,7 +32,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "qo-lint — determinism & seed-discipline static analysis\n\n\
+                    "qo-lint — seed-salt and parallel-accumulation static analysis\n\
+                     (hash order, wall clock and unwraps are clippy's: see clippy.toml)\n\n\
                      USAGE: qo-lint [--deny] [--json] [--list-rules] [--root PATH]\n\n\
                      --deny        exit nonzero when any finding remains\n\
                      --json        machine-readable findings on stdout\n\

@@ -2,4 +2,4 @@
 // qo-lint: allow(no-such-rule) — the key below does not exist
 pub fn f() {}
 
-pub fn g() {} // qo-lint: allow(unordered-iter)
+pub fn g() {} // qo-lint: allow(seed-salt)

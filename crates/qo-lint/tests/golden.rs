@@ -11,21 +11,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// (fixture stem, virtual path the fixture pretends to live at). The
-/// virtual path decides which rules apply — QL05 only fires on the staged
-/// pipeline files and the flighting crate, so its fixtures borrow a
-/// flighting path.
+/// virtual path decides which rules apply ([`qo_lint::rule_applies`]).
 const CASES: &[(&str, &str)] = &[
     ("ql00_bad_allow", "crates/core/src/fixture.rs"),
-    ("ql01_positive", "crates/core/src/fixture.rs"),
-    ("ql01_allowed", "crates/core/src/fixture.rs"),
-    ("ql02_positive", "crates/core/src/fixture.rs"),
-    ("ql02_allowed", "crates/core/src/fixture.rs"),
     ("ql03_positive", "crates/core/src/fixture.rs"),
     ("ql03_allowed", "crates/core/src/fixture.rs"),
-    ("ql04_positive", "crates/scope-ir/src/fixture.rs"),
-    ("ql04_allowed", "crates/scope-ir/src/fixture.rs"),
-    ("ql05_positive", "crates/flighting/src/fixture.rs"),
-    ("ql05_allowed", "crates/flighting/src/fixture.rs"),
     ("ql06_positive", "crates/core/src/fixture.rs"),
     ("ql06_allowed", "crates/core/src/fixture.rs"),
 ];

@@ -62,9 +62,12 @@ impl HintSet {
     /// export order for snapshots and diffs (the backing map is unordered).
     #[must_use]
     pub fn hints(&self) -> Vec<Hint> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected and sorted by template below"
+        )]
         let mut hints: Vec<Hint> = self
             .by_template
-            // qo-lint: allow(unordered-iter) — collected and sorted by template below
             .iter()
             .map(|(&template, &flip)| Hint { template, flip })
             .collect();

@@ -1,3 +1,6 @@
+// Every compile runs through this engine, so it fails as a typed
+// `CompileError`, never a panic; tests may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! The explicit task-queue Cascades engine: anytime optimization under a
 //! [`CompileBudget`].
 //!

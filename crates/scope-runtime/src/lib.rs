@@ -1,3 +1,6 @@
+// Every steered and default job executes here: typed errors instead of
+// panics; tests may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Distributed execution simulator for the SCOPE-like engine.
 //!
 //! Executes [`scope_ir::PhysicalPlan`]s on a simulated cluster and returns

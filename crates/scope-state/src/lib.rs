@@ -1,5 +1,5 @@
-// Restore paths return typed errors instead of panicking (qo-lint rule
-// QL05 covers this crate); tests may unwrap freely.
+// Restore paths return typed errors instead of panicking; tests may
+// unwrap freely.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **scope-state**: the durable-state snapshot subsystem of the steering
 //! loop — a versioned, length-prefixed, checksummed on-disk format with

@@ -1,3 +1,6 @@
+// Hint publish and lookup sit on the steering path: typed `SisError`s
+// instead of panics; tests may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! The Stats & Insight Service (SIS) substitute (paper §4.4, ref. 16).
 //!
 //! SIS "makes deploying models and configurations in SCOPE easier as it
