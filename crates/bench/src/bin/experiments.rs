@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper's evaluation (§5), plus
-//! the anytime-budget calibration sweep (`budget-regret`).
+//! the optimizer's anytime-budget curve (`budget-regret`).
 //!
 //! ```text
 //! cargo run --release -p qo_bench --bin experiments -- all
@@ -19,14 +19,9 @@
 //! `results/snapshots/<experiment>.qosnap` after every `N`-th simulated day
 //! of the closed-loop experiments (0 = never, the default) — outputs are
 //! bit-identical either way; the write cost lands in each day's
-//! `timings.snapshot_ns`. `--compile-budget N` caps every counterfactual
-//! recompile at `N` optimizer tasks (0 = unlimited, the default): the
-//! anytime engine sheds exploration past the budget and extracts the best
-//! plan found so far — hint files and steering reports are
-//! budget-invariant; only the measurement path degrades. `--literals
-//! fresh|sticky[:days]|mixed:fraction` selects the workload's literal-redraw
-//! policy (it changes the workload, so only compare runs with the same
-//! policy).
+//! `timings.snapshot_ns`. `--literals fresh|sticky[:days]|mixed:fraction`
+//! selects the workload's literal-redraw policy (it changes the workload, so
+//! only compare runs with the same policy).
 //!
 //! Each experiment writes its raw series to `results/<name>.csv` and prints
 //! a summary row comparing the paper's reported shape with the measured one.
@@ -48,7 +43,7 @@ use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
 /// The run-wide knobs: defaults overridden by the command line.
 struct Knobs {
     /// The base pipeline configuration every experiment derives from:
-    /// defaults plus the CLI-selected parallelism, cache and budget knobs.
+    /// defaults plus the CLI-selected parallelism and cache knobs.
     pipeline: PipelineConfig,
     /// The literal-redraw policy of every simulated workload.
     literals: LiteralPolicy,
@@ -93,10 +88,6 @@ const FLAGS: &[(&str, SetKnob)] = &[
     }),
     ("--feature-cache", |k, v| {
         k.pipeline.feature_cache.enabled = switch(v)?;
-        Ok(())
-    }),
-    ("--compile-budget", |k, v| {
-        k.pipeline.compile_budget = CompileBudget::parse(v)?;
         Ok(())
     }),
     ("--snapshot-every", |k, v| {
@@ -981,9 +972,8 @@ const DEEP_SCRIPTS: &[&str] = &[
 /// a ladder of [`CompileBudget`]s and report the tasks-vs-cost-regret curve
 /// — how much plan quality (the anytime objective: summed root-group best
 /// costs) each budget gives up against the unlimited compile, and what
-/// fraction of compiles it truncates. This is the load-shedding calibration
-/// artifact: pick the knee of the curve, not a guess, when setting
-/// `--compile-budget` (`PipelineConfig::compile_budget`).
+/// fraction of compiles it truncates. It charts the engine's anytime curve
+/// ([`scope_opt::Optimizer::compile_budgeted`]); no day-loop knob reads it.
 fn budget_regret(knobs: &Knobs) {
     println!("\n=== Anytime compile budget: tasks vs cost regret ===");
     let optimizer = scope_opt::Optimizer::default();
@@ -1099,8 +1089,6 @@ mod tests {
             "false",
             "--feature-cache",
             "off",
-            "--compile-budget",
-            "64",
             "--snapshot-every",
             "5",
             "--literals",
@@ -1117,7 +1105,6 @@ mod tests {
             cfg.feature_cache,
             qo_advisor::FeatureCacheConfig::disabled()
         );
-        assert_eq!(cfg.compile_budget, CompileBudget::tasks(64));
         assert_eq!(knobs.snapshot_every, 5);
         let wl = knobs.workload_config(2022, 60, 15, 2);
         assert_eq!(
@@ -1158,7 +1145,10 @@ mod tests {
             (&["--threads", "many"], "expected an integer"),
             (&["--snapshot-every", "-1"], "expected an integer"),
             (&["--cache", "maybe"], "expected on|off"),
-            (&["--compile-budget", "lots"], "invalid compile budget"),
+            (
+                &["--compile-budget", "48"],
+                "unknown flag `--compile-budget`",
+            ),
             (&["--literals", "mixed:2"], "outside [0, 1]"),
             (&["--thraeds", "8"], "unknown flag `--thraeds`"),
             (&["table2", "table3"], "one experiment per run"),

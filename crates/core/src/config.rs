@@ -15,19 +15,17 @@
 //! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
 //! | `--delta-compile V`  | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`PipelineConfig::delta`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles |
 //! | `--feature-cache V`  | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`PipelineConfig::feature_cache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block is built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day |
-//! | `--compile-budget N` | integer N tasks (`0`/`unlimited`/`off` = unlimited, default) | Anytime compile budget ([`PipelineConfig::compile_budget`]) for the loop's *measurement-path* compiles — the counterfactual default recompiles of hinted jobs. Steering-path compiles (view build, span fixpoint, recommendation, flighting) always run to completion, so hint files and reports are budget-invariant; shed tallies land in `DailyReport.compile_budget`. Finite-budget compiles bypass the compile cache and delta compiler (truncated results are not cacheable under unbudgeted keys), so shed decisions are a pure function of `(plan, config, budget)` — deterministic at any thread count |
 //! | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`], installed with [`crate::simulation::ProductionSim::set_snapshot_policy`]): write the full steering state to `results/snapshots/<experiment>.qosnap` at every Nth day boundary; the write cost lands in `DailyReport.timings.snapshot_ns` |
 //! | `--literals P`       | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::WorkloadConfig::literals`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
 //!
 //! Fleet scale (tenant count, fleet-day workers) is set programmatically
 //! through [`crate::fleet::FleetConfig`]; the `perf`
 //! benchmark's `fleet_zipf` workload (`perfbench/`) is its measured driver.
-//! A fleet sheds only through its tenants' [`PipelineConfig::compile_budget`].
 
 use crate::features::FeatureCacheConfig;
 use flighting::FlightBudget;
 use personalizer::CbConfig;
-use scope_opt::{CacheConfig, CompileBudget, DeltaConfig};
+use scope_opt::{CacheConfig, DeltaConfig};
 use scope_runtime::ExecCacheConfig;
 use serde::Serialize;
 
@@ -100,15 +98,6 @@ pub struct PipelineConfig {
     /// is deterministic, so — like the other caches — a pure throughput
     /// knob that never changes steering outputs (`tests/determinism.rs`).
     pub feature_cache: FeatureCacheConfig,
-    /// Anytime compile budget for the loop's measurement-path compiles (the
-    /// counterfactual default recompiles of hinted jobs). Unlimited by
-    /// default; at a finite task budget the optimizer's task-queue cascade
-    /// sheds exploration past the budget and extracts the best plan found so
-    /// far from the partial memo ([`scope_opt::tasks`]). Steering-path
-    /// compiles always run unlimited, so hint files and reports never depend
-    /// on this knob; shed tallies surface in
-    /// [`crate::pipeline::DailyReport::compile_budget`].
-    pub compile_budget: CompileBudget,
     /// Contextual bandit hyper-parameters.
     pub cb: CbConfig,
     /// Flighting budget per daily batch.
@@ -148,7 +137,6 @@ impl Default for PipelineConfig {
             exec_cache: ExecCacheConfig::default(),
             delta: DeltaConfig::default(),
             feature_cache: FeatureCacheConfig::default(),
-            compile_budget: CompileBudget::unlimited(),
             cb: CbConfig::default(),
             flight_budget: FlightBudget::default(),
             validation_threshold: -0.1,

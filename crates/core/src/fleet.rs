@@ -46,15 +46,10 @@
 //!
 //! # Load shedding
 //!
-//! The view build itself never sheds: every view-build compile runs to
-//! completion through the tenant's caching optimizer. A tenant whose
-//! [`PipelineConfig::compile_budget`] is finite sheds in its own reduce, in
-//! the counterfactual recompiles of hinted jobs
-//! ([`crate::QoAdvisor::compile_shedding`]) — a pure function of
-//! `(plan, config, budget)`, never of worker count or scheduling.
-//! Truncation tallies surface per tenant in `DailyReport.compile_budget`,
-//! per day in [`FleetDayOutcome::shed`], and fleet-lifetime in
-//! [`FleetMetrics::shed`].
+//! A fleet never sheds: every compile of the day loop, in the view build and
+//! in each tenant's reduce, runs to completion through the tenant's caching
+//! optimizer. The fleet stays within budget by capping flighting
+//! ([`PipelineConfig::flight_budget`]).
 //!
 //! # Determinism contract, per tenant
 //!
@@ -65,8 +60,7 @@
 //! hold: `build_view_row` is pure per job (so which worker builds which row,
 //! and when, cannot change any row), and everything stateful is applied in
 //! [`ProductionSim::finish_day`]'s per-tenant serial reduce in job order.
-//! A finite pipeline budget keeps the contract at any worker count (sheds are
-//! per-job-pure). `tests/fleet_determinism.rs` pins the contract.
+//! `tests/fleet_determinism.rs` pins the contract.
 
 use crate::config::PipelineConfig;
 use crate::day::{self, TenantView};
@@ -134,11 +128,6 @@ pub struct FleetMetrics {
     pub steering_latency: LatencyHistogram,
     /// Jobs served over the fleet's lifetime.
     pub jobs: u64,
-    /// Finite-budget compiles truncated by the anytime budget over the
-    /// fleet's lifetime (the tenants' counterfactual sheds) — the
-    /// load-shedding counter. Always 0 on unlimited budgets; equals the sum
-    /// of per-tenant `DailyReport.compile_budget.truncated` otherwise.
-    pub shed: u64,
     /// Wall-clock nanoseconds spent inside [`Fleet::advance_day`].
     pub wall_ns: u64,
 }
@@ -163,8 +152,8 @@ pub struct FleetDayOutcome {
     pub outcomes: Vec<DayOutcome>,
     /// Jobs served this day across the fleet.
     pub jobs: u64,
-    /// Compiles truncated by the anytime budget this day across the fleet
-    /// (the day's shed decisions; 0 on unlimited budgets).
+    /// Always `0`: a fleet never sheds. No effect; ROADMAP 1a deletes it
+    /// with the harness's mention.
     pub shed: u64,
     /// This day's steering-latency distribution (merged across workers).
     pub steering_latency: LatencyHistogram,
@@ -326,20 +315,15 @@ impl Fleet {
             .map_err(|_| PipelineError::Invariant("job-generation worker panicked"))?;
         let (views, steering_latency) = day::views(&sims, &jobs, workers)?;
         let outcomes = self.reduce_days(views)?;
-        let shed = outcomes
-            .iter()
-            .map(|o| o.report.compile_budget.truncated)
-            .sum();
         let jobs = steering_latency.count();
         let wall_ns = t_day.elapsed().as_nanos() as u64;
         self.metrics.steering_latency.merge(&steering_latency);
         self.metrics.jobs += jobs;
-        self.metrics.shed += shed;
         self.metrics.wall_ns += wall_ns;
         Ok(FleetDayOutcome {
             outcomes,
             jobs,
-            shed,
+            shed: 0,
             steering_latency,
             wall_ns,
         })
@@ -362,8 +346,8 @@ impl Fleet {
     /// Each tenant's view build is billed as the lap `finish_day` never saw:
     /// its summed per-job build time, the fleet's analogue of
     /// [`ProductionSim::advance_day`]'s meter lap. The lap's counters stay
-    /// zero: the view build never sheds, and shared-cache traffic while all
-    /// tenants build at once cannot be attributed to one tenant.
+    /// zero: shared-cache traffic while all tenants build at once cannot be
+    /// attributed to one tenant.
     fn reduce_days(&mut self, views: Vec<TenantView>) -> Result<Vec<DayOutcome>, PipelineError> {
         let tenant_days = self.tenants.iter_mut().zip(views);
         let reduce = |(tenant, (view, ns)): (&mut Tenant, TenantView)| {
@@ -451,9 +435,16 @@ mod tests {
         let m = fleet.metrics();
         assert_eq!(m.jobs, day.jobs);
         assert!(m.jobs_per_sec() > 0.0);
-        // Every tenant carries its streamed view-build attribution.
+        assert_eq!(day.shed, 0);
+        // Every tenant carries its view-build attribution, a clock-only
+        // lap: the fleet's all-tenant build cannot bill cache traffic to one
+        // tenant.
         for outcome in &day.outcomes {
             assert!(outcome.report.timings.view_build_ns > 0);
+            assert_eq!(
+                outcome.report.compile_cache.view_build,
+                CacheStats::default()
+            );
         }
     }
 
@@ -523,64 +514,5 @@ mod tests {
         let serial = run(tiny(), 1);
         assert!((1..16).contains(&serial.0), "jobs: {}", serial.0);
         assert_eq!(serial, run(tiny(), 16));
-    }
-
-    /// Day totals under a finite pipeline budget, run until every tenant has
-    /// hinted jobs to measure: each tenant's `compile_budget` is its
-    /// advisor's lifetime shed delta over the fleet day (the counterfactual
-    /// recompiles of its hinted jobs, all inside its reduce), each day's
-    /// `shed` is the sum over tenants, and the fleet's lifetime `shed`
-    /// accumulates the days.
-    #[test]
-    fn a_budgeted_fleet_day_bills_every_shed_to_its_tenant() {
-        let mut fleet = Fleet::new(
-            disjoint_workloads(3, &small_workload()),
-            &FleetConfig {
-                pipeline: PipelineConfig {
-                    compile_budget: scope_opt::CompileBudget::tasks(48),
-                    ..PipelineConfig::default()
-                },
-                stream: StreamConfig {
-                    workers: 2,
-                    ..StreamConfig::default()
-                },
-                ..FleetConfig::default()
-            },
-        );
-        let mut truncated = [0; 3];
-        let mut shed = 0;
-        // Eight days: the last tenant's first hinted job arrives on day 7.
-        for day in 0..8 {
-            let before: Vec<_> = fleet
-                .tenants()
-                .iter()
-                .map(|t| t.sim.advisor.budget_stats())
-                .collect();
-            let outcome = fleet.advance_day().expect("fleet days run clean");
-            let tenants = fleet.tenants().iter().zip(&outcome.outcomes).zip(&before);
-            for ((tenant, tenant_day), before) in tenants {
-                let moved = tenant.sim.advisor.budget_stats().since(before);
-                let report = &tenant_day.report;
-                assert_eq!(
-                    report.compile_budget, moved,
-                    "day {day} tenant {}",
-                    tenant.id
-                );
-                assert_eq!(report.compile_cache.view_build, CacheStats::default());
-                truncated[tenant.id as usize] += moved.truncated;
-            }
-            let day_total: u64 = outcome
-                .outcomes
-                .iter()
-                .map(|o| o.report.compile_budget.truncated)
-                .sum();
-            assert_eq!(outcome.shed, day_total, "day {day}");
-            shed += outcome.shed;
-            assert_eq!(fleet.metrics().shed, shed, "day {day}");
-        }
-        assert!(
-            truncated.iter().all(|&t| t > 0),
-            "every tenant must shed, or dropping it from a sum goes unseen: {truncated:?}"
-        );
     }
 }

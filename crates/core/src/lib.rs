@@ -89,8 +89,7 @@ pub use meter::{CacheCounters, ExecCounters, StageCounters, StageTimings};
 pub use monitoring::{MonitorConfig, RegressionMonitor};
 pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation, SharedCaches};
 pub use scope_opt::{
-    BudgetCounters, BudgetOutcome, BudgetStats, CacheConfig, CacheStats, CompileBudget,
-    DeltaConfig, DeltaStats,
+    BudgetOutcome, CacheConfig, CacheStats, CompileBudget, DeltaConfig, DeltaStats,
 };
 pub use scope_runtime::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache, Executor};
 pub use scope_state::{SnapshotError, SteeringSnapshot};

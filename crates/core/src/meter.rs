@@ -9,22 +9,22 @@
 //! report.bill(Stage::FeatureGen, meter.lap(advisor));
 //! ```
 //!
-//! A [`Sample`] is one reading of the advisor's five lifetime counters plus
+//! A [`Sample`] is one reading of the advisor's four lifetime counters plus
 //! the wall clock; [`Sample::lap`] returns what moved since the previous
 //! reading (a [`Lap`]) and re-arms the sample, so consecutive laps tile the
 //! day with no gap and no overlap. [`DailyReport::bill`] is the only writer
 //! of the report's telemetry: a lap's wall clock and compile/exec traffic
 //! land in its stage's slot of [`StageTimings`] / [`CacheCounters`] /
-//! [`ExecCounters`], and its span-feature, delta-compilation and
-//! anytime-budget traffic *accumulate* into the day totals — so widening a
-//! report from pipeline to simulated day to fleet day is billing one more
-//! lap, never re-diffing a wider window.
+//! [`ExecCounters`], and its span-feature and delta-compilation traffic
+//! *accumulate* into the day totals — so widening a report from pipeline to
+//! simulated day to fleet day is billing one more lap, never re-diffing a
+//! wider window.
 //!
 //! All of it is observability: nothing here is read by steering, and
 //! reproducibility comparisons drop it via [`DailyReport::steering`].
 
 use crate::pipeline::{DailyReport, QoAdvisor};
-use scope_opt::{BudgetStats, CacheStats, DeltaStats};
+use scope_opt::{CacheStats, DeltaStats};
 use scope_runtime::ExecStats;
 use std::time::Instant;
 
@@ -149,7 +149,6 @@ pub(crate) struct Sample {
     exec: ExecStats,
     feature: CacheStats,
     delta: DeltaStats,
-    budget: BudgetStats,
     at: Instant,
 }
 
@@ -160,7 +159,6 @@ pub(crate) struct Lap {
     pub exec: ExecStats,
     pub feature: CacheStats,
     pub delta: DeltaStats,
-    pub budget: BudgetStats,
     pub ns: u64,
 }
 
@@ -176,7 +174,6 @@ impl QoAdvisor {
             exec: self.exec_stats(),
             feature: self.feature_stats(),
             delta: self.delta_stats(),
-            budget: self.budget_stats(),
             at: Instant::now(),
         }
     }
@@ -197,7 +194,6 @@ impl Sample {
             exec: moved!(exec),
             feature: moved!(feature),
             delta: moved!(delta),
-            budget: moved!(budget),
             ns: now.at.duration_since(self.at).as_nanos() as u64,
         };
         *self = now;
@@ -208,8 +204,8 @@ impl Sample {
 impl DailyReport {
     /// Bill one lap to `stage`: its wall clock and compile/exec traffic are
     /// the stage's (validation and publish have a clock only), and its
-    /// span-feature, delta-compilation and anytime-budget traffic add to the
-    /// day totals. The only writer of this report's telemetry fields.
+    /// span-feature and delta-compilation traffic add to the day totals.
+    /// The only writer of this report's telemetry fields.
     pub(crate) fn bill(&mut self, stage: Stage, lap: Lap) {
         use Stage::*;
         let (t, cc, ec) = (
@@ -239,8 +235,6 @@ impl DailyReport {
         }
         self.feature_cache = self.feature_cache + lap.feature;
         self.delta_compile = self.delta_compile + lap.delta;
-        self.compile_budget.complete += lap.budget.complete;
-        self.compile_budget.truncated += lap.budget.truncated;
     }
 }
 
@@ -265,11 +259,7 @@ mod tests {
                 delta: n + 3,
                 ..DeltaStats::default()
             },
-            budget: BudgetStats {
-                complete: n + 4,
-                truncated: n + 5,
-            },
-            ns: n + 6,
+            ns: n + 4,
         };
         let mut report = DailyReport::default();
         report.bill(Stage::Flight, lap(10));
@@ -278,18 +268,11 @@ mod tests {
         assert_eq!(report.compile_cache.flight, stats(10));
         assert_eq!(report.exec_cache.flight.graphs, stats(11));
         assert_eq!(report.compile_cache.total(), stats(10));
-        assert_eq!(report.timings.flight_ns, 16);
-        assert_eq!(report.timings.publish_ns, 26);
-        assert_eq!(report.timings.total_ns(), 42);
+        assert_eq!(report.timings.flight_ns, 14);
+        assert_eq!(report.timings.publish_ns, 24);
+        assert_eq!(report.timings.total_ns(), 38);
         // Day totals add across laps, whichever stage they were billed to.
         assert_eq!(report.feature_cache, stats(12 + 22));
         assert_eq!(report.delta_compile.delta, 13 + 23);
-        assert_eq!(
-            report.compile_budget,
-            BudgetStats {
-                complete: 14 + 24,
-                truncated: 15 + 25,
-            }
-        );
     }
 }

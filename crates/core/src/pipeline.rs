@@ -15,8 +15,7 @@ use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{
-    BudgetCounters, BudgetStats, CacheStats, CachingOptimizer, CompileCache, CompileError,
-    Compiled, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
+    CacheStats, CachingOptimizer, CompileCache, DeltaCompiler, Optimizer, RuleFlip, SpanResult,
 };
 use scope_runtime::{CachingExecutor, Cluster, ExecStats, ExecutionCache};
 use scope_workload::{ViewBuildError, ViewRow};
@@ -231,15 +230,6 @@ pub struct DailyReport {
     /// order, so reproducibility comparisons zero this field like the other
     /// cache counters.
     pub feature_cache: CacheStats,
-    /// Anytime-budget shed tallies of this day's *finite-budget* compiles:
-    /// the counterfactual recompiles under
-    /// [`crate::config::PipelineConfig::compile_budget`], the loop's only
-    /// budgeted compiles (a fleet's tenants shed the same way, in their own
-    /// reduce). All-zero on the default unlimited budget. Unlike the cache
-    /// counters this field is **deterministic** — a finite-budget compile is
-    /// a pure function of `(plan, config, budget)`, never of thread count or
-    /// cache state — so reproducibility comparisons do NOT zero it.
-    pub compile_budget: BudgetStats,
     /// Per-stage wall-clock timings of this day (observability only;
     /// zeroed in reproducibility comparisons).
     pub timings: StageTimings,
@@ -250,7 +240,7 @@ impl DailyReport {
     /// telemetry-only fields (`compile_cache`, `exec_cache`,
     /// `delta_compile`, `feature_cache`, `timings`) defaulted. This is what
     /// the byte-identity contract compares across thread counts, cache
-    /// switches and restores; `compile_budget` is deterministic and stays.
+    /// switches and restores.
     #[must_use]
     pub fn steering(&self) -> DailyReport {
         DailyReport {
@@ -293,12 +283,6 @@ pub struct QoAdvisor {
     /// advisors can share one process-wide cache (the keys are
     /// tenant-invariant: content-derived template ids × span fingerprints).
     pub(crate) feature_cache: Option<Arc<FeatureCache>>,
-    /// Shed tallies of every finite-budget compile issued on this advisor's
-    /// behalf: the simulator's counterfactual recompiles
-    /// ([`crate::ProductionSim::finish_day`]). Unlimited compiles are never
-    /// recorded, so the counters stay all-zero — and the field invisible — on
-    /// default configurations.
-    pub(crate) budget_counters: BudgetCounters,
     pub(crate) validation: Option<ValidationModel>,
     pub(crate) sis: SisStore,
     pub(crate) config: PipelineConfig,
@@ -346,7 +330,6 @@ impl QoAdvisor {
             flighting,
             personalizer: Personalizer::new(config.cb.clone()),
             feature_cache: caches.feature.clone(),
-            budget_counters: BudgetCounters::default(),
             validation: None,
             sis,
             config,
@@ -398,37 +381,6 @@ impl QoAdvisor {
     #[must_use]
     pub fn caching_optimizer(&self) -> &CachingOptimizer {
         &self.optimizer
-    }
-
-    /// Compile under the pipeline's anytime budget
-    /// ([`PipelineConfig::compile_budget`]). On the default unlimited budget
-    /// this is exactly a compile through [`QoAdvisor::caching_optimizer`]. At
-    /// a finite budget it runs [`Optimizer::compile_budgeted`] from scratch,
-    /// bypassing the cache and the delta compiler (truncated results are not
-    /// cacheable under unbudgeted keys), records the shed outcome in this
-    /// advisor's budget counters, and may return a best-effort plan extracted
-    /// from a partially explored memo. The measurement path — the
-    /// simulator's counterfactual recompiles — routes through here; the
-    /// steering path never does, so hints stay budget-invariant.
-    pub fn compile_shedding(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        let budget = self.config.compile_budget;
-        if budget.is_unlimited() {
-            return self.optimizer.compile(plan, config);
-        }
-        let result = self.optimizer().compile_budgeted(plan, config, budget);
-        self.budget_counters.record(&result);
-        result.map(|b| b.compiled)
-    }
-
-    /// Lifetime anytime-budget shed tallies (all-zero while every compile
-    /// runs unlimited).
-    #[must_use]
-    pub fn budget_stats(&self) -> BudgetStats {
-        self.budget_counters.stats()
     }
 
     /// Lifetime compile-cache counters (all-zero when the cache is off).

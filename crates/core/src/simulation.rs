@@ -280,15 +280,13 @@ impl ProductionSim {
         // Counterfactual default runs for hinted jobs (same run seed). The
         // compiles go through the advisor's compile-result cache and the
         // runs through its execution cache — same results as uncached,
-        // shared with the pipeline. Under a finite `compile_budget` these
-        // are the loop's sheddable compiles: measurement-only work that may
-        // return a best-effort plan from a partially explored memo without
-        // touching what the pipeline recommends or publishes.
-        let default_config = self.advisor.optimizer().default_config();
+        // shared with the pipeline. Measurement only: nothing here touches
+        // what the pipeline recommends or publishes.
+        let optimizer = self.advisor.caching_optimizer();
+        let default_config = optimizer.default_config();
         let mut comparisons = Vec::new();
         for row in view.iter().filter(|r| r.hint_applied) {
-            let Ok(default_compiled) = self.advisor.compile_shedding(&row.plan, &default_config)
-            else {
+            let Ok(default_compiled) = optimizer.compile(&row.plan, &default_config) else {
                 continue;
             };
             let run_seed = production_run_seed(day);
@@ -435,7 +433,7 @@ mod tests {
     #[test]
     fn daily_telemetry_matches_the_recorded_days_and_the_lifetime_deltas() {
         use crate::{CacheCounters, ExecCounters};
-        use scope_opt::{BudgetStats, CacheStats, DeltaStats};
+        use scope_opt::{CacheStats, DeltaStats};
         use scope_runtime::ExecStats;
 
         let stats = |hits, misses| CacheStats {
@@ -482,7 +480,7 @@ mod tests {
         let lifetime = |qa: &QoAdvisor| {
             let (compile, exec) = (qa.cache_stats(), qa.exec_stats());
             let (feature, delta) = (qa.feature_stats(), qa.delta_stats());
-            (compile, exec, feature, delta, qa.budget_stats())
+            (compile, exec, feature, delta)
         };
         let mut sim = small_sim();
         for (day, (compile, execs, feature, delta)) in recorded.into_iter().enumerate() {
@@ -511,20 +509,17 @@ mod tests {
             );
             assert_eq!(report.feature_cache, feature, "day {day}");
             assert_eq!(report.delta_compile, delta, "day {day}");
-            assert_eq!(report.compile_budget, BudgetStats::default(), "day {day}");
             let total = (
                 report.compile_cache.total(),
                 report.exec_cache.total(),
                 report.feature_cache,
                 report.delta_compile,
-                report.compile_budget,
             );
             let moved = (
                 after.0.since(&before.0),
                 after.1.since(&before.1),
                 after.2.since(&before.2),
                 after.3.since(&before.3),
-                after.4.since(&before.4),
             );
             assert_eq!(total, moved, "day {day}");
         }

@@ -97,10 +97,11 @@ fn pipeline_fingerprint(config: &PipelineConfig) -> u64 {
         config.max_span_for_triples as u64,
         u64::from(config.skip_explored),
         u64::from(config.span_features),
-        // The anytime budget is output-affecting: it changes which plan the
-        // counterfactual measurement path extracts (never the hints).
-        u64::from(config.compile_budget.is_unlimited()),
-        config.compile_budget.max_tasks.unwrap_or(0),
+        // Where a retired compile-budget knob used to hash (unlimited, no
+        // task cap): keeping the two words keeps every earlier snapshot's
+        // fingerprint, so those snapshots still restore.
+        1,
+        0,
     ] {
         bytes.extend_from_slice(&knob.to_le_bytes());
     }
@@ -669,5 +670,15 @@ mod tests {
             every: 0,
         };
         assert!(!off.fires_after(3));
+    }
+
+    /// A moved fingerprint makes every snapshot written before the move fail
+    /// to restore with `Mismatch`, so its value is pinned.
+    #[test]
+    fn default_pipeline_fingerprint_is_pinned() {
+        assert_eq!(
+            pipeline_fingerprint(&PipelineConfig::default()),
+            0x12f0_c962_0596_67ee
+        );
     }
 }

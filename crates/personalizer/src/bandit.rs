@@ -133,31 +133,31 @@ impl ContextualBandit {
         self.model.score_slate(slate)
     }
 
-    /// The uniform logging policy's decision over precomputed `scores`.
-    /// Deterministic given `seed`; the seeded RNG draws exactly what
-    /// [`ContextualBandit::rank_uniform`] always drew (one int range).
-    fn decide_uniform(scores: Vec<f64>, seed: u64) -> RankDecision {
+    /// Choose an action from `scores` (one per action, from
+    /// [`ContextualBandit::scores`] or [`ContextualBandit::scores_slate`]).
+    /// `uniform` selects the uniform-at-random logging policy (the paper's
+    /// §4.2 data-gathering arm), otherwise the epsilon-greedy learned policy.
+    /// Deterministic given `seed`: the uniform policy draws one int range;
+    /// epsilon-greedy draws one float range, then an int range only on the
+    /// exploration branch. Scoring is separate, so a caller can score a slate
+    /// once and decide many times (the scores only change on reward).
+    #[must_use]
+    pub fn decide(&self, scores: Vec<f64>, seed: u64, uniform: bool) -> RankDecision {
         assert!(!scores.is_empty(), "rank needs at least one action");
+        let n = scores.len();
+        let k = n as f64;
         let mut rng = StdRng::seed_from_u64(seed);
-        let chosen = rng.random_range(0..scores.len());
-        RankDecision {
-            chosen,
-            probability: 1.0 / scores.len() as f64,
-            scores,
+        if uniform {
+            return RankDecision {
+                chosen: rng.random_range(0..n),
+                probability: 1.0 / k,
+                scores,
+            };
         }
-    }
-
-    /// The epsilon-greedy decision over precomputed `scores`, preserving
-    /// [`ContextualBandit::rank`]'s exact draw order: one float range, then
-    /// an int range only on the exploration branch.
-    fn decide_eps_greedy(&self, scores: Vec<f64>, seed: u64) -> RankDecision {
-        assert!(!scores.is_empty(), "rank needs at least one action");
         let greedy = argmax(&scores);
-        let k = scores.len() as f64;
         let eps = self.config.epsilon;
-        let mut rng = StdRng::seed_from_u64(seed);
         let chosen = if rng.random_range(0.0..1.0) < eps {
-            rng.random_range(0..scores.len())
+            rng.random_range(0..n)
         } else {
             greedy
         };
@@ -171,59 +171,6 @@ impl ContextualBandit {
             probability,
             scores,
         }
-    }
-
-    /// The uniform logging policy's decision over precomputed scores — the
-    /// tail of [`ContextualBandit::rank_uniform`] once scoring is done.
-    /// Lets callers score a slate once and decide many times (the scores
-    /// only change when the model does, i.e. on reward).
-    #[must_use]
-    pub fn rank_uniform_scored(scores: Vec<f64>, seed: u64) -> RankDecision {
-        Self::decide_uniform(scores, seed)
-    }
-
-    /// The epsilon-greedy decision over precomputed scores — the tail of
-    /// [`ContextualBandit::rank`] once scoring is done.
-    #[must_use]
-    pub fn rank_scored(&self, scores: Vec<f64>, seed: u64) -> RankDecision {
-        self.decide_eps_greedy(scores, seed)
-    }
-
-    /// Uniform-at-random logging policy (the paper's §4.2 data-gathering
-    /// arm). Deterministic given `seed`.
-    #[must_use]
-    pub fn rank_uniform(
-        &self,
-        context: &FeatureVector,
-        actions: &[FeatureVector],
-        seed: u64,
-    ) -> RankDecision {
-        Self::decide_uniform(self.scores(context, actions), seed)
-    }
-
-    /// [`ContextualBandit::rank_uniform`] over a prebuilt slate —
-    /// bit-identical decision, batched scoring.
-    #[must_use]
-    pub fn rank_uniform_slate(&self, slate: &SparseSlate, seed: u64) -> RankDecision {
-        Self::decide_uniform(self.scores_slate(slate), seed)
-    }
-
-    /// Epsilon-greedy learned policy. Deterministic given `seed`.
-    #[must_use]
-    pub fn rank(
-        &self,
-        context: &FeatureVector,
-        actions: &[FeatureVector],
-        seed: u64,
-    ) -> RankDecision {
-        self.decide_eps_greedy(self.scores(context, actions), seed)
-    }
-
-    /// [`ContextualBandit::rank`] over a prebuilt slate — bit-identical
-    /// decision, batched scoring.
-    #[must_use]
-    pub fn rank_slate(&self, slate: &SparseSlate, seed: u64) -> RankDecision {
-        self.decide_eps_greedy(self.scores_slate(slate), seed)
     }
 
     /// Greedy exploitation (used when deploying the final recommendation).
@@ -282,17 +229,28 @@ mod tests {
         f
     }
 
+    /// `decide` over freshly computed scores: what a rank call does.
+    fn rank(
+        cb: &ContextualBandit,
+        ctx: &FeatureVector,
+        actions: &[FeatureVector],
+        seed: u64,
+        uniform: bool,
+    ) -> RankDecision {
+        cb.decide(cb.scores(ctx, actions), seed, uniform)
+    }
+
     #[test]
     fn uniform_policy_has_uniform_propensity() {
         let cb = ContextualBandit::new(CbConfig::default());
         let actions = vec![action("a"), action("b"), action("c"), action("d")];
-        let d = cb.rank_uniform(&context("x"), &actions, 3);
+        let d = rank(&cb, &context("x"), &actions, 3, true);
         assert!((d.probability - 0.25).abs() < 1e-12);
         assert!(d.chosen < 4);
         // Deterministic per seed; varies across seeds.
-        assert_eq!(d.chosen, cb.rank_uniform(&context("x"), &actions, 3).chosen);
+        assert_eq!(d.chosen, rank(&cb, &context("x"), &actions, 3, true).chosen);
         let picks: std::collections::HashSet<usize> = (0..64)
-            .map(|s| cb.rank_uniform(&context("x"), &actions, s).chosen)
+            .map(|s| rank(&cb, &context("x"), &actions, s, true).chosen)
             .collect();
         assert!(picks.len() > 1);
     }
@@ -317,7 +275,7 @@ mod tests {
         for i in 0..800u64 {
             let ctx_name = if i % 2 == 0 { "A" } else { "B" };
             let ctx = context(ctx_name);
-            let d = cb.rank_uniform(&ctx, &actions, i);
+            let d = rank(&cb, &ctx, &actions, i, true);
             let r = truth(ctx_name, d.chosen);
             cb.reward(&ctx, &actions[d.chosen], r, d.probability);
         }
@@ -335,7 +293,7 @@ mod tests {
         let mut greedy_p = None;
         let mut explore_p = None;
         for seed in 0..200 {
-            let d = cb.rank(&context("x"), &actions, seed);
+            let d = rank(&cb, &context("x"), &actions, seed, false);
             if d.chosen == argmax(&d.scores) {
                 greedy_p = Some(d.probability);
             } else {
@@ -356,7 +314,7 @@ mod tests {
             ..CbConfig::default()
         });
         let actions = vec![action("a"), action("b"), action("c")];
-        let d = cb.rank(&context("x"), &actions, 0);
+        let d = rank(&cb, &context("x"), &actions, 0, false);
         let greedy = argmax(&d.scores);
         let k = actions.len() as f64;
         let total: f64 = (0..actions.len())
@@ -389,7 +347,7 @@ mod tests {
     #[test]
     fn single_action_slate_is_forced() {
         let cb = ContextualBandit::new(CbConfig::default());
-        let d = cb.rank(&context("x"), &[action("only")], 1);
+        let d = rank(&cb, &context("x"), &[action("only")], 1, false);
         assert_eq!(d.chosen, 0);
         assert!((d.probability - 1.0).abs() < 1e-9);
     }

@@ -81,12 +81,14 @@ struct Inner {
 }
 
 impl Inner {
-    /// Assign the next event id and log the decision as pending — the
-    /// shared tail of every rank entry point.
-    fn log_decision(inner: &mut Inner, req: &RankRequest, decision: RankDecision) -> RankResponse {
-        let event_id = inner.next_event;
-        inner.next_event += 1;
-        inner.pending.insert(
+    /// Decide over `scores` under the request's policy, assign the next
+    /// event id and log the decision as pending — the shared tail of every
+    /// rank entry point.
+    fn log_decision(&mut self, req: &RankRequest, scores: Vec<f64>) -> RankResponse {
+        let decision = self.bandit.decide(scores, req.seed, req.log_uniform);
+        let event_id = self.next_event;
+        self.next_event += 1;
+        self.pending.insert(
             event_id,
             PendingEvent {
                 context: req.context.clone(),
@@ -146,14 +148,8 @@ impl Personalizer {
     /// Rank a slate; the decision is logged as pending until rewarded.
     pub fn rank(&self, req: &RankRequest) -> RankResponse {
         let mut inner = self.lock();
-        let decision = if req.log_uniform {
-            inner
-                .bandit
-                .rank_uniform(&req.context, &req.actions, req.seed)
-        } else {
-            inner.bandit.rank(&req.context, &req.actions, req.seed)
-        };
-        Inner::log_decision(&mut inner, req, decision)
+        let scores = inner.bandit.scores(&req.context, &req.actions);
+        inner.log_decision(req, scores)
     }
 
     /// [`Personalizer::rank`] through a prebuilt [`SparseSlate`] (built once
@@ -170,12 +166,8 @@ impl Personalizer {
             "slate laid out for a different action set"
         );
         let mut inner = self.lock();
-        let decision = if req.log_uniform {
-            inner.bandit.rank_uniform_slate(slate, req.seed)
-        } else {
-            inner.bandit.rank_slate(slate, req.seed)
-        };
-        Inner::log_decision(&mut inner, req, decision)
+        let scores = inner.bandit.scores_slate(slate);
+        inner.log_decision(req, scores)
     }
 
     /// Score a prebuilt slate under the current model, without ranking or
@@ -197,13 +189,7 @@ impl Personalizer {
             req.actions.len(),
             "scores computed for a different action set"
         );
-        let mut inner = self.lock();
-        let decision = if req.log_uniform {
-            ContextualBandit::rank_uniform_scored(scores.to_vec(), req.seed)
-        } else {
-            inner.bandit.rank_scored(scores.to_vec(), req.seed)
-        };
-        Inner::log_decision(&mut inner, req, decision)
+        self.lock().log_decision(req, scores.to_vec())
     }
 
     /// Reward a previously ranked event; updates the model off-policy and

@@ -1,8 +1,9 @@
 //! Batched slate scoring over a CSR sparse layout.
 //!
-//! `rank` builds the joint (context × action) feature vector of every action
-//! and walks the model's weight table per action — allocating `1 + S` joint
-//! vectors and re-hashing the quadratic block on every call. A
+//! [`ContextualBandit::scores`] builds the joint (context × action) feature
+//! vector of every action and walks the model's weight table per action —
+//! allocating `1 + S` joint vectors and re-hashing the quadratic block on
+//! every call. A
 //! [`SparseSlate`] does that work once: the joint features of all actions
 //! are laid out contiguously in CSR form (`indptr` / `slots` / `values`),
 //! with every hashed feature id already folded into the model's table
@@ -172,7 +173,7 @@ mod tests {
 
     proptest! {
         /// The tentpole contract: batched slate scores are bit-identical to
-        /// per-action `rank` scoring for arbitrary slates — including
+        /// per-action `scores` for arbitrary slates — including
         /// duplicate feature keys, which both paths keep as separate items.
         #[test]
         fn batched_scores_bit_equal_sequential(
@@ -192,13 +193,13 @@ mod tests {
             for (s, b) in seq.iter().zip(&bat) {
                 prop_assert_eq!(s.to_bits(), b.to_bits(), "scores must be bit-identical");
             }
-            // And the full rank decisions (choice, propensity, scores) agree.
-            let d_seq = cb.rank(&ctx, &actions, seed);
-            let d_bat = cb.rank_slate(&slate, seed);
-            prop_assert_eq!(d_seq, d_bat);
-            let u_seq = cb.rank_uniform(&ctx, &actions, seed);
-            let u_bat = cb.rank_uniform_slate(&slate, seed);
-            prop_assert_eq!(u_seq, u_bat);
+            // And the full decisions (choice, propensity, scores) agree
+            // under both policies.
+            for uniform in [false, true] {
+                let d_seq = cb.decide(seq.clone(), seed, uniform);
+                let d_bat = cb.decide(bat.clone(), seed, uniform);
+                prop_assert_eq!(d_seq, d_bat);
+            }
         }
     }
 

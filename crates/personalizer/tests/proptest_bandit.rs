@@ -26,7 +26,7 @@ proptest! {
         let ctx = fv(&["ctx".to_string()]);
         let actions: Vec<FeatureVector> =
             (0..n_actions).map(|i| fv(&[format!("a{i}")])).collect();
-        let d = cb.rank(&ctx, &actions, seed);
+        let d = cb.decide(cb.scores(&ctx, &actions), seed, false);
         prop_assert!(d.chosen < n_actions);
         prop_assert!(d.probability > 0.0 && d.probability <= 1.0);
         let k = n_actions as f64;
@@ -65,7 +65,7 @@ proptest! {
             (0..n_actions).map(|i| fv(&[format!("u{i}")])).collect();
         let mut seen = vec![false; n_actions];
         for seed in 0..400u64 {
-            seen[cb.rank_uniform(&ctx, &actions, seed).chosen] = true;
+            seen[cb.decide(cb.scores(&ctx, &actions), seed, true).chosen] = true;
         }
         prop_assert!(seen.iter().all(|&s| s), "some arm never sampled: {seen:?}");
     }

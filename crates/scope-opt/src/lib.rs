@@ -79,4 +79,4 @@ pub use hints::{Hint, HintSet};
 pub use registry::{RuleCategory, RuleDef, RuleSet};
 pub use search::{CompileError, Compiled, Compiler, Optimizer};
 pub use span::{compute_span, SpanResult};
-pub use tasks::{BudgetCounters, BudgetOutcome, BudgetStats, BudgetedCompile, CompileBudget};
+pub use tasks::{BudgetOutcome, BudgetedCompile, CompileBudget};

@@ -66,13 +66,12 @@
 //! not depend on the budget. We take the conservative side:
 //! **finite-budget compiles are uncacheable**. [`Optimizer::compile_budgeted`]
 //! bypasses the compile cache and the delta compiler entirely and always runs
-//! this engine from scratch; its one budgeted caller in the pipeline,
-//! `QoAdvisor::compile_shedding`, calls it directly at a finite budget and
-//! goes through the caches only at an unlimited one. Equivalently, the budget
-//! is morally part of the cache key and only the unlimited point is ever
+//! this engine from scratch, and no caching wrapper ever sees a budget: the
+//! caches and the delta compiler compile at unlimited budget only, and the
+//! day loop never compiles any other way. Equivalently, the budget is
+//! morally part of the cache key and only the unlimited point is ever
 //! populated. Delta pricing is also only sound at unlimited budget (a base
-//! memo frozen at one truncation point cannot replay another), so finite
-//! budgets skip it.
+//! memo frozen at one truncation point cannot replay another).
 
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::memo::{GroupId, Memo};
@@ -84,9 +83,8 @@ use crate::search::{
 };
 use serde::Serialize;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Work limit of one compile. The default is unlimited: the engine then
+/// Work limit of one compile. At [`CompileBudget::unlimited`] the engine
 /// behaves exactly like the recursive reference engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CompileBudget {
@@ -95,12 +93,6 @@ pub struct CompileBudget {
     /// costing, and extraction are a mandatory epilogue and never count
     /// against the budget.
     pub max_tasks: Option<u64>,
-}
-
-impl Default for CompileBudget {
-    fn default() -> Self {
-        Self::unlimited()
-    }
 }
 
 impl CompileBudget {
@@ -114,23 +106,6 @@ impl CompileBudget {
     #[must_use]
     pub const fn tasks(n: u64) -> Self {
         Self { max_tasks: Some(n) }
-    }
-
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_tasks.is_none()
-    }
-
-    /// Parse the `experiments --compile-budget` knob: a positive
-    /// task count, or `0`/`unlimited`/`off`/empty for no limit.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value.trim() {
-            "" | "0" | "unlimited" | "off" => Ok(Self::unlimited()),
-            n => n
-                .parse::<u64>()
-                .map(Self::tasks)
-                .map_err(|_| format!("invalid compile budget {n:?} (want a task count or 0)")),
-        }
     }
 }
 
@@ -166,62 +141,6 @@ pub struct BudgetedCompile {
     /// (which prices shared groups once), this counts a shared group per
     /// consumer and is monotonically non-increasing in the budget.
     pub objective: f64,
-}
-
-/// Shared atomic tallies of budgeted-compile outcomes — the load-shedding
-/// counters the pipeline surfaces in `DailyReport` / `FleetMetrics`. Only
-/// finite-budget compiles are recorded (unlimited compiles can never shed).
-#[derive(Debug, Default)]
-pub struct BudgetCounters {
-    complete: AtomicU64,
-    truncated: AtomicU64,
-}
-
-impl BudgetCounters {
-    /// Record one finite-budget compile outcome. Failed compiles
-    /// (rule-instability replays) carry no outcome and are not counted.
-    pub fn record(&self, result: &Result<BudgetedCompile, CompileError>) {
-        if let Ok(b) = result {
-            match b.outcome {
-                BudgetOutcome::Complete => self.complete.fetch_add(1, Ordering::Relaxed),
-                BudgetOutcome::Truncated { .. } => self.truncated.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-    }
-
-    #[must_use]
-    pub fn stats(&self) -> BudgetStats {
-        BudgetStats {
-            complete: self.complete.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of [`BudgetCounters`]: monotonic totals, differenced per day by
-/// the pipeline exactly like the cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct BudgetStats {
-    /// Finite-budget compiles whose exploration ran to completion.
-    pub complete: u64,
-    /// Finite-budget compiles truncated by the task budget (shed work).
-    pub truncated: u64,
-}
-
-impl BudgetStats {
-    /// Counters accumulated since an earlier snapshot.
-    #[must_use]
-    pub fn since(&self, earlier: &BudgetStats) -> BudgetStats {
-        BudgetStats {
-            complete: self.complete - earlier.complete,
-            truncated: self.truncated - earlier.truncated,
-        }
-    }
-
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.complete + self.truncated
-    }
 }
 
 /// One unit of budget-gated exploration work (the implementation epilogue is
@@ -445,27 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_parse_round_trips() {
-        assert_eq!(
-            CompileBudget::parse("").unwrap(),
-            CompileBudget::unlimited()
-        );
-        assert_eq!(
-            CompileBudget::parse("0").unwrap(),
-            CompileBudget::unlimited()
-        );
-        assert_eq!(
-            CompileBudget::parse("unlimited").unwrap(),
-            CompileBudget::unlimited()
-        );
-        assert_eq!(
-            CompileBudget::parse("128").unwrap(),
-            CompileBudget::tasks(128)
-        );
-        assert!(CompileBudget::parse("lots").is_err());
-    }
-
-    #[test]
     fn unlimited_budget_matches_recursive_engine() {
         let opt = Optimizer::default();
         let config = opt.default_config();
@@ -523,34 +421,5 @@ mod tests {
         };
         assert!(tasks_remaining > 0);
         assert_eq!(tight.tasks_executed - tight.compiled.memo_groups as u64, 3);
-    }
-
-    #[test]
-    fn budget_counters_tally_outcomes() {
-        let opt = Optimizer::default();
-        let config = opt.default_config();
-        let counters = BudgetCounters::default();
-        counters.record(&opt.compile_budgeted(&plan(), &config, CompileBudget::tasks(3)));
-        counters.record(&opt.compile_budgeted(&plan(), &config, CompileBudget::unlimited()));
-        counters.record(&Err(CompileError::Invalid("x".into())));
-        let stats = counters.stats();
-        assert_eq!(
-            stats,
-            BudgetStats {
-                complete: 1,
-                truncated: 1
-            }
-        );
-        assert_eq!(stats.total(), 2);
-        assert_eq!(
-            stats.since(&BudgetStats {
-                complete: 1,
-                truncated: 0
-            }),
-            BudgetStats {
-                complete: 0,
-                truncated: 1
-            }
-        );
     }
 }

@@ -24,8 +24,6 @@
 //!   * restore billing: a day resumed from [`ProductionSim::restore`]
 //!     carries the restore's wall cost in `timings.restore_ns` (and only
 //!     that day does);
-//!   * load shedding: under a tight pipeline compile budget the tenants shed
-//!     identically at 1 and 8 stream workers, and the shed totals reconcile;
 //!   * serving bar: overlapping tenants' shared caches lift the lifetime
 //!     compile+feature hit rate ≥ 1.2x over isolated per-tenant caches.
 
@@ -33,8 +31,8 @@ use qo_advisor::fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, StreamConfig,
 };
 use qo_advisor::{
-    CacheConfig, CompileBudget, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
-    PipelineConfig, ProductionSim,
+    CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig, PipelineConfig,
+    ProductionSim,
 };
 use scope_workload::WorkloadConfig;
 use sis::SisStore;
@@ -367,97 +365,6 @@ fn restore_cost_is_billed_into_the_resumed_day() {
     assert_eq!(
         second.timings.restore_ns, 0,
         "restore cost bills exactly once, into the resumed day"
-    );
-}
-
-/// Load shedding inside a fleet: a tight [`PipelineConfig::compile_budget`]
-/// sheds the tenants' counterfactual recompiles of hinted jobs
-/// **deterministically** — byte-identical per-tenant reports (shed counters
-/// included) and hint files at 1 and 8 stream workers — and the shed
-/// accounting reconciles at every level: each day's
-/// [`FleetDayOutcome::shed`] equals the sum of its tenants'
-/// `compile_budget.truncated`, and [`FleetMetrics::shed`] accumulates the
-/// days. The run is long enough for hinted jobs to exist, so something
-/// sheds.
-#[test]
-fn pipeline_budget_sheds_deterministically_across_worker_counts() {
-    let tree = TempTree::new("shed");
-    let workloads = overlapping_workloads(TENANTS, &workload());
-    let pipeline = PipelineConfig {
-        compile_budget: CompileBudget::tasks(48),
-        ..config_with(true)
-    };
-    let run = |workers: usize, root: &PathBuf| {
-        let mut fleet = Fleet::with_sis_root(
-            workloads.clone(),
-            &FleetConfig {
-                pipeline: pipeline.clone(),
-                stream: StreamConfig {
-                    workers,
-                    queue_capacity: if workers == 1 { 1 } else { 64 },
-                },
-                isolated_caches: false,
-            },
-            root,
-        )
-        .expect("create tenant sis dirs");
-        let mut reports: Vec<Vec<DailyReport>> = Vec::new();
-        let mut shed_per_day: Vec<u64> = Vec::new();
-        for _ in 0..DAYS {
-            let day = fleet.advance_day().expect("shed fleet day runs clean");
-            let truncated: u64 = day
-                .outcomes
-                .iter()
-                .map(|o| o.report.compile_budget.truncated)
-                .sum();
-            assert_eq!(
-                day.shed, truncated,
-                "the day's shed total must reconcile with its tenants' \
-                 truncated counters"
-            );
-            shed_per_day.push(day.shed);
-            reports.push(day.outcomes.iter().map(|o| o.report.steering()).collect());
-        }
-        assert_eq!(
-            fleet.metrics().shed,
-            shed_per_day.iter().sum::<u64>(),
-            "lifetime shed metrics must accumulate the per-day totals"
-        );
-        (reports, shed_per_day)
-    };
-    let w1_root = tree.0.join("w1");
-    let w8_root = tree.0.join("w8");
-    let (reports_w1, shed_w1) = run(1, &w1_root);
-    let (reports_w8, shed_w8) = run(8, &w8_root);
-    assert!(
-        shed_w1.iter().sum::<u64>() > 0,
-        "the tight pipeline budget must actually shed, or this test compares \
-         nothing: {shed_w1:?}"
-    );
-    assert_eq!(
-        reports_w1, reports_w8,
-        "shed-fleet reports (shed counters included) diverged between 1 and \
-         8 stream workers"
-    );
-    assert_eq!(
-        shed_w1, shed_w8,
-        "per-day shed totals diverged between 1 and 8 stream workers"
-    );
-    let mut any_hints = false;
-    for t in 0..TENANTS {
-        let dir = format!("tenant-{t:03}");
-        let w1_files = hint_files(&w1_root.join(&dir));
-        any_hints |= !w1_files.is_empty();
-        assert_eq!(
-            w1_files,
-            hint_files(&w8_root.join(&dir)),
-            "tenant {t} hint files diverged between 1 and 8 stream workers \
-             under the pipeline budget"
-        );
-    }
-    assert!(
-        any_hints,
-        "the shed fleet must still steer — no tenant published a hint file"
     );
 }
 
