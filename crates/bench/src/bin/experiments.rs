@@ -654,7 +654,6 @@ fn table3(knobs: &Knobs) {
         .expect("pipeline day runs");
 
     let mut random = QoAdvisor::new(
-        sim.optimizer().clone(),
         FlightingService::new(Cluster::preproduction(), FlightBudget::default()),
         PipelineConfig {
             strategy: RecommendStrategy::UniformRandom,

@@ -43,7 +43,7 @@ pub(crate) fn views(
     let steering: Vec<_> = sims
         .iter()
         .map(|sim| {
-            let default = sim.advisor.optimizer().default_config();
+            let default = sim.advisor.caching_optimizer().default_config();
             (sim.advisor.sis().snapshot(), default)
         })
         .collect();

@@ -41,8 +41,8 @@
 //! `build_view_row` call (the per-job compile-with-hints + execute path — the
 //! latency a tenant's job observes from the steering layer); the day's
 //! [`LatencyHistogram`] is filled from the returned rows and merged into the
-//! fleet's lifetime distribution (p50/p95/p99), next to a jobs/sec
-//! throughput counter ([`FleetMetrics`]).
+//! fleet's lifetime distribution (p50/p95/p99), next to its job and
+//! wall-time counters ([`FleetMetrics`]).
 //!
 //! # Load shedding
 //!
@@ -130,19 +130,6 @@ pub struct FleetMetrics {
     pub jobs: u64,
     /// Wall-clock nanoseconds spent inside [`Fleet::advance_day`].
     pub wall_ns: u64,
-}
-
-impl FleetMetrics {
-    /// Lifetime fleet throughput: jobs served per wall-clock second of
-    /// fleet-day processing (0 before any day ran).
-    #[must_use]
-    pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.jobs as f64 / (self.wall_ns as f64 / 1e9)
-        }
-    }
 }
 
 /// One fleet day: every tenant advanced by one day.
@@ -258,7 +245,8 @@ impl Fleet {
         &mut self.tenants
     }
 
-    /// Lifetime fleet serving metrics (jobs/sec, latency distribution).
+    /// Lifetime fleet serving metrics (jobs, wall time, latency
+    /// distribution).
     #[must_use]
     pub fn metrics(&self) -> &FleetMetrics {
         &self.metrics
@@ -434,7 +422,7 @@ mod tests {
         assert!(day.steering_latency.p99() > 0);
         let m = fleet.metrics();
         assert_eq!(m.jobs, day.jobs);
-        assert!(m.jobs_per_sec() > 0.0);
+        assert!(m.wall_ns > 0);
         assert_eq!(day.shed, 0);
         // Every tenant carries its view-build attribution, a clock-only
         // lap: the fleet's all-tenant build cannot bill cache traffic to one

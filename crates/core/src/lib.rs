@@ -27,8 +27,8 @@
 //! synthetic workload through `scope_workload::build_view`, measures hinted
 //! jobs counterfactually, and feeds the view to [`QoAdvisor::run_day`].
 //! Every compile in that loop — production view building, counterfactuals,
-//! and all five pipeline stages — goes through one shared
-//! `scope_opt::CachingOptimizer` (whose delta compiler prices the
+//! and all five pipeline stages — goes through one shared, cached
+//! `scope_opt::Optimizer` (whose delta compiler prices the
 //! recommendation/flighting treatment slates incrementally against each
 //! plan's frozen base memo), and every *execution* — production runs,
 //! counterfactual default runs, flighting's baseline/treatment pairs —

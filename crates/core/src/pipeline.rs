@@ -14,9 +14,7 @@ use rustc_hash::FxHashMap;
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, TemplateId};
-use scope_opt::{
-    CacheStats, CachingOptimizer, CompileCache, DeltaCompiler, Optimizer, RuleFlip, SpanResult,
-};
+use scope_opt::{CacheStats, Optimizer, RuleFlip, SpanResult};
 use scope_runtime::{CachingExecutor, Cluster, ExecStats, ExecutionCache};
 use scope_workload::{ViewBuildError, ViewRow};
 use sis::{HintFile, SisError, SisStore};
@@ -96,10 +94,9 @@ impl From<scope_state::SnapshotError> for PipelineError {
 /// knob (see `crate::fleet` and the determinism tests pinning it).
 #[derive(Clone, Default)]
 pub struct SharedCaches {
-    /// Compile-result cache (`None` = disabled for every holder).
-    pub compile: Option<Arc<CompileCache>>,
-    /// Delta-compilation base-memo cache.
-    pub delta: Option<Arc<DeltaCompiler>>,
+    /// The optimizer with its compile-result cache and delta compiler. Its
+    /// clones share both, so every holder reads the same caches.
+    pub optimizer: Optimizer,
     /// Execution-result cache.
     pub exec: Option<Arc<ExecutionCache>>,
     /// Span-feature cache.
@@ -113,8 +110,7 @@ impl SharedCaches {
     #[must_use]
     pub fn from_config(config: &PipelineConfig) -> Self {
         Self {
-            compile: config.cache.enabled.then(Arc::default),
-            delta: config.delta.enabled.then(Arc::default),
+            optimizer: Optimizer::new(Optimizer::default(), config.cache).with_delta(config.delta),
             exec: ExecutionCache::shared(config.exec_cache),
             feature: config.feature_cache.enabled.then(Arc::default),
         }
@@ -123,10 +119,7 @@ impl SharedCaches {
     /// Lifetime compile-cache counters (all-zero when disabled).
     #[must_use]
     pub fn compile_stats(&self) -> CacheStats {
-        self.compile
-            .as_deref()
-            .map(CompileCache::stats)
-            .unwrap_or_default()
+        self.optimizer.stats()
     }
 
     /// Lifetime span-feature-cache counters (all-zero when disabled).
@@ -142,8 +135,7 @@ impl SharedCaches {
 impl fmt::Debug for SharedCaches {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedCaches")
-            .field("compile", &self.compile.is_some())
-            .field("delta", &self.delta.is_some())
+            .field("compile", &self.optimizer.cache().is_some())
             .field("exec", &self.exec.is_some())
             .field("feature", &self.feature.is_some())
             .finish()
@@ -258,12 +250,12 @@ impl DailyReport {
 /// per-day work is decomposed into the five stage functions of
 /// `crate::stages`, which access this state directly.
 pub struct QoAdvisor {
-    /// The optimizer behind the shared compile-result cache: every compile
+    /// The optimizer with the shared compile-result cache: every compile
     /// of the five stages (span fixpoint, recommendation recompiles,
-    /// flighting's validation compiles) goes through this wrapper, so a
+    /// flighting's validation compiles) goes through it, so a
     /// `(plan, configuration)` pair is compiled at most once across stages
     /// *and* days.
-    pub(crate) optimizer: CachingOptimizer,
+    pub(crate) optimizer: Optimizer,
     /// The sim-wide execution-result cache, mirroring the compile cache:
     /// every executor built via [`QoAdvisor::executor_for`] (the production
     /// cluster's, the pre-production one below) shares it, so a plan
@@ -297,9 +289,9 @@ impl QoAdvisor {
     /// A single-tenant advisor: an in-memory SIS store and private caches
     /// per `config`.
     #[must_use]
-    pub fn new(optimizer: Optimizer, flighting: FlightingService, config: PipelineConfig) -> Self {
+    pub fn new(flighting: FlightingService, config: PipelineConfig) -> Self {
         let caches = SharedCaches::from_config(&config);
-        Self::with_shared_caches(optimizer, flighting, config, SisStore::in_memory(), &caches)
+        Self::with_shared_caches(flighting, config, SisStore::in_memory(), &caches)
     }
 
     /// An advisor publishing into `sis` with every cache layer pointing at
@@ -311,7 +303,6 @@ impl QoAdvisor {
     /// private caches — or none at all.
     #[must_use]
     pub fn with_shared_caches(
-        optimizer: Optimizer,
         flighting: FlightingService,
         config: PipelineConfig,
         sis: SisStore,
@@ -320,11 +311,7 @@ impl QoAdvisor {
         let exec_cache = caches.exec.clone();
         let preprod_exec = CachingExecutor::new(flighting.cluster().clone(), exec_cache.clone());
         Self {
-            optimizer: CachingOptimizer::with_shared_caches(
-                optimizer,
-                caches.compile.clone(),
-                caches.delta.clone(),
-            ),
+            optimizer: caches.optimizer.clone(),
             exec_cache,
             preprod_exec,
             flighting,
@@ -367,19 +354,14 @@ impl QoAdvisor {
         &self.sis
     }
 
-    #[must_use]
-    pub fn optimizer(&self) -> &Optimizer {
-        self.optimizer.inner()
-    }
-
-    /// The optimizer *behind the shared compile-result cache*. Hand this to
+    /// The optimizer *with the shared compile-result cache*. Hand this to
     /// [`scope_workload::build_view`] (as [`crate::ProductionSim`] does) so
     /// production compiles, the span fixpoint, recommendation recompiles,
     /// and flighting validation all share one cache — with a sticky
     /// [`scope_workload::LiteralPolicy`], recurring production scripts then
     /// compile once per literal epoch instead of once per day.
     #[must_use]
-    pub fn caching_optimizer(&self) -> &CachingOptimizer {
+    pub fn caching_optimizer(&self) -> &Optimizer {
         &self.optimizer
     }
 
@@ -552,10 +534,8 @@ mod tests {
     use scope_workload::{build_view, Workload, WorkloadConfig};
 
     fn advisor(strategy: RecommendStrategy) -> QoAdvisor {
-        let optimizer = Optimizer::default();
         let flighting = FlightingService::new(Cluster::default(), FlightBudget::default());
         QoAdvisor::new(
-            optimizer,
             flighting,
             PipelineConfig {
                 strategy,
@@ -574,7 +554,7 @@ mod tests {
         });
         build_view(
             &w.jobs_for_day(day),
-            advisor.optimizer(),
+            &Optimizer::default(),
             &advisor.sis().snapshot(),
             &Cluster::default(),
         )
@@ -691,7 +671,6 @@ mod tests {
 
         // Same day, cache disabled: zero telemetry, byte-identical steering.
         let mut off = QoAdvisor::new(
-            Optimizer::default(),
             FlightingService::new(Cluster::default(), FlightBudget::default()),
             PipelineConfig {
                 cache: CacheConfig::disabled(),

@@ -12,7 +12,6 @@ use crate::validation_model::{ValidationModel, ValidationSample};
 use flighting::FlightingService;
 use scope_ir::ids::production_run_seed;
 use scope_ir::{JobId, TemplateId};
-use scope_opt::Optimizer;
 use scope_runtime::{CachingExecutor, Cluster, ExecutionMetrics, Executor};
 use scope_workload::{build_view, ViewBuildError, ViewRow, Workload, WorkloadConfig};
 
@@ -87,7 +86,7 @@ pub fn aggregate_impact(comparisons: &[HintedComparison]) -> AggregateImpact {
 ///
 /// Every compile in the loop — production view building, the counterfactual
 /// default runs, and all five pipeline stages — goes through the advisor's
-/// [`scope_opt::CachingOptimizer`], so one compile-result cache spans the
+/// cached [`scope_opt::Optimizer`], so one compile-result cache spans the
 /// whole simulation *and* every simulated day. Every *execution* likewise
 /// goes through an [`Executor`] behind the advisor's shared
 /// [`scope_runtime::ExecutionCache`]: the production cluster's executor
@@ -149,10 +148,9 @@ impl ProductionSim {
         sis: sis::SisStore,
         caches: &SharedCaches,
     ) -> Self {
-        let optimizer = Optimizer::default();
         let flighting =
             FlightingService::new(Cluster::preproduction(), pipeline.flight_budget.clone());
-        let advisor = QoAdvisor::with_shared_caches(optimizer, flighting, pipeline, sis, caches);
+        let advisor = QoAdvisor::with_shared_caches(flighting, pipeline, sis, caches);
         let prod_exec = advisor.executor_for(Cluster::default());
         Self {
             workload: Workload::new(workload),
@@ -163,12 +161,6 @@ impl ProductionSim {
             snapshot_policy: None,
             pending_restore_ns: 0,
         }
-    }
-
-    /// The production optimizer (the advisor's, *without* the cache).
-    #[must_use]
-    pub fn optimizer(&self) -> &Optimizer {
-        self.advisor.optimizer()
     }
 
     /// The production executor (the production cluster *behind the sim-wide
@@ -384,7 +376,7 @@ mod tests {
     /// at commit 56820a5, where each cache still counted in its own atomics;
     /// `perf`'s hit-ratio metrics are ratios of these counters. One literal
     /// moved on purpose since: `base_builds` 38 → 29, once ad-hoc jobs (3 a
-    /// day) stopped building base memos (`Compiler::compile_unsteered`).
+    /// day) stopped building base memos (`Optimizer::compile_unsteered`).
     #[test]
     fn cache_telemetry_matches_the_recorded_counts() {
         use scope_opt::{CacheStats, DeltaStats};

@@ -23,13 +23,13 @@
 //!   the bandit acts on the previous day's model for the whole batch —
 //!   matching a daily batch pipeline — while still absorbing every event.
 //!
-//! Every compile in these stages goes through the advisor's
-//! [`CachingOptimizer`], so a `(plan, configuration)` pair recompiled across
+//! Every compile in these stages goes through the advisor's cached
+//! [`Optimizer`], so a `(plan, configuration)` pair recompiled across
 //! stages (the flight baseline repeats Feature Generation's default compile;
 //! the flight treatment repeats Recommendation's flip compile) or across
 //! days is a lookup, not a search — and the treatment compiles the cache
 //! can never serve (fresh flips are new `(plan, config)` pairs) go through
-//! `Compiler::compile_slate`, priced incrementally against the plan's
+//! [`Optimizer::compile_slate`], priced incrementally against the plan's
 //! shared base memo (`scope_opt::delta`). Compilation is deterministic and
 //! delta results are byte-identical to from-scratch compiles, so the
 //! cache and the delta compiler — like the thread count — are throughput
@@ -43,7 +43,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use scope_ir::ids::{mix64, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
-use scope_opt::{compute_span, CachingOptimizer, CompileError, Hint, RuleFlip, SpanResult};
+use scope_opt::{compute_span, CompileError, Hint, Optimizer, RuleFlip, SpanResult};
 use scope_workload::ViewRow;
 use sis::HintFile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -123,7 +123,7 @@ where
 /// Generation fan-out and [`QoAdvisor`]'s on-demand `span_for` so the gating
 /// cannot diverge between the two paths.
 pub(crate) fn compute_template_span(
-    optimizer: &CachingOptimizer,
+    optimizer: &Optimizer,
     plan: &LogicalPlan,
     max_iterations: usize,
 ) -> Option<(SpanResult, f64)> {
@@ -357,7 +357,7 @@ pub(crate) fn recommend(
     // Phase 3: recompile fan-out, one *slate* per job — its 0-2 distinct
     // treatment configurations (the training flip, then the acting flip if
     // it differs) priced together against the default base configuration,
-    // so `Compiler::compile_slate` can reuse the plan's base memo across
+    // so `Optimizer::compile_slate` can reuse the plan's base memo across
     // them (and, through the shared `DeltaCompiler`, across jobs, stages,
     // and days). When both passes chose the same flip the compile is shared
     // (compilation is deterministic, so this is observationally identical

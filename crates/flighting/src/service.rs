@@ -5,7 +5,7 @@ use crate::outcome::{FlightMeasurement, FlightOutcome};
 use scope_ir::ids::{flight_baseline_run_seed, flight_treatment_run_seed, preflight_draw};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
-use scope_opt::{Compiler, RuleConfig};
+use scope_opt::{Optimizer, RuleConfig};
 use scope_runtime::{Cluster, Executor};
 use std::sync::Arc;
 
@@ -85,16 +85,15 @@ impl FlightingService {
     /// Flight a batch of requests **in the given order** (callers order by
     /// estimated cost delta so the most promising jobs flight first, §4.3).
     /// Returns one outcome per request plus the final budget accounting.
-    /// Generic over [`Compiler`] and [`Executor`]: passing a
-    /// `CachingOptimizer` lets the validation recompiles reuse the
-    /// pipeline's compile-result cache, and passing a
+    /// Passing the pipeline's cached [`Optimizer`] lets the validation
+    /// recompiles reuse its compile-result cache, and passing a
     /// `scope_runtime::CachingExecutor` lets the baseline/treatment runs
     /// share its execution cache (the baseline plan is usually the very
     /// default plan the production view already executed, so at least its
     /// stage graph is a lookup).
-    pub fn flight_batch<C: Compiler, E: Executor>(
+    pub fn flight_batch<E: Executor>(
         &mut self,
-        optimizer: &C,
+        optimizer: &Optimizer,
         executor: &E,
         requests: &[FlightRequest],
     ) -> (Vec<FlightOutcome>, BudgetTracker) {
@@ -118,12 +117,11 @@ impl FlightingService {
                 continue;
             }
             // Both arms must compile in pre-production. The treatment goes
-            // through the slate API: a `CachingOptimizer` with delta
-            // compilation enabled prices it against the baseline
-            // configuration's shared base memo (byte-identical to a
-            // from-scratch compile — usually it is already a compile-cache
-            // hit anyway, because recommendation priced the same
-            // `(plan, treatment)` pair earlier the same day).
+            // through the slate API: an optimizer with a delta compiler
+            // prices it against the baseline configuration's shared base
+            // memo (byte-identical to a from-scratch compile — usually it is
+            // already a compile-cache hit anyway, because recommendation
+            // priced the same `(plan, treatment)` pair earlier the same day).
             let baseline = match optimizer.compile(&req.plan, &req.baseline) {
                 Ok(c) => c,
                 Err(e) => {
@@ -184,7 +182,7 @@ impl FlightingService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scope_opt::{Optimizer, RuleFlip};
+    use scope_opt::RuleFlip;
     use scope_workload::{Workload, WorkloadConfig};
 
     fn requests(n: usize) -> (Optimizer, Vec<FlightRequest>) {

@@ -1,17 +1,18 @@
 //! Batched slate scoring over a CSR sparse layout.
 //!
-//! [`ContextualBandit::scores`] builds the joint (context × action) feature
-//! vector of every action and walks the model's weight table per action —
-//! allocating `1 + S` joint vectors and re-hashing the quadratic block on
-//! every call. A
+//! [`ContextualBandit::scores`](crate::ContextualBandit::scores) builds the
+//! joint (context × action) feature vector of every action and walks the
+//! model's weight table per action — allocating `1 + S` joint vectors and
+//! re-hashing the quadratic block on every call. A
 //! [`SparseSlate`] does that work once: the joint features of all actions
 //! are laid out contiguously in CSR form (`indptr` / `slots` / `values`),
 //! with every hashed feature id already folded into the model's table
 //! (`key & (2^dim_bits − 1)`), so scoring an action is a gather-multiply
 //! over two flat arrays and scoring the slate touches no allocator at all.
 //!
-//! The layout replicates [`ContextualBandit::joint`] exactly — action main
-//! effects first, then the context×action quadratic block in
+//! The layout replicates
+//! [`ContextualBandit::joint`](crate::ContextualBandit::joint) exactly —
+//! action main effects first, then the context×action quadratic block in
 //! context-major order with the same `cv * av * scale` multiply order — and
 //! scores accumulate left-to-right like `LinearModel::score`, so batched
 //! scores are **bit-identical** to the sequential path (f64 addition is not
@@ -20,7 +21,7 @@
 //! fan-out) and ranked several times: the training and acting rank calls of
 //! a pipeline job share one slate.
 
-use crate::bandit::{ContextualBandit, QUADRATIC_SCALE};
+use crate::bandit::QUADRATIC_SCALE;
 use crate::features::FeatureVector;
 use scope_ir::ids::mix64;
 
@@ -41,8 +42,9 @@ pub struct SparseSlate {
 impl SparseSlate {
     /// Lay out the joint features of `actions` under `context`, folded for a
     /// `2^dim_bits` weight table. Item order per action is exactly
-    /// [`ContextualBandit::joint`]'s: the action's own features, then
-    /// context×action crosses in context-major order.
+    /// [`ContextualBandit::joint`](crate::ContextualBandit::joint)'s: the
+    /// action's own features, then context×action crosses in context-major
+    /// order.
     #[must_use]
     pub fn build(context: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> Self {
         let mask = (1u64 << dim_bits) - 1;
@@ -104,17 +106,10 @@ impl SparseSlate {
     }
 }
 
-/// Convenience used by property tests and callers that want to check the
-/// batched layout against the sequential joint featurization.
-#[must_use]
-pub fn sequential_joint(context: &FeatureVector, action: &FeatureVector) -> FeatureVector {
-    ContextualBandit::joint(context, action)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandit::CbConfig;
+    use crate::bandit::{CbConfig, ContextualBandit};
     use crate::model::LinearModel;
     use proptest::prelude::*;
 
@@ -135,7 +130,7 @@ mod tests {
         assert_eq!(slate.num_actions(), 2);
         let mask = (1u64 << dim_bits) - 1;
         for (i, action) in actions.iter().enumerate() {
-            let joint = sequential_joint(&ctx, action);
+            let joint = ContextualBandit::joint(&ctx, action);
             let (slots, values) = slate.action(i);
             assert_eq!(slots.len(), joint.len());
             for (j, &(k, v)) in joint.items().iter().enumerate() {
@@ -208,11 +203,11 @@ mod tests {
         let ctx = fv(&[("c", 2.0)]);
         let actions = vec![fv(&[("x", 1.0)]), fv(&[("y", 3.0)])];
         let mut model = LinearModel::new(12);
-        model.update(&sequential_joint(&ctx, &actions[0]), 1.0, 1.0, 0.5);
+        model.update(&ContextualBandit::joint(&ctx, &actions[0]), 1.0, 1.0, 0.5);
         let slate = SparseSlate::build(&ctx, &actions, 12);
         let batched = model.score_slate(&slate);
         for (i, action) in actions.iter().enumerate() {
-            let s = model.score(&sequential_joint(&ctx, action));
+            let s = model.score(&ContextualBandit::joint(&ctx, action));
             assert_eq!(s.to_bits(), batched[i].to_bits());
         }
     }

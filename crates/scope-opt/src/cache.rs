@@ -20,15 +20,14 @@
 //! and conflating them would make cached runs observably different from
 //! uncached ones.
 //!
-//! [`CachingOptimizer`] packages an [`Optimizer`] with an optional cache
-//! behind the [`Compiler`] trait, so span computation, recommendation
+//! An [`Optimizer`] owns an optional cache, and its compile entry points
+//! (defined here) consult it, so span computation, recommendation
 //! recompiles, and flighting's validation compiles all share one cache
 //! without caring whether it is enabled.
 
 use crate::config::{RuleBits, RuleConfig};
 use crate::delta::{DeltaCompiler, DeltaConfig, DeltaStats};
-use crate::registry::RuleSet;
-use crate::search::{CompileError, Compiled, Compiler, Optimizer};
+use crate::search::{CompileError, Compiled, Optimizer};
 use scope_ir::ids::mix64;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::PhysicalPlan;
@@ -199,37 +198,27 @@ impl CompileCache {
     }
 }
 
-/// An [`Optimizer`] plus an optional [`CompileCache`] and an optional
-/// [`DeltaCompiler`], behind the same [`Compiler`] interface as the bare
-/// optimizer. This is what the pipeline holds: one wrapper, one shared
-/// compile-result cache and one shared base-memo cache across span
-/// computation, recommendation scoring, validation recompiles — and across
-/// days.
-///
-/// The caches sit behind `Arc`s so several `CachingOptimizer`s can share one
-/// process-wide cache (fleet mode: N tenants, one compile cache). Sharing is
-/// sound because the keys are tenant-invariant — the exact structural plan
-/// fingerprint plus the full `RuleBits` — so a hit returns exactly what a
-/// local compile would have produced, whichever tenant inserted it.
-#[derive(Debug)]
-pub struct CachingOptimizer {
-    inner: Optimizer,
-    cache: Option<Arc<CompileCache>>,
-    /// Delta treatment compilation for [`CachingOptimizer::compile_slate`]
-    /// (`None` = slates compile treatment by treatment).
-    delta: Option<Arc<DeltaCompiler>>,
-}
+/// The harness's spelling of the cached optimizer. There is one optimizer
+/// type; `perfbench/` still names this one, and ROADMAP item 1a retires it.
+pub type CachingOptimizer = Optimizer;
 
-impl CachingOptimizer {
-    /// Wrap `inner` per `config` (`enabled: false` builds no cache at all).
-    /// Delta compilation starts disabled; see [`CachingOptimizer::with_delta`].
+/// The compile entry points: each consults the optimizer's caches when it
+/// has them and searches from scratch when it does not.
+///
+/// Sharing a cache is sound because the keys are tenant-invariant — the
+/// exact structural plan fingerprint plus the full `RuleBits` — so a hit
+/// returns exactly what a local compile would have produced, whichever
+/// clone of the optimizer inserted it.
+impl Optimizer {
+    /// `inner` with a compile cache per `config` (`enabled: false` builds
+    /// none) and no delta compiler; see [`Optimizer::with_delta`]. `inner`
+    /// is always [`Optimizer::default`] today: the parameter is the
+    /// harness's spelling (`perfbench/`), which ROADMAP item 1a retires.
     #[must_use]
-    pub fn new(inner: Optimizer, config: CacheConfig) -> Self {
-        Self {
-            cache: config.enabled.then(Arc::default),
-            inner,
-            delta: None,
-        }
+    pub fn new(mut inner: Optimizer, config: CacheConfig) -> Self {
+        inner.cache = config.enabled.then(Arc::default);
+        inner.delta = None;
+        inner
     }
 
     /// Enable (or explicitly disable) delta slate compilation per `config`.
@@ -239,34 +228,12 @@ impl CachingOptimizer {
         self
     }
 
-    /// Wrap `inner` around caches owned elsewhere (fleet mode: every
-    /// tenant's optimizer points at the same process-wide [`CompileCache`]
-    /// and [`DeltaCompiler`]). `None` disables the respective layer, exactly
-    /// like the config-driven constructors.
-    #[must_use]
-    pub fn with_shared_caches(
-        inner: Optimizer,
-        cache: Option<Arc<CompileCache>>,
-        delta: Option<Arc<DeltaCompiler>>,
-    ) -> Self {
-        Self {
-            inner,
-            cache,
-            delta,
-        }
-    }
-
-    #[must_use]
-    pub fn inner(&self) -> &Optimizer {
-        &self.inner
-    }
-
     #[must_use]
     pub fn cache(&self) -> Option<&CompileCache> {
         self.cache.as_deref()
     }
 
-    /// Counter snapshot; all-zero when the cache is disabled.
+    /// Compile-cache counter snapshot; all-zero when there is no cache.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.cache
@@ -275,19 +242,20 @@ impl CachingOptimizer {
             .unwrap_or_default()
     }
 
+    /// Delta-compiler counter snapshot; all-zero when there is no delta
+    /// compiler.
     #[must_use]
-    pub fn rules(&self) -> &RuleSet {
-        self.inner.rules()
+    pub fn delta_stats(&self) -> DeltaStats {
+        self.delta
+            .as_deref()
+            .map(DeltaCompiler::stats)
+            .unwrap_or_default()
     }
 
-    #[must_use]
-    pub fn default_config(&self) -> RuleConfig {
-        self.inner.default_config()
-    }
-
-    /// Compile through the cache when enabled, directly otherwise.
+    /// Compile a logical plan under a rule configuration: through the
+    /// compile cache when there is one, from scratch otherwise.
     ///
-    /// With both the cache and the delta compiler enabled, a *default-
+    /// With both the cache and the delta compiler, a *default-
     /// configuration* miss compiles through [`DeltaCompiler::base_for`]
     /// instead: the pipeline compiles every plan's default configuration
     /// anyway (production view build, span fixpoint), and retaining that
@@ -302,47 +270,47 @@ impl CachingOptimizer {
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
         match (&self.cache, &self.delta) {
-            (Some(cache), Some(delta)) if *config == self.inner.default_config() => cache
-                .get_or_compile(plan, config, || {
+            (Some(cache), Some(delta)) if *config == self.default_config() => {
+                cache.get_or_compile(plan, config, || {
                     delta
-                        .base_for(&self.inner, plan, config)
+                        .base_for(self, plan, config)
                         .map(|base| base.compiled().clone())
-                }),
+                })
+            }
             _ => self.compile_unsteered(plan, config),
         }
     }
 
-    /// [`CachingOptimizer::compile`] for a plan that will never be steered
-    /// (see [`Compiler::compile_unsteered`]): through the compile cache when
-    /// enabled, but never through the delta compiler's base builder, so an
-    /// ad-hoc job leaves no base memo behind to churn the recurring jobs'
-    /// memos out of the FIFO. It keeps its compile-cache entry: fleet
-    /// tenants that share a workload seed share their ad-hoc plans too.
+    /// Compile a plan the pipeline will never steer (an ad-hoc job: hints
+    /// are keyed by template and only recurring templates come back). The
+    /// result is [`Optimizer::compile`]'s; the difference is what stays
+    /// behind. It goes through the compile cache, but never through the
+    /// delta compiler's base builder, so an ad-hoc job leaves no base memo
+    /// behind to churn the recurring jobs' memos out of the FIFO. It keeps
+    /// its compile-cache entry: fleet tenants that share a workload seed
+    /// share their ad-hoc plans too.
     pub fn compile_unsteered(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
         match &self.cache {
-            Some(cache) => cache.get_or_compile(plan, config, || self.inner.compile(plan, config)),
-            None => self.inner.compile(plan, config),
+            Some(cache) => {
+                cache.get_or_compile(plan, config, || self.compile_uncached(plan, config))
+            }
+            None => self.compile_uncached(plan, config),
         }
     }
 
-    /// Delta-compiler counter snapshot; all-zero when delta is disabled.
-    #[must_use]
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.delta
-            .as_deref()
-            .map(DeltaCompiler::stats)
-            .unwrap_or_default()
-    }
-
-    /// Price a treatment slate: compile-cache lookups first, then one
-    /// [`DeltaCompiler::compile_slate`] over the misses (inserting its
-    /// byte-identical results under the same `(fingerprint, RuleBits)` keys
-    /// a from-scratch compile would use), or per-treatment compiles when
-    /// delta is disabled.
+    /// Price a *slate* of treatment configurations against one base
+    /// configuration of the same plan — the shape of the pipeline's two
+    /// treatment-compile sites (recommendation's candidate pricing and
+    /// flighting's validation compiles). Compile-cache lookups come first,
+    /// then one [`DeltaCompiler::compile_slate`] over the misses (inserting
+    /// its byte-identical results under the same `(fingerprint, RuleBits)`
+    /// keys a from-scratch compile would use). Without a delta compiler each
+    /// treatment goes through [`Optimizer::compile`]. One result per
+    /// treatment, in input order.
     pub fn compile_slate(
         &self,
         plan: &LogicalPlan,
@@ -365,14 +333,16 @@ impl CachingOptimizer {
             .zip(&cached)
             .filter_map(|(treatment, hit)| hit.is_none().then_some(*treatment))
             .collect();
-        let mut priced = delta
-            .compile_slate(&self.inner, plan, base, &missed)
-            .into_iter();
+        let mut priced = delta.compile_slate(self, plan, base, &missed).into_iter();
         cached
             .into_iter()
             .zip(treatments)
             .map(|(hit, treatment)| {
                 hit.unwrap_or_else(|| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "DeltaCompiler::compile_slate prices every missed treatment"
+                    )]
                     let result = priced.next().expect("one priced result per cache miss");
                     match cache {
                         Some(cache) => cache.insert(plan, treatment, &result),
@@ -381,37 +351,6 @@ impl CachingOptimizer {
                 })
             })
             .collect()
-    }
-}
-
-impl Compiler for CachingOptimizer {
-    fn rules(&self) -> &RuleSet {
-        CachingOptimizer::rules(self)
-    }
-
-    fn default_config(&self) -> RuleConfig {
-        CachingOptimizer::default_config(self)
-    }
-
-    fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError> {
-        CachingOptimizer::compile(self, plan, config)
-    }
-
-    fn compile_unsteered(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        CachingOptimizer::compile_unsteered(self, plan, config)
-    }
-
-    fn compile_slate(
-        &self,
-        plan: &LogicalPlan,
-        base: &RuleConfig,
-        treatments: &[RuleConfig],
-    ) -> Vec<Result<Compiled, CompileError>> {
-        CachingOptimizer::compile_slate(self, plan, base, treatments)
     }
 }
 
@@ -608,7 +547,7 @@ mod tests {
     /// (the execution cache's key lookup) reads it with one atomic load.
     #[test]
     fn hits_share_the_stored_plan_and_its_fingerprint_memo() {
-        let cached = CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
+        let cached = Optimizer::new(Optimizer::default(), CacheConfig::default())
             .with_delta(DeltaConfig::default());
         let p = plan();
         let default = cached.default_config();
@@ -635,7 +574,7 @@ mod tests {
 
     #[test]
     fn unsteered_compiles_share_the_cache_but_build_no_base_memo() {
-        let steering = CachingOptimizer::new(Optimizer::default(), CacheConfig::default())
+        let steering = Optimizer::new(Optimizer::default(), CacheConfig::default())
             .with_delta(DeltaConfig::default());
         let p = plan();
         let default = steering.default_config();
@@ -652,8 +591,8 @@ mod tests {
 
     #[test]
     fn caching_optimizer_is_transparent_and_countable() {
-        let cached = CachingOptimizer::new(Optimizer::default(), CacheConfig::default());
-        let uncached = CachingOptimizer::new(Optimizer::default(), CacheConfig::disabled());
+        let cached = Optimizer::new(Optimizer::default(), CacheConfig::default());
+        let uncached = Optimizer::new(Optimizer::default(), CacheConfig::disabled());
         let p = plan();
         let cfg = cached.default_config();
         let a = cached.compile(&p, &cfg).unwrap();
@@ -664,6 +603,31 @@ mod tests {
         assert_eq!(cached.stats().hits, 1);
         assert_eq!(uncached.stats(), CacheStats::default());
         assert!(uncached.cache().is_none());
+    }
+
+    /// Fleet-wide sharing rests on `Clone`: a clone of a cached optimizer
+    /// reads and writes the original's caches, never fresh ones.
+    #[test]
+    fn clones_share_the_compile_cache_and_the_delta_compiler() {
+        let original = Optimizer::new(Optimizer::default(), CacheConfig::default())
+            .with_delta(DeltaConfig::default());
+        let clone = original.clone();
+        let p = plan();
+        let default = original.default_config();
+        let flipped = default.with_flip(RuleFlip {
+            rule: crate::registry::RULE_SHUFFLE_ELIMINATION,
+            enable: false,
+        });
+        clone.compile(&p, &default).unwrap();
+        let _ = clone.compile_slate(&p, &default, &[flipped]);
+        let stats = original.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (0, 2, 2));
+        let delta = original.delta_stats();
+        assert_eq!((delta.base_builds, delta.base_hits), (1, 1));
+        assert_eq!(delta.treatments(), 1);
+        // And the other way round: the original hits what the clone stored.
+        let _ = original.compile(&p, &flipped);
+        assert_eq!(clone.stats().hits, 1);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl RuleBits {
         }
     }
 
-    pub fn toggle(&mut self, id: RuleId) {
-        let i = id.index();
-        self.words[i / 64] ^= 1 << (i % 64);
-    }
-
     #[must_use]
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -118,15 +113,6 @@ impl RuleBits {
         let mut words = self.words;
         for (w, o) in words.iter_mut().zip(other.words.iter()) {
             *w &= !o;
-        }
-        RuleBits { words }
-    }
-
-    #[must_use]
-    pub fn intersection(&self, other: &RuleBits) -> RuleBits {
-        let mut words = self.words;
-        for (w, o) in words.iter_mut().zip(other.words.iter()) {
-            *w &= o;
         }
         RuleBits { words }
     }
@@ -289,7 +275,6 @@ mod tests {
         let a: RuleBits = [RuleId(1), RuleId(2), RuleId(200)].into_iter().collect();
         let b: RuleBits = [RuleId(2), RuleId(3)].into_iter().collect();
         assert_eq!(a.union(&b).len(), 4);
-        assert_eq!(a.intersection(&b).len(), 1);
         assert_eq!(a.difference(&b).len(), 2);
         let ids: Vec<u16> = a.iter().map(|r| r.0).collect();
         assert_eq!(ids, vec![1, 2, 200]);
@@ -324,14 +309,5 @@ mod tests {
             enable: false,
         });
         assert_eq!(base.single_flip_to(&two), None);
-    }
-
-    #[test]
-    fn toggle_flips_bit() {
-        let mut b = RuleBits::empty();
-        b.toggle(RuleId(100));
-        assert!(b.contains(RuleId(100)));
-        b.toggle(RuleId(100));
-        assert!(!b.contains(RuleId(100)));
     }
 }

@@ -56,8 +56,7 @@
 //! cache of `Arc<BaseMemo>`s keyed by `(plan fingerprint, base
 //! configuration)`, so the base memo for a recurring plan is built once and
 //! shared across treatments, stages, and — under sticky literals — days.
-//! [`crate::cache::CachingOptimizer`] routes
-//! [`Compiler::compile_slate`](crate::search::Compiler::compile_slate)
+//! An [`Optimizer`] that owns one routes [`Optimizer::compile_slate`]
 //! through it, layering the compile-result cache on top (delta results
 //! insert under the same `(fingerprint, RuleBits)` keys, so cached and
 //! delta-compiled runs stay interchangeable byte-for-byte).
@@ -103,8 +102,7 @@ impl DeltaConfig {
 /// explored memo (~tens of KB for simulated plans), so this bounds the
 /// dominant memory cost of delta compilation at tens of MB — plenty for the
 /// live plan population of the simulated workloads. Only steerable plans
-/// build one: ad-hoc jobs compile through
-/// [`Compiler::compile_unsteered`](crate::search::Compiler::compile_unsteered),
+/// build one: ad-hoc jobs compile through [`Optimizer::compile_unsteered`],
 /// so their memos never enter the FIFO. Sticky literals therefore keep ~1
 /// plan per recurring template alive; fresh literals rotate through FIFO.
 const BASE_CAPACITY: usize = 512;
@@ -492,7 +490,7 @@ fn base_key_hash(key: &BaseKey) -> u64 {
 
 /// The sharded base-memo cache plus treatment-resolution counters: the
 /// long-lived half of delta compilation. One instance sits inside the
-/// pipeline's `CachingOptimizer`, so recommendation and flighting (and,
+/// pipeline's [`Optimizer`], so recommendation and flighting (and,
 /// under sticky literals, successive days) share each plan's base memo.
 /// The memos live in a [`ShardedCache`] (the workspace-wide lock-sharded
 /// FIFO cache), which also gives this cache per-shard eviction attribution.
@@ -603,12 +601,13 @@ impl DeltaCompiler {
                 .map(|t| self.price_with(optimizer, &base_memo, plan, t))
                 .collect(),
             // No base to share: price every treatment from scratch (still
-            // counted, and still cached by the caller).
+            // counted, and cached by the caller, so the search here must not
+            // go through the cache itself).
             Err(_) => treatments
                 .iter()
                 .map(|t| {
                     self.full.fetch_add(1, Ordering::Relaxed);
-                    optimizer.compile(plan, t)
+                    optimizer.compile_uncached(plan, t)
                 })
                 .collect(),
         }

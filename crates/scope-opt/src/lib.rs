@@ -1,3 +1,6 @@
+// Every compile fails as a typed `CompileError`, never a panic; tests may
+// unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! A Cascades-style, budgeted query optimizer for the SCOPE-like engine,
 //! with the full machinery the QO-Advisor paper steers:
 //!
@@ -16,9 +19,8 @@
 //!   compilation, so repeated `(plan, configuration)` compiles — the
 //!   pipeline's span/recommendation/flighting recompiles *and* the
 //!   production view's daily compiles of recurring scripts — are looked up
-//!   instead of re-searched ([`cache::CompileCache`] /
-//!   [`cache::CachingOptimizer`], both behind the [`search::Compiler`]
-//!   trait);
+//!   instead of re-searched ([`cache::CompileCache`], owned by the
+//!   [`search::Optimizer`] that consults it);
 //! * an **anytime task-queue engine** ([`tasks`]): exploration runs as an
 //!   explicit ExploreGroup/ExploreExpr/ApplyRule cascade under a
 //!   [`tasks::CompileBudget`], then an implementation epilogue of one task
@@ -32,7 +34,7 @@
 //!   rule-flip treatment is priced as an incremental pass over it
 //!   (re-implementing only the groups the flip touches, replaying provable
 //!   no-ops) — byte-identical to from-scratch compiles, and the engine
-//!   behind [`search::Compiler::compile_slate`];
+//!   behind [`search::Optimizer::compile_slate`];
 //! * a fixed cost model that prices plans from *estimated* statistics and
 //!   *claimed* tuning only, reproducing SCOPE's estimated-vs-real divergence
 //!   ([`cost`]).
@@ -77,6 +79,6 @@ pub use config::{RuleBits, RuleConfig, RuleFlip, RuleId, RULE_COUNT};
 pub use delta::{BaseMemo, DeltaCompiler, DeltaConfig, DeltaStats, PricedTreatment};
 pub use hints::{Hint, HintSet};
 pub use registry::{RuleCategory, RuleDef, RuleSet};
-pub use search::{CompileError, Compiled, Compiler, Optimizer};
+pub use search::{CompileError, Compiled, Optimizer};
 pub use span::{compute_span, SpanResult};
 pub use tasks::{BudgetOutcome, BudgetedCompile, CompileBudget};

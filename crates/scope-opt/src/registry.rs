@@ -188,9 +188,10 @@ pub struct RuleSet {
     /// the implementation pass's innermost loop (once per logical
     /// expression per compile, and again per dirty group per delta pass).
     impls_by_tag: rustc_hash::FxHashMap<&'static str, Vec<u16>>,
-    /// Transform rule ids in descending promise order, precomputed for the
-    /// same reason: every compile's exploration walks them.
-    transforms_by_promise: Vec<u16>,
+    /// Transform rules in descending promise order with their kinds,
+    /// precomputed for the same reason: every compile's exploration walks
+    /// them.
+    transforms_by_promise: Vec<(RuleId, TransformKind)>,
 }
 
 impl RuleSet {
@@ -546,12 +547,16 @@ impl RuleSet {
             };
             impls_by_tag.entry(tag).or_default().push(r.id.0);
         }
-        let mut transforms: Vec<&RuleDef> = rules
+        let mut transforms: Vec<(&RuleDef, TransformKind)> = rules
             .iter()
-            .filter(|r| matches!(r.behavior, RuleBehavior::Transform(_)))
+            .filter_map(|r| match r.behavior {
+                RuleBehavior::Transform(kind) => Some((r, kind)),
+                _ => None,
+            })
             .collect();
-        transforms.sort_by(|a, b| b.promise.total_cmp(&a.promise).then(a.id.0.cmp(&b.id.0)));
-        let transforms_by_promise = transforms.iter().map(|r| r.id.0).collect();
+        transforms
+            .sort_by(|(a, _), (b, _)| b.promise.total_cmp(&a.promise).then(a.id.0.cmp(&b.id.0)));
+        let transforms_by_promise = transforms.iter().map(|&(r, kind)| (r.id, kind)).collect();
         debug_assert!(matches!(
             rules[RULE_FALLBACK_EXEC.index()].behavior,
             RuleBehavior::FallbackImpl
@@ -590,7 +595,21 @@ impl RuleSet {
     pub fn transforms_by_promise(&self) -> impl Iterator<Item = &RuleDef> + '_ {
         self.transforms_by_promise
             .iter()
-            .map(|&raw| &self.rules[raw as usize])
+            .map(|&(id, _)| self.rule(id))
+    }
+
+    /// The transforms `config` enables, in descending promise order, each
+    /// with its kind and its one-rule provenance bit: the list every
+    /// exploration engine walks per logical expression.
+    pub(crate) fn enabled_transforms(
+        &self,
+        config: &RuleConfig,
+    ) -> Vec<(RuleId, TransformKind, RuleBits)> {
+        self.transforms_by_promise
+            .iter()
+            .filter(|&&(id, _)| config.enabled(id))
+            .map(|&(id, kind)| (id, kind, std::iter::once(id).collect()))
+            .collect()
     }
 
     /// Implementation + parametric rules applicable to a logical tag, in

@@ -597,26 +597,29 @@ fn project_push_join(memo: &Memo, gid: GroupId, eidx: usize) -> Option<Vec<Node>
                 vec![Node::Group(g)],
             )
         };
+        // Every projected column and join key was kept above, so each
+        // lookup below finds its column.
         let new_on: Vec<(usize, usize)> = on
             .iter()
             .map(|&(l, r)| {
-                (
-                    left_keep.iter().position(|&c| c == l).expect("kept"),
-                    right_keep.iter().position(|&c| c == r).expect("kept"),
-                )
+                Some((
+                    left_keep.iter().position(|&c| c == l)?,
+                    right_keep.iter().position(|&c| c == r)?,
+                ))
             })
-            .collect();
+            .collect::<Option<_>>()?;
         let remap = |c: usize| {
             if c < lw {
-                left_keep.iter().position(|&k| k == c).expect("kept")
+                left_keep.iter().position(|&k| k == c)
             } else {
-                left_keep.len() + right_keep.iter().position(|&k| k == c - lw).expect("kept")
+                Some(left_keep.len() + right_keep.iter().position(|&k| k == c - lw)?)
             }
         };
-        let new_exprs: Vec<(ScalarExpr, String)> = exprs
+        let new_exprs: Vec<(ScalarExpr, String)> = used
             .iter()
-            .map(|(e, alias)| (e.remap_columns(&remap), alias.clone()))
-            .collect();
+            .zip(exprs)
+            .map(|(&c, (_, alias))| Some((ScalarExpr::Column(remap(c)?), alias.clone())))
+            .collect::<Option<_>>()?;
         out.push(Node::Op(
             LogicalOp::Project { exprs: new_exprs },
             vec![Node::Op(

@@ -9,8 +9,10 @@
 //! turning one *off* — can reroute the search to a plan with **lower**
 //! estimated cost, exactly the behaviour QO-Advisor exploits in SCOPE.
 
+use crate::cache::CompileCache;
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::cost::{exchange_cost, local_cost, pre_local_cost_and_rows};
+use crate::delta::DeltaCompiler;
 use crate::impls::{build_shape, implement_expr, sized_scheme, ImplContext};
 use crate::memo::{Best, GroupId, Memo, PExpr, PreLocal};
 use crate::registry::{
@@ -91,53 +93,6 @@ pub struct Compiled {
     pub template_seed: u64,
 }
 
-/// Anything that can compile logical plans under rule configurations: the
-/// bare [`Optimizer`], or [`crate::cache::CachingOptimizer`] which routes
-/// every compile through a shared [`crate::cache::CompileCache`]. Span
-/// computation and flighting are generic over this, so the whole steering
-/// pipeline — span fixpoint, recommendation recompiles, validation flights —
-/// can share one compile-result cache.
-pub trait Compiler {
-    fn rules(&self) -> &RuleSet;
-    fn default_config(&self) -> RuleConfig;
-    fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError>;
-
-    /// Compile a plan the pipeline will never steer (an ad-hoc job: hints
-    /// are keyed by template and only recurring templates come back). The
-    /// result is [`Compiler::compile`]'s; the difference is what stays
-    /// behind. [`crate::cache::CachingOptimizer`] overrides it to skip the
-    /// delta compiler's base memo, which only treatment pricing reads, while
-    /// still sharing the compile-cache entry.
-    fn compile_unsteered(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        self.compile(plan, config)
-    }
-
-    /// Price a *slate* of treatment configurations against one base
-    /// configuration of the same plan — the shape of the pipeline's two
-    /// treatment-compile sites (recommendation's candidate pricing and
-    /// flighting's validation compiles). The default implementation simply
-    /// compiles each treatment from scratch; [`crate::cache::CachingOptimizer`]
-    /// overrides it to reuse the base configuration's explored memo via
-    /// [`crate::delta::DeltaCompiler`], which is byte-identical but skips the
-    /// shared part of the search. One result per treatment, in input order.
-    fn compile_slate(
-        &self,
-        plan: &LogicalPlan,
-        base: &RuleConfig,
-        treatments: &[RuleConfig],
-    ) -> Vec<Result<Compiled, CompileError>> {
-        let _ = base;
-        treatments
-            .iter()
-            .map(|treatment| self.compile(plan, treatment))
-            .collect()
-    }
-}
-
 /// Everything one from-scratch compilation produces: the engine's
 /// [`EngineRun`] (the [`Compiled`] result and the exploration trace facts)
 /// plus the memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
@@ -153,29 +108,30 @@ pub(crate) struct FullCompile {
 /// The SCOPE-like optimizer. Its one input is the rule registry: the cost
 /// model (`crate::cost`) and the search limits are fixed, because steering
 /// moves only the rule configuration (paper §2.4).
+///
+/// It also owns its result caches: an optional [`CompileCache`] and an
+/// optional [`DeltaCompiler`], both consulted by the compile entry points in
+/// `crate::cache` ([`Optimizer::compile`], [`Optimizer::compile_unsteered`],
+/// [`Optimizer::compile_slate`]). [`Optimizer::default`] has neither, so it
+/// is the uncached reference every cached run must match byte-for-byte. The
+/// caches sit behind `Arc`s, so a clone shares them: that is how every stage
+/// of the steering pipeline, and every tenant of a fleet, reads one cache.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     rules: RuleSet,
-}
-
-impl Compiler for Optimizer {
-    fn rules(&self) -> &RuleSet {
-        Optimizer::rules(self)
-    }
-
-    fn default_config(&self) -> RuleConfig {
-        Optimizer::default_config(self)
-    }
-
-    fn compile(&self, plan: &LogicalPlan, config: &RuleConfig) -> Result<Compiled, CompileError> {
-        Optimizer::compile(self, plan, config)
-    }
+    /// Compile-result cache (`None` = every compile searches).
+    pub(crate) cache: Option<Arc<CompileCache>>,
+    /// Delta treatment compilation for [`Optimizer::compile_slate`]
+    /// (`None` = slates compile treatment by treatment).
+    pub(crate) delta: Option<Arc<DeltaCompiler>>,
 }
 
 impl Default for Optimizer {
     fn default() -> Self {
         Self {
             rules: RuleSet::standard(),
+            cache: None,
+            delta: None,
         }
     }
 }
@@ -241,8 +197,9 @@ impl Optimizer {
         (engine.tasks_executed, full)
     }
 
-    /// Compile a logical plan under a rule configuration.
-    pub fn compile(
+    /// Compile a logical plan under a rule configuration from scratch,
+    /// consulting no cache: the search behind every cache miss.
+    pub(crate) fn compile_uncached(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
@@ -251,10 +208,10 @@ impl Optimizer {
             .map(|full| full.run.compiled)
     }
 
-    /// [`Optimizer::compile`] keeping the explored memo and the exploration
-    /// trace facts ([`FullCompile`]) — what `crate::delta` freezes into a
-    /// [`crate::delta::BaseMemo`]. An unlimited-budget run, which is
-    /// byte-identical to the recursive reference engine.
+    /// [`Optimizer::compile_uncached`] keeping the explored memo and the
+    /// exploration trace facts ([`FullCompile`]) — what `crate::delta`
+    /// freezes into a [`crate::delta::BaseMemo`]. An unlimited-budget run,
+    /// which is byte-identical to the recursive reference engine.
     pub(crate) fn compile_full(
         &self,
         plan: &LogicalPlan,
@@ -266,8 +223,9 @@ impl Optimizer {
 
     /// Compile under a [`CompileBudget`]: the task-queue engine explores
     /// until the budget trips, then extracts the best plan the partial memo
-    /// supports (see `crate::tasks` for the anytime contract). Unlimited
-    /// budgets are byte-identical to [`Optimizer::compile`].
+    /// supports (see `crate::tasks` for the anytime contract). It never
+    /// consults the caches. Unlimited budgets are byte-identical to
+    /// [`Optimizer::compile`].
     pub fn compile_budgeted(
         &self,
         plan: &LogicalPlan,
@@ -374,19 +332,7 @@ impl Optimizer {
     /// that never fired consumed no budget, so removing it leaves the trace
     /// bit-identical).
     fn explore(&self, memo: &mut Memo, config: &RuleConfig) -> Result<RuleBits, CompileError> {
-        let transforms: Vec<(RuleId, crate::registry::TransformKind, RuleBits)> = self
-            .rules
-            .transforms_by_promise()
-            .filter(|r| config.enabled(r.id))
-            .map(|r| {
-                let RuleBehavior::Transform(kind) = r.behavior else {
-                    unreachable!()
-                };
-                let mut bit = RuleBits::empty();
-                bit.insert(r.id);
-                (r.id, kind, bit)
-            })
-            .collect();
+        let transforms = self.rules.enabled_transforms(config);
         let mut fired = RuleBits::empty();
         let mut budget = MAX_TRANSFORM_APPLICATIONS;
         for _pass in 0..EXPLORATION_PASSES {
@@ -645,6 +591,10 @@ impl Optimizer {
             return;
         }
         let group = memo.group(g);
+        #[expect(
+            clippy::expect_used,
+            reason = "best_cost costs every group reachable from a root before extract runs"
+        )]
         let best = group.best.expect("costing ran before extraction");
         let pexpr = &group.pexprs[best.pexpr];
         let shape = &*pexpr.shape;

@@ -12,7 +12,7 @@
 
 use crate::config::{RuleBits, RuleConfig};
 use crate::registry::{RuleCategory, RuleSet};
-use crate::search::{CompileError, Compiler};
+use crate::search::{CompileError, Optimizer};
 use scope_ir::logical::LogicalPlan;
 
 /// Result of the span fixpoint.
@@ -64,10 +64,11 @@ fn exploration_config(rules: &RuleSet, default_config: &RuleConfig, seen: &RuleB
 }
 
 /// Compute the span of a job with the fixpoint heuristic, bounded by
-/// `max_iterations` recompiles. Generic over [`Compiler`] so the fixpoint's
-/// recompilation passes can run through a compile-result cache.
-pub fn compute_span<C: Compiler>(
-    optimizer: &C,
+/// `max_iterations` recompiles. The recompilation passes go through
+/// [`Optimizer::compile`], so they hit the optimizer's compile cache when it
+/// has one.
+pub fn compute_span(
+    optimizer: &Optimizer,
     plan: &LogicalPlan,
     max_iterations: usize,
 ) -> Result<SpanResult, CompileError> {
@@ -121,7 +122,6 @@ pub fn compute_span<C: Compiler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::Optimizer;
     use scope_lang::{bind_script, Catalog};
 
     fn plan(src: &str) -> LogicalPlan {

@@ -1,6 +1,3 @@
-// Every compile runs through this engine, so it fails as a typed
-// `CompileError`, never a panic; tests may unwrap freely.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! The explicit task-queue Cascades engine: anytime optimization under a
 //! [`CompileBudget`].
 //!
@@ -66,16 +63,15 @@
 //! not depend on the budget. We take the conservative side:
 //! **finite-budget compiles are uncacheable**. [`Optimizer::compile_budgeted`]
 //! bypasses the compile cache and the delta compiler entirely and always runs
-//! this engine from scratch, and no caching wrapper ever sees a budget: the
+//! this engine from scratch, and no cached compile ever sees a budget: the
 //! caches and the delta compiler compile at unlimited budget only, and the
 //! day loop never compiles any other way. Equivalently, the budget is
 //! morally part of the cache key and only the unlimited point is ever
 //! populated. Delta pricing is also only sound at unlimited budget (a base
 //! memo frozen at one truncation point cannot replay another).
 
-use crate::config::{RuleBits, RuleConfig, RuleId};
+use crate::config::{RuleBits, RuleConfig};
 use crate::memo::{GroupId, Memo};
-use crate::registry::{RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
 use crate::search::{
     CompileError, Compiled, Optimizer, EXPLORATION_PASSES, MAX_EXPRS_PER_GROUP,
@@ -223,20 +219,7 @@ impl<'a> TaskEngine<'a> {
         config: &RuleConfig,
         budget: CompileBudget,
     ) -> Result<(RuleBits, BudgetOutcome), CompileError> {
-        let transforms: Vec<(RuleId, TransformKind, RuleBits)> = self
-            .opt
-            .rules()
-            .transforms_by_promise()
-            .filter(|r| config.enabled(r.id))
-            .map(|r| {
-                let RuleBehavior::Transform(kind) = r.behavior else {
-                    unreachable!()
-                };
-                let mut bit = RuleBits::empty();
-                bit.insert(r.id);
-                (r.id, kind, bit)
-            })
-            .collect();
+        let transforms = self.opt.rules().enabled_transforms(config);
         let mut fired = RuleBits::empty();
         let mut rewrites_left = MAX_TRANSFORM_APPLICATIONS;
         let mut queue: VecDeque<Task> = VecDeque::new();

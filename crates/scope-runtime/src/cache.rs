@@ -25,8 +25,8 @@
 //! [`CachingExecutor`] packages a [`Cluster`] with an optional shared cache
 //! behind the [`Executor`] trait, so view building, counterfactual runs,
 //! flighting, and probes all share one cache without caring whether it is
-//! enabled — exactly how `CachingOptimizer` sits behind the `Compiler`
-//! trait on the compile side.
+//! enabled. On the compile side there is no such wrapper: the optimizer
+//! owns its compile cache.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::executor::{execute, execute_stages, Executor};

@@ -15,10 +15,10 @@
 //! come from.
 //!
 //! [`build_view`] compiles and "executes" one day's jobs into [`ViewRow`]s.
-//! It is generic over [`scope_opt::Compiler`] *and*
-//! [`scope_runtime::Executor`], so the production compiles can share a
-//! [`scope_opt::CachingOptimizer`] with the steering pipeline and the
-//! production runs a [`scope_runtime::ExecutionCache`]; a job whose
+//! It takes the [`scope_opt::Optimizer`] and is generic over
+//! [`scope_runtime::Executor`], so the production compiles can share the
+//! steering pipeline's compile cache and the production runs a
+//! [`scope_runtime::ExecutionCache`]; a job whose
 //! default-path compilation fails surfaces as a typed [`ViewBuildError`]
 //! instead of a panic.
 //!

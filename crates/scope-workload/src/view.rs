@@ -13,7 +13,7 @@ use crate::naming::normalize_job_name;
 use scope_ir::ids::{production_run_seed, stable_hash64};
 use scope_ir::logical::{LogicalOp, LogicalPlan};
 use scope_ir::{JobId, TemplateId};
-use scope_opt::{CompileError, Compiler, HintSet, RuleBits};
+use scope_opt::{CompileError, HintSet, Optimizer, RuleBits};
 use scope_runtime::{ExecutionMetrics, Executor};
 use serde::Serialize;
 use std::fmt;
@@ -163,16 +163,15 @@ impl std::error::Error for ViewBuildError {}
 /// fails aborts the day with a typed [`ViewBuildError`] instead (generated
 /// workloads never trigger this — it guards externally supplied plans).
 ///
-/// Generic over [`Compiler`] *and* [`Executor`]: pass a bare
-/// [`scope_opt::Optimizer`] and [`scope_runtime::Cluster`] for direct
-/// compilation/execution, or a [`scope_opt::CachingOptimizer`] and
-/// [`scope_runtime::CachingExecutor`] so the production compiles and runs
-/// share the steering pipeline's result caches — under a sticky
+/// Pass a cacheless [`Optimizer`] and a [`scope_runtime::Cluster`] for
+/// direct compilation/execution, or the steering pipeline's cached
+/// [`Optimizer`] and a [`scope_runtime::CachingExecutor`] so the production
+/// compiles and runs share its result caches — under a sticky
 /// [`crate::LiteralPolicy`] these are the caches' biggest win, because
 /// recurring instances rebind the identical plan day after day.
-pub fn build_view<C: Compiler, E: Executor>(
+pub fn build_view<E: Executor>(
     jobs: &[JobInstance],
-    optimizer: &C,
+    optimizer: &Optimizer,
     hints: &HintSet,
     executor: &E,
 ) -> Result<Vec<ViewRow>, ViewBuildError> {
@@ -199,9 +198,9 @@ pub fn build_view<C: Compiler, E: Executor>(
 ///
 /// [`ViewBuildError`] when the job's *default-path* compile fails — exactly
 /// the [`build_view`] contract.
-pub fn build_view_row<C: Compiler, E: Executor>(
+pub fn build_view_row<E: Executor>(
     job: &JobInstance,
-    optimizer: &C,
+    optimizer: &Optimizer,
     hints: &HintSet,
     default: &scope_opt::RuleConfig,
     executor: &E,
@@ -209,7 +208,7 @@ pub fn build_view_row<C: Compiler, E: Executor>(
     let hinted = hints.lookup(job.template).is_some();
     let config = hints.config_for(job.template, default);
     // Only recurring jobs are ever steered; an ad-hoc job's compile leaves
-    // nothing behind for treatment pricing (see `Compiler::compile_unsteered`).
+    // nothing behind for treatment pricing (see `Optimizer::compile_unsteered`).
     let compile = |config: &scope_opt::RuleConfig| {
         if job.recurring {
             optimizer.compile(&job.plan, config)
@@ -397,7 +396,7 @@ mod tests {
 
     #[test]
     fn build_view_is_identical_through_a_caching_compiler() {
-        use scope_opt::{CacheConfig, CachingOptimizer};
+        use scope_opt::CacheConfig;
 
         let w = Workload::new(WorkloadConfig {
             seed: 11,
@@ -409,7 +408,7 @@ mod tests {
             },
         });
         let cluster = Cluster::default();
-        let cached = CachingOptimizer::new(Optimizer::default(), CacheConfig::default());
+        let cached = Optimizer::new(Optimizer::default(), CacheConfig::default());
         let mut direct_rows = Vec::new();
         let mut cached_rows = Vec::new();
         for day in 0..2u32 {

@@ -49,7 +49,6 @@ fn main() {
     let cb_report = sim.advisor.run_day(&view, day).expect("pipeline day runs");
 
     let mut random = QoAdvisor::new(
-        sim.optimizer().clone(),
         FlightingService::new(Cluster::preproduction(), FlightBudget::default()),
         PipelineConfig {
             strategy: RecommendStrategy::UniformRandom,

@@ -10,8 +10,8 @@ use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
 use scope_opt::{
-    compute_span, CacheConfig, CachingOptimizer, CompileBudget, DeltaConfig, Hint, HintSet,
-    Optimizer, RuleConfig, RuleFlip,
+    compute_span, CacheConfig, CompileBudget, DeltaConfig, Hint, HintSet, Optimizer, RuleConfig,
+    RuleFlip,
 };
 use scope_runtime::{CachingExecutor, Cluster, ExecCacheConfig, Executor};
 
@@ -107,7 +107,7 @@ fn main() {
     // 4. Price every span flip as ONE treatment slate against the default
     // configuration's shared base memo (delta compilation: byte-identical
     // to compiling each treatment from scratch, only faster).
-    let steering = CachingOptimizer::new(optimizer.clone(), CacheConfig::default())
+    let steering = Optimizer::new(optimizer.clone(), CacheConfig::default())
         .with_delta(DeltaConfig::default());
     let flips: Vec<RuleFlip> = span
         .span

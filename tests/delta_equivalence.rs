@@ -11,8 +11,8 @@
 
 use scope_opt::delta::PricedTreatment;
 use scope_opt::{
-    compute_span, BaseMemo, CacheConfig, CachingOptimizer, Compiler, DeltaCompiler, DeltaConfig,
-    Optimizer, RuleConfig, RuleFlip,
+    compute_span, BaseMemo, CacheConfig, DeltaCompiler, DeltaConfig, Optimizer, RuleConfig,
+    RuleFlip,
 };
 use scope_workload::{Workload, WorkloadConfig};
 
@@ -122,7 +122,7 @@ fn every_template_treatment_is_byte_identical_and_pruner_is_sound() {
     );
 }
 
-/// The same corpus through the `Compiler`-facing slate API with cache and
+/// The same corpus through `Optimizer::compile_slate` with cache and
 /// delta in every combination: identical results everywhere, and the
 /// delta-path counters actually move when delta is on.
 #[test]
@@ -147,7 +147,7 @@ fn compile_slate_matches_per_treatment_compiles_in_every_configuration() {
         ),
     ];
     for (name, cache, delta) in variants {
-        let caching = CachingOptimizer::new(optimizer.clone(), cache).with_delta(delta);
+        let caching = Optimizer::new(optimizer.clone(), cache).with_delta(delta);
         for job in jobs.iter().take(8) {
             let slate = span_slate(&optimizer, &job.plan);
             if slate.is_empty() {
@@ -183,18 +183,23 @@ fn compile_slate_matches_per_treatment_compiles_in_every_configuration() {
     }
 }
 
-/// The trait-default `compile_slate` (used by bare `Optimizer` callers such
-/// as the experiment binaries) is the per-treatment loop.
+/// A cacheless optimizer's `compile_slate` is the per-treatment loop, and
+/// it leaves nothing behind.
 #[test]
-fn trait_default_compile_slate_is_per_treatment_compilation() {
+fn cacheless_compile_slate_is_per_treatment_compilation() {
     let (optimizer, jobs) = seeded_day();
     let default = optimizer.default_config();
     let job = &jobs[0];
     let slate = span_slate(&optimizer, &job.plan);
-    let via_trait = Compiler::compile_slate(&optimizer, &job.plan, &default, &slate);
-    for (treatment, result) in slate.iter().zip(&via_trait) {
+    assert!(!slate.is_empty(), "the first job must have a span to price");
+    let via_slate = optimizer.compile_slate(&job.plan, &default, &slate);
+    assert_eq!(via_slate.len(), slate.len());
+    for (treatment, result) in slate.iter().zip(&via_slate) {
         assert_eq!(*result, optimizer.compile(&job.plan, treatment));
     }
+    assert!(optimizer.cache().is_none());
+    assert_eq!(optimizer.stats(), Default::default());
+    assert_eq!(optimizer.delta_stats(), Default::default());
 }
 
 /// A `DeltaCompiler` shared across the day (the pipeline's shape: one
