@@ -36,6 +36,7 @@ use qo_advisor::{
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
+use scope_ir::ids::HOLDOUT_RUN_SALT;
 use scope_lang::{bind_script, Catalog};
 use scope_runtime::{Cluster, Executor};
 use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
@@ -498,9 +499,7 @@ fn fig9(knobs: &Knobs) {
                 .optimizer
                 .compile(&j.job.plan, &default)
                 .expect("default compiles");
-            // qo-lint: allow(seed-salt) — experiment-local replay stream, never cached or
-            // shared with the steering loop's seed vocabulary
-            let run_seed = scope_ir::ids::mix64(u64::from(day), 0xF19);
+            let run_seed = HOLDOUT_RUN_SALT.mix(u64::from(day));
             let m_base = env
                 .cluster
                 .execute(&base.physical, j.job.job_seed, run_seed);

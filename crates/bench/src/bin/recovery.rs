@@ -53,7 +53,6 @@ fn main() {
     // literal-epoch state, so resuming mid-run exercises every durable
     // component.
     let wl = WorkloadConfig {
-        // qo-lint: allow(seed-salt) — top-level smoke-workload seed, not a derivation salt
         seed: 99,
         num_templates: 24,
         adhoc_per_day: 3,

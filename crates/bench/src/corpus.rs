@@ -1,7 +1,7 @@
 //! Shared experiment corpora: jobs, spans, and per-flip recompile results,
 //! built once per experiment run.
 
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 use scope_opt::{compute_span, Optimizer, RuleConfig, RuleFlip, SpanResult};
 use scope_runtime::Cluster;
 use scope_workload::{JobInstance, LiteralPolicy, Workload, WorkloadConfig};
@@ -90,7 +90,7 @@ impl Env {
     pub fn random_flip(&self, job: &SpannedJob, salt: u64) -> RuleFlip {
         let default = self.optimizer.default_config();
         let rules: Vec<_> = job.span.span.iter().collect();
-        let rule = rules[(mix64(job.job.job_seed, salt) as usize) % rules.len()];
+        let rule = rules[(combine(job.job.job_seed, salt) as usize) % rules.len()];
         RuleFlip {
             rule,
             enable: !default.enabled(rule),

@@ -10,7 +10,7 @@
 //!   the bench crate.
 
 use flighting::{FlightOutcome, FlightRequest, FlightingService};
-use scope_ir::ids::{mix64, EXHAUSTIVE_SAMPLE_SALT, RANDOM_FLIP_SALT};
+use scope_ir::ids::{EXHAUSTIVE_SAMPLE_SALT, RANDOM_FLIP_SALT};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
 use scope_opt::{Optimizer, RuleConfig, RuleFlip, SpanResult};
@@ -24,7 +24,7 @@ pub fn random_flip(span: &SpanResult, default: &RuleConfig, seed: u64) -> Option
     if rules.is_empty() {
         return None;
     }
-    let rule = rules[(mix64(seed, RANDOM_FLIP_SALT) as usize) % rules.len()];
+    let rule = rules[(RANDOM_FLIP_SALT.mix(seed) as usize) % rules.len()];
     Some(RuleFlip {
         rule,
         enable: !default.enabled(rule),
@@ -94,7 +94,7 @@ impl Negi2021 {
         // configurations with better estimates.
         let mut improving: Vec<(RuleConfig, f64)> = Vec::new();
         for i in 0..self.samples {
-            let draw = mix64(job_seed, i as u64 | EXHAUSTIVE_SAMPLE_SALT);
+            let draw = EXHAUSTIVE_SAMPLE_SALT.mix_tagged(job_seed, i as u64);
             let flips: Vec<RuleFlip> = rules
                 .iter()
                 .enumerate()

@@ -9,7 +9,7 @@
 //!   id and rule category (§4.2).
 
 use personalizer::{FeatureVector, SparseSlate};
-use scope_ir::ids::{mix64, SLATE_ACTION_SENTINEL, SLATE_FP_SEED};
+use scope_ir::ids::{combine, SLATE_ACTION_SENTINEL, SLATE_FP_SEED};
 use scope_ir::{ShardedCache, TemplateId};
 use scope_opt::{CacheStats, RuleFlip, RuleSet, SpanResult};
 use scope_workload::Table1Features;
@@ -115,28 +115,28 @@ const CAPACITY: usize = 1 << 12;
 const SHARDS: usize = 16;
 
 /// Shard router for the span-feature cache: the key is already two hashes,
-/// so one `mix64` folds it.
+/// so one `combine` folds it.
 fn span_key_hash(key: &(u64, u64)) -> u64 {
-    mix64(key.0, key.1)
+    combine(key.0, key.1)
 }
 
 /// Content fingerprint of a `(context, actions, dim_bits)` slate input: a
-/// `mix64` fold over every hashed feature id and value-bit pattern, with a
+/// `combine` fold over every hashed feature id and value-bit pattern, with a
 /// boundary sentinel between actions. [`SparseSlate::build`] is a pure
 /// function of exactly these inputs, so equal fingerprints (within one
 /// template — the cache key pairs this with the template id) rebuild the
 /// identical slate.
 fn slate_fingerprint(context: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> u64 {
-    let mut h = mix64(SLATE_FP_SEED, u64::from(dim_bits));
+    let mut h = SLATE_FP_SEED.start(u64::from(dim_bits));
     for &(key, value) in context.items() {
-        h = mix64(h, key);
-        h = mix64(h, value.to_bits());
+        h = combine(h, key);
+        h = combine(h, value.to_bits());
     }
     for action in actions {
-        h = mix64(h, SLATE_ACTION_SENTINEL);
+        h = SLATE_ACTION_SENTINEL.mix(h);
         for &(key, value) in action.items() {
-            h = mix64(h, key);
-            h = mix64(h, value.to_bits());
+            h = combine(h, key);
+            h = combine(h, value.to_bits());
         }
     }
     h

@@ -1,6 +1,6 @@
 // The steering loop returns typed errors instead of panicking; tests may
 // unwrap freely. The rest of the determinism contract is the workspace
-// `clippy.toml` plus `crates/qo-lint` (ARCHITECTURE.md).
+// `clippy.toml` and the `scope_ir::ids::Salt` type (ARCHITECTURE.md).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **QO-Advisor**: a steered query optimizer pipeline — the Rust
 //! reproduction of *"Deploying a Steered Query Optimizer in Production at

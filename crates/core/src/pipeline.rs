@@ -11,7 +11,7 @@ use crate::validation_model::{ValidationModel, ValidationSample};
 use flighting::{FlightRequest, FlightingService};
 use personalizer::Personalizer;
 use rustc_hash::FxHashMap;
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{CacheStats, Optimizer, RuleFlip, SpanResult};
@@ -500,7 +500,7 @@ impl QoAdvisor {
                 continue;
             };
             let rules: Vec<_> = span.span.iter().collect();
-            let pick = rules[mix64(row.job_id.0, u64::from(day)) as usize % rules.len()];
+            let pick = rules[combine(row.job_id.0, u64::from(day)) as usize % rules.len()];
             let enable = !default_config.enabled(pick);
             requests.push(FlightRequest {
                 template: row.template,

@@ -40,14 +40,14 @@ use crate::features::{action_slate, job_features, reward_from_costs, span_block}
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation};
 use personalizer::{FeatureVector, RankRequest, RankResponse, SparseSlate};
 use rustc_hash::{FxHashMap, FxHashSet};
-use scope_ir::ids::{mix64, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
+use scope_ir::ids::{combine, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
 use scope_opt::{compute_span, CompileError, Hint, Optimizer, RuleFlip, SpanResult};
 use scope_workload::ViewRow;
 use sis::HintFile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Resolve a configured worker count: `0` means one per available core.
 pub(crate) fn resolve_workers(workers: usize) -> usize {
@@ -92,7 +92,11 @@ where
         // `Err` and whatever `f` was mutating is as suspect as it is there.
         return catch_unwind(AssertUnwindSafe(|| items.map(&f).collect()));
     }
-    let source = Mutex::new(items.enumerate());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the work queue: workers take items under the lock, results reassemble in input order"
+    )]
+    let source = std::sync::Mutex::new(items.enumerate());
     let parts: Vec<std::thread::Result<Vec<(usize, U)>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -315,7 +319,7 @@ pub(crate) fn recommend(
                 &RankRequest {
                     context: context.clone(),
                     actions: actions.clone(),
-                    seed: mix64(job.row.job_id.0, mix64(u64::from(day), CB_TRAIN_RANK_SALT)),
+                    seed: combine(job.row.job_id.0, CB_TRAIN_RANK_SALT.mix(u64::from(day))),
                     log_uniform: true,
                 },
                 &sparse,
@@ -330,7 +334,7 @@ pub(crate) fn recommend(
                     &RankRequest {
                         context,
                         actions,
-                        seed: mix64(job.row.job_id.0, mix64(u64::from(day), CB_ACT_RANK_SALT)),
+                        seed: combine(job.row.job_id.0, CB_ACT_RANK_SALT.mix(u64::from(day))),
                         log_uniform: false,
                     },
                     &sparse,
@@ -343,7 +347,7 @@ pub(crate) fn recommend(
             RecommendStrategy::UniformRandom => {
                 // Uniform baseline always flips a span rule (Table 3).
                 let idx = 1
-                    + (mix64(job.row.job_id.0, mix64(u64::from(day), UNIFORM_PICK_SALT)) as usize
+                    + (combine(job.row.job_id.0, UNIFORM_PICK_SALT.mix(u64::from(day))) as usize
                         % job.span.len());
                 match flips[idx] {
                     None => ActDecision::Noop(None),
@@ -587,10 +591,14 @@ pub(crate) fn publish(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "probes of par_map itself: channel ends shared with workers sit behind a lock, the drop flag is atomic"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
     use std::time::Duration;
 
     /// One `par_map` call over `len` `(&mut visit counter, owned label)`

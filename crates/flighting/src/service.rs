@@ -2,7 +2,7 @@
 
 use crate::budget::{BudgetTracker, FlightBudget};
 use crate::outcome::{FlightMeasurement, FlightOutcome};
-use scope_ir::ids::{flight_baseline_run_seed, flight_treatment_run_seed, preflight_draw};
+use scope_ir::ids::{flight_baseline_run_seed, flight_treatment_run_seed, preflight_draw, unit};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
 use scope_opt::{Optimizer, RuleConfig};
@@ -72,7 +72,7 @@ impl FlightingService {
     /// Probability-8% deterministic "inputs expired" failures and
     /// probability-7% unsupported job classes, drawn per (job, batch).
     fn preflight_outcome(&self, job_seed: u64) -> Option<FlightOutcome> {
-        let u = (preflight_draw(job_seed, self.batch_salt) >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit(preflight_draw(job_seed, self.batch_salt));
         if u < 0.08 {
             return Some(FlightOutcome::Failure("job inputs expired".into()));
         }

@@ -1,6 +1,6 @@
 //! Sparse feature vectors with the hashing trick.
 
-use scope_ir::ids::{mix64, stable_hash64};
+use scope_ir::ids::{combine, stable_hash64};
 use serde::Serialize;
 
 /// A sparse feature vector: (hashed id, value) pairs. Feature identity is a
@@ -41,7 +41,7 @@ impl FeatureVector {
     }
 
     fn key(namespace: &str, name: &str) -> u64 {
-        mix64(
+        combine(
             stable_hash64(namespace.as_bytes()),
             stable_hash64(name.as_bytes()),
         )
@@ -130,7 +130,7 @@ impl FeatureVector {
         out.items.reserve(self.items.len() * other.items.len());
         for &(ka, va) in &self.items {
             for &(kb, vb) in &other.items {
-                out.items.push((mix64(ka, kb), va * vb * scale));
+                out.items.push((combine(ka, kb), va * vb * scale));
             }
         }
         out

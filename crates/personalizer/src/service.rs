@@ -8,7 +8,7 @@ use crate::features::FeatureVector;
 use crate::model::LinearModel;
 use crate::slate::SparseSlate;
 use rustc_hash::FxHashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError};
 
 /// A rank request: context plus candidate actions.
 #[derive(Debug, Clone)]
@@ -70,7 +70,11 @@ pub struct PersonalizerState {
 /// from pipeline stages without plumbing `&mut` through.
 #[derive(Debug)]
 pub struct Personalizer {
-    inner: Mutex<Inner>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "rank and reward run in job order on the serial pass; the lock only spares callers `&mut`"
+    )]
+    inner: std::sync::Mutex<Inner>,
 }
 
 #[derive(Debug)]
@@ -131,11 +135,12 @@ impl Personalizer {
     #[must_use]
     pub fn new(config: CbConfig) -> Self {
         Self {
-            inner: Mutex::new(Inner {
+            inner: Inner {
                 bandit: ContextualBandit::new(config),
                 pending: FxHashMap::default(),
                 next_event: 1,
-            }),
+            }
+            .into(),
         }
     }
 
@@ -257,7 +262,7 @@ impl Personalizer {
     /// allocated once. Same checks and errors as `restore_state`.
     pub fn from_state(config: CbConfig, state: &PersonalizerState) -> Result<Self, String> {
         Ok(Self {
-            inner: Mutex::new(Inner::from_state(config, state)?),
+            inner: Inner::from_state(config, state)?.into(),
         })
     }
 

@@ -23,7 +23,7 @@
 
 use crate::bandit::QUADRATIC_SCALE;
 use crate::features::FeatureVector;
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 
 /// The joint features of a whole action slate in CSR form, pre-folded into
 /// a `2^dim_bits` model table.
@@ -61,7 +61,7 @@ impl SparseSlate {
             }
             for &(ck, cv) in ctx {
                 for &(ak, av) in action.items() {
-                    slots.push((mix64(ck, ak) & mask) as u32);
+                    slots.push((combine(ck, ak) & mask) as u32);
                     values.push(cv * av * QUADRATIC_SCALE);
                 }
             }

@@ -1,3 +1,6 @@
+// Plan construction and validation fail as typed errors, never a panic;
+// tests may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Plan intermediate representation for the SCOPE-like engine.
 //!
 //! SCOPE scripts compile into *DAGs* of operators (not single trees): a job

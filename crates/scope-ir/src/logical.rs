@@ -13,7 +13,7 @@ use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
 use serde::Serialize;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A base dataset reference with dual cardinality statistics. `rows.actual`
@@ -243,7 +243,11 @@ pub struct LogicalPlan {
     outputs: Vec<NodeId>,
     /// Memoized [`LogicalPlan::fingerprint`]; 0 = not computed yet. Reset
     /// by the mutating methods, copied by `Clone`.
-    fp_memo: AtomicU64,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a memo of a pure function of the plan: every writer stores the same value"
+    )]
+    fp_memo: std::sync::atomic::AtomicU64,
 }
 
 impl Clone for LogicalPlan {
@@ -251,7 +255,7 @@ impl Clone for LogicalPlan {
         Self {
             nodes: self.nodes.clone(),
             outputs: self.outputs.clone(),
-            fp_memo: AtomicU64::new(self.fp_memo.load(Ordering::Relaxed)),
+            fp_memo: self.fp_memo.load(Ordering::Relaxed).into(),
         }
     }
 }
@@ -302,6 +306,7 @@ impl LogicalPlan {
     /// Panics if a child id is out of range (programming error at plan
     /// construction time, always caught in tests via `validate`).
     pub fn add(&mut self, op: LogicalOp, children: Vec<NodeId>) -> NodeId {
+        #[expect(clippy::expect_used, reason = "2^32 nodes is past any memory")]
         let id = NodeId(u32::try_from(self.nodes.len()).expect("plan too large"));
         for &c in &children {
             assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
@@ -644,13 +649,13 @@ impl LogicalPlan {
         if memo != 0 {
             debug_assert_eq!(
                 memo,
-                self.structural_hash(LOGICAL_FP_SALT).max(1),
+                LOGICAL_FP_SALT.fingerprint(self).max(1),
                 "memoized logical fingerprint diverged from a fresh recompute \
                  (plan mutated after fingerprinting?)"
             );
             return memo;
         }
-        let fp = self.structural_hash(LOGICAL_FP_SALT).max(1);
+        let fp = LOGICAL_FP_SALT.fingerprint(self).max(1);
         self.fp_memo.store(fp, Ordering::Relaxed);
         fp
     }

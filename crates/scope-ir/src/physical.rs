@@ -13,7 +13,7 @@ use crate::logical::{JoinKind, SortKey};
 use crate::stats::NodeStats;
 use serde::Serialize;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// How rows are distributed across the vertices of a stage.
@@ -229,7 +229,11 @@ pub struct PhysicalPlan {
     outputs: Vec<NodeId>,
     /// Memoized [`PhysicalPlan::fingerprint`]; 0 = not computed yet. Reset
     /// by the mutating methods, copied by `Clone`.
-    fp_memo: AtomicU64,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a memo of a pure function of the plan: every writer stores the same value"
+    )]
+    fp_memo: std::sync::atomic::AtomicU64,
 }
 
 impl Clone for PhysicalPlan {
@@ -237,7 +241,7 @@ impl Clone for PhysicalPlan {
         Self {
             nodes: self.nodes.clone(),
             outputs: self.outputs.clone(),
-            fp_memo: AtomicU64::new(self.fp_memo.load(Ordering::Relaxed)),
+            fp_memo: self.fp_memo.load(Ordering::Relaxed).into(),
         }
     }
 }
@@ -284,6 +288,7 @@ impl PhysicalPlan {
 
     /// Append a node; children must already exist.
     pub fn add(&mut self, node: PhysicalNode) -> NodeId {
+        #[expect(clippy::expect_used, reason = "2^32 nodes is past any memory")]
         let id = NodeId(u32::try_from(self.nodes.len()).expect("plan too large"));
         for &c in &node.children {
             assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
@@ -315,13 +320,13 @@ impl PhysicalPlan {
         if memo != 0 {
             debug_assert_eq!(
                 memo,
-                self.structural_hash(PHYSICAL_FP_SALT).max(1),
+                PHYSICAL_FP_SALT.fingerprint(self).max(1),
                 "memoized physical fingerprint diverged from a fresh recompute \
                  (plan mutated after fingerprinting?)"
             );
             return memo;
         }
-        let fp = self.structural_hash(PHYSICAL_FP_SALT).max(1);
+        let fp = PHYSICAL_FP_SALT.fingerprint(self).max(1);
         self.fp_memo.store(fp, Ordering::Relaxed);
         fp
     }

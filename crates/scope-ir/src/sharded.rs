@@ -18,6 +18,10 @@
 //! [`ShardedCache::get_or_insert_with`] is exactly that pair around a build
 //! that runs outside any lock. [`ShardedCache::stats`] snapshots them with
 //! the per-shard eviction counters summed.
+#![expect(
+    clippy::disallowed_types,
+    reason = "locking is this module's job: shards hold pure functions of their keys, first writer wins"
+)]
 
 use crate::counters::CacheStats;
 use rustc_hash::FxHashMap;
@@ -60,7 +64,7 @@ impl<K, V> Default for Shard<K, V> {
 ///
 /// The shard for a key is picked by a caller-supplied `fn(&K) -> u64` (a
 /// plain function pointer: every key type in the workspace already has a
-/// stable hash built from `mix64` and content fingerprints, and a stored
+/// stable hash built from `combine` and content fingerprints, and a stored
 /// pointer sidesteps the coherence issues a hashing trait would hit on
 /// foreign tuple keys).
 #[derive(Debug)]
@@ -205,10 +209,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::mix64;
+    use crate::ids::combine;
 
     fn cache(capacity: usize, shards: usize) -> ShardedCache<u64, u64> {
-        ShardedCache::new(capacity, shards, |k| mix64(*k, 0))
+        ShardedCache::new(capacity, shards, |k| combine(*k, 0))
     }
 
     #[test]

@@ -179,8 +179,8 @@ fn fingerprints_keep_their_pinned_values() {
     let (logical, physical) = corpus().iter().fold((0, 0), |(l, p), job| {
         let compiled = optimizer.compile(&job.plan, &default).unwrap();
         (
-            scope_ir::ids::mix64(l, job.plan.fingerprint()),
-            scope_ir::ids::mix64(p, compiled.physical.fingerprint()),
+            scope_ir::ids::combine(l, job.plan.fingerprint()),
+            scope_ir::ids::combine(p, compiled.physical.fingerprint()),
         )
     });
     assert_eq!(logical, 0xdce0_f158_6a05_cf93);

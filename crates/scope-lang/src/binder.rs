@@ -10,7 +10,7 @@ use crate::error::{LangError, Span};
 use crate::parser::parse_script;
 use rustc_hash::FxHashMap;
 use scope_ir::expr::{AggExpr, AggFunc, BinOp, ScalarExpr, Value};
-use scope_ir::ids::stable_hash64;
+use scope_ir::ids::{stable_hash64, unit};
 use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan, SortKey, TableRef};
 use scope_ir::schema::{Column, Schema};
 use scope_ir::stats::DualStats;
@@ -73,8 +73,7 @@ impl Catalog {
         predicate.normalized(&mut norm);
         let h = stable_hash64(norm.as_bytes());
         // Map hash to a log-uniform factor in [0.25, 2.5].
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let factor = 0.25 * (10.0f64).powf(unit); // 0.25 .. 2.5
+        let factor = 0.25 * (10.0f64).powf(unit(h)); // 0.25 .. 2.5
         DualStats::new((est * factor).clamp(1e-6, 1.0), est)
     }
 }
@@ -249,29 +248,30 @@ impl<'a> Binder<'a> {
                         .insert(name.clone(), (node, Schema::new(out_cols)));
                 }
                 Statement::Union { name, inputs } => {
-                    let mut children = Vec::with_capacity(inputs.len());
-                    let mut schema: Option<Schema> = None;
-                    for input in inputs {
+                    // The parser enforces this too, but a hand-built
+                    // `Script` reaches the binder without it.
+                    let (first, rest) = match inputs.as_slice() {
+                        [first, rest @ ..] if !rest.is_empty() => (first, rest),
+                        _ => return Err(LangError::bind(span, "UNION needs at least 2 inputs")),
+                    };
+                    let (first, schema) = self.dataset(first, span)?;
+                    let mut children = vec![first];
+                    for input in rest {
                         let (node, s) = self.dataset(input, span)?;
-                        if let Some(first) = &schema {
-                            if first.len() != s.len() {
-                                return Err(LangError::bind(
-                                    span,
-                                    format!(
-                                        "UNION width mismatch: {} vs {} columns",
-                                        first.len(),
-                                        s.len()
-                                    ),
-                                ));
-                            }
-                        } else {
-                            schema = Some(s);
+                        if schema.len() != s.len() {
+                            return Err(LangError::bind(
+                                span,
+                                format!(
+                                    "UNION width mismatch: {} vs {} columns",
+                                    schema.len(),
+                                    s.len()
+                                ),
+                            ));
                         }
                         children.push(node);
                     }
                     let node = self.plan.add(LogicalOp::Union, children);
-                    self.symbols
-                        .insert(name.clone(), (node, schema.expect("n>=2")));
+                    self.symbols.insert(name.clone(), (node, schema));
                 }
                 Statement::Output { input, path } => {
                     let (child, _) = self.dataset(input, span)?;
@@ -332,8 +332,7 @@ impl<'a> Binder<'a> {
                 let h = stable_hash64(
                     format!("{}|{}|{on:?}", query.from.name, join.table.name).as_bytes(),
                 );
-                let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-                DualStats::new((est * 0.25 * 10.0f64.powf(unit)).clamp(1e-9, 1.0), est)
+                DualStats::new((est * 0.25 * 10.0f64.powf(unit(h))).clamp(1e-9, 1.0), est)
             } else {
                 DualStats::exact(est)
             };
@@ -431,10 +430,9 @@ impl<'a> Binder<'a> {
             // truth perturbed deterministically (recurring instances vary).
             let est_ratio = 0.1f64.powi(group_idx.len().max(1) as i32).max(1e-6);
             let h = stable_hash64(format!("agg|{group_idx:?}").as_bytes());
-            let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
             let group_ratio = if self.catalog.realistic_selectivity {
                 DualStats::new(
-                    (est_ratio * 0.25 * 10.0f64.powf(unit)).clamp(1e-9, 1.0),
+                    (est_ratio * 0.25 * 10.0f64.powf(unit(h))).clamp(1e-9, 1.0),
                     est_ratio,
                 )
             } else {
@@ -674,6 +672,28 @@ mod tests {
         "#;
         let err = bind_script(src, &Catalog::default()).unwrap_err();
         assert!(err.to_string().contains("width mismatch"), "{err}");
+    }
+
+    #[test]
+    fn hand_built_union_of_fewer_than_two_inputs_is_bind_error() {
+        for inputs in [vec![], vec!["a".to_string()]] {
+            let script = Script {
+                statements: vec![
+                    Statement::Extract {
+                        name: "a".into(),
+                        columns: vec![("x".into(), scope_ir::schema::DataType::Int)],
+                        path: "t".into(),
+                        extractor: None,
+                    },
+                    Statement::Union {
+                        name: "u".into(),
+                        inputs,
+                    },
+                ],
+            };
+            let err = Binder::new(&Catalog::default()).bind(&script).unwrap_err();
+            assert!(err.to_string().contains("at least 2 inputs"), "{err}");
+        }
     }
 
     #[test]

@@ -1,3 +1,6 @@
+// Malformed scripts fail as a typed `LangError`, never a panic; tests may
+// unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! A SCOPE-like scripting language front-end.
 //!
 //! SCOPE scripts are "composed as a data flow of one or more SQL statements

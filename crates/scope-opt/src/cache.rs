@@ -28,7 +28,7 @@
 use crate::config::{RuleBits, RuleConfig};
 use crate::delta::{DeltaCompiler, DeltaConfig, DeltaStats};
 use crate::search::{CompileError, Compiled, Optimizer};
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
@@ -85,7 +85,7 @@ pub struct CompileCache {
 }
 
 fn compile_key_hash(key: &Key) -> u64 {
-    mix64(key.0, key.1.fingerprint())
+    combine(key.0, key.1.fingerprint())
 }
 
 /// The value the cache stores for one insert: a fresh deep copy of the

@@ -123,7 +123,7 @@ impl RuleBits {
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xdead_beef_cafe_f00du64;
         for (i, w) in self.words.iter().enumerate() {
-            h = scope_ir::ids::mix64(h, w.wrapping_add(i as u64));
+            h = scope_ir::ids::combine(h, w.wrapping_add(i as u64));
         }
         h
     }

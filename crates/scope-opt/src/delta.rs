@@ -68,13 +68,13 @@ use crate::rules::apply_transform;
 use crate::search::{CompileError, Compiled, Optimizer};
 use crate::tasks::TaskEngine;
 use rustc_hash::FxHashMap;
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::Serialize;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, PoisonError};
 
 /// The delta compiler's one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -212,7 +212,11 @@ pub struct BaseMemo {
     /// frozen memo, but computing it is a full-memo scan — and every
     /// enabled-transform treatment of every slate priced against this base
     /// asks it again.
-    fires: RwLock<FxHashMap<TransformKind, bool>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a lazy memo of pure answers about a frozen memo: every writer stores the same value"
+    )]
+    fires: std::sync::RwLock<FxHashMap<TransformKind, bool>>,
 }
 
 /// Internal classification of a treatment against a base.
@@ -259,7 +263,7 @@ impl BaseMemo {
             roots: full.roots,
             fired_transforms: full.run.fired_transforms,
             parents,
-            fires: RwLock::new(FxHashMap::default()),
+            fires: Default::default(),
         })
     }
 
@@ -485,7 +489,7 @@ impl BaseMemo {
 type BaseKey = (u64, RuleBits);
 
 fn base_key_hash(key: &BaseKey) -> u64 {
-    mix64(key.0, key.1.fingerprint())
+    combine(key.0, key.1.fingerprint())
 }
 
 /// The sharded base-memo cache plus treatment-resolution counters: the
@@ -495,12 +499,16 @@ fn base_key_hash(key: &BaseKey) -> u64 {
 /// The memos live in a [`ShardedCache`] (the workspace-wide lock-sharded
 /// FIFO cache), which also gives this cache per-shard eviction attribution.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "telemetry counters: commutative adds that no steering decision reads"
+)]
 pub struct DeltaCompiler {
     bases: ShardedCache<BaseKey, Arc<BaseMemo>>,
-    pruned: AtomicU64,
-    delta: AtomicU64,
-    full: AtomicU64,
-    replay_tasks: AtomicU64,
+    pruned: std::sync::atomic::AtomicU64,
+    delta: std::sync::atomic::AtomicU64,
+    full: std::sync::atomic::AtomicU64,
+    replay_tasks: std::sync::atomic::AtomicU64,
 }
 
 impl Default for DeltaCompiler {
@@ -513,10 +521,10 @@ impl DeltaCompiler {
     fn sized(capacity: usize, shards: usize) -> Self {
         Self {
             bases: ShardedCache::new(capacity, shards, base_key_hash),
-            pruned: AtomicU64::new(0),
-            delta: AtomicU64::new(0),
-            full: AtomicU64::new(0),
-            replay_tasks: AtomicU64::new(0),
+            pruned: Default::default(),
+            delta: Default::default(),
+            full: Default::default(),
+            replay_tasks: Default::default(),
         }
     }
 

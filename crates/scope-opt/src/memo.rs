@@ -42,13 +42,12 @@
 use crate::config::{RuleBits, RuleId};
 use crate::search::CompileError;
 use rustc_hash::FxHashMap;
-use scope_ir::ids::{mix64, MEMO_EXPR_KEY_SALT};
+use scope_ir::ids::{combine, MEMO_EXPR_KEY_SALT};
 use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan};
 use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalTuning};
 use scope_ir::schema::{Column, DataType, Schema};
 use scope_ir::stats::{DualStats, NodeStats};
 use scope_ir::NodeId;
-use serde::Serialize;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -282,11 +281,8 @@ impl Memo {
     /// folded with the child group ids.
     fn expr_key(op: &LogicalOp, children: &[GroupId]) -> u64 {
         children.iter().fold(
-            mix64(
-                op.structural_hash(MEMO_EXPR_KEY_SALT),
-                children.len() as u64,
-            ),
-            |h, c| mix64(h, u64::from(c.0)),
+            combine(MEMO_EXPR_KEY_SALT.fingerprint(op), children.len() as u64),
+            |h, c| combine(h, u64::from(c.0)),
         )
     }
 

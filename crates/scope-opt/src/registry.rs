@@ -15,8 +15,11 @@
 
 use crate::config::{RuleBits, RuleConfig, RuleId, RULE_COUNT};
 use scope_ir::ids::{
-    mix64, stable_hash64, COMPRESSION_IO_SALT, DISABLE_UNSTABLE_SALT, FALLBACK_UNSTABLE_SALT,
-    RULE_INSTABILITY_SALT, TUNING_NOISE_AXIS_FLIP,
+    combine, stable_hash64, unit, unit_draw, Salt, COMPRESSION_IO_SALT, DISABLE_UNSTABLE_SALT,
+    FALLBACK_UNSTABLE_SALT, RULE_ACTUAL_CPU_SALT, RULE_ACTUAL_IO_SALT, RULE_AXIS_SALT,
+    RULE_CLAIM_CPU_SALT, RULE_CLAIM_IO_SALT, RULE_CLAIM_PARALLELISM_SALT,
+    RULE_CLAIM_PARALLEL_CPU_SALT, RULE_INSTABILITY_RATE_SALT, RULE_INSTABILITY_SALT,
+    RULE_OFF_BY_DEFAULT_SALT, RULE_PROMISE_SALT, TUNING_NOISE_AXIS_FLIP,
 };
 use scope_ir::PhysicalTuning;
 use serde::Serialize;
@@ -484,10 +487,10 @@ impl RuleSet {
             // Claimed effects: log-uniform around 1 with one dominant axis so
             // rules are distinguishable (pure-CPU rules, pure-IO rules, and
             // parallelism rules).
-            let unit = |salt: u64| (mix64(h, salt) >> 11) as f64 / (1u64 << 53) as f64;
-            let axis = mix64(h, 0xA) % 100;
+            let draw = |salt: Salt| unit_draw(h, salt);
+            let axis = RULE_AXIS_SALT.mix(h) % 100;
             let spread = |u: f64, lo: f64, hi: f64| lo * (hi / lo).powf(u);
-            let off = unit(5) < 0.45;
+            let off = draw(RULE_OFF_BY_DEFAULT_SALT) < 0.45;
             // Enabled-by-default long-tail rules have mild, well-understood
             // effects; the experimental (off-by-default) tail is where the
             // big claimed wins — and the big risks — live. This is exactly
@@ -502,12 +505,16 @@ impl RuleSet {
                 // IO-axis rules are the plurality: SCOPE's long tail is full
                 // of I/O-shape knobs, and data volume is what the validation
                 // model keys on.
-                claimed.io_mult = spread(unit(2), io_lo, io_hi);
+                claimed.io_mult = spread(draw(RULE_CLAIM_IO_SALT), io_lo, io_hi);
             } else if axis < 78 {
-                claimed.cpu_mult = spread(unit(1), cpu_lo, cpu_hi);
+                claimed.cpu_mult = spread(draw(RULE_CLAIM_CPU_SALT), cpu_lo, cpu_hi);
             } else {
-                claimed.parallelism_mult = if unit(3) < 0.5 { 0.5 } else { 2.0 };
-                claimed.cpu_mult = spread(unit(4), 0.92, 1.08);
+                claimed.parallelism_mult = if draw(RULE_CLAIM_PARALLELISM_SALT) < 0.5 {
+                    0.5
+                } else {
+                    2.0
+                };
+                claimed.cpu_mult = spread(draw(RULE_CLAIM_PARALLEL_CPU_SALT), 0.92, 1.08);
             }
             let category = if off {
                 RuleCategory::OffByDefault
@@ -515,8 +522,12 @@ impl RuleSet {
                 RuleCategory::OnByDefault
             };
             // Only experimental (off-by-default) rules are unstable.
-            let instability = if off { 0.08 + 0.35 * unit(6) } else { 0.0 };
-            let promise = 2.0 + 2.0 * unit(7);
+            let instability = if off {
+                0.08 + 0.35 * draw(RULE_INSTABILITY_RATE_SALT)
+            } else {
+                0.0
+            };
+            let promise = 2.0 + 2.0 * draw(RULE_PROMISE_SALT);
             let id = RuleId(raw);
             rules.push(RuleDef {
                 id,
@@ -640,11 +651,10 @@ impl RuleSet {
         if spec_instability <= 0.0 {
             return false;
         }
-        let u = (mix64(
-            mix64(template_seed, config_fingerprint),
-            u64::from(id.0) | RULE_INSTABILITY_SALT,
-        ) >> 11) as f64
-            / (1u64 << 53) as f64;
+        let u = unit(
+            RULE_INSTABILITY_SALT
+                .mix_tagged(combine(template_seed, config_fingerprint), u64::from(id.0)),
+        );
         u < spec_instability
     }
 
@@ -657,15 +667,11 @@ impl RuleSet {
         let RuleBehavior::Parametric(spec) = &self.rule(id).behavior else {
             return PhysicalTuning::IDENTITY;
         };
-        let noise = |salt: u64, sigma: f64| -> f64 {
+        let noise = |salt: Salt, sigma: f64| -> f64 {
             // Log-normal-ish multiplicative noise from two uniform draws.
-            let u1 = (mix64(template_seed, mix64(u64::from(id.0), salt)) >> 11) as f64
-                / (1u64 << 53) as f64;
-            let u2 = (mix64(
-                template_seed,
-                mix64(u64::from(id.0), salt ^ TUNING_NOISE_AXIS_FLIP),
-            ) >> 11) as f64
-                / (1u64 << 53) as f64;
+            let u1 = unit(combine(template_seed, salt.mix(u64::from(id.0))));
+            let flipped = salt.flip(TUNING_NOISE_AXIS_FLIP);
+            let u2 = unit(combine(template_seed, flipped.mix(u64::from(id.0))));
             let n = (u1 + u2 - 1.0) * 2.0; // triangular on [-2, 2]
             (sigma * n).exp()
         };
@@ -676,12 +682,12 @@ impl RuleSet {
         // improvements a poor predictor of runtime improvements (Fig 6)
         // while DataRead/DataWritten deltas stay excellent predictors of
         // PNhours deltas (Figs 7/8).
-        let regress = |claimed: f64, exponent: f64, salt: u64| {
+        let regress = |claimed: f64, exponent: f64, salt: Salt| {
             (claimed.powf(exponent) * noise(salt, 0.18)).max(0.05)
         };
         PhysicalTuning {
-            cpu_mult: regress(spec.claimed.cpu_mult, 0.45, 1),
-            io_mult: regress(spec.claimed.io_mult, 0.85, 2),
+            cpu_mult: regress(spec.claimed.cpu_mult, 0.45, RULE_ACTUAL_CPU_SALT),
+            io_mult: regress(spec.claimed.io_mult, 0.85, RULE_ACTUAL_IO_SALT),
             // Parallelism is a deterministic plan property (vertex counts
             // must not be noisy), so actual == claimed.
             parallelism_mult: spec.claimed.parallelism_mult,
@@ -697,8 +703,7 @@ impl RuleSet {
     /// failures besides experimental-rule instability.
     #[must_use]
     pub fn fallback_unstable_for(&self, template_seed: u64) -> bool {
-        let u = (mix64(template_seed, FALLBACK_UNSTABLE_SALT) >> 11) as f64 / (1u64 << 53) as f64;
-        u < 0.35
+        unit_draw(template_seed, FALLBACK_UNSTABLE_SALT) < 0.35
     }
 
     /// Whether *disabling* a default-on parametric rule crashes compilation
@@ -717,11 +722,10 @@ impl RuleSet {
         if !matches!(def.behavior, RuleBehavior::Parametric(_)) || !def.category.default_on() {
             return false;
         }
-        let u = (mix64(
-            mix64(template_seed, config_fingerprint),
-            u64::from(id.0) | DISABLE_UNSTABLE_SALT,
-        ) >> 11) as f64
-            / (1u64 << 53) as f64;
+        let u = unit(
+            DISABLE_UNSTABLE_SALT
+                .mix_tagged(combine(template_seed, config_fingerprint), u64::from(id.0)),
+        );
         u < 0.05
     }
 
@@ -730,11 +734,10 @@ impl RuleSet {
     /// realized ratio depends on how compressible the template's data is).
     #[must_use]
     pub fn compression_actual_io(&self, template_seed: u64) -> f64 {
-        let u = (mix64(
-            template_seed,
-            u64::from(RULE_INTERMEDIATE_COMPRESSION.0) | COMPRESSION_IO_SALT,
-        ) >> 11) as f64
-            / (1u64 << 53) as f64;
+        let u = unit(
+            COMPRESSION_IO_SALT
+                .mix_tagged(template_seed, u64::from(RULE_INTERMEDIATE_COMPRESSION.0)),
+        );
         // Realized compression between 0.65 (very compressible) and 1.05
         // (incompressible, pure overhead).
         0.65 + 0.40 * u

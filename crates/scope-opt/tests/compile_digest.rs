@@ -3,14 +3,14 @@
 //! of every flippable rule, and each job's span fixpoint is run; every
 //! artifact — physical fingerprint, `est_cost` bits, signature fingerprint,
 //! `(memo_groups, memo_exprs)`, or the error text — is folded into one
-//! `mix64` digest per seed.
+//! `combine` digest per seed.
 //!
 //! The digests were recorded at the parent of the change that split
 //! `PExpr` into a shared `PShape` (before `impls.rs` was touched). A moved
 //! digest means some compile of some rule flip changed, not just a plan
 //! `structural_hash.rs` pins or a memo size `memo_dedup_pins.rs` pins.
 
-use scope_ir::ids::{mix64, stable_hash64};
+use scope_ir::ids::{combine, stable_hash64};
 use scope_opt::{compute_span, CompileError, Compiled, Optimizer, RuleFlip};
 use scope_workload::{Workload, WorkloadConfig};
 
@@ -24,8 +24,8 @@ fn fold_compile(h: u64, result: &Result<Compiled, CompileError>) -> u64 {
             c.memo_exprs as u64,
         ]
         .into_iter()
-        .fold(h, mix64),
-        Err(e) => mix64(h, stable_hash64(e.to_string().as_bytes())),
+        .fold(h, combine),
+        Err(e) => combine(h, stable_hash64(e.to_string().as_bytes())),
     }
 }
 
@@ -61,8 +61,8 @@ fn digest(seed: u64) -> (u64, usize, usize) {
     }
     for job in &jobs {
         h = match compute_span(&optimizer, &job.plan, 6) {
-            Ok(span) => mix64(mix64(h, span.span.fingerprint()), span.iterations as u64),
-            Err(e) => mix64(h, stable_hash64(e.to_string().as_bytes())),
+            Ok(span) => combine(combine(h, span.span.fingerprint()), span.iterations as u64),
+            Err(e) => combine(h, stable_hash64(e.to_string().as_bytes())),
         };
     }
     (h, compiles, errors)

@@ -33,7 +33,7 @@ use crate::executor::{execute, execute_stages, Executor};
 use crate::metrics::ExecutionMetrics;
 use crate::stage::StageGraph;
 use scope_ir::counters::CacheStats;
-use scope_ir::ids::mix64;
+use scope_ir::ids::combine;
 use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::Serialize;
@@ -149,11 +149,11 @@ type ResultKey = (u64, u64, u64, u64);
 type GraphKey = (u64, u64);
 
 fn result_key_hash(key: &ResultKey) -> u64 {
-    mix64(mix64(key.0, key.1), mix64(key.2, key.3))
+    combine(combine(key.0, key.1), combine(key.2, key.3))
 }
 
 fn graph_key_hash(key: &GraphKey) -> u64 {
-    mix64(key.0, key.1)
+    combine(key.0, key.1)
 }
 
 /// The sharded execution-result cache: two [`ShardedCache`]s (the

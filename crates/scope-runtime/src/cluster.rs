@@ -1,6 +1,6 @@
 //! Cluster hardware model and the cloud variance model.
 
-use scope_ir::ids::{mix64, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
+use scope_ir::ids::{combine, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
 use serde::Serialize;
 
 /// Hardware constants of the simulated cluster.
@@ -132,9 +132,7 @@ impl Cluster {
     /// which differ only in noise.
     #[must_use]
     pub fn config_epoch(&self) -> u64 {
-        self.config
-            .structural_hash(CLUSTER_CONFIG_EPOCH_SALT)
-            .max(1)
+        CLUSTER_CONFIG_EPOCH_SALT.fingerprint(&self.config).max(1)
     }
 
     /// Stable fingerprint of the full execution environment (hardware *and*
@@ -143,9 +141,9 @@ impl Cluster {
     /// yields a fresh epoch and implicitly invalidates its cached results.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        mix64(
+        combine(
             self.config_epoch(),
-            self.variance.structural_hash(CLUSTER_VARIANCE_EPOCH_SALT),
+            CLUSTER_VARIANCE_EPOCH_SALT.fingerprint(&self.variance),
         )
         .max(1)
     }
@@ -216,7 +214,7 @@ mod tests {
         assert_eq!(Cluster::preproduction().epoch(), 0xbb8e_ac17_905f_ab0e);
         assert_eq!(
             prod.config_epoch(),
-            scope_ir::ids::hash_value(&prod.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT)
+            scope_ir::ids::hash_value(&prod.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT.value())
         );
     }
 

@@ -27,7 +27,7 @@
 //! Everything is little-endian; `f64`s travel as IEEE-754 bit patterns
 //! (`to_bits`), so round-trips are exact — including NaNs. The checksum is
 //! [`scope_ir::ids::stable_hash64`], the workspace's FNV-1a — no new hash
-//! constants, per qo-lint QL03.
+//! constants.
 //!
 //! The bandit's `2^dim_bits` weight table travels as its non-`+0.0` slots,
 //! strictly ascending ([`frame::section::PERSONALIZER`]): a snapshot is the

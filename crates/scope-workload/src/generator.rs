@@ -5,12 +5,12 @@ use crate::template::{LiteralPolicy, TemplateSpec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use scope_ir::ids::{
-    mix64, ADHOC_TEMPLATE_SALT, DEFAULT_WORKLOAD_SEED, JOB_ID_SALT, TEMPLATE_INDEX_SALT,
+    combine, ADHOC_TEMPLATE_SALT, DEFAULT_WORKLOAD_SEED, JOB_ID_SALT, TEMPLATE_INDEX_SALT,
     TEMPLATE_SCHEDULE_SALT,
 };
 use scope_ir::logical::LogicalPlan;
 use scope_ir::{JobId, ShardedCache, TemplateId};
-use scope_lang::bind_script;
+use scope_lang::{bind_script, Catalog};
 use std::sync::Arc;
 
 /// Workload shape parameters.
@@ -83,8 +83,17 @@ pub struct JobInstance {
 /// unique per submission, so there is nothing to reuse.
 type PlanMemo = ShardedCache<(u64, u32), (Arc<LogicalPlan>, TemplateId)>;
 
+/// Bind a script the generator wrote.
+fn bind_generated(script: &str, catalog: &Catalog) -> LogicalPlan {
+    #[expect(
+        clippy::expect_used,
+        reason = "every pattern binds: `all_patterns_produce_bindable_scripts`"
+    )]
+    bind_script(script, catalog).expect("generated scripts always bind")
+}
+
 fn plan_memo_hash(key: &(u64, u32)) -> u64 {
-    mix64(key.0, u64::from(key.1))
+    combine(key.0, u64::from(key.1))
 }
 
 /// The full synthetic workload.
@@ -102,9 +111,9 @@ impl Workload {
     pub fn new(config: WorkloadConfig) -> Self {
         let mut recurring = Vec::with_capacity(config.num_templates);
         for i in 0..config.num_templates {
-            let tseed = mix64(config.seed, i as u64 | TEMPLATE_INDEX_SALT);
+            let tseed = TEMPLATE_INDEX_SALT.mix_tagged(config.seed, i as u64);
             let spec = TemplateSpec::generate(tseed);
-            let mut rng = StdRng::seed_from_u64(mix64(tseed, TEMPLATE_SCHEDULE_SALT));
+            let mut rng = StdRng::seed_from_u64(TEMPLATE_SCHEDULE_SALT.mix(tseed));
             let period_days = if rng.random_range(0.0..1.0) < 0.7 {
                 1
             } else {
@@ -147,8 +156,7 @@ impl Workload {
                     let (script, catalog) =
                         rt.spec
                             .instantiate_with(self.config.literals, day, instance);
-                    let plan = bind_script(&script, &catalog)
-                        .expect("generated scripts always bind; tested per pattern");
+                    let plan = bind_generated(&script, &catalog);
                     let template = plan.template_id();
                     let entry = (Arc::new(plan), template);
                     if sticky {
@@ -156,9 +164,9 @@ impl Workload {
                     }
                     entry
                 });
-                let job_seed = mix64(rt.spec.seed, mix64(u64::from(day), u64::from(instance)));
+                let job_seed = combine(rt.spec.seed, combine(u64::from(day), u64::from(instance)));
                 jobs.push(JobInstance {
-                    job_id: JobId(mix64(job_seed, JOB_ID_SALT)),
+                    job_id: JobId(JOB_ID_SALT.mix(job_seed)),
                     name: rt.spec.instance_name(day, instance),
                     plan,
                     template,
@@ -169,18 +177,18 @@ impl Workload {
             }
         }
         for i in 0..self.config.adhoc_per_day {
-            let tseed = mix64(
+            let tseed = combine(
                 self.config.seed,
-                mix64(u64::from(day), i as u64 | ADHOC_TEMPLATE_SALT),
+                ADHOC_TEMPLATE_SALT.mix_tagged(u64::from(day), i as u64),
             );
             let spec = TemplateSpec::generate(tseed);
             let (script, catalog) = spec.instantiate(day, 0);
-            let plan = bind_script(&script, &catalog).expect("generated scripts always bind");
+            let plan = bind_generated(&script, &catalog);
             let template = plan.template_id();
             let plan = Arc::new(plan);
-            let job_seed = mix64(tseed, u64::from(day));
+            let job_seed = combine(tseed, u64::from(day));
             jobs.push(JobInstance {
-                job_id: JobId(mix64(job_seed, JOB_ID_SALT)),
+                job_id: JobId(JOB_ID_SALT.mix(job_seed)),
                 name: spec.instance_name(day, 0),
                 plan,
                 template,

@@ -1,3 +1,6 @@
+// Generation and view building fail as typed errors, never a panic; tests
+// may unwrap freely.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! Synthetic SCOPE workload generator.
 //!
 //! Produces populations of **recurring job templates** ("periodically

@@ -4,8 +4,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use scope_ir::ids::{
-    mix64, stable_hash64, CARDINALITY_DRIFT_SALT, DRIFT_SECOND_DRAW_SALT, STICKY_LITERAL_SALT,
-    TEMPLATE_STRUCTURE_SALT,
+    combine, stable_hash64, unit, unit_draw, CARDINALITY_DRIFT_SALT, DRIFT_SECOND_DRAW_SALT,
+    STICKY_LITERAL_SALT, TEMPLATE_STRUCTURE_SALT,
 };
 use scope_ir::stats::DualStats;
 use scope_lang::{Catalog, TableInfo};
@@ -133,9 +133,7 @@ impl LiteralPolicy {
             LiteralPolicy::FreshEachRun => false,
             LiteralPolicy::Sticky { .. } => true,
             LiteralPolicy::Mixed { sticky_fraction } => {
-                let u =
-                    (mix64(template_seed, STICKY_LITERAL_SALT) >> 11) as f64 / (1u64 << 53) as f64;
-                u < sticky_fraction
+                unit_draw(template_seed, STICKY_LITERAL_SALT) < sticky_fraction
             }
         }
     }
@@ -207,12 +205,9 @@ impl std::str::FromStr for LiteralPolicy {
 /// log-normal-ish multiplier in roughly [0.5, 2.0].
 #[must_use]
 pub fn cardinality_drift(table_path: &str, day: u32) -> f64 {
-    let h = mix64(
-        stable_hash64(table_path.as_bytes()),
-        u64::from(day) | CARDINALITY_DRIFT_SALT,
-    );
-    let u1 = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let u2 = (mix64(h, DRIFT_SECOND_DRAW_SALT) >> 11) as f64 / (1u64 << 53) as f64;
+    let h = CARDINALITY_DRIFT_SALT.mix_tagged(stable_hash64(table_path.as_bytes()), u64::from(day));
+    let u1 = unit(h);
+    let u2 = unit_draw(h, DRIFT_SECOND_DRAW_SALT);
     let n = (u1 + u2 - 1.0) * 2.0; // triangular in [-2, 2]
     (0.35 * n).exp()
 }
@@ -221,7 +216,7 @@ impl TemplateSpec {
     /// Generate a template from a seed.
     #[must_use]
     pub fn generate(seed: u64) -> TemplateSpec {
-        let mut rng = StdRng::seed_from_u64(mix64(seed, TEMPLATE_STRUCTURE_SALT));
+        let mut rng = StdRng::seed_from_u64(TEMPLATE_STRUCTURE_SALT.mix(seed));
         let pattern = Pattern::draw(&mut rng);
         let tag = format!("{seed:010x}");
         let table = |i: usize, rng: &mut StdRng, lo: f64, hi: f64| {
@@ -368,8 +363,10 @@ OUTPUT hot TO "out/{tag}_hot";
         instance: u32,
     ) -> (String, Catalog) {
         let (day, instance) = policy.draw_coords(self.seed, day, instance);
-        let mut rng =
-            StdRng::seed_from_u64(mix64(self.seed, mix64(u64::from(day), u64::from(instance))));
+        let mut rng = StdRng::seed_from_u64(combine(
+            self.seed,
+            combine(u64::from(day), u64::from(instance)),
+        ));
         let mut script = self.skeleton.clone();
         for i in 0..4 {
             let placeholder = format!("__L{i}__");
@@ -560,7 +557,7 @@ mod tests {
         };
         let n = 400;
         let sticky = (0..n)
-            .filter(|seed| policy.is_sticky_template(mix64(*seed, 0xABCD)))
+            .filter(|seed| policy.is_sticky_template(combine(*seed, 0xABCD)))
             .count();
         let frac = sticky as f64 / n as f64;
         assert!(

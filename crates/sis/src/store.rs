@@ -5,7 +5,7 @@ use scope_opt::{Hint, HintSet, RuleConfig, RULE_COUNT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLockReadGuard};
 
 /// The on-disk hint file format published by the pipeline's Hint Generation
 /// task ("the output is saved to a file in the SIS pre-defined format", §4.4).
@@ -62,7 +62,11 @@ impl std::error::Error for SisError {}
 pub struct SisStore {
     /// Optional persistence directory; `None` keeps everything in memory.
     dir: Option<PathBuf>,
-    state: RwLock<State>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "only the serial publish step writes the hint set"
+    )]
+    state: std::sync::RwLock<State>,
 }
 
 #[derive(Debug, Default)]
@@ -83,7 +87,7 @@ impl SisStore {
     pub fn in_memory() -> Self {
         Self {
             dir: None,
-            state: RwLock::new(State::default()),
+            state: Default::default(),
         }
     }
 
@@ -93,7 +97,7 @@ impl SisStore {
         std::fs::create_dir_all(&dir).map_err(|e| SisError::Io(e.to_string()))?;
         Ok(Self {
             dir: Some(dir),
-            state: RwLock::new(State::default()),
+            state: Default::default(),
         })
     }
 

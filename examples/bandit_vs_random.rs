@@ -13,7 +13,6 @@ use scope_workload::{build_view, WorkloadConfig};
 
 fn main() {
     let workload = WorkloadConfig {
-        // qo-lint: allow(seed-salt) — top-level demo seed, not a derivation salt
         seed: 31_337,
         num_templates: 40,
         adhoc_per_day: 8,

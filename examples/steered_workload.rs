@@ -12,7 +12,6 @@ use scope_workload::WorkloadConfig;
 
 fn main() {
     let workload = WorkloadConfig {
-        // qo-lint: allow(seed-salt) — top-level demo seed, not a derivation salt
         seed: 7_2022,
         num_templates: 40,
         adhoc_per_day: 10,

@@ -1,10 +1,10 @@
 //! Pins the clippy half of the determinism contract. Hash-order iteration,
-//! the wall clock and unwraps on the steering path are enforced by
-//! configuration rather than by qo-lint rules, so deleting one config line
-//! must fail `cargo test` the way deleting a rule fails its golden fixture.
+//! the wall clock, the raw seed mixer, shared interior mutability and
+//! unwraps on the steering path are enforced by configuration, so deleting
+//! one config line must fail `cargo test`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Every method `clippy.toml` must list under `disallowed-methods`. The
 /// `HashMap`/`HashSet` paths also cover `FxHashMap`/`FxHashSet`, which are
@@ -24,12 +24,30 @@ const DISALLOWED_METHODS: &[&str] = &[
     "std::collections::HashSet::iter",
     "std::collections::HashSet::drain",
     "std::collections::HashSet::retain",
+    "serde::hash::mix64",
 ];
 
-const DISALLOWED_TYPES: &[&str] = &["std::time::SystemTime"];
+/// Every type `clippy.toml` must list under `disallowed-types`: the wall
+/// clock, and the locks and atomics a `par_map` closure could share.
+const DISALLOWED_TYPES: &[&str] = &[
+    "std::time::SystemTime",
+    "std::sync::Mutex",
+    "std::sync::RwLock",
+    "std::sync::atomic::AtomicBool",
+    "std::sync::atomic::AtomicU8",
+    "std::sync::atomic::AtomicU16",
+    "std::sync::atomic::AtomicU32",
+    "std::sync::atomic::AtomicU64",
+    "std::sync::atomic::AtomicUsize",
+    "std::sync::atomic::AtomicI8",
+    "std::sync::atomic::AtomicI16",
+    "std::sync::atomic::AtomicI32",
+    "std::sync::atomic::AtomicI64",
+    "std::sync::atomic::AtomicIsize",
+];
 
 /// Files that must enable `unwrap_used`/`expect_used` outside tests: the
-/// crate roots of the steering path, the optimizer's included.
+/// crate roots of the steering path, down to the language and the IR.
 const NO_UNWRAP: &[&str] = &[
     "crates/core/src/lib.rs",
     "crates/flighting/src/lib.rs",
@@ -38,14 +56,16 @@ const NO_UNWRAP: &[&str] = &[
     "crates/scope-runtime/src/lib.rs",
     "crates/sis/src/lib.rs",
     "crates/scope-opt/src/lib.rs",
+    "crates/scope-lang/src/lib.rs",
+    "crates/scope-workload/src/lib.rs",
+    "crates/scope-ir/src/lib.rs",
 ];
 
 const NO_UNWRAP_ATTR: &str =
     "#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]";
 
-fn root() -> PathBuf {
-    qo_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("the gate test runs inside the workspace")
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
 fn read(rel: &str) -> String {

@@ -28,7 +28,7 @@ use qo_advisor::{
     DailyReport, DayOutcome, Fleet, FleetConfig, PipelineConfig, ProductionSim, SnapshotPolicy,
     StageTimings, StreamConfig,
 };
-use scope_ir::ids::{mix64, stable_hash64};
+use scope_ir::ids::{combine, stable_hash64};
 use scope_opt::{CompileBudget, Optimizer};
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
@@ -185,7 +185,7 @@ struct Digest {
 }
 
 fn fold(h: u64, bytes: &[u8]) -> u64 {
-    mix64(h, stable_hash64(bytes))
+    combine(h, stable_hash64(bytes))
 }
 
 impl Digest {
