@@ -459,11 +459,11 @@ mod tests {
             (PREFLIGHT_SALT, 0xF11),
             (EXEC_BASE_SALT, 0x5eed_cafe),
             (EXEC_STAGE_SALT, 0x57A6_0000),
-            (Salt(DEFAULT_WORKLOAD_SEED), 0x5c09e),
         ];
         for &(salt, value) in pinned {
             assert_eq!(salt.0, value);
         }
+        assert_eq!(DEFAULT_WORKLOAD_SEED, 0x5c09e);
     }
 
     #[test]
