@@ -47,8 +47,8 @@ pub fn job_features(table1: &Table1Features) -> FeatureVector {
     fv.log_bucket("job", "vertices", table1.total_vertices);
     fv.log_bucket("job", "max_memory", table1.max_memory);
     fv.log_bucket("job", "avg_row_len", table1.avg_row_length);
-    fv.flag("job", &format!("name:{}", table1.normalized_name));
-    fv.flag("job", &format!("qtpl:{:x}", table1.query_template));
+    fv.flag_fmt("job", format_args!("name:{}", table1.normalized_name));
+    fv.flag_fmt("job", format_args!("qtpl:{:x}", table1.query_template));
     fv
 }
 
@@ -61,7 +61,7 @@ pub fn job_features(table1: &Table1Features) -> FeatureVector {
 ///
 /// Spans are a pure function of the template's plan, so this block is
 /// identical for every instance of a template on every day — which is why
-/// [`FeatureCache`] can memoize it.
+/// [`FeatureCache`] can memoize it (in a [`SpanFeatures`] entry).
 #[must_use]
 pub fn span_block(span: &SpanResult, max_span_for_triples: usize) -> FeatureVector {
     let mut fv = FeatureVector::new();
@@ -89,7 +89,8 @@ pub fn span_block(span: &SpanResult, max_span_for_triples: usize) -> FeatureVect
 /// Span-feature-cache configuration (the `--feature-cache` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeatureCacheConfig {
-    /// Disabled = rebuild the span block per job (the pre-cache behavior).
+    /// Disabled = rebuild the span block and action slate per job (the
+    /// pre-cache behavior).
     pub enabled: bool,
 }
 
@@ -120,43 +121,80 @@ fn span_key_hash(key: &(u64, u64)) -> u64 {
     combine(key.0, key.1)
 }
 
-/// Content fingerprint of a `(context, actions, dim_bits)` slate input: a
-/// `combine` fold over every hashed feature id and value-bit pattern, with a
-/// boundary sentinel between actions. [`SparseSlate::build`] is a pure
-/// function of exactly these inputs, so equal fingerprints (within one
-/// template — the cache key pairs this with the template id) rebuild the
-/// identical slate.
-fn slate_fingerprint(context: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> u64 {
-    let mut h = SLATE_FP_SEED.start(u64::from(dim_bits));
-    for &(key, value) in context.items() {
-        h = combine(h, key);
-        h = combine(h, value.to_bits());
-    }
-    for action in actions {
-        h = SLATE_ACTION_SENTINEL.mix(h);
-        for &(key, value) in action.items() {
-            h = combine(h, key);
-            h = combine(h, value.to_bits());
-        }
-    }
-    h
+/// `h` folded (`combine`) over every item's hashed feature id and
+/// value-bit pattern, in order.
+fn fold_items(h: u64, items: &[(u64, f64)]) -> u64 {
+    items.iter().fold(h, |h, &(key, value)| {
+        combine(combine(h, key), value.to_bits())
+    })
 }
 
-/// The span-feature cache: built span blocks ([`span_block`]) keyed by
-/// `(template id, span fingerprint)` in a [`scope_ir::ShardedCache`] (the
-/// workspace-wide lock-sharded FIFO cache). The span fingerprint acts as the
-/// epoch: if a template's span ever changed (e.g. a different rule
-/// universe), the old entry is simply never looked up again.
+/// The template-stable half of a job's features, built once per template:
+/// the context's span block ([`span_block`]) and the action slate
+/// ([`action_slate`]). Both are pure functions of the span (under the
+/// advisor's fixed rule set and triple cap), so one [`FeatureCache`] entry
+/// serves both, and the actions sit behind an `Arc` that every job of the
+/// template shares with the bandit's pending events.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanFeatures {
+    /// The span block a job's context ends with (empty when the pipeline
+    /// runs without span features).
+    pub block: FeatureVector,
+    pub actions: Arc<Vec<FeatureVector>>,
+    /// `flips[i]` is the configuration change `actions[i]` stands for.
+    pub flips: Vec<Option<RuleFlip>>,
+    /// Content fingerprint of `block` and `actions`: their items folded in
+    /// order, with a boundary sentinel before each action. A rank slate's
+    /// cache key folds only the job's own features and then this.
+    fingerprint: u64,
+}
+
+impl SpanFeatures {
+    /// Both halves: [`span_block`] and [`action_slate`], verbatim.
+    #[must_use]
+    pub fn build(span: &SpanResult, rules: &RuleSet, max_span_for_triples: usize) -> Self {
+        Self::with_block(span_block(span, max_span_for_triples), span, rules)
+    }
+
+    /// The action slate under an empty block: the template-stable features
+    /// of a pipeline that leaves the span out of the context.
+    #[must_use]
+    pub fn actions_only(span: &SpanResult, rules: &RuleSet) -> Self {
+        Self::with_block(FeatureVector::new(), span, rules)
+    }
+
+    fn with_block(block: FeatureVector, span: &SpanResult, rules: &RuleSet) -> Self {
+        let (actions, flips) = action_slate(span, rules);
+        let fingerprint = actions.iter().fold(
+            fold_items(SLATE_FP_SEED.start(0), block.items()),
+            |h, action| fold_items(SLATE_ACTION_SENTINEL.mix(h), action.items()),
+        );
+        Self {
+            block,
+            actions: Arc::new(actions),
+            flips,
+            fingerprint,
+        }
+    }
+}
+
+/// The span-feature cache: built [`SpanFeatures`] (span block plus action
+/// slate) keyed by `(template id, span fingerprint)` in a
+/// [`scope_ir::ShardedCache`] (the workspace-wide lock-sharded FIFO cache).
+/// The span fingerprint acts as the epoch: if a template's span ever changed
+/// (e.g. a different rule universe), the old entry is simply never looked up
+/// again.
 ///
-/// Construction is deterministic, so a cached block is byte-identical to a
+/// Construction is deterministic, so a cached entry is byte-identical to a
 /// rebuilt one — like every other cache in the workspace this is a
 /// throughput knob, never a behavior knob (asserted in
 /// `tests/determinism.rs`). The C(S,2)+C(S,3) interaction block costs
-/// O(S³) string formatting + hashing per build; warm days previously paid
-/// that per *job*, the cache pays it per *template*.
+/// O(S³) string formatting + hashing per build, and the action slate three
+/// formatted names per span rule; warm days previously paid that per *job*,
+/// the cache pays it per *template*.
 #[derive(Debug)]
 pub struct FeatureCache {
-    entries: ShardedCache<(u64, u64), Arc<FeatureVector>>,
+    entries: ShardedCache<(u64, u64), Arc<SpanFeatures>>,
     /// Built rank slates keyed by `(template id, slate fingerprint)` — the
     /// downstream sibling of `entries`: once the context is assembled, the
     /// CSR fold of the whole `(context, actions)` slate is itself
@@ -180,48 +218,61 @@ impl FeatureCache {
         }
     }
 
-    /// The span block for `template`, built via [`span_block`] on miss and
-    /// memoized. Bit-identical to calling [`span_block`] directly.
+    /// The span features for `template`, built via [`SpanFeatures::build`]
+    /// on miss and memoized. Bit-identical to building them directly; the
+    /// key leaves out `rules` and `max_span_for_triples` because one cache
+    /// serves advisors that share both (see `SharedCaches`).
     #[must_use]
-    pub fn span_block_for(
+    pub fn span_features_for(
         &self,
         template: TemplateId,
         span: &SpanResult,
+        rules: &RuleSet,
         max_span_for_triples: usize,
-    ) -> Arc<FeatureVector> {
+    ) -> Arc<SpanFeatures> {
         self.entries
             .get_or_insert_with((template.0, span.span.fingerprint()), || {
-                Arc::new(span_block(span, max_span_for_triples))
+                Arc::new(SpanFeatures::build(span, rules, max_span_for_triples))
             })
     }
 
-    /// The built rank slate for `(context, actions)` under `template`,
-    /// folded via [`SparseSlate::build`] on miss and memoized by content
-    /// fingerprint. Bit-identical to calling `build` directly: the key
-    /// covers every input of the pure fold, so a hit can only return the
-    /// slate the caller would have built.
+    /// The built rank slate for `context` and `features.actions` under
+    /// `template`, folded via [`SparseSlate::build`] on miss and memoized by
+    /// content fingerprint. `context` is the job's own features followed by
+    /// `features.block`, so the key folds only the job's items, then the
+    /// fingerprint `features` carries, under `dim_bits`: every input of the
+    /// pure fold, so a hit can only return the slate the caller would have
+    /// built.
     #[must_use]
     pub fn slate_for(
         &self,
         template: TemplateId,
         context: &FeatureVector,
-        actions: &[FeatureVector],
+        features: &SpanFeatures,
         dim_bits: u32,
     ) -> Arc<SparseSlate> {
-        let key = (template.0, slate_fingerprint(context, actions, dim_bits));
+        let items = context.items();
+        let (job, block) = items.split_at(items.len() - features.block.len());
+        debug_assert_eq!(
+            block,
+            features.block.items(),
+            "context must end with the block"
+        );
+        let fingerprint = fold_items(SLATE_FP_SEED.start(u64::from(dim_bits)), job);
+        let key = (template.0, combine(fingerprint, features.fingerprint));
         self.slates.get_or_insert_with(key, || {
-            Arc::new(SparseSlate::build(context, actions, dim_bits))
+            Arc::new(SparseSlate::build(context, &features.actions, dim_bits))
         })
     }
 
     /// Lifetime counters (same vocabulary as the compile/execution caches),
-    /// summed over the span-block and slate maps.
+    /// summed over the span-feature and slate maps.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.entries.stats() + self.slates.stats()
     }
 
-    /// Cached span blocks and slates currently held.
+    /// Cached span-feature entries and slates currently held.
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len() + self.slates.len()
@@ -355,18 +406,21 @@ mod tests {
 
     #[test]
     fn feature_cache_returns_identical_blocks_and_counts() {
-        let (_, span, _) = sample_span();
+        let (opt, span, _) = sample_span();
         let cache = FeatureCache::default();
         let t = TemplateId(9);
-        let a = cache.span_block_for(t, &span, 12);
-        let b = cache.span_block_for(t, &span, 12);
-        assert_eq!(*a, span_block(&span, 12), "miss builds the real block");
-        assert_eq!(a, b);
+        let a = cache.span_features_for(t, &span, opt.rules(), 12);
+        let b = cache.span_features_for(t, &span, opt.rules(), 12);
+        assert_eq!(a.block, span_block(&span, 12), "miss builds the real block");
+        let (actions, flips) = action_slate(&span, opt.rules());
+        assert_eq!(*a.actions, actions, "and the real action slate");
+        assert_eq!(*a.flips, *flips);
+        assert!(Arc::ptr_eq(&a, &b), "a hit shares the entry");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
         assert_eq!(cache.len(), 1);
         // A different template is a separate entry even with the same span.
-        let _ = cache.span_block_for(TemplateId(10), &span, 12);
+        let _ = cache.span_features_for(TemplateId(10), &span, opt.rules(), 12);
         assert_eq!(cache.len(), 2);
     }
 
@@ -375,41 +429,52 @@ mod tests {
         let (opt, span, t1) = sample_span();
         let cache = FeatureCache::default();
         let t = TemplateId(9);
+        let features = SpanFeatures::build(&span, opt.rules(), 12);
         let context = context_features(&t1, &span, 12);
-        let (actions, _) = action_slate(&span, opt.rules());
-        let a = cache.slate_for(t, &context, &actions, 18);
-        let b = cache.slate_for(t, &context, &actions, 18);
+        let a = cache.slate_for(t, &context, &features, 18);
+        let b = cache.slate_for(t, &context, &features, 18);
         assert_eq!(
             *a,
-            SparseSlate::build(&context, &actions, 18),
+            SparseSlate::build(&context, &features.actions, 18),
             "miss builds the real slate"
         );
         assert_eq!(a, b);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
-        // Any input change — context item, action set, or dim_bits — is a
-        // different key, so a hit can never cross contents.
-        let mut other_ctx = context.clone();
+        // Any input change — a job item, the span features, or dim_bits —
+        // is a different key, so a hit can never cross contents.
+        let mut other_ctx = job_features(&t1);
         other_ctx.flag("job", "extra");
-        let c = cache.slate_for(t, &other_ctx, &actions, 18);
-        assert_eq!(*c, SparseSlate::build(&other_ctx, &actions, 18));
-        let d = cache.slate_for(t, &context, &actions, 20);
-        assert_eq!(*d, SparseSlate::build(&context, &actions, 20));
-        assert_eq!(cache.stats().misses, 3);
+        other_ctx.extend_from(&features.block);
+        let c = cache.slate_for(t, &other_ctx, &features, 18);
+        assert_eq!(*c, SparseSlate::build(&other_ctx, &features.actions, 18));
+        let d = cache.slate_for(t, &context, &features, 20);
+        assert_eq!(*d, SparseSlate::build(&context, &features.actions, 20));
+        let bare = SpanFeatures::actions_only(&span, opt.rules());
+        let bare_ctx = job_features(&t1);
+        let e = cache.slate_for(t, &bare_ctx, &bare, 18);
+        assert_eq!(*e, SparseSlate::build(&bare_ctx, &bare.actions, 18));
+        let fewer_triples = SpanFeatures::build(&span, opt.rules(), 0);
+        let f = cache.slate_for(t, &context_features(&t1, &span, 0), &fewer_triples, 18);
+        assert_eq!(
+            f.nnz() < a.nnz(),
+            fewer_triples.block.len() < features.block.len()
+        );
+        assert_eq!(cache.stats().misses, 5);
     }
 
     #[test]
     fn feature_cache_evicts_fifo_beyond_capacity() {
-        let (_, span, _) = sample_span();
+        let (opt, span, _) = sample_span();
         let cache = FeatureCache::sized(2, 1);
         for t in 0..3 {
-            let _ = cache.span_block_for(TemplateId(t), &span, 12);
+            let _ = cache.span_features_for(TemplateId(t), &span, opt.rules(), 12);
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        // The evicted entry rebuilds to the same block.
-        let again = cache.span_block_for(TemplateId(0), &span, 12);
-        assert_eq!(*again, span_block(&span, 12));
+        // The evicted entry rebuilds to the same features.
+        let again = cache.span_features_for(TemplateId(0), &span, opt.rules(), 12);
+        assert_eq!(*again, SpanFeatures::build(&span, opt.rules(), 12));
     }
 
     #[test]

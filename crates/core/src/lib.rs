@@ -79,7 +79,7 @@ pub use baselines::{random_flip, Negi2021, Negi2021Outcome};
 pub use config::{ParallelismConfig, PipelineConfig, RecommendStrategy};
 pub use features::{
     action_slate, context_features, job_features, reward_from_costs, span_block, FeatureCache,
-    FeatureCacheConfig,
+    FeatureCacheConfig, SpanFeatures,
 };
 pub use fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, FleetDayOutcome, FleetMetrics,

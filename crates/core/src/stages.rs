@@ -22,6 +22,11 @@
 //!   the compiled costs. Relative to the fully interleaved loop this means
 //!   the bandit acts on the previous day's model for the whole batch —
 //!   matching a daily batch pipeline — while still absorbing every event.
+//!   Each job's features are built once, in the parallel phase, as one
+//!   shared `personalizer::RankInput`; a pending event holds that `Arc`,
+//!   the chosen row and its propensity, and its reward reads the chosen row
+//!   of the input's CSR slate (or, without one, re-crosses the context with
+//!   the chosen action — the same bits either way).
 //!
 //! Every compile in these stages goes through the advisor's cached
 //! [`Optimizer`], so a `(plan, configuration)` pair recompiled across
@@ -36,11 +41,11 @@
 //! knobs, never behavior knobs.
 
 use crate::config::RecommendStrategy;
-use crate::features::{action_slate, job_features, reward_from_costs, span_block};
+use crate::features::{job_features, reward_from_costs, SpanFeatures};
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation};
-use personalizer::{FeatureVector, RankRequest, RankResponse, SparseSlate};
+use personalizer::{RankInput, SparseSlate};
 use rustc_hash::{FxHashMap, FxHashSet};
-use scope_ir::ids::{combine, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
+use scope_ir::ids::{combine, Salt, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
 use scope_opt::{compute_span, CompileError, Hint, Optimizer, RuleFlip, SpanResult};
@@ -235,7 +240,7 @@ enum ActDecision {
     Flip(RuleFlip, Option<u64>),
 }
 
-/// Task 2 — Recommendation + Recompilation, in three phases:
+/// Task 2 — Recommendation + Recompilation, in four phases:
 /// parallel slate construction, serial rank pass, parallel recompile
 /// fan-out, then a serial reduce applying rewards and report counters.
 /// Returns the candidates that survived the estimated-cost gate, in job
@@ -249,41 +254,42 @@ pub(crate) fn recommend(
     let default_config = qa.optimizer.default_config();
 
     // Phase 1: context + action slates are pure per-job features — fan out.
-    // The template-stable span block comes from the span-feature cache when
-    // enabled (bit-identical to rebuilding it; see `crate::features`), and
-    // under the batched scorer the (context × action) CSR slate is folded
-    // here too, so the serial rank pass below only gathers weights.
+    // The template-stable half — the span block and the action slate —
+    // comes from one span-feature cache lookup when enabled (bit-identical
+    // to rebuilding it; see `crate::features`), so a job builds only its
+    // Table-1 block. Under the batched scorer the (context × action) CSR
+    // slate is folded here too (or found in the slate cache, keyed by the
+    // job block plus the span features' fingerprint), so the serial rank
+    // pass below only gathers weights. Each job's features become one
+    // shared `RankInput`: both of its ranks, and the pending events they
+    // log, hold that `Arc` instead of copies.
     let optimizer = &qa.optimizer;
     let config = &qa.config;
     let feature_cache = qa.feature_cache.as_ref();
     let workers = config.parallelism.threads.unwrap_or(1); // unset = serial
     let batch = config.strategy == RecommendStrategy::ContextualBandit && config.cb.batch_rank;
-    type JobSlate = (
-        FeatureVector,
-        Vec<FeatureVector>,
-        Vec<Option<RuleFlip>>,
-        Option<Arc<SparseSlate>>,
-    );
-    let slates: Vec<JobSlate> = par_map(workers, jobs, |job| {
+    let inputs: Vec<(Arc<RankInput>, Arc<SpanFeatures>)> = par_map(workers, jobs, |job| {
+        let (rules, triples) = (optimizer.rules(), config.max_span_for_triples);
+        let features = match (config.span_features, feature_cache) {
+            (true, Some(cache)) => {
+                cache.span_features_for(job.row.template, &job.span, rules, triples)
+            }
+            (true, None) => Arc::new(SpanFeatures::build(&job.span, rules, triples)),
+            (false, _) => Arc::new(SpanFeatures::actions_only(&job.span, rules)),
+        };
         let mut context = job_features(&job.row.features);
-        if config.span_features {
-            match feature_cache {
-                Some(cache) => context.extend_from(&cache.span_block_for(
-                    job.row.template,
-                    &job.span,
-                    config.max_span_for_triples,
-                )),
-                None => context.extend_from(&span_block(&job.span, config.max_span_for_triples)),
-            }
-        }
-        let (actions, flips) = action_slate(&job.span, optimizer.rules());
+        context.extend_from(&features.block);
+        let dim_bits = config.cb.dim_bits;
         let sparse = batch.then(|| match feature_cache {
-            Some(cache) => {
-                cache.slate_for(job.row.template, &context, &actions, config.cb.dim_bits)
-            }
-            None => Arc::new(SparseSlate::build(&context, &actions, config.cb.dim_bits)),
+            Some(cache) => cache.slate_for(job.row.template, &context, &features, dim_bits),
+            None => Arc::new(SparseSlate::build(&context, &features.actions, dim_bits)),
         });
-        (context, actions, flips, sparse)
+        let input = RankInput {
+            context,
+            actions: Arc::clone(&features.actions),
+            sparse,
+        };
+        (Arc::new(input), features)
     })
     .map_err(|_| PipelineError::Invariant("slate-construction worker panicked"))?;
 
@@ -291,57 +297,41 @@ pub(crate) fn recommend(
     // any reward, so event ids are sequential regardless of thread count
     // and the whole batch acts on the model as of yesterday.
     // That ordering also makes the model constant across the whole pass
-    // (rewards apply in phase 4), so each distinct slate is *scored* once
-    // and the scores reused by every rank over it — the training and acting
-    // ranks of the same job, and every job sharing a cached slate. Keying
-    // the memo by slate address is sound because the memo holds the `Arc`:
-    // a key's allocation stays live for the whole pass, so no later slate
-    // can alias it. Decisions stay bit-identical to the sequential
-    // per-action path.
+    // (rewards apply in phase 4), so each job is *scored* once for both of
+    // its ranks, and each distinct CSR slate once for every job sharing it
+    // (a cached slate). Keying the memo by slate address is sound because
+    // the memo holds the `Arc`: a key's allocation stays live for the whole
+    // pass, so no later slate can alias it. The ranks borrow the scores;
+    // decisions stay bit-identical to the sequential per-action path.
     let mut score_memo: FxHashMap<usize, (Arc<SparseSlate>, Vec<f64>)> = FxHashMap::default();
-    let rank = |req: &RankRequest, scores: &Option<Vec<f64>>| -> RankResponse {
-        match scores {
-            Some(scores) => qa.personalizer.rank_scored(req, scores),
-            None => qa.personalizer.rank(req),
-        }
-    };
     let mut decisions: Vec<JobDecisions> = Vec::with_capacity(jobs.len());
-    for (job, (context, actions, flips, sparse)) in jobs.iter().zip(slates) {
-        let sparse = sparse.as_ref().map(|slate| {
-            score_memo
-                .entry(Arc::as_ptr(slate) as usize)
-                .or_insert_with(|| (Arc::clone(slate), qa.personalizer.scores_slate(slate)))
-                .1
-                .clone()
-        });
-        let train = if qa.config.strategy == RecommendStrategy::ContextualBandit {
-            let resp = rank(
-                &RankRequest {
-                    context: context.clone(),
-                    actions: actions.clone(),
-                    seed: combine(job.row.job_id.0, CB_TRAIN_RANK_SALT.mix(u64::from(day))),
-                    log_uniform: true,
-                },
-                &sparse,
-            );
-            Some((resp.event_id, flips[resp.decision.chosen]))
-        } else {
-            None
-        };
-        let act = match qa.config.strategy {
+    for (job, (input, features)) in jobs.iter().zip(&inputs) {
+        let flips = &features.flips;
+        let decision = match qa.config.strategy {
             RecommendStrategy::ContextualBandit => {
-                let resp = rank(
-                    &RankRequest {
-                        context,
-                        actions,
-                        seed: combine(job.row.job_id.0, CB_ACT_RANK_SALT.mix(u64::from(day))),
-                        log_uniform: false,
+                let personalizer = &qa.personalizer;
+                let unshared;
+                let scores: &[f64] = match &input.sparse {
+                    Some(slate) => {
+                        &score_memo
+                            .entry(Arc::as_ptr(slate) as usize)
+                            .or_insert_with(|| (Arc::clone(slate), personalizer.scores(input)))
+                            .1
+                    }
+                    None => {
+                        unshared = personalizer.scores(input);
+                        &unshared
+                    }
+                };
+                let seed = |salt: Salt| combine(job.row.job_id.0, salt.mix(u64::from(day)));
+                let train = personalizer.rank_shared(input, scores, seed(CB_TRAIN_RANK_SALT), true);
+                let act = personalizer.rank_shared(input, scores, seed(CB_ACT_RANK_SALT), false);
+                JobDecisions {
+                    train: Some((train.event_id, flips[train.decision.chosen])),
+                    act: match flips[act.decision.chosen] {
+                        None => ActDecision::Noop(Some(act.event_id)),
+                        Some(flip) => ActDecision::Flip(flip, Some(act.event_id)),
                     },
-                    &sparse,
-                );
-                match flips[resp.decision.chosen] {
-                    None => ActDecision::Noop(Some(resp.event_id)),
-                    Some(flip) => ActDecision::Flip(flip, Some(resp.event_id)),
                 }
             }
             RecommendStrategy::UniformRandom => {
@@ -349,13 +339,16 @@ pub(crate) fn recommend(
                 let idx = 1
                     + (combine(job.row.job_id.0, UNIFORM_PICK_SALT.mix(u64::from(day))) as usize
                         % job.span.len());
-                match flips[idx] {
-                    None => ActDecision::Noop(None),
-                    Some(flip) => ActDecision::Flip(flip, None),
+                JobDecisions {
+                    train: None,
+                    act: match flips[idx] {
+                        None => ActDecision::Noop(None),
+                        Some(flip) => ActDecision::Flip(flip, None),
+                    },
                 }
             }
         };
-        decisions.push(JobDecisions { train, act });
+        decisions.push(decision);
     }
 
     // Phase 3: recompile fan-out, one *slate* per job — its 0-2 distinct
@@ -396,7 +389,10 @@ pub(crate) fn recommend(
     };
 
     // Phase 4: serial reduce, job order — bandit rewards, Table-3 counters,
-    // and the estimated-cost gate (§5.6).
+    // and the estimated-cost gate (§5.6). A reward updates the model from
+    // the chosen row of the event's CSR slate when phase 1 built one, else
+    // from the re-crossed joint vector; both are the same update, bit for
+    // bit, so `batch_rank` stays a throughput knob.
     let mut candidates: Vec<Recommendation> = Vec::new();
     for (i, (job, decision)) in jobs.iter().zip(&decisions).enumerate() {
         let default_cost = job.default_cost;

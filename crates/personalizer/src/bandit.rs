@@ -195,11 +195,32 @@ impl ContextualBandit {
         reward: f64,
         logged_probability: f64,
     ) {
-        let importance = (1.0 / logged_probability.max(1e-6)).min(self.config.max_importance);
+        let importance = self.importance(logged_probability);
         let joint = Self::joint(context, action);
         self.model
             .update(&joint, reward, importance, self.config.learning_rate);
         self.events += 1;
+    }
+
+    /// [`ContextualBandit::reward`] for action `chosen` of a prebuilt
+    /// [`SparseSlate`], read from the slate's CSR row instead of re-crossing
+    /// the joint vector: bit-identical weights, no allocation, no hashing.
+    pub fn reward_row(
+        &mut self,
+        slate: &SparseSlate,
+        chosen: usize,
+        reward: f64,
+        logged_probability: f64,
+    ) {
+        let importance = self.importance(logged_probability);
+        self.model
+            .update_row(slate, chosen, reward, importance, self.config.learning_rate);
+        self.events += 1;
+    }
+
+    /// The capped inverse-propensity weight of a logged decision.
+    fn importance(&self, logged_probability: f64) -> f64 {
+        (1.0 / logged_probability.max(1e-6)).min(self.config.max_importance)
     }
 }
 

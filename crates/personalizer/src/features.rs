@@ -1,7 +1,8 @@
 //! Sparse feature vectors with the hashing trick.
 
-use scope_ir::ids::{combine, stable_hash64};
+use scope_ir::ids::{combine, stable_hash64, StableHasher};
 use serde::Serialize;
+use std::fmt::{self, Write as _};
 
 /// A sparse feature vector: (hashed id, value) pairs. Feature identity is a
 /// 64-bit hash of `namespace|name`; models fold it into their table size.
@@ -68,6 +69,23 @@ impl FeatureVector {
         self.push(namespace, name, 1.0);
     }
 
+    /// [`FeatureVector::flag`] with the name given as format arguments: the
+    /// name streams into its hash and is never built as a `String`, and the
+    /// key equals `flag(namespace, &format!(..))`'s.
+    pub fn flag_fmt(&mut self, namespace: &str, name: fmt::Arguments<'_>) {
+        let mut hasher = StableHasher::new();
+        // A hasher accepts every write; only a failing `Display` impl in
+        // `name` could err, and the workspace has none.
+        let _ = hasher.write_fmt(name);
+        self.flag_hashed(namespace, hasher);
+    }
+
+    /// An indicator whose name has already been streamed into `name`.
+    fn flag_hashed(&mut self, namespace: &str, name: StableHasher) {
+        let key = combine(stable_hash64(namespace.as_bytes()), name.finish());
+        self.items.push((key, 1.0));
+    }
+
     /// Add a second-order co-occurrence indicator `a × b`.
     pub fn pair(&mut self, namespace: &str, a: &str, b: &str) {
         self.pair_weighted(namespace, a, b, 1.0);
@@ -106,7 +124,9 @@ impl FeatureVector {
         } else {
             value.log10().floor() as i64
         };
-        self.flag(namespace, &format!("{name}@e{bucket}"));
+        // `{name}@e{bucket}`, streamed.
+        let name = StableHasher::new().write(name.as_bytes()).write(b"@e");
+        self.flag_hashed(namespace, write_decimal(name, bucket));
     }
 
     /// Concatenate another vector (e.g. context ⧺ action).
@@ -135,6 +155,24 @@ impl FeatureVector {
         }
         out
     }
+}
+
+/// `hasher` fed the decimal spelling of `n`, as `write!(hasher, "{n}")`
+/// would feed it, without the formatting machinery.
+fn write_decimal(hasher: StableHasher, n: i64) -> StableHasher {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let hasher = if n < 0 { hasher.write(b"-") } else { hasher };
+    hasher.write(&digits[at..])
 }
 
 #[cfg(test)]
@@ -186,6 +224,28 @@ mod tests {
         assert_ne!(bucket_key(150.0), bucket_key(1500.0), "different decade");
         // Non-positive values fall into a sentinel bucket.
         assert_eq!(bucket_key(0.0), bucket_key(-3.0));
+    }
+
+    #[test]
+    fn streamed_names_key_like_their_formatted_strings() {
+        let mut streamed = FeatureVector::new();
+        let mut built = FeatureVector::new();
+        streamed.flag_fmt("job", format_args!("qtpl:{:x}", 0xbeef_u64));
+        built.flag("job", &format!("qtpl:{:x}", 0xbeef_u64));
+        for value in [0.0, -3.0, 1e-300, 0.004, 1.0, 9.99, 10.0, 2.5e9, 1e300] {
+            streamed.log_bucket("job", "est_cost", value);
+            let bucket = if value <= 0.0 {
+                -1
+            } else {
+                value.log10().floor() as i64
+            };
+            built.flag("job", &format!("est_cost@e{bucket}"));
+        }
+        assert_eq!(streamed, built);
+        for n in [i64::MIN, -300, -10, -1, 0, 7, 10, 99, 100, i64::MAX] {
+            let decimal = write_decimal(StableHasher::new(), n).finish();
+            assert_eq!(decimal, stable_hash64(n.to_string().as_bytes()), "{n}");
+        }
     }
 
     #[test]

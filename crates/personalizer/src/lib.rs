@@ -15,9 +15,12 @@
 //!   trained by importance-weighted regression;
 //! * [`bandit`] — epsilon-greedy exploration, uniform logging policy, and
 //!   IPS-corrected off-policy updates;
-//! * [`slate`] — batched slate scoring over a CSR sparse layout,
-//!   bit-identical to per-action scoring;
-//! * [`service`] — the rank/reward facade with a pending-event log.
+//! * [`slate`] — batched slate scoring and learning over a CSR sparse
+//!   layout, bit-identical to per-action scoring and joint-vector updates;
+//! * [`service`] — the rank/reward facade with a pending-event log; a
+//!   [`RankInput`] is built once per job and shared by its ranks and their
+//!   pending events, and a reward reads the chosen CSR row when the input
+//!   carries a slate.
 
 pub mod bandit;
 pub mod features;
@@ -28,5 +31,7 @@ pub mod slate;
 pub use bandit::{CbConfig, ContextualBandit, RankDecision};
 pub use features::FeatureVector;
 pub use model::LinearModel;
-pub use service::{PendingEventState, Personalizer, PersonalizerState, RankRequest, RankResponse};
+pub use service::{
+    PendingEventState, Personalizer, PersonalizerState, RankInput, RankRequest, RankResponse,
+};
 pub use slate::SparseSlate;

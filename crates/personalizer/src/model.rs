@@ -144,20 +144,63 @@ impl LinearModel {
     /// caller) and `lr`. The effective step in prediction space is clamped
     /// to keep rare huge importance weights from destabilizing the model.
     pub fn update(&mut self, fv: &FeatureVector, reward: f64, importance: f64, lr: f64) {
-        let norm: f64 = fv
-            .items()
-            .iter()
-            .map(|&(_, v)| v * v)
-            .sum::<f64>()
-            .max(1e-12);
-        let err = reward - self.score(fv);
+        let mask = (1u64 << self.dim_bits) - 1;
+        let items = fv.items().iter().map(|&(k, v)| ((k & mask) as usize, v));
+        self.step(items, reward, importance, lr);
+    }
+
+    /// [`LinearModel::update`] from action `row` of a prebuilt
+    /// [`SparseSlate`]: the row is that action's joint vector, already
+    /// folded into this table and in the same item order, so the weights
+    /// move bit for bit as `update` over the joint vector moves them —
+    /// duplicate and colliding slots included.
+    pub fn update_row(
+        &mut self,
+        slate: &SparseSlate,
+        row: usize,
+        reward: f64,
+        importance: f64,
+        lr: f64,
+    ) {
+        assert_eq!(
+            slate.dim_bits(),
+            self.dim_bits,
+            "slate folded for a different dim_bits than this model's table"
+        );
+        let (slots, values) = slate.action(row);
+        let items = slots.iter().zip(values).map(|(&s, &v)| (s as usize, v));
+        self.step(items, reward, importance, lr);
+    }
+
+    /// The one body of both updates: norm, score and apply each walk
+    /// `items` (table slot, value) in order, so the f64 sums and the writes
+    /// to a repeated slot happen in the same sequence whichever form the
+    /// features came in.
+    fn step<I>(&mut self, items: I, reward: f64, importance: f64, lr: f64)
+    where
+        I: Iterator<Item = (usize, f64)> + Clone,
+    {
+        // Norm and score in one walk: two independent left-to-right sums.
+        let (norm, score) = items
+            .clone()
+            .fold((sum_start(), sum_start()), |(norm, score), (s, v)| {
+                (norm + v * v, score + self.weights[s] * v)
+            });
+        let norm = norm.max(1e-12);
+        let err = reward - score;
         let step = (lr * importance * err).clamp(-2.0 * err.abs(), 2.0 * err.abs()) / norm;
-        for &(k, v) in fv.items() {
-            let slot = self.slot(k);
+        for (slot, v) in items {
             self.weights[slot] += step * v;
         }
         self.updates += 1;
     }
+}
+
+/// The value std's `f64` `Sum` starts from, so a hand-written fold adds
+/// exactly like `.sum()` does, signed zeros included.
+#[inline]
+fn sum_start() -> f64 {
+    std::iter::empty::<f64>().sum()
 }
 
 #[cfg(test)]

@@ -2,13 +2,23 @@
 //! event log, mirroring how QO-Advisor integrates with Azure Personalizer
 //! (§4.2): rank calls return an event id; rewards arrive later (after
 //! recompilation computes the cost ratio) keyed by that id.
+//!
+//! A pending event remembers *what* was ranked, not a copy of it: an
+//! `Arc` of the [`RankInput`] plus the chosen row and its propensity. When
+//! the input carries a prebuilt [`SparseSlate`], the reward updates the
+//! model straight from the chosen CSR row
+//! ([`ContextualBandit::reward_row`]); otherwise it re-crosses the context
+//! with the chosen action ([`ContextualBandit::reward`]). Both walk the
+//! same items in the same order, so the weights are bit-identical either
+//! way — and a snapshot, which stores `(context, action)` pairs, restores
+//! into events that reward through the joint path.
 
 use crate::bandit::{CbConfig, ContextualBandit, RankDecision};
 use crate::features::FeatureVector;
 use crate::model::LinearModel;
 use crate::slate::SparseSlate;
 use rustc_hash::FxHashMap;
-use std::sync::{MutexGuard, PoisonError};
+use std::sync::{Arc, MutexGuard, PoisonError};
 
 /// A rank request: context plus candidate actions.
 #[derive(Debug, Clone)]
@@ -21,6 +31,21 @@ pub struct RankRequest {
     pub log_uniform: bool,
 }
 
+/// One job's features, built once and shared — behind an `Arc` — by every
+/// rank over them ([`Personalizer::rank_shared`]) and by the pending events
+/// those ranks log, so neither ranking nor logging copies a feature vector.
+#[derive(Debug, Clone)]
+pub struct RankInput {
+    pub context: FeatureVector,
+    /// The candidate actions. An `Arc` so a template-stable action slate can
+    /// be shared by every job of the template.
+    pub actions: Arc<Vec<FeatureVector>>,
+    /// The `(context, actions)` slate folded into CSR form for this
+    /// service's table ([`SparseSlate::build`]), when the caller batches:
+    /// ranks then score it, and rewards read the chosen row.
+    pub sparse: Option<Arc<SparseSlate>>,
+}
+
 /// A rank response: the decision plus the event id to reward later.
 #[derive(Debug, Clone)]
 pub struct RankResponse {
@@ -28,11 +53,29 @@ pub struct RankResponse {
     pub decision: RankDecision,
 }
 
+/// A logged, not yet rewarded decision: action `chosen` of `input`.
 #[derive(Debug)]
 struct PendingEvent {
-    context: FeatureVector,
-    action: FeatureVector,
+    input: Arc<RankInput>,
+    chosen: usize,
     probability: f64,
+}
+
+impl PendingEvent {
+    /// An event that keeps only the context and the chosen action, and so
+    /// rewards through the joint path: what the request-taking rank calls
+    /// and a snapshot restore log.
+    fn features_only(context: FeatureVector, action: FeatureVector, probability: f64) -> Self {
+        Self {
+            input: Arc::new(RankInput {
+                context,
+                actions: Arc::new(vec![action]),
+                sparse: None,
+            }),
+            chosen: 0,
+            probability,
+        }
+    }
 }
 
 /// One not-yet-rewarded rank decision, in snapshot form.
@@ -85,22 +128,30 @@ struct Inner {
 }
 
 impl Inner {
-    /// Decide over `scores` under the request's policy, assign the next
-    /// event id and log the decision as pending — the shared tail of every
-    /// rank entry point.
-    fn log_decision(&mut self, req: &RankRequest, scores: Vec<f64>) -> RankResponse {
-        let decision = self.bandit.decide(scores, req.seed, req.log_uniform);
+    /// Decide over `scores` under the given policy, assign the next event
+    /// id and log `event(chosen, propensity)` as pending — the shared tail
+    /// of every rank entry point.
+    fn log_decision(
+        &mut self,
+        scores: Vec<f64>,
+        seed: u64,
+        log_uniform: bool,
+        event: impl FnOnce(usize, f64) -> PendingEvent,
+    ) -> RankResponse {
+        let decision = self.bandit.decide(scores, seed, log_uniform);
         let event_id = self.next_event;
         self.next_event += 1;
-        self.pending.insert(
-            event_id,
-            PendingEvent {
-                context: req.context.clone(),
-                action: req.actions[decision.chosen].clone(),
-                probability: decision.probability,
-            },
-        );
+        self.pending
+            .insert(event_id, event(decision.chosen, decision.probability));
         RankResponse { event_id, decision }
+    }
+
+    /// Log a request-taking rank's decision: the chosen action and the
+    /// context are copied out of the borrowed request.
+    fn log_request(&mut self, req: &RankRequest, scores: Vec<f64>) -> RankResponse {
+        self.log_decision(scores, req.seed, req.log_uniform, |chosen, p| {
+            PendingEvent::features_only(req.context.clone(), req.actions[chosen].clone(), p)
+        })
     }
 
     /// The live state a snapshot export describes, under `config`.
@@ -114,11 +165,8 @@ impl Inner {
         let model = LinearModel::from_sparse(state.dim_bits, &state.weights, state.updates)?;
         let mut pending = FxHashMap::default();
         for p in &state.pending {
-            let event = PendingEvent {
-                context: p.context.clone(),
-                action: p.action.clone(),
-                probability: p.probability,
-            };
+            let event =
+                PendingEvent::features_only(p.context.clone(), p.action.clone(), p.probability);
             if pending.insert(p.event_id, event).is_some() {
                 return Err(format!("duplicate pending event id {}", p.event_id));
             }
@@ -154,16 +202,16 @@ impl Personalizer {
     pub fn rank(&self, req: &RankRequest) -> RankResponse {
         let mut inner = self.lock();
         let scores = inner.bandit.scores(&req.context, &req.actions);
-        inner.log_decision(req, scores)
+        inner.log_request(req, scores)
     }
 
-    /// [`Personalizer::rank`] through a prebuilt [`SparseSlate`] (built once
-    /// per request, e.g. in a parallel featurization fan-out, and shared by
-    /// the training and acting rank calls). The decision — choice,
-    /// propensity, scores, event id — is bit-identical to [`Personalizer::
-    /// rank`] over the request's `context`/`actions`; only the scoring path
-    /// differs. The request still carries the full feature vectors: the
-    /// pending-event log stores them for the eventual reward update.
+    /// [`Personalizer::rank`] through a prebuilt [`SparseSlate`] of the
+    /// request's `context`/`actions`. The decision — choice, propensity,
+    /// scores, event id — is bit-identical to `rank`'s; only the scoring
+    /// path differs. The pending event copies the context and the chosen
+    /// action out of the request and rewards through the joint path; a
+    /// caller that keeps its slate should rank with
+    /// [`Personalizer::rank_shared`] instead.
     pub fn rank_slate(&self, req: &RankRequest, slate: &SparseSlate) -> RankResponse {
         debug_assert_eq!(
             slate.num_actions(),
@@ -172,29 +220,52 @@ impl Personalizer {
         );
         let mut inner = self.lock();
         let scores = inner.bandit.scores_slate(slate);
-        inner.log_decision(req, scores)
+        inner.log_request(req, scores)
     }
 
-    /// Score a prebuilt slate under the current model, without ranking or
-    /// logging anything. Pair with [`Personalizer::rank_scored`]: the model
-    /// only changes on [`Personalizer::reward`], so in a ranks-then-rewards
-    /// pass one score vector per distinct slate serves every rank over it.
-    pub fn scores_slate(&self, slate: &SparseSlate) -> Vec<f64> {
-        self.lock().bandit.scores_slate(slate)
+    /// Score every action of `input` under the current model, without
+    /// ranking or logging anything: through its CSR slate when it has one,
+    /// else per action over the joint vectors (bit-identical either way).
+    /// Pair with [`Personalizer::rank_shared`]: the model only changes on
+    /// [`Personalizer::reward`], so in a ranks-then-rewards pass one score
+    /// vector serves every rank over the same input — or the same slate.
+    pub fn scores(&self, input: &RankInput) -> Vec<f64> {
+        let inner = self.lock();
+        match &input.sparse {
+            Some(slate) => inner.bandit.scores_slate(slate),
+            None => inner.bandit.scores(&input.context, &input.actions),
+        }
     }
 
-    /// [`Personalizer::rank_slate`] with the scoring pass hoisted out:
-    /// decide and log from `scores` previously computed by
-    /// [`Personalizer::scores_slate`]. Bit-identical to `rank_slate` as
-    /// long as no reward landed between scoring and ranking — the caller's
-    /// contract (the pipeline's rank pass rewards only after every rank).
-    pub fn rank_scored(&self, req: &RankRequest, scores: &[f64]) -> RankResponse {
+    /// Rank a shared [`RankInput`] from `scores` previously computed by
+    /// [`Personalizer::scores`], under the policy `log_uniform` selects and
+    /// the exploration `seed`. The pending event holds the `Arc` and the
+    /// chosen row — no feature vector is copied — and its reward reads the
+    /// CSR row when `input` has a slate. Bit-identical to
+    /// [`Personalizer::rank_slate`] (and [`Personalizer::rank`]) over the
+    /// same features as long as no reward landed between scoring and
+    /// ranking — the caller's contract (the pipeline's rank pass rewards
+    /// only after every rank).
+    pub fn rank_shared(
+        &self,
+        input: &Arc<RankInput>,
+        scores: &[f64],
+        seed: u64,
+        log_uniform: bool,
+    ) -> RankResponse {
         debug_assert_eq!(
             scores.len(),
-            req.actions.len(),
+            input.actions.len(),
             "scores computed for a different action set"
         );
-        self.lock().log_decision(req, scores.to_vec())
+        self.lock()
+            .log_decision(scores.to_vec(), seed, log_uniform, |chosen, probability| {
+                PendingEvent {
+                    input: Arc::clone(input),
+                    chosen,
+                    probability,
+                }
+            })
     }
 
     /// Reward a previously ranked event; updates the model off-policy and
@@ -205,9 +276,18 @@ impl Personalizer {
         let Some(ev) = inner.pending.remove(&event_id) else {
             return;
         };
-        inner
-            .bandit
-            .reward(&ev.context, &ev.action, reward, ev.probability);
+        let input = &*ev.input;
+        match &input.sparse {
+            Some(slate) => inner
+                .bandit
+                .reward_row(slate, ev.chosen, reward, ev.probability),
+            None => inner.bandit.reward(
+                &input.context,
+                &input.actions[ev.chosen],
+                reward,
+                ev.probability,
+            ),
+        }
     }
 
     /// Greedy decision without logging (deployment-time inference).
@@ -227,7 +307,8 @@ impl Personalizer {
 
     /// Export the full durable state for a snapshot. Deterministic: the
     /// pending map is sorted by event id before leaving the lock, and the
-    /// weight table leaves as one scan into its sparse form.
+    /// weight table leaves as one scan into its sparse form. A pending
+    /// event leaves as its context and chosen action, whatever it shares.
     #[must_use]
     pub fn export_state(&self) -> PersonalizerState {
         let inner = self.lock();
@@ -241,8 +322,8 @@ impl Personalizer {
             .iter()
             .map(|(&event_id, ev)| PendingEventState {
                 event_id,
-                context: ev.context.clone(),
-                action: ev.action.clone(),
+                context: ev.input.context.clone(),
+                action: ev.input.actions[ev.chosen].clone(),
                 probability: ev.probability,
             })
             .collect();
@@ -346,22 +427,90 @@ mod tests {
         assert!((best.probability - 1.0).abs() < 1e-12);
     }
 
+    /// `request`'s features as one shared input, with its CSR slate.
+    fn shared(req: &RankRequest, dim_bits: u32) -> Arc<RankInput> {
+        Arc::new(RankInput {
+            context: req.context.clone(),
+            actions: Arc::new(req.actions.clone()),
+            sparse: Some(Arc::new(SparseSlate::build(
+                &req.context,
+                &req.actions,
+                dim_bits,
+            ))),
+        })
+    }
+
     #[test]
     fn scored_path_matches_rank_slate_bit_for_bit() {
         let a = Personalizer::new(CbConfig::default());
         let b = Personalizer::new(CbConfig::default());
         for seed in 0..32 {
+            let req = request(seed, false);
+            let input = shared(&req, 20);
+            let slate = input.sparse.as_deref().unwrap();
+            // One score vector serves both ranks of a job; rewards land
+            // only after both, as in the pipeline's rank pass.
+            let scores = b.scores(&input);
+            let mut events = Vec::new();
             for uniform in [false, true] {
                 let req = request(seed, uniform);
-                let slate = SparseSlate::build(&req.context, &req.actions, 20);
-                let want = a.rank_slate(&req, &slate);
-                let scores = b.scores_slate(&slate);
-                let got = b.rank_scored(&req, &scores);
+                let want = a.rank_slate(&req, slate);
+                let got = b.rank_shared(&input, &scores, req.seed, req.log_uniform);
                 assert_eq!(got.event_id, want.event_id);
                 assert_eq!(got.decision, want.decision);
+                events.push((got.event_id, got.decision.chosen as f64 - 1.0));
+            }
+            // Reward some events, so later scores come from a trained
+            // model: the row and joint rewards must keep it in step.
+            if seed % 2 == 0 {
+                for (event, r) in events {
+                    a.reward(event, r);
+                    b.reward(event, r);
+                }
             }
         }
         assert_eq!(a.pending(), b.pending());
+        assert_eq!(a.export_state(), b.export_state());
+    }
+
+    #[test]
+    fn slate_backed_pending_events_survive_a_snapshot_unchanged() {
+        let config = CbConfig::default();
+        // Two services trained alike, then one rank each: over the shared
+        // slate, and over the request's feature vectors.
+        let slated = Personalizer::new(config.clone());
+        let plain = Personalizer::new(config.clone());
+        for seed in 0..8 {
+            let req = request(seed, true);
+            let (a, b) = (slated.rank(&req), plain.rank(&req));
+            slated.reward(a.event_id, 0.5);
+            plain.reward(b.event_id, 0.5);
+        }
+        let req = request(99, false);
+        let input = shared(&req, config.dim_bits);
+        let scores = slated.scores(&input);
+        let a = slated.rank_shared(&input, &scores, req.seed, req.log_uniform);
+        let b = plain.rank(&req);
+        assert_eq!(a.decision, b.decision);
+        let state = slated.export_state();
+        assert_eq!(state.pending.len(), 1);
+        assert_eq!(
+            state,
+            plain.export_state(),
+            "a slate-backed event exports what the feature-vector path logged"
+        );
+
+        // The restoree rewards through the joint path, the original through
+        // the CSR row: the weights must still agree bit for bit.
+        let restored = Personalizer::from_state(config, &state).unwrap();
+        slated.reward(a.event_id, 1.75);
+        restored.reward(a.event_id, 1.75);
+        let (x, y) = (slated.export_state(), restored.export_state());
+        let bits = |s: &PersonalizerState| -> Vec<(u32, u64)> {
+            s.weights.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+        };
+        assert_eq!(bits(&x), bits(&y));
+        assert_eq!(x, y);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! associative; order is part of the contract, asserted by the property
 //! test below). A slate can be built once (e.g. in a parallel featurization
 //! fan-out) and ranked several times: the training and acting rank calls of
-//! a pipeline job share one slate.
+//! a pipeline job share one slate. Learning reads it too: an action's CSR
+//! row *is* its joint vector, pre-folded, so a reward updates the model from
+//! the chosen row (`LinearModel::update_row`) with the same bits as an
+//! update over the re-crossed joint vector.
 
 use crate::bandit::QUADRATIC_SCALE;
 use crate::features::FeatureVector;
@@ -111,7 +114,9 @@ mod tests {
     use super::*;
     use crate::bandit::{CbConfig, ContextualBandit};
     use crate::model::LinearModel;
+    use crate::service::{Personalizer, PersonalizerState, RankInput, RankRequest};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn fv(pairs: &[(&str, f64)]) -> FeatureVector {
         let mut f = FeatureVector::new();
@@ -195,6 +200,48 @@ mod tests {
                 let d_bat = cb.decide(bat.clone(), seed, uniform);
                 prop_assert_eq!(d_seq, d_bat);
             }
+        }
+    }
+
+    proptest! {
+        /// Learning from the CSR row is learning from the joint vector:
+        /// the same rewards applied through `rank_shared` (row updates) and
+        /// through `rank` (joint updates) leave bit-identical weights. A
+        /// 2^8 table makes crossed slots collide, and `arb_fv` repeats
+        /// feature names, so repeated slots within one row are exercised.
+        #[test]
+        fn row_rewards_bit_equal_joint_rewards(
+            ctx in arb_fv(6),
+            actions in prop::collection::vec(arb_fv(5), 1..6),
+            rewards in prop::collection::vec((0u64..1000, -2.0f64..2.0), 1..12),
+        ) {
+            let config = CbConfig { dim_bits: 8, ..CbConfig::default() };
+            let joint = Personalizer::new(config.clone());
+            let row = Personalizer::new(config.clone());
+            let input = Arc::new(RankInput {
+                context: ctx.clone(),
+                actions: Arc::new(actions.clone()),
+                sparse: Some(Arc::new(SparseSlate::build(&ctx, &actions, config.dim_bits))),
+            });
+            for (i, &(seed, reward)) in rewards.iter().enumerate() {
+                let log_uniform = i % 2 == 0;
+                let a = joint.rank(&RankRequest {
+                    context: ctx.clone(),
+                    actions: actions.clone(),
+                    seed,
+                    log_uniform,
+                });
+                let b = row.rank_shared(&input, &row.scores(&input), seed, log_uniform);
+                prop_assert_eq!(&a.decision, &b.decision);
+                joint.reward(a.event_id, reward);
+                row.reward(b.event_id, reward);
+            }
+            let (x, y) = (joint.export_state(), row.export_state());
+            let bits = |s: &PersonalizerState| -> Vec<(u32, u64)> {
+                s.weights.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&x), bits(&y));
+            prop_assert_eq!((x.updates, x.events), (y.updates, y.events));
         }
     }
 

@@ -70,7 +70,7 @@ impl fmt::Display for TemplateId {
 /// The raw mixer, `serde::hash::mix64`, is banned by `clippy.toml` outside
 /// this module and the structural walk: data goes through [`combine`], a
 /// seeded stream through a [`Salt`].
-pub use serde::hash::{hash_value, stable_hash64};
+pub use serde::hash::{hash_value, stable_hash64, StableHasher};
 
 /// Combine two 64-bit values into one (splitmix-style finalizer): cache
 /// keys, feature crosses, job seeds from `(template, day, instance)`, test

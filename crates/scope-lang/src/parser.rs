@@ -8,15 +8,42 @@ use crate::error::{LangError, Span};
 use crate::lexer::{tokenize, Spanned, Token};
 use scope_ir::schema::DataType;
 
+/// Deepest parenthesis nesting one expression may use. The parser re-enters
+/// the whole precedence ladder per `(`, so without a cap a few thousand
+/// parentheses overflow the stack instead of returning an error.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// Most operands one expression may have. A chain of `n` binary operators is
+/// a tree `n` deep, and everything after the parser (drop included) walks
+/// it recursively, so the cap bounds that recursion too.
+pub const MAX_EXPR_OPERANDS: usize = 1024;
+
 /// Parse a script source into an AST.
+///
+/// # Errors
+///
+/// A [`LangError`] for any malformed script, including an expression
+/// nested deeper than [`MAX_EXPR_DEPTH`] parentheses or with more than
+/// [`MAX_EXPR_OPERANDS`] operands: hostile input fails typed, it never
+/// aborts the process.
 pub fn parse_script(src: &str) -> Result<Script, LangError> {
     let tokens = tokenize(src)?;
-    Parser { tokens, pos: 0 }.script()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        operands: 0,
+    }
+    .script()
 }
 
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Open parentheses around the expression being parsed.
+    depth: usize,
+    /// Operands parsed so far in the current top-level expression.
+    operands: usize,
 }
 
 const AGG_FUNCS: &[&str] = &["COUNT", "SUM", "MIN", "MAX", "AVG"];
@@ -375,7 +402,10 @@ impl Parser {
         }
     }
 
+    /// A top-level expression: its nesting and operand budgets start afresh.
     fn expr(&mut self) -> Result<Expr, LangError> {
+        self.depth = 0;
+        self.operands = 0;
         self.or_expr()
     }
 
@@ -464,6 +494,13 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr, LangError> {
+        self.operands += 1;
+        if self.operands > MAX_EXPR_OPERANDS {
+            return Err(LangError::parse(
+                self.span(),
+                format!("expression has more than {MAX_EXPR_OPERANDS} operands"),
+            ));
+        }
         match self.peek().clone() {
             Token::IntLit(v) => {
                 self.bump();
@@ -479,8 +516,16 @@ impl Parser {
             }
             Token::Ident(_) => Ok(Expr::Column(self.column_ref()?)),
             Token::LParen => {
+                if self.depth == MAX_EXPR_DEPTH {
+                    return Err(LangError::parse(
+                        self.span(),
+                        format!("expression nests deeper than {MAX_EXPR_DEPTH} parentheses"),
+                    ));
+                }
                 self.bump();
-                let e = self.expr()?;
+                self.depth += 1;
+                let e = self.or_expr()?;
+                self.depth -= 1;
                 self.expect(&Token::RParen, ")")?;
                 Ok(e)
             }
@@ -495,6 +540,49 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `r = SELECT * FROM d WHERE <predicate>;` over an extracted `d`,
+    /// then output.
+    fn with_predicate(predicate: &str) -> String {
+        format!(
+            "d = EXTRACT k:int FROM \"p\";\nr = SELECT * FROM d WHERE {predicate};\nOUTPUT r TO \"o\";"
+        )
+    }
+
+    #[test]
+    fn deep_parentheses_are_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        let src = with_predicate(&format!("{}k{} > 1", "(".repeat(n), ")".repeat(n)));
+        let err = parse_script(&src).unwrap_err();
+        assert!(matches!(err, LangError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("parentheses"), "{err}");
+        // The cap itself still parses.
+        let d = MAX_EXPR_DEPTH;
+        let src = with_predicate(&format!("{}k{} > 1", "(".repeat(d), ")".repeat(d)));
+        assert!(parse_script(&src).is_ok());
+    }
+
+    #[test]
+    fn long_operator_chains_are_an_error_not_a_stack_overflow() {
+        let chain = |terms: usize| vec!["k"; terms].join(" + ");
+        let err = parse_script(&with_predicate(&format!("{} > 1", chain(1_000_000)))).unwrap_err();
+        assert!(matches!(err, LangError::Parse { .. }), "{err}");
+        assert!(err.to_string().contains("operands"), "{err}");
+        // The cap counts the comparison's right side too, and leaves the
+        // binder's recursion room on the same thread.
+        let at_cap = format!("{} > 1", chain(MAX_EXPR_OPERANDS - 1));
+        let catalog = crate::binder::Catalog::default();
+        assert!(crate::binder::bind_script(&with_predicate(&at_cap), &catalog).is_ok());
+        let over = format!("{} > 1", chain(MAX_EXPR_OPERANDS));
+        assert!(parse_script(&with_predicate(&over)).is_err());
+        // The budget is per expression, not per script.
+        let two = format!("{0} > 1 AND {0} > 1", chain(MAX_EXPR_OPERANDS / 4));
+        let src = format!(
+            "{}\ns = SELECT * FROM r WHERE {two};",
+            with_predicate(&at_cap)
+        );
+        assert!(parse_script(&src).is_ok());
+    }
 
     #[test]
     fn parses_extract() {

@@ -89,19 +89,21 @@ fn main() {
     }
 
     // 3b. The contextual bandit describes this span to its model as a
-    // co-occurrence feature block (pairs + triples of span rules, §3.2/§6).
-    // The block is template-stable, so the daily pipeline memoizes it in a
-    // span-feature cache — the features are byte-identical to building them
-    // afresh with `span_block`.
+    // co-occurrence feature block (pairs + triples of span rules, §3.2/§6),
+    // and its actions as one no-op plus one flip per span rule. Both are
+    // template-stable, so the daily pipeline memoizes them in a span-feature
+    // cache — the features are byte-identical to building them afresh with
+    // `span_block` and `action_slate`.
     let cache = FeatureCache::default();
-    let block = cache.span_block_for(plan.template_id(), &span, 6);
-    // A recurrence of the template hits the cached block.
-    let again = cache.span_block_for(plan.template_id(), &span, 6);
-    assert_eq!(block.items(), again.items());
+    let features = cache.span_features_for(plan.template_id(), &span, optimizer.rules(), 6);
+    // A recurrence of the template hits the cached entry.
+    let again = cache.span_features_for(plan.template_id(), &span, optimizer.rules(), 6);
+    assert_eq!(features.block.items(), again.block.items());
     assert_eq!(cache.stats().hits, 1);
     println!(
-        "\nspan co-occurrence block: {} features (span-feature cache on)",
-        block.len()
+        "\nspan co-occurrence block: {} features, {} actions (span-feature cache on)",
+        features.block.len(),
+        features.actions.len()
     );
 
     // 4. Price every span flip as ONE treatment slate against the default
