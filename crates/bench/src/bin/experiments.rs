@@ -1,5 +1,4 @@
-//! Regenerates every table and figure of the paper's evaluation (§5), plus
-//! the optimizer's anytime-budget curve (`budget-regret`).
+//! Regenerates every table and figure of the paper's evaluation (§5).
 //!
 //! ```text
 //! cargo run --release -p qo_bench --bin experiments -- all
@@ -31,15 +30,14 @@
 
 use flighting::{FlightBudget, FlightRequest, FlightingService};
 use qo_advisor::{
-    aggregate_impact, CompileBudget, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
+    aggregate_impact, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
     RecommendStrategy, SnapshotPolicy, ValidationModel, ValidationSample,
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
 use scope_ir::ids::HOLDOUT_RUN_SALT;
-use scope_lang::{bind_script, Catalog};
 use scope_runtime::{Cluster, Executor};
-use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
+use scope_workload::{build_view, LiteralPolicy, WorkloadConfig};
 
 /// The run-wide knobs: defaults overridden by the command line.
 struct Knobs {
@@ -115,7 +113,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["ablation-cost-gate"], ablation_cost_gate),
     (&["ablation-span-features"], ablation_span_features),
     (&["negi-cost"], negi_maintenance_cost),
-    (&["budget-regret"], budget_regret),
 ];
 
 /// Parse the command line (program name already stripped) into the knobs
@@ -929,124 +926,6 @@ fn negi_maintenance_cost(knobs: &Knobs) {
          template, at most 1 flight per template — a ~{:.0}x recompile reduction even at\n  \
          the scaled-down sample count (5x more at the paper's 1000 samples).",
         (total_recompiles as f64 / take as f64) / 2.0
-    );
-}
-
-/// Transform-heavy pipelines (stacked filters over projections, deep join
-/// chains) where exploration genuinely improves the objective — the seeded
-/// workload's generated plans are largely normalization-clean, so without
-/// these the regret column of the sweep is identically zero and the curve
-/// says nothing about where truncation starts costing plan quality.
-const DEEP_SCRIPTS: &[&str] = &[
-    r#"
-        t  = EXTRACT a:int, b:float FROM "store/t";
-        f1 = SELECT a, b FROM t WHERE b > 1;
-        f2 = SELECT a, b FROM f1 WHERE a < 10;
-        f3 = SELECT a, b FROM f2 WHERE b < 100;
-        OUTPUT f3 TO "out/f";
-    "#,
-    r#"
-        fact = EXTRACT k:int, m:int, v:float FROM "store/fact";
-        d1   = EXTRACT k:int, g:int FROM "store/d1";
-        p    = SELECT k, m, v FROM fact;
-        f1   = SELECT k, m, v FROM p WHERE v > 100;
-        f2   = SELECT k, m, v FROM f1 WHERE k < 50;
-        j    = SELECT * FROM f2 AS f JOIN d1 ON f.k == d1.k;
-        rpt  = SELECT g, SUM(v) AS total FROM j GROUP BY g;
-        OUTPUT rpt TO "out/cube";
-    "#,
-    r#"
-        s  = EXTRACT u:int, x:float, y:float FROM "store/s";
-        p1 = SELECT u, x, y FROM s;
-        p2 = SELECT u, x, y FROM p1;
-        f1 = SELECT u, x, y FROM p2 WHERE x > 0;
-        f2 = SELECT u, x, y FROM f1 WHERE y > 0;
-        f3 = SELECT u, x, y FROM f2 WHERE u > 10;
-        OUTPUT f3 TO "out/deep";
-    "#,
-];
-
-/// Anytime-optimization budget sweep: compile one seeded workload day under
-/// a ladder of [`CompileBudget`]s and report the tasks-vs-cost-regret curve
-/// — how much plan quality (the anytime objective: summed root-group best
-/// costs) each budget gives up against the unlimited compile, and what
-/// fraction of compiles it truncates. It charts the engine's anytime curve
-/// ([`scope_opt::Optimizer::compile_budgeted`]); no day-loop knob reads it.
-fn budget_regret(knobs: &Knobs) {
-    println!("\n=== Anytime compile budget: tasks vs cost regret ===");
-    let optimizer = scope_opt::Optimizer::default();
-    let default = optimizer.default_config();
-    let mut plans: Vec<std::sync::Arc<scope_ir::LogicalPlan>> =
-        Workload::new(knobs.workload_config(2022, 24, 4, 1))
-            .jobs_for_day(0)
-            .into_iter()
-            .map(|job| job.plan)
-            .collect();
-    let workload_jobs = plans.len();
-    for script in DEEP_SCRIPTS {
-        plans.push(std::sync::Arc::new(
-            bind_script(script, &Catalog::default()).expect("deep scripts bind"),
-        ));
-    }
-    let compile = |plan, budget| {
-        optimizer
-            .compile_budgeted(plan, &default, budget)
-            .expect("generated workloads compile on the default path")
-    };
-
-    // Unlimited reference: the floor objective per job, and the cascade
-    // sizes the sweep ladder is judged against.
-    let reference: Vec<(f64, u64)> = plans
-        .iter()
-        .map(|plan| {
-            let full = compile(plan, CompileBudget::unlimited());
-            (full.objective, full.tasks_executed)
-        })
-        .collect();
-    let jobs = plans.len() as f64;
-    let mean_full_tasks = reference.iter().map(|(_, t)| *t).sum::<u64>() as f64 / jobs;
-    println!(
-        "  {} jobs ({workload_jobs} workload + {} transform-heavy), mean unlimited cascade {mean_full_tasks:.0} tasks",
-        plans.len(),
-        DEEP_SCRIPTS.len()
-    );
-
-    // Powers of two through the observed task range of the workload's
-    // cascades.
-    let mut rows = Vec::new();
-    for budget in (3..=12).map(|p| 1u64 << p) {
-        let mut regrets = Vec::with_capacity(plans.len());
-        let mut truncated = 0usize;
-        let mut tasks_total = 0u64;
-        for (plan, (full_objective, _)) in plans.iter().zip(&reference) {
-            let b = compile(plan, CompileBudget::tasks(budget));
-            truncated += usize::from(b.outcome.is_truncated());
-            tasks_total += b.tasks_executed;
-            // Relative cost regret of the anytime plan vs the full search;
-            // monotonicity guarantees this is >= 0 (up to f64 rounding).
-            regrets.push(b.objective / full_objective - 1.0);
-        }
-        let mean_regret = mean(&regrets);
-        let max_regret = regrets.iter().copied().fold(0.0, f64::max);
-        println!(
-            "  budget {budget:>5}: mean regret {:+.3}%, max {:+.3}%, {truncated}/{} truncated, mean {:.0} tasks",
-            mean_regret * 1e2,
-            max_regret * 1e2,
-            plans.len(),
-            tasks_total as f64 / jobs,
-        );
-        rows.push(format!(
-            "{budget},{mean_regret:.6},{max_regret:.6},{:.4},{:.1}",
-            truncated as f64 / jobs,
-            tasks_total as f64 / jobs,
-        ));
-    }
-    // The unlimited endpoint (budget 0): zero regret by construction.
-    rows.push(format!("0,0.000000,0.000000,0.0000,{mean_full_tasks:.1}"));
-    write_csv(
-        "budget_regret.csv",
-        "budget,mean_regret,max_regret,truncated_frac,mean_tasks",
-        &rows,
     );
 }
 

@@ -88,9 +88,7 @@ pub use fleet::{
 pub use meter::{CacheCounters, ExecCounters, StageCounters, StageTimings};
 pub use monitoring::{MonitorConfig, RegressionMonitor};
 pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation, SharedCaches};
-pub use scope_opt::{
-    BudgetOutcome, CacheConfig, CacheStats, CompileBudget, DeltaConfig, DeltaStats,
-};
+pub use scope_opt::{CacheConfig, CacheStats, DeltaConfig, DeltaStats};
 pub use scope_runtime::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache, Executor};
 pub use scope_state::{SnapshotError, SteeringSnapshot};
 pub use scope_workload::ViewBuildError;

@@ -39,8 +39,8 @@
 //!   extraction re-run — clean groups are memoized hits.
 //! * **Full** — the flip changes what exploration does (a fired transform
 //!   disabled, or an enabled transform that matches): the budgeted,
-//!   order-dependent search cannot be patched soundly, so the whole cascade
-//!   is replayed through the task-queue engine's replay entry (skipping
+//!   order-dependent search cannot be patched soundly, so the whole search
+//!   is replayed through the optimizer's unchecked search entry (skipping
 //!   re-validation and the already-replayed disable-path check — exactly
 //!   the checks a from-scratch compile would redo and pass). With 18 of 256
 //!   rules being transforms, this is the rare case; the replayed task
@@ -66,7 +66,6 @@ use crate::memo::{GroupId, Memo};
 use crate::registry::{impl_targets, RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
 use crate::search::{CompileError, Compiled, Optimizer};
-use crate::tasks::TaskEngine;
 use rustc_hash::FxHashMap;
 use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
@@ -126,9 +125,9 @@ pub struct DeltaStats {
     pub base_builds: u64,
     /// Base-memo cache hits.
     pub base_hits: u64,
-    /// Task-queue tasks executed by replays through this compiler: the
+    /// Search tasks executed by replays through this compiler: the
     /// implementation tasks of delta passes (dirty groups only) plus the
-    /// full cascade of NeedsFull fallbacks. The task-count pin test uses
+    /// whole search of NeedsFull fallbacks. The task-count pin test uses
     /// this to prove delta replays redo *only* the invalidated work.
     pub replay_tasks: u64,
 }
@@ -238,10 +237,10 @@ impl BaseMemo {
         plan: &LogicalPlan,
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
-        let full = optimizer.compile_full(plan, base)?;
+        let full = optimizer.search(plan, base, true).1?;
         // Pre-warm the physical fingerprint once: every pruned result shares
         // this plan, so each reads it with one atomic load.
-        let _ = full.run.compiled.physical.fingerprint();
+        let _ = full.compiled.physical.fingerprint();
         let n = full.memo.group_count();
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
         for gi in 0..n as u32 {
@@ -258,10 +257,10 @@ impl BaseMemo {
             plan_fingerprint: plan.fingerprint(),
             base_bits: *base.bits(),
             template_seed: plan.template_id().0,
-            compiled: full.run.compiled,
+            compiled: full.compiled,
             memo: full.memo,
             roots: full.roots,
-            fired_transforms: full.run.fired_transforms,
+            fired_transforms: full.fired_transforms,
             parents,
             fires: Default::default(),
         })
@@ -289,7 +288,7 @@ impl BaseMemo {
         self.price_counted(optimizer, treatment).0
     }
 
-    /// [`BaseMemo::price`] plus the number of task-queue tasks the pricing
+    /// [`BaseMemo::price`] plus the number of search tasks the pricing
     /// replayed (the implementation tasks of a delta pass; zero for pruned
     /// or needs-full resolutions). [`DeltaCompiler`] accounts these in
     /// [`DeltaStats::replay_tasks`].
@@ -392,8 +391,8 @@ impl BaseMemo {
     /// The incremental pass: fork the base memo (pointer copies; every
     /// group's logical half and every clean group's candidate list stay
     /// shared with the base), rebuild the physical
-    /// candidates of dirty groups under the treatment configuration — as a
-    /// [`TaskEngine`] replay of exactly those groups' implementation tasks —
+    /// candidates of dirty groups under the treatment configuration — as an
+    /// [`Optimizer::implement`] of exactly those groups, one task each —
     /// invalidate `Best` on them and every ancestor, then re-cost and
     /// re-extract. Clean groups keep their base `Best` entries, which a
     /// from-scratch compile of the treatment would reproduce bit-for-bit
@@ -418,9 +417,12 @@ impl BaseMemo {
             })
             .collect();
         let mut memo = self.memo.fork_for_delta();
-        let mut engine = TaskEngine::new(optimizer);
-        if let Err(e) = engine.replay_implement(&mut memo, &reimplement, treatment) {
-            return (engine.tasks_executed, Err(e));
+        let mut tasks = 0;
+        let dirty = (0..n as u32)
+            .filter(|&gi| reimplement[gi as usize])
+            .map(GroupId);
+        if let Err(e) = optimizer.implement(&mut memo, dirty, treatment, &mut tasks) {
+            return (tasks, Err(e));
         }
         let mut stale = reimplement;
         let mut queue: VecDeque<u32> = (0..n as u32).filter(|&gi| stale[gi as usize]).collect();
@@ -452,7 +454,7 @@ impl BaseMemo {
                 .all(|g| memo.group(g).shares_logical_with(self.memo.group(g))),
             "a delta pass copied a logical half it only reads"
         );
-        (engine.tasks_executed, result)
+        (tasks, result)
     }
 }
 
@@ -550,8 +552,8 @@ impl DeltaCompiler {
     }
 
     /// Price one treatment through `base`, resolving a
-    /// [`PricedTreatment::NeedsFull`] with a task-queue replay of the full
-    /// cascade (the plan was already validated at base-build time and
+    /// [`PricedTreatment::NeedsFull`] with a replay of the whole search
+    /// (the plan was already validated at base-build time and
     /// `price` re-ran the disable-path check, so the replay entry skips
     /// both — byte-identical to a from-scratch compile), and count the
     /// resolution plus the replayed tasks.
@@ -582,10 +584,9 @@ impl DeltaCompiler {
                 self.full.fetch_add(1, Ordering::Relaxed);
                 // Unchecked: the identical plan was validated at base-build
                 // time and `price` already ran the disable-path check.
-                let unlimited = crate::tasks::CompileBudget::unlimited();
-                let (tasks, full) = optimizer.compile_tasks(plan, treatment, unlimited, false);
+                let (tasks, full) = optimizer.search(plan, treatment, false);
                 self.replay_tasks.fetch_add(tasks, Ordering::Relaxed);
-                full.map(|full| full.run.compiled)
+                full.map(|full| full.compiled)
             }
         }
     }
@@ -842,7 +843,7 @@ mod tests {
     }
 
     /// Satellite pin: delta replays redo only the invalidated work, and the
-    /// full-fallback path replays exactly the task cascade a from-scratch
+    /// full-fallback path replays exactly the tasks a from-scratch
     /// compile would run — no extra passes, no double exploration.
     #[test]
     fn replay_task_counts_pin_delta_and_full_paths() {
@@ -871,9 +872,9 @@ mod tests {
         let dirty_flip = dirty_flip.expect("some impl-layer flip takes the delta path");
         let full_flip = full_flip.expect("some fired-transform flip needs a full replay");
 
-        // Dirty replay: strictly fewer tasks than the whole cascade.
+        // Dirty replay: strictly fewer tasks than the whole search.
         let direct_dirty = opt
-            .compile_budgeted(&p, &dirty_flip, crate::tasks::CompileBudget::unlimited())
+            .compile_budgeted(&p, &dirty_flip, crate::search::CompileBudget::unlimited())
             .map(|b| b.tasks_executed)
             .unwrap_or(u64::MAX);
         let before = dc.stats().replay_tasks;
@@ -884,12 +885,12 @@ mod tests {
         assert!(
             dirty_tasks < direct_dirty,
             "delta replay ({dirty_tasks} tasks) must redo less than a \
-             from-scratch cascade ({direct_dirty} tasks)"
+             from-scratch search ({direct_dirty} tasks)"
         );
 
         // Full fallback: exactly the tasks of a direct engine run.
         let direct_full = opt
-            .compile_budgeted(&p, &full_flip, crate::tasks::CompileBudget::unlimited())
+            .compile_budgeted(&p, &full_flip, crate::search::CompileBudget::unlimited())
             .map(|b| b.tasks_executed)
             .ok();
         let before = dc.stats().replay_tasks;
@@ -899,10 +900,10 @@ mod tests {
         if let Some(direct_full) = direct_full {
             assert_eq!(
                 full_tasks, direct_full,
-                "full fallback must replay exactly the direct cascade"
+                "full fallback must replay exactly the direct search"
             );
         } else {
-            assert!(full_tasks > 0, "failed replays still ran the cascade");
+            assert!(full_tasks > 0, "failed replays still ran the search");
         }
     }
 
@@ -936,9 +937,7 @@ mod tests {
             enable: false,
         });
         let mut fork = base.memo.fork_for_delta();
-        let all = vec![true; groups.len()];
-        TaskEngine::new(&opt)
-            .replay_implement(&mut fork, &all, &treatment)
+        opt.implement(&mut fork, groups.iter().copied(), &treatment, &mut 0)
             .unwrap();
         for &g in &groups {
             fork.group_mut(g).best = None;

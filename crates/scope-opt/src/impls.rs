@@ -791,7 +791,7 @@ mod tests {
         catalog.register("store/users", rows(5e6));
         let plan = bind_script(script, &catalog).unwrap();
         let opt = Optimizer::default();
-        let full = opt.compile_full(&plan, &opt.default_config()).unwrap();
+        let full = opt.search(&plan, &opt.default_config(), true).1.unwrap();
 
         let mut shared = 0;
         for g in full.memo.group_ids() {
@@ -830,7 +830,7 @@ mod tests {
         }
         assert!(shared > 20, "parametric variants share shapes: {shared}");
 
-        let compiled = &full.run.compiled;
+        let compiled = &full.compiled;
         let partitions: Vec<u32> = compiled
             .physical
             .nodes()

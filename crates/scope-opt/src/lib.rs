@@ -1,16 +1,18 @@
 // Every compile fails as a typed `CompileError`, never a panic; tests may
 // unwrap freely.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-//! A Cascades-style, budgeted query optimizer for the SCOPE-like engine,
-//! with the full machinery the QO-Advisor paper steers:
+//! A Cascades-style query optimizer for the SCOPE-like engine, with the
+//! full machinery the QO-Advisor paper steers:
 //!
 //! * a **256-rule registry** in the paper's four categories
 //!   ([`registry::RuleSet`]);
 //! * **rule configurations** as 256-bit vectors and single-rule-flip
 //!   steering actions ([`config`]);
-//! * a **memo-based search** whose exploration budget, per-group caps, and
+//! * a **memo-based search** whose rewrite limit, per-group caps, and
 //!   promise ordering make it heuristic — and therefore steerable
-//!   ([`search::Optimizer`]);
+//!   ([`search::Optimizer`]): one recursive worklist explorer, then one
+//!   implementation pass, counting its own tasks for telemetry (a compile
+//!   is never interrupted; steering changes only the rule configuration);
 //! * **rule signatures** via provenance tracking (which rules directly
 //!   contributed to the chosen plan);
 //! * the **job-span fixpoint** heuristic ([`span::compute_span`]);
@@ -21,14 +23,6 @@
 //!   production view's daily compiles of recurring scripts — are looked up
 //!   instead of re-searched ([`cache::CompileCache`], owned by the
 //!   [`search::Optimizer`] that consults it);
-//! * an **anytime task-queue engine** ([`tasks`]): exploration runs as an
-//!   explicit ExploreGroup/ExploreExpr/ApplyRule cascade under a
-//!   [`tasks::CompileBudget`], then an implementation epilogue of one task
-//!   per memo group, so every compile is interruptible —
-//!   at budget exhaustion the best plan so far is extracted from the
-//!   partial memo and tagged [`tasks::BudgetOutcome::Truncated`]; at
-//!   unlimited budget the cascade is byte-identical to the recursive
-//!   reference engine ([`search::Optimizer::compile_recursive`]);
 //! * **delta treatment compilation** ([`delta`]): a plan's default
 //!   compilation is frozen as a shareable [`delta::BaseMemo`], and each
 //!   rule-flip treatment is priced as an incremental pass over it
@@ -72,13 +66,11 @@ pub mod registry;
 pub mod rules;
 pub mod search;
 pub mod span;
-pub mod tasks;
 
 pub use cache::{CacheConfig, CacheStats, CachingOptimizer, CompileCache};
 pub use config::{RuleBits, RuleConfig, RuleFlip, RuleId, RULE_COUNT};
 pub use delta::{BaseMemo, DeltaCompiler, DeltaConfig, DeltaStats, PricedTreatment};
 pub use hints::{Hint, HintSet};
 pub use registry::{RuleCategory, RuleDef, RuleSet};
-pub use search::{CompileError, Compiled, Optimizer};
+pub use search::{BudgetedCompile, CompileBudget, CompileError, Compiled, Optimizer};
 pub use span::{compute_span, SpanResult};
-pub use tasks::{BudgetOutcome, BudgetedCompile, CompileBudget};

@@ -1,13 +1,22 @@
-//! The budgeted Cascades search: exploration (transform rules in promise
-//! order under a global application budget and per-group caps),
-//! implementation (impl/parametric/fallback rules), bottom-up costing, and
-//! plan extraction with exchange materialization and signature assembly.
+//! The Cascades search, the one engine behind every compile: exploration
+//! (transform rules in promise order under a global rewrite limit and
+//! per-group caps, as a recursive worklist over `(group, expression)`
+//! pairs), implementation (impl/parametric/fallback rules, one group at a
+//! time), bottom-up costing, and plan extraction with exchange
+//! materialization and signature assembly.
 //!
-//! The search is deliberately *heuristic*: the budget, the per-group caps,
-//! and the promise ordering mean the explored space is a rule-configuration-
-//! dependent subset of the full space. That is why flipping a rule — even
-//! turning one *off* — can reroute the search to a plan with **lower**
-//! estimated cost, exactly the behaviour QO-Advisor exploits in SCOPE.
+//! The search is deliberately *heuristic*: the rewrite limit, the per-group
+//! caps, and the promise ordering mean the explored space is a
+//! rule-configuration-dependent subset of the full space. That is why
+//! flipping a rule — even turning one *off* — can reroute the search to a
+//! plan with **lower** estimated cost, exactly the behaviour QO-Advisor
+//! exploits in SCOPE. A compile always runs to completion: steering changes
+//! only the rule configuration (paper §2.4), never interrupts a search.
+//!
+//! The search counts its own work as *tasks*, for telemetry and the delta
+//! compiler's replay pins: one per group an exploration pass seeds, one per
+//! expression explored, one per transform tried, and one per group
+//! implemented (`Optimizer::explore`, `Optimizer::implement`).
 
 use crate::cache::CompileCache;
 use crate::config::{RuleBits, RuleConfig, RuleId};
@@ -21,7 +30,6 @@ use crate::registry::{
     RULE_SCRIPT_STITCH, RULE_SHUFFLE_ELIMINATION, RULE_STATS_ANNOTATE,
 };
 use crate::rules::apply_transform;
-use crate::tasks::{BudgetedCompile, CompileBudget, EngineRun, TaskEngine};
 use rustc_hash::FxHashMap;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::{PhysicalNode, PhysicalOp, PhysicalPlan, PhysicalTuning};
@@ -31,14 +39,14 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-/// Global budget of transform-rule applications per compile. Together with
-/// the per-group cap and the pass count below, it bounds the search the way a
+/// Global limit of transform-rule rewrites per compile. Together with the
+/// per-group cap and the pass count below, it bounds the search the way a
 /// production optimizer's time budget does, scaled down to simulation size.
-pub(crate) const MAX_TRANSFORM_APPLICATIONS: usize = 1500;
+const MAX_TRANSFORM_APPLICATIONS: usize = 1500;
 /// Maximum logical expressions per memo group.
-pub(crate) const MAX_EXPRS_PER_GROUP: usize = 8;
+const MAX_EXPRS_PER_GROUP: usize = 8;
 /// Exploration passes over the expression worklist.
-pub(crate) const EXPLORATION_PASSES: usize = 2;
+const EXPLORATION_PASSES: usize = 2;
 
 /// Compilation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,16 +101,45 @@ pub struct Compiled {
     pub template_seed: u64,
 }
 
-/// Everything one from-scratch compilation produces: the engine's
-/// [`EngineRun`] (the [`Compiled`] result and the exploration trace facts)
-/// plus the memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
+/// Everything one from-scratch compilation produces: the [`Compiled`]
+/// result, the exploration trace fact `crate::delta` prices flips against,
+/// and the memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
 /// treatment pricing.
 pub(crate) struct FullCompile {
-    pub run: EngineRun,
+    pub compiled: Compiled,
+    /// Transform rules that produced at least one rewrite during
+    /// exploration. This is a strict superset of the transforms visible in
+    /// memo provenance: a rewrite consumes the rewrite limit even when the
+    /// materialized expression is rejected by dedup or the per-group cap, so
+    /// only a rule absent from this set is provably trace-invisible.
+    pub fired_transforms: RuleBits,
     /// The fully explored, implemented, and costed memo.
     pub memo: Memo,
     /// Root group per plan output, in output order.
     pub roots: Vec<GroupId>,
+}
+
+/// The harness's spelling of an unlimited compile. There is no compile
+/// budget: `perfbench/` still passes this to
+/// [`Optimizer::compile_budgeted`] to read a compile's task count, and
+/// ROADMAP item 1a retires it.
+#[derive(Debug, Clone, Copy)]
+pub struct CompileBudget;
+
+impl CompileBudget {
+    /// The only budget: the search runs to completion.
+    #[must_use]
+    pub const fn unlimited() -> Self {
+        Self
+    }
+}
+
+/// What [`Optimizer::compile_budgeted`] returns: the compile and the number
+/// of search tasks it ran (the module docs give the counting rule).
+#[derive(Debug, Clone)]
+pub struct BudgetedCompile {
+    pub compiled: Compiled,
+    pub tasks_executed: u64,
 }
 
 /// The SCOPE-like optimizer. Its one input is the rule registry: the cost
@@ -169,17 +206,16 @@ impl Optimizer {
         Ok(seed_memo(plan))
     }
 
-    /// The one task-queue compile (`crate::tasks`) behind every entry point
-    /// below: seed a memo and run the cascade under `budget`. `checked`
-    /// validates the plan and runs the disable-path check first
-    /// ([`Optimizer::checked_seed`]); only `crate::delta`'s full-fallback
-    /// replay passes `false`, having done both already. Returns the
-    /// engine's task count (also when the run fails) beside the result.
-    pub(crate) fn compile_tasks(
+    /// The one search behind every compile entry point: seed a memo, then
+    /// explore, implement, cost and extract. `checked` validates the plan
+    /// and runs the disable-path check first ([`Optimizer::checked_seed`]);
+    /// only `crate::delta`'s full-fallback replay passes `false`, having
+    /// done both already. Returns the search's task count (also when the
+    /// search fails) beside the result.
+    pub(crate) fn search(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-        budget: CompileBudget,
         checked: bool,
     ) -> (u64, Result<FullCompile, CompileError>) {
         let seeded = if checked {
@@ -191,10 +227,36 @@ impl Optimizer {
             Ok(seeded) => seeded,
             Err(e) => return (0, Err(e)),
         };
-        let mut engine = TaskEngine::new(self);
-        let run = engine.run(&mut memo, &roots, config, template_seed, budget);
-        let full = run.map(|run| FullCompile { run, memo, roots });
-        (engine.tasks_executed, full)
+        let mut tasks = 0;
+        let run = self.optimize(&mut memo, &roots, config, template_seed, &mut tasks);
+        let full = run.map(|(compiled, fired_transforms)| FullCompile {
+            compiled,
+            fired_transforms,
+            memo,
+            roots,
+        });
+        (tasks, full)
+    }
+
+    /// [`Optimizer::search`]'s body over a seeded memo: the compile and the
+    /// fired transforms.
+    fn optimize(
+        &self,
+        memo: &mut Memo,
+        roots: &[GroupId],
+        config: &RuleConfig,
+        template_seed: u64,
+        tasks: &mut u64,
+    ) -> Result<(Compiled, RuleBits), CompileError> {
+        let fired = self.explore(memo, config, tasks)?;
+        let groups = memo.group_ids();
+        self.implement(memo, groups, config, tasks)?;
+        let mut visiting = vec![false; memo.group_count()];
+        for &root in roots {
+            self.best_cost(memo, root, &mut visiting);
+        }
+        let compiled = self.extract(memo, roots, template_seed, config.bits().fingerprint())?;
+        Ok((compiled, fired))
     }
 
     /// Compile a logical plan under a rule configuration from scratch,
@@ -204,63 +266,22 @@ impl Optimizer {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
-        self.compile_full(plan, config)
-            .map(|full| full.run.compiled)
+        self.search(plan, config, true).1.map(|full| full.compiled)
     }
 
-    /// [`Optimizer::compile_uncached`] keeping the explored memo and the
-    /// exploration trace facts ([`FullCompile`]) — what `crate::delta`
-    /// freezes into a [`crate::delta::BaseMemo`]. An unlimited-budget run,
-    /// which is byte-identical to the recursive reference engine.
-    pub(crate) fn compile_full(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<FullCompile, CompileError> {
-        self.compile_tasks(plan, config, CompileBudget::unlimited(), true)
-            .1
-    }
-
-    /// Compile under a [`CompileBudget`]: the task-queue engine explores
-    /// until the budget trips, then extracts the best plan the partial memo
-    /// supports (see `crate::tasks` for the anytime contract). It never
-    /// consults the caches. Unlimited budgets are byte-identical to
-    /// [`Optimizer::compile`].
+    /// An uncached compile with its task count: the harness's spelling (see
+    /// [`CompileBudget`]), which ROADMAP item 1a retires.
     pub fn compile_budgeted(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-        budget: CompileBudget,
+        _budget: CompileBudget,
     ) -> Result<BudgetedCompile, CompileError> {
-        let (tasks_executed, full) = self.compile_tasks(plan, config, budget, true);
-        let run = full?.run;
+        let (tasks_executed, full) = self.search(plan, config, true);
         Ok(BudgetedCompile {
-            compiled: run.compiled,
-            outcome: run.outcome,
+            compiled: full?.compiled,
             tasks_executed,
-            objective: run.objective,
         })
-    }
-
-    /// The original recursive-descent engine, kept as the differential
-    /// reference for the task-queue engine: `tests/budget_equivalence.rs`
-    /// asserts this stays byte-identical to [`Optimizer::compile`] (which
-    /// now runs `crate::tasks` at unlimited budget) for every template and
-    /// treatment.
-    pub fn compile_recursive(
-        &self,
-        plan: &LogicalPlan,
-        config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        let (template_seed, mut memo, roots) = self.checked_seed(plan, config)?;
-
-        self.explore(&mut memo, config)?;
-        self.implement(&mut memo, config)?;
-        let mut visiting = vec![false; memo.group_count()];
-        for &root in &roots {
-            self.best_cost(&mut memo, root, &mut visiting);
-        }
-        self.extract(&memo, &roots, template_seed, config.bits().fingerprint())
     }
 
     /// Disable-path instability: rules turned off relative to the default
@@ -318,34 +339,46 @@ impl Optimizer {
         Ok(())
     }
 
-    /// Recursive-descent exploration: apply enabled transforms in promise
-    /// order under the global budget. New expressions (and expressions of
-    /// newly created groups) join the worklist; a second pass catches
-    /// matches enabled by late arrivals. This is now the *reference*
-    /// engine: production compiles run the byte-identical task-queue
-    /// cascade in `crate::tasks`, and `tests/budget_equivalence.rs` holds
-    /// the two together.
+    /// Exploration: apply enabled transforms in promise order under the
+    /// global rewrite limit. New expressions (and expressions of newly
+    /// created groups) join the back of the worklist; a second pass catches
+    /// matches enabled by late arrivals.
+    ///
+    /// Counts into `tasks`, each before the rewrite-limit check: one task
+    /// per group a pass seeds (when that group's first seed expression
+    /// pops), one per expression popped, and one per transform tried.
     ///
     /// Returns the set of transform rules that produced at least one rewrite
     /// — the "fired" trace fact `crate::delta` uses to decide whether
     /// disabling a transform can be replayed without re-exploring (a rule
-    /// that never fired consumed no budget, so removing it leaves the trace
-    /// bit-identical).
-    fn explore(&self, memo: &mut Memo, config: &RuleConfig) -> Result<RuleBits, CompileError> {
+    /// that never fired consumed none of the limit, so removing it leaves
+    /// the trace bit-identical).
+    fn explore(
+        &self,
+        memo: &mut Memo,
+        config: &RuleConfig,
+        tasks: &mut u64,
+    ) -> Result<RuleBits, CompileError> {
         let transforms = self.rules.enabled_transforms(config);
         let mut fired = RuleBits::empty();
-        let mut budget = MAX_TRANSFORM_APPLICATIONS;
+        let mut rewrites_left = MAX_TRANSFORM_APPLICATIONS;
         for _pass in 0..EXPLORATION_PASSES {
+            let seeded = memo.group_count();
             let mut worklist: VecDeque<(GroupId, usize)> = memo
                 .group_ids()
                 .flat_map(|g| (0..memo.group(g).lexprs.len()).map(move |e| (g, e)))
                 .collect();
             while let Some((g, e)) = worklist.pop_front() {
-                if budget == 0 {
+                // Work discovered mid-pass is a new group's expression 0 or
+                // a later expression of an old group, so `e == 0` on an old
+                // group is that group's pass seed.
+                *tasks += u64::from(e == 0 && g.index() < seeded) + 1;
+                if rewrites_left == 0 {
                     return Ok(fired);
                 }
                 for (rule_id, kind, bit) in &transforms {
-                    if budget == 0 {
+                    *tasks += 1;
+                    if rewrites_left == 0 {
                         return Ok(fired);
                     }
                     let rewrites = apply_transform(*kind, memo, g, e);
@@ -353,10 +386,10 @@ impl Optimizer {
                         fired.insert(*rule_id);
                     }
                     for node in rewrites {
-                        if budget == 0 {
+                        if rewrites_left == 0 {
                             return Ok(fired);
                         }
-                        budget -= 1;
+                        rewrites_left -= 1;
                         let provenance = memo.group(g).lexprs[e].provenance.union(bit);
                         let groups_before = memo.group_count();
                         let (op, children) = memo.materialize(node, provenance);
@@ -378,9 +411,7 @@ impl Optimizer {
     }
 
     /// The implementation-rule context for a configuration (the policy rules
-    /// it enables). Shared with `crate::delta`, whose re-implementation of
-    /// dirty groups must see exactly the context a from-scratch compile
-    /// would build.
+    /// it enables).
     pub(crate) fn impl_context(&self, config: &RuleConfig) -> ImplContext {
         ImplContext {
             shuffle_elimination: config.enabled(RULE_SHUFFLE_ELIMINATION),
@@ -392,9 +423,8 @@ impl Optimizer {
     /// implementation/parametric candidates of every logical expression (in
     /// registry order) plus the required fallback. Each logical expression's
     /// canonical shape is built once and shared by the fallback and every
-    /// matching parametric candidate. This is the unit of work
-    /// `crate::delta` redoes per dirty group, so it must stay the exact loop
-    /// body of [`Optimizer::implement`].
+    /// matching parametric candidate. One task of [`Optimizer::implement`],
+    /// which is also how `crate::delta` redoes a dirty group.
     pub(crate) fn implement_group(
         &self,
         memo: &mut Memo,
@@ -428,11 +458,18 @@ impl Optimizer {
         Ok(())
     }
 
-    /// Implementation: every logical expression gets the enabled
-    /// implementation/parametric candidates plus the required fallback.
-    fn implement(&self, memo: &mut Memo, config: &RuleConfig) -> Result<(), CompileError> {
+    /// Implementation of `groups`, in order, one task each: every group of
+    /// a full compile, or the groups a `crate::delta` pass invalidated.
+    pub(crate) fn implement(
+        &self,
+        memo: &mut Memo,
+        groups: impl IntoIterator<Item = GroupId>,
+        config: &RuleConfig,
+        tasks: &mut u64,
+    ) -> Result<(), CompileError> {
         let ctx = self.impl_context(config);
-        for g in memo.group_ids().collect::<Vec<_>>() {
+        for g in groups {
+            *tasks += 1;
             self.implement_group(memo, g, config, &ctx)?;
         }
         Ok(())
@@ -720,36 +757,6 @@ mod tests {
 
     fn plan() -> scope_ir::LogicalPlan {
         bind_script(SCRIPT, &Catalog::default()).unwrap()
-    }
-
-    /// The fired-transform trace — the exploration fact `crate::delta`
-    /// prices flips against — must agree between the task-queue engine
-    /// (what `compile_full` records into every `BaseMemo`) and the
-    /// recursive reference engine's own exploration.
-    #[test]
-    fn task_engine_fired_trace_matches_recursive_explore() {
-        // Stacked filters over a projection: a shape where the filter
-        // transforms (merge / push-through-project) genuinely fire, so the
-        // equality below is not vacuously empty-vs-empty.
-        let script = r#"
-            t  = EXTRACT a:int, b:float FROM "store/t";
-            f1 = SELECT a, b FROM t WHERE b > 1;
-            f2 = SELECT a, b FROM f1 WHERE a < 10;
-            f3 = SELECT a, b FROM f2 WHERE b < 100;
-            OUTPUT f3 TO "out/f";
-        "#;
-        let p = bind_script(script, &Catalog::default()).unwrap();
-        let opt = Optimizer::default();
-        let config = opt.default_config();
-        let via_tasks = opt.compile_full(&p, &config).unwrap();
-        assert!(
-            !via_tasks.run.fired_transforms.is_empty(),
-            "some transform must fire for this shape"
-        );
-        let mut memo = Memo::new();
-        memo.copy_in(&p);
-        let recursive_fired = opt.explore(&mut memo, &config).unwrap();
-        assert_eq!(via_tasks.run.fired_transforms, recursive_fired);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! The digests were first recorded at the parent of the change that split
 //! `PExpr` into a shared `PShape` (before `impls.rs` was touched), and
-//! re-recorded with the task counts folded in on the task-queue engine,
-//! before the recursive explorer replaced it. A moved digest means some
-//! compile of some rule flip changed, not just a plan `structural_hash.rs`
-//! pins or a memo size `memo_dedup_pins.rs` pins.
+//! re-recorded with the task counts folded in at the parent of the change
+//! that made the recursive explorer the one search engine. A moved digest
+//! means some compile of some rule flip changed, not just a plan
+//! `structural_hash.rs` pins or a memo size `memo_dedup_pins.rs` pins.
 
 use scope_ir::ids::{combine, stable_hash64};
 use scope_opt::{compute_span, CompileBudget, CompileError, Compiled, Optimizer, RuleFlip};

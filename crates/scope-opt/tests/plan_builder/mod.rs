@@ -1,6 +1,6 @@
-//! Shared proptest plan builder for the optimizer's integration suites
-//! (`proptest_opt.rs`, `budget_monotonicity.rs`): a stack-machine recipe
-//! tuned to produce optimizer-interesting shapes.
+//! The proptest plan builder of the optimizer's integration suite
+//! (`proptest_opt.rs`): a stack-machine recipe tuned to produce
+//! optimizer-interesting shapes.
 
 use proptest::prelude::*;
 use scope_ir::expr::{AggExpr, AggFunc, BinOp, ScalarExpr};

@@ -147,50 +147,62 @@ impl SisStore {
         Ok(state.version)
     }
 
-    /// Load the highest-versioned persisted hint file from disk and install
-    /// it — unless the live in-memory version is already at least that new,
-    /// in which case nothing is installed and `Ok(None)` is returned: a
-    /// reload must never silently downgrade a store that has published past
-    /// what is on disk (e.g. after a partial cleanup of the hint directory).
+    /// Load the newest valid persisted hint file from disk and install it.
+    /// Files are tried newest-first by the version in their name, down to
+    /// (not including) the live version: a torn or invalid file falls back
+    /// to the next older one, and `Err` — the newest file's error — comes
+    /// only when none of them is valid. When the live in-memory version is
+    /// already at least as new as every file, nothing is installed and
+    /// `Ok(None)` is returned: a reload must never silently downgrade a
+    /// store that has published past what is on disk (e.g. after a partial
+    /// cleanup of the hint directory).
     pub fn reload_latest(&self) -> Result<Option<u32>, SisError> {
         let Some(dir) = &self.dir else {
             return Ok(None);
         };
-        let mut best: Option<(u32, PathBuf)> = None;
-        let entries = std::fs::read_dir(dir).map_err(|e| SisError::Io(e.to_string()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| SisError::Io(e.to_string()))?;
+        let io = |e: std::io::Error| SisError::Io(e.to_string());
+        // The versions come from the filenames, so a stale directory is a
+        // no-op before any file is read — a corrupt file that would install
+        // nothing must not fail the reload.
+        let live = self.state().version;
+        let mut newer: Vec<(u32, PathBuf)> = Vec::new();
+        for entry in std::fs::read_dir(dir).map_err(io)? {
+            let entry = entry.map_err(io)?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if let Some(v) = name
                 .strip_prefix("hints-v")
                 .and_then(|s| s.strip_suffix(".json"))
                 .and_then(|s| s.parse::<u32>().ok())
             {
-                if best.as_ref().is_none_or(|(bv, _)| v > *bv) {
-                    best = Some((v, entry.path()));
+                if v > live {
+                    newer.push((v, entry.path()));
                 }
             }
         }
-        let Some((version, path)) = best else {
-            return Ok(None);
-        };
-        // The version comes from the filename, so a stale directory is a
-        // no-op before any file is read — a corrupt file that would install
-        // nothing must not fail the reload.
-        if version <= self.state().version {
-            return Ok(None);
+        newer.sort_unstable_by(|a, b| b.cmp(a));
+        let mut newest_err = None;
+        for (version, path) in newer {
+            let file = std::fs::read_to_string(path).map_err(io).and_then(|json| {
+                let file: HintFile =
+                    serde_json::from_str(&json).map_err(|e| SisError::Io(e.to_string()))?;
+                Self::validate(&file).map(|()| file)
+            });
+            let file = match file {
+                Ok(file) => file,
+                Err(e) => {
+                    newest_err.get_or_insert(e);
+                    continue;
+                }
+            };
+            let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
+            if version <= state.version {
+                return Ok(None);
+            }
+            state.version = version;
+            state.hints = HintSet::from_hints(file.hints);
+            return Ok(Some(version));
         }
-        let json = std::fs::read_to_string(path).map_err(|e| SisError::Io(e.to_string()))?;
-        let file: HintFile =
-            serde_json::from_str(&json).map_err(|e| SisError::Io(e.to_string()))?;
-        Self::validate(&file)?;
-        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        if version <= state.version {
-            return Ok(None);
-        }
-        state.version = version;
-        state.hints = HintSet::from_hints(file.hints);
-        Ok(Some(version))
+        newest_err.map_or(Ok(None), Err)
     }
 
     /// Install snapshot-restored state directly: set the live version and

@@ -119,6 +119,32 @@ fn every_truncation_is_rejected() {
 }
 
 #[test]
+fn truncated_newest_file_falls_back_to_the_previous_version() {
+    let dir = scratch_dir("fallback");
+    let mut v2 = two_hints();
+    v2.version = 2;
+    v2.hints.truncate(1);
+    live_store(&dir).publish(v2).unwrap();
+    let newest = dir.join("hints-v000002.json");
+    let bytes = std::fs::read(&newest).unwrap();
+    for len in 0..bytes.len() {
+        std::fs::write(&newest, &bytes[..len]).unwrap();
+        let fresh = SisStore::at_dir(&dir).unwrap();
+        assert_eq!(fresh.reload_latest(), Ok(Some(1)), "first {len} bytes");
+        assert_eq!(fresh.snapshot().hints(), two_hints().hints, "{len}");
+    }
+    // With no valid file left, the newest file's error is the one returned.
+    std::fs::write(&newest, b"").unwrap();
+    let duplicate = PUBLISHED.replacen("18364758544493064720", "42", 1);
+    std::fs::write(dir.join("hints-v000001.json"), duplicate).unwrap();
+    let fresh = SisStore::at_dir(&dir).unwrap();
+    let err = fresh.reload_latest().expect_err("no valid file to install");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(matches!(err, SisError::Io(_)), "{err:?}");
+    assert_eq!(fresh.version(), 0);
+}
+
+#[test]
 fn every_targeted_mutation_is_rejected() {
     let mutate = |from: &str, to: &str| {
         assert!(PUBLISHED.contains(from), "{from} is not in the file");

@@ -10,8 +10,7 @@ use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
 use scope_opt::{
-    compute_span, CacheConfig, CompileBudget, DeltaConfig, Hint, HintSet, Optimizer, RuleConfig,
-    RuleFlip,
+    compute_span, CacheConfig, DeltaConfig, Hint, HintSet, Optimizer, RuleConfig, RuleFlip,
 };
 use scope_runtime::{CachingExecutor, Cluster, ExecCacheConfig, Executor};
 
@@ -64,20 +63,6 @@ fn main() {
             .iter()
             .map(|r| optimizer.rules().rule(r).name.clone())
             .collect::<Vec<_>>()
-    );
-
-    // 2b. Anytime compilation: a `CompileBudget::tasks(n)` caps the
-    // task-queue cascade at n exploration tasks and extracts the best plan
-    // from the partial memo — possibly truncated, always a valid executable
-    // plan. At unlimited budget the result is byte-identical to `compile`.
-    let budgeted = optimizer
-        .compile_budgeted(&plan, &default, CompileBudget::unlimited())
-        .expect("budgeted compile shares the default path's success");
-    assert!(!budgeted.outcome.is_truncated());
-    assert_eq!(budgeted.compiled.physical, compiled.physical);
-    println!(
-        "anytime compile: {} tasks, objective {:.3e} (complete)",
-        budgeted.tasks_executed, budgeted.objective
     );
 
     // 3. Compute the job span: every rule whose flip can change this plan.
