@@ -2,50 +2,58 @@
 //! expressions here reference columns *by name* (optionally qualified by the
 //! dataset alias); the binder resolves names to positional indices.
 
+use crate::error::Span;
 use scope_ir::schema::DataType;
 
-/// A whole script: an ordered list of statements.
+/// A whole script: an ordered list of statements. Names, paths and string
+/// literals borrow from the script source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Script {
-    pub statements: Vec<Statement>,
+pub struct Script<'a> {
+    pub statements: Vec<Statement<'a>>,
+    /// The span of each statement's first token, index for index: where a
+    /// bind error in that statement is reported.
+    pub spans: Vec<Span>,
 }
 
 /// Top-level statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
+pub enum Statement<'a> {
     /// `name = EXTRACT col:type, ... FROM "path" [USING Extractor];`
     Extract {
-        name: String,
-        columns: Vec<(String, DataType)>,
-        path: String,
-        extractor: Option<String>,
+        name: &'a str,
+        columns: Vec<(&'a str, DataType)>,
+        path: &'a str,
+        extractor: Option<&'a str>,
     },
     /// `name = SELECT ... ;`
-    Select { name: String, query: SelectStmt },
+    Select {
+        name: &'a str,
+        query: SelectStmt<'a>,
+    },
     /// `name = PROCESS input USING Udf;`
     Process {
-        name: String,
-        input: String,
-        udf: String,
+        name: &'a str,
+        input: &'a str,
+        udf: &'a str,
     },
     /// `name = UNION a, b, c;`
-    Union { name: String, inputs: Vec<String> },
+    Union { name: &'a str, inputs: Vec<&'a str> },
     /// `name = WINDOW input PARTITION BY cols AGGREGATE SUM(x) AS s, ...;`
     Window {
-        name: String,
-        input: String,
-        partition_by: Vec<ColumnRef>,
-        funcs: Vec<WindowFunc>,
+        name: &'a str,
+        input: &'a str,
+        partition_by: Vec<ColumnRef<'a>>,
+        funcs: Vec<WindowFunc<'a>>,
     },
     /// `OUTPUT name TO "path";`
-    Output { input: String, path: String },
+    Output { input: &'a str, path: &'a str },
 }
 
-impl Statement {
+impl<'a> Statement<'a> {
     /// The dataset name this statement defines, if any.
     #[must_use]
-    pub fn defines(&self) -> Option<&str> {
-        match self {
+    pub fn defines(&self) -> Option<&'a str> {
+        match *self {
             Statement::Extract { name, .. }
             | Statement::Select { name, .. }
             | Statement::Process { name, .. }
@@ -58,96 +66,100 @@ impl Statement {
 
 /// One windowed aggregate, e.g. `SUM(v) AS total`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowFunc {
-    pub func: String,
+pub struct WindowFunc<'a> {
+    /// Upper-case function name, one of the parser's aggregates.
+    pub func: &'static str,
     /// `None` means `COUNT(*)`.
-    pub column: Option<ColumnRef>,
-    pub alias: String,
+    pub column: Option<ColumnRef<'a>>,
+    pub alias: &'a str,
 }
 
 /// A SELECT statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectStmt {
+pub struct SelectStmt<'a> {
     /// `SELECT TOP k` limit, if present (requires ORDER BY).
     pub top: Option<u64>,
-    pub items: Vec<SelectItem>,
+    pub items: Vec<SelectItem<'a>>,
     /// First (driving) input dataset.
-    pub from: TableAlias,
+    pub from: TableAlias<'a>,
     /// Zero or more `JOIN x ON a == b` clauses, applied left-to-right.
-    pub joins: Vec<JoinClause>,
-    pub predicate: Option<Expr>,
-    pub group_by: Vec<ColumnRef>,
-    pub order_by: Vec<OrderKey>,
+    pub joins: Vec<JoinClause<'a>>,
+    pub predicate: Option<Expr<'a>>,
+    pub group_by: Vec<ColumnRef<'a>>,
+    pub order_by: Vec<OrderKey<'a>>,
 }
 
 /// A dataset reference with an optional alias (`sales AS s`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableAlias {
-    pub name: String,
-    pub alias: Option<String>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TableAlias<'a> {
+    pub name: &'a str,
+    pub alias: Option<&'a str>,
 }
 
-impl TableAlias {
+impl<'a> TableAlias<'a> {
     /// The name columns may be qualified with.
     #[must_use]
-    pub fn effective_alias(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.name)
+    pub fn effective_alias(&self) -> &'a str {
+        self.alias.unwrap_or(self.name)
     }
 }
 
 /// One `JOIN <table> ON <left-col> == <right-col> [AND ...]` clause.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinClause {
-    pub table: TableAlias,
+pub struct JoinClause<'a> {
+    pub table: TableAlias<'a>,
     /// Equi-join conditions: pairs of column references.
-    pub on: Vec<(ColumnRef, ColumnRef)>,
+    pub on: Vec<(ColumnRef<'a>, ColumnRef<'a>)>,
 }
 
 /// Items of the select list.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub enum SelectItem<'a> {
     /// `*`
     Wildcard,
     /// A scalar expression with an optional alias.
-    Expr { expr: Expr, alias: Option<String> },
+    Expr {
+        expr: Expr<'a>,
+        alias: Option<&'a str>,
+    },
     /// An aggregate call, e.g. `SUM(x) AS total`. `column == None` is
-    /// `COUNT(*)`.
+    /// `COUNT(*)`; `func` is upper case.
     Agg {
-        func: String,
+        func: &'static str,
         distinct: bool,
-        column: Option<ColumnRef>,
-        alias: String,
+        column: Option<ColumnRef<'a>>,
+        alias: &'a str,
     },
 }
 
 /// A possibly-qualified column name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColumnRef {
-    pub qualifier: Option<String>,
-    pub name: String,
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ColumnRef<'a> {
+    pub qualifier: Option<&'a str>,
+    pub name: &'a str,
 }
 
-impl ColumnRef {
+impl<'a> ColumnRef<'a> {
     #[must_use]
-    pub fn bare(name: impl Into<String>) -> Self {
+    pub fn bare(name: &'a str) -> Self {
         Self {
             qualifier: None,
-            name: name.into(),
+            name,
         }
     }
 
     #[must_use]
-    pub fn qualified(q: impl Into<String>, name: impl Into<String>) -> Self {
+    pub fn qualified(q: &'a str, name: &'a str) -> Self {
         Self {
-            qualifier: Some(q.into()),
-            name: name.into(),
+            qualifier: Some(q),
+            name,
         }
     }
 }
 
-impl std::fmt::Display for ColumnRef {
+impl std::fmt::Display for ColumnRef<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.qualifier {
+        match self.qualifier {
             Some(q) => write!(f, "{q}.{}", self.name),
             None => write!(f, "{}", self.name),
         }
@@ -156,15 +168,15 @@ impl std::fmt::Display for ColumnRef {
 
 /// Scalar expressions (named columns).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    Column(ColumnRef),
+pub enum Expr<'a> {
+    Column(ColumnRef<'a>),
     IntLit(i64),
     FloatLit(f64),
-    StrLit(String),
+    StrLit(&'a str),
     Binary {
         op: AstBinOp,
-        left: Box<Expr>,
-        right: Box<Expr>,
+        left: Box<Expr<'a>>,
+        right: Box<Expr<'a>>,
     },
 }
 
@@ -186,9 +198,9 @@ pub enum AstBinOp {
 }
 
 /// One ORDER BY key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderKey {
-    pub column: ColumnRef,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrderKey<'a> {
+    pub column: ColumnRef<'a>,
     pub descending: bool,
 }
 
@@ -199,13 +211,13 @@ mod tests {
     #[test]
     fn defines_reports_bound_name() {
         let s = Statement::Union {
-            name: "u".into(),
-            inputs: vec!["a".into(), "b".into()],
+            name: "u",
+            inputs: vec!["a", "b"],
         };
         assert_eq!(s.defines(), Some("u"));
         let o = Statement::Output {
-            input: "u".into(),
-            path: "p".into(),
+            input: "u",
+            path: "p",
         };
         assert_eq!(o.defines(), None);
     }
@@ -219,12 +231,12 @@ mod tests {
     #[test]
     fn effective_alias_prefers_explicit() {
         let t = TableAlias {
-            name: "sales".into(),
-            alias: Some("s".into()),
+            name: "sales",
+            alias: Some("s"),
         };
         assert_eq!(t.effective_alias(), "s");
         let t2 = TableAlias {
-            name: "sales".into(),
+            name: "sales",
             alias: None,
         };
         assert_eq!(t2.effective_alias(), "sales");

@@ -10,11 +10,12 @@ use crate::error::{LangError, Span};
 use crate::parser::parse_script;
 use rustc_hash::FxHashMap;
 use scope_ir::expr::{AggExpr, AggFunc, BinOp, ScalarExpr, Value};
-use scope_ir::ids::{stable_hash64, unit};
+use scope_ir::ids::{stable_hash64, unit, StableHasher};
 use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan, SortKey, TableRef};
-use scope_ir::schema::{Column, Schema};
+use scope_ir::schema::{Column, DataType, Schema};
 use scope_ir::stats::DualStats;
 use scope_ir::NodeId;
+use std::fmt::Write as _;
 
 /// Catalog information for one base dataset.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +70,7 @@ impl Catalog {
         if !self.realistic_selectivity {
             return DualStats::exact(est);
         }
-        let mut norm = String::new();
+        let mut norm = String::with_capacity(64);
         predicate.normalized(&mut norm);
         let h = stable_hash64(norm.as_bytes());
         // Map hash to a log-uniform factor in [0.25, 2.5].
@@ -84,57 +85,73 @@ pub fn bind_script(src: &str, catalog: &Catalog) -> Result<LogicalPlan, LangErro
     Binder::new(catalog).bind(&script)
 }
 
-/// Statement-by-statement binder.
+/// Statement-by-statement binder. It borrows the catalog and the names of
+/// the script it binds; what it allocates is what the plan keeps, plus one
+/// schema per dataset that changes columns.
 pub struct Binder<'a> {
     catalog: &'a Catalog,
     plan: LogicalPlan,
-    /// dataset name -> (plan node, output schema)
-    symbols: FxHashMap<String, (NodeId, Schema)>,
+    /// dataset name -> (plan node, index of its output schema in `schemas`)
+    symbols: FxHashMap<&'a str, (NodeId, usize)>,
+    /// Output schemas; a PROCESS or UNION shares its (first) input's.
+    schemas: Vec<Schema>,
 }
 
-/// Column-resolution scope: concatenated schemas of the FROM table and every
-/// joined table, each tagged with its alias.
-struct Scope {
-    entries: Vec<(String, Schema)>,
-}
+/// Column-resolution scope: the schemas of the FROM table and every joined
+/// table, in order, each tagged with its alias.
+type Scope<'s> = [(&'s str, &'s Schema)];
 
-impl Scope {
-    fn width(&self) -> usize {
-        self.entries.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    fn schema(&self) -> Schema {
-        let mut cols: Vec<Column> = Vec::with_capacity(self.width());
-        for (_, s) in &self.entries {
-            cols.extend_from_slice(s.columns());
-        }
-        Schema::new(cols)
-    }
-
-    /// Resolve a column reference to a flat index into the concatenated
-    /// schema. Unqualified names must be unambiguous.
-    fn resolve(&self, col: &ColumnRef, span: Span) -> Result<usize, LangError> {
-        let mut offset = 0usize;
-        let mut found: Option<usize> = None;
-        for (alias, schema) in &self.entries {
-            if let Some(q) = &col.qualifier {
-                if q != alias {
-                    offset += schema.len();
-                    continue;
-                }
-            }
-            if let Some(i) = schema.index_of(&col.name) {
-                if found.is_some() {
-                    return Err(LangError::bind(span, format!("ambiguous column {col}")));
-                }
-                found = Some(offset + i);
-                if col.qualifier.is_some() {
-                    break;
-                }
-            }
+/// Resolve a column reference to a flat index into the scope's concatenated
+/// schema. Unqualified names must be unambiguous.
+fn resolve(scope: &Scope<'_>, col: &ColumnRef<'_>, span: Span) -> Result<usize, LangError> {
+    let mut offset = 0usize;
+    let mut found: Option<usize> = None;
+    for &(alias, schema) in scope {
+        if col.qualifier.is_some_and(|q| q != alias) {
             offset += schema.len();
+            continue;
         }
-        found.ok_or_else(|| LangError::bind(span, format!("unknown column {col}")))
+        if let Some(i) = schema.index_of(col.name) {
+            if found.is_some() {
+                return Err(LangError::bind(span, format!("ambiguous column {col}")));
+            }
+            found = Some(offset + i);
+            if col.qualifier.is_some() {
+                break;
+            }
+        }
+        offset += schema.len();
+    }
+    found.ok_or_else(|| LangError::bind(span, format!("unknown column {col}")))
+}
+
+/// The column at flat index `i` of the scope's concatenated schema.
+fn column<'s>(scope: &Scope<'s>, mut i: usize) -> Option<&'s Column> {
+    for &(_, schema) in scope {
+        if i < schema.len() {
+            return schema.column(i);
+        }
+        i -= schema.len();
+    }
+    None
+}
+
+/// [`stable_hash64`] of the formatted text, streamed: the same value as
+/// hashing `format!(..)` of it, without building the string.
+fn hash_fmt(args: std::fmt::Arguments<'_>) -> u64 {
+    let mut h = StableHasher::new();
+    // `StableHasher::write_str` cannot fail.
+    let _ = h.write_fmt(args);
+    h.finish()
+}
+
+/// The estimate `est` with, when the catalog is realistic, a truth scaled
+/// by a deterministic factor in [0.25, 2.5] drawn from `h`.
+fn perturbed(catalog: &Catalog, est: f64, h: impl FnOnce() -> u64) -> DualStats {
+    if catalog.realistic_selectivity {
+        DualStats::new((est * 0.25 * 10.0f64.powf(unit(h()))).clamp(1e-9, 1.0), est)
+    } else {
+        DualStats::exact(est)
     }
 }
 
@@ -145,13 +162,17 @@ impl<'a> Binder<'a> {
             catalog,
             plan: LogicalPlan::new(),
             symbols: FxHashMap::default(),
+            schemas: Vec::new(),
         }
     }
 
-    /// Bind a parsed script into a logical plan.
-    pub fn bind(mut self, script: &Script) -> Result<LogicalPlan, LangError> {
-        let span = Span::default();
-        for stmt in &script.statements {
+    /// Bind a parsed script into a logical plan. An error names the span of
+    /// the first token of the statement it is in.
+    pub fn bind(mut self, script: &Script<'a>) -> Result<LogicalPlan, LangError> {
+        self.symbols.reserve(script.statements.len());
+        self.schemas.reserve(script.statements.len());
+        for (i, stmt) in script.statements.iter().enumerate() {
+            let span = script.spans.get(i).copied().unwrap_or_default();
             if let Some(name) = stmt.defines() {
                 if self.symbols.contains_key(name) {
                     return Err(LangError::bind(span, format!("duplicate dataset {name}")));
@@ -164,20 +185,16 @@ impl<'a> Binder<'a> {
                     path,
                     ..
                 } => {
-                    let schema = Schema::new(
-                        columns
-                            .iter()
-                            .map(|(n, t)| Column::new(n.clone(), *t))
-                            .collect(),
-                    );
-                    let info = self.catalog.lookup(path);
-                    let table = TableRef::new(path.clone(), schema.clone(), info.rows);
+                    let schema =
+                        Schema::new(columns.iter().map(|&(n, t)| Column::new(n, t)).collect());
+                    let rows = self.catalog.lookup(path).rows;
+                    let table = TableRef::new(*path, schema.clone(), rows);
                     let node = self.plan.add(LogicalOp::Extract { table }, vec![]);
-                    self.symbols.insert(name.clone(), (node, schema));
+                    self.define(name, node, schema);
                 }
                 Statement::Select { name, query } => {
                     let (node, schema) = self.bind_select(query, span)?;
-                    self.symbols.insert(name.clone(), (node, schema));
+                    self.define(name, node, schema);
                 }
                 Statement::Process { name, input, udf } => {
                     let (child, schema) = self.dataset(input, span)?;
@@ -187,13 +204,13 @@ impl<'a> Binder<'a> {
                     let cpu_factor = 1.0 + (h % 700) as f64 / 100.0;
                     let node = self.plan.add(
                         LogicalOp::Process {
-                            udf: udf.clone().into(),
+                            udf: (*udf).into(),
                             cpu_factor,
                             out_ratio: DualStats::exact(1.0),
                         },
                         vec![child],
                     );
-                    self.symbols.insert(name.clone(), (node, schema));
+                    self.symbols.insert(name, (node, schema));
                 }
                 Statement::Window {
                     name,
@@ -201,21 +218,20 @@ impl<'a> Binder<'a> {
                     partition_by,
                     funcs,
                 } => {
-                    let (child, input_schema) = self.dataset(input, span)?;
-                    let scope = Scope {
-                        entries: vec![(String::new(), input_schema.clone())],
-                    };
+                    let (child, input) = self.dataset(input, span)?;
+                    let input_schema = &self.schemas[input];
+                    let scope: &Scope<'_> = &[("", input_schema)];
                     let mut cols = Vec::with_capacity(partition_by.len());
                     for c in partition_by {
-                        cols.push(scope.resolve(c, span)?);
+                        cols.push(resolve(scope, c, span)?);
                     }
                     let mut lowered = Vec::with_capacity(funcs.len());
                     for f in funcs {
                         let input_col = match &f.column {
-                            Some(c) => Some(scope.resolve(c, span)?),
+                            Some(c) => Some(resolve(scope, c, span)?),
                             None => None,
                         };
-                        let func = match f.func.as_str() {
+                        let func = match f.func {
                             "COUNT" => AggFunc::Count,
                             "SUM" => AggFunc::Sum,
                             "MIN" => AggFunc::Min,
@@ -228,15 +244,12 @@ impl<'a> Binder<'a> {
                                 ));
                             }
                         };
-                        lowered.push(AggExpr::new(func, input_col, f.alias.clone()));
+                        lowered.push(AggExpr::new(func, input_col, f.alias));
                     }
                     // Window output = input columns plus one per function.
-                    let mut out_cols = input_schema.columns().to_vec();
-                    out_cols.extend(
-                        lowered.iter().map(|a| {
-                            Column::new(a.alias.clone(), scope_ir::schema::DataType::Float)
-                        }),
-                    );
+                    let mut out_cols = Vec::with_capacity(input_schema.len() + funcs.len());
+                    out_cols.extend_from_slice(input_schema.columns());
+                    out_cols.extend(funcs.iter().map(|f| Column::new(f.alias, DataType::Float)));
                     let node = self.plan.add(
                         LogicalOp::Window {
                             partition_by: cols,
@@ -244,8 +257,7 @@ impl<'a> Binder<'a> {
                         },
                         vec![child],
                     );
-                    self.symbols
-                        .insert(name.clone(), (node, Schema::new(out_cols)));
+                    self.define(name, node, Schema::new(out_cols));
                 }
                 Statement::Union { name, inputs } => {
                     // The parser enforces this too, but a hand-built
@@ -255,70 +267,72 @@ impl<'a> Binder<'a> {
                         _ => return Err(LangError::bind(span, "UNION needs at least 2 inputs")),
                     };
                     let (first, schema) = self.dataset(first, span)?;
-                    let mut children = vec![first];
+                    let width = self.schemas[schema].len();
+                    let mut children = Vec::with_capacity(inputs.len());
+                    children.push(first);
                     for input in rest {
                         let (node, s) = self.dataset(input, span)?;
-                        if schema.len() != s.len() {
+                        let other = self.schemas[s].len();
+                        if width != other {
                             return Err(LangError::bind(
                                 span,
-                                format!(
-                                    "UNION width mismatch: {} vs {} columns",
-                                    schema.len(),
-                                    s.len()
-                                ),
+                                format!("UNION width mismatch: {width} vs {other} columns"),
                             ));
                         }
                         children.push(node);
                     }
                     let node = self.plan.add(LogicalOp::Union, children);
-                    self.symbols.insert(name.clone(), (node, schema));
+                    self.symbols.insert(name, (node, schema));
                 }
                 Statement::Output { input, path } => {
                     let (child, _) = self.dataset(input, span)?;
-                    self.plan.add_output(path.clone(), child);
+                    self.plan.add_output(*path, child);
                 }
             }
         }
         if self.plan.outputs().is_empty() {
-            return Err(LangError::bind(span, "script has no OUTPUT statement"));
+            return Err(LangError::bind(
+                Span::default(),
+                "script has no OUTPUT statement",
+            ));
         }
         debug_assert!(self.plan.validate().is_ok(), "binder produced invalid plan");
         Ok(self.plan)
     }
 
-    fn dataset(&self, name: &str, span: Span) -> Result<(NodeId, Schema), LangError> {
+    fn define(&mut self, name: &'a str, node: NodeId, schema: Schema) {
+        self.symbols.insert(name, (node, self.schemas.len()));
+        self.schemas.push(schema);
+    }
+
+    /// A bound dataset's plan node and schema index.
+    fn dataset(&self, name: &str, span: Span) -> Result<(NodeId, usize), LangError> {
         self.symbols
             .get(name)
-            .cloned()
+            .copied()
             .ok_or_else(|| LangError::bind(span, format!("unknown dataset {name}")))
     }
 
     fn bind_select(
         &mut self,
-        query: &SelectStmt,
+        query: &SelectStmt<'a>,
         span: Span,
     ) -> Result<(NodeId, Schema), LangError> {
         // FROM + JOINs build the scope.
-        let (mut node, from_schema) = self.dataset(&query.from.name, span)?;
-        let mut scope = Scope {
-            entries: vec![(query.from.effective_alias().to_string(), from_schema)],
-        };
+        let (mut node, from) = self.dataset(query.from.name, span)?;
+        let mut scope = Vec::with_capacity(1 + query.joins.len());
+        scope.push((query.from.effective_alias(), &self.schemas[from]));
         for join in &query.joins {
-            let (right, right_schema) = self.dataset(&join.table.name, span)?;
-            let right_scope = Scope {
-                entries: vec![(
-                    join.table.effective_alias().to_string(),
-                    right_schema.clone(),
-                )],
-            };
+            let (right, right_schema) = self.dataset(join.table.name, span)?;
+            let right_scope = (join.table.effective_alias(), &self.schemas[right_schema]);
             let mut on = Vec::with_capacity(join.on.len());
             for (l, r) in &join.on {
                 // Either side of the condition may name either input.
-                let (li, ri) = match (scope.resolve(l, span), right_scope.resolve(r, span)) {
+                let (li, ri) = match (resolve(&scope, l, span), resolve(&[right_scope], r, span)) {
                     (Ok(li), Ok(ri)) => (li, ri),
                     _ => {
-                        let li = scope.resolve(r, span)?;
-                        let ri = right_scope.resolve(l, span)?;
+                        let li = resolve(&scope, r, span)?;
+                        let ri = resolve(&[right_scope], l, span)?;
                         (li, ri)
                     }
                 };
@@ -327,31 +341,26 @@ impl<'a> Binder<'a> {
             // Join selectivity: textbook 1/max(distinct) is unavailable at
             // bind time, use a key-join default with deterministic truth
             // perturbation (same mechanism as filters).
-            let est = 0.001;
-            let sel = if self.catalog.realistic_selectivity {
-                let h = stable_hash64(
-                    format!("{}|{}|{on:?}", query.from.name, join.table.name).as_bytes(),
-                );
-                DualStats::new((est * 0.25 * 10.0f64.powf(unit(h))).clamp(1e-9, 1.0), est)
-            } else {
-                DualStats::exact(est)
-            };
+            let selectivity = perturbed(self.catalog, 0.001, || {
+                hash_fmt(format_args!(
+                    "{}|{}|{on:?}",
+                    query.from.name, join.table.name
+                ))
+            });
             node = self.plan.add(
                 LogicalOp::Join {
                     kind: JoinKind::Inner,
                     on,
-                    selectivity: sel,
+                    selectivity,
                 },
                 vec![node, right],
             );
-            scope
-                .entries
-                .push((join.table.effective_alias().to_string(), right_schema));
+            scope.push(right_scope);
         }
 
         // WHERE.
         if let Some(pred) = &query.predicate {
-            let predicate = self.lower_expr(pred, &scope, span)?;
+            let predicate = lower_expr(pred, &scope, span)?;
             let selectivity = self.catalog.filter_selectivity(&predicate);
             node = self.plan.add(
                 LogicalOp::Filter {
@@ -371,9 +380,9 @@ impl<'a> Binder<'a> {
         if has_agg || !query.group_by.is_empty() {
             let mut group_idx = Vec::with_capacity(query.group_by.len());
             for g in &query.group_by {
-                group_idx.push(scope.resolve(g, span)?);
+                group_idx.push(resolve(&scope, g, span)?);
             }
-            let mut aggs = Vec::new();
+            let mut aggs = Vec::with_capacity(query.items.len());
             for item in &query.items {
                 match item {
                     SelectItem::Agg {
@@ -383,10 +392,10 @@ impl<'a> Binder<'a> {
                         alias,
                     } => {
                         let input = match column {
-                            Some(c) => Some(scope.resolve(c, span)?),
+                            Some(c) => Some(resolve(&scope, c, span)?),
                             None => None,
                         };
-                        let func = match (func.as_str(), distinct) {
+                        let func = match (*func, distinct) {
                             ("COUNT", true) => AggFunc::CountDistinct,
                             ("COUNT", false) => AggFunc::Count,
                             ("SUM", _) => AggFunc::Sum,
@@ -400,14 +409,14 @@ impl<'a> Binder<'a> {
                                 ));
                             }
                         };
-                        aggs.push(AggExpr::new(func, input, alias.clone()));
+                        aggs.push(AggExpr::new(func, input, *alias));
                     }
                     SelectItem::Expr {
                         expr: Expr::Column(c),
                         ..
                     } => {
                         // Non-aggregate items must be grouping columns.
-                        let idx = scope.resolve(c, span)?;
+                        let idx = resolve(&scope, c, span)?;
                         if !group_idx.contains(&idx) {
                             return Err(LangError::bind(
                                 span,
@@ -429,23 +438,14 @@ impl<'a> Binder<'a> {
             // Group ratio: estimate from a fixed per-key reduction heuristic,
             // truth perturbed deterministically (recurring instances vary).
             let est_ratio = 0.1f64.powi(group_idx.len().max(1) as i32).max(1e-6);
-            let h = stable_hash64(format!("agg|{group_idx:?}").as_bytes());
-            let group_ratio = if self.catalog.realistic_selectivity {
-                DualStats::new(
-                    (est_ratio * 0.25 * 10.0f64.powf(unit(h))).clamp(1e-9, 1.0),
-                    est_ratio,
-                )
-            } else {
-                DualStats::exact(est_ratio)
-            };
-            let input_schema = scope.schema();
-            let mut cols: Vec<Column> = group_idx
-                .iter()
-                .map(|&i| input_schema.columns()[i].clone())
-                .collect();
+            let group_ratio = perturbed(self.catalog, est_ratio, || {
+                hash_fmt(format_args!("agg|{group_idx:?}"))
+            });
+            let mut cols = Vec::with_capacity(group_idx.len() + aggs.len());
+            cols.extend(group_idx.iter().filter_map(|&i| column(&scope, i).cloned()));
             cols.extend(
                 aggs.iter()
-                    .map(|a| Column::new(a.alias.clone(), scope_ir::schema::DataType::Float)),
+                    .map(|a| Column::new(a.alias.as_str(), DataType::Float)),
             );
             schema = Schema::new(cols);
             node = self.plan.add(
@@ -457,25 +457,35 @@ impl<'a> Binder<'a> {
                 vec![node],
             );
         } else if query.items.len() == 1 && matches!(query.items[0], SelectItem::Wildcard) {
-            schema = scope.schema();
+            schema = Schema::new(
+                scope
+                    .iter()
+                    .flat_map(|(_, s)| s.columns())
+                    .cloned()
+                    .collect(),
+            );
         } else {
             let mut exprs = Vec::with_capacity(query.items.len());
             let mut cols = Vec::with_capacity(query.items.len());
-            let input_schema = scope.schema();
             for item in &query.items {
                 let SelectItem::Expr { expr, alias } = item else {
                     unreachable!("aggregates handled above")
                 };
-                let lowered = self.lower_expr(expr, &scope, span)?;
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column(c) => c.name.clone(),
-                    _ => format!("col{}", cols.len()),
-                });
-                let ty = match &lowered {
-                    ScalarExpr::Column(i) => input_schema.columns()[*i].ty,
-                    _ => scope_ir::schema::DataType::Float,
+                let lowered = lower_expr(expr, &scope, span)?;
+                let name = match (alias, expr) {
+                    (Some(alias), _) => (*alias).to_owned(),
+                    (None, Expr::Column(c)) => c.name.to_owned(),
+                    (None, _) => format!("col{}", cols.len()),
                 };
-                cols.push(Column::new(name.clone(), ty));
+                let source = match &lowered {
+                    ScalarExpr::Column(i) => column(&scope, *i),
+                    _ => None,
+                };
+                cols.push(match (alias, source) {
+                    // An unaliased column keeps its input's name.
+                    (None, Some(source)) => source.clone(),
+                    _ => Column::new(name.as_str(), source.map_or(DataType::Float, |c| c.ty)),
+                });
                 exprs.push((lowered, name));
             }
             schema = Schema::new(cols);
@@ -484,12 +494,9 @@ impl<'a> Binder<'a> {
 
         // ORDER BY resolves against the post-projection schema.
         if !query.order_by.is_empty() {
-            let out_scope = Scope {
-                entries: vec![(String::new(), schema.clone())],
-            };
             let mut keys = Vec::with_capacity(query.order_by.len());
             for k in &query.order_by {
-                let column = out_scope.resolve(&k.column, span)?;
+                let column = resolve(&[("", &schema)], &k.column, span)?;
                 keys.push(SortKey {
                     column,
                     descending: k.descending,
@@ -502,33 +509,33 @@ impl<'a> Binder<'a> {
         }
         Ok((node, schema))
     }
+}
 
-    fn lower_expr(&self, expr: &Expr, scope: &Scope, span: Span) -> Result<ScalarExpr, LangError> {
-        Ok(match expr {
-            Expr::Column(c) => ScalarExpr::Column(scope.resolve(c, span)?),
-            Expr::IntLit(v) => ScalarExpr::Literal(Value::Int(*v)),
-            Expr::FloatLit(v) => ScalarExpr::Literal(Value::Float(*v)),
-            Expr::StrLit(s) => ScalarExpr::Literal(Value::Str(s.clone())),
-            Expr::Binary { op, left, right } => ScalarExpr::Binary {
-                op: match op {
-                    AstBinOp::Eq => BinOp::Eq,
-                    AstBinOp::Ne => BinOp::Ne,
-                    AstBinOp::Lt => BinOp::Lt,
-                    AstBinOp::Le => BinOp::Le,
-                    AstBinOp::Gt => BinOp::Gt,
-                    AstBinOp::Ge => BinOp::Ge,
-                    AstBinOp::And => BinOp::And,
-                    AstBinOp::Or => BinOp::Or,
-                    AstBinOp::Add => BinOp::Add,
-                    AstBinOp::Sub => BinOp::Sub,
-                    AstBinOp::Mul => BinOp::Mul,
-                    AstBinOp::Div => BinOp::Div,
-                },
-                left: Box::new(self.lower_expr(left, scope, span)?),
-                right: Box::new(self.lower_expr(right, scope, span)?),
+fn lower_expr(expr: &Expr<'_>, scope: &Scope<'_>, span: Span) -> Result<ScalarExpr, LangError> {
+    Ok(match expr {
+        Expr::Column(c) => ScalarExpr::Column(resolve(scope, c, span)?),
+        Expr::IntLit(v) => ScalarExpr::Literal(Value::Int(*v)),
+        Expr::FloatLit(v) => ScalarExpr::Literal(Value::Float(*v)),
+        Expr::StrLit(s) => ScalarExpr::Literal(Value::Str((*s).to_owned())),
+        Expr::Binary { op, left, right } => ScalarExpr::Binary {
+            op: match op {
+                AstBinOp::Eq => BinOp::Eq,
+                AstBinOp::Ne => BinOp::Ne,
+                AstBinOp::Lt => BinOp::Lt,
+                AstBinOp::Le => BinOp::Le,
+                AstBinOp::Gt => BinOp::Gt,
+                AstBinOp::Ge => BinOp::Ge,
+                AstBinOp::And => BinOp::And,
+                AstBinOp::Or => BinOp::Or,
+                AstBinOp::Add => BinOp::Add,
+                AstBinOp::Sub => BinOp::Sub,
+                AstBinOp::Mul => BinOp::Mul,
+                AstBinOp::Div => BinOp::Div,
             },
-        })
-    }
+            left: Box::new(lower_expr(left, scope, span)?),
+            right: Box::new(lower_expr(right, scope, span)?),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -609,6 +616,24 @@ mod tests {
     }
 
     #[test]
+    fn bind_errors_name_the_statement_they_are_in() {
+        let cases = [
+            ("r = SELECT * FROM nope;", "2:1", "unknown dataset nope"),
+            ("\n  r = SELECT zz FROM d;", "3:3", "unknown column zz"),
+            (
+                "d = EXTRACT y:int FROM \"t\";",
+                "2:1",
+                "duplicate dataset d",
+            ),
+        ];
+        for (statement, at, message) in cases {
+            let src = format!("d = EXTRACT x:int FROM \"t\";\n{statement}\nOUTPUT d TO \"o\";");
+            let err = bind_script(&src, &Catalog::default()).unwrap_err();
+            assert_eq!(err.to_string(), format!("bind error at {at}: {message}"));
+        }
+    }
+
+    #[test]
     fn ambiguous_column_is_bind_error() {
         let src = r#"
             a = EXTRACT x:int FROM "t1";
@@ -676,20 +701,18 @@ mod tests {
 
     #[test]
     fn hand_built_union_of_fewer_than_two_inputs_is_bind_error() {
-        for inputs in [vec![], vec!["a".to_string()]] {
+        for inputs in [vec![], vec!["a"]] {
             let script = Script {
                 statements: vec![
                     Statement::Extract {
-                        name: "a".into(),
-                        columns: vec![("x".into(), scope_ir::schema::DataType::Int)],
-                        path: "t".into(),
+                        name: "a",
+                        columns: vec![("x", DataType::Int)],
+                        path: "t",
                         extractor: None,
                     },
-                    Statement::Union {
-                        name: "u".into(),
-                        inputs,
-                    },
+                    Statement::Union { name: "u", inputs },
                 ],
+                spans: vec![],
             };
             let err = Binder::new(&Catalog::default()).bind(&script).unwrap_err();
             assert!(err.to_string().contains("at least 2 inputs"), "{err}");

@@ -2,9 +2,10 @@
 
 use crate::error::{LangError, Span};
 
-/// Tokens. Keywords are case-insensitive in source but normalized here.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// Tokens. Keywords are case-insensitive in source but normalized here;
+/// identifiers and string literals borrow their text from the script.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     // Keywords
     Extract,
     From,
@@ -31,10 +32,10 @@ pub enum Token {
     Partition,
     Aggregate,
     // Literals / identifiers
-    Ident(String),
+    Ident(&'a str),
     IntLit(i64),
     FloatLit(f64),
-    StrLit(String),
+    StrLit(&'a str),
     // Punctuation
     Eq,   // =
     EqEq, // ==
@@ -56,235 +57,162 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
-    /// Keyword lookup for an identifier-shaped lexeme.
-    fn keyword(upper: &str) -> Option<Token> {
-        Some(match upper {
-            "EXTRACT" => Token::Extract,
-            "FROM" => Token::From,
-            "USING" => Token::Using,
-            "SELECT" => Token::Select,
-            "TOP" => Token::Top,
-            "WHERE" => Token::Where,
-            "GROUP" => Token::Group,
-            "BY" => Token::By,
-            "ORDER" => Token::Order,
-            "ASC" => Token::Asc,
-            "DESC" => Token::Desc,
-            "JOIN" => Token::Join,
-            "ON" => Token::On,
-            "AS" => Token::As,
-            "AND" => Token::And,
-            "OR" => Token::Or,
-            "OUTPUT" => Token::Output,
-            "TO" => Token::To,
-            "PROCESS" => Token::Process,
-            "UNION" => Token::Union,
-            "DISTINCT" => Token::Distinct,
-            "WINDOW" => Token::Window,
-            "PARTITION" => Token::Partition,
-            "AGGREGATE" => Token::Aggregate,
-            _ => return None,
-        })
-    }
-}
+/// Keyword spellings, matched against identifier-shaped lexemes ignoring
+/// ASCII case.
+const KEYWORDS: [(&str, Token<'static>); 24] = [
+    ("EXTRACT", Token::Extract),
+    ("FROM", Token::From),
+    ("USING", Token::Using),
+    ("SELECT", Token::Select),
+    ("TOP", Token::Top),
+    ("WHERE", Token::Where),
+    ("GROUP", Token::Group),
+    ("BY", Token::By),
+    ("ORDER", Token::Order),
+    ("ASC", Token::Asc),
+    ("DESC", Token::Desc),
+    ("JOIN", Token::Join),
+    ("ON", Token::On),
+    ("AS", Token::As),
+    ("AND", Token::And),
+    ("OR", Token::Or),
+    ("OUTPUT", Token::Output),
+    ("TO", Token::To),
+    ("PROCESS", Token::Process),
+    ("UNION", Token::Union),
+    ("DISTINCT", Token::Distinct),
+    ("WINDOW", Token::Window),
+    ("PARTITION", Token::Partition),
+    ("AGGREGATE", Token::Aggregate),
+];
 
 /// A token paired with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
-    pub token: Token,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'a> {
+    pub token: Token<'a>,
     pub span: Span,
 }
 
-/// Tokenize a whole script. `//` comments run to end of line.
-pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LangError> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    macro_rules! push {
-        ($tok:expr, $span:expr) => {
-            out.push(Spanned {
-                token: $tok,
-                span: $span,
-            })
-        };
-    }
+/// Tokenize a whole script. `//` comments run to end of line. Positions
+/// count characters, not bytes: the walk is by byte offset, and only the
+/// characters that may be non-ASCII (whitespace, identifiers, string
+/// contents, the unexpected) are decoded.
+pub fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, LangError> {
+    let bytes = src.as_bytes();
+    let chars = |s: &str| s.chars().count() as u32;
+    // Generated scripts average over three bytes a token.
+    let mut out = Vec::with_capacity(src.len() / 3 + 1);
+    let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
     while i < bytes.len() {
-        let c = bytes[i];
         let span = Span::new(line, col);
-        match c {
-            '\n' => {
+        let next = bytes.get(i + 1).copied();
+        // An ASCII token of `len` bytes, or a lexeme handled in place.
+        let (token, len) = match bytes[i] {
+            b'\n' => {
                 line += 1;
                 col = 1;
                 i += 1;
+                continue;
             }
-            c if c.is_whitespace() => {
+            b' ' => {
                 col += 1;
                 i += 1;
+                continue;
             }
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
+            b'/' if next == Some(b'/') => {
+                i += bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(bytes.len() - i);
+                continue;
             }
-            '"' => {
-                let mut s = String::new();
-                i += 1;
-                col += 1;
-                let mut closed = false;
-                while i < bytes.len() {
-                    if bytes[i] == '"' {
-                        closed = true;
-                        i += 1;
-                        col += 1;
-                        break;
-                    }
-                    if bytes[i] == '\n' {
-                        break;
-                    }
-                    s.push(bytes[i]);
-                    i += 1;
-                    col += 1;
-                }
-                if !closed {
+            b'"' => {
+                let rest = &src[i + 1..];
+                let Some(end) = rest
+                    .find(['"', '\n'])
+                    .filter(|&e| rest.as_bytes()[e] == b'"')
+                else {
                     return Err(LangError::Lex {
                         span,
                         message: "unterminated string".into(),
                     });
-                }
-                push!(Token::StrLit(s), span);
+                };
+                let text = &rest[..end];
+                out.push(Spanned {
+                    token: Token::StrLit(text),
+                    span,
+                });
+                col += chars(text) + 2;
+                i += end + 2;
+                continue;
             }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '.') {
-                    i += 1;
-                    col += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                if text.contains('.') {
-                    let v = text.parse::<f64>().map_err(|_| LangError::Lex {
+            b'0'..=b'9' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|b| !(b.is_ascii_digit() || *b == b'.'))
+                    .unwrap_or(bytes.len() - i);
+                let text = &src[i..i + len];
+                let token = if text.contains('.') {
+                    Token::FloatLit(text.parse().map_err(|_| LangError::Lex {
                         span,
                         message: format!("bad float literal {text}"),
-                    })?;
-                    push!(Token::FloatLit(v), span);
+                    })?)
                 } else {
-                    let v = text.parse::<i64>().map_err(|_| LangError::Lex {
+                    Token::IntLit(text.parse().map_err(|_| LangError::Lex {
                         span,
                         message: format!("bad int literal {text}"),
-                    })?;
-                    push!(Token::IntLit(v), span);
-                }
+                    })?)
+                };
+                (token, len)
             }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
+            b'=' if next == Some(b'=') => (Token::EqEq, 2),
+            b'=' => (Token::Eq, 1),
+            b'!' if next == Some(b'=') => (Token::Ne, 2),
+            b'<' if next == Some(b'=') => (Token::Le, 2),
+            b'<' => (Token::Lt, 1),
+            b'>' if next == Some(b'=') => (Token::Ge, 2),
+            b'>' => (Token::Gt, 1),
+            b'+' => (Token::Plus, 1),
+            b'-' => (Token::Minus, 1),
+            b'*' => (Token::Star, 1),
+            b'/' => (Token::Slash, 1),
+            b',' => (Token::Comma, 1),
+            b';' => (Token::Semicolon, 1),
+            b':' => (Token::Colon, 1),
+            b'.' => (Token::Dot, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            _ => {
+                let rest = &src[i..];
+                let Some(c) = rest.chars().next() else { break };
+                if c.is_whitespace() {
                     col += 1;
+                    i += c.len_utf8();
+                    continue;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                let upper = text.to_ascii_uppercase();
-                match Token::keyword(&upper) {
-                    Some(kw) => push!(kw, span),
-                    None => push!(Token::Ident(text), span),
+                if !(c.is_alphabetic() || c == '_') {
+                    return Err(LangError::Lex {
+                        span,
+                        message: format!("unexpected character {c:?}"),
+                    });
                 }
+                let len = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                let text = &rest[..len];
+                let token = KEYWORDS
+                    .iter()
+                    .find(|(kw, _)| kw.eq_ignore_ascii_case(text))
+                    .map_or(Token::Ident(text), |&(_, kw)| kw);
+                out.push(Spanned { token, span });
+                col += chars(text);
+                i += len;
+                continue;
             }
-            '=' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    push!(Token::EqEq, span);
-                    i += 2;
-                    col += 2;
-                } else {
-                    push!(Token::Eq, span);
-                    i += 1;
-                    col += 1;
-                }
-            }
-            '!' if bytes.get(i + 1) == Some(&'=') => {
-                push!(Token::Ne, span);
-                i += 2;
-                col += 2;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    push!(Token::Le, span);
-                    i += 2;
-                    col += 2;
-                } else {
-                    push!(Token::Lt, span);
-                    i += 1;
-                    col += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&'=') {
-                    push!(Token::Ge, span);
-                    i += 2;
-                    col += 2;
-                } else {
-                    push!(Token::Gt, span);
-                    i += 1;
-                    col += 1;
-                }
-            }
-            '+' => {
-                push!(Token::Plus, span);
-                i += 1;
-                col += 1;
-            }
-            '-' => {
-                push!(Token::Minus, span);
-                i += 1;
-                col += 1;
-            }
-            '*' => {
-                push!(Token::Star, span);
-                i += 1;
-                col += 1;
-            }
-            '/' => {
-                push!(Token::Slash, span);
-                i += 1;
-                col += 1;
-            }
-            ',' => {
-                push!(Token::Comma, span);
-                i += 1;
-                col += 1;
-            }
-            ';' => {
-                push!(Token::Semicolon, span);
-                i += 1;
-                col += 1;
-            }
-            ':' => {
-                push!(Token::Colon, span);
-                i += 1;
-                col += 1;
-            }
-            '.' => {
-                push!(Token::Dot, span);
-                i += 1;
-                col += 1;
-            }
-            '(' => {
-                push!(Token::LParen, span);
-                i += 1;
-                col += 1;
-            }
-            ')' => {
-                push!(Token::RParen, span);
-                i += 1;
-                col += 1;
-            }
-            other => {
-                return Err(LangError::Lex {
-                    span,
-                    message: format!("unexpected character {other:?}"),
-                });
-            }
-        }
+        };
+        out.push(Spanned { token, span });
+        col += len as u32;
+        i += len;
     }
     out.push(Spanned {
         token: Token::Eof,
@@ -297,7 +225,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Spanned>, LangError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         tokenize(src)
             .unwrap()
             .into_iter()
@@ -315,10 +243,7 @@ mod tests {
 
     #[test]
     fn identifiers_keep_case() {
-        assert_eq!(
-            toks("myData"),
-            vec![Token::Ident("myData".into()), Token::Eof]
-        );
+        assert_eq!(toks("myData"), vec![Token::Ident("myData"), Token::Eof]);
     }
 
     #[test]
@@ -328,7 +253,7 @@ mod tests {
             vec![
                 Token::IntLit(42),
                 Token::FloatLit(3.5),
-                Token::StrLit("a/b".into()),
+                Token::StrLit("a/b"),
                 Token::Eof
             ]
         );
@@ -355,11 +280,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("a // hello world\nb"),
-            vec![
-                Token::Ident("a".into()),
-                Token::Ident("b".into()),
-                Token::Eof
-            ]
+            vec![Token::Ident("a"), Token::Ident("b"), Token::Eof]
         );
     }
 

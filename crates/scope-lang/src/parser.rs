@@ -18,7 +18,7 @@ pub const MAX_EXPR_DEPTH: usize = 64;
 /// it recursively, so the cap bounds that recursion too.
 pub const MAX_EXPR_OPERANDS: usize = 1024;
 
-/// Parse a script source into an AST.
+/// Parse a script source into an AST that borrows its names from `src`.
 ///
 /// # Errors
 ///
@@ -26,7 +26,7 @@ pub const MAX_EXPR_OPERANDS: usize = 1024;
 /// nested deeper than [`MAX_EXPR_DEPTH`] parentheses or with more than
 /// [`MAX_EXPR_OPERANDS`] operands: hostile input fails typed, it never
 /// aborts the process.
-pub fn parse_script(src: &str) -> Result<Script, LangError> {
+pub fn parse_script(src: &str) -> Result<Script<'_>, LangError> {
     let tokens = tokenize(src)?;
     Parser {
         tokens,
@@ -37,8 +37,8 @@ pub fn parse_script(src: &str) -> Result<Script, LangError> {
     .script()
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
     /// Open parentheses around the expression being parsed.
     depth: usize,
@@ -48,24 +48,50 @@ struct Parser {
 
 const AGG_FUNCS: &[&str] = &["COUNT", "SUM", "MIN", "MAX", "AVG"];
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos].token
+/// The upper-case aggregate `name` spells, ignoring ASCII case.
+fn agg_func(name: &str) -> Option<&'static str> {
+    AGG_FUNCS
+        .iter()
+        .copied()
+        .find(|f| f.eq_ignore_ascii_case(name))
+}
+
+/// The column type `name` spells, ignoring ASCII case.
+fn data_type(name: &str) -> Option<DataType> {
+    let is = |s: &str| name.eq_ignore_ascii_case(s);
+    Some(if is("int") || is("long") {
+        DataType::Int
+    } else if is("float") || is("double") {
+        DataType::Float
+    } else if is("bool") {
+        DataType::Bool
+    } else if is("string") {
+        DataType::String { avg_len: 24 }
+    } else if is("datetime") {
+        DataType::DateTime
+    } else {
+        return None;
+    })
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos].token
     }
 
     fn span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].token.clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.peek();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: Token<'_>) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -74,7 +100,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<(), LangError> {
+    fn expect(&mut self, t: Token<'_>, what: &str) -> Result<(), LangError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -85,8 +111,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, LangError> {
-        match self.peek().clone() {
+    fn ident(&mut self, what: &str) -> Result<&'a str, LangError> {
+        match self.peek() {
             Token::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -98,8 +124,8 @@ impl Parser {
         }
     }
 
-    fn string(&mut self, what: &str) -> Result<String, LangError> {
-        match self.peek().clone() {
+    fn string(&mut self, what: &str) -> Result<&'a str, LangError> {
+        match self.peek() {
             Token::StrLit(s) => {
                 self.bump();
                 Ok(s)
@@ -111,24 +137,25 @@ impl Parser {
         }
     }
 
-    fn script(&mut self) -> Result<Script, LangError> {
-        let mut statements = Vec::new();
-        while self.peek() != &Token::Eof {
+    fn script(&mut self) -> Result<Script<'a>, LangError> {
+        let (mut statements, mut spans) = (Vec::new(), Vec::new());
+        while self.peek() != Token::Eof {
+            spans.push(self.span());
             statements.push(self.statement()?);
         }
-        Ok(Script { statements })
+        Ok(Script { statements, spans })
     }
 
-    fn statement(&mut self) -> Result<Statement, LangError> {
-        if self.eat(&Token::Output) {
+    fn statement(&mut self) -> Result<Statement<'a>, LangError> {
+        if self.eat(Token::Output) {
             let input = self.ident("dataset name")?;
-            self.expect(&Token::To, "TO")?;
+            self.expect(Token::To, "TO")?;
             let path = self.string("output path")?;
-            self.expect(&Token::Semicolon, ";")?;
+            self.expect(Token::Semicolon, ";")?;
             return Ok(Statement::Output { input, path });
         }
         let name = self.ident("statement name")?;
-        self.expect(&Token::Eq, "=")?;
+        self.expect(Token::Eq, "=")?;
         let stmt = match self.peek() {
             Token::Extract => {
                 self.bump();
@@ -142,22 +169,22 @@ impl Parser {
             Token::Process => {
                 self.bump();
                 let input = self.ident("input dataset")?;
-                self.expect(&Token::Using, "USING")?;
+                self.expect(Token::Using, "USING")?;
                 let udf = self.ident("processor name")?;
                 Statement::Process { name, input, udf }
             }
             Token::Window => {
                 self.bump();
                 let input = self.ident("input dataset")?;
-                self.expect(&Token::Partition, "PARTITION")?;
-                self.expect(&Token::By, "BY")?;
+                self.expect(Token::Partition, "PARTITION")?;
+                self.expect(Token::By, "BY")?;
                 let mut partition_by = vec![self.column_ref()?];
-                while self.eat(&Token::Comma) {
+                while self.eat(Token::Comma) {
                     partition_by.push(self.column_ref()?);
                 }
-                self.expect(&Token::Aggregate, "AGGREGATE")?;
+                self.expect(Token::Aggregate, "AGGREGATE")?;
                 let mut funcs = vec![self.window_func()?];
-                while self.eat(&Token::Comma) {
+                while self.eat(Token::Comma) {
                     funcs.push(self.window_func()?);
                 }
                 Statement::Window {
@@ -170,7 +197,7 @@ impl Parser {
             Token::Union => {
                 self.bump();
                 let mut inputs = vec![self.ident("dataset name")?];
-                while self.eat(&Token::Comma) {
+                while self.eat(Token::Comma) {
                     inputs.push(self.ident("dataset name")?);
                 }
                 if inputs.len() < 2 {
@@ -188,37 +215,30 @@ impl Parser {
                 ));
             }
         };
-        self.expect(&Token::Semicolon, ";")?;
+        self.expect(Token::Semicolon, ";")?;
         Ok(stmt)
     }
 
-    fn extract(&mut self, name: String) -> Result<Statement, LangError> {
+    fn extract(&mut self, name: &'a str) -> Result<Statement<'a>, LangError> {
         let mut columns = Vec::new();
         loop {
             let col = self.ident("column name")?;
-            self.expect(&Token::Colon, ":")?;
+            self.expect(Token::Colon, ":")?;
             let ty_name = self.ident("type name")?;
-            let ty = match ty_name.to_ascii_lowercase().as_str() {
-                "int" | "long" => DataType::Int,
-                "float" | "double" => DataType::Float,
-                "bool" => DataType::Bool,
-                "string" => DataType::String { avg_len: 24 },
-                "datetime" => DataType::DateTime,
-                other => {
-                    return Err(LangError::parse(
-                        self.span(),
-                        format!("unknown type {other}"),
-                    ));
-                }
+            let Some(ty) = data_type(ty_name) else {
+                return Err(LangError::parse(
+                    self.span(),
+                    format!("unknown type {}", ty_name.to_ascii_lowercase()),
+                ));
             };
             columns.push((col, ty));
-            if !self.eat(&Token::Comma) {
+            if !self.eat(Token::Comma) {
                 break;
             }
         }
-        self.expect(&Token::From, "FROM")?;
+        self.expect(Token::From, "FROM")?;
         let path = self.string("input path")?;
-        let extractor = if self.eat(&Token::Using) {
+        let extractor = if self.eat(Token::Using) {
             Some(self.ident("extractor name")?)
         } else {
             None
@@ -231,8 +251,8 @@ impl Parser {
         })
     }
 
-    fn select(&mut self) -> Result<SelectStmt, LangError> {
-        let top = if self.eat(&Token::Top) {
+    fn select(&mut self) -> Result<SelectStmt<'a>, LangError> {
+        let top = if self.eat(Token::Top) {
             match self.bump() {
                 Token::IntLit(v) if v > 0 => Some(v as u64),
                 other => {
@@ -246,44 +266,44 @@ impl Parser {
             None
         };
         let items = self.select_items()?;
-        self.expect(&Token::From, "FROM")?;
+        self.expect(Token::From, "FROM")?;
         let from = self.table_alias()?;
         let mut joins = Vec::new();
-        while self.eat(&Token::Join) {
+        while self.eat(Token::Join) {
             let table = self.table_alias()?;
-            self.expect(&Token::On, "ON")?;
+            self.expect(Token::On, "ON")?;
             let mut on = vec![self.join_condition()?];
-            while self.eat(&Token::And) {
+            while self.eat(Token::And) {
                 on.push(self.join_condition()?);
             }
             joins.push(JoinClause { table, on });
         }
-        let predicate = if self.eat(&Token::Where) {
+        let predicate = if self.eat(Token::Where) {
             Some(self.expr()?)
         } else {
             None
         };
         let mut group_by = Vec::new();
-        if self.eat(&Token::Group) {
-            self.expect(&Token::By, "BY")?;
+        if self.eat(Token::Group) {
+            self.expect(Token::By, "BY")?;
             group_by.push(self.column_ref()?);
-            while self.eat(&Token::Comma) {
+            while self.eat(Token::Comma) {
                 group_by.push(self.column_ref()?);
             }
         }
         let mut order_by = Vec::new();
-        if self.eat(&Token::Order) {
-            self.expect(&Token::By, "BY")?;
+        if self.eat(Token::Order) {
+            self.expect(Token::By, "BY")?;
             loop {
                 let column = self.column_ref()?;
-                let descending = if self.eat(&Token::Desc) {
+                let descending = if self.eat(Token::Desc) {
                     true
                 } else {
-                    self.eat(&Token::Asc);
+                    self.eat(Token::Asc);
                     false
                 };
                 order_by.push(OrderKey { column, descending });
-                if !self.eat(&Token::Comma) {
+                if !self.eat(Token::Comma) {
                     break;
                 }
             }
@@ -305,37 +325,35 @@ impl Parser {
         })
     }
 
-    fn select_items(&mut self) -> Result<Vec<SelectItem>, LangError> {
-        if self.eat(&Token::Star) {
+    fn select_items(&mut self) -> Result<Vec<SelectItem<'a>>, LangError> {
+        if self.eat(Token::Star) {
             return Ok(vec![SelectItem::Wildcard]);
         }
         let mut items = vec![self.select_item()?];
-        while self.eat(&Token::Comma) {
+        while self.eat(Token::Comma) {
             items.push(self.select_item()?);
         }
         Ok(items)
     }
 
-    fn select_item(&mut self) -> Result<SelectItem, LangError> {
+    fn select_item(&mut self) -> Result<SelectItem<'a>, LangError> {
         // Aggregate call?
-        if let Token::Ident(name) = self.peek().clone() {
-            let upper = name.to_ascii_uppercase();
-            if AGG_FUNCS.contains(&upper.as_str())
-                && self.tokens.get(self.pos + 1).map(|s| &s.token) == Some(&Token::LParen)
-            {
+        if let Token::Ident(name) = self.peek() {
+            let call = self.tokens.get(self.pos + 1).map(|s| s.token) == Some(Token::LParen);
+            if let Some(func) = agg_func(name).filter(|_| call) {
                 self.bump(); // func name
                 self.bump(); // (
-                let distinct = self.eat(&Token::Distinct);
-                let column = if self.eat(&Token::Star) {
+                let distinct = self.eat(Token::Distinct);
+                let column = if self.eat(Token::Star) {
                     None
                 } else {
                     Some(self.column_ref()?)
                 };
-                self.expect(&Token::RParen, ")")?;
-                self.expect(&Token::As, "AS (aggregates must be aliased)")?;
+                self.expect(Token::RParen, ")")?;
+                self.expect(Token::As, "AS (aggregates must be aliased)")?;
                 let alias = self.ident("alias")?;
                 return Ok(SelectItem::Agg {
-                    func: upper,
+                    func,
                     distinct,
                     column,
                     alias,
@@ -343,7 +361,7 @@ impl Parser {
             }
         }
         let expr = self.expr()?;
-        let alias = if self.eat(&Token::As) {
+        let alias = if self.eat(Token::As) {
             Some(self.ident("alias")?)
         } else {
             None
@@ -351,22 +369,22 @@ impl Parser {
         Ok(SelectItem::Expr { expr, alias })
     }
 
-    fn window_func(&mut self) -> Result<WindowFunc, LangError> {
-        let func = self.ident("aggregate function")?.to_ascii_uppercase();
-        if !AGG_FUNCS.contains(&func.as_str()) {
+    fn window_func(&mut self) -> Result<WindowFunc<'a>, LangError> {
+        let name = self.ident("aggregate function")?;
+        let Some(func) = agg_func(name) else {
             return Err(LangError::parse(
                 self.span(),
-                format!("unknown aggregate {func}"),
+                format!("unknown aggregate {}", name.to_ascii_uppercase()),
             ));
-        }
-        self.expect(&Token::LParen, "(")?;
-        let column = if self.eat(&Token::Star) {
+        };
+        self.expect(Token::LParen, "(")?;
+        let column = if self.eat(Token::Star) {
             None
         } else {
             Some(self.column_ref()?)
         };
-        self.expect(&Token::RParen, ")")?;
-        self.expect(&Token::As, "AS (window aggregates must be aliased)")?;
+        self.expect(Token::RParen, ")")?;
+        self.expect(Token::As, "AS (window aggregates must be aliased)")?;
         let alias = self.ident("alias")?;
         Ok(WindowFunc {
             func,
@@ -375,9 +393,9 @@ impl Parser {
         })
     }
 
-    fn table_alias(&mut self) -> Result<TableAlias, LangError> {
+    fn table_alias(&mut self) -> Result<TableAlias<'a>, LangError> {
         let name = self.ident("dataset name")?;
-        let alias = if self.eat(&Token::As) {
+        let alias = if self.eat(Token::As) {
             Some(self.ident("alias")?)
         } else {
             None
@@ -385,16 +403,16 @@ impl Parser {
         Ok(TableAlias { name, alias })
     }
 
-    fn join_condition(&mut self) -> Result<(ColumnRef, ColumnRef), LangError> {
+    fn join_condition(&mut self) -> Result<(ColumnRef<'a>, ColumnRef<'a>), LangError> {
         let l = self.column_ref()?;
-        self.expect(&Token::EqEq, "==")?;
+        self.expect(Token::EqEq, "==")?;
         let r = self.column_ref()?;
         Ok((l, r))
     }
 
-    fn column_ref(&mut self) -> Result<ColumnRef, LangError> {
+    fn column_ref(&mut self) -> Result<ColumnRef<'a>, LangError> {
         let first = self.ident("column name")?;
-        if self.eat(&Token::Dot) {
+        if self.eat(Token::Dot) {
             let second = self.ident("column name")?;
             Ok(ColumnRef::qualified(first, second))
         } else {
@@ -403,15 +421,15 @@ impl Parser {
     }
 
     /// A top-level expression: its nesting and operand budgets start afresh.
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Result<Expr<'a>, LangError> {
         self.depth = 0;
         self.operands = 0;
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
+    fn or_expr(&mut self) -> Result<Expr<'a>, LangError> {
         let mut left = self.and_expr()?;
-        while self.eat(&Token::Or) {
+        while self.eat(Token::Or) {
             let right = self.and_expr()?;
             left = Expr::Binary {
                 op: AstBinOp::Or,
@@ -422,9 +440,9 @@ impl Parser {
         Ok(left)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
+    fn and_expr(&mut self) -> Result<Expr<'a>, LangError> {
         let mut left = self.cmp_expr()?;
-        while self.eat(&Token::And) {
+        while self.eat(Token::And) {
             let right = self.cmp_expr()?;
             left = Expr::Binary {
                 op: AstBinOp::And,
@@ -435,7 +453,7 @@ impl Parser {
         Ok(left)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
+    fn cmp_expr(&mut self) -> Result<Expr<'a>, LangError> {
         let left = self.add_expr()?;
         let op = match self.peek() {
             Token::EqEq => AstBinOp::Eq,
@@ -455,7 +473,7 @@ impl Parser {
         })
     }
 
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
+    fn add_expr(&mut self) -> Result<Expr<'a>, LangError> {
         let mut left = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -474,7 +492,7 @@ impl Parser {
         Ok(left)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    fn mul_expr(&mut self) -> Result<Expr<'a>, LangError> {
         let mut left = self.atom()?;
         loop {
             let op = match self.peek() {
@@ -493,7 +511,7 @@ impl Parser {
         Ok(left)
     }
 
-    fn atom(&mut self) -> Result<Expr, LangError> {
+    fn atom(&mut self) -> Result<Expr<'a>, LangError> {
         self.operands += 1;
         if self.operands > MAX_EXPR_OPERANDS {
             return Err(LangError::parse(
@@ -501,7 +519,7 @@ impl Parser {
                 format!("expression has more than {MAX_EXPR_OPERANDS} operands"),
             ));
         }
-        match self.peek().clone() {
+        match self.peek() {
             Token::IntLit(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
@@ -526,7 +544,7 @@ impl Parser {
                 self.depth += 1;
                 let e = self.or_expr()?;
                 self.depth -= 1;
-                self.expect(&Token::RParen, ")")?;
+                self.expect(Token::RParen, ")")?;
                 Ok(e)
             }
             other => Err(LangError::parse(
@@ -594,9 +612,9 @@ mod tests {
                 path,
                 extractor,
             } => {
-                assert_eq!(name, "d");
+                assert_eq!(*name, "d");
                 assert_eq!(columns.len(), 2);
-                assert_eq!(path, "p");
+                assert_eq!(*path, "p");
                 assert_eq!(extractor.as_deref(), Some("Tsv"));
             }
             other => panic!("unexpected {other:?}"),
@@ -643,8 +661,8 @@ mod tests {
         let s = parse_script(src).unwrap();
         assert_eq!(s.statements.len(), 3);
         assert!(matches!(&s.statements[0], Statement::Union { inputs, .. } if inputs.len() == 3));
-        assert!(matches!(&s.statements[1], Statement::Process { udf, .. } if udf == "Cleanse"));
-        assert!(matches!(&s.statements[2], Statement::Output { path, .. } if path == "out"));
+        assert!(matches!(&s.statements[1], Statement::Process { udf, .. } if *udf == "Cleanse"));
+        assert!(matches!(&s.statements[2], Statement::Output { path, .. } if *path == "out"));
     }
 
     #[test]

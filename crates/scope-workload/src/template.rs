@@ -10,6 +10,7 @@ use scope_ir::ids::{
 use scope_ir::stats::DualStats;
 use scope_lang::{Catalog, TableInfo};
 use serde::Serialize;
+use std::fmt::Write as _;
 
 /// Structural pattern of a template. The mix approximates the operator
 /// composition of analytical SCOPE workloads: aggregation reports, join
@@ -201,6 +202,10 @@ impl std::str::FromStr for LiteralPolicy {
     }
 }
 
+/// The literal placeholders a skeleton may hold; each appears at most once,
+/// and the generated skeletons spell nothing else that starts with `__L`.
+const PLACEHOLDERS: [&str; 4] = ["__L0__", "__L1__", "__L2__", "__L3__"];
+
 /// Day-over-day drift of a table's true cardinality: deterministic
 /// log-normal-ish multiplier in roughly [0.5, 2.0].
 #[must_use]
@@ -367,14 +372,34 @@ OUTPUT hot TO "out/{tag}_hot";
             self.seed,
             combine(u64::from(day), u64::from(instance)),
         ));
-        let mut script = self.skeleton.clone();
-        for i in 0..4 {
-            let placeholder = format!("__L{i}__");
-            if script.contains(&placeholder) {
-                let value: i64 = rng.random_range(1..10_000);
-                script = script.replace(&placeholder, &value.to_string());
+        // One draw per placeholder the skeleton holds, in index order; then
+        // one pass writes the script with every placeholder replaced.
+        let mut values = [None; PLACEHOLDERS.len()];
+        for (value, placeholder) in values.iter_mut().zip(PLACEHOLDERS) {
+            if self.skeleton.contains(placeholder) {
+                *value = Some(rng.random_range(1..10_000i64));
             }
         }
+        // A value is never longer than its placeholder.
+        let mut script = String::with_capacity(self.skeleton.len());
+        let mut rest = self.skeleton.as_str();
+        while let Some(at) = rest.find("__L") {
+            script.push_str(&rest[..at]);
+            rest = &rest[at..];
+            let hit = PLACEHOLDERS
+                .iter()
+                .zip(values)
+                .find(|(p, _)| rest.starts_with(*p));
+            if let Some((placeholder, Some(value))) = hit {
+                // Writing to a `String` cannot fail.
+                let _ = write!(script, "{value}");
+                rest = &rest[placeholder.len()..];
+            } else {
+                script.push_str("__L");
+                rest = &rest[3..];
+            }
+        }
+        script.push_str(rest);
         let mut catalog = Catalog::default();
         for t in &self.tables {
             let actual = t.base_rows * cardinality_drift(&t.path, day);
