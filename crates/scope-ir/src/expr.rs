@@ -196,30 +196,29 @@ impl ScalarExpr {
     /// A structural fingerprint that ignores literal *values* but keeps
     /// literal *presence*: two instances of the same recurring template parse
     /// to the same normalized form even though their filter constants differ.
-    pub fn normalized(&self, out: &mut String) {
+    /// Written to any `fmt::Write`, so a hasher can take it without a
+    /// `String` in between.
+    pub fn normalized(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            ScalarExpr::Column(i) => {
-                out.push('c');
-                out.push_str(&i.to_string());
-            }
-            ScalarExpr::Literal(_) => out.push('?'),
+            ScalarExpr::Column(i) => write!(out, "c{i}"),
+            ScalarExpr::Literal(_) => out.write_char('?'),
             ScalarExpr::Binary { op, left, right } => {
-                out.push('(');
-                left.normalized(out);
-                out.push_str(op.symbol());
-                right.normalized(out);
-                out.push(')');
+                out.write_char('(')?;
+                left.normalized(out)?;
+                out.write_str(op.symbol())?;
+                right.normalized(out)?;
+                out.write_char(')')
             }
             ScalarExpr::Udf { name, args, .. } => {
-                out.push_str(name);
-                out.push('(');
+                out.write_str(name)?;
+                out.write_char('(')?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    a.normalized(out);
+                    a.normalized(out)?;
                 }
-                out.push(')');
+                out.write_char(')')
             }
         }
     }
@@ -362,8 +361,8 @@ mod tests {
         let a = ScalarExpr::binary(BinOp::Gt, ScalarExpr::col(0), ScalarExpr::lit_int(10));
         let b = ScalarExpr::binary(BinOp::Gt, ScalarExpr::col(0), ScalarExpr::lit_int(99));
         let (mut na, mut nb) = (String::new(), String::new());
-        a.normalized(&mut na);
-        b.normalized(&mut nb);
+        a.normalized(&mut na).unwrap();
+        b.normalized(&mut nb).unwrap();
         assert_eq!(na, nb);
         assert_eq!(na, "(c0>?)");
     }

@@ -8,7 +8,7 @@
 //! is preserved by construction and checked by [`LogicalPlan::validate`].
 
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{stable_hash64, NodeId, TemplateId, LOGICAL_FP_SALT};
+use crate::ids::{stable_hash64, NodeId, StableHasher, TemplateId, LOGICAL_FP_SALT};
 use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
 use serde::Serialize;
@@ -575,61 +575,63 @@ impl LogicalPlan {
     #[must_use]
     pub fn normalized_signature(&self) -> String {
         let mut s = String::with_capacity(self.nodes.len() * 16);
-        for id in self.topo_order() {
-            let node = self.node(id);
-            s.push_str(node.op.tag());
-            match &node.op {
-                LogicalOp::Extract { table } => {
-                    s.push(':');
-                    s.push_str(&table.name);
-                }
-                LogicalOp::Filter { predicate, .. } => {
-                    s.push(':');
-                    predicate.normalized(&mut s);
-                }
-                LogicalOp::Project { exprs } => {
-                    s.push(':');
-                    for (e, _) in exprs {
-                        e.normalized(&mut s);
-                        s.push(',');
-                    }
-                }
-                LogicalOp::Join { kind, on, .. } => {
-                    s.push(':');
-                    s.push_str(kind.name());
-                    for (l, r) in on {
-                        s.push_str(&format!("{l}={r},"));
-                    }
-                }
-                LogicalOp::Aggregate { group_by, aggs, .. } => {
-                    s.push(':');
-                    for g in group_by {
-                        s.push_str(&format!("g{g},"));
-                    }
-                    for a in aggs {
-                        s.push_str(a.func.name());
-                        s.push(',');
-                    }
-                }
-                LogicalOp::Output { path } => {
-                    s.push(':');
-                    s.push_str(path);
-                }
-                _ => {}
-            }
-            s.push('|');
-            for c in &node.children {
-                s.push_str(&format!("{c},"));
-            }
-            s.push(';');
-        }
+        // Writing to a `String` cannot fail.
+        let _ = self.write_signature(&mut s);
         s
     }
 
-    /// Template identity derived from the normalized signature.
+    /// Template identity: the hash of the normalized signature, streamed
+    /// into the hasher rather than built as a `String` first.
     #[must_use]
     pub fn template_id(&self) -> TemplateId {
-        TemplateId(stable_hash64(self.normalized_signature().as_bytes()))
+        let mut h = StableHasher::new();
+        // `StableHasher::write_str` cannot fail.
+        let _ = self.write_signature(&mut h);
+        TemplateId(h.finish())
+    }
+
+    fn write_signature(&self, s: &mut impl fmt::Write) -> fmt::Result {
+        for id in self.topo_order() {
+            let node = self.node(id);
+            s.write_str(node.op.tag())?;
+            match &node.op {
+                LogicalOp::Extract { table } => write!(s, ":{}", table.name)?,
+                LogicalOp::Filter { predicate, .. } => {
+                    s.write_char(':')?;
+                    predicate.normalized(s)?;
+                }
+                LogicalOp::Project { exprs } => {
+                    s.write_char(':')?;
+                    for (e, _) in exprs {
+                        e.normalized(s)?;
+                        s.write_char(',')?;
+                    }
+                }
+                LogicalOp::Join { kind, on, .. } => {
+                    write!(s, ":{}", kind.name())?;
+                    for (l, r) in on {
+                        write!(s, "{l}={r},")?;
+                    }
+                }
+                LogicalOp::Aggregate { group_by, aggs, .. } => {
+                    s.write_char(':')?;
+                    for g in group_by {
+                        write!(s, "g{g},")?;
+                    }
+                    for a in aggs {
+                        write!(s, "{},", a.func.name())?;
+                    }
+                }
+                LogicalOp::Output { path } => write!(s, ":{path}")?,
+                _ => {}
+            }
+            s.write_char('|')?;
+            for c in &node.children {
+                write!(s, "{c},")?;
+            }
+            s.write_char(';')?;
+        }
+        Ok(())
     }
 
     /// Exact fingerprint of this plan: the stable structural hash of its

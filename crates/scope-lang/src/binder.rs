@@ -70,9 +70,10 @@ impl Catalog {
         if !self.realistic_selectivity {
             return DualStats::exact(est);
         }
-        let mut norm = String::with_capacity(64);
-        predicate.normalized(&mut norm);
-        let h = stable_hash64(norm.as_bytes());
+        let mut h = StableHasher::new();
+        // `StableHasher::write_str` cannot fail.
+        let _ = predicate.normalized(&mut h);
+        let h = h.finish();
         // Map hash to a log-uniform factor in [0.25, 2.5].
         let factor = 0.25 * (10.0f64).powf(unit(h)); // 0.25 .. 2.5
         DualStats::new((est * factor).clamp(1e-6, 1.0), est)

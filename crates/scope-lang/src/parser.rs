@@ -138,7 +138,13 @@ impl<'a> Parser<'a> {
     }
 
     fn script(&mut self) -> Result<Script<'a>, LangError> {
-        let (mut statements, mut spans) = (Vec::new(), Vec::new());
+        // One statement per `;`, give or take a malformed tail.
+        let n = self
+            .tokens
+            .iter()
+            .filter(|t| t.token == Token::Semicolon)
+            .count();
+        let (mut statements, mut spans) = (Vec::with_capacity(n), Vec::with_capacity(n));
         while self.peek() != Token::Eof {
             spans.push(self.span());
             statements.push(self.statement()?);
@@ -178,15 +184,9 @@ impl<'a> Parser<'a> {
                 let input = self.ident("input dataset")?;
                 self.expect(Token::Partition, "PARTITION")?;
                 self.expect(Token::By, "BY")?;
-                let mut partition_by = vec![self.column_ref()?];
-                while self.eat(Token::Comma) {
-                    partition_by.push(self.column_ref()?);
-                }
+                let partition_by = self.list(Token::Comma, Self::column_ref)?;
                 self.expect(Token::Aggregate, "AGGREGATE")?;
-                let mut funcs = vec![self.window_func()?];
-                while self.eat(Token::Comma) {
-                    funcs.push(self.window_func()?);
-                }
+                let funcs = self.list(Token::Comma, Self::window_func)?;
                 Statement::Window {
                     name,
                     input,
@@ -196,10 +196,7 @@ impl<'a> Parser<'a> {
             }
             Token::Union => {
                 self.bump();
-                let mut inputs = vec![self.ident("dataset name")?];
-                while self.eat(Token::Comma) {
-                    inputs.push(self.ident("dataset name")?);
-                }
+                let inputs = self.list(Token::Comma, |p| p.ident("dataset name"))?;
                 if inputs.len() < 2 {
                     return Err(LangError::parse(
                         self.span(),
@@ -219,23 +216,23 @@ impl<'a> Parser<'a> {
         Ok(stmt)
     }
 
-    fn extract(&mut self, name: &'a str) -> Result<Statement<'a>, LangError> {
-        let mut columns = Vec::new();
-        loop {
-            let col = self.ident("column name")?;
-            self.expect(Token::Colon, ":")?;
-            let ty_name = self.ident("type name")?;
-            let Some(ty) = data_type(ty_name) else {
-                return Err(LangError::parse(
-                    self.span(),
-                    format!("unknown type {}", ty_name.to_ascii_lowercase()),
-                ));
-            };
-            columns.push((col, ty));
-            if !self.eat(Token::Comma) {
-                break;
-            }
+    /// One or more `item`s separated by `sep`.
+    fn list<T>(
+        &mut self,
+        sep: Token<'_>,
+        mut item: impl FnMut(&mut Self) -> Result<T, LangError>,
+    ) -> Result<Vec<T>, LangError> {
+        // Script lists are short: one allocation covers most of them.
+        let mut items = Vec::with_capacity(4);
+        items.push(item(self)?);
+        while self.eat(sep) {
+            items.push(item(self)?);
         }
+        Ok(items)
+    }
+
+    fn extract(&mut self, name: &'a str) -> Result<Statement<'a>, LangError> {
+        let columns = self.list(Token::Comma, Self::column_def)?;
         self.expect(Token::From, "FROM")?;
         let path = self.string("input path")?;
         let extractor = if self.eat(Token::Using) {
@@ -249,6 +246,20 @@ impl<'a> Parser<'a> {
             path,
             extractor,
         })
+    }
+
+    /// `name:type`
+    fn column_def(&mut self) -> Result<(&'a str, DataType), LangError> {
+        let col = self.ident("column name")?;
+        self.expect(Token::Colon, ":")?;
+        let ty_name = self.ident("type name")?;
+        match data_type(ty_name) {
+            Some(ty) => Ok((col, ty)),
+            None => Err(LangError::parse(
+                self.span(),
+                format!("unknown type {}", ty_name.to_ascii_lowercase()),
+            )),
+        }
     }
 
     fn select(&mut self) -> Result<SelectStmt<'a>, LangError> {
@@ -272,10 +283,7 @@ impl<'a> Parser<'a> {
         while self.eat(Token::Join) {
             let table = self.table_alias()?;
             self.expect(Token::On, "ON")?;
-            let mut on = vec![self.join_condition()?];
-            while self.eat(Token::And) {
-                on.push(self.join_condition()?);
-            }
+            let on = self.list(Token::And, Self::join_condition)?;
             joins.push(JoinClause { table, on });
         }
         let predicate = if self.eat(Token::Where) {
@@ -286,27 +294,12 @@ impl<'a> Parser<'a> {
         let mut group_by = Vec::new();
         if self.eat(Token::Group) {
             self.expect(Token::By, "BY")?;
-            group_by.push(self.column_ref()?);
-            while self.eat(Token::Comma) {
-                group_by.push(self.column_ref()?);
-            }
+            group_by = self.list(Token::Comma, Self::column_ref)?;
         }
         let mut order_by = Vec::new();
         if self.eat(Token::Order) {
             self.expect(Token::By, "BY")?;
-            loop {
-                let column = self.column_ref()?;
-                let descending = if self.eat(Token::Desc) {
-                    true
-                } else {
-                    self.eat(Token::Asc);
-                    false
-                };
-                order_by.push(OrderKey { column, descending });
-                if !self.eat(Token::Comma) {
-                    break;
-                }
-            }
+            order_by = self.list(Token::Comma, Self::order_key)?;
         }
         if top.is_some() && order_by.is_empty() {
             return Err(LangError::parse(
@@ -329,11 +322,18 @@ impl<'a> Parser<'a> {
         if self.eat(Token::Star) {
             return Ok(vec![SelectItem::Wildcard]);
         }
-        let mut items = vec![self.select_item()?];
-        while self.eat(Token::Comma) {
-            items.push(self.select_item()?);
-        }
-        Ok(items)
+        self.list(Token::Comma, Self::select_item)
+    }
+
+    fn order_key(&mut self) -> Result<OrderKey<'a>, LangError> {
+        let column = self.column_ref()?;
+        let descending = if self.eat(Token::Desc) {
+            true
+        } else {
+            self.eat(Token::Asc);
+            false
+        };
+        Ok(OrderKey { column, descending })
     }
 
     fn select_item(&mut self) -> Result<SelectItem<'a>, LangError> {
