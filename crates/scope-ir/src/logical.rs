@@ -569,19 +569,11 @@ impl LogicalPlan {
         Ok(())
     }
 
-    /// Structural fingerprint of the plan that is invariant across recurring
-    /// instances of the same template (literal values and table cardinalities
-    /// are masked; operator structure, columns, and table names are kept).
-    #[must_use]
-    pub fn normalized_signature(&self) -> String {
-        let mut s = String::with_capacity(self.nodes.len() * 16);
-        // Writing to a `String` cannot fail.
-        let _ = self.write_signature(&mut s);
-        s
-    }
-
-    /// Template identity: the hash of the normalized signature, streamed
-    /// into the hasher rather than built as a `String` first.
+    /// Template identity: a structural fingerprint of the plan that is
+    /// invariant across recurring instances of the same template (literal
+    /// values and table cardinalities are masked; operator structure,
+    /// columns, and table names are kept). It hashes a normalized signature
+    /// streamed into the hasher, never built as a `String`.
     #[must_use]
     pub fn template_id(&self) -> TemplateId {
         let mut h = StableHasher::new();

@@ -87,8 +87,9 @@ pub fn bind_script(src: &str, catalog: &Catalog) -> Result<LogicalPlan, LangErro
 }
 
 /// Statement-by-statement binder. It borrows the catalog and the names of
-/// the script it binds; what it allocates is what the plan keeps, plus one
-/// schema per dataset that changes columns.
+/// the script it binds. Beyond what the plan keeps it allocates its symbol
+/// table (one schema per dataset that changes columns) and one scope per
+/// SELECT.
 pub struct Binder<'a> {
     catalog: &'a Catalog,
     plan: LogicalPlan,
