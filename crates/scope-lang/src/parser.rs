@@ -56,23 +56,16 @@ fn agg_func(name: &str) -> Option<&'static str> {
         .find(|f| f.eq_ignore_ascii_case(name))
 }
 
-/// The column type `name` spells, ignoring ASCII case.
-fn data_type(name: &str) -> Option<DataType> {
-    let is = |s: &str| name.eq_ignore_ascii_case(s);
-    Some(if is("int") || is("long") {
-        DataType::Int
-    } else if is("float") || is("double") {
-        DataType::Float
-    } else if is("bool") {
-        DataType::Bool
-    } else if is("string") {
-        DataType::String { avg_len: 24 }
-    } else if is("datetime") {
-        DataType::DateTime
-    } else {
-        return None;
-    })
-}
+/// Column type spellings, matched ignoring ASCII case.
+const TYPES: [(&str, DataType); 7] = [
+    ("int", DataType::Int),
+    ("long", DataType::Int),
+    ("float", DataType::Float),
+    ("double", DataType::Float),
+    ("bool", DataType::Bool),
+    ("string", DataType::String { avg_len: 24 }),
+    ("datetime", DataType::DateTime),
+];
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Token<'a> {
@@ -253,8 +246,8 @@ impl<'a> Parser<'a> {
         let col = self.ident("column name")?;
         self.expect(Token::Colon, ":")?;
         let ty_name = self.ident("type name")?;
-        match data_type(ty_name) {
-            Some(ty) => Ok((col, ty)),
+        match TYPES.iter().find(|(n, _)| n.eq_ignore_ascii_case(ty_name)) {
+            Some(&(_, ty)) => Ok((col, ty)),
             None => Err(LangError::parse(
                 self.span(),
                 format!("unknown type {}", ty_name.to_ascii_lowercase()),
