@@ -1,26 +1,40 @@
 //! Human-readable plan rendering: `EXPLAIN`-style trees with operator
 //! details and statistics, used by examples, error messages, and tests.
 
+use crate::dag::{Dag, PlanNode};
 use crate::logical::{LogicalOp, LogicalPlan};
 use crate::physical::{PhysicalOp, PhysicalPlan};
 use std::fmt::Write as _;
 
-/// Render a logical plan as an indented multi-output tree with operator
-/// details. Shared sub-DAG nodes are printed once per path (tree view), with
-/// their arena ids so sharing remains visible.
-#[must_use]
-pub fn explain_logical(plan: &LogicalPlan) -> String {
+/// Render a plan as an indented multi-output tree, one
+/// `tag [id] <detail>` line per node. Shared sub-DAG nodes are printed once
+/// per path (tree view), with their arena ids so sharing remains visible.
+fn explain<N: PlanNode>(plan: &Dag<N>, detail: impl Fn(&N) -> String) -> String {
     let mut out = String::new();
     for (i, &root) in plan.outputs().iter().enumerate() {
         let _ = writeln!(out, "== output {i} ==");
-        render_logical(plan, root, 0, &mut out);
+        let mut stack = vec![(root, 0usize)];
+        while let Some((id, depth)) = stack.pop() {
+            let node = plan.node(id);
+            let _ = writeln!(
+                out,
+                "{:indent$}{} [{}] {}",
+                "",
+                node.tag(),
+                id,
+                detail(node),
+                indent = depth * 2
+            );
+            stack.extend(node.children().iter().rev().map(|&c| (c, depth + 1)));
+        }
     }
     out
 }
 
-fn render_logical(plan: &LogicalPlan, id: crate::NodeId, depth: usize, out: &mut String) {
-    let node = plan.node(id);
-    let detail = match &node.op {
+/// Render a logical plan with operator details.
+#[must_use]
+pub fn explain_logical(plan: &LogicalPlan) -> String {
+    explain(plan, |node| match &node.op {
         LogicalOp::Extract { table } => format!(
             "{} rows≈{:.0}/{:.0}",
             table.name, table.rows.actual, table.rows.estimated
@@ -62,76 +76,43 @@ fn render_logical(plan: &LogicalPlan, id: crate::NodeId, depth: usize, out: &mut
             udf, cpu_factor, ..
         } => format!("{udf} cpu×{cpu_factor:.1}"),
         LogicalOp::Output { path } => path.to_string(),
-    };
-    let _ = writeln!(
-        out,
-        "{:indent$}{} [{}] {}",
-        "",
-        node.op.tag(),
-        id,
-        detail,
-        indent = depth * 2
-    );
-    for &c in &node.children {
-        render_logical(plan, c, depth + 1, out);
-    }
+    })
 }
 
 /// Render a physical plan with stage-boundary markers, per-node estimated
 /// rows, and any non-identity tuning knobs.
 #[must_use]
 pub fn explain_physical(plan: &PhysicalPlan) -> String {
-    let mut out = String::new();
-    for (i, &root) in plan.outputs().iter().enumerate() {
-        let _ = writeln!(out, "== output {i} ==");
-        render_physical(plan, root, 0, &mut out);
-    }
-    out
-}
-
-fn render_physical(plan: &PhysicalPlan, id: crate::NodeId, depth: usize, out: &mut String) {
-    let node = plan.node(id);
-    let detail = match &node.op {
-        PhysicalOp::TableScan { table, variant } => format!("{table} ({variant:?})"),
-        PhysicalOp::Exchange { scheme } => {
+    explain(plan, |node| {
+        let detail = match &node.op {
+            PhysicalOp::TableScan { table, variant } => format!("{table} ({variant:?})"),
+            PhysicalOp::Exchange { scheme } => {
+                format!(
+                    "{} p={} <== stage boundary",
+                    scheme.tag(),
+                    scheme.partitions()
+                )
+            }
+            PhysicalOp::HashJoin { kind, .. }
+            | PhysicalOp::MergeJoin { kind, .. }
+            | PhysicalOp::BroadcastJoin { kind, .. } => kind.name().to_string(),
+            PhysicalOp::HashAggregate { mode, .. } | PhysicalOp::StreamAggregate { mode, .. } => {
+                format!("{mode:?}")
+            }
+            PhysicalOp::TopNExec { k, .. } => format!("k={k}"),
+            PhysicalOp::OutputExec { path } => path.to_string(),
+            _ => String::new(),
+        };
+        let tuning = if node.tuning.is_identity() {
+            String::new()
+        } else {
             format!(
-                "{} p={} <== stage boundary",
-                scheme.tag(),
-                scheme.partitions()
+                " tune(cpu×{:.2},io×{:.2},par×{:.2})",
+                node.tuning.cpu_mult, node.tuning.io_mult, node.tuning.parallelism_mult
             )
-        }
-        PhysicalOp::HashJoin { kind, .. }
-        | PhysicalOp::MergeJoin { kind, .. }
-        | PhysicalOp::BroadcastJoin { kind, .. } => kind.name().to_string(),
-        PhysicalOp::HashAggregate { mode, .. } | PhysicalOp::StreamAggregate { mode, .. } => {
-            format!("{mode:?}")
-        }
-        PhysicalOp::TopNExec { k, .. } => format!("k={k}"),
-        PhysicalOp::OutputExec { path } => path.to_string(),
-        _ => String::new(),
-    };
-    let tuning = if node.tuning.is_identity() {
-        String::new()
-    } else {
-        format!(
-            " tune(cpu×{:.2},io×{:.2},par×{:.2})",
-            node.tuning.cpu_mult, node.tuning.io_mult, node.tuning.parallelism_mult
-        )
-    };
-    let _ = writeln!(
-        out,
-        "{:indent$}{} [{}] {} rows≈{:.0}{}",
-        "",
-        node.op.tag(),
-        id,
-        detail,
-        node.stats.rows.estimated,
-        tuning,
-        indent = depth * 2
-    );
-    for &c in &node.children {
-        render_physical(plan, c, depth + 1, out);
-    }
+        };
+        format!("{detail} rows≈{:.0}{tuning}", node.stats.rows.estimated)
+    })
 }
 
 #[cfg(test)]

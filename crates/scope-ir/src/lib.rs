@@ -12,7 +12,9 @@
 //! * [`expr`] — scalar expressions with selectivity heuristics;
 //! * [`stats`] — *dual* statistics (ground-truth and catalog-estimated) that
 //!   let the optimizer mis-estimate while the runtime simulator stays honest;
-//! * [`logical`] — the logical operator algebra and arena-based plan DAG;
+//! * [`dag`] — the append-only topological arena both plan kinds are, with
+//!   its fingerprint memo, reachability walk and structural validator;
+//! * [`logical`] — the logical operator algebra and plan DAG;
 //! * [`physical`] — physical operators (implementation flavors, exchanges,
 //!   partitioning schemes) and the physical plan DAG;
 //! * [`sharded`] — the generic lock-sharded FIFO cache every result cache in
@@ -24,6 +26,7 @@
 //! builds on these types.
 
 pub mod counters;
+pub mod dag;
 pub mod display;
 pub mod expr;
 pub mod ids;
@@ -34,6 +37,7 @@ pub mod sharded;
 pub mod stats;
 
 pub use counters::{CacheStats, LatencyHistogram};
+pub use dag::{Dag, PlanError, PlanNode};
 pub use expr::{AggExpr, AggFunc, BinOp, ScalarExpr, Value};
 pub use ids::{JobId, NodeId, TemplateId};
 pub use logical::{JoinKind, LogicalNode, LogicalOp, LogicalPlan, SortKey, TableRef};

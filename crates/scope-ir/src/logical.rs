@@ -1,19 +1,16 @@
-//! Logical operator algebra and the arena-based plan DAG.
+//! Logical operator algebra and the logical plan DAG.
 //!
-//! A [`LogicalPlan`] is an append-only arena of [`LogicalNode`]s in which
-//! every child index is strictly smaller than its parent's index. That
-//! *topological-arena invariant* makes structural sharing (DAGs), traversal,
-//! and validation cheap: node order is already a topological order. Rewrites
-//! in `scope-opt` always construct fresh arenas bottom-up, so the invariant
-//! is preserved by construction and checked by [`LogicalPlan::validate`].
+//! A [`LogicalPlan`] is the [`Dag`] arena of [`LogicalNode`]s; this module
+//! adds what only the logical kind has: output schemas, the column-range
+//! checks of [`LogicalPlan::validate`], and the template identity.
 
+use crate::dag::{Dag, PlanError, PlanNode};
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{stable_hash64, NodeId, StableHasher, TemplateId, LOGICAL_FP_SALT};
+use crate::ids::{NodeId, Salt, StableHasher, TemplateId, LOGICAL_FP_SALT};
 use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
 use serde::Serialize;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A base dataset reference with dual cardinality statistics. `rows.actual`
@@ -168,158 +165,38 @@ pub struct LogicalNode {
     pub children: Vec<NodeId>,
 }
 
-/// Errors raised by [`LogicalPlan::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanError {
-    /// A child index points at or beyond its parent (breaks the topological
-    /// arena invariant) or outside the arena.
-    BadChildIndex { parent: NodeId, child: NodeId },
-    /// Operator received the wrong number of children.
-    BadArity {
-        node: NodeId,
-        expected: usize,
-        found: usize,
-    },
-    /// `Union` needs at least two inputs.
-    UnionTooNarrow { node: NodeId, found: usize },
-    /// The plan has no `Output` roots.
-    NoOutputs,
-    /// An output root is not an `Output` operator.
-    RootNotOutput { node: NodeId },
-    /// An `Output` operator appears below another operator.
-    InteriorOutput { node: NodeId },
-    /// An expression references a column outside the input schema.
-    ColumnOutOfRange {
-        node: NodeId,
-        column: usize,
-        input_width: usize,
-    },
-}
+impl PlanNode for LogicalNode {
+    const PLAN_NAME: &'static str = "LogicalPlan";
+    const FP_SALT: Salt = LOGICAL_FP_SALT;
 
-impl fmt::Display for PlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanError::BadChildIndex { parent, child } => {
-                write!(f, "node {parent} references invalid child {child}")
-            }
-            PlanError::BadArity {
-                node,
-                expected,
-                found,
-            } => {
-                write!(f, "node {node} expects {expected} children, found {found}")
-            }
-            PlanError::UnionTooNarrow { node, found } => {
-                write!(f, "union {node} needs >= 2 inputs, found {found}")
-            }
-            PlanError::NoOutputs => write!(f, "plan has no outputs"),
-            PlanError::RootNotOutput { node } => write!(f, "root {node} is not an Output"),
-            PlanError::InteriorOutput { node } => write!(f, "Output {node} is not a root"),
-            PlanError::ColumnOutOfRange {
-                node,
-                column,
-                input_width,
-            } => {
-                write!(
-                    f,
-                    "node {node} references column {column} of {input_width}-wide input"
-                )
-            }
-        }
+    fn children(&self) -> &[NodeId] {
+        &self.children
+    }
+
+    fn tag(&self) -> &'static str {
+        self.op.tag()
+    }
+
+    fn arity(&self) -> Option<usize> {
+        self.op.arity()
+    }
+
+    fn is_output(&self) -> bool {
+        matches!(self.op, LogicalOp::Output { .. })
     }
 }
 
-impl std::error::Error for PlanError {}
-
-/// An arena-based logical plan DAG with one or more `Output` roots.
-///
-/// `Clone`, `PartialEq`, `Debug`, and the serde impls are hand-written so
-/// the [`LogicalPlan::fingerprint`] memo stays invisible: two plans compare
-/// equal, print, and serialize identically whether or not their fingerprint
-/// has been computed, and a clone carries the memo along.
-#[derive(Default)]
-pub struct LogicalPlan {
-    nodes: Vec<LogicalNode>,
-    outputs: Vec<NodeId>,
-    /// Memoized [`LogicalPlan::fingerprint`]; 0 = not computed yet. Reset
-    /// by the mutating methods, copied by `Clone`.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "a memo of a pure function of the plan: every writer stores the same value"
-    )]
-    fp_memo: std::sync::atomic::AtomicU64,
-}
-
-impl Clone for LogicalPlan {
-    fn clone(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            outputs: self.outputs.clone(),
-            fp_memo: self.fp_memo.load(Ordering::Relaxed).into(),
-        }
-    }
-}
-
-impl PartialEq for LogicalPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.outputs == other.outputs
-    }
-}
-
-impl fmt::Debug for LogicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LogicalPlan")
-            .field("nodes", &self.nodes)
-            .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-impl Serialize for LogicalPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("outputs".to_string(), self.outputs.to_value()),
-        ])
-    }
-
-    fn structural_hash(&self, h: u64) -> u64 {
-        use serde::hash::{key, map};
-        let h = map(h, 2);
-        let h = self
-            .nodes
-            .structural_hash(key(h, const { stable_hash64(b"nodes") }));
-        self.outputs
-            .structural_hash(key(h, const { stable_hash64(b"outputs") }))
-    }
-}
+/// A logical plan DAG with one or more `Output` roots.
+pub type LogicalPlan = Dag<LogicalNode>;
 
 impl LogicalPlan {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a node; children must already exist in the arena.
     ///
     /// # Panics
     /// Panics if a child id is out of range (programming error at plan
     /// construction time, always caught in tests via `validate`).
     pub fn add(&mut self, op: LogicalOp, children: Vec<NodeId>) -> NodeId {
-        #[expect(clippy::expect_used, reason = "2^32 nodes is past any memory")]
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("plan too large"));
-        for &c in &children {
-            assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
-        }
-        self.nodes.push(LogicalNode { op, children });
-        self.fp_memo.store(0, Ordering::Relaxed);
-        id
-    }
-
-    /// Register `node` as a job output root.
-    pub fn mark_output(&mut self, node: NodeId) {
-        self.outputs.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
+        self.push(LogicalNode { op, children })
     }
 
     /// Append an `Output` sink over `child` and register it as a root.
@@ -327,59 +204,6 @@ impl LogicalPlan {
         let id = self.add(LogicalOp::Output { path: path.into() }, vec![child]);
         self.mark_output(id);
         id
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &LogicalNode {
-        &self.nodes[id.index()]
-    }
-
-    #[must_use]
-    pub fn nodes(&self) -> &[LogicalNode] {
-        &self.nodes
-    }
-
-    #[must_use]
-    pub fn outputs(&self) -> &[NodeId] {
-        &self.outputs
-    }
-
-    /// All node ids reachable from the outputs, in topological (child before
-    /// parent) order. With the arena invariant this is simply ascending index
-    /// order over the reachable set.
-    #[must_use]
-    pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut reachable = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.outputs.clone();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut reachable[id.index()], true) {
-                continue;
-            }
-            stack.extend_from_slice(&self.nodes[id.index()].children);
-        }
-        (0..self.nodes.len())
-            .filter(|&i| reachable[i])
-            .map(|i| NodeId(i as u32))
-            .collect()
-    }
-
-    /// Number of operators reachable from outputs, by tag.
-    #[must_use]
-    pub fn count_tag(&self, tag: &str) -> usize {
-        self.topo_order()
-            .iter()
-            .filter(|id| self.node(**id).op.tag() == tag)
-            .count()
     }
 
     /// Compute the output schema of every node (indexed by arena slot).
@@ -444,63 +268,11 @@ impl LogicalPlan {
         out
     }
 
-    /// Validate all structural invariants. Every plan produced by the binder,
-    /// the workload generator, or the optimizer must pass.
+    /// Validate the arena's structural invariants, then every column
+    /// reference against its input's schema. Every plan produced by the
+    /// binder, the workload generator, or the optimizer must pass.
     pub fn validate(&self) -> Result<(), PlanError> {
-        if self.outputs.is_empty() {
-            return Err(PlanError::NoOutputs);
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            for &c in &node.children {
-                if c.index() >= i {
-                    return Err(PlanError::BadChildIndex {
-                        parent: id,
-                        child: c,
-                    });
-                }
-            }
-            match node.op.arity() {
-                Some(expected) if node.children.len() != expected => {
-                    return Err(PlanError::BadArity {
-                        node: id,
-                        expected,
-                        found: node.children.len(),
-                    });
-                }
-                None if node.children.len() < 2 => {
-                    return Err(PlanError::UnionTooNarrow {
-                        node: id,
-                        found: node.children.len(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        for &root in &self.outputs {
-            if root.index() >= self.nodes.len() {
-                return Err(PlanError::BadChildIndex {
-                    parent: root,
-                    child: root,
-                });
-            }
-            if !matches!(self.node(root).op, LogicalOp::Output { .. }) {
-                return Err(PlanError::RootNotOutput { node: root });
-            }
-        }
-        // Output operators must be roots only.
-        let roots: Vec<usize> = self.outputs.iter().map(|o| o.index()).collect();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if matches!(node.op, LogicalOp::Output { .. }) && !roots.contains(&i) {
-                // Tolerated only if unreachable (dead arena slot).
-                let reachable = self.topo_order().iter().any(|n| n.index() == i);
-                if reachable {
-                    return Err(PlanError::InteriorOutput {
-                        node: NodeId(i as u32),
-                    });
-                }
-            }
-        }
+        self.validate_structure()?;
         self.validate_columns()
     }
 
@@ -626,51 +398,12 @@ impl LogicalPlan {
         Ok(())
     }
 
-    /// Exact fingerprint of this plan: the stable structural hash of its
-    /// serialized form ([`Serialize::structural_hash`], which walks the plan
-    /// itself and never builds that form) — operators, expressions,
-    /// **literals**, estimated *and* actual statistics. Two plans with equal
-    /// fingerprints compile identically under any configuration, which is
-    /// what makes this the compile-result cache key; contrast
-    /// [`LogicalPlan::template_id`], which normalizes literals away and so
-    /// conflates plans that compile differently.
-    ///
-    /// Memoized: the first call walks the plan, later calls (including on
-    /// clones of an already-fingerprinted plan) are one atomic load.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let memo = self.fp_memo.load(Ordering::Relaxed);
-        if memo != 0 {
-            debug_assert_eq!(
-                memo,
-                LOGICAL_FP_SALT.fingerprint(self).max(1),
-                "memoized logical fingerprint diverged from a fresh recompute \
-                 (plan mutated after fingerprinting?)"
-            );
-            return memo;
-        }
-        let fp = LOGICAL_FP_SALT.fingerprint(self).max(1);
-        self.fp_memo.store(fp, Ordering::Relaxed);
-        fp
-    }
-
     /// The sub-DAG (as a set of node ids) under one output root. SCOPE
     /// generates some statistics per output tree and some per job; feature
     /// aggregation (Table 1) needs this split.
     #[must_use]
     pub fn output_tree(&self, root: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root];
-        let mut tree = Vec::new();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.index()], true) {
-                continue;
-            }
-            tree.push(id);
-            stack.extend_from_slice(&self.node(id).children);
-        }
-        tree.sort_unstable();
-        tree
+        self.reachable(&[root])
     }
 }
 

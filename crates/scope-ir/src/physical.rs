@@ -7,13 +7,12 @@
 //! between stages, and a [`PhysicalTuning`] knob block that parametric
 //! optimizer rules use to express alternative physical configurations.
 
+use crate::dag::{Dag, PlanError, PlanNode};
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{stable_hash64, NodeId, PHYSICAL_FP_SALT};
+use crate::ids::{NodeId, Salt, PHYSICAL_FP_SALT};
 use crate::logical::{JoinKind, SortKey};
 use crate::stats::NodeStats;
 use serde::Serialize;
-use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// How rows are distributed across the vertices of a stage.
@@ -215,178 +214,42 @@ pub struct PhysicalNode {
     pub tuning: PhysicalTuning,
 }
 
-/// Arena-based physical plan with the same topological-arena invariant as
-/// [`crate::LogicalPlan`].
-///
-/// `Clone`, `PartialEq`, `Debug`, and the serde impls are hand-written so
-/// the [`PhysicalPlan::fingerprint`] memo stays invisible: two plans compare
-/// equal, print, and serialize identically whether or not their fingerprint
-/// has been computed, and a clone carries the memo along (mirroring
-/// [`crate::LogicalPlan`]'s compile-cache fingerprint).
-#[derive(Default)]
-pub struct PhysicalPlan {
-    nodes: Vec<PhysicalNode>,
-    outputs: Vec<NodeId>,
-    /// Memoized [`PhysicalPlan::fingerprint`]; 0 = not computed yet. Reset
-    /// by the mutating methods, copied by `Clone`.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "a memo of a pure function of the plan: every writer stores the same value"
-    )]
-    fp_memo: std::sync::atomic::AtomicU64,
-}
+impl PlanNode for PhysicalNode {
+    const PLAN_NAME: &'static str = "PhysicalPlan";
+    const FP_SALT: Salt = PHYSICAL_FP_SALT;
 
-impl Clone for PhysicalPlan {
-    fn clone(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            outputs: self.outputs.clone(),
-            fp_memo: self.fp_memo.load(Ordering::Relaxed).into(),
+    fn children(&self) -> &[NodeId] {
+        &self.children
+    }
+
+    fn tag(&self) -> &'static str {
+        self.op.tag()
+    }
+
+    fn arity(&self) -> Option<usize> {
+        match self.op {
+            PhysicalOp::TableScan { .. } => Some(0),
+            PhysicalOp::HashJoin { .. }
+            | PhysicalOp::MergeJoin { .. }
+            | PhysicalOp::BroadcastJoin { .. } => Some(2),
+            PhysicalOp::UnionAllExec => None,
+            _ => Some(1),
         }
     }
-}
 
-impl PartialEq for PhysicalPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.outputs == other.outputs
+    fn is_output(&self) -> bool {
+        matches!(self.op, PhysicalOp::OutputExec { .. })
     }
 }
 
-impl fmt::Debug for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PhysicalPlan")
-            .field("nodes", &self.nodes)
-            .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-impl Serialize for PhysicalPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("outputs".to_string(), self.outputs.to_value()),
-        ])
-    }
-
-    fn structural_hash(&self, h: u64) -> u64 {
-        use serde::hash::{key, map};
-        let h = map(h, 2);
-        let h = self
-            .nodes
-            .structural_hash(key(h, const { stable_hash64(b"nodes") }));
-        self.outputs
-            .structural_hash(key(h, const { stable_hash64(b"outputs") }))
-    }
-}
+/// A physical plan DAG with one or more `OutputExec` roots: the same [`Dag`]
+/// arena as [`crate::LogicalPlan`].
+pub type PhysicalPlan = Dag<PhysicalNode>;
 
 impl PhysicalPlan {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a node; children must already exist.
     pub fn add(&mut self, node: PhysicalNode) -> NodeId {
-        #[expect(clippy::expect_used, reason = "2^32 nodes is past any memory")]
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("plan too large"));
-        for &c in &node.children {
-            assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
-        }
-        self.nodes.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
-        id
-    }
-
-    pub fn mark_output(&mut self, node: NodeId) {
-        self.outputs.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
-    }
-
-    /// Exact fingerprint of this plan: the stable structural hash of its
-    /// serialized form ([`Serialize::structural_hash`], which walks the plan
-    /// itself and never builds that form) — operators, expressions,
-    /// literals, statistics, and tuning knobs. Two plans with equal
-    /// fingerprints execute identically under any
-    /// `(cluster, job_seed, run_seed)`, which is what makes this the
-    /// execution-result cache key (the runtime simulator is a pure function
-    /// of the plan bytes, the cluster model, and the seeds).
-    ///
-    /// Memoized: the first call walks the plan, later calls (including on
-    /// clones of an already-fingerprinted plan) are one atomic load.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let memo = self.fp_memo.load(Ordering::Relaxed);
-        if memo != 0 {
-            debug_assert_eq!(
-                memo,
-                PHYSICAL_FP_SALT.fingerprint(self).max(1),
-                "memoized physical fingerprint diverged from a fresh recompute \
-                 (plan mutated after fingerprinting?)"
-            );
-            return memo;
-        }
-        let fp = PHYSICAL_FP_SALT.fingerprint(self).max(1);
-        self.fp_memo.store(fp, Ordering::Relaxed);
-        fp
-    }
-
-    /// Whether [`PhysicalPlan::fingerprint`] is memoized, i.e. the next call
-    /// is one atomic load. Never computes it.
-    #[must_use]
-    pub fn is_fingerprinted(&self) -> bool {
-        self.fp_memo.load(Ordering::Relaxed) != 0
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &PhysicalNode {
-        &self.nodes[id.index()]
-    }
-
-    #[must_use]
-    pub fn nodes(&self) -> &[PhysicalNode] {
-        &self.nodes
-    }
-
-    #[must_use]
-    pub fn outputs(&self) -> &[NodeId] {
-        &self.outputs
-    }
-
-    /// Reachable nodes in topological (child-first) order.
-    #[must_use]
-    pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut reachable = vec![false; self.nodes.len()];
-        let mut stack: Vec<NodeId> = self.outputs.clone();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut reachable[id.index()], true) {
-                continue;
-            }
-            stack.extend_from_slice(&self.nodes[id.index()].children);
-        }
-        (0..self.nodes.len())
-            .filter(|&i| reachable[i])
-            .map(|i| NodeId(i as u32))
-            .collect()
-    }
-
-    /// Count reachable operators by tag.
-    #[must_use]
-    pub fn count_tag(&self, tag: &str) -> usize {
-        self.topo_order()
-            .iter()
-            .filter(|id| self.node(**id).op.tag() == tag)
-            .count()
+        self.push(node)
     }
 
     /// Number of exchanges (≈ number of stage boundaries).
@@ -395,69 +258,9 @@ impl PhysicalPlan {
         self.count_tag("Exchange")
     }
 
-    /// Structural validation (same invariants as the logical plan).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.outputs.is_empty() {
-            return Err("physical plan has no outputs".into());
-        }
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &c in &node.children {
-                if c.index() >= i {
-                    return Err(format!("node n{i} references forward child {c}"));
-                }
-            }
-            let expected = match &node.op {
-                PhysicalOp::TableScan { .. } => Some(0),
-                PhysicalOp::HashJoin { .. }
-                | PhysicalOp::MergeJoin { .. }
-                | PhysicalOp::BroadcastJoin { .. } => Some(2),
-                PhysicalOp::UnionAllExec => None,
-                _ => Some(1),
-            };
-            match expected {
-                Some(e) if node.children.len() != e => {
-                    return Err(format!(
-                        "node n{i} ({}) expects {e} children, found {}",
-                        node.op.tag(),
-                        node.children.len()
-                    ));
-                }
-                None if node.children.len() < 2 => {
-                    return Err(format!("union n{i} needs >= 2 children"));
-                }
-                _ => {}
-            }
-        }
-        for &o in &self.outputs {
-            if !matches!(self.node(o).op, PhysicalOp::OutputExec { .. }) {
-                return Err(format!("root {o} is not OutputExec"));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &root) in self.outputs.iter().enumerate() {
-            writeln!(f, "-- output {i} --")?;
-            let mut stack = vec![(root, 0usize)];
-            while let Some((id, depth)) = stack.pop() {
-                let node = self.node(id);
-                writeln!(
-                    f,
-                    "{:indent$}{} [{}]",
-                    "",
-                    node.op.tag(),
-                    id,
-                    indent = depth * 2
-                )?;
-                for &c in node.children.iter().rev() {
-                    stack.push((c, depth + 1));
-                }
-            }
-        }
-        Ok(())
+    /// Structural validation: the arena invariants every plan keeps.
+    pub fn validate(&self) -> Result<(), PlanError> {
+        self.validate_structure()
     }
 }
 
@@ -577,16 +380,50 @@ mod tests {
             tuning: PhysicalTuning::IDENTITY,
         });
         p.mark_output(o);
-        let err = p.validate().unwrap_err();
-        assert!(err.contains("children"), "{err}");
+        assert!(matches!(
+            p.validate(),
+            Err(PlanError::BadArity {
+                expected: 2,
+                found: 1,
+                ..
+            })
+        ));
     }
 
     #[test]
-    fn display_renders_tree() {
-        let text = sample().to_string();
-        assert!(text.contains("HashJoin"));
-        assert!(text.contains("TableScan"));
-        assert!(text.contains("-- output 0 --"));
+    fn validate_rejects_out_of_range_root() {
+        let mut p = sample();
+        p.mark_output(NodeId(99));
+        assert_eq!(
+            p.validate(),
+            Err(PlanError::BadChildIndex {
+                parent: NodeId(99),
+                child: NodeId(99),
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_reachable_interior_output() {
+        let mut p = PhysicalPlan::new();
+        let s = scan(&mut p, "t", 10.0);
+        let sink = |child| PhysicalNode {
+            op: PhysicalOp::OutputExec { path: "o".into() },
+            children: vec![child],
+            stats: NodeStats::default(),
+            tuning: PhysicalTuning::IDENTITY,
+        };
+        let inner = p.add(sink(s));
+        let root = p.add(sink(inner));
+        p.mark_output(root);
+        assert_eq!(p.validate(), Err(PlanError::InteriorOutput { node: inner }));
+        // An unreachable sink is a dead arena slot, tolerated.
+        let mut q = PhysicalPlan::new();
+        let s = scan(&mut q, "t", 10.0);
+        q.add(sink(s));
+        let root = q.add(sink(s));
+        q.mark_output(root);
+        q.validate().expect("dead sink slot is tolerated");
     }
 
     #[test]
