@@ -105,10 +105,9 @@ pub struct FleetConfig {
     pub pipeline: PipelineConfig,
     /// Streaming-pipeline shape.
     pub stream: StreamConfig,
-    /// `true` = all tenants share one process-wide [`SharedCaches`];
-    /// `false` = every tenant builds private caches per the pipeline config
-    /// (the isolated control regime the cross-tenant uplift benchmark
-    /// compares against). Outputs are byte-identical either way.
+    /// No effect: every fleet's tenants share one process-wide
+    /// [`SharedCaches`]. Kept only because the benchmark harness spells it;
+    /// the isolated control regime is N independent [`ProductionSim`]s.
     pub isolated_caches: bool,
 }
 
@@ -151,10 +150,8 @@ pub struct FleetDayOutcome {
 /// A multi-tenant fleet of steering loops over shared process-wide caches.
 pub struct Fleet {
     tenants: Vec<Tenant>,
-    /// The process-wide caches every tenant shares (`None` when the fleet
-    /// was built with `isolated_caches`, in which case each tenant owns
-    /// private caches).
-    shared: Option<SharedCaches>,
+    /// The process-wide caches every tenant shares.
+    shared: SharedCaches,
     stream: StreamConfig,
     metrics: FleetMetrics,
 }
@@ -190,22 +187,19 @@ impl Fleet {
         stores: Vec<SisStore>,
         config: &FleetConfig,
     ) -> Self {
-        let shared = (!config.isolated_caches).then(|| SharedCaches::from_config(&config.pipeline));
+        let shared = SharedCaches::from_config(&config.pipeline);
         let tenants = workloads
             .into_iter()
             .zip(stores)
             .enumerate()
-            .map(|(t, (workload, sis))| {
-                let sim = match &shared {
-                    Some(caches) => ProductionSim::with_shared_caches(
-                        workload,
-                        config.pipeline.clone(),
-                        sis,
-                        caches,
-                    ),
-                    None => ProductionSim::with_sis_store(workload, config.pipeline.clone(), sis),
-                };
-                Tenant { id: t as u32, sim }
+            .map(|(t, (workload, sis))| Tenant {
+                id: t as u32,
+                sim: ProductionSim::with_shared_caches(
+                    workload,
+                    config.pipeline.clone(),
+                    sis,
+                    &shared,
+                ),
             })
             .collect();
         Self {
@@ -252,33 +246,16 @@ impl Fleet {
         &self.metrics
     }
 
-    /// Fleet-wide lifetime compile-cache counters: the shared cache's, or
-    /// the sum over per-tenant private caches in the isolated regime — the
-    /// like-for-like comparison behind the cross-tenant hit-uplift number.
+    /// Fleet-wide lifetime compile-cache counters (the shared cache's).
     #[must_use]
     pub fn compile_stats(&self) -> CacheStats {
-        match &self.shared {
-            Some(caches) => caches.compile_stats(),
-            None => self
-                .tenants
-                .iter()
-                .map(|t| t.sim.advisor.cache_stats())
-                .sum(),
-        }
+        self.shared.compile_stats()
     }
 
-    /// Fleet-wide lifetime span-feature-cache counters (see
-    /// [`Fleet::compile_stats`]).
+    /// Fleet-wide lifetime span-feature-cache counters (the shared cache's).
     #[must_use]
     pub fn feature_stats(&self) -> CacheStats {
-        match &self.shared {
-            Some(caches) => caches.feature_stats(),
-            None => self
-                .tenants
-                .iter()
-                .map(|t| t.sim.advisor.feature_stats())
-                .sum(),
-        }
+        self.shared.feature_stats()
     }
 
     /// Advance every tenant by one day: generate every tenant's jobs, build
@@ -440,17 +417,18 @@ mod tests {
     fn shared_caches_serve_overlapping_tenants_cross_tenant() {
         let workloads = overlapping_workloads(4, &small_workload());
         let mut shared = Fleet::new(workloads.clone(), &FleetConfig::default());
-        let mut isolated = Fleet::new(
-            workloads,
-            &FleetConfig {
-                isolated_caches: true,
-                ..FleetConfig::default()
-            },
-        );
         shared.advance_day().expect("shared fleet day");
-        isolated.advance_day().expect("isolated fleet day");
+        // The isolated control: one independent, privately cached sim per
+        // tenant, run over the same day.
+        let i: CacheStats = workloads
+            .into_iter()
+            .map(|w| {
+                let mut sim = ProductionSim::new(w, PipelineConfig::default());
+                sim.advance_day().expect("isolated tenant day");
+                sim.advisor.cache_stats()
+            })
+            .sum();
         let s = shared.compile_stats();
-        let i = isolated.compile_stats();
         assert_eq!(
             s.lookups(),
             i.lookups(),
