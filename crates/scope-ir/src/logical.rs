@@ -128,17 +128,6 @@ pub enum LogicalOp {
 }
 
 impl LogicalOp {
-    /// Expected number of children, or `None` for n-ary operators.
-    #[must_use]
-    pub fn arity(&self) -> Option<usize> {
-        match self {
-            LogicalOp::Extract { .. } => Some(0),
-            LogicalOp::Join { .. } => Some(2),
-            LogicalOp::Union => None,
-            _ => Some(1),
-        }
-    }
-
     /// Short operator tag used in signatures and display.
     #[must_use]
     pub fn tag(&self) -> &'static str {
@@ -178,7 +167,12 @@ impl PlanNode for LogicalNode {
     }
 
     fn arity(&self) -> Option<usize> {
-        self.op.arity()
+        match self.op {
+            LogicalOp::Extract { .. } => Some(0),
+            LogicalOp::Join { .. } => Some(2),
+            LogicalOp::Union => None,
+            _ => Some(1),
+        }
     }
 
     fn is_output(&self) -> bool {
