@@ -3,7 +3,13 @@
 
 use crate::features::FeatureVector;
 use crate::slate::SparseSlate;
-use serde::Serialize;
+
+/// Slots per page of the weight table, as a shift. Four slots hold the
+/// fewest zeros beside each written slot; 8- and 16-slot pages shrink the
+/// index but measured no faster in the day loop, where every page size
+/// pays one more dependent load per item than a dense table did.
+const PAGE_BITS: u32 = 2;
+const PAGE: usize = 1 << PAGE_BITS;
 
 /// A linear model over a hashed weight table of `2^dim_bits` entries,
 /// trained by normalized SGD: every update moves the *prediction* by
@@ -11,15 +17,28 @@ use serde::Serialize;
 /// correction across features proportionally to their squared values. This
 /// is why the featurization weights interaction features below main-effect
 /// features — the distribution of the correction follows `value²`.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The table is paged so that it holds only what the bandit learned: slot
+/// `s` lives at `pool[pages[s >> PAGE_BITS] + (s & (PAGE - 1))]`. Every
+/// page starts at offset 0, the shared all-zero page at `pool[..PAGE]`,
+/// which is never written; the first write to a page appends a zeroed page
+/// to `pool` and points the page's entry at it. A read is two loads with no
+/// branch and no hash, and it yields exactly the value the dense table
+/// held, so every score, update and export is bit-identical to one.
+#[derive(Debug, Clone)]
 pub struct LinearModel {
-    weights: Vec<f64>,
+    /// One entry per `PAGE` slots: that page's offset in `pool`.
+    pages: Vec<u32>,
+    /// The zero page, then every written page in first-write order.
+    pool: Vec<f64>,
     dim_bits: u32,
     /// Total updates absorbed (diagnostics).
     pub updates: u64,
 }
 
 impl LinearModel {
+    /// A zero model. Its page index is one lazily zeroed allocation (1 MiB
+    /// at `dim_bits` 20); no weight page exists until one is written.
     #[must_use]
     pub fn new(dim_bits: u32) -> Self {
         assert!(
@@ -27,24 +46,33 @@ impl LinearModel {
             "dim_bits {dim_bits} out of range"
         );
         Self {
-            weights: vec![0.0; 1 << dim_bits],
+            pages: vec![0; 1 << (dim_bits - PAGE_BITS)],
+            pool: vec![0.0; PAGE],
             dim_bits,
             updates: 0,
         }
     }
 
     /// The table in snapshot form: `(slot, value)` for every slot whose
-    /// **bit pattern** is not `+0.0`, ascending — one scan, no dense copy.
+    /// **bit pattern** is not `+0.0`, ascending — one walk over the written
+    /// pages in slot order, no dense copy.
     /// Comparing bits (not `!= 0.0`) keeps `-0.0`, NaNs and subnormals, so
     /// [`LinearModel::from_sparse`] rebuilds the table bit for bit.
     #[must_use]
     pub fn sparse_weights(&self) -> Vec<(u32, f64)> {
-        self.weights
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.to_bits() != 0)
-            .map(|(slot, &w)| (slot as u32, w))
-            .collect()
+        let mut out = Vec::new();
+        for (page, &at) in self.pages.iter().enumerate() {
+            if at == 0 {
+                continue;
+            }
+            let at = at as usize;
+            for (i, &w) in self.pool[at..at + PAGE].iter().enumerate() {
+                if w.to_bits() != 0 {
+                    out.push(((page * PAGE + i) as u32, w));
+                }
+            }
+        }
+        out
     }
 
     /// The hashed-table size exponent this model was built with.
@@ -78,21 +106,40 @@ impl LinearModel {
         Ok(())
     }
 
-    /// Rebuild a model from its snapshot form, scattering `sparse` into one
-    /// zeroed table. Errors (instead of panicking like
-    /// [`LinearModel::new`]) on anything [`LinearModel::check_sparse`]
-    /// rejects — restore paths must fail typed, never panic.
+    /// Rebuild a model from its snapshot form: a zero model, then one write
+    /// per listed slot, so it holds only the pages `sparse` touches. Errors
+    /// (instead of panicking like [`LinearModel::new`]) on anything
+    /// [`LinearModel::check_sparse`] rejects — restore paths must fail
+    /// typed, never panic.
     pub fn from_sparse(dim_bits: u32, sparse: &[(u32, f64)], updates: u64) -> Result<Self, String> {
         Self::check_sparse(dim_bits, sparse)?;
-        let mut weights = vec![0.0; 1 << dim_bits];
+        let mut model = Self::new(dim_bits);
+        let live = sparse.chunk_by(|a, b| a.0 >> PAGE_BITS == b.0 >> PAGE_BITS);
+        model.pool.reserve_exact(live.count() * PAGE);
         for &(slot, w) in sparse {
-            weights[slot as usize] = w;
+            *model.weight_mut(slot as usize) = w;
         }
-        Ok(Self {
-            weights,
-            dim_bits,
-            updates,
-        })
+        model.updates = updates;
+        Ok(model)
+    }
+
+    /// Slot `s`'s weight: its page's entry, or the shared zero page.
+    #[inline]
+    fn weight(&self, s: usize) -> f64 {
+        self.pool[self.pages[s >> PAGE_BITS] as usize + (s & (PAGE - 1))]
+    }
+
+    /// Slot `s`'s weight for writing; the first write to a page gives it
+    /// its own zeroed page at the end of the pool.
+    #[inline]
+    fn weight_mut(&mut self, s: usize) -> &mut f64 {
+        let at = &mut self.pages[s >> PAGE_BITS];
+        if *at == 0 {
+            // At most 2^26 slots plus the zero page: the offset fits a u32.
+            *at = self.pool.len() as u32;
+            self.pool.extend([0.0; PAGE]);
+        }
+        &mut self.pool[*at as usize + (s & (PAGE - 1))]
     }
 
     #[inline]
@@ -110,7 +157,7 @@ impl LinearModel {
     pub fn score(&self, fv: &FeatureVector) -> f64 {
         fv.items()
             .iter()
-            .map(|&(k, v)| self.weights[self.slot(k)] * v)
+            .map(|&(k, v)| self.weight(self.slot(k)) * v)
             .sum()
     }
 
@@ -133,7 +180,7 @@ impl LinearModel {
                 slots
                     .iter()
                     .zip(values)
-                    .map(|(&s, &v)| self.weights[s as usize] * v)
+                    .map(|(&s, &v)| self.weight(s as usize) * v)
                     .sum()
             })
             .collect()
@@ -184,13 +231,13 @@ impl LinearModel {
         let (norm, score) = items
             .clone()
             .fold((sum_start(), sum_start()), |(norm, score), (s, v)| {
-                (norm + v * v, score + self.weights[s] * v)
+                (norm + v * v, score + self.weight(s) * v)
             });
         let norm = norm.max(1e-12);
         let err = reward - score;
         let step = (lr * importance * err).clamp(-2.0 * err.abs(), 2.0 * err.abs()) / norm;
         for (slot, v) in items {
-            self.weights[slot] += step * v;
+            *self.weight_mut(slot) += step * v;
         }
         self.updates += 1;
     }
@@ -201,6 +248,14 @@ impl LinearModel {
 #[inline]
 fn sum_start() -> f64 {
     std::iter::empty::<f64>().sum()
+}
+
+#[cfg(test)]
+impl LinearModel {
+    /// Bytes the table holds: the page index and the pool, at capacity.
+    fn table_bytes(&self) -> usize {
+        self.pages.capacity() * size_of::<u32>() + self.pool.capacity() * size_of::<f64>()
+    }
 }
 
 #[cfg(test)]
@@ -277,6 +332,24 @@ mod tests {
             m.update(&x, 1.0, 1000.0, 1.0);
         }
         assert!((m.score(&x) - 1.0).abs() < 1.1, "bounded oscillation");
+    }
+
+    #[test]
+    fn restored_table_holds_only_written_pages() {
+        // 18,000 live slots is what a 20-bit bandit table holds after a
+        // benchmark's worth of days; dense, the table alone is 8 MiB.
+        // Fibonacci hashing spreads them about 58 slots apart, so nearly
+        // every one gets a page of its own: the worst case for paging.
+        let sparse: Vec<(u32, f64)> = (0..18_000u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 44) as u32)
+            .collect::<std::collections::BTreeSet<u32>>()
+            .into_iter()
+            .map(|s| (s, 1.0 + f64::from(s)))
+            .collect();
+        let m = LinearModel::from_sparse(20, &sparse, 0).unwrap();
+        assert_eq!(sparse.len(), 18_000);
+        assert!(m.table_bytes() <= 2 << 20, "{} bytes", m.table_bytes());
+        assert_eq!(m.sparse_weights(), sparse);
     }
 
     #[test]
