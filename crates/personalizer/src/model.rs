@@ -235,11 +235,16 @@ impl LinearModel {
             });
         let norm = norm.max(1e-12);
         let err = reward - score;
+        self.updates += 1;
+        // A NaN error (a restored NaN weight, an overflowing score) has no
+        // step to take, and its clamp bounds would be NaN.
+        if err.is_nan() {
+            return;
+        }
         let step = (lr * importance * err).clamp(-2.0 * err.abs(), 2.0 * err.abs()) / norm;
         for (slot, v) in items {
             *self.weight_mut(slot) += step * v;
         }
-        self.updates += 1;
     }
 }
 
@@ -350,6 +355,19 @@ mod tests {
         assert_eq!(sparse.len(), 18_000);
         assert!(m.table_bytes() <= 2 << 20, "{} bytes", m.table_bytes());
         assert_eq!(m.sparse_weights(), sparse);
+    }
+
+    /// A restored NaN weight makes the prediction error NaN: the update is
+    /// counted and writes nothing, where the step's clamp used to panic.
+    #[test]
+    fn a_nan_error_counts_the_update_and_writes_nothing() {
+        let mut m = LinearModel::from_sparse(12, &[(5, f64::NAN)], 0).unwrap();
+        let before = m.sparse_weights();
+        let x = FeatureVector::from_items(vec![(5, 1.0), (9, 2.0)]);
+        m.update(&x, 1.0, 1.0, 0.5);
+        assert_eq!(m.updates, 1);
+        let bits = |w: &[(u32, f64)]| w.iter().map(|&(s, w)| (s, w.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&m.sparse_weights()), bits(&before));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! runtime simulator independently derives ground truth from the actual
 //! side; nothing in this module touches it.
 
-use crate::memo::{ExchangeSpec, PreLocal};
-use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalTuning};
+use crate::memo::{ExchangeScheme, ExchangeSpec, PhysKind, PreLocal};
+use scope_ir::logical::LogicalOp;
+use scope_ir::physical::PhysicalTuning;
 use scope_ir::stats::NodeStats;
 
 // Cost model constants (abstract cost units; 1 unit ≈ 1 byte moved or a
@@ -43,11 +44,13 @@ const COMPRESSION_IO: f64 = 0.8;
 /// Claimed CPU surcharge of compressed exchanges (per byte).
 const COMPRESSION_CPU: f64 = 0.15;
 
-/// Estimated cost of one operator instance, excluding its input
-/// exchanges and children.
+/// Estimated cost of one operator instance of kind `kind` implementing `op`
+/// (whose payload a filter, projection or UDF's weight is read from),
+/// excluding its input exchanges and children.
 #[must_use]
 pub(crate) fn local_cost(
-    op: &PhysicalOp,
+    kind: PhysKind,
+    op: &LogicalOp,
     out: &NodeStats,
     children: &[NodeStats],
     tuning: &PhysicalTuning,
@@ -57,10 +60,12 @@ pub(crate) fn local_cost(
     let in_rows = |i: usize| children.get(i).map_or(0.0, |c| c.rows.estimated.max(0.0));
     let cpu = |units: f64| units * CPU_ROW * tuning.cpu_mult;
     let io = |bytes: f64| bytes * tuning.io_mult;
-    match op {
-        PhysicalOp::TableScan { .. } => io(out_bytes * READ_BYTE),
-        PhysicalOp::FilterExec { predicate } => cpu(in_rows(0) * predicate.cpu_weight().max(0.1)),
-        PhysicalOp::ProjectExec { exprs } => {
+    match (kind, op) {
+        (PhysKind::TableScan, _) => io(out_bytes * READ_BYTE),
+        (PhysKind::Filter, LogicalOp::Filter { predicate, .. }) => {
+            cpu(in_rows(0) * predicate.cpu_weight().max(0.1))
+        }
+        (PhysKind::Project, LogicalOp::Project { exprs }) => {
             let weight: f64 = exprs
                 .iter()
                 .map(|(e, _)| e.cpu_weight())
@@ -68,27 +73,31 @@ pub(crate) fn local_cost(
                 .max(0.1);
             cpu(in_rows(0) * weight * 0.5)
         }
-        PhysicalOp::HashJoin { .. } => {
+        (PhysKind::HashJoin, _) => {
             cpu(in_rows(1) * HASH_BUILD + in_rows(0) * HASH_PROBE + out_rows * 0.3)
         }
-        PhysicalOp::MergeJoin { .. } => cpu((in_rows(0) + in_rows(1)) * MERGE_ROW + out_rows * 0.3),
-        PhysicalOp::BroadcastJoin { .. } => {
+        (PhysKind::MergeJoin, _) => cpu((in_rows(0) + in_rows(1)) * MERGE_ROW + out_rows * 0.3),
+        (PhysKind::BroadcastJoin, _) => {
             // Replication cost is carried by the broadcast exchange; the
             // local probe is hash-join-like with a small build.
             cpu(in_rows(1) * HASH_BUILD + in_rows(0) * HASH_PROBE + out_rows * 0.3)
         }
-        PhysicalOp::HashAggregate { .. } => cpu(in_rows(0) * HASH_AGG_ROW + out_rows * 0.5),
-        PhysicalOp::StreamAggregate { .. } => cpu(in_rows(0) * STREAM_AGG_ROW + out_rows * 0.3),
-        PhysicalOp::SortExec { .. } => {
+        (PhysKind::HashAggregate(_), _) => cpu(in_rows(0) * HASH_AGG_ROW + out_rows * 0.5),
+        (PhysKind::StreamAggregate(_), _) => cpu(in_rows(0) * STREAM_AGG_ROW + out_rows * 0.3),
+        (PhysKind::Sort, _) => {
             let n = in_rows(0).max(2.0);
             cpu(n * n.log2() * SORT_ROW_LOG / CPU_ROW)
         }
-        PhysicalOp::TopNExec { .. } => cpu(in_rows(0) * 0.4),
-        PhysicalOp::WindowExec { .. } => cpu(in_rows(0) * WINDOW_ROW),
-        PhysicalOp::ProcessExec { cpu_factor, .. } => cpu(in_rows(0) * PROCESS_ROW * cpu_factor),
-        PhysicalOp::UnionAllExec => 0.0,
-        PhysicalOp::Exchange { .. } => 0.0, // costed via exchange_cost
-        PhysicalOp::OutputExec { .. } => io(out_bytes * WRITE_BYTE),
+        (PhysKind::TopN, _) => cpu(in_rows(0) * 0.4),
+        (PhysKind::Window, _) => cpu(in_rows(0) * WINDOW_ROW),
+        (PhysKind::Process, LogicalOp::Process { cpu_factor, .. }) => {
+            cpu(in_rows(0) * PROCESS_ROW * cpu_factor)
+        }
+        (PhysKind::UnionAll, _) => 0.0,
+        (PhysKind::Output, _) => io(out_bytes * WRITE_BYTE),
+        // Guarded by construction: `crate::impls` gives each operator only
+        // the kinds that implement it.
+        (kind, op) => unreachable!("{kind:?} does not implement {}", op.tag()),
     }
 }
 
@@ -97,9 +106,9 @@ pub(crate) fn local_cost(
 pub(crate) fn exchange_cost(spec: &ExchangeSpec, input: &NodeStats) -> f64 {
     let rows = input.rows.estimated.max(0.0);
     let bytes = input.estimated_bytes().max(0.0);
-    let replication = match &spec.scheme {
+    let replication = match spec.scheme {
         // Broadcast replicates the input to every consumer partition.
-        Partitioning::Broadcast => 8.0,
+        ExchangeScheme::Broadcast => 8.0,
         _ => 1.0,
     };
     let mut cost = bytes * SHUFFLE_BYTE * replication;
@@ -172,14 +181,22 @@ mod tests {
         }
     }
 
+    fn scan() -> LogicalOp {
+        LogicalOp::Extract {
+            table: scope_ir::logical::TableRef::new(
+                "t",
+                scope_ir::Schema::new(vec![]),
+                DualStats::exact(1000.0),
+            ),
+        }
+    }
+
     #[test]
     fn scan_cost_is_io_bound() {
         let out = stats(1000.0, 100.0);
         let c = local_cost(
-            &PhysicalOp::TableScan {
-                table: "t".into(),
-                variant: scope_ir::ScanVariant::Sequential,
-            },
+            PhysKind::TableScan,
+            &scan(),
             &out,
             &[],
             &PhysicalTuning::IDENTITY,
@@ -190,12 +207,16 @@ mod tests {
     #[test]
     fn tuning_scales_cost_dimensions() {
         let out = stats(1000.0, 100.0);
-        let scan = PhysicalOp::TableScan {
-            table: "t".into(),
-            variant: scope_ir::ScanVariant::Sequential,
-        };
-        let base = local_cost(&scan, &out, &[], &PhysicalTuning::IDENTITY);
+        let scan = scan();
+        let base = local_cost(
+            PhysKind::TableScan,
+            &scan,
+            &out,
+            &[],
+            &PhysicalTuning::IDENTITY,
+        );
         let tuned = local_cost(
+            PhysKind::TableScan,
             &scan,
             &out,
             &[],
@@ -206,16 +227,19 @@ mod tests {
         );
         assert!((tuned - base * 0.5).abs() < 1e-6);
         // CPU-bound op scales with cpu_mult instead.
-        let filt = PhysicalOp::FilterExec {
+        let filt = LogicalOp::Filter {
             predicate: ScalarExpr::lit_int(1),
+            selectivity: DualStats::exact(0.5),
         };
         let fb = local_cost(
+            PhysKind::Filter,
             &filt,
             &out,
             &[stats(1000.0, 100.0)],
             &PhysicalTuning::IDENTITY,
         );
         let ft = local_cost(
+            PhysKind::Filter,
             &filt,
             &out,
             &[stats(1000.0, 100.0)],
@@ -232,10 +256,7 @@ mod tests {
         let input = stats(10_000.0, 50.0);
         let hash = exchange_cost(
             &ExchangeSpec {
-                scheme: Partitioning::Hash {
-                    columns: vec![0],
-                    partitions: 16,
-                },
+                scheme: ExchangeScheme::Hash,
                 sorted: false,
                 compressed: false,
                 bytes: 0.0,
@@ -244,7 +265,7 @@ mod tests {
         );
         let bcast = exchange_cost(
             &ExchangeSpec {
-                scheme: Partitioning::Broadcast,
+                scheme: ExchangeScheme::Broadcast,
                 sorted: false,
                 compressed: false,
                 bytes: 0.0,
@@ -258,10 +279,7 @@ mod tests {
     fn compression_discounts_io() {
         let input = stats(10_000.0, 50.0);
         let spec = |compressed| ExchangeSpec {
-            scheme: Partitioning::Hash {
-                columns: vec![0],
-                partitions: 16,
-            },
+            scheme: ExchangeScheme::Hash,
             sorted: false,
             compressed,
             bytes: 0.0,
@@ -273,17 +291,14 @@ mod tests {
     fn sorted_exchange_adds_sort_cost() {
         let input = stats(10_000.0, 50.0);
         let plain = ExchangeSpec {
-            scheme: Partitioning::Range {
-                columns: vec![0],
-                partitions: 16,
-            },
+            scheme: ExchangeScheme::Range,
             sorted: false,
             compressed: false,
             bytes: 0.0,
         };
         let sorted = ExchangeSpec {
             sorted: true,
-            ..plain.clone()
+            ..plain
         };
         assert!(exchange_cost(&sorted, &input) > exchange_cost(&plain, &input));
     }
@@ -310,22 +325,22 @@ mod tests {
     fn stream_agg_cheaper_than_hash_agg_locally() {
         let input = [stats(100_000.0, 40.0)];
         let out = stats(100.0, 20.0);
+        let agg = LogicalOp::Aggregate {
+            group_by: vec![0],
+            aggs: vec![],
+            group_ratio: DualStats::exact(0.001),
+        };
+        let single = scope_ir::AggMode::Single;
         let hash = local_cost(
-            &PhysicalOp::HashAggregate {
-                group_by: vec![0],
-                aggs: vec![],
-                mode: scope_ir::AggMode::Single,
-            },
+            PhysKind::HashAggregate(single),
+            &agg,
             &out,
             &input,
             &PhysicalTuning::IDENTITY,
         );
         let stream = local_cost(
-            &PhysicalOp::StreamAggregate {
-                group_by: vec![0],
-                aggs: vec![],
-                mode: scope_ir::AggMode::Single,
-            },
+            PhysKind::StreamAggregate(single),
+            &agg,
             &out,
             &input,
             &PhysicalTuning::IDENTITY,

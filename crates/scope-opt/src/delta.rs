@@ -201,11 +201,13 @@ pub struct BaseMemo {
     /// Transforms that produced ≥1 rewrite during base exploration (strict
     /// superset of provenance-visible transforms; see `crate::search`).
     fired_transforms: RuleBits,
-    /// Reverse logical edges: `parents[g]` lists every group with an
-    /// expression whose children include `g`. Physical expressions mirror
-    /// logical children (memo invariant), so this is the complete
-    /// cost-dependency graph for `Best` invalidation.
-    parents: Vec<Vec<u32>>,
+    /// Reverse logical edges, flat: `parents[parent_starts[g]..parent_starts[g + 1]]`
+    /// lists, ascending, every group with an expression whose children
+    /// include `g`. Physical expressions mirror logical children (memo
+    /// invariant), so this is the complete cost-dependency graph for `Best`
+    /// invalidation.
+    parent_starts: Vec<u32>,
+    parents: Vec<u32>,
     /// Lazily memoized "does this transform match anywhere in the (final,
     /// immutable) memo" answers, keyed by kind: a fixed property of the
     /// frozen memo, but computing it is a full-memo scan — and every
@@ -237,22 +239,12 @@ impl BaseMemo {
         plan: &LogicalPlan,
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
-        let full = optimizer.search(plan, base, true).1?;
+        let mut full = optimizer.search(plan, base, true).1?;
         // Pre-warm the physical fingerprint once: every pruned result shares
         // this plan, so each reads it with one atomic load.
         let _ = full.compiled.physical.fingerprint();
-        let n = full.memo.group_count();
-        let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for gi in 0..n as u32 {
-            for lexpr in &full.memo.group(GroupId(gi)).lexprs {
-                for c in &lexpr.children {
-                    let up = &mut parents[c.index()];
-                    if up.last() != Some(&gi) {
-                        up.push(gi);
-                    }
-                }
-            }
-        }
+        full.memo.freeze();
+        let (parent_starts, parents) = reverse_edges(&full.memo);
         Ok(BaseMemo {
             plan_fingerprint: plan.fingerprint(),
             base_bits: *base.bits(),
@@ -261,9 +253,16 @@ impl BaseMemo {
             memo: full.memo,
             roots: full.roots,
             fired_transforms: full.fired_transforms,
+            parent_starts,
             parents,
             fires: Default::default(),
         })
+    }
+
+    /// Group `g`'s parents: every group with an expression over `g`.
+    fn parents_of(&self, g: usize) -> &[u32] {
+        let (start, end) = (self.parent_starts[g], self.parent_starts[g + 1]);
+        &self.parents[start as usize..end as usize]
     }
 
     /// The base configuration's compilation result.
@@ -427,7 +426,7 @@ impl BaseMemo {
         let mut stale = reimplement;
         let mut queue: VecDeque<u32> = (0..n as u32).filter(|&gi| stale[gi as usize]).collect();
         while let Some(gi) = queue.pop_front() {
-            for &p in &self.parents[gi as usize] {
+            for &p in self.parents_of(gi as usize) {
                 if !stale[p as usize] {
                     stale[p as usize] = true;
                     queue.push_back(p);
@@ -456,6 +455,31 @@ impl BaseMemo {
         );
         (tasks, result)
     }
+}
+
+/// The memo's reverse logical edges as offsets plus one flat list: group
+/// `g`'s parents are `parents[starts[g]..starts[g + 1]]`, each once, in
+/// ascending order.
+fn reverse_edges(memo: &Memo) -> (Vec<u32>, Vec<u32>) {
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for parent in memo.group_ids() {
+        for e in &memo.group(parent).lexprs {
+            edges.extend(e.children.iter().map(|c| (c.0, parent.0)));
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let mut starts = vec![0u32; memo.group_count() + 1];
+    for &(child, _) in &edges {
+        starts[child as usize + 1] += 1;
+    }
+    for g in 1..starts.len() {
+        starts[g] += starts[g - 1];
+    }
+    (
+        starts,
+        edges.into_iter().map(|(_, parent)| parent).collect(),
+    )
 }
 
 impl BaseMemo {
@@ -909,9 +933,10 @@ mod tests {
 
     /// A delta pass reads the base's logical halves and clean candidate
     /// lists in place. Replay the worst case by hand — every group dirty —
-    /// then price a 20-treatment delta slate from two threads: no forked
-    /// group may own a copy of its logical half, and the shared base (its
-    /// `Compiled`, every group's candidate list and `Best`) must come out
+    /// then price a 20-treatment delta slate from two threads and every
+    /// single flip of the plan: no forked group may own a copy of its
+    /// logical half, and the shared base (its `Compiled`, every group's
+    /// candidate list and `Best`, its shape and edge arenas) must come out
     /// bit-identical.
     #[test]
     fn delta_passes_share_the_base_and_leave_it_untouched() {
@@ -931,6 +956,12 @@ mod tests {
                 .collect()
         };
         let (compiled_before, state_before) = (base.compiled.clone(), state(&base));
+        let arenas = |base: &BaseMemo| {
+            let (shapes, edges) = base.memo.arenas();
+            (shapes.to_vec(), edges.to_vec())
+        };
+        let arenas_before = arenas(&base);
+        assert!(!arenas_before.0.is_empty() && !arenas_before.1.is_empty());
 
         let treatment = default.with_flip(RuleFlip {
             rule: crate::registry::RULE_SHUFFLE_ELIMINATION,
@@ -981,12 +1012,21 @@ mod tests {
                 });
             }
         });
+        for rule in opt.rules().flippable() {
+            let treatment = default.with_flip(RuleFlip {
+                rule,
+                enable: !default.enabled(rule),
+            });
+            let _ = base.price(&opt, &treatment);
+        }
         assert_eq!(base.compiled, compiled_before);
         assert_eq!(
             base.compiled.est_cost.to_bits(),
             compiled_before.est_cost.to_bits()
         );
         assert_eq!(state(&base), state_before);
+        // Every fork appended its shapes to its own copy of the arenas.
+        assert_eq!(arenas(&base), arenas_before);
     }
 
     #[test]

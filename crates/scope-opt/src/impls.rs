@@ -8,16 +8,20 @@
 //!
 //! Implement once, tune many: the fallback rule and every parametric variant
 //! implement a logical expression *canonically*, so they differ only in
-//! tuning and share one [`PShape`] (`build_shape` with no `ImplKind`).
-//! Nothing here depends on a candidate's tuning — exchange partition counts
-//! are sized and per-template truth is drawn at extraction, for the winner
-//! only (`sized_scheme`, `Optimizer::extract`).
+//! tuning and share one shape (`build_shape` with no `ImplKind`). A
+//! [`PShape`](crate::memo::PShape) is a `Copy` record in the memo's shape
+//! arena: its operator kind, the expression it implements and its edges. Nothing here depends on a
+//! candidate's tuning, and no operator payload is cloned per candidate —
+//! exchange columns and partition counts, the physical operators and the
+//! per-template truth are built at extraction, for the winner only
+//! (`physical_op`, `sized_scheme`, `Optimizer::extract`).
 
-use crate::memo::{Dist, ExchangeSpec, GroupId, Memo, PExpr, PShape, PreLocal};
+use crate::memo::{
+    Dist, Edge, ExchangeScheme, ExchangeSpec, GroupId, Memo, PExpr, PhysKind, PreLocal, ShapeId,
+};
 use crate::registry::{ImplKind, ParametricSpec, RuleBehavior, RuleDef};
 use scope_ir::logical::LogicalOp;
 use scope_ir::physical::{AggMode, Partitioning, PhysicalOp, PhysicalTuning, ScanVariant};
-use std::sync::Arc;
 
 /// Estimated build-side bytes above which broadcast joins are rejected.
 const BROADCAST_THRESHOLD_BYTES: f64 = 6.4e7;
@@ -57,23 +61,124 @@ pub fn choose_partitions(bytes_est: f64, parallelism_mult: f64) -> u32 {
     (scaled as u32).clamp(1, MAX_PARTITIONS)
 }
 
-/// The partitioning an exchange of a shape takes under the consumer's
-/// `claimed` tuning: a hash or range scheme gets its partition count sized
-/// from the bytes it moves, scaled by the consumer's IO knob (the bytes its
-/// shuffle edges move) and parallelism knob; broadcast and gather are fixed.
+/// The partitioning the exchange on input edge `edge` of a shape
+/// implementing `op` takes under the consumer's `claimed` tuning: a hash or
+/// range scheme partitions on `op`'s keys for that edge, with its partition
+/// count sized from the bytes it moves, scaled by the consumer's IO knob (the
+/// bytes its shuffle edges move) and parallelism knob; broadcast and gather
+/// are fixed.
 #[must_use]
-pub(crate) fn sized_scheme(spec: &ExchangeSpec, claimed: &PhysicalTuning) -> Partitioning {
+pub(crate) fn sized_scheme(
+    spec: &ExchangeSpec,
+    claimed: &PhysicalTuning,
+    op: &LogicalOp,
+    edge: usize,
+) -> Partitioning {
     let partitions = || choose_partitions(spec.bytes * claimed.io_mult, claimed.parallelism_mult);
-    match &spec.scheme {
-        Partitioning::Hash { columns, .. } => Partitioning::Hash {
-            columns: columns.clone(),
+    match spec.scheme {
+        ExchangeScheme::Hash => Partitioning::Hash {
+            columns: exchange_columns(op, edge),
             partitions: partitions(),
         },
-        Partitioning::Range { columns, .. } => Partitioning::Range {
-            columns: columns.clone(),
+        ExchangeScheme::Range => Partitioning::Range {
+            columns: exchange_columns(op, edge),
             partitions: partitions(),
         },
-        fixed => fixed.clone(),
+        ExchangeScheme::Broadcast => Partitioning::Broadcast,
+        ExchangeScheme::Gather => Partitioning::Gather,
+    }
+}
+
+/// The columns a hash or range exchange on input edge `edge` of `op`
+/// partitions on: a join's keys on that side, an aggregate's grouping keys,
+/// a sort's key columns, a window's partition keys.
+fn exchange_columns(op: &LogicalOp, edge: usize) -> Vec<usize> {
+    match op {
+        LogicalOp::Join { on, .. } if edge == 0 => on.iter().map(|&(l, _)| l).collect(),
+        LogicalOp::Join { on, .. } => on.iter().map(|&(_, r)| r).collect(),
+        LogicalOp::Aggregate { group_by, .. } => group_by.clone(),
+        LogicalOp::Sort { keys } => keys.iter().map(|k| k.column).collect(),
+        LogicalOp::Window { partition_by, .. } => partition_by.clone(),
+        // Guarded by construction: `build_shape` keys exchanges only below
+        // the four operators above.
+        other => unreachable!("{} has no keyed exchange", other.tag()),
+    }
+}
+
+/// The physical operator a shape of kind `kind` implementing `op` emits —
+/// or a pre-reduction below it ([`PreLocal::kind`]) — with `op`'s payload:
+/// built at extraction, for winners only.
+#[must_use]
+pub(crate) fn physical_op(kind: PhysKind, op: &LogicalOp) -> PhysicalOp {
+    match (kind, op) {
+        (PhysKind::TableScan, LogicalOp::Extract { table }) => PhysicalOp::TableScan {
+            table: table.name.clone(),
+            variant: ScanVariant::Sequential,
+        },
+        (PhysKind::Filter, LogicalOp::Filter { predicate, .. }) => PhysicalOp::FilterExec {
+            predicate: predicate.clone(),
+        },
+        (PhysKind::Project, LogicalOp::Project { exprs }) => PhysicalOp::ProjectExec {
+            exprs: exprs.clone(),
+        },
+        (PhysKind::HashJoin, LogicalOp::Join { kind, on, .. }) => PhysicalOp::HashJoin {
+            kind: *kind,
+            on: on.clone(),
+        },
+        (PhysKind::MergeJoin, LogicalOp::Join { kind, on, .. }) => PhysicalOp::MergeJoin {
+            kind: *kind,
+            on: on.clone(),
+        },
+        (PhysKind::BroadcastJoin, LogicalOp::Join { kind, on, .. }) => PhysicalOp::BroadcastJoin {
+            kind: *kind,
+            on: on.clone(),
+        },
+        (PhysKind::HashAggregate(mode), LogicalOp::Aggregate { group_by, aggs, .. }) => {
+            PhysicalOp::HashAggregate {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                mode,
+            }
+        }
+        (PhysKind::StreamAggregate(mode), LogicalOp::Aggregate { group_by, aggs, .. }) => {
+            PhysicalOp::StreamAggregate {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                mode,
+            }
+        }
+        (PhysKind::Sort, LogicalOp::Sort { keys }) => PhysicalOp::SortExec { keys: keys.clone() },
+        (PhysKind::TopN, LogicalOp::Top { k, keys }) => PhysicalOp::TopNExec {
+            k: *k,
+            keys: keys.clone(),
+        },
+        (
+            PhysKind::Window,
+            LogicalOp::Window {
+                partition_by,
+                funcs,
+            },
+        ) => PhysicalOp::WindowExec {
+            partition_by: partition_by.clone(),
+            funcs: funcs.clone(),
+        },
+        (
+            PhysKind::Process,
+            LogicalOp::Process {
+                udf, cpu_factor, ..
+            },
+        ) => PhysicalOp::ProcessExec {
+            udf: udf.clone(),
+            cpu_factor: *cpu_factor,
+        },
+        (PhysKind::UnionAll, LogicalOp::Union) => PhysicalOp::UnionAllExec,
+        (PhysKind::Output, LogicalOp::Output { path }) => {
+            PhysicalOp::OutputExec { path: path.clone() }
+        }
+        // Guarded by construction: `build_shape` gives each operator only
+        // the kinds (and pre-reductions) that implement it, so a mismatch
+        // here is plan corruption — fail loudly.
+        (kind, op) => unreachable!("{kind:?} does not implement {}", op.tag()),
     }
 }
 
@@ -86,13 +191,14 @@ pub(crate) fn sized_scheme(spec: &ExchangeSpec, claimed: &PhysicalTuning) -> Par
 #[must_use]
 pub(crate) fn implement_expr(
     rule: &RuleDef,
-    memo: &Memo,
+    memo: &mut Memo,
     gid: GroupId,
     eidx: usize,
-    canonical: Option<&Arc<PShape>>,
+    canonical: Option<ShapeId>,
     ctx: &ImplContext,
 ) -> Option<PExpr> {
     let expr = &memo.group(gid).lexprs[eidx];
+    let mut provenance = expr.provenance;
     let (claimed, shape) = match &rule.behavior {
         RuleBehavior::Implement(kind) => {
             let claimed = if *kind == ImplKind::NestedLoopJoin {
@@ -107,10 +213,7 @@ pub(crate) fn implement_expr(
             } else {
                 PhysicalTuning::IDENTITY
             };
-            (
-                claimed,
-                Arc::new(build_shape(memo, gid, eidx, Some(*kind), ctx)?),
-            )
+            (claimed, build_shape(memo, gid, eidx, Some(*kind), ctx)?)
         }
         RuleBehavior::FallbackImpl => (
             PhysicalTuning {
@@ -118,17 +221,16 @@ pub(crate) fn implement_expr(
                 io_mult: FALLBACK_IO_PENALTY,
                 parallelism_mult: 1.0,
             },
-            Arc::clone(canonical?),
+            canonical?,
         ),
         RuleBehavior::Parametric(spec) => {
             if !parametric_matches(spec, &expr.op) {
                 return None;
             }
-            (spec.claimed, Arc::clone(canonical?))
+            (spec.claimed, canonical?)
         }
         _ => return None,
     };
-    let mut provenance = expr.provenance;
     provenance.insert(rule.id);
     Some(PExpr {
         shape,
@@ -138,93 +240,73 @@ pub(crate) fn implement_expr(
     })
 }
 
-/// Construct the physical shape. `kind == None` means "canonical
-/// implementation for this operator": what the fallback rule and every
-/// matching parametric rule share (`None` back only for an operator without
-/// one; there is none today). Hash and range partition counts are left 0 for
-/// [`sized_scheme`] to fill in.
+/// Whether `dist` is a hash distribution on exactly `cols`, in order.
+fn hashed_on(dist: &Dist, cols: impl Iterator<Item = usize>) -> bool {
+    matches!(dist, Dist::Hash(have) if have.iter().copied().eq(cols))
+}
+
+/// Whether `dist` is a range distribution sorted on exactly `cols`, in order.
+fn sorted_on(dist: &Dist, cols: impl Iterator<Item = usize>) -> bool {
+    matches!(dist, Dist::Sorted(have) if have.iter().copied().eq(cols))
+}
+
+/// Construct the physical shape and append it to the memo's arenas.
+/// `kind == None` means "canonical implementation for this operator": what
+/// the fallback rule and every matching parametric rule share (`None` back
+/// only for an operator without one; there is none today).
 pub(crate) fn build_shape(
+    memo: &mut Memo,
+    gid: GroupId,
+    eidx: usize,
+    kind: Option<ImplKind>,
+    ctx: &ImplContext,
+) -> Option<ShapeId> {
+    let (kind, edges, elided) = shape_of(memo, gid, eidx, kind, ctx)?;
+    Some(memo.push_shape(gid, eidx, kind, edges, elided))
+}
+
+/// [`build_shape`]'s decision: the operator kind, the first two input edges
+/// (every operator with more inputs — a union — pipelines all of them) and
+/// whether shuffle elimination removed an exchange.
+fn shape_of(
     memo: &Memo,
     gid: GroupId,
     eidx: usize,
     kind: Option<ImplKind>,
     ctx: &ImplContext,
-) -> Option<PShape> {
+) -> Option<(PhysKind, [Edge; 2], bool)> {
     let expr = &memo.group(gid).lexprs[eidx];
     let children = &expr.children;
     let child_stats = |i: usize| memo.group(children[i]).stats;
     let child_dist = |i: usize| &memo.group(children[i]).dist;
-    let mk = |op: PhysicalOp,
-              exchanges: Vec<Option<ExchangeSpec>>,
-              pre_local: Vec<Option<PreLocal>>,
-              elided: bool| {
-        Some(PShape {
-            op,
-            children: children.clone(),
-            exchanges,
-            pre_local,
-            elided_exchange: elided,
-        })
-    };
-    let exchange = |scheme: Partitioning, sorted: bool, bytes: f64| ExchangeSpec {
-        scheme,
-        sorted,
-        compressed: ctx.compression,
-        bytes,
-    };
-    let hash_exchange = |columns: Vec<usize>, bytes: f64| {
-        let partitions = 0;
-        exchange(
-            Partitioning::Hash {
-                columns,
-                partitions,
-            },
-            false,
+    let pipelined = Edge::default();
+    let exchange = |scheme: ExchangeScheme, sorted: bool, bytes: f64| Edge {
+        exchange: Some(ExchangeSpec {
+            scheme,
+            sorted,
+            compressed: ctx.compression,
             bytes,
-        )
+        }),
+        pre_local: None,
     };
-    let range_exchange = |columns: Vec<usize>, bytes: f64| {
-        let partitions = 0;
-        exchange(
-            Partitioning::Range {
-                columns,
-                partitions,
-            },
-            true,
-            bytes,
-        )
-    };
-    let gather = |sorted: bool| exchange(Partitioning::Gather, sorted, 0.0);
+    let hash_exchange = |bytes: f64| exchange(ExchangeScheme::Hash, false, bytes);
+    let range_exchange = |bytes: f64| exchange(ExchangeScheme::Range, true, bytes);
+    let gather = |sorted: bool| exchange(ExchangeScheme::Gather, sorted, 0.0);
+    let unary = |kind: PhysKind, edge: Edge| Some((kind, [edge, pipelined], false));
 
     match (&expr.op, kind) {
-        (LogicalOp::Extract { table }, Some(ImplKind::Scan) | None) => mk(
-            PhysicalOp::TableScan {
-                table: table.name.clone(),
-                variant: ScanVariant::Sequential,
-            },
-            vec![],
-            vec![],
-            false,
-        ),
-        (LogicalOp::Filter { predicate, .. }, Some(ImplKind::Filter) | None) => mk(
-            PhysicalOp::FilterExec {
-                predicate: predicate.clone(),
-            },
-            vec![None],
-            vec![None],
-            false,
-        ),
-        (LogicalOp::Project { exprs }, Some(ImplKind::Project) | None) => mk(
-            PhysicalOp::ProjectExec {
-                exprs: exprs.clone(),
-            },
-            vec![None],
-            vec![None],
-            false,
-        ),
-        (LogicalOp::Join { kind: jk, on, .. }, jkind) => {
-            let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-            let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        (LogicalOp::Extract { .. }, Some(ImplKind::Scan) | None) => {
+            unary(PhysKind::TableScan, pipelined)
+        }
+        (LogicalOp::Filter { .. }, Some(ImplKind::Filter) | None) => {
+            unary(PhysKind::Filter, pipelined)
+        }
+        (LogicalOp::Project { .. }, Some(ImplKind::Project) | None) => {
+            unary(PhysKind::Project, pipelined)
+        }
+        (LogicalOp::Join { on, .. }, jkind) => {
+            let lcols = || on.iter().map(|&(l, _)| l);
+            let rcols = || on.iter().map(|&(_, r)| r);
             let (lbytes, rbytes) = (
                 child_stats(0).estimated_bytes(),
                 child_stats(1).estimated_bytes(),
@@ -232,72 +314,43 @@ pub(crate) fn build_shape(
             match jkind {
                 Some(ImplKind::HashJoin) | None => {
                     let mut elided = false;
-                    let lx =
-                        if ctx.shuffle_elimination && child_dist(0) == &Dist::Hash(lcols.clone()) {
-                            elided = true;
-                            None
-                        } else {
-                            Some(hash_exchange(lcols, lbytes.max(rbytes)))
-                        };
-                    let rx =
-                        if ctx.shuffle_elimination && child_dist(1) == &Dist::Hash(rcols.clone()) {
-                            elided = true;
-                            None
-                        } else {
-                            Some(hash_exchange(rcols, lbytes.max(rbytes)))
-                        };
-                    mk(
-                        PhysicalOp::HashJoin {
-                            kind: *jk,
-                            on: on.clone(),
-                        },
-                        vec![lx, rx],
-                        vec![None, None],
-                        elided,
-                    )
+                    let lx = if ctx.shuffle_elimination && hashed_on(child_dist(0), lcols()) {
+                        elided = true;
+                        pipelined
+                    } else {
+                        hash_exchange(lbytes.max(rbytes))
+                    };
+                    let rx = if ctx.shuffle_elimination && hashed_on(child_dist(1), rcols()) {
+                        elided = true;
+                        pipelined
+                    } else {
+                        hash_exchange(lbytes.max(rbytes))
+                    };
+                    Some((PhysKind::HashJoin, [lx, rx], elided))
                 }
                 Some(ImplKind::MergeJoin) => {
                     let mut elided = false;
-                    let lx = if ctx.shuffle_elimination
-                        && child_dist(0) == &Dist::Sorted(lcols.clone())
-                    {
+                    let lx = if ctx.shuffle_elimination && sorted_on(child_dist(0), lcols()) {
                         elided = true;
-                        None
+                        pipelined
                     } else {
-                        Some(range_exchange(lcols, lbytes.max(rbytes)))
+                        range_exchange(lbytes.max(rbytes))
                     };
-                    let rx = if ctx.shuffle_elimination
-                        && child_dist(1) == &Dist::Sorted(rcols.clone())
-                    {
+                    let rx = if ctx.shuffle_elimination && sorted_on(child_dist(1), rcols()) {
                         elided = true;
-                        None
+                        pipelined
                     } else {
-                        Some(range_exchange(rcols, lbytes.max(rbytes)))
+                        range_exchange(lbytes.max(rbytes))
                     };
-                    mk(
-                        PhysicalOp::MergeJoin {
-                            kind: *jk,
-                            on: on.clone(),
-                        },
-                        vec![lx, rx],
-                        vec![None, None],
-                        elided,
-                    )
+                    Some((PhysKind::MergeJoin, [lx, rx], elided))
                 }
                 Some(ImplKind::BroadcastJoin) => {
                     // Only worthwhile (and allowed) for small build sides.
                     if child_stats(1).estimated_bytes() > BROADCAST_THRESHOLD_BYTES {
                         return None;
                     }
-                    mk(
-                        PhysicalOp::BroadcastJoin {
-                            kind: *jk,
-                            on: on.clone(),
-                        },
-                        vec![None, Some(exchange(Partitioning::Broadcast, false, 0.0))],
-                        vec![None, None],
-                        false,
-                    )
+                    let bx = exchange(ExchangeScheme::Broadcast, false, 0.0);
+                    Some((PhysKind::BroadcastJoin, [pipelined, bx], false))
                 }
                 Some(ImplKind::NestedLoopJoin) => {
                     let (lrows, rrows) =
@@ -305,15 +358,7 @@ pub(crate) fn build_shape(
                     if lrows * rrows > NESTED_LOOP_LIMIT {
                         return None;
                     }
-                    mk(
-                        PhysicalOp::HashJoin {
-                            kind: *jk,
-                            on: on.clone(),
-                        },
-                        vec![Some(gather(false)), Some(gather(false))],
-                        vec![None, None],
-                        false,
-                    )
+                    Some((PhysKind::HashJoin, [gather(false), gather(false)], false))
                 }
                 _ => None,
             }
@@ -321,142 +366,75 @@ pub(crate) fn build_shape(
         (LogicalOp::Aggregate { group_by, aggs, .. }, akind) => {
             let bytes = child_stats(0).estimated_bytes();
             let keyed = !group_by.is_empty();
-            let key_exchange = || {
-                if keyed {
-                    hash_exchange(group_by.clone(), bytes)
-                } else {
-                    gather(false)
-                }
-            };
             match akind {
                 Some(ImplKind::HashAgg) | None => {
                     let mut elided = false;
                     let x = if ctx.shuffle_elimination
                         && keyed
-                        && child_dist(0) == &Dist::Hash(group_by.clone())
+                        && hashed_on(child_dist(0), group_by.iter().copied())
                     {
                         elided = true;
-                        None
+                        pipelined
+                    } else if keyed {
+                        hash_exchange(bytes)
                     } else {
-                        Some(key_exchange())
+                        gather(false)
                     };
-                    mk(
-                        PhysicalOp::HashAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            mode: AggMode::Single,
-                        },
-                        vec![x],
-                        vec![None],
+                    Some((
+                        PhysKind::HashAggregate(AggMode::Single),
+                        [x, pipelined],
                         elided,
-                    )
+                    ))
                 }
                 Some(ImplKind::StreamAgg) => {
                     if !keyed {
                         return None;
                     }
-                    mk(
-                        PhysicalOp::StreamAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            mode: AggMode::Single,
-                        },
-                        vec![Some(range_exchange(group_by.clone(), bytes))],
-                        vec![None],
-                        false,
+                    unary(
+                        PhysKind::StreamAggregate(AggMode::Single),
+                        range_exchange(bytes),
                     )
                 }
                 Some(ImplKind::AggSplitLocalGlobal) => {
                     if !keyed || !aggs.iter().all(|a| a.func.decomposable()) {
                         return None;
                     }
-                    mk(
-                        PhysicalOp::HashAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            mode: AggMode::Final,
-                        },
-                        vec![Some(hash_exchange(group_by.clone(), bytes))],
-                        vec![Some(PreLocal::PartialAgg)],
-                        false,
-                    )
+                    let split = Edge {
+                        pre_local: Some(PreLocal::PartialAgg),
+                        ..hash_exchange(bytes)
+                    };
+                    unary(PhysKind::HashAggregate(AggMode::Final), split)
                 }
                 _ => None,
             }
         }
         (LogicalOp::Sort { keys }, Some(ImplKind::Sort) | None) => {
-            let cols: Vec<usize> = keys.iter().map(|k| k.column).collect();
             let bytes = child_stats(0).estimated_bytes();
-            let mut elided = false;
-            let x = if ctx.shuffle_elimination && child_dist(0) == &Dist::Sorted(cols.clone()) {
-                elided = true;
-                None
+            let cols = keys.iter().map(|k| k.column);
+            if ctx.shuffle_elimination && sorted_on(child_dist(0), cols) {
+                Some((PhysKind::Sort, [pipelined, pipelined], true))
             } else {
-                Some(range_exchange(cols, bytes))
+                unary(PhysKind::Sort, range_exchange(bytes))
+            }
+        }
+        (LogicalOp::Top { k, .. }, Some(ImplKind::TopN) | None) => {
+            let local_top = Edge {
+                pre_local: Some(PreLocal::LocalTopK(*k)),
+                ..gather(true)
             };
-            mk(
-                PhysicalOp::SortExec { keys: keys.clone() },
-                vec![x],
-                vec![None],
-                elided,
-            )
+            unary(PhysKind::TopN, local_top)
         }
-        (LogicalOp::Top { k, keys }, Some(ImplKind::TopN) | None) => mk(
-            PhysicalOp::TopNExec {
-                k: *k,
-                keys: keys.clone(),
-            },
-            vec![Some(gather(true))],
-            vec![Some(PreLocal::LocalTopK(*k))],
-            false,
-        ),
-        (
-            LogicalOp::Window {
-                partition_by,
-                funcs,
-            },
-            Some(ImplKind::Window) | None,
-        ) => {
+        (LogicalOp::Window { .. }, Some(ImplKind::Window) | None) => {
             let bytes = child_stats(0).estimated_bytes();
-            mk(
-                PhysicalOp::WindowExec {
-                    partition_by: partition_by.clone(),
-                    funcs: funcs.clone(),
-                },
-                vec![Some(hash_exchange(partition_by.clone(), bytes))],
-                vec![None],
-                false,
-            )
+            unary(PhysKind::Window, hash_exchange(bytes))
         }
-        (
-            LogicalOp::Process {
-                udf, cpu_factor, ..
-            },
-            Some(ImplKind::Process) | None,
-        ) => mk(
-            PhysicalOp::ProcessExec {
-                udf: udf.clone(),
-                cpu_factor: *cpu_factor,
-            },
-            vec![None],
-            vec![None],
-            false,
-        ),
-        (LogicalOp::Union, Some(ImplKind::UnionAll) | None) => {
-            let n = children.len();
-            mk(
-                PhysicalOp::UnionAllExec,
-                vec![None; n],
-                vec![None; n],
-                false,
-            )
+        (LogicalOp::Process { .. }, Some(ImplKind::Process) | None) => {
+            unary(PhysKind::Process, pipelined)
         }
-        (LogicalOp::Output { path }, Some(ImplKind::Output) | None) => mk(
-            PhysicalOp::OutputExec { path: path.clone() },
-            vec![None],
-            vec![None],
-            false,
-        ),
+        (LogicalOp::Union, Some(ImplKind::UnionAll) | None) => unary(PhysKind::UnionAll, pipelined),
+        (LogicalOp::Output { .. }, Some(ImplKind::Output) | None) => {
+            unary(PhysKind::Output, pipelined)
+        }
         _ => None,
     }
 }
@@ -481,6 +459,7 @@ mod tests {
     use scope_ir::schema::{Column, DataType, Schema};
     use scope_ir::stats::DualStats;
     use scope_lang::{bind_script, Catalog, TableInfo};
+    use std::sync::Arc;
 
     fn ctx() -> ImplContext {
         ImplContext {
@@ -491,9 +470,14 @@ mod tests {
 
     /// [`implement_expr`] on a group's first expression, with its canonical
     /// shape built the way `Optimizer::implement_group` builds it.
-    fn implement(rule: &RuleDef, memo: &Memo, g: GroupId, c: &ImplContext) -> Option<PExpr> {
-        let canonical = build_shape(memo, g, 0, None, c).map(Arc::new);
-        implement_expr(rule, memo, g, 0, canonical.as_ref(), c)
+    fn implement(rule: &RuleDef, memo: &mut Memo, g: GroupId, c: &ImplContext) -> Option<PExpr> {
+        let canonical = build_shape(memo, g, 0, None, c);
+        implement_expr(rule, memo, g, 0, canonical, c)
+    }
+
+    /// The exchange on input edge `j` of `p`'s shape.
+    fn exchange(memo: &Memo, p: &PExpr, j: usize) -> Option<ExchangeSpec> {
+        memo.edge(memo.shape(p.shape), j).exchange
     }
 
     fn scan(memo: &mut Memo, name: &str, rows: f64, row_len: u16) -> GroupId {
@@ -559,11 +543,11 @@ mod tests {
         let a = scan(&mut memo, "a", 1e7, 20);
         let b = scan(&mut memo, "b", 1e7, 20);
         let j = join(&mut memo, JoinKind::Inner, a, b, 1e-7);
-        let p = implement(rule_named(&rules, "HashJoinImpl"), &memo, j, &ctx()).unwrap();
-        assert!(matches!(p.shape.op, PhysicalOp::HashJoin { .. }));
-        assert!(p.shape.exchanges[0].is_some());
-        assert!(p.shape.exchanges[1].is_some());
-        assert!(!p.shape.elided_exchange);
+        let p = implement(rule_named(&rules, "HashJoinImpl"), &mut memo, j, &ctx()).unwrap();
+        assert_eq!(memo.shape(p.shape).kind, PhysKind::HashJoin);
+        assert!(exchange(&memo, &p, 0).is_some());
+        assert!(exchange(&memo, &p, 1).is_some());
+        assert!(!memo.shape(p.shape).elided_exchange);
     }
 
     #[test]
@@ -577,14 +561,17 @@ mod tests {
         let j_big = join(&mut memo, JoinKind::Inner, a, big, 1e-8);
         let c = ctx();
         let bc = rule_named(&rules, "BroadcastJoinImpl");
-        let ok = implement(bc, &memo, j_small, &c).unwrap();
-        assert!(ok.shape.exchanges[0].is_none(), "probe side stays in place");
-        assert!(matches!(
-            ok.shape.exchanges[1].as_ref().unwrap().scheme,
-            Partitioning::Broadcast
-        ));
+        let ok = implement(bc, &mut memo, j_small, &c).unwrap();
         assert!(
-            implement(bc, &memo, j_big, &c).is_none(),
+            exchange(&memo, &ok, 0).is_none(),
+            "probe side stays in place"
+        );
+        assert_eq!(
+            exchange(&memo, &ok, 1).unwrap().scheme,
+            ExchangeScheme::Broadcast
+        );
+        assert!(
+            implement(bc, &mut memo, j_big, &c).is_none(),
             "big side not broadcast"
         );
     }
@@ -608,14 +595,14 @@ mod tests {
             RuleBits::empty(),
         );
         let c = ctx();
-        let p = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c).unwrap();
-        assert!(p.shape.exchanges[0].is_none(), "exchange eliminated");
-        assert!(p.shape.elided_exchange);
+        let p = implement(rule_named(&rules, "HashAggImpl"), &mut memo, g, &c).unwrap();
+        assert!(exchange(&memo, &p, 0).is_none(), "exchange eliminated");
+        assert!(memo.shape(p.shape).elided_exchange);
         // With the policy off, the exchange is materialized.
         let mut c_off = ctx();
         c_off.shuffle_elimination = false;
-        let p2 = implement(rule_named(&rules, "HashAggImpl"), &memo, g, &c_off).unwrap();
-        assert!(p2.shape.exchanges[0].is_some());
+        let p2 = implement(rule_named(&rules, "HashAggImpl"), &mut memo, g, &c_off).unwrap();
+        assert!(exchange(&memo, &p2, 0).is_some());
     }
 
     #[test]
@@ -644,16 +631,11 @@ mod tests {
         );
         let c = ctx();
         let split = rule_named(&rules, "AggSplitLocalGlobal");
-        let p = implement(split, &memo, ok, &c).unwrap();
-        assert_eq!(p.shape.pre_local[0], Some(PreLocal::PartialAgg));
-        assert!(matches!(
-            p.shape.op,
-            PhysicalOp::HashAggregate {
-                mode: AggMode::Final,
-                ..
-            }
-        ));
-        assert!(implement(split, &memo, bad, &c).is_none());
+        let p = implement(split, &mut memo, ok, &c).unwrap();
+        let shape = *memo.shape(p.shape);
+        assert_eq!(memo.edge(&shape, 0).pre_local, Some(PreLocal::PartialAgg));
+        assert_eq!(shape.kind, PhysKind::HashAggregate(AggMode::Final));
+        assert!(implement(split, &mut memo, bad, &c).is_none());
     }
 
     /// A parametric candidate carries only its claimed tuning; the
@@ -687,7 +669,7 @@ mod tests {
         }
         // A default-on variant: stable, so extraction cannot fail on it.
         let prule = parametric(rules, "Filter", |r| r.category.default_on());
-        let p = implement(prule, &memo, f, &c).unwrap();
+        let p = implement(prule, &mut memo, f, &c).unwrap();
         assert!(!p.claimed.is_identity());
         assert!(p.provenance.contains(prule.id));
         // Make it the filter group's only candidate, so it wins.
@@ -713,9 +695,9 @@ mod tests {
         let mut memo = Memo::new();
         let a = scan(&mut memo, "a", 1e6, 20);
         let fallback = rules.rule(crate::registry::RULE_FALLBACK_EXEC);
-        let p = implement(fallback, &memo, a, &ctx()).unwrap();
+        let p = implement(fallback, &mut memo, a, &ctx()).unwrap();
         assert!((p.claimed.cpu_mult - FALLBACK_CPU_PENALTY).abs() < 1e-12);
-        assert!(matches!(p.shape.op, PhysicalOp::TableScan { .. }));
+        assert_eq!(memo.shape(p.shape).kind, PhysKind::TableScan);
     }
 
     #[test]
@@ -733,13 +715,13 @@ mod tests {
             RuleBits::empty(),
         );
         let c = ctx();
-        assert!(implement(rule_named(&rules, "StreamAggImpl"), &memo, global, &c).is_none());
+        assert!(implement(rule_named(&rules, "StreamAggImpl"), &mut memo, global, &c).is_none());
         // HashAgg on a global aggregate gathers to one partition.
-        let p = implement(rule_named(&rules, "HashAggImpl"), &memo, global, &c).unwrap();
-        assert!(matches!(
-            p.shape.exchanges[0].as_ref().unwrap().scheme,
-            Partitioning::Gather
-        ));
+        let p = implement(rule_named(&rules, "HashAggImpl"), &mut memo, global, &c).unwrap();
+        assert_eq!(
+            exchange(&memo, &p, 0).unwrap().scheme,
+            ExchangeScheme::Gather
+        );
     }
 
     /// Parametric join variants match on the tag alone, so they decorate a
@@ -757,9 +739,10 @@ mod tests {
             unreachable!()
         };
         assert!(parametric_matches(spec, &memo.group(semi).lexprs[0].op));
-        let p = implement(prule, &memo, semi, &ctx()).unwrap();
+        let p = implement(prule, &mut memo, semi, &ctx()).unwrap();
+        let shape = memo.shape(p.shape);
         assert!(matches!(
-            p.shape.op,
+            physical_op(shape.kind, &memo.implemented(semi, shape).op),
             PhysicalOp::HashJoin {
                 kind: JoinKind::LeftSemi,
                 ..
@@ -811,7 +794,7 @@ mod tests {
                     RuleBehavior::FallbackImpl => {
                         fallbacks += 1;
                         for v in variants.drain(..) {
-                            assert!(Arc::ptr_eq(&v.shape, shape), "{g}: {}", v.rule);
+                            assert_eq!(v.shape, *shape, "{g}: {}", v.rule);
                             shared += 1;
                         }
                     }

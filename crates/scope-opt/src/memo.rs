@@ -22,11 +22,18 @@
 //!   when the group is interned and never revised — equivalent expressions
 //!   added later share them by the group equivalence contract (rewrites are
 //!   cardinality-preserving on the group's output).
-//! * **Physical children mirror logical children.** Every [`PShape`] built
-//!   by `crate::impls` copies its logical expression's child-group list
-//!   verbatim, so the logical edges are the complete group-dependency graph
-//!   — the delta compiler derives its invalidation (reverse-edge) closure
-//!   from them alone.
+//! * **Physical children mirror logical children, by construction.** A
+//!   [`PShape`] stores no children: it names the logical expression it
+//!   implements ([`PShape::lexpr`]), and that expression's child groups are
+//!   its inputs, one [`Edge`] each. So the logical edges are the complete
+//!   group-dependency graph — the delta compiler derives its invalidation
+//!   (reverse-edge) closure from them alone.
+//! * **Shapes own no heap.** Shapes and edges are `Copy` records in two
+//!   memo-wide arenas (`Memo::shape`, `Memo::edge`), appended to and never
+//!   rewritten; a candidate names its shape by [`ShapeId`]. Operator
+//!   payloads (predicates, keys, aggregates) stay in the logical operator,
+//!   which the cost model reads in place and extraction clones for winners
+//!   only. A delta fork copies both arenas and appends to its copy.
 //! * **[`Best`] is a pure function of `pexprs` + children's `Best`.** Each
 //!   entry caches the first-index minimum over the group's physical
 //!   expressions, priced with its children's best costs; clearing the entry
@@ -44,7 +51,7 @@ use crate::search::CompileError;
 use rustc_hash::FxHashMap;
 use scope_ir::ids::{combine, MEMO_EXPR_KEY_SALT};
 use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan};
-use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalTuning};
+use scope_ir::physical::{AggMode, PhysicalTuning};
 use scope_ir::schema::{Column, DataType, Schema};
 use scope_ir::stats::{DualStats, NodeStats};
 use scope_ir::NodeId;
@@ -101,13 +108,22 @@ pub struct MExpr {
     pub provenance: RuleBits,
 }
 
+/// How an exchange moves data. A hash or range exchange's columns are the
+/// implemented logical operator's keys, and its partition count depends on
+/// the candidate's claimed tuning; the cost model reads neither, so
+/// extraction builds both for the winner only (`crate::impls::sized_scheme`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeScheme {
+    Hash,
+    Range,
+    Gather,
+    Broadcast,
+}
+
 /// An exchange on one input edge of a physical expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExchangeSpec {
-    /// In a [`PShape`], a hash or range scheme's partition count is left 0:
-    /// it depends on the candidate's claimed tuning, and the cost model never
-    /// reads it, so extraction sizes it for the winner only (from `bytes`).
-    pub scheme: Partitioning,
+    pub scheme: ExchangeScheme,
     /// Range exchanges deliver sorted runs (adds a sort cost component).
     pub sorted: bool,
     /// Intermediate-compression policy applied to this edge.
@@ -126,18 +142,66 @@ pub enum PreLocal {
     LocalTopK(u64),
 }
 
-/// The physical shape of an implementation: operator, input edges and the
-/// exchanges on them — everything about a candidate but its tuning. The
-/// fallback rule and every parametric variant of one logical expression
-/// implement it canonically, so they share one `Arc<PShape>`.
-#[derive(Debug, Clone)]
+impl PreLocal {
+    /// The operator the pre-reduction runs: a partial aggregate, or a local
+    /// top-k under the consumer's own `k` and keys.
+    #[must_use]
+    pub fn kind(self) -> PhysKind {
+        match self {
+            PreLocal::PartialAgg => PhysKind::HashAggregate(AggMode::Partial),
+            PreLocal::LocalTopK(_) => PhysKind::TopN,
+        }
+    }
+}
+
+/// One input edge of a physical expression: the exchange on it and the
+/// producer-side pre-reduction below that exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Edge {
+    /// The exchange requirement (`None` = pipelined locally).
+    pub exchange: Option<ExchangeSpec>,
+    pub pre_local: Option<PreLocal>,
+}
+
+/// The kind of physical operator a shape implements its logical expression
+/// with. Its payload (predicate, projection, keys, aggregates, …) is the
+/// logical operator's; only an aggregate's execution mode is the shape's own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhysKind {
+    TableScan,
+    Filter,
+    Project,
+    HashJoin,
+    MergeJoin,
+    BroadcastJoin,
+    HashAggregate(AggMode),
+    StreamAggregate(AggMode),
+    Sort,
+    TopN,
+    Window,
+    Process,
+    UnionAll,
+    Output,
+}
+
+/// Index of a shape in its memo's shape arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShapeId(pub u32);
+
+/// The physical shape of an implementation: operator kind, and the exchanges
+/// and pre-reductions on its input edges — everything about a candidate but
+/// its tuning. Its inputs are the implemented expression's child groups
+/// (`Memo::implemented`), edge `j` feeding from child `j`. The fallback rule
+/// and every parametric variant of one logical expression implement it
+/// canonically, so they share one [`ShapeId`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PShape {
-    pub op: PhysicalOp,
-    pub children: Vec<GroupId>,
-    /// Per-child-edge exchange requirement (None = pipelined locally).
-    pub exchanges: Vec<Option<ExchangeSpec>>,
-    /// Per-child-edge producer-side pre-reduction.
-    pub pre_local: Vec<Option<PreLocal>>,
+    pub kind: PhysKind,
+    /// Index of the implemented expression in its group's `lexprs`.
+    pub lexpr: u32,
+    /// Where this shape's edges start in the memo's edge arena: one per
+    /// child of the implemented expression, in child order.
+    pub edges: u32,
     /// Whether the `ShuffleElimination` policy removed at least one input
     /// exchange from this shape (credits the policy rule in the signature).
     pub elided_exchange: bool,
@@ -147,9 +211,9 @@ pub struct PShape {
 /// expression — a shared [`PShape`] plus the tuning the cost model sees. The
 /// runtime's per-template truth (`actual` tuning) is drawn at extraction,
 /// for the winner only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PExpr {
-    pub shape: Arc<PShape>,
+    pub shape: ShapeId,
     /// Tuning the cost model sees.
     pub claimed: PhysicalTuning,
     /// Implementation rule that produced this expression.
@@ -181,6 +245,15 @@ pub struct GroupLogical {
     pub dist: Dist,
     pub lexprs: Vec<MExpr>,
 }
+
+// Shapes, edges and candidates are plain records: a heap payload in any of
+// them would be one more free per shape when an evicted base memo drops.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<PShape>();
+    copy::<Edge>();
+    copy::<PExpr>();
+};
 
 /// One memo group: its shared [`GroupLogical`] half (read through `Deref`),
 /// the physical implementation candidates (`pexprs`, rebuilt per rule
@@ -227,6 +300,10 @@ pub struct Memo {
     groups: Vec<Group>,
     /// Dedup index: expression fingerprint -> owning group.
     index: FxHashMap<u64, GroupId>,
+    /// Shape arena: every physical shape of every group's candidates.
+    shapes: Vec<PShape>,
+    /// Edge arena: each shape's input edges, contiguous from `PShape::edges`.
+    edges: Vec<Edge>,
     /// Total logical expressions (budget accounting).
     pub lexpr_count: usize,
 }
@@ -251,9 +328,60 @@ impl Memo {
         self.groups.len()
     }
 
+    /// The shape `id` names.
+    #[must_use]
+    pub fn shape(&self, id: ShapeId) -> &PShape {
+        &self.shapes[id.0 as usize]
+    }
+
+    /// Input edge `j` of `shape`.
+    #[must_use]
+    pub fn edge(&self, shape: &PShape, j: usize) -> Edge {
+        self.edges[shape.edges as usize + j]
+    }
+
+    /// The logical expression of group `g` that `shape` implements: its
+    /// operator is the shape's payload and its children the shape's inputs.
+    #[must_use]
+    pub fn implemented(&self, g: GroupId, shape: &PShape) -> &MExpr {
+        &self.group(g).lexprs[shape.lexpr as usize]
+    }
+
+    /// Append a shape implementing expression `lexpr` of group `g`, with one
+    /// edge per child of that expression: `edges` first, pipelined edges
+    /// after them (only a union has more than two inputs).
+    pub(crate) fn push_shape(
+        &mut self,
+        g: GroupId,
+        lexpr: usize,
+        kind: PhysKind,
+        edges: [Edge; 2],
+        elided_exchange: bool,
+    ) -> ShapeId {
+        let arity = self.group(g).lexprs[lexpr].children.len();
+        let id = ShapeId(self.shapes.len() as u32);
+        self.shapes.push(PShape {
+            kind,
+            lexpr: lexpr as u32,
+            edges: self.edges.len() as u32,
+            elided_exchange,
+        });
+        let pipelined = std::iter::repeat(Edge::default());
+        self.edges
+            .extend(edges.into_iter().chain(pipelined).take(arity));
+        id
+    }
+
+    /// Drop the dedup index of a memo that will never intern again (a
+    /// frozen base memo: its forks start without one).
+    pub(crate) fn freeze(&mut self) {
+        self.index = FxHashMap::default();
+    }
+
     /// Fork for an incremental (delta) pass: two pointer copies per group —
     /// the logical half and the candidate list are shared with `self`, and a
     /// treatment replaces the `pexprs` / `best` of the groups it dirties —
+    /// a copy of the two flat arenas, which the pass appends its shapes to,
     /// and no dedup index (a delta pass never interns new expressions).
     #[must_use]
     pub(crate) fn fork_for_delta(&self) -> Memo {
@@ -268,6 +396,8 @@ impl Memo {
                 })
                 .collect(),
             index: FxHashMap::default(),
+            shapes: self.shapes.clone(),
+            edges: self.edges.clone(),
             lexpr_count: self.lexpr_count,
         }
     }
@@ -645,6 +775,14 @@ impl Memo {
             LogicalOp::Top { .. } => Dist::Single,
             LogicalOp::Window { partition_by, .. } => Dist::Hash(partition_by.clone()),
         }
+    }
+}
+
+#[cfg(test)]
+impl Memo {
+    /// The shape and edge arenas, for tests that pin them.
+    pub(crate) fn arenas(&self) -> (&[PShape], &[Edge]) {
+        (&self.shapes, &self.edges)
     }
 }
 

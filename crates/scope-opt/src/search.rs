@@ -22,8 +22,8 @@ use crate::cache::CompileCache;
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::cost::{exchange_cost, local_cost, pre_local_cost_and_rows};
 use crate::delta::DeltaCompiler;
-use crate::impls::{build_shape, implement_expr, sized_scheme, ImplContext};
-use crate::memo::{Best, GroupId, Memo, PExpr, PreLocal};
+use crate::impls::{build_shape, implement_expr, physical_op, sized_scheme, ImplContext};
+use crate::memo::{Best, GroupId, Memo, PExpr};
 use crate::registry::{
     RuleBehavior, RuleSet, RULE_DEGREE_OF_PARALLELISM, RULE_EXCHANGE_PLACEMENT, RULE_FALLBACK_EXEC,
     RULE_INTERMEDIATE_COMPRESSION, RULE_MEMO_DEDUP, RULE_PLAN_SERIALIZE, RULE_PREDICATE_NORMALIZE,
@@ -436,17 +436,17 @@ impl Optimizer {
         let mut produced = Vec::new();
         for e in 0..n {
             let tag = memo.group(g).lexprs[e].op.tag();
-            let canonical = build_shape(memo, g, e, None, ctx).map(Arc::new);
+            let canonical = build_shape(memo, g, e, None, ctx);
             for rule in self.rules.impls_for(tag) {
                 if !config.enabled(rule.id) {
                     continue;
                 }
-                if let Some(p) = implement_expr(rule, memo, g, e, canonical.as_ref(), ctx) {
+                if let Some(p) = implement_expr(rule, memo, g, e, canonical, ctx) {
                     produced.push(p);
                 }
             }
             let fallback = self.rules.rule(RULE_FALLBACK_EXEC);
-            if let Some(p) = implement_expr(fallback, memo, g, e, canonical.as_ref(), ctx) {
+            if let Some(p) = implement_expr(fallback, memo, g, e, canonical, ctx) {
                 produced.push(p);
             }
         }
@@ -498,25 +498,30 @@ impl Optimizer {
         };
         let mut edge_stats: Vec<NodeStats> = Vec::new();
         for (i, p) in pexprs.iter().enumerate() {
-            let shape = &*p.shape;
+            let shape = *memo.shape(p.shape);
             let mut total = 0.0;
             edge_stats.clear();
-            for (j, &c) in shape.children.iter().enumerate() {
+            // The inputs are the implemented expression's children; index
+            // them afresh each edge, as the recursion needs `&mut memo`.
+            for j in 0..memo.implemented(g, &shape).children.len() {
+                let c = memo.implemented(g, &shape).children[j];
                 total += self.best_cost(memo, c, visiting);
                 let mut cstats = memo.group(c).stats;
-                if let Some(pre) = shape.pre_local[j] {
+                let edge = memo.edge(&shape, j);
+                if let Some(pre) = edge.pre_local {
                     let (pc, reduced) = pre_local_cost_and_rows(pre, &cstats, &out_stats);
                     total += pc;
                     cstats = reduced;
                 }
-                if let Some(spec) = &shape.exchanges[j] {
+                if let Some(spec) = &edge.exchange {
                     // The consumer's IO knob scales its shuffle edges (e.g.
                     // variants that read compressed/compact shuffle input).
                     total += exchange_cost(spec, &cstats) * p.claimed.io_mult;
                 }
                 edge_stats.push(cstats);
             }
-            total += local_cost(&shape.op, &out_stats, &edge_stats, &p.claimed);
+            let op = &memo.implemented(g, &shape).op;
+            total += local_cost(shape.kind, op, &out_stats, &edge_stats, &p.claimed);
             if total < best.cost {
                 best = Best {
                     cost: total,
@@ -619,10 +624,12 @@ impl Optimizer {
     }
 
     /// Emit group `g`'s winner (children first, each group once): its
-    /// shape's operator, pre-reductions and exchanges, with every hash or
-    /// range exchange sized under the winner's claimed tuning
-    /// ([`sized_scheme`]) and every node tuned with the winner's actual
-    /// tuning; its estimated cost and provenance accumulate into `out`.
+    /// shape's operator, pre-reductions and exchanges, each built from the
+    /// implemented logical operator's payload ([`physical_op`]), with every
+    /// hash or range exchange keyed and sized under the winner's claimed
+    /// tuning ([`sized_scheme`]) and every node tuned with the winner's
+    /// actual tuning; its estimated cost and provenance accumulate into
+    /// `out`.
     fn emit(&self, memo: &Memo, g: GroupId, out: &mut Extraction) {
         if out.mapping.contains_key(&g) {
             return;
@@ -633,53 +640,32 @@ impl Optimizer {
             reason = "best_cost costs every group reachable from a root before extract runs"
         )]
         let best = group.best.expect("costing ran before extraction");
-        let pexpr = &group.pexprs[best.pexpr];
-        let shape = &*pexpr.shape;
-        let actual = self.actual_tuning(pexpr, out.template_seed);
+        let pexpr = group.pexprs[best.pexpr];
+        let shape = *memo.shape(pexpr.shape);
+        let implemented = memo.implemented(g, &shape);
+        let actual = self.actual_tuning(&pexpr, out.template_seed);
         let out_stats = group.stats;
 
-        let mut child_nodes: Vec<NodeId> = Vec::with_capacity(shape.children.len());
-        let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(shape.children.len());
-        for (j, &c) in shape.children.iter().enumerate() {
+        let arity = implemented.children.len();
+        let mut child_nodes: Vec<NodeId> = Vec::with_capacity(arity);
+        let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(arity);
+        for (j, &c) in implemented.children.iter().enumerate() {
             self.emit(memo, c, out);
             let mut node = out.mapping[&c];
             let mut cstats = memo.group(c).stats;
-            if let Some(pre) = shape.pre_local[j] {
+            let edge = memo.edge(&shape, j);
+            if let Some(pre) = edge.pre_local {
                 let (pc, reduced) = pre_local_cost_and_rows(pre, &cstats, &out_stats);
                 out.est_cost += pc;
-                let pre_op = match (pre, &shape.op) {
-                    (PreLocal::PartialAgg, PhysicalOp::HashAggregate { group_by, aggs, .. }) => {
-                        PhysicalOp::HashAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            mode: scope_ir::AggMode::Partial,
-                        }
-                    }
-                    (PreLocal::LocalTopK(k), PhysicalOp::TopNExec { keys, .. }) => {
-                        PhysicalOp::TopNExec {
-                            k,
-                            keys: keys.clone(),
-                        }
-                    }
-                    // Guarded by construction: `impls.rs` only attaches a
-                    // pre-reduction to the operator it pairs with, so a
-                    // mismatch here is plan corruption — fail loudly rather
-                    // than silently emitting a no-op project.
-                    (pre, op) => unreachable!(
-                        "pre-reduction {pre:?} paired with {}; only \
-                         PartialAgg→HashAggregate and LocalTopK→TopNExec exist",
-                        op.tag()
-                    ),
-                };
                 node = out.plan.add(PhysicalNode {
-                    op: pre_op,
+                    op: physical_op(pre.kind(), &implemented.op),
                     children: vec![node],
                     stats: reduced,
                     tuning: actual,
                 });
                 cstats = reduced;
             }
-            if let Some(spec) = &shape.exchanges[j] {
+            if let Some(spec) = &edge.exchange {
                 out.est_cost += exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
                 out.any_exchange = true;
                 // True bytes moved combine the compression policy's realized
@@ -699,7 +685,7 @@ impl Optimizer {
                 };
                 node = out.plan.add(PhysicalNode {
                     op: PhysicalOp::Exchange {
-                        scheme: sized_scheme(spec, &pexpr.claimed),
+                        scheme: sized_scheme(spec, &pexpr.claimed, &implemented.op, j),
                     },
                     children: vec![node],
                     stats: cstats,
@@ -709,13 +695,19 @@ impl Optimizer {
             child_nodes.push(node);
             edge_stats.push(cstats);
         }
-        out.est_cost += local_cost(&shape.op, &out_stats, &edge_stats, &pexpr.claimed);
+        out.est_cost += local_cost(
+            shape.kind,
+            &implemented.op,
+            &out_stats,
+            &edge_stats,
+            &pexpr.claimed,
+        );
         if shape.elided_exchange {
             out.any_elided = true;
         }
         out.signature = out.signature.union(&pexpr.provenance);
         let node = out.plan.add(PhysicalNode {
-            op: shape.op.clone(),
+            op: physical_op(shape.kind, &implemented.op),
             children: child_nodes,
             stats: out_stats,
             tuning: actual,
