@@ -101,9 +101,10 @@ impl std::error::Error for PlanError {}
 /// An arena-based plan DAG with one or more output roots.
 ///
 /// `Clone`, `PartialEq`, `Debug`, and the serde impls are hand-written so
-/// the [`Dag::fingerprint`] memo stays invisible: two plans compare equal,
-/// print, and serialize identically whether or not their fingerprint has
-/// been computed, and a clone carries the memo along.
+/// the [`Dag::fingerprint`] and [`crate::LogicalPlan::template_id`] memos
+/// stay invisible: two plans compare equal, print, and serialize
+/// identically whether or not either hash has been computed, and a clone
+/// carries both memos along.
 pub struct Dag<N> {
     pub(crate) nodes: Vec<N>,
     outputs: Vec<NodeId>,
@@ -114,6 +115,13 @@ pub struct Dag<N> {
         reason = "a memo of a pure function of the plan: every writer stores the same value"
     )]
     fp_memo: std::sync::atomic::AtomicU64,
+    /// Memoized [`crate::LogicalPlan::template_id`], kept like `fp_memo`
+    /// (always 0 in a physical plan).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a memo of a pure function of the plan: every writer stores the same value"
+    )]
+    pub(crate) tid_memo: std::sync::atomic::AtomicU64,
 }
 
 impl<N> Default for Dag<N> {
@@ -122,6 +130,7 @@ impl<N> Default for Dag<N> {
             nodes: Vec::new(),
             outputs: Vec::new(),
             fp_memo: 0.into(),
+            tid_memo: 0.into(),
         }
     }
 }
@@ -132,6 +141,7 @@ impl<N: Clone> Clone for Dag<N> {
             nodes: self.nodes.clone(),
             outputs: self.outputs.clone(),
             fp_memo: self.fp_memo.load(Ordering::Relaxed).into(),
+            tid_memo: self.tid_memo.load(Ordering::Relaxed).into(),
         }
     }
 }
@@ -176,6 +186,16 @@ impl<N: PlanNode> Dag<N> {
         Self::default()
     }
 
+    /// An empty plan with room for `nodes` nodes and `outputs` roots.
+    #[must_use]
+    pub fn with_capacity(nodes: usize, outputs: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(nodes),
+            outputs: Vec::with_capacity(outputs),
+            ..Self::default()
+        }
+    }
+
     /// Append a node; its children must already exist in the arena.
     ///
     /// # Panics
@@ -188,14 +208,20 @@ impl<N: PlanNode> Dag<N> {
             assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
         }
         self.nodes.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
+        self.forget_hashes();
         id
     }
 
     /// Register `node` as a job output root.
     pub fn mark_output(&mut self, node: NodeId) {
         self.outputs.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
+        self.forget_hashes();
+    }
+
+    /// Reset both hash memos after a mutation.
+    fn forget_hashes(&mut self) {
+        *self.fp_memo.get_mut() = 0;
+        *self.tid_memo.get_mut() = 0;
     }
 
     #[must_use]

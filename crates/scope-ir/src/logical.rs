@@ -1,8 +1,9 @@
 //! Logical operator algebra and the logical plan DAG.
 //!
 //! A [`LogicalPlan`] is the [`Dag`] arena of [`LogicalNode`]s; this module
-//! adds what only the logical kind has: output schemas, the column-range
-//! checks of [`LogicalPlan::validate`], and the template identity.
+//! adds what only the logical kind has: output schemas and widths, the
+//! column-range checks of [`LogicalPlan::validate`], and the memoized
+//! template identity.
 
 use crate::dag::{Dag, PlanError, PlanNode};
 use crate::expr::{AggExpr, ScalarExpr};
@@ -11,6 +12,7 @@ use crate::schema::{Column, DataType, Schema};
 use crate::stats::DualStats;
 use serde::Serialize;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A base dataset reference with dual cardinality statistics. `rows.actual`
@@ -263,71 +265,80 @@ impl LogicalPlan {
     }
 
     /// Validate the arena's structural invariants, then every column
-    /// reference against its input's schema. Every plan produced by the
-    /// binder, the workload generator, or the optimizer must pass.
+    /// reference against its input's width ([`LogicalPlan::widths`]). Every
+    /// plan produced by the binder, the workload generator, or the
+    /// optimizer must pass.
     pub fn validate(&self) -> Result<(), PlanError> {
         self.validate_structure()?;
         self.validate_columns()
     }
 
+    /// Every node's output width (indexed by arena slot): the lengths of
+    /// [`LogicalPlan::schemas`], computed without building a column.
+    #[must_use]
+    pub fn widths(&self) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let input = |j: usize| out[node.children[j].index()];
+            let width = match &node.op {
+                LogicalOp::Extract { table } => table.schema.len(),
+                LogicalOp::Project { exprs } => exprs.len(),
+                LogicalOp::Join { .. } => input(0) + input(1),
+                LogicalOp::Aggregate { group_by, aggs, .. } => group_by.len() + aggs.len(),
+                LogicalOp::Window { funcs, .. } => input(0) + funcs.len(),
+                LogicalOp::Filter { .. }
+                | LogicalOp::Sort { .. }
+                | LogicalOp::Top { .. }
+                | LogicalOp::Process { .. }
+                | LogicalOp::Union
+                | LogicalOp::Output { .. } => input(0),
+            };
+            out.push(width);
+        }
+        out
+    }
+
     fn validate_columns(&self) -> Result<(), PlanError> {
-        let schemas = self.schemas();
-        let check = |node: NodeId, cols: &[usize], width: usize| -> Result<(), PlanError> {
-            for &c in cols {
-                if c >= width {
-                    return Err(PlanError::ColumnOutOfRange {
-                        node,
-                        column: c,
-                        input_width: width,
-                    });
-                }
-            }
-            Ok(())
-        };
+        let widths = self.widths();
+        let mut cols = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let id = NodeId(i as u32);
+            let Some(&first) = node.children.first() else {
+                continue;
+            };
+            let width = widths[first.index()];
+            cols.clear();
             match &node.op {
                 LogicalOp::Filter { predicate, .. } => {
-                    let width = schemas[node.children[0].index()].len();
-                    let mut cols = Vec::new();
                     predicate.collect_columns(&mut cols);
-                    check(id, &cols, width)?;
+                    check_columns(id, cols.iter().copied(), width)?;
                 }
                 LogicalOp::Project { exprs } => {
-                    let width = schemas[node.children[0].index()].len();
-                    let mut cols = Vec::new();
                     for (e, _) in exprs {
                         e.collect_columns(&mut cols);
                     }
-                    check(id, &cols, width)?;
+                    check_columns(id, cols.iter().copied(), width)?;
                 }
                 LogicalOp::Join { on, .. } => {
-                    let lw = schemas[node.children[0].index()].len();
-                    let rw = schemas[node.children[1].index()].len();
+                    let rw = widths[node.children[1].index()];
                     for &(l, r) in on {
-                        check(id, &[l], lw)?;
-                        check(id, &[r], rw)?;
+                        check_columns(id, [l], width)?;
+                        check_columns(id, [r], rw)?;
                     }
                 }
                 LogicalOp::Aggregate { group_by, aggs, .. } => {
-                    let width = schemas[node.children[0].index()].len();
-                    check(id, group_by, width)?;
-                    let agg_cols: Vec<usize> = aggs.iter().filter_map(|a| a.input).collect();
-                    check(id, &agg_cols, width)?;
+                    check_columns(id, group_by.iter().copied(), width)?;
+                    check_columns(id, aggs.iter().filter_map(|a| a.input), width)?;
                 }
                 LogicalOp::Sort { keys } | LogicalOp::Top { keys, .. } => {
-                    let width = schemas[node.children[0].index()].len();
-                    let cols: Vec<usize> = keys.iter().map(|k| k.column).collect();
-                    check(id, &cols, width)?;
+                    check_columns(id, keys.iter().map(|k| k.column), width)?;
                 }
                 LogicalOp::Window {
                     partition_by,
                     funcs,
                 } => {
-                    let width = schemas[node.children[0].index()].len();
-                    check(id, partition_by, width)?;
-                    let cols: Vec<usize> = funcs.iter().filter_map(|a| a.input).collect();
-                    check(id, &cols, width)?;
+                    check_columns(id, partition_by.iter().copied(), width)?;
+                    check_columns(id, funcs.iter().filter_map(|a| a.input), width)?;
                 }
                 _ => {}
             }
@@ -340,12 +351,32 @@ impl LogicalPlan {
     /// values and table cardinalities are masked; operator structure,
     /// columns, and table names are kept). It hashes a normalized signature
     /// streamed into the hasher, never built as a `String`.
+    ///
+    /// Memoized like [`LogicalPlan::fingerprint`]: the first call walks the
+    /// plan, later calls (clones included) are one atomic load. A zero hash
+    /// reads as "not computed", so it is never stored and is recomputed.
     #[must_use]
     pub fn template_id(&self) -> TemplateId {
+        let memo = self.tid_memo.load(Ordering::Relaxed);
+        if memo != 0 {
+            debug_assert_eq!(
+                memo,
+                self.hash_template(),
+                "memoized template id diverged from a fresh recompute \
+                 (plan mutated after hashing?)"
+            );
+            return TemplateId(memo);
+        }
+        let id = self.hash_template();
+        self.tid_memo.store(id, Ordering::Relaxed);
+        TemplateId(id)
+    }
+
+    fn hash_template(&self) -> u64 {
         let mut h = StableHasher::new();
         // `StableHasher::write_str` cannot fail.
         let _ = self.write_signature(&mut h);
-        TemplateId(h.finish())
+        h.finish()
     }
 
     fn write_signature(&self, s: &mut impl fmt::Write) -> fmt::Result {
@@ -398,6 +429,22 @@ impl LogicalPlan {
     #[must_use]
     pub fn output_tree(&self, root: NodeId) -> Vec<NodeId> {
         self.reachable(&[root])
+    }
+}
+
+/// The first of `cols` outside a `width`-wide input, as an error.
+fn check_columns(
+    node: NodeId,
+    cols: impl IntoIterator<Item = usize>,
+    width: usize,
+) -> Result<(), PlanError> {
+    match cols.into_iter().find(|&c| c >= width) {
+        Some(column) => Err(PlanError::ColumnOutOfRange {
+            node,
+            column,
+            input_width: width,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -713,5 +760,64 @@ mod tests {
         );
         p.mark_output(extra);
         assert_ne!(p.fingerprint(), fp);
+    }
+
+    /// The template id is memoized like the fingerprint: invisible to
+    /// equality, `Debug` and serialization, carried by `Clone`, and reset
+    /// by every mutation (`add`, `add_output`, `mark_output`).
+    #[test]
+    fn template_id_memo_is_invisible_and_reset_on_mutation() {
+        let memo = |p: &LogicalPlan| p.tid_memo.load(Ordering::Relaxed);
+        let p = sample_plan();
+        let pristine = sample_plan();
+        assert_eq!(memo(&p), 0);
+        let id = p.template_id();
+        assert_eq!(memo(&p), id.0, "the first call stores the id");
+        assert_eq!(id, pristine.template_id(), "structurally equal plans agree");
+        let unhashed = sample_plan();
+        assert_eq!(p, unhashed);
+        assert_eq!(format!("{p:?}"), format!("{unhashed:?}"));
+        assert_eq!(p.to_value(), unhashed.to_value());
+        let clone = p.clone();
+        assert_eq!(memo(&clone), id.0, "a clone carries the memo");
+        assert_eq!(clone.template_id(), id);
+
+        let mut added = p.clone();
+        let s = added.add(
+            LogicalOp::Extract {
+                table: table("zz", 7.0),
+            },
+            vec![],
+        );
+        assert_eq!(memo(&added), 0, "add resets the memo");
+        let _ = added.template_id();
+        added.add_output("o3", s);
+        assert_eq!(memo(&added), 0, "add_output resets the memo");
+        assert_ne!(added.template_id(), id);
+
+        // A dead slot becomes reachable only once it is marked.
+        let mut marked = p.clone();
+        let dead = marked.add(
+            LogicalOp::Extract {
+                table: table("zz", 7.0),
+            },
+            vec![],
+        );
+        assert_eq!(marked.template_id(), id, "a dead slot is not hashed");
+        marked.mark_output(dead);
+        assert_eq!(memo(&marked), 0, "mark_output resets the memo");
+        assert_ne!(marked.template_id(), id);
+    }
+
+    /// Debug builds recompute a memoized template id and compare, as
+    /// `fingerprint` does: plant a wrong memo and read it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "memoized template id diverged")]
+    fn a_stale_template_id_memo_is_caught_in_debug_builds() {
+        let p = sample_plan();
+        let id = p.template_id();
+        p.tid_memo.store(id.0 ^ 1, Ordering::Relaxed);
+        let _ = p.template_id();
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for plan IR invariants: any plan built bottom-up by
 //! the random builder must validate, expose child-first topological order,
-//! and keep template identity invariant to literal values and cardinalities.
+//! report each node's width as its schema's length, and keep template
+//! identity invariant to literal values and cardinalities.
 
 use proptest::prelude::*;
 use scope_ir::expr::{AggExpr, AggFunc, BinOp, ScalarExpr};
@@ -170,6 +171,17 @@ proptest! {
         // here produce at least one column).
         for id in plan.topo_order() {
             prop_assert!(!plan.schemas()[id.index()].is_empty());
+        }
+    }
+
+    #[test]
+    fn widths_are_the_schema_lengths(steps in prop::collection::vec(step_strategy(), 1..40)) {
+        let plan = build(&steps);
+        let schemas = plan.schemas();
+        let widths = plan.widths();
+        prop_assert_eq!(widths.len(), schemas.len());
+        for (i, (width, schema)) in widths.iter().zip(&schemas).enumerate() {
+            prop_assert_eq!(*width, schema.len(), "node {}", i);
         }
     }
 

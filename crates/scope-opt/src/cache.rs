@@ -88,19 +88,32 @@ fn compile_key_hash(key: &Key) -> u64 {
     combine(key.0, key.1.fingerprint())
 }
 
-/// The value the cache stores for one insert: a fresh deep copy of the
-/// physical plan — one copy per insert, never per hit, since every hit and
-/// the inserting caller share it behind the `Arc`. The copy is deliberate:
-/// it lays the long-lived plan's nodes out together, instead of keeping the
-/// plan extraction built in among the freed memo's allocations. Its
-/// fingerprint memo is pre-warmed once here, so every holder's
+/// A plan laid out to be kept: a plan fresh from extraction gets one deep
+/// copy, its nodes laid out together instead of among the freed memo's
+/// allocations, with its fingerprint memo pre-warmed, so every holder's
 /// execution-cache lookup (`scope_runtime::CachingExecutor`) is one atomic
-/// load instead of a hash walk.
+/// load instead of a hash walk. A plan already laid out — the one a base
+/// memo keeps ([`crate::delta::BaseMemo::build`] lays it out here), which its
+/// default configuration's entry and every pruned treatment share, or any
+/// plan a cache hit returned — is fingerprinted and comes back as the same
+/// `Arc`. Extraction never fingerprints, so "fingerprinted" is exactly
+/// "laid out".
+pub(crate) fn laid_out(plan: &Arc<PhysicalPlan>) -> Arc<PhysicalPlan> {
+    if plan.is_fingerprinted() {
+        return Arc::clone(plan);
+    }
+    let kept = Arc::new(PhysicalPlan::clone(plan));
+    let _ = kept.fingerprint();
+    kept
+}
+
+/// The value the cache stores for one insert: the result with its plan
+/// [`laid_out`] — one copy per insert of a fresh plan, none per hit, since
+/// every hit and the inserting caller share it behind the `Arc`.
 fn stored_copy(result: &Result<Compiled, CompileError>) -> Result<Compiled, CompileError> {
     let mut stored = result.clone();
     if let Ok(compiled) = &mut stored {
-        compiled.physical = Arc::new(PhysicalPlan::clone(&compiled.physical));
-        let _ = compiled.physical.fingerprint();
+        compiled.physical = laid_out(&compiled.physical);
     }
     stored
 }
@@ -544,7 +557,9 @@ mod tests {
 
     /// Hits share the one compact copy the insert made instead of copying
     /// the plan, and that copy carries its fingerprint memo, so every holder
-    /// (the execution cache's key lookup) reads it with one atomic load.
+    /// (the execution cache's key lookup) reads it with one atomic load. A
+    /// base memo's plan is that copy for its default configuration's entry
+    /// and for every pruned treatment's.
     #[test]
     fn hits_share_the_stored_plan_and_its_fingerprint_memo() {
         let cached = Optimizer::new(Optimizer::default(), CacheConfig::default())
@@ -570,6 +585,41 @@ mod tests {
             assert_eq!(first.physical.fingerprint(), direct.physical.fingerprint());
         }
         assert_eq!(cached.stats().hits, 4);
+
+        let delta = cached.delta.as_deref().unwrap();
+        let base = delta.base_for(&cached, &p, &default).unwrap();
+        let plan = &base.compiled().physical;
+        assert!(plan.is_fingerprinted());
+        let entry = cached.compile(&p, &default).unwrap();
+        assert!(
+            Arc::ptr_eq(plan, &entry.physical),
+            "the default entry is the base's plan"
+        );
+        let pruned = cached
+            .rules()
+            .flippable()
+            .map(|rule| {
+                default.with_flip(RuleFlip {
+                    rule,
+                    enable: !default.enabled(rule),
+                })
+            })
+            .find(|t| {
+                matches!(
+                    base.price(&cached, t),
+                    crate::PricedTreatment::Pruned(Ok(_))
+                )
+            })
+            .expect("some flip of the plan prunes");
+        let [priced] = &cached.compile_slate(&p, &default, &[pruned])[..] else {
+            panic!("one result per treatment");
+        };
+        assert!(Arc::ptr_eq(plan, &priced.as_ref().unwrap().physical));
+        let hit = cached.compile(&p, &pruned).unwrap();
+        assert!(
+            Arc::ptr_eq(plan, &hit.physical),
+            "and so is its cache entry"
+        );
     }
 
     #[test]

@@ -61,6 +61,7 @@
 //! insert under the same `(fingerprint, RuleBits)` keys, so cached and
 //! delta-compiled runs stay interchangeable byte-for-byte).
 
+use crate::cache::laid_out;
 use crate::config::{RuleBits, RuleConfig};
 use crate::memo::{GroupId, Memo};
 use crate::registry::{impl_targets, RuleBehavior, TransformKind};
@@ -240,9 +241,10 @@ impl BaseMemo {
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
         let mut full = optimizer.search(plan, base, true).1?;
-        // Pre-warm the physical fingerprint once: every pruned result shares
-        // this plan, so each reads it with one atomic load.
-        let _ = full.compiled.physical.fingerprint();
+        // The one copy of the plan: the compile cache stores this `Arc` for
+        // the base configuration and for every pruned treatment, and each
+        // holder reads its pre-warmed fingerprint with one atomic load.
+        full.compiled.physical = laid_out(&full.compiled.physical);
         full.memo.freeze();
         let (parent_starts, parents) = reverse_edges(&full.memo);
         Ok(BaseMemo {
@@ -269,6 +271,12 @@ impl BaseMemo {
     #[must_use]
     pub fn compiled(&self) -> &Compiled {
         &self.compiled
+    }
+
+    /// The frozen memo: fully explored, implemented and costed.
+    #[must_use]
+    pub fn memo(&self) -> &Memo {
+        &self.memo
     }
 
     /// Fingerprint of the plan this base memo was built from.
@@ -484,10 +492,11 @@ fn reverse_edges(memo: &Memo) -> (Vec<u32>, Vec<u32>) {
 
 impl BaseMemo {
     /// Whether `kind` produces a rewrite for any expression of the (final,
-    /// fully explored) memo. Rewrite production is monotone in memo growth
-    /// (groups and expressions are append-only and rules only pattern-match
-    /// child-group expression lists), so "no match at the final state"
-    /// implies "no match at any state of the exploration trace". Memoized
+    /// fully explored) memo; only expressions with its root tag can match.
+    /// Rewrite production is monotone in memo growth (groups and
+    /// expressions are append-only and rules only pattern-match child-group
+    /// expression lists), so "no match at the final state" implies "no
+    /// match at any state of the exploration trace". Memoized
     /// per kind — the memo is frozen, so the answer never changes; a racing
     /// duplicate computation produces the identical value.
     fn transform_fires(&self, kind: TransformKind) -> bool {
@@ -499,10 +508,16 @@ impl BaseMemo {
         {
             return fires;
         }
-        let fires = (0..self.memo.group_count() as u32).any(|gi| {
-            let g = GroupId(gi);
-            (0..self.memo.group(g).lexprs.len())
-                .any(|e| !apply_transform(kind, &self.memo, g, e).is_empty())
+        let root = kind.root_tag();
+        let fires = self.memo.group_ids().any(|g| {
+            self.memo
+                .group(g)
+                .lexprs
+                .iter()
+                .enumerate()
+                .any(|(e, expr)| {
+                    expr.op.tag() == root && !apply_transform(kind, &self.memo, g, e).is_empty()
+                })
         });
         self.fires
             .write()
@@ -931,13 +946,13 @@ mod tests {
         }
     }
 
-    /// A delta pass reads the base's logical halves and clean candidate
-    /// lists in place. Replay the worst case by hand — every group dirty —
-    /// then price a 20-treatment delta slate from two threads and every
-    /// single flip of the plan: no forked group may own a copy of its
-    /// logical half, and the shared base (its `Compiled`, every group's
-    /// candidate list and `Best`, its shape and edge arenas) must come out
-    /// bit-identical.
+    /// A delta pass reads the base's logical halves in place and its clean
+    /// candidate lists through its copy of the arenas. Replay the worst case
+    /// by hand — every group dirty — then price a 20-treatment delta slate
+    /// from two threads and every single flip of the plan: no forked group
+    /// may own a copy of its logical half, and the shared base (its
+    /// `Compiled`, every group's candidate range and `Best`, its shape, edge
+    /// and candidate arenas) must come out bit-identical.
     #[test]
     fn delta_passes_share_the_base_and_leave_it_untouched() {
         let opt = Optimizer::default();
@@ -945,23 +960,25 @@ mod tests {
         let default = opt.default_config();
         let base = BaseMemo::build(&opt, &p, &default).unwrap();
         let groups: Vec<GroupId> = base.memo.group_ids().collect();
-        let state = |base: &BaseMemo| -> Vec<(*const Vec<crate::memo::PExpr>, u64, usize)> {
+        let state = |base: &BaseMemo| -> Vec<(usize, usize, u64, usize)> {
             groups
                 .iter()
                 .map(|&g| {
-                    let group = base.memo.group(g);
-                    let best = group.best.expect("base memo is fully costed");
-                    (Arc::as_ptr(&group.pexprs), best.cost.to_bits(), best.pexpr)
+                    let memo = &base.memo;
+                    let best = memo.group(g).best.expect("base memo is fully costed");
+                    let (start, len) = (memo.candidates_start(g), memo.candidates(g).len());
+                    (start, len, best.cost.to_bits(), best.pexpr)
                 })
                 .collect()
         };
         let (compiled_before, state_before) = (base.compiled.clone(), state(&base));
         let arenas = |base: &BaseMemo| {
-            let (shapes, edges) = base.memo.arenas();
-            (shapes.to_vec(), edges.to_vec())
+            let (shapes, edges, candidates) = base.memo.arenas();
+            (shapes.to_vec(), edges.to_vec(), candidates.to_vec())
         };
         let arenas_before = arenas(&base);
         assert!(!arenas_before.0.is_empty() && !arenas_before.1.is_empty());
+        assert!(!arenas_before.2.is_empty());
 
         let treatment = default.with_flip(RuleFlip {
             rule: crate::registry::RULE_SHUFFLE_ELIMINATION,
@@ -977,12 +994,13 @@ mod tests {
         for &root in &base.roots {
             opt.best_cost(&mut fork, root, &mut visiting);
         }
+        let base_candidates = arenas_before.2.len();
         for &g in &groups {
             assert!(fork.group(g).shares_logical_with(base.memo.group(g)));
-            assert!(!Arc::ptr_eq(
-                &fork.group(g).pexprs,
-                &base.memo.group(g).pexprs
-            ));
+            assert!(
+                fork.candidates_start(g) >= base_candidates,
+                "{g}'s new candidates are appended to the fork's arena"
+            );
         }
         drop(fork);
 
@@ -1025,7 +1043,8 @@ mod tests {
             compiled_before.est_cost.to_bits()
         );
         assert_eq!(state(&base), state_before);
-        // Every fork appended its shapes to its own copy of the arenas.
+        // Every fork appended its shapes and candidates to its own copy of
+        // the arenas.
         assert_eq!(arenas(&base), arenas_before);
     }
 

@@ -459,7 +459,6 @@ mod tests {
     use scope_ir::schema::{Column, DataType, Schema};
     use scope_ir::stats::DualStats;
     use scope_lang::{bind_script, Catalog, TableInfo};
-    use std::sync::Arc;
 
     fn ctx() -> ImplContext {
         ImplContext {
@@ -673,7 +672,9 @@ mod tests {
         assert!(!p.claimed.is_identity());
         assert!(p.provenance.contains(prule.id));
         // Make it the filter group's only candidate, so it wins.
-        memo.group_mut(f).pexprs = Arc::new(vec![p]);
+        let start = memo.open_candidates();
+        memo.push_candidate(p);
+        memo.close_candidates(f, start);
         let mut visiting = vec![false; memo.group_count()];
         opt.best_cost(&mut memo, out, &mut visiting);
         let compiled = opt
@@ -781,7 +782,7 @@ mod tests {
             let group = full.memo.group(g);
             let mut variants: Vec<&PExpr> = Vec::new();
             let mut fallbacks = 0;
-            for p in group.pexprs.iter() {
+            for p in full.memo.candidates(g) {
                 // Exhaustive: a new field (an op, a Vec) fails to compile here.
                 let PExpr {
                     shape,

@@ -28,15 +28,17 @@
 //!   its inputs, one [`Edge`] each. So the logical edges are the complete
 //!   group-dependency graph — the delta compiler derives its invalidation
 //!   (reverse-edge) closure from them alone.
-//! * **Shapes own no heap.** Shapes and edges are `Copy` records in two
-//!   memo-wide arenas (`Memo::shape`, `Memo::edge`), appended to and never
-//!   rewritten; a candidate names its shape by [`ShapeId`]. Operator
-//!   payloads (predicates, keys, aggregates) stay in the logical operator,
-//!   which the cost model reads in place and extraction clones for winners
-//!   only. A delta fork copies both arenas and appends to its copy.
-//! * **[`Best`] is a pure function of `pexprs` + children's `Best`.** Each
-//!   entry caches the first-index minimum over the group's physical
-//!   expressions, priced with its children's best costs; clearing the entry
+//! * **Shapes and candidates own no heap.** Shapes, edges and candidates
+//!   are `Copy` records in three memo-wide arenas (`Memo::shape`,
+//!   `Memo::edge`, `Memo::candidates`), appended to and never rewritten; a
+//!   candidate names its shape by [`ShapeId`], and a group names its
+//!   candidates as one range of their arena. Operator payloads
+//!   (predicates, keys, aggregates) stay in the logical operator, which the
+//!   cost model reads in place and extraction clones for winners only. A
+//!   delta fork copies the three arenas and appends to its copies.
+//! * **[`Best`] is a pure function of the candidates + children's
+//!   `Best`.** Each entry caches the first-index minimum over the group's
+//!   physical candidates, priced with its children's best costs; clearing the entry
 //!   and re-running `best_cost` always reproduces it. Delta compilation
 //!   clears exactly the entries whose inputs a rule flip touched.
 //! * **The logical half is written by one owner.** A group's
@@ -54,7 +56,6 @@ use scope_ir::logical::{JoinKind, LogicalOp, LogicalPlan};
 use scope_ir::physical::{AggMode, PhysicalTuning};
 use scope_ir::schema::{Column, DataType, Schema};
 use scope_ir::stats::{DualStats, NodeStats};
-use scope_ir::NodeId;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -211,7 +212,7 @@ pub struct PShape {
 /// expression — a shared [`PShape`] plus the tuning the cost model sees. The
 /// runtime's per-template truth (`actual` tuning) is drawn at extraction,
 /// for the winner only.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PExpr {
     pub shape: ShapeId,
     /// Tuning the cost model sees.
@@ -224,7 +225,7 @@ pub struct PExpr {
 }
 
 /// The winner of a group after costing: the **first** index among the
-/// group's `pexprs` achieving the minimum total cost (ties never displace an
+/// group's candidates achieving the minimum total cost (ties never displace an
 /// earlier winner — the tie-break the delta compiler's soundness argument
 /// relies on), with `cost` covering the whole subtree below it, children's
 /// best costs included.
@@ -246,8 +247,9 @@ pub struct GroupLogical {
     pub lexprs: Vec<MExpr>,
 }
 
-// Shapes, edges and candidates are plain records: a heap payload in any of
-// them would be one more free per shape when an evicted base memo drops.
+// Shapes, edges and candidates are plain records in flat arenas: a heap
+// payload in any of them would be one more free per record when an evicted
+// base memo drops.
 const _: () = {
     const fn copy<T: Copy>() {}
     copy::<PShape>();
@@ -256,14 +258,16 @@ const _: () = {
 };
 
 /// One memo group: its shared [`GroupLogical`] half (read through `Deref`),
-/// the physical implementation candidates (`pexprs`, rebuilt per rule
-/// configuration) and the costing winner (`best`, `None` until `best_cost`
-/// runs or after a delta pass invalidates it). Both `Arc`s are what a delta
-/// fork copies instead of the data behind them.
+/// where its physical implementation candidates sit in the memo's candidate
+/// arena (rebuilt per rule configuration; `Memo::candidates`) and the
+/// costing winner (`best`, `None` until `best_cost` runs or after a delta
+/// pass invalidates it). A delta fork copies the `Arc`, not the logical
+/// half behind it.
 #[derive(Debug)]
 pub struct Group {
     logical: Arc<GroupLogical>,
-    pub pexprs: Arc<Vec<PExpr>>,
+    /// The group's candidates: `candidates[start..start + len]`.
+    candidates: (u32, u32),
     pub best: Option<Best>,
 }
 
@@ -293,8 +297,8 @@ pub enum Node {
 
 /// The memo. A frozen base memo is shared by forking it
 /// (`Memo::fork_for_delta`): the delta compiler (`crate::delta`) forks the
-/// base compilation's memo per treatment and replaces only the `pexprs` /
-/// `best` of affected groups.
+/// base compilation's memo per treatment and replaces only the candidates
+/// and `best` of affected groups.
 #[derive(Debug, Default)]
 pub struct Memo {
     groups: Vec<Group>,
@@ -304,6 +308,8 @@ pub struct Memo {
     shapes: Vec<PShape>,
     /// Edge arena: each shape's input edges, contiguous from `PShape::edges`.
     edges: Vec<Edge>,
+    /// Candidate arena: each group's physical candidates, contiguous.
+    candidates: Vec<PExpr>,
     /// Total logical expressions (budget accounting).
     pub lexpr_count: usize,
 }
@@ -338,6 +344,32 @@ impl Memo {
     #[must_use]
     pub fn edge(&self, shape: &PShape, j: usize) -> Edge {
         self.edges[shape.edges as usize + j]
+    }
+
+    /// Group `g`'s physical candidates (empty until it is implemented).
+    #[must_use]
+    pub fn candidates(&self, g: GroupId) -> &[PExpr] {
+        let (start, len) = self.group(g).candidates;
+        &self.candidates[start as usize..(start + len) as usize]
+    }
+
+    /// Where the next candidate pushed will sit: a group's candidate list
+    /// opens here and [`Memo::close_candidates`] closes it.
+    pub(crate) fn open_candidates(&self) -> u32 {
+        self.candidates.len() as u32
+    }
+
+    /// Append one candidate to the list being built.
+    pub(crate) fn push_candidate(&mut self, p: PExpr) {
+        self.candidates.push(p);
+    }
+
+    /// Make the candidates pushed since `start` group `g`'s list (replacing
+    /// any list it had, which stays behind in the arena); returns how many.
+    pub(crate) fn close_candidates(&mut self, g: GroupId, start: u32) -> usize {
+        let len = self.candidates.len() as u32 - start;
+        self.group_mut(g).candidates = (start, len);
+        len as usize
     }
 
     /// The logical expression of group `g` that `shape` implements: its
@@ -378,11 +410,11 @@ impl Memo {
         self.index = FxHashMap::default();
     }
 
-    /// Fork for an incremental (delta) pass: two pointer copies per group —
-    /// the logical half and the candidate list are shared with `self`, and a
-    /// treatment replaces the `pexprs` / `best` of the groups it dirties —
-    /// a copy of the two flat arenas, which the pass appends its shapes to,
-    /// and no dedup index (a delta pass never interns new expressions).
+    /// Fork for an incremental (delta) pass: one pointer copy per group —
+    /// the logical half is shared with `self`, and a treatment replaces the
+    /// candidates and `best` of the groups it dirties — a copy of the three
+    /// flat arenas, which the pass appends its shapes and candidates to, and
+    /// no dedup index (a delta pass never interns new expressions).
     #[must_use]
     pub(crate) fn fork_for_delta(&self) -> Memo {
         Memo {
@@ -391,13 +423,14 @@ impl Memo {
                 .iter()
                 .map(|group| Group {
                     logical: Arc::clone(&group.logical),
-                    pexprs: Arc::clone(&group.pexprs),
+                    candidates: group.candidates,
                     best: group.best,
                 })
                 .collect(),
             index: FxHashMap::default(),
             shapes: self.shapes.clone(),
             edges: self.edges.clone(),
+            candidates: self.candidates.clone(),
             lexpr_count: self.lexpr_count,
         }
     }
@@ -459,7 +492,7 @@ impl Memo {
                     provenance,
                 }],
             }),
-            pexprs: Arc::default(),
+            candidates: (0, 0),
             best: None,
         });
         self.index.insert(key, gid);
@@ -533,14 +566,15 @@ impl Memo {
 
     /// Copy a logical plan into the memo; returns the root group per output.
     pub fn copy_in(&mut self, plan: &LogicalPlan) -> Vec<GroupId> {
-        let mut mapping: FxHashMap<NodeId, GroupId> = FxHashMap::default();
+        // Each reachable node's group, by node index (topological order sets
+        // every child's before its parents read it).
+        let mut group_of = vec![GroupId(u32::MAX); plan.len()];
         for id in plan.topo_order() {
             let node = plan.node(id);
-            let children: Vec<GroupId> = node.children.iter().map(|c| mapping[c]).collect();
-            let gid = self.intern(node.op.clone(), children, RuleBits::empty());
-            mapping.insert(id, gid);
+            let children = node.children.iter().map(|c| group_of[c.index()]).collect();
+            group_of[id.index()] = self.intern(node.op.clone(), children, RuleBits::empty());
         }
-        plan.outputs().iter().map(|o| mapping[o]).collect()
+        plan.outputs().iter().map(|o| group_of[o.index()]).collect()
     }
 
     fn derive_schema(&self, op: &LogicalOp, children: &[GroupId]) -> Schema {
@@ -780,9 +814,14 @@ impl Memo {
 
 #[cfg(test)]
 impl Memo {
-    /// The shape and edge arenas, for tests that pin them.
-    pub(crate) fn arenas(&self) -> (&[PShape], &[Edge]) {
-        (&self.shapes, &self.edges)
+    /// The shape, edge and candidate arenas, for tests that pin them.
+    pub(crate) fn arenas(&self) -> (&[PShape], &[Edge], &[PExpr]) {
+        (&self.shapes, &self.edges, &self.candidates)
+    }
+
+    /// Where group `g`'s candidates start in the candidate arena.
+    pub(crate) fn candidates_start(&self, g: GroupId) -> usize {
+        self.group(g).candidates.0 as usize
     }
 }
 

@@ -81,6 +81,25 @@ pub enum TransformKind {
     ProjectThroughUnion,
 }
 
+impl TransformKind {
+    /// The logical operator tag the rule's pattern is rooted at: it rewrites
+    /// only expressions with this tag (`rules.rs` returns no rewrite for any
+    /// other root), so exploration tries it on those alone.
+    #[must_use]
+    pub fn root_tag(self) -> &'static str {
+        use TransformKind::*;
+        match self {
+            FilterPushProject | FilterPushJoinLeft | FilterPushJoinRight | FilterPushUnion
+            | FilterMerge | FilterPushAggregate | FilterPushSort | FilterPushProcess => "Filter",
+            JoinAssocLeft | JoinAssocRight | SemiJoinReduction => "Join",
+            ProjectMerge | ProjectPushJoin | ProjectThroughUnion => "Project",
+            SortRemoveRedundant => "Sort",
+            TopSortFuse | TopPushUnion => "Top",
+            UnionFlatten => "Union",
+        }
+    }
+}
+
 /// Concrete logical→physical implementation rules. Implementations live in
 /// [`crate::impls`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,10 +210,12 @@ pub struct RuleSet {
     /// the implementation pass's innermost loop (once per logical
     /// expression per compile, and again per dirty group per delta pass).
     impls_by_tag: rustc_hash::FxHashMap<&'static str, Vec<u16>>,
-    /// Transform rules in descending promise order with their kinds,
-    /// precomputed for the same reason: every compile's exploration walks
-    /// them.
+    /// Transform rules in descending promise order with their kinds.
     transforms_by_promise: Vec<(RuleId, TransformKind)>,
+    /// The same list split by [`TransformKind::root_tag`], each part still
+    /// in promise order: exploration walks the part of each expression's
+    /// tag, once per expression per compile.
+    transforms_by_tag: rustc_hash::FxHashMap<&'static str, Vec<(RuleId, TransformKind)>>,
 }
 
 impl RuleSet {
@@ -567,7 +588,16 @@ impl RuleSet {
             .collect();
         transforms
             .sort_by(|(a, _), (b, _)| b.promise.total_cmp(&a.promise).then(a.id.0.cmp(&b.id.0)));
-        let transforms_by_promise = transforms.iter().map(|&(r, kind)| (r.id, kind)).collect();
+        let transforms_by_promise: Vec<(RuleId, TransformKind)> =
+            transforms.iter().map(|&(r, kind)| (r.id, kind)).collect();
+        let mut transforms_by_tag: rustc_hash::FxHashMap<&'static str, Vec<_>> =
+            rustc_hash::FxHashMap::default();
+        for &(id, kind) in &transforms_by_promise {
+            transforms_by_tag
+                .entry(kind.root_tag())
+                .or_default()
+                .push((id, kind));
+        }
         debug_assert!(matches!(
             rules[RULE_FALLBACK_EXEC.index()].behavior,
             RuleBehavior::FallbackImpl
@@ -577,6 +607,7 @@ impl RuleSet {
             default_config: RuleConfig::from_bits(default_bits),
             impls_by_tag,
             transforms_by_promise,
+            transforms_by_tag,
         }
     }
 
@@ -609,18 +640,15 @@ impl RuleSet {
             .map(|&(id, _)| self.rule(id))
     }
 
-    /// The transforms `config` enables, in descending promise order, each
-    /// with its kind and its one-rule provenance bit: the list every
-    /// exploration engine walks per logical expression.
-    pub(crate) fn enabled_transforms(
-        &self,
-        config: &RuleConfig,
-    ) -> Vec<(RuleId, TransformKind, RuleBits)> {
-        self.transforms_by_promise
-            .iter()
-            .filter(|&&(id, _)| config.enabled(id))
-            .map(|&(id, kind)| (id, kind, std::iter::once(id).collect()))
-            .collect()
+    /// The transforms whose pattern is rooted at `logical_tag`, in
+    /// descending promise order, each with its kind: the rules exploration
+    /// tries on an expression with that tag (it skips those its
+    /// configuration disables).
+    pub(crate) fn transforms_for(&self, logical_tag: &str) -> &[(RuleId, TransformKind)] {
+        self.transforms_by_tag
+            .get(logical_tag)
+            .map(Vec::as_slice)
+            .unwrap_or_default()
     }
 
     /// Implementation + parametric rules applicable to a logical tag, in

@@ -15,8 +15,9 @@
 //!
 //! The search counts its own work as *tasks*, for telemetry and the delta
 //! compiler's replay pins: one per group an exploration pass seeds, one per
-//! expression explored, one per transform tried, and one per group
-//! implemented (`Optimizer::explore`, `Optimizer::implement`).
+//! expression explored, one per transform tried (an enabled transform whose
+//! root tag matches the expression's), and one per group implemented
+//! (`Optimizer::explore`, `Optimizer::implement`).
 
 use crate::cache::CompileCache;
 use crate::config::{RuleBits, RuleConfig, RuleId};
@@ -30,7 +31,6 @@ use crate::registry::{
     RULE_SCRIPT_STITCH, RULE_SHUFFLE_ELIMINATION, RULE_STATS_ANNOTATE,
 };
 use crate::rules::apply_transform;
-use rustc_hash::FxHashMap;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::{PhysicalNode, PhysicalOp, PhysicalPlan, PhysicalTuning};
 use scope_ir::stats::NodeStats;
@@ -340,13 +340,16 @@ impl Optimizer {
     }
 
     /// Exploration: apply enabled transforms in promise order under the
-    /// global rewrite limit. New expressions (and expressions of newly
-    /// created groups) join the back of the worklist; a second pass catches
-    /// matches enabled by late arrivals.
+    /// global rewrite limit, each to the expressions its pattern's root tag
+    /// matches ([`RuleSet::transforms_for`]; a transform rewrites no other
+    /// root, so skipping them changes no rewrite). New expressions (and
+    /// expressions of newly created groups) join the back of the worklist;
+    /// a second pass catches matches enabled by late arrivals.
     ///
     /// Counts into `tasks`, each before the rewrite-limit check: one task
     /// per group a pass seeds (when that group's first seed expression
-    /// pops), one per expression popped, and one per transform tried.
+    /// pops), one per expression popped, and one per enabled transform
+    /// whose root tag matches the expression's.
     ///
     /// Returns the set of transform rules that produced at least one rewrite
     /// — the "fired" trace fact `crate::delta` uses to decide whether
@@ -359,7 +362,6 @@ impl Optimizer {
         config: &RuleConfig,
         tasks: &mut u64,
     ) -> Result<RuleBits, CompileError> {
-        let transforms = self.rules.enabled_transforms(config);
         let mut fired = RuleBits::empty();
         let mut rewrites_left = MAX_TRANSFORM_APPLICATIONS;
         for _pass in 0..EXPLORATION_PASSES {
@@ -376,21 +378,26 @@ impl Optimizer {
                 if rewrites_left == 0 {
                     return Ok(fired);
                 }
-                for (rule_id, kind, bit) in &transforms {
+                let tag = memo.group(g).lexprs[e].op.tag();
+                for &(rule_id, kind) in self.rules.transforms_for(tag) {
+                    if !config.enabled(rule_id) {
+                        continue;
+                    }
                     *tasks += 1;
                     if rewrites_left == 0 {
                         return Ok(fired);
                     }
-                    let rewrites = apply_transform(*kind, memo, g, e);
+                    let rewrites = apply_transform(kind, memo, g, e);
                     if !rewrites.is_empty() {
-                        fired.insert(*rule_id);
+                        fired.insert(rule_id);
                     }
                     for node in rewrites {
                         if rewrites_left == 0 {
                             return Ok(fired);
                         }
                         rewrites_left -= 1;
-                        let provenance = memo.group(g).lexprs[e].provenance.union(bit);
+                        let mut provenance = memo.group(g).lexprs[e].provenance;
+                        provenance.insert(rule_id);
                         let groups_before = memo.group_count();
                         let (op, children) = memo.materialize(node, provenance);
                         // New interior groups need their seed expressions
@@ -419,9 +426,10 @@ impl Optimizer {
         }
     }
 
-    /// Build one group's physical-expression list: the enabled
-    /// implementation/parametric candidates of every logical expression (in
-    /// registry order) plus the required fallback. Each logical expression's
+    /// Build one group's candidate list as one run of the memo's candidate
+    /// arena: the enabled implementation/parametric candidates of every
+    /// logical expression (in registry order) plus the required fallback.
+    /// Each logical expression's
     /// canonical shape is built once and shared by the fallback and every
     /// matching parametric candidate. One task of [`Optimizer::implement`],
     /// which is also how `crate::delta` redoes a dirty group.
@@ -433,7 +441,7 @@ impl Optimizer {
         ctx: &ImplContext,
     ) -> Result<(), CompileError> {
         let n = memo.group(g).lexprs.len();
-        let mut produced = Vec::new();
+        let start = memo.open_candidates();
         for e in 0..n {
             let tag = memo.group(g).lexprs[e].op.tag();
             let canonical = build_shape(memo, g, e, None, ctx);
@@ -442,19 +450,18 @@ impl Optimizer {
                     continue;
                 }
                 if let Some(p) = implement_expr(rule, memo, g, e, canonical, ctx) {
-                    produced.push(p);
+                    memo.push_candidate(p);
                 }
             }
             let fallback = self.rules.rule(RULE_FALLBACK_EXEC);
             if let Some(p) = implement_expr(fallback, memo, g, e, canonical, ctx) {
-                produced.push(p);
+                memo.push_candidate(p);
             }
         }
-        if produced.is_empty() {
+        if memo.close_candidates(g, start) == 0 {
             let tag = memo.group(g).lexprs[0].op.tag().to_string();
             return Err(CompileError::NoImplementation { tag });
         }
-        memo.group_mut(g).pexprs = Arc::new(produced);
         Ok(())
     }
 
@@ -489,15 +496,15 @@ impl Optimizer {
         }
         visiting[g.index()] = true;
         let out_stats = memo.group(g).stats;
-        // Hold the candidate list while recursing into children (which needs
-        // `&mut memo`): one pointer copy instead of a clone per candidate.
-        let pexprs = Arc::clone(&memo.group(g).pexprs);
         let mut best = Best {
             cost: f64::INFINITY,
             pexpr: usize::MAX,
         };
         let mut edge_stats: Vec<NodeStats> = Vec::new();
-        for (i, p) in pexprs.iter().enumerate() {
+        // Candidates are `Copy`: read each afresh, as the recursion into
+        // children needs `&mut memo`.
+        for i in 0..memo.candidates(g).len() {
+            let p = memo.candidates(g)[i];
             let shape = *memo.shape(p.shape);
             let mut total = 0.0;
             edge_stats.clear();
@@ -549,8 +556,14 @@ impl Optimizer {
         config_fingerprint: u64,
     ) -> Result<Compiled, CompileError> {
         let mut out = Extraction {
-            plan: PhysicalPlan::new(),
-            mapping: FxHashMap::default(),
+            // Room for two nodes per memo group: emitted plans hold about
+            // 1.4 (a winner plus its exchanges and pre-reductions, over
+            // groups extraction never reaches), and no default compile of
+            // `fresh_daily`'s recurring plans needs more than 2.
+            plan: PhysicalPlan::with_capacity(2 * memo.group_count(), roots.len()),
+            node_of: vec![None; memo.group_count()],
+            child_nodes: Vec::new(),
+            edge_stats: Vec::new(),
             signature: RuleBits::empty(),
             est_cost: 0.0,
             any_exchange: false,
@@ -560,8 +573,7 @@ impl Optimizer {
             compression_io: self.rules.compression_actual_io(template_seed),
         };
         for &root in roots {
-            self.emit(memo, root, &mut out);
-            let node = out.mapping[&root];
+            let node = self.emit(memo, root, &mut out);
             out.plan.mark_output(node);
         }
         let Extraction {
@@ -629,10 +641,11 @@ impl Optimizer {
     /// hash or range exchange keyed and sized under the winner's claimed
     /// tuning ([`sized_scheme`]) and every node tuned with the winner's
     /// actual tuning; its estimated cost and provenance accumulate into
-    /// `out`.
-    fn emit(&self, memo: &Memo, g: GroupId, out: &mut Extraction) {
-        if out.mapping.contains_key(&g) {
-            return;
+    /// `out`. Returns the winner's node. Its edges' nodes and statistics
+    /// sit on `out`'s two stacks while its children are emitted above them.
+    fn emit(&self, memo: &Memo, g: GroupId, out: &mut Extraction) -> NodeId {
+        if let Some(node) = out.node_of[g.index()] {
+            return node;
         }
         let group = memo.group(g);
         #[expect(
@@ -640,18 +653,15 @@ impl Optimizer {
             reason = "best_cost costs every group reachable from a root before extract runs"
         )]
         let best = group.best.expect("costing ran before extraction");
-        let pexpr = group.pexprs[best.pexpr];
+        let pexpr = memo.candidates(g)[best.pexpr];
         let shape = *memo.shape(pexpr.shape);
         let implemented = memo.implemented(g, &shape);
         let actual = self.actual_tuning(&pexpr, out.template_seed);
         let out_stats = group.stats;
 
-        let arity = implemented.children.len();
-        let mut child_nodes: Vec<NodeId> = Vec::with_capacity(arity);
-        let mut edge_stats: Vec<NodeStats> = Vec::with_capacity(arity);
+        let base = out.child_nodes.len();
         for (j, &c) in implemented.children.iter().enumerate() {
-            self.emit(memo, c, out);
-            let mut node = out.mapping[&c];
+            let mut node = self.emit(memo, c, out);
             let mut cstats = memo.group(c).stats;
             let edge = memo.edge(&shape, j);
             if let Some(pre) = edge.pre_local {
@@ -692,27 +702,31 @@ impl Optimizer {
                     tuning,
                 });
             }
-            child_nodes.push(node);
-            edge_stats.push(cstats);
+            out.child_nodes.push(node);
+            out.edge_stats.push(cstats);
         }
         out.est_cost += local_cost(
             shape.kind,
             &implemented.op,
             &out_stats,
-            &edge_stats,
+            &out.edge_stats[base..],
             &pexpr.claimed,
         );
+        let children = out.child_nodes[base..].to_vec();
+        out.child_nodes.truncate(base);
+        out.edge_stats.truncate(base);
         if shape.elided_exchange {
             out.any_elided = true;
         }
         out.signature = out.signature.union(&pexpr.provenance);
         let node = out.plan.add(PhysicalNode {
             op: physical_op(shape.kind, &implemented.op),
-            children: child_nodes,
+            children,
             stats: out_stats,
             tuning: actual,
         });
-        out.mapping.insert(g, node);
+        out.node_of[g.index()] = Some(node);
+        node
     }
 }
 
@@ -720,7 +734,12 @@ impl Optimizer {
 /// template's per-template truth inputs.
 struct Extraction {
     plan: PhysicalPlan,
-    mapping: FxHashMap<GroupId, NodeId>,
+    /// Each group's emitted winner, by group index.
+    node_of: Vec<Option<NodeId>>,
+    /// The input nodes and input statistics of the winners being emitted,
+    /// each winner's run above its caller's.
+    child_nodes: Vec<NodeId>,
+    edge_stats: Vec<NodeStats>,
     signature: RuleBits,
     est_cost: f64,
     any_exchange: bool,
@@ -875,6 +894,84 @@ mod tests {
             c1.est_cost,
             c2.est_cost
         );
+    }
+
+    /// Root-tag soundness: exploration tries a transform only on
+    /// expressions with its root tag, which changes no rewrite only if the
+    /// transform rewrites no other root. Check every other pairing over
+    /// every fully explored memo of the compile-digest corpus
+    /// (`tests/compile_digest.rs`) at seeds 2022 and 7, under the default
+    /// configuration and under each single transform flip.
+    #[test]
+    fn no_transform_rewrites_an_expression_outside_its_root_tag() {
+        use crate::registry::TransformKind;
+        use scope_workload::{Workload, WorkloadConfig};
+        let opt = Optimizer::default();
+        let default = opt.default_config();
+        let transforms: Vec<(RuleId, TransformKind)> = opt
+            .rules()
+            .rules()
+            .iter()
+            .filter_map(|r| match r.behavior {
+                RuleBehavior::Transform(kind) => Some((r.id, kind)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(transforms.len(), 18);
+        let configs: Vec<RuleConfig> = std::iter::once(default)
+            .chain(transforms.iter().map(|&(rule, _)| {
+                default.with_flip(RuleFlip {
+                    rule,
+                    enable: !default.enabled(rule),
+                })
+            }))
+            .collect();
+        let (mut memos, mut mismatched) = (0, 0);
+        let mut fired: Vec<TransformKind> = Vec::new();
+        for seed in [2022, 7] {
+            let jobs = Workload::new(WorkloadConfig {
+                seed,
+                num_templates: 60,
+                adhoc_per_day: 15,
+                max_instances_per_day: 2,
+                ..WorkloadConfig::default()
+            })
+            .jobs_for_day(3);
+            for job in &jobs {
+                for config in &configs {
+                    let Ok(full) = opt.search(&job.plan, config, true).1 else {
+                        continue;
+                    };
+                    memos += 1;
+                    let memo = &full.memo;
+                    for g in memo.group_ids() {
+                        for (e, expr) in memo.group(g).lexprs.iter().enumerate() {
+                            for &(_, kind) in &transforms {
+                                let rewrites = apply_transform(kind, memo, g, e);
+                                if kind.root_tag() == expr.op.tag() {
+                                    if !rewrites.is_empty() && !fired.contains(&kind) {
+                                        fired.push(kind);
+                                    }
+                                    continue;
+                                }
+                                mismatched += 1;
+                                assert!(
+                                    rewrites.is_empty(),
+                                    "{kind:?} (root {}) rewrote {g}'s {} expression {e} \
+                                     of {} at seed {seed}",
+                                    kind.root_tag(),
+                                    expr.op.tag(),
+                                    job.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(memos > 1000 && mismatched > 100_000, "{memos} {mismatched}");
+        // Matching roots do rewrite: the corpus reaches real matches.
+        assert!(fired.len() >= 2, "the corpus exercises {fired:?}");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Property-based tests for the optimizer's core invariants: any valid plan
 //! compiles under the default configuration; compilation is deterministic;
 //! spans contain only flippable rules; configurations round-trip through
-//! flips; emitted physical plans always validate and preserve output count.
+//! flips; emitted physical plans always validate and preserve output count;
+//! a transform rooted at no tag of the memo is invisible to the compile.
 
 mod plan_builder;
 
 use plan_builder::{build, step};
 use proptest::prelude::*;
-use scope_opt::{compute_span, Optimizer, RuleConfig, RuleFlip, RuleId, RULE_COUNT};
+use scope_opt::registry::RuleBehavior;
+use scope_opt::{
+    compute_span, BaseMemo, CompileBudget, CompileError, Optimizer, RuleConfig, RuleFlip, RuleId,
+    RULE_COUNT,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -34,6 +39,51 @@ proptest! {
         prop_assert_eq!(a.physical, b.physical);
         prop_assert_eq!(a.est_cost.to_bits(), b.est_cost.to_bits());
         prop_assert_eq!(a.signature, b.signature);
+    }
+
+    /// Exploration tries a transform only on expressions with its root tag,
+    /// so flipping a transform whose root tag no expression of the explored
+    /// memo has changes nothing: not the plan, cost, signature or memo size,
+    /// and not even the task count. Only the instability draws, which the
+    /// configuration seeds, may fail the flipped compile.
+    #[test]
+    fn a_transform_rooted_at_no_memo_tag_is_invisible(steps in prop::collection::vec(step(), 1..16)) {
+        let plan = build(&steps);
+        let opt = Optimizer::default();
+        let default = opt.default_config();
+        let base = BaseMemo::build(&opt, &plan, &default).unwrap();
+        let memo = base.memo();
+        let tags: Vec<&str> = memo
+            .group_ids()
+            .flat_map(|g| memo.group(g).lexprs.iter().map(|e| e.op.tag()))
+            .collect();
+        let reference = opt
+            .compile_budgeted(&plan, &default, CompileBudget::unlimited())
+            .unwrap();
+        for rule in opt.rules().rules() {
+            let RuleBehavior::Transform(kind) = rule.behavior else {
+                continue;
+            };
+            if tags.contains(&kind.root_tag()) {
+                continue;
+            }
+            let flipped = default.with_flip(RuleFlip {
+                rule: rule.id,
+                enable: !default.enabled(rule.id),
+            });
+            match opt.compile_budgeted(&plan, &flipped, CompileBudget::unlimited()) {
+                Ok(c) => {
+                    prop_assert_eq!(&c.compiled, &reference.compiled, "{}", rule.name);
+                    prop_assert_eq!(
+                        c.compiled.est_cost.to_bits(),
+                        reference.compiled.est_cost.to_bits()
+                    );
+                    prop_assert_eq!(c.tasks_executed, reference.tasks_executed, "{}", rule.name);
+                }
+                Err(CompileError::RuleInstability { .. }) => {}
+                Err(e) => prop_assert!(false, "{}: {e}", rule.name),
+            }
+        }
     }
 
     #[test]
