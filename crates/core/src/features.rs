@@ -8,12 +8,12 @@
 //! * **Actions** = the no-op plus one flip per span rule, featurized by rule
 //!   id and rule category (§4.2).
 
-use personalizer::{FeatureVector, SparseSlate};
+use personalizer::{FeatureVector, SlateTail, SparseSlate};
 use scope_ir::ids::{combine, SLATE_ACTION_SENTINEL, SLATE_FP_SEED};
 use scope_ir::{ShardedCache, TemplateId};
 use scope_opt::{CacheStats, RuleFlip, RuleSet, SpanResult};
 use scope_workload::Table1Features;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Build the CB context vector for one job.
 ///
@@ -109,8 +109,10 @@ impl FeatureCacheConfig {
 }
 
 /// Maximum cached entries of each map across all shards (FIFO per shard
-/// beyond this). One entry per live template, so this stays tiny next to
-/// the compile cache.
+/// beyond this). One span entry per live template and a few slates per
+/// template. Not small next to the compile cache: slates that each kept
+/// their own span crosses would be a day loop's largest heap holder, which
+/// is why a slate holds only its job's rows ([`SpanFeatures::tail`]).
 const CAPACITY: usize = 1 << 12;
 /// Lock shards of each map.
 const SHARDS: usize = 16;
@@ -134,8 +136,10 @@ fn fold_items(h: u64, items: &[(u64, f64)]) -> u64 {
 /// ([`action_slate`]). Both are pure functions of the span (under the
 /// advisor's fixed rule set and triple cap), so one [`FeatureCache`] entry
 /// serves both, and the actions sit behind an `Arc` that every job of the
-/// template shares with the bandit's pending events.
-#[derive(Debug, Clone, PartialEq)]
+/// template shares with the bandit's pending events. So does the actions'
+/// crosses with the block ([`SpanFeatures::tail`]), which every rank slate
+/// of the template ends its rows with.
+#[derive(Debug, Clone)]
 pub struct SpanFeatures {
     /// The span block a job's context ends with (empty when the pipeline
     /// runs without span features).
@@ -147,6 +151,17 @@ pub struct SpanFeatures {
     /// order, with a boundary sentinel before each action. A rank slate's
     /// cache key folds only the job's own features and then this.
     fingerprint: u64,
+    /// `SlateTail::build(block, actions, dim_bits)` at the first slate's
+    /// `dim_bits`, built by that slate.
+    tail: OnceLock<Arc<SlateTail>>,
+}
+
+/// Equal content: the tail and the fingerprint are functions of `block`
+/// and `actions`, whether or not a slate has built the tail yet.
+impl PartialEq for SpanFeatures {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.block, &self.actions, &self.flips) == (&other.block, &other.actions, &other.flips)
+    }
 }
 
 impl SpanFeatures {
@@ -174,7 +189,32 @@ impl SpanFeatures {
             actions: Arc::new(actions),
             flips,
             fingerprint,
+            tail: OnceLock::new(),
         }
+    }
+
+    /// Every action's crosses with `block`, folded for a `2^dim_bits`
+    /// table ([`SlateTail::build`]). The first call builds the tail this
+    /// entry keeps and every later call at the same `dim_bits` shares it;
+    /// a call at another table size (one cache serving two) gets a tail of
+    /// its own.
+    #[must_use]
+    pub fn tail(&self, dim_bits: u32) -> Arc<SlateTail> {
+        let build = || Arc::new(SlateTail::build(&self.block, &self.actions, dim_bits));
+        let kept = self.tail.get_or_init(build);
+        if kept.dim_bits() == dim_bits {
+            Arc::clone(kept)
+        } else {
+            build()
+        }
+    }
+
+    /// The rank slate of a job whose own features are `job`, for a
+    /// `2^dim_bits` table: row for row `SparseSlate::build(job ⧺ block,
+    /// actions)`, owning only the main effects and the crosses with `job`.
+    #[must_use]
+    pub fn slate(&self, job: &FeatureVector, dim_bits: u32) -> SparseSlate {
+        SparseSlate::split(job, &self.actions, self.tail(dim_bits))
     }
 }
 
@@ -236,33 +276,24 @@ impl FeatureCache {
             })
     }
 
-    /// The built rank slate for `context` and `features.actions` under
-    /// `template`, folded via [`SparseSlate::build`] on miss and memoized by
-    /// content fingerprint. `context` is the job's own features followed by
-    /// `features.block`, so the key folds only the job's items, then the
-    /// fingerprint `features` carries, under `dim_bits`: every input of the
-    /// pure fold, so a hit can only return the slate the caller would have
-    /// built.
+    /// The built rank slate for a job with own features `job` under
+    /// `template` ([`SpanFeatures::slate`]), memoized by content
+    /// fingerprint. The key folds the job's items, then the fingerprint
+    /// `features` carries, under `dim_bits`: every input of the pure fold,
+    /// so a hit can only return the slate the caller would have built. A
+    /// miss builds only the job's own segment; the tail is the entry's.
     #[must_use]
     pub fn slate_for(
         &self,
         template: TemplateId,
-        context: &FeatureVector,
+        job: &FeatureVector,
         features: &SpanFeatures,
         dim_bits: u32,
     ) -> Arc<SparseSlate> {
-        let items = context.items();
-        let (job, block) = items.split_at(items.len() - features.block.len());
-        debug_assert_eq!(
-            block,
-            features.block.items(),
-            "context must end with the block"
-        );
-        let fingerprint = fold_items(SLATE_FP_SEED.start(u64::from(dim_bits)), job);
+        let fingerprint = fold_items(SLATE_FP_SEED.start(u64::from(dim_bits)), job.items());
         let key = (template.0, combine(fingerprint, features.fingerprint));
-        self.slates.get_or_insert_with(key, || {
-            Arc::new(SparseSlate::build(context, &features.actions, dim_bits))
-        })
+        self.slates
+            .get_or_insert_with(key, || Arc::new(features.slate(job, dim_bits)))
     }
 
     /// Lifetime counters (same vocabulary as the compile/execution caches),
@@ -424,43 +455,105 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
+    /// A slate's rows as (table slot, value bits), whatever its layout.
+    fn rows(slate: &SparseSlate) -> Vec<Vec<(usize, u64)>> {
+        (0..slate.num_actions())
+            .map(|i| slate.row(i).map(|(s, v)| (s, v.to_bits())).collect())
+            .collect()
+    }
+
     #[test]
     fn slate_cache_returns_identical_slates_and_keys_by_content() {
         let (opt, span, t1) = sample_span();
         let cache = FeatureCache::default();
         let t = TemplateId(9);
         let features = SpanFeatures::build(&span, opt.rules(), 12);
+        let job = job_features(&t1);
         let context = context_features(&t1, &span, 12);
-        let a = cache.slate_for(t, &context, &features, 18);
-        let b = cache.slate_for(t, &context, &features, 18);
+        let a = cache.slate_for(t, &job, &features, 18);
+        let b = cache.slate_for(t, &job, &features, 18);
         assert_eq!(
-            *a,
-            SparseSlate::build(&context, &features.actions, 18),
+            rows(&a),
+            rows(&SparseSlate::build(&context, &features.actions, 18)),
             "miss builds the real slate"
         );
-        assert_eq!(a, b);
+        assert!(Arc::ptr_eq(&a, &b), "a hit shares the slate");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
         // Any input change — a job item, the span features, or dim_bits —
         // is a different key, so a hit can never cross contents.
-        let mut other_ctx = job_features(&t1);
-        other_ctx.flag("job", "extra");
+        let mut other_job = job_features(&t1);
+        other_job.flag("job", "extra");
+        let mut other_ctx = other_job.clone();
         other_ctx.extend_from(&features.block);
-        let c = cache.slate_for(t, &other_ctx, &features, 18);
-        assert_eq!(*c, SparseSlate::build(&other_ctx, &features.actions, 18));
-        let d = cache.slate_for(t, &context, &features, 20);
-        assert_eq!(*d, SparseSlate::build(&context, &features.actions, 20));
+        let c = cache.slate_for(t, &other_job, &features, 18);
+        assert_eq!(
+            rows(&c),
+            rows(&SparseSlate::build(&other_ctx, &features.actions, 18))
+        );
+        // The entry's tail is folded for 18 bits; a 20-bit slate folds its own.
+        let d = cache.slate_for(t, &job, &features, 20);
+        assert_eq!(d.dim_bits(), 20);
+        assert_eq!(
+            rows(&d),
+            rows(&SparseSlate::build(&context, &features.actions, 20))
+        );
         let bare = SpanFeatures::actions_only(&span, opt.rules());
-        let bare_ctx = job_features(&t1);
-        let e = cache.slate_for(t, &bare_ctx, &bare, 18);
-        assert_eq!(*e, SparseSlate::build(&bare_ctx, &bare.actions, 18));
+        let e = cache.slate_for(t, &job, &bare, 18);
+        assert_eq!(rows(&e), rows(&SparseSlate::build(&job, &bare.actions, 18)));
         let fewer_triples = SpanFeatures::build(&span, opt.rules(), 0);
-        let f = cache.slate_for(t, &context_features(&t1, &span, 0), &fewer_triples, 18);
+        let f = cache.slate_for(t, &job, &fewer_triples, 18);
+        assert_eq!(
+            rows(&f),
+            rows(&SparseSlate::build(
+                &context_features(&t1, &span, 0),
+                &fewer_triples.actions,
+                18
+            ))
+        );
         assert_eq!(
             f.nnz() < a.nnz(),
             fewer_triples.block.len() < features.block.len()
         );
         assert_eq!(cache.stats().misses, 5);
+    }
+
+    /// Two jobs of one template with different job blocks share one tail,
+    /// and each slate owns only its job's rows: main effects and the job
+    /// block's crosses, Σ_a |a|·(1 + |job|) items. A slate that copied the
+    /// span crosses again fails here.
+    #[test]
+    fn slates_of_a_template_share_one_tail() {
+        let (opt, span, t1) = sample_span();
+        let cache = FeatureCache::default();
+        let t = TemplateId(9);
+        let features = cache.span_features_for(t, &span, opt.rules(), 12);
+        let job_a = job_features(&t1);
+        let job_b = job_features(&Table1Features {
+            latency: 1e5,
+            ..t1.clone()
+        });
+        assert_ne!(job_a, job_b);
+        let a = cache.slate_for(t, &job_a, &features, 18);
+        let b = cache.slate_for(t, &job_b, &features, 18);
+        assert!(!Arc::ptr_eq(&a, &b), "different jobs, different slates");
+        assert!(Arc::ptr_eq(a.tail(), b.tail()), "one tail per template");
+        assert!(Arc::ptr_eq(a.tail(), &features.tail(18)));
+        for (slate, job) in [(&a, &job_a), (&b, &job_b)] {
+            let own: usize = features
+                .actions
+                .iter()
+                .map(|x| x.len() * (1 + job.len()))
+                .sum();
+            assert_eq!(slate.own_nnz(), own);
+        }
+        let block: usize = features
+            .actions
+            .iter()
+            .map(|x| x.len() * features.block.len())
+            .sum();
+        assert!(block > 0);
+        assert_eq!(a.tail().nnz(), block);
     }
 
     #[test]

@@ -260,7 +260,8 @@ pub(crate) fn recommend(
     // Table-1 block. Under the batched scorer the (context × action) CSR
     // slate is folded here too (or found in the slate cache, keyed by the
     // job block plus the span features' fingerprint), so the serial rank
-    // pass below only gathers weights. Each job's features become one
+    // pass below only gathers weights. A slate folds only the job block's
+    // crosses; its rows end with the span features' shared tail. Each job's features become one
     // shared `RankInput`: both of its ranks, and the pending events they
     // log, hold that `Arc` instead of copies.
     let optimizer = &qa.optimizer;
@@ -278,12 +279,12 @@ pub(crate) fn recommend(
             (false, _) => Arc::new(SpanFeatures::actions_only(&job.span, rules)),
         };
         let mut context = job_features(&job.row.features);
-        context.extend_from(&features.block);
         let dim_bits = config.cb.dim_bits;
         let sparse = batch.then(|| match feature_cache {
             Some(cache) => cache.slate_for(job.row.template, &context, &features, dim_bits),
-            None => Arc::new(SparseSlate::build(&context, &features.actions, dim_bits)),
+            None => Arc::new(features.slate(&context, dim_bits)),
         });
+        context.extend_from(&features.block);
         let input = RankInput {
             context,
             actions: Arc::clone(&features.actions),

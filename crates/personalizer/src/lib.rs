@@ -34,4 +34,4 @@ pub use model::LinearModel;
 pub use service::{
     PendingEventState, Personalizer, PersonalizerState, RankInput, RankRequest, RankResponse,
 };
-pub use slate::SparseSlate;
+pub use slate::{SlateTail, SparseSlate};

@@ -166,24 +166,34 @@ impl LinearModel {
     /// slate. The slate's pre-folded slots must match this model's table
     /// (same `dim_bits`), and each action's items accumulate in the same
     /// left-to-right order as [`LinearModel::score`] over the sequential
-    /// joint vector, so the scores are bit-identical to the per-action path.
+    /// joint vector — the own segment, then the shared tail continuing the
+    /// same sum — so the scores are bit-identical to the per-action path.
     #[must_use]
     pub fn score_slate(&self, slate: &SparseSlate) -> Vec<f64> {
+        self.assert_fold(slate);
+        (0..slate.num_actions())
+            .map(|i| {
+                let [own, tail] = slate.segments(i);
+                self.dot(self.dot(sum_start(), own), tail)
+            })
+            .collect()
+    }
+
+    /// `sum` plus every `weight · value` of a slate segment, left to right.
+    #[inline]
+    fn dot(&self, sum: f64, (slots, values): (&[u32], &[f64])) -> f64 {
+        slots
+            .iter()
+            .zip(values)
+            .fold(sum, |sum, (&s, &v)| sum + self.weight(s as usize) * v)
+    }
+
+    fn assert_fold(&self, slate: &SparseSlate) {
         assert_eq!(
             slate.dim_bits(),
             self.dim_bits,
             "slate folded for a different dim_bits than this model's table"
         );
-        (0..slate.num_actions())
-            .map(|i| {
-                let (slots, values) = slate.action(i);
-                slots
-                    .iter()
-                    .zip(values)
-                    .map(|(&s, &v)| self.weight(s as usize) * v)
-                    .sum()
-            })
-            .collect()
     }
 
     /// One normalized-SGD step of squared loss `(w·x − reward)²`, scaled by
@@ -209,14 +219,8 @@ impl LinearModel {
         importance: f64,
         lr: f64,
     ) {
-        assert_eq!(
-            slate.dim_bits(),
-            self.dim_bits,
-            "slate folded for a different dim_bits than this model's table"
-        );
-        let (slots, values) = slate.action(row);
-        let items = slots.iter().zip(values).map(|(&s, &v)| (s as usize, v));
-        self.step(items, reward, importance, lr);
+        self.assert_fold(slate);
+        self.step(slate.row(row), reward, importance, lr);
     }
 
     /// The one body of both updates: norm, score and apply each walk
@@ -242,9 +246,7 @@ impl LinearModel {
             return;
         }
         let step = (lr * importance * err).clamp(-2.0 * err.abs(), 2.0 * err.abs()) / norm;
-        for (slot, v) in items {
-            *self.weight_mut(slot) += step * v;
-        }
+        items.for_each(|(slot, v)| *self.weight_mut(slot) += step * v);
     }
 }
 

@@ -8,7 +8,7 @@
 //! are laid out contiguously in CSR form (`indptr` / `slots` / `values`),
 //! with every hashed feature id already folded into the model's table
 //! (`key & (2^dim_bits − 1)`), so scoring an action is a gather-multiply
-//! over two flat arrays and scoring the slate touches no allocator at all.
+//! over flat arrays and scoring the slate touches no allocator at all.
 //!
 //! The layout replicates
 //! [`ContextualBandit::joint`](crate::ContextualBandit::joint) exactly —
@@ -23,18 +23,24 @@
 //! row *is* its joint vector, pre-folded, so a reward updates the model from
 //! the chosen row (`LinearModel::update_row`) with the same bits as an
 //! update over the re-crossed joint vector.
+//!
+//! A row is stored in two segments. A context that ends with a
+//! template-stable block (the span block) crosses every action with that
+//! block identically for every job of the template, so those crosses live
+//! in a [`SlateTail`] built once per table size and shared behind an
+//! `Arc`; each slate owns only the action main effects and the crosses
+//! with the job's own features. Readers walk the own segment and then the
+//! tail, continuing one left-to-right sum.
 
 use crate::bandit::QUADRATIC_SCALE;
 use crate::features::FeatureVector;
 use scope_ir::ids::combine;
+use std::sync::Arc;
 
-/// The joint features of a whole action slate in CSR form, pre-folded into
-/// a `2^dim_bits` model table.
+/// Rows of (slot, value) items in CSR form.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseSlate {
-    /// Table size the slot indices were folded for; models assert it.
-    dim_bits: u32,
-    /// `indptr[i]..indptr[i+1]` is action `i`'s slice of `slots`/`values`.
+struct Csr {
+    /// `indptr[i]..indptr[i+1]` is row `i`'s slice of `slots`/`values`.
     indptr: Vec<usize>,
     /// Model-table indices (`key & (2^dim_bits − 1)`; fits u32 for every
     /// legal `dim_bits`).
@@ -42,40 +48,66 @@ pub struct SparseSlate {
     values: Vec<f64>,
 }
 
-impl SparseSlate {
-    /// Lay out the joint features of `actions` under `context`, folded for a
-    /// `2^dim_bits` weight table. Item order per action is exactly
-    /// [`ContextualBandit::joint`](crate::ContextualBandit::joint)'s: the
-    /// action's own features, then context×action crosses in context-major
-    /// order.
-    #[must_use]
-    pub fn build(context: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> Self {
-        let mask = (1u64 << dim_bits) - 1;
-        let ctx = context.items();
-        let nnz: usize = actions.iter().map(|a| a.len() * (1 + ctx.len())).sum();
-        let mut indptr = Vec::with_capacity(actions.len() + 1);
-        let mut slots = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
+impl Csr {
+    fn with_capacity(rows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(rows + 1);
         indptr.push(0);
-        for action in actions {
-            for &(ak, av) in action.items() {
-                slots.push((ak & mask) as u32);
-                values.push(av);
-            }
-            for &(ck, cv) in ctx {
-                for &(ak, av) in action.items() {
-                    slots.push((combine(ck, ak) & mask) as u32);
-                    values.push(cv * av * QUADRATIC_SCALE);
-                }
-            }
-            indptr.push(slots.len());
-        }
         Self {
-            dim_bits,
             indptr,
-            slots,
-            values,
+            slots: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
         }
+    }
+
+    /// Append `action`'s crosses with every `context` item, context-major,
+    /// keys folded by `mask`.
+    fn push_crosses(&mut self, context: &[(u64, f64)], action: &[(u64, f64)], mask: u64) {
+        for &(ck, cv) in context {
+            for &(ak, av) in action {
+                self.slots.push((combine(ck, ak) & mask) as u32);
+                self.values.push(cv * av * QUADRATIC_SCALE);
+            }
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.indptr.push(self.slots.len());
+    }
+
+    fn rows(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
+    fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+        (&self.slots[lo..hi], &self.values[lo..hi])
+    }
+}
+
+/// Every action's crosses with a template-stable context block, folded
+/// into a `2^dim_bits` table, in the order [`SparseSlate`] rows continue
+/// with them. Folded, not kept at full width and masked on read: the mask
+/// sits in the load chain of every weight gather and cost the scoring loop
+/// about 10 % in a micro-benchmark.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlateTail {
+    dim_bits: u32,
+    rows: Csr,
+}
+
+impl SlateTail {
+    /// The crosses of each of `actions` with every `block` item,
+    /// block-major, as [`SparseSlate::build`] lays them out.
+    #[must_use]
+    pub fn build(block: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> Self {
+        let mask = (1u64 << dim_bits) - 1;
+        let nnz = actions.iter().map(|a| a.len() * block.len()).sum();
+        let mut rows = Csr::with_capacity(actions.len(), nnz);
+        for action in actions {
+            rows.push_crosses(block.items(), action.items(), mask);
+            rows.end_row();
+        }
+        Self { dim_bits, rows }
     }
 
     /// Table size (bits) the slots were folded for.
@@ -84,10 +116,75 @@ impl SparseSlate {
         self.dim_bits
     }
 
+    /// Total (slot, value) pairs across all actions.
+    #[must_use]
+    pub fn nnz(&self) -> usize {
+        self.rows.slots.len()
+    }
+}
+
+/// The joint features of a whole action slate in CSR form, pre-folded into
+/// a `2^dim_bits` model table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseSlate {
+    /// Each action's own segment: its main effects, then its crosses with
+    /// the job's features.
+    own: Csr,
+    /// Each action's crosses with the template-stable block, shared; its
+    /// `dim_bits` is the slate's.
+    tail: Arc<SlateTail>,
+}
+
+impl SparseSlate {
+    /// Lay out the joint features of `actions` under `context`, folded for a
+    /// `2^dim_bits` weight table. Item order per action is exactly
+    /// [`ContextualBandit::joint`](crate::ContextualBandit::joint)'s: the
+    /// action's own features, then context×action crosses in context-major
+    /// order. The whole row is owned: the tail is empty.
+    #[must_use]
+    pub fn build(context: &FeatureVector, actions: &[FeatureVector], dim_bits: u32) -> Self {
+        let tail = Arc::new(SlateTail::build(&FeatureVector::new(), actions, dim_bits));
+        Self::split(context, actions, tail)
+    }
+
+    /// The slate of `actions` under the context `job ⧺ block`, where `tail`
+    /// is [`SlateTail::build`]`(block, actions, dim_bits)`: row for row the
+    /// items of `build(job ⧺ block, actions, dim_bits)`, of which this
+    /// slate owns only the main effects and the crosses with `job`.
+    ///
+    /// # Panics
+    /// Panics if `tail` crosses a different number of actions.
+    #[must_use]
+    pub fn split(job: &FeatureVector, actions: &[FeatureVector], tail: Arc<SlateTail>) -> Self {
+        assert_eq!(
+            tail.rows.rows(),
+            actions.len(),
+            "tail crosses a different action slate"
+        );
+        let mask = (1u64 << tail.dim_bits) - 1;
+        let nnz = actions.iter().map(|a| a.len() * (1 + job.len())).sum();
+        let mut own = Csr::with_capacity(actions.len(), nnz);
+        for action in actions {
+            for &(ak, av) in action.items() {
+                own.slots.push((ak & mask) as u32);
+                own.values.push(av);
+            }
+            own.push_crosses(job.items(), action.items(), mask);
+            own.end_row();
+        }
+        Self { own, tail }
+    }
+
+    /// Table size (bits) the slots were folded for.
+    #[must_use]
+    pub fn dim_bits(&self) -> u32 {
+        self.tail.dim_bits
+    }
+
     /// Number of actions laid out.
     #[must_use]
     pub fn num_actions(&self) -> usize {
-        self.indptr.len() - 1
+        self.own.rows()
     }
 
     #[must_use]
@@ -95,18 +192,42 @@ impl SparseSlate {
         self.num_actions() == 0
     }
 
-    /// Total laid-out (slot, value) pairs across all actions.
+    /// Total (slot, value) pairs across all actions, tail included.
     #[must_use]
     pub fn nnz(&self) -> usize {
-        self.slots.len()
+        self.own.slots.len() + self.tail.nnz()
     }
 
-    /// Action `i`'s (slots, values) slices, in joint-feature order.
+    /// The (slot, value) pairs this slate owns: its rows minus the tail.
     #[must_use]
-    pub fn action(&self, i: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-        (&self.slots[lo..hi], &self.values[lo..hi])
+    pub fn own_nnz(&self) -> usize {
+        self.own.slots.len()
     }
+
+    /// The shared tail this slate's rows continue with.
+    #[must_use]
+    pub fn tail(&self) -> &Arc<SlateTail> {
+        &self.tail
+    }
+
+    /// Action `i`'s own segment and then its tail segment: (table slots,
+    /// values) each, in row order.
+    pub(crate) fn segments(&self, i: usize) -> [(&[u32], &[f64]); 2] {
+        [self.own.row(i), self.tail.rows.row(i)]
+    }
+
+    /// Action `i`'s whole row, in joint-feature order: (table slot, value).
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+        let [own, tail] = self.segments(i);
+        items(own).chain(items(tail))
+    }
+}
+
+/// A segment's (table slot, value) items.
+fn items<'a>(
+    (slots, values): (&'a [u32], &'a [f64]),
+) -> impl Iterator<Item = (usize, f64)> + Clone + 'a {
+    slots.iter().zip(values).map(|(&s, &v)| (s as usize, v))
 }
 
 #[cfg(test)]
@@ -136,14 +257,11 @@ mod tests {
         let mask = (1u64 << dim_bits) - 1;
         for (i, action) in actions.iter().enumerate() {
             let joint = ContextualBandit::joint(&ctx, action);
-            let (slots, values) = slate.action(i);
-            assert_eq!(slots.len(), joint.len());
-            for (j, &(k, v)) in joint.items().iter().enumerate() {
-                assert_eq!(u64::from(slots[j]), k & mask, "slot {j} of action {i}");
-                assert!(
-                    values[j].to_bits() == v.to_bits(),
-                    "value {j} of action {i}"
-                );
+            let row: Vec<(usize, f64)> = slate.row(i).collect();
+            assert_eq!(row.len(), joint.len());
+            for (j, (&(k, v), &(s, w))) in joint.items().iter().zip(&row).enumerate() {
+                assert_eq!(s as u64, k & mask, "slot {j} of action {i}");
+                assert!(w.to_bits() == v.to_bits(), "value {j} of action {i}");
             }
         }
     }
@@ -242,6 +360,54 @@ mod tests {
             };
             prop_assert_eq!(bits(&x), bits(&y));
             prop_assert_eq!((x.updates, x.events), (y.updates, y.events));
+        }
+    }
+
+    proptest! {
+        /// A slate split into the job's own segment and a shared tail
+        /// scores and learns bit for bit like the flat slate of the whole
+        /// context `job ⧺ block` — with an empty job block, an empty span
+        /// block, and repeated keys (`arb_fv` repeats names), in a table
+        /// small enough for crossed slots to collide and in a large one.
+        #[test]
+        fn split_slate_bit_equals_flat_slate(
+            job in arb_fv(5),
+            block in arb_fv(8),
+            actions in prop::collection::vec(arb_fv(4), 1..6),
+            rewards in prop::collection::vec((0usize..8, -2.0f64..2.0), 1..10),
+        ) {
+            for (job, block) in [
+                (job.clone(), block.clone()),
+                (FeatureVector::new(), block.clone()),
+                (job.clone(), FeatureVector::new()),
+            ] {
+                let mut context = job.clone();
+                context.extend_from(&block);
+                for dim_bits in [8, 20] {
+                    let flat = SparseSlate::build(&context, &actions, dim_bits);
+                    let tail = Arc::new(SlateTail::build(&block, &actions, dim_bits));
+                    let split = SparseSlate::split(&job, &actions, tail);
+                    prop_assert_eq!(split.nnz(), flat.nnz());
+                    prop_assert_eq!(
+                        split.own_nnz(),
+                        actions.iter().map(|a| a.len() * (1 + job.len())).sum::<usize>()
+                    );
+                    let (mut a, mut b) = (LinearModel::new(dim_bits), LinearModel::new(dim_bits));
+                    for &(i, reward) in &rewards {
+                        let bits = |m: &LinearModel, s: &SparseSlate| -> Vec<u64> {
+                            m.score_slate(s).iter().map(|x| x.to_bits()).collect()
+                        };
+                        prop_assert_eq!(bits(&a, &flat), bits(&b, &split));
+                        let i = i % actions.len();
+                        a.update_row(&flat, i, reward, 2.0, 0.5);
+                        b.update_row(&split, i, reward, 2.0, 0.5);
+                    }
+                    let weights = |m: &LinearModel| -> Vec<(u32, u64)> {
+                        m.sparse_weights().iter().map(|&(k, w)| (k, w.to_bits())).collect()
+                    };
+                    prop_assert_eq!(weights(&a), weights(&b));
+                }
+            }
         }
     }
 

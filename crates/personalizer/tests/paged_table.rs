@@ -100,8 +100,7 @@ proptest! {
             let ctx = FeatureVector::from_items(ctx.to_vec());
             let slate = SparseSlate::build(&ctx, &actions, dim_bits);
             let row = |i: usize| -> Vec<(u64, f64)> {
-                let (slots, values) = slate.action(i);
-                slots.iter().zip(values).map(|(&s, &v)| (u64::from(s), v)).collect()
+                slate.row(i).map(|(s, v)| (s as u64, v)).collect()
             };
             match op {
                 0 => {

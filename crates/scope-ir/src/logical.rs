@@ -222,7 +222,12 @@ impl LogicalPlan {
                     Schema::new(
                         exprs
                             .iter()
-                            .map(|(e, alias)| Column::new(alias.clone(), infer_type(e, input)))
+                            .map(|(e, alias)| {
+                                Column::new(
+                                    alias.clone(),
+                                    infer_type(e, |i| input.column(i).map(|c| c.ty)),
+                                )
+                            })
                             .collect(),
                     )
                 }
@@ -296,6 +301,66 @@ impl LogicalPlan {
             out.push(width);
         }
         out
+    }
+
+    /// Every node's average row length in bytes (indexed by arena slot):
+    /// `schemas()[i].avg_row_len()`, computed from column types alone. One
+    /// pass lays every node's column types out in one flat arena, where
+    /// row-preserving operators reuse their input's run.
+    #[must_use]
+    pub fn row_lens(&self) -> Vec<u32> {
+        let mut types: Vec<DataType> = Vec::new();
+        // `types[runs[i].0..runs[i].1]` are node `i`'s column types.
+        let mut runs: Vec<(usize, usize)> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let (lo, hi) = node.children.first().map_or((0, 0), |c| runs[c.index()]);
+            let start = types.len();
+            match &node.op {
+                LogicalOp::Extract { table } => {
+                    types.extend(table.schema.columns().iter().map(|c| c.ty));
+                }
+                LogicalOp::Project { exprs } => {
+                    for (e, _) in exprs {
+                        let ty = infer_type(e, |i| types[lo..hi].get(i).copied());
+                        types.push(ty);
+                    }
+                }
+                LogicalOp::Join { .. } => {
+                    let (rlo, rhi) = runs[node.children[1].index()];
+                    types.extend_from_within(lo..hi);
+                    types.extend_from_within(rlo..rhi);
+                }
+                LogicalOp::Aggregate { group_by, aggs, .. } => {
+                    for &i in group_by {
+                        let ty = types[lo..hi].get(i).copied().unwrap_or(DataType::Int);
+                        types.push(ty);
+                    }
+                    types.extend(aggs.iter().map(|_| DataType::Float));
+                }
+                LogicalOp::Window { funcs, .. } => {
+                    types.extend_from_within(lo..hi);
+                    types.extend(funcs.iter().map(|_| DataType::Float));
+                }
+                LogicalOp::Filter { .. }
+                | LogicalOp::Sort { .. }
+                | LogicalOp::Top { .. }
+                | LogicalOp::Process { .. }
+                | LogicalOp::Union
+                | LogicalOp::Output { .. } => {
+                    runs.push((lo, hi));
+                    continue;
+                }
+            }
+            runs.push((start, types.len()));
+        }
+        let row_len = |&(lo, hi): &(usize, usize)| -> u32 {
+            types[lo..hi]
+                .iter()
+                .map(|ty| ty.avg_width())
+                .sum::<u32>()
+                .max(1)
+        };
+        runs.iter().map(row_len).collect()
     }
 
     fn validate_columns(&self) -> Result<(), PlanError> {
@@ -449,9 +514,11 @@ fn check_columns(
 }
 
 /// Minimal type inference for projection expressions.
-fn infer_type(e: &ScalarExpr, input: &Schema) -> DataType {
+/// The type of `e` over an input whose column `i` has type `column(i)`
+/// (a missing column reads as `Int`).
+fn infer_type(e: &ScalarExpr, column: impl Fn(usize) -> Option<DataType>) -> DataType {
     match e {
-        ScalarExpr::Column(i) => input.column(*i).map_or(DataType::Int, |c| c.ty),
+        ScalarExpr::Column(i) => column(*i).unwrap_or(DataType::Int),
         ScalarExpr::Literal(v) => match v {
             crate::expr::Value::Int(_) => DataType::Int,
             crate::expr::Value::Float(_) => DataType::Float,
@@ -536,6 +603,67 @@ mod tests {
         );
         p.add_output("out2", t);
         p
+    }
+
+    /// Every operator and expression kind `row_lens` types on its own:
+    /// windows, unions, processors, projected literals of every type,
+    /// comparisons, arithmetic, UDFs, and column references past the
+    /// input's end (read as `Int`, as `schemas` reads them).
+    #[test]
+    fn row_lens_are_the_schema_row_lengths_for_every_operator() {
+        use crate::expr::Value;
+        let mut p = sample_plan();
+        let s = p.add(
+            LogicalOp::Extract {
+                table: table("t3", 100.0),
+            },
+            vec![],
+        );
+        let w = p.add(
+            LogicalOp::Window {
+                partition_by: vec![0],
+                funcs: vec![AggExpr::new(AggFunc::Count, None, "n"); 2],
+            },
+            vec![s],
+        );
+        let u = p.add(LogicalOp::Union, vec![w, w]);
+        let pr = p.add(
+            LogicalOp::Process {
+                udf: "u".into(),
+                cpu_factor: 1.0,
+                out_ratio: DualStats::exact(1.0),
+            },
+            vec![u],
+        );
+        let exprs = [
+            ScalarExpr::col(2),
+            ScalarExpr::col(99),
+            ScalarExpr::Literal(Value::Str("x".repeat(70_000))),
+            ScalarExpr::Literal(Value::Bool(true)),
+            ScalarExpr::Literal(Value::Float(1.5)),
+            ScalarExpr::binary(BinOp::Lt, ScalarExpr::col(0), ScalarExpr::lit_int(1)),
+            ScalarExpr::binary(BinOp::Add, ScalarExpr::col(0), ScalarExpr::col(1)),
+            ScalarExpr::Udf {
+                name: "f".into(),
+                args: vec![ScalarExpr::col(2)],
+                cpu_factor: 2.0,
+            },
+        ];
+        let project = LogicalOp::Project {
+            exprs: exprs.into_iter().map(|e| (e, "e".to_string())).collect(),
+        };
+        let pj = p.add(project, vec![pr]);
+        let agg = p.add(
+            LogicalOp::Aggregate {
+                group_by: vec![2, 40],
+                aggs: vec![],
+                group_ratio: DualStats::exact(0.5),
+            },
+            vec![pj],
+        );
+        p.add_output("out3", agg);
+        let want: Vec<u32> = p.schemas().iter().map(Schema::avg_row_len).collect();
+        assert_eq!(p.row_lens(), want);
     }
 
     #[test]

@@ -186,6 +186,13 @@ proptest! {
     }
 
     #[test]
+    fn row_lens_are_the_schema_row_lengths(steps in prop::collection::vec(step_strategy(), 1..40)) {
+        let plan = build(&steps);
+        let want: Vec<u32> = plan.schemas().iter().map(Schema::avg_row_len).collect();
+        prop_assert_eq!(plan.row_lens(), want);
+    }
+
+    #[test]
     fn template_id_ignores_literals(
         steps in prop::collection::vec(step_strategy(), 1..30),
         delta in 1i64..500,

@@ -10,7 +10,7 @@
 
 use crate::generator::JobInstance;
 use crate::naming::normalize_job_name;
-use scope_ir::ids::{production_run_seed, stable_hash64};
+use scope_ir::ids::{production_run_seed, StableHasher};
 use scope_ir::logical::{LogicalOp, LogicalPlan};
 use scope_ir::{JobId, TemplateId};
 use scope_opt::{CompileError, HintSet, Optimizer, RuleBits};
@@ -58,7 +58,7 @@ impl Table1Features {
         est_cost: f64,
         m: &ExecutionMetrics,
     ) -> Self {
-        let schemas = plan.schemas();
+        let row_lens = plan.row_lens();
         let mut est_cardinalities = 0.0;
         let mut row_count = 0.0;
         let mut row_len_sum = 0.0;
@@ -68,12 +68,12 @@ impl Table1Features {
             let tree = plan.output_tree(root);
             // Per-tree estimated cardinalities: sum of estimated rows over
             // the tree's operators (what the optimizer logged per tree).
+            // The tree's template: its operator tags, each followed by ','.
             let mut tree_card = 0.0;
-            let mut tree_sig = String::new();
+            let mut tree_sig = StableHasher::new();
             for id in &tree {
                 let node = plan.node(*id);
-                tree_sig.push_str(node.op.tag());
-                tree_sig.push(',');
+                tree_sig = tree_sig.write(node.op.tag().as_bytes()).write(b",");
                 if let LogicalOp::Extract { table } = &node.op {
                     tree_card += table.rows.estimated;
                 }
@@ -83,8 +83,8 @@ impl Table1Features {
             // by a fixed per-operator heuristic are already folded into the
             // optimizer; here we log the estimated root cardinality proxy.
             row_count += tree_card;
-            row_len_sum += f64::from(schemas[root.index()].avg_row_len());
-            tree_template_min = tree_template_min.min(stable_hash64(tree_sig.as_bytes()));
+            row_len_sum += f64::from(row_lens[root.index()]);
+            tree_template_min = tree_template_min.min(tree_sig.finish());
         }
         let ntrees = trees.len().max(1) as f64;
         Self {

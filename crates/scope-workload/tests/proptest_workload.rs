@@ -24,6 +24,21 @@ proptest! {
         prop_assert!(compiled.est_cost > 0.0);
     }
 
+    /// Table 1's row lengths, read from column types alone, are the
+    /// schemas' row lengths at every node of every generated template.
+    #[test]
+    fn row_lens_are_the_schema_row_lengths(seed in 0u64..100_000, day in 0u32..60) {
+        let (script, catalog) = TemplateSpec::generate(seed).instantiate(day, 0);
+        let plan = bind_script(&script, &catalog).expect("generated scripts bind");
+        let schemas = plan.schemas();
+        let row_lens = plan.row_lens();
+        for &root in plan.outputs() {
+            prop_assert_eq!(row_lens[root.index()], schemas[root.index()].avg_row_len());
+        }
+        let want: Vec<u32> = schemas.iter().map(|s| s.avg_row_len()).collect();
+        prop_assert_eq!(row_lens, want);
+    }
+
     /// Template identity is invariant to day and instance (literals and
     /// cardinalities vary; structure does not).
     #[test]
