@@ -142,8 +142,9 @@ fn fold_items(h: u64, items: &[(u64, f64)]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SpanFeatures {
     /// The span block a job's context ends with (empty when the pipeline
-    /// runs without span features).
-    pub block: FeatureVector,
+    /// runs without span features), shared by every rank input of the
+    /// template (`personalizer::RankInput::shared`).
+    pub block: Arc<FeatureVector>,
     pub actions: Arc<Vec<FeatureVector>>,
     /// `flips[i]` is the configuration change `actions[i]` stands for.
     pub flips: Vec<Option<RuleFlip>>,
@@ -185,7 +186,7 @@ impl SpanFeatures {
             |h, action| fold_items(SLATE_ACTION_SENTINEL.mix(h), action.items()),
         );
         Self {
-            block,
+            block: Arc::new(block),
             actions: Arc::new(actions),
             flips,
             fingerprint,
@@ -442,7 +443,11 @@ mod tests {
         let t = TemplateId(9);
         let a = cache.span_features_for(t, &span, opt.rules(), 12);
         let b = cache.span_features_for(t, &span, opt.rules(), 12);
-        assert_eq!(a.block, span_block(&span, 12), "miss builds the real block");
+        assert_eq!(
+            *a.block,
+            span_block(&span, 12),
+            "miss builds the real block"
+        );
         let (actions, flips) = action_slate(&span, opt.rules());
         assert_eq!(*a.actions, actions, "and the real action slate");
         assert_eq!(*a.flips, *flips);

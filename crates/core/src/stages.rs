@@ -34,8 +34,10 @@
 //! the flight treatment repeats Recommendation's flip compile) or across
 //! days is a lookup, not a search — and the treatment compiles the cache
 //! can never serve (fresh flips are new `(plan, config)` pairs) go through
-//! [`Optimizer::compile_slate`], priced incrementally against the plan's
-//! shared base memo (`scope_opt::delta`). Compilation is deterministic and
+//! [`Optimizer::price_slate`] (Recommendation, which reads only the
+//! estimated cost and keeps no plan) or [`Optimizer::compile_slate`]
+//! (flighting, which executes the plan and upgrades a priced entry), both
+//! incremental against the plan's shared base memo (`scope_opt::delta`). Compilation is deterministic and
 //! delta results are byte-identical to from-scratch compiles, so the
 //! cache and the delta compiler — like the thread count — are throughput
 //! knobs, never behavior knobs.
@@ -261,9 +263,11 @@ pub(crate) fn recommend(
     // slate is folded here too (or found in the slate cache, keyed by the
     // job block plus the span features' fingerprint), so the serial rank
     // pass below only gathers weights. A slate folds only the job block's
-    // crosses; its rows end with the span features' shared tail. Each job's features become one
-    // shared `RankInput`: both of its ranks, and the pending events they
-    // log, hold that `Arc` instead of copies.
+    // crosses; its rows end with the span features' shared tail. Each job's
+    // features become one shared `RankInput` holding its job block and the
+    // template's span block (one `Arc`, never copied per job): both of its
+    // ranks, and the pending events they log, hold that `Arc` instead of
+    // copies.
     let optimizer = &qa.optimizer;
     let config = &qa.config;
     let feature_cache = qa.feature_cache.as_ref();
@@ -278,15 +282,15 @@ pub(crate) fn recommend(
             (true, None) => Arc::new(SpanFeatures::build(&job.span, rules, triples)),
             (false, _) => Arc::new(SpanFeatures::actions_only(&job.span, rules)),
         };
-        let mut context = job_features(&job.row.features);
+        let context = job_features(&job.row.features);
         let dim_bits = config.cb.dim_bits;
         let sparse = batch.then(|| match feature_cache {
             Some(cache) => cache.slate_for(job.row.template, &context, &features, dim_bits),
             None => Arc::new(features.slate(&context, dim_bits)),
         });
-        context.extend_from(&features.block);
         let input = RankInput {
-            context,
+            job: context,
+            shared: Arc::clone(&features.block),
             actions: Arc::clone(&features.actions),
             sparse,
         };
@@ -355,11 +359,12 @@ pub(crate) fn recommend(
     // Phase 3: recompile fan-out, one *slate* per job — its 0-2 distinct
     // treatment configurations (the training flip, then the acting flip if
     // it differs) priced together against the default base configuration,
-    // so `Optimizer::compile_slate` can reuse the plan's base memo across
+    // so `Optimizer::price_slate` can reuse the plan's base memo across
     // them (and, through the shared `DeltaCompiler`, across jobs, stages,
-    // and days). When both passes chose the same flip the compile is shared
-    // (compilation is deterministic, so this is observationally identical
-    // to compiling twice); an empty slate compiles nothing.
+    // and days). Only the estimated cost is read, so no treatment's plan is
+    // extracted or kept. When both passes chose the same flip the compile
+    // is shared (compilation is deterministic, so this is observationally
+    // identical to compiling twice); an empty slate compiles nothing.
     let treatments: Vec<Vec<_>> = decisions
         .iter()
         .map(|decision| {
@@ -374,11 +379,7 @@ pub(crate) fn recommend(
         .collect();
     let slates = jobs.iter().zip(&treatments);
     let costs: Vec<Vec<Result<f64, CompileError>>> = par_map(workers, slates, |(job, slate)| {
-        optimizer
-            .compile_slate(&job.row.plan, &default_config, slate)
-            .into_iter()
-            .map(|result| result.map(|compiled| compiled.est_cost))
-            .collect()
+        optimizer.price_slate(&job.row.plan, &default_config, slate)
     })
     .map_err(|_| PipelineError::Invariant("recompile worker panicked"))?;
     // A decision's cost sits at its treatment's position in its own job's

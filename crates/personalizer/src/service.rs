@@ -11,13 +11,17 @@
 //! with the chosen action ([`ContextualBandit::reward`]). Both walk the
 //! same items in the same order, so the weights are bit-identical either
 //! way — and a snapshot, which stores `(context, action)` pairs, restores
-//! into events that reward through the joint path.
+//! into events that reward through the joint path. The input keeps its
+//! context in two parts, the job's own items and a template-shared block
+//! behind an `Arc`; the joint context is assembled only where it is read
+//! whole ([`RankInput::context`]).
 
 use crate::bandit::{CbConfig, ContextualBandit, RankDecision};
 use crate::features::FeatureVector;
 use crate::model::LinearModel;
 use crate::slate::SparseSlate;
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 use std::sync::{Arc, MutexGuard, PoisonError};
 
 /// A rank request: context plus candidate actions.
@@ -36,7 +40,11 @@ pub struct RankRequest {
 /// those ranks log, so neither ranking nor logging copies a feature vector.
 #[derive(Debug, Clone)]
 pub struct RankInput {
-    pub context: FeatureVector,
+    /// The job's own context items: the context is `job ⧺ shared`.
+    pub job: FeatureVector,
+    /// The context's template-stable rest (the pipeline's span block), one
+    /// `Arc` for every job of the template.
+    pub shared: Arc<FeatureVector>,
     /// The candidate actions. An `Arc` so a template-stable action slate can
     /// be shared by every job of the template.
     pub actions: Arc<Vec<FeatureVector>>,
@@ -44,6 +52,22 @@ pub struct RankInput {
     /// service's table ([`SparseSlate::build`]), when the caller batches:
     /// ranks then score it, and rewards read the chosen row.
     pub sparse: Option<Arc<SparseSlate>>,
+}
+
+impl RankInput {
+    /// The joint context `job ⧺ shared`, assembled for the readers that
+    /// need it whole: the unbatched scorer and reward, and the snapshot of
+    /// a pending event. Borrowed when there is no shared part.
+    #[must_use]
+    pub fn context(&self) -> Cow<'_, FeatureVector> {
+        if self.shared.is_empty() {
+            return Cow::Borrowed(&self.job);
+        }
+        let mut items = Vec::with_capacity(self.job.len() + self.shared.len());
+        items.extend_from_slice(self.job.items());
+        items.extend_from_slice(self.shared.items());
+        Cow::Owned(FeatureVector::from_items(items))
+    }
 }
 
 /// A rank response: the decision plus the event id to reward later.
@@ -68,7 +92,8 @@ impl PendingEvent {
     fn features_only(context: FeatureVector, action: FeatureVector, probability: f64) -> Self {
         Self {
             input: Arc::new(RankInput {
-                context,
+                job: context,
+                shared: Arc::default(),
                 actions: Arc::new(vec![action]),
                 sparse: None,
             }),
@@ -233,7 +258,7 @@ impl Personalizer {
         let inner = self.lock();
         match &input.sparse {
             Some(slate) => inner.bandit.scores_slate(slate),
-            None => inner.bandit.scores(&input.context, &input.actions),
+            None => inner.bandit.scores(&input.context(), &input.actions),
         }
     }
 
@@ -282,7 +307,7 @@ impl Personalizer {
                 .bandit
                 .reward_row(slate, ev.chosen, reward, ev.probability),
             None => inner.bandit.reward(
-                &input.context,
+                &input.context(),
                 &input.actions[ev.chosen],
                 reward,
                 ev.probability,
@@ -322,7 +347,7 @@ impl Personalizer {
             .iter()
             .map(|(&event_id, ev)| PendingEventState {
                 event_id,
-                context: ev.input.context.clone(),
+                context: ev.input.context().into_owned(),
                 action: ev.input.actions[ev.chosen].clone(),
                 probability: ev.probability,
             })
@@ -430,7 +455,8 @@ mod tests {
     /// `request`'s features as one shared input, with its CSR slate.
     fn shared(req: &RankRequest, dim_bits: u32) -> Arc<RankInput> {
         Arc::new(RankInput {
-            context: req.context.clone(),
+            job: req.context.clone(),
+            shared: Arc::default(),
             actions: Arc::new(req.actions.clone()),
             sparse: Some(Arc::new(SparseSlate::build(
                 &req.context,

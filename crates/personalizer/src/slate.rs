@@ -337,7 +337,8 @@ mod tests {
             let joint = Personalizer::new(config.clone());
             let row = Personalizer::new(config.clone());
             let input = Arc::new(RankInput {
-                context: ctx.clone(),
+                job: ctx.clone(),
+                shared: Arc::default(),
                 actions: Arc::new(actions.clone()),
                 sparse: Some(Arc::new(SparseSlate::build(&ctx, &actions, config.dim_bits))),
             });

@@ -304,63 +304,69 @@ impl LogicalPlan {
     }
 
     /// Every node's average row length in bytes (indexed by arena slot):
-    /// `schemas()[i].avg_row_len()`, computed from column types alone. One
-    /// pass lays every node's column types out in one flat arena, where
-    /// row-preserving operators reuse their input's run.
+    /// `schemas()[i].avg_row_len()`, computed from column types alone
+    /// ([`LogicalPlan::row_len`] of every node).
     #[must_use]
     pub fn row_lens(&self) -> Vec<u32> {
-        let mut types: Vec<DataType> = Vec::new();
-        // `types[runs[i].0..runs[i].1]` are node `i`'s column types.
-        let mut runs: Vec<(usize, usize)> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let (lo, hi) = node.children.first().map_or((0, 0), |c| runs[c.index()]);
-            let start = types.len();
-            match &node.op {
-                LogicalOp::Extract { table } => {
-                    types.extend(table.schema.columns().iter().map(|c| c.ty));
-                }
-                LogicalOp::Project { exprs } => {
-                    for (e, _) in exprs {
-                        let ty = infer_type(e, |i| types[lo..hi].get(i).copied());
-                        types.push(ty);
-                    }
-                }
-                LogicalOp::Join { .. } => {
-                    let (rlo, rhi) = runs[node.children[1].index()];
-                    types.extend_from_within(lo..hi);
-                    types.extend_from_within(rlo..rhi);
-                }
-                LogicalOp::Aggregate { group_by, aggs, .. } => {
-                    for &i in group_by {
-                        let ty = types[lo..hi].get(i).copied().unwrap_or(DataType::Int);
-                        types.push(ty);
-                    }
-                    types.extend(aggs.iter().map(|_| DataType::Float));
-                }
-                LogicalOp::Window { funcs, .. } => {
-                    types.extend_from_within(lo..hi);
-                    types.extend(funcs.iter().map(|_| DataType::Float));
-                }
-                LogicalOp::Filter { .. }
-                | LogicalOp::Sort { .. }
-                | LogicalOp::Top { .. }
-                | LogicalOp::Process { .. }
-                | LogicalOp::Union
-                | LogicalOp::Output { .. } => {
-                    runs.push((lo, hi));
-                    continue;
+        let widths = self.widths();
+        (0..self.nodes.len())
+            .map(|i| self.row_len(&widths, NodeId(i as u32)))
+            .collect()
+    }
+
+    /// Node `node`'s average row length in bytes, `schemas()[node]
+    /// .avg_row_len()`, given the plan's [`LogicalPlan::widths`]: the sum of
+    /// its columns' type widths, each column's type traced down to the
+    /// operator that makes it. Allocates nothing, so a caller that needs a
+    /// few nodes' lengths (the view's output roots) pays for no other's.
+    #[must_use]
+    pub fn row_len(&self, widths: &[usize], node: NodeId) -> u32 {
+        (0..widths[node.index()])
+            .map(|i| {
+                self.column_type(widths, node, i)
+                    .unwrap_or(DataType::Int)
+                    .avg_width()
+            })
+            .sum::<u32>()
+            .max(1)
+    }
+
+    /// The type of column `i` of `node`'s output, `None` past its width.
+    fn column_type(&self, widths: &[usize], node: NodeId, i: usize) -> Option<DataType> {
+        let n = &self.nodes[node.index()];
+        if i >= widths[node.index()] {
+            return None;
+        }
+        let input = |j: usize, i: usize| self.column_type(widths, n.children[j], i);
+        match &n.op {
+            LogicalOp::Extract { table } => table.schema.columns().get(i).map(|c| c.ty),
+            LogicalOp::Project { exprs } => Some(infer_type(&exprs[i].0, |col| input(0, col))),
+            LogicalOp::Join { .. } => {
+                let left = widths[n.children[0].index()];
+                if i < left {
+                    input(0, i)
+                } else {
+                    input(1, i - left)
                 }
             }
-            runs.push((start, types.len()));
+            LogicalOp::Aggregate { group_by, .. } => Some(match group_by.get(i) {
+                Some(&col) => input(0, col).unwrap_or(DataType::Int),
+                None => DataType::Float,
+            }),
+            LogicalOp::Window { .. } => {
+                if i < widths[n.children[0].index()] {
+                    input(0, i)
+                } else {
+                    Some(DataType::Float)
+                }
+            }
+            LogicalOp::Filter { .. }
+            | LogicalOp::Sort { .. }
+            | LogicalOp::Top { .. }
+            | LogicalOp::Process { .. }
+            | LogicalOp::Union
+            | LogicalOp::Output { .. } => input(0, i),
         }
-        let row_len = |&(lo, hi): &(usize, usize)| -> u32 {
-            types[lo..hi]
-                .iter()
-                .map(|ty| ty.avg_width())
-                .sum::<u32>()
-                .max(1)
-        };
-        runs.iter().map(row_len).collect()
     }
 
     fn validate_columns(&self) -> Result<(), PlanError> {

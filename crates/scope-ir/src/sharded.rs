@@ -25,6 +25,7 @@
 
 use crate::counters::CacheStats;
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +33,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// Shard locks recover from poisoning: a cached value is a pure function of
 /// its key, so a panicking holder leaves nothing half-true behind.
-fn read<K, V>(shard: &RwLock<Shard<K, V>>) -> RwLockReadGuard<'_, Shard<K, V>> {
+fn read_lock<K, V>(shard: &RwLock<Shard<K, V>>) -> RwLockReadGuard<'_, Shard<K, V>> {
     shard.read().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -112,7 +113,15 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// behind an `Arc`.)
     #[must_use]
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = read(self.shard_for(key)).map.get(key).cloned();
+        self.get_with(key, |value| Some(value.clone()))
+    }
+
+    /// What `read` makes of the stored value, counted as one hit when it
+    /// makes something and one miss otherwise (no value stored, or one the
+    /// caller cannot use, as a price-only compile entry is to a caller that
+    /// needs the plan). `read` runs under the shard's read lock.
+    pub fn get_with<T>(&self, key: &K, read: impl FnOnce(&V) -> Option<T>) -> Option<T> {
+        let found = read_lock(self.shard_for(key)).map.get(key).and_then(read);
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -126,29 +135,55 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// may have inserted while the caller computed, both hold the identical
     /// value (the cached computations are deterministic), so first writer
     /// wins and the duplicate work is only a perf loss. Returns whether this
-    /// call inserted (counted as one insert), evicting oldest-first if the
-    /// shard's capacity slice overflowed. Evicted values are dropped after
-    /// the shard lock is released: freeing a large value (a base memo) can
-    /// take tens of microseconds, and the shard's readers need not wait.
+    /// call stored `value`; see [`ShardedCache::store`].
     pub fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.shard_for(&key);
-        let mut evicted = Vec::new();
-        let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
-        let std::collections::hash_map::Entry::Vacant(slot) = guard.map.entry(key.clone()) else {
-            return false;
+        self.store(key, value, |_| false)
+    }
+
+    /// Store `value` under `key`: inserted when the key is absent (counted
+    /// as one insert, evicting the shard's oldest entry if its capacity
+    /// slice overflowed), or put in place of the present value when
+    /// `replace` approves of it — a fuller value for the same key, as a
+    /// compile with its plan is for a price-only entry. A replacement keeps
+    /// the entry's place in the FIFO order and counts no insert, so `len()`
+    /// stays the inserts less the evictions. Returns whether `value` was
+    /// stored. Whatever leaves the map (an evicted value, a replaced one, or
+    /// `value` itself when it was not stored) is dropped after the shard
+    /// lock is released: freeing a large value (a base memo) can take tens
+    /// of microseconds, and the shard's readers need not wait.
+    pub fn store(&self, key: K, value: V, replace: impl FnOnce(&V) -> bool) -> bool {
+        let mut guard = self
+            .shard_for(&key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let shard = &mut *guard;
+        let freed = match shard.map.entry(key) {
+            Entry::Occupied(mut slot) => {
+                if !replace(slot.get()) {
+                    return false;
+                }
+                slot.insert(value)
+            }
+            Entry::Vacant(slot) => {
+                shard.order.push_back(slot.key().clone());
+                slot.insert(value);
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                // Every insert checks, so the shard is at most one over.
+                if shard.map.len() <= self.shard_capacity {
+                    return true;
+                }
+                let Some(oldest) = shard.order.pop_front() else {
+                    return true;
+                };
+                shard.evictions += 1;
+                let Some(evicted) = shard.map.remove(&oldest) else {
+                    return true;
+                };
+                evicted
+            }
         };
-        slot.insert(value);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        guard.order.push_back(key);
-        while guard.map.len() > self.shard_capacity {
-            let Some(oldest) = guard.order.pop_front() else {
-                break;
-            };
-            evicted.extend(guard.map.remove(&oldest));
-            guard.evictions += 1;
-        }
         drop(guard);
-        drop(evicted);
+        drop(freed);
         true
     }
 
@@ -173,7 +208,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.shards.iter().map(|s| read(s).evictions).sum(),
+            evictions: self.shards.iter().map(|s| read_lock(s).evictions).sum(),
         }
     }
 
@@ -182,13 +217,13 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// shard churning while the rest idle.
     #[must_use]
     pub fn shard_evictions(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| read(s).evictions).collect()
+        self.shards.iter().map(|s| read_lock(s).evictions).collect()
     }
 
     /// Live entries across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read(s).map.len()).sum()
+        self.shards.iter().map(|s| read_lock(s).map.len()).sum()
     }
 
     #[must_use]
@@ -294,6 +329,38 @@ mod tests {
         assert_eq!(drops(), (3, 0), "one unlocked drop per eviction");
         assert!(!cache.insert(4, LockProbe));
         assert_eq!(drops(), (4, 0), "a losing duplicate is dropped unlocked");
+        assert!(cache.store(4, LockProbe, |_| true));
+        assert_eq!(drops(), (5, 0), "a replaced value is dropped unlocked");
+    }
+
+    #[test]
+    fn store_replaces_in_place_and_keeps_the_fifo_order() {
+        let c = cache(2, 1);
+        assert!(c.insert(1, 10));
+        assert!(c.insert(2, 20));
+        assert!(!c.store(1, 12, |old| *old == 11), "replace declined");
+        assert!(c.store(1, 11, |old| *old == 10));
+        assert_eq!(c.get(&1), Some(11));
+        assert_eq!(
+            (c.len(), c.stats().inserts),
+            (2, 2),
+            "a replace inserts nothing"
+        );
+        assert!(c.store(3, 30, |_| true), "an absent key is inserted");
+        assert_eq!(c.get(&1), None, "the replaced entry kept its place: oldest");
+        assert_eq!((c.get(&2), c.get(&3)), (Some(20), Some(30)));
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn get_with_counts_an_unusable_value_as_a_miss() {
+        let c = cache(16, 4);
+        assert!(c.insert(1, 10));
+        assert_eq!(c.get_with(&1, |v| (*v > 10).then_some(*v)), None);
+        assert_eq!(c.get_with(&1, |v| (*v == 10).then_some(*v + 1)), Some(11));
+        assert_eq!(c.get_with(&2, |v| Some(*v)), None);
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]

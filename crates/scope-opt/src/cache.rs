@@ -11,11 +11,19 @@
 //!
 //! [`CompileCache`] is a [`scope_ir::ShardedCache`] (the workspace-wide
 //! lock-sharded FIFO cache), keyed by `(plan fingerprint, RuleBits)` and
-//! storing full `Result<Compiled, CompileError>` values — **failures are
-//! cached too**, so a flip known to crash compilation for a template is
-//! replayed instead of recompiled. The plan fingerprint is the structural
-//! hash of the *whole* plan ([`LogicalPlan::fingerprint`]: every field its
-//! serialized form has, hashed without serializing), not the template id:
+//! storing compile results — **failures are cached too**, so a flip known to
+//! crash compilation for a template is replayed instead of recompiled. A
+//! success is kept with its plan (`CacheEntry::Plan`) when a caller needs
+//! the plan (the view build, the counterfactual, flighting), and as its
+//! price alone (`CacheEntry::Price`) when its caller reads only the
+//! estimated cost and signature (recommendation, the span fixpoint) — save
+//! a recommended treatment whose price beats its base's, which keeps its
+//! plan for the flighting that follows. A price-only treatment is never
+//! executed, so its plan is never extracted. A plan consumer reads a price
+//! entry as a miss and upgrades it in place; a price never replaces a plan.
+//! The plan fingerprint is the structural hash of the *whole* plan
+//! ([`LogicalPlan::fingerprint`]: every field its serialized form has,
+//! hashed without serializing), not the template id:
 //! two instances of one template differ in literals and actual statistics,
 //! and conflating them would make cached runs observably different from
 //! uncached ones.
@@ -27,7 +35,7 @@
 
 use crate::config::{RuleBits, RuleConfig};
 use crate::delta::{DeltaCompiler, DeltaConfig, DeltaStats};
-use crate::search::{CompileError, Compiled, Optimizer};
+use crate::search::{CompileError, Compiled, Kept, Optimizer, Price};
 use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
 use scope_ir::physical::PhysicalPlan;
@@ -57,9 +65,10 @@ impl CacheConfig {
     }
 }
 
-/// Maximum cached compile results across all shards: ~25x the per-day
-/// insert volume of the largest simulated workloads; bounds worst-case
-/// memory at roughly tens of MB of retained physical plans.
+/// Maximum cached compile results across all shards, plan and price
+/// entries alike: ~25x the per-day insert volume of the largest simulated
+/// workloads; bounds worst-case memory at roughly tens of MB of retained
+/// physical plans.
 const CAPACITY: usize = 1 << 14;
 /// Lock shards (more shards = less write contention under parallel
 /// fan-outs).
@@ -75,13 +84,41 @@ pub use scope_ir::counters::CacheStats;
 /// configuration.
 type Key = (u64, RuleBits);
 
-/// The sharded compile-result cache: a [`ShardedCache`] of full compile
-/// results (per-shard FIFO eviction, hit/miss/insert accounting).
+/// What the cache keeps of one successful compile, and what a pricing
+/// caller gets back.
+#[derive(Debug, Clone)]
+pub(crate) enum CacheEntry {
+    /// The compile with its plan, [`laid_out`] and shared by every hit.
+    Plan(Compiled),
+    /// Only what a pricing caller reads.
+    Price(Price),
+}
+
+impl CacheEntry {
+    pub(crate) fn price(&self) -> Price {
+        match self {
+            CacheEntry::Plan(compiled) => compiled.price(),
+            CacheEntry::Price(price) => *price,
+        }
+    }
+}
+
+/// The sharded compile-result cache: a [`ShardedCache`] of compile results
+/// (per-shard FIFO eviction, hit/miss/insert accounting).
 /// `&CompileCache` is `Sync`: parallel pipeline fan-outs hit it
 /// concurrently, readers sharing each shard lock.
 #[derive(Debug)]
 pub struct CompileCache {
-    entries: ShardedCache<Key, Result<Compiled, CompileError>>,
+    entries: ShardedCache<Key, Result<CacheEntry, CompileError>>,
+}
+
+/// A stored result as a `K` caller reads it: `None` (a miss) when the entry
+/// lacks what `K` keeps, as a price entry lacks the plan.
+fn read<K: Kept>(stored: &Result<CacheEntry, CompileError>) -> Option<Result<K, CompileError>> {
+    match stored {
+        Ok(entry) => K::read(entry).map(Ok),
+        Err(e) => Some(Err(e.clone())),
+    }
 }
 
 fn compile_key_hash(key: &Key) -> u64 {
@@ -105,17 +142,6 @@ pub(crate) fn laid_out(plan: &Arc<PhysicalPlan>) -> Arc<PhysicalPlan> {
     let kept = Arc::new(PhysicalPlan::clone(plan));
     let _ = kept.fingerprint();
     kept
-}
-
-/// The value the cache stores for one insert: the result with its plan
-/// [`laid_out`] — one copy per insert of a fresh plan, none per hit, since
-/// every hit and the inserting caller share it behind the `Arc`.
-fn stored_copy(result: &Result<Compiled, CompileError>) -> Result<Compiled, CompileError> {
-    let mut stored = result.clone();
-    if let Ok(compiled) = &mut stored {
-        compiled.physical = laid_out(&compiled.physical);
-    }
-    stored
 }
 
 impl Default for CompileCache {
@@ -146,30 +172,32 @@ impl CompileCache {
 
     /// The cached compile entry point: return the stored result for
     /// `(plan, config)` or run `compile`, store, and return the stored
-    /// result (the same shared plan every later hit returns).
+    /// result (a plan is the same shared copy every later hit returns).
     /// `compile` runs *outside* any lock, so concurrent misses on different
     /// keys never serialize on each other.
-    pub fn get_or_compile(
+    pub(crate) fn get_or_compile<K: Kept>(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-        compile: impl FnOnce() -> Result<Compiled, CompileError>,
-    ) -> Result<Compiled, CompileError> {
-        self.entries
-            .get_or_insert_with(Self::key(plan, config), || stored_copy(&compile()))
+        compile: impl FnOnce() -> Result<K, CompileError>,
+    ) -> Result<K, CompileError> {
+        let key = Self::key(plan, config);
+        if let Some(hit) = self.entries.get_with(&key, read::<K>) {
+            return hit;
+        }
+        self.store(key, &compile())
     }
 
-    /// Counted lookup: the stored result for `(plan, config)`. The delta
-    /// slate path uses this (paired with [`CompileCache::insert`]) so a
-    /// slate's cache traffic is accounted exactly like
-    /// [`CompileCache::get_or_compile`]'s.
-    #[must_use]
-    pub fn lookup(
+    /// Counted lookup: the stored result for `(plan, config)`, a miss when
+    /// the entry lacks what `K` keeps. The delta slate path uses this
+    /// (paired with [`CompileCache::insert`]) so a slate's cache traffic is
+    /// accounted exactly like [`CompileCache::get_or_compile`]'s.
+    pub(crate) fn lookup<K: Kept>(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-    ) -> Option<Result<Compiled, CompileError>> {
-        self.entries.get(&Self::key(plan, config))
+    ) -> Option<Result<K, CompileError>> {
+        self.entries.get_with(&Self::key(plan, config), read::<K>)
     }
 
     /// Store a compile result computed elsewhere (a delta-compiled
@@ -177,15 +205,37 @@ impl CompileCache {
     /// from-scratch compile would use — the results are byte-identical, so
     /// the cache cannot tell them apart). Returns the stored copy, so the
     /// caller can hold the same shared plan later hits return.
-    pub fn insert(
+    pub(crate) fn insert<K: Kept>(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-        result: &Result<Compiled, CompileError>,
-    ) -> Result<Compiled, CompileError> {
-        let stored = stored_copy(result);
-        self.entries.insert(Self::key(plan, config), stored.clone());
-        stored
+        result: &Result<K, CompileError>,
+    ) -> Result<K, CompileError> {
+        self.store(Self::key(plan, config), result)
+    }
+
+    /// Store `result` under `key`: a new entry, or a plan in place of the
+    /// key's price entry (first writer wins otherwise).
+    fn store<K: Kept>(
+        &self,
+        key: Key,
+        result: &Result<K, CompileError>,
+    ) -> Result<K, CompileError> {
+        match result {
+            Ok(kept) => {
+                let (held, entry) = kept.stored();
+                let plan = matches!(entry, CacheEntry::Plan(_));
+                let upgrade = |present: &Result<CacheEntry, CompileError>| {
+                    plan && matches!(present, Ok(CacheEntry::Price(_)))
+                };
+                self.entries.store(key, Ok(entry), upgrade);
+                Ok(held)
+            }
+            Err(e) => {
+                self.entries.insert(key, Err(e.clone()));
+                Err(e.clone())
+            }
+        }
     }
 
     /// Snapshot of the monotonic counters.
@@ -307,6 +357,29 @@ impl Optimizer {
         plan: &LogicalPlan,
         config: &RuleConfig,
     ) -> Result<Compiled, CompileError> {
+        self.searched(plan, config)
+    }
+
+    /// A compile's [`Price`] alone: what the span fixpoint reads of its
+    /// flipped recompiles. Cached like [`Optimizer::compile_unsteered`],
+    /// stored as a price entry on a miss (there is no base to beat); its
+    /// search extracts no plan.
+    pub(crate) fn price(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<Price, CompileError> {
+        self.searched(plan, config)
+            .map(|entry: CacheEntry| entry.price())
+    }
+
+    /// A search keeping what `K` keeps, through the compile cache when
+    /// there is one.
+    fn searched<K: Kept>(
+        &self,
+        plan: &LogicalPlan,
+        config: &RuleConfig,
+    ) -> Result<K, CompileError> {
         match &self.cache {
             Some(cache) => {
                 cache.get_or_compile(plan, config, || self.compile_uncached(plan, config))
@@ -315,13 +388,13 @@ impl Optimizer {
         }
     }
 
-    /// Price a *slate* of treatment configurations against one base
-    /// configuration of the same plan — the shape of the pipeline's two
-    /// treatment-compile sites (recommendation's candidate pricing and
-    /// flighting's validation compiles). Compile-cache lookups come first,
-    /// then one [`DeltaCompiler::compile_slate`] over the misses (inserting
-    /// its byte-identical results under the same `(fingerprint, RuleBits)`
-    /// keys a from-scratch compile would use). Without a delta compiler each
+    /// Compile a *slate* of treatment configurations against one base
+    /// configuration of the same plan: flighting's validation compiles,
+    /// which execute what they compile. Compile-cache lookups come first
+    /// (a price-only entry is a miss, upgraded in place), then one
+    /// [`DeltaCompiler::compile_slate`] over the misses (inserting its
+    /// byte-identical results under the same `(fingerprint, RuleBits)` keys
+    /// a from-scratch compile would use). Without a delta compiler each
     /// treatment goes through [`Optimizer::compile`]. One result per
     /// treatment, in input order.
     pub fn compile_slate(
@@ -330,14 +403,46 @@ impl Optimizer {
         base: &RuleConfig,
         treatments: &[RuleConfig],
     ) -> Vec<Result<Compiled, CompileError>> {
+        self.slate(plan, base, treatments)
+    }
+
+    /// Price a slate of treatment configurations against one base
+    /// configuration of the same plan: recommendation's candidate pricing,
+    /// which reads only each treatment's estimated cost. The same lookups
+    /// and delta pass as [`Optimizer::compile_slate`], and bit for bit its
+    /// `est_cost` (or error) per treatment, but a miss is extracted with
+    /// node building off and stored as a price entry: no plan is built,
+    /// copied or kept — unless the delta compiler priced it below the base
+    /// configuration's cost, the est-cost gate's flight candidates, whose
+    /// plan is built in the same pass and stored for flighting.
+    pub fn price_slate(
+        &self,
+        plan: &LogicalPlan,
+        base: &RuleConfig,
+        treatments: &[RuleConfig],
+    ) -> Vec<Result<f64, CompileError>> {
+        self.slate::<CacheEntry>(plan, base, treatments)
+            .into_iter()
+            .map(|result| result.map(|entry| entry.price().est_cost))
+            .collect()
+    }
+
+    /// The body of [`Optimizer::compile_slate`] and
+    /// [`Optimizer::price_slate`], keeping what `K` keeps.
+    fn slate<K: Kept>(
+        &self,
+        plan: &LogicalPlan,
+        base: &RuleConfig,
+        treatments: &[RuleConfig],
+    ) -> Vec<Result<K, CompileError>> {
         let Some(delta) = &self.delta else {
             return treatments
                 .iter()
-                .map(|treatment| self.compile(plan, treatment))
+                .map(|treatment| self.searched(plan, treatment))
                 .collect();
         };
         let cache = self.cache.as_deref();
-        let cached: Vec<Option<Result<Compiled, CompileError>>> = treatments
+        let cached: Vec<Option<Result<K, CompileError>>> = treatments
             .iter()
             .map(|treatment| cache.and_then(|cache| cache.lookup(plan, treatment)))
             .collect();
@@ -346,7 +451,7 @@ impl Optimizer {
             .zip(&cached)
             .filter_map(|(treatment, hit)| hit.is_none().then_some(*treatment))
             .collect();
-        let mut priced = delta.compile_slate(self, plan, base, &missed).into_iter();
+        let mut priced = delta.slate::<K>(self, plan, base, &missed).into_iter();
         cached
             .into_iter()
             .zip(treatments)
@@ -354,7 +459,7 @@ impl Optimizer {
                 hit.unwrap_or_else(|| {
                     #[expect(
                         clippy::expect_used,
-                        reason = "DeltaCompiler::compile_slate prices every missed treatment"
+                        reason = "DeltaCompiler::slate prices every missed treatment"
                     )]
                     let result = priced.next().expect("one priced result per cache miss");
                     match cache {
@@ -537,13 +642,15 @@ mod tests {
         let cache = CompileCache::default();
         let p = plan();
         let cfg = opt.default_config();
-        assert!(cache.lookup(&p, &cfg).is_none());
+        assert!(cache.lookup::<Compiled>(&p, &cfg).is_none());
         assert_eq!(cache.stats().misses, 1);
         let result = opt.compile(&p, &cfg);
         let stored = cache.insert(&p, &cfg, &result);
         assert_eq!(cache.stats().inserts, 1);
         assert_eq!(stored, result, "the stored copy equals what was priced");
-        let looked_up = cache.lookup(&p, &cfg).expect("inserted result hits");
+        let looked_up = cache
+            .lookup::<Compiled>(&p, &cfg)
+            .expect("inserted result hits");
         assert!(Arc::ptr_eq(
             &looked_up.unwrap().physical,
             &stored.unwrap().physical
@@ -620,6 +727,73 @@ mod tests {
             Arc::ptr_eq(plan, &hit.physical),
             "and so is its cache entry"
         );
+    }
+
+    /// A price entry serves pricing; a plan caller reads it as one miss,
+    /// compiles, and replaces it in place: the plan equals a fresh
+    /// compile's, `len()` and the entry's FIFO place are unchanged, later
+    /// plan lookups hit it, and a later price never downgrades it.
+    #[test]
+    fn a_plan_lookup_after_a_price_upgrades_the_entry_in_place() {
+        let opt = Optimizer::default();
+        let cache = CompileCache::sized(2, 1);
+        let p = plan();
+        let default = opt.default_config();
+        let [a, b, c]: [RuleConfig; 3] = [
+            crate::registry::RULE_SHUFFLE_ELIMINATION,
+            crate::registry::RULE_INTERMEDIATE_COMPRESSION,
+            crate::registry::RULE_EXCHANGE_PLACEMENT,
+        ]
+        .map(|rule| {
+            default.with_flip(RuleFlip {
+                rule,
+                enable: !default.enabled(rule),
+            })
+        });
+        let price = |cfg: &RuleConfig| {
+            cache.get_or_compile(&p, cfg, || opt.compile_uncached::<CacheEntry>(&p, cfg))
+        };
+        let compile = |cfg: &RuleConfig| {
+            cache.get_or_compile(&p, cfg, || opt.compile_uncached::<Compiled>(&p, cfg))
+        };
+        let priced = price(&a).unwrap().price();
+        let _ = price(&b);
+        assert_eq!((cache.len(), cache.stats().inserts), (2, 2));
+
+        let before = cache.stats();
+        let upgraded = compile(&a).unwrap();
+        assert_eq!(
+            upgraded,
+            opt.compile(&p, &a).unwrap(),
+            "a fresh compile's plan"
+        );
+        assert_eq!(upgraded.price(), priced);
+        assert_eq!(upgraded.est_cost.to_bits(), priced.est_cost.to_bits());
+        let traffic = cache.stats().since(&before);
+        assert_eq!((traffic.hits, traffic.misses, traffic.inserts), (0, 1, 0));
+        assert_eq!(cache.len(), 2, "replaced in place");
+
+        let before = cache.stats();
+        assert!(
+            matches!(price(&a), Ok(CacheEntry::Plan(_))),
+            "a price reads the plan entry"
+        );
+        // A racing pricer that missed before the upgrade stores its price
+        // late: the plan stays.
+        let _ = cache.insert(&p, &a, &Ok(CacheEntry::Price(priced)));
+        let hit = compile(&a).unwrap();
+        assert!(
+            Arc::ptr_eq(&hit.physical, &upgraded.physical),
+            "not downgraded"
+        );
+        assert_eq!(cache.stats().since(&before).hits, 2);
+
+        // The upgraded entry kept its place: the oldest, so evicted first.
+        let _ = price(&c);
+        let before = cache.stats();
+        assert!(cache.lookup::<CacheEntry>(&p, &a).is_none());
+        assert!(cache.lookup::<CacheEntry>(&p, &b).is_some());
+        assert_eq!(cache.stats().since(&before).misses, 1);
     }
 
     #[test]

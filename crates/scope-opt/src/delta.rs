@@ -66,7 +66,7 @@ use crate::config::{RuleBits, RuleConfig};
 use crate::memo::{GroupId, Memo};
 use crate::registry::{impl_targets, RuleBehavior, TransformKind};
 use crate::rules::apply_transform;
-use crate::search::{CompileError, Compiled, Optimizer};
+use crate::search::{CompileError, Compiled, Kept, Optimizer};
 use rustc_hash::FxHashMap;
 use scope_ir::ids::combine;
 use scope_ir::logical::LogicalPlan;
@@ -175,16 +175,18 @@ impl std::iter::Sum for DeltaStats {
     }
 }
 
-/// How [`BaseMemo::price`] resolved one treatment.
+/// How [`BaseMemo::price`] resolved one treatment, carrying a [`Compiled`]
+/// (or, for the crate's pricing callers, a compile-cache entry: the price,
+/// and the plan only when the treatment beats the base).
 #[derive(Debug, Clone, PartialEq)]
-pub enum PricedTreatment {
+pub enum PricedTreatment<K = Compiled> {
     /// The flip provably leaves the memo — and therefore the plan, cost,
     /// and signature — unchanged; the carried result is the base `Compiled`
     /// (or the treatment-fingerprint instability failure replayed in the
     /// order a from-scratch compile would raise it).
-    Pruned(Result<Compiled, CompileError>),
+    Pruned(Result<K, CompileError>),
     /// Priced by the incremental implement/cost/extract pass.
-    Delta(Result<Compiled, CompileError>),
+    Delta(Result<K, CompileError>),
     /// The flip touches exploration; the caller must compile from scratch.
     NeedsFull,
 }
@@ -240,7 +242,7 @@ impl BaseMemo {
         plan: &LogicalPlan,
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
-        let mut full = optimizer.search(plan, base, true).1?;
+        let mut full = optimizer.search::<Compiled>(plan, base, true, None).1?;
         // The one copy of the plan: the compile cache stores this `Arc` for
         // the base configuration and for every pruned treatment, and each
         // holder reads its pre-warmed fingerprint with one atomic load.
@@ -295,15 +297,15 @@ impl BaseMemo {
         self.price_counted(optimizer, treatment).0
     }
 
-    /// [`BaseMemo::price`] plus the number of search tasks the pricing
-    /// replayed (the implementation tasks of a delta pass; zero for pruned
-    /// or needs-full resolutions). [`DeltaCompiler`] accounts these in
-    /// [`DeltaStats::replay_tasks`].
-    pub(crate) fn price_counted(
+    /// [`BaseMemo::price`], keeping what `K` keeps, plus the number of
+    /// search tasks the pricing replayed (the implementation tasks of a
+    /// delta pass; zero for pruned or needs-full resolutions).
+    /// [`DeltaCompiler`] accounts these in [`DeltaStats::replay_tasks`].
+    pub(crate) fn price_counted<K: Kept>(
         &self,
         optimizer: &Optimizer,
         treatment: &RuleConfig,
-    ) -> (PricedTreatment, u64) {
+    ) -> (PricedTreatment<K>, u64) {
         // Replay the up-front disable-path instability scan in the same
         // position `Optimizer::compile` runs it: before any search.
         if let Err(e) = optimizer.disable_path_check(treatment, self.template_seed) {
@@ -315,7 +317,7 @@ impl BaseMemo {
                 let fp = treatment.bits().fingerprint();
                 let replay = optimizer
                     .plan_instability_check(&self.compiled.signature, self.template_seed, fp)
-                    .map(|()| self.compiled.clone());
+                    .map(|()| K::of(&self.compiled));
                 (PricedTreatment::Pruned(replay), 0)
             }
             Classification::Dirty { tags, all } => {
@@ -405,13 +407,13 @@ impl BaseMemo {
     /// from-scratch compile of the treatment would reproduce bit-for-bit
     /// (their candidates and their children's costs are untouched). Returns
     /// the replayed task count alongside the result.
-    fn delta_compile(
+    fn delta_compile<K: Kept>(
         &self,
         optimizer: &Optimizer,
         treatment: &RuleConfig,
         tags: &[&'static str],
         all: bool,
-    ) -> (u64, Result<Compiled, CompileError>) {
+    ) -> (u64, Result<K, CompileError>) {
         let n = self.memo.group_count();
         let reimplement: Vec<bool> = (0..n as u32)
             .map(|gi| {
@@ -450,11 +452,13 @@ impl BaseMemo {
         for &root in &self.roots {
             optimizer.best_cost(&mut memo, root, &mut visiting);
         }
-        let result = optimizer.extract(
+        let result = K::extract(
+            optimizer,
             &memo,
             &self.roots,
             self.template_seed,
             treatment.bits().fingerprint(),
+            Some(self.compiled.est_cost),
         );
         debug_assert!(
             memo.group_ids()
@@ -596,13 +600,13 @@ impl DeltaCompiler {
     /// `price` re-ran the disable-path check, so the replay entry skips
     /// both — byte-identical to a from-scratch compile), and count the
     /// resolution plus the replayed tasks.
-    pub(crate) fn price_with(
+    pub(crate) fn price_with<K: Kept>(
         &self,
         optimizer: &Optimizer,
         base: &BaseMemo,
         plan: &LogicalPlan,
         treatment: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
+    ) -> Result<K, CompileError> {
         debug_assert_eq!(
             base.plan_fingerprint(),
             plan.fingerprint(),
@@ -623,7 +627,8 @@ impl DeltaCompiler {
                 self.full.fetch_add(1, Ordering::Relaxed);
                 // Unchecked: the identical plan was validated at base-build
                 // time and `price` already ran the disable-path check.
-                let (tasks, full) = optimizer.search(plan, treatment, false);
+                let beat = Some(base.compiled.est_cost);
+                let (tasks, full) = optimizer.search(plan, treatment, false, beat);
                 self.replay_tasks.fetch_add(tasks, Ordering::Relaxed);
                 full.map(|full| full.compiled)
             }
@@ -640,6 +645,17 @@ impl DeltaCompiler {
         base: &RuleConfig,
         treatments: &[RuleConfig],
     ) -> Vec<Result<Compiled, CompileError>> {
+        self.slate(optimizer, plan, base, treatments)
+    }
+
+    /// [`DeltaCompiler::compile_slate`], keeping what `K` keeps.
+    pub(crate) fn slate<K: Kept>(
+        &self,
+        optimizer: &Optimizer,
+        plan: &LogicalPlan,
+        base: &RuleConfig,
+        treatments: &[RuleConfig],
+    ) -> Vec<Result<K, CompileError>> {
         if treatments.is_empty() {
             return Vec::new();
         }

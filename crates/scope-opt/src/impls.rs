@@ -677,11 +677,10 @@ mod tests {
         memo.close_candidates(f, start);
         let mut visiting = vec![false; memo.group_count()];
         opt.best_cost(&mut memo, out, &mut visiting);
-        let compiled = opt
-            .extract(&memo, &[out], 42, config.bits().fingerprint())
+        let (plan, _) = opt
+            .extract(&memo, &[out], 42, config.bits().fingerprint(), true)
             .unwrap();
-        let filter = compiled
-            .physical
+        let filter = plan
             .nodes()
             .iter()
             .find(|n| matches!(n.op, PhysicalOp::FilterExec { .. }))
@@ -775,7 +774,10 @@ mod tests {
         catalog.register("store/users", rows(5e6));
         let plan = bind_script(script, &catalog).unwrap();
         let opt = Optimizer::default();
-        let full = opt.search(&plan, &opt.default_config(), true).1.unwrap();
+        let full = opt
+            .search::<crate::Compiled>(&plan, &opt.default_config(), true, None)
+            .1
+            .unwrap();
 
         let mut shared = 0;
         for g in full.memo.group_ids() {

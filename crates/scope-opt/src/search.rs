@@ -19,7 +19,7 @@
 //! root tag matches the expression's), and one per group implemented
 //! (`Optimizer::explore`, `Optimizer::implement`).
 
-use crate::cache::CompileCache;
+use crate::cache::{laid_out, CacheEntry, CompileCache};
 use crate::config::{RuleBits, RuleConfig, RuleId};
 use crate::cost::{exchange_cost, local_cost, pre_local_cost_and_rows};
 use crate::delta::DeltaCompiler;
@@ -101,12 +101,151 @@ pub struct Compiled {
     pub template_seed: u64,
 }
 
-/// Everything one from-scratch compilation produces: the [`Compiled`]
-/// result, the exploration trace fact `crate::delta` prices flips against,
-/// and the memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
+impl Compiled {
+    /// What recommendation and the span fixpoint read of this compile.
+    pub(crate) fn price(&self) -> Price {
+        Price {
+            est_cost: self.est_cost,
+            signature: self.signature,
+        }
+    }
+}
+
+/// A compile without its plan: the estimated cost (recommendation's reward,
+/// Table 3's counters, the est-cost gate) and the rule signature (the span
+/// fixpoint). Bit-identical to the [`Compiled`] fields of the same compile:
+/// it comes from the same extraction walk, with node building off.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Price {
+    pub est_cost: f64,
+    pub signature: RuleBits,
+}
+
+/// What a compile keeps of its winner. Every compile path is generic over
+/// it, down to [`Kept::extract`], which runs the one extraction walk
+/// ([`Optimizer::extract`]), with node building off unless a plan is kept.
+/// The two kinds: a [`Compiled`], for callers that run the plan, and a
+/// [`CacheEntry`], for callers that read the price — the price alone, or
+/// the plan too when the price beats the base configuration's.
+pub(crate) trait Kept: Clone + Sized {
+    /// This kind's result of a costed memo. `beat` is the estimated cost of
+    /// the base configuration a treatment is priced against, if any.
+    fn extract(
+        optimizer: &Optimizer,
+        memo: &Memo,
+        roots: &[GroupId],
+        template_seed: u64,
+        config_fingerprint: u64,
+        beat: Option<f64>,
+    ) -> Result<Self, CompileError>;
+    /// The same result read off a full compile (a pruned treatment's, which
+    /// reuses its base's, and so beats no base).
+    fn of(compiled: &Compiled) -> Self;
+    /// This result as the compile cache keeps it, and the value its caller
+    /// holds: a fresh plan is [`crate::cache::laid_out`] once and shared.
+    fn stored(&self) -> (Self, CacheEntry);
+    /// This result read off a cache entry, if the entry holds enough of it.
+    fn read(entry: &CacheEntry) -> Option<Self>;
+}
+
+impl Kept for Compiled {
+    fn extract(
+        optimizer: &Optimizer,
+        memo: &Memo,
+        roots: &[GroupId],
+        template_seed: u64,
+        config_fingerprint: u64,
+        _: Option<f64>,
+    ) -> Result<Self, CompileError> {
+        let (plan, price) =
+            optimizer.extract(memo, roots, template_seed, config_fingerprint, true)?;
+        debug_assert!(plan.validate().is_ok(), "extractor must emit valid plans");
+        Ok(Compiled {
+            physical: Arc::new(plan),
+            est_cost: price.est_cost,
+            signature: price.signature,
+            memo_groups: memo.group_count(),
+            memo_exprs: memo.lexpr_count,
+            template_seed,
+        })
+    }
+
+    fn of(compiled: &Compiled) -> Self {
+        compiled.clone()
+    }
+
+    fn stored(&self) -> (Self, CacheEntry) {
+        let kept = Compiled {
+            physical: laid_out(&self.physical),
+            ..self.clone()
+        };
+        (kept.clone(), CacheEntry::Plan(kept))
+    }
+
+    fn read(entry: &CacheEntry) -> Option<Self> {
+        match entry {
+            CacheEntry::Plan(compiled) => Some(compiled.clone()),
+            CacheEntry::Price(_) => None,
+        }
+    }
+}
+
+/// A pricing caller's result: the price, and the plan only for a treatment
+/// whose price beats its base's. That is the treatment the est-cost gate
+/// (paper §5.6) passes on to flighting, which runs its plan the same day;
+/// building it in the pricing pass, by a second walk over the priced memo,
+/// spares flighting a miss and a whole second pass. Every other treatment
+/// is never executed, and keeps no plan.
+impl Kept for CacheEntry {
+    fn extract(
+        optimizer: &Optimizer,
+        memo: &Memo,
+        roots: &[GroupId],
+        template_seed: u64,
+        config_fingerprint: u64,
+        beat: Option<f64>,
+    ) -> Result<Self, CompileError> {
+        let (_, price) =
+            optimizer.extract(memo, roots, template_seed, config_fingerprint, false)?;
+        if beat.is_some_and(|base| price.est_cost < base) {
+            let compiled = Compiled::extract(
+                optimizer,
+                memo,
+                roots,
+                template_seed,
+                config_fingerprint,
+                beat,
+            )?;
+            return Ok(CacheEntry::Plan(compiled));
+        }
+        Ok(CacheEntry::Price(price))
+    }
+
+    fn of(compiled: &Compiled) -> Self {
+        CacheEntry::Price(compiled.price())
+    }
+
+    fn stored(&self) -> (Self, CacheEntry) {
+        match self {
+            CacheEntry::Plan(compiled) => {
+                let (held, entry) = compiled.stored();
+                (CacheEntry::Plan(held), entry)
+            }
+            CacheEntry::Price(price) => (self.clone(), CacheEntry::Price(*price)),
+        }
+    }
+
+    fn read(entry: &CacheEntry) -> Option<Self> {
+        Some(entry.clone())
+    }
+}
+
+/// Everything one from-scratch compilation produces: the result it keeps,
+/// the exploration trace fact `crate::delta` prices flips against, and the
+/// memo artifacts [`crate::delta::BaseMemo`] freezes for incremental
 /// treatment pricing.
-pub(crate) struct FullCompile {
-    pub compiled: Compiled,
+pub(crate) struct FullCompile<K> {
+    pub compiled: K,
     /// Transform rules that produced at least one rewrite during
     /// exploration. This is a strict superset of the transforms visible in
     /// memo provenance: a rewrite consumes the rewrite limit even when the
@@ -207,17 +346,19 @@ impl Optimizer {
     }
 
     /// The one search behind every compile entry point: seed a memo, then
-    /// explore, implement, cost and extract. `checked` validates the plan
-    /// and runs the disable-path check first ([`Optimizer::checked_seed`]);
-    /// only `crate::delta`'s full-fallback replay passes `false`, having
-    /// done both already. Returns the search's task count (also when the
-    /// search fails) beside the result.
-    pub(crate) fn search(
+    /// explore, implement, cost and extract what `K` keeps ([`Kept::extract`]
+    /// reads `beat`). `checked` validates the plan and runs the disable-path
+    /// check first ([`Optimizer::checked_seed`]); only `crate::delta`'s
+    /// full-fallback replay passes `false`, having done both already.
+    /// Returns the search's task count (also when the search fails) beside
+    /// the result.
+    pub(crate) fn search<K: Kept>(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
         checked: bool,
-    ) -> (u64, Result<FullCompile, CompileError>) {
+        beat: Option<f64>,
+    ) -> (u64, Result<FullCompile<K>, CompileError>) {
         let seeded = if checked {
             self.checked_seed(plan, config)
         } else {
@@ -228,7 +369,7 @@ impl Optimizer {
             Err(e) => return (0, Err(e)),
         };
         let mut tasks = 0;
-        let run = self.optimize(&mut memo, &roots, config, template_seed, &mut tasks);
+        let run = self.optimize(&mut memo, &roots, config, template_seed, beat, &mut tasks);
         let full = run.map(|(compiled, fired_transforms)| FullCompile {
             compiled,
             fired_transforms,
@@ -240,14 +381,15 @@ impl Optimizer {
 
     /// [`Optimizer::search`]'s body over a seeded memo: the compile and the
     /// fired transforms.
-    fn optimize(
+    fn optimize<K: Kept>(
         &self,
         memo: &mut Memo,
         roots: &[GroupId],
         config: &RuleConfig,
         template_seed: u64,
+        beat: Option<f64>,
         tasks: &mut u64,
-    ) -> Result<(Compiled, RuleBits), CompileError> {
+    ) -> Result<(K, RuleBits), CompileError> {
         let fired = self.explore(memo, config, tasks)?;
         let groups = memo.group_ids();
         self.implement(memo, groups, config, tasks)?;
@@ -255,18 +397,22 @@ impl Optimizer {
         for &root in roots {
             self.best_cost(memo, root, &mut visiting);
         }
-        let compiled = self.extract(memo, roots, template_seed, config.bits().fingerprint())?;
+        let fingerprint = config.bits().fingerprint();
+        let compiled = K::extract(self, memo, roots, template_seed, fingerprint, beat)?;
         Ok((compiled, fired))
     }
 
     /// Compile a logical plan under a rule configuration from scratch,
-    /// consulting no cache: the search behind every cache miss.
-    pub(crate) fn compile_uncached(
+    /// consulting no cache, keeping what `K` keeps: the search behind every
+    /// cache miss.
+    pub(crate) fn compile_uncached<K: Kept>(
         &self,
         plan: &LogicalPlan,
         config: &RuleConfig,
-    ) -> Result<Compiled, CompileError> {
-        self.search(plan, config, true).1.map(|full| full.compiled)
+    ) -> Result<K, CompileError> {
+        self.search(plan, config, true, None)
+            .1
+            .map(|full| full.compiled)
     }
 
     /// An uncached compile with its task count: the harness's spelling (see
@@ -277,7 +423,7 @@ impl Optimizer {
         config: &RuleConfig,
         _budget: CompileBudget,
     ) -> Result<BudgetedCompile, CompileError> {
-        let (tasks_executed, full) = self.search(plan, config, true);
+        let (tasks_executed, full) = self.search::<Compiled>(plan, config, true, None);
         Ok(BudgetedCompile {
             compiled: full?.compiled,
             tasks_executed,
@@ -545,22 +691,24 @@ impl Optimizer {
     /// [`PhysicalPlan`] with explicit Exchange / partial-reduction nodes,
     /// accumulate the exact estimated cost of the emitted plan (each shared
     /// group counted once), assemble the rule signature, and run the
-    /// experimental-rule instability check. `pub(crate)` for `crate::delta`,
-    /// which re-extracts a re-costed memo under the treatment's
-    /// configuration fingerprint.
+    /// experimental-rule instability check. Returns the plan (empty unless
+    /// `build`) and its price: without `build` the same walk runs with node
+    /// building off, so cost, signature and instability check are the
+    /// plan's own, bit for bit. [`Kept::extract`] is its one caller.
     pub(crate) fn extract(
         &self,
         memo: &Memo,
         roots: &[GroupId],
         template_seed: u64,
         config_fingerprint: u64,
-    ) -> Result<Compiled, CompileError> {
+        build: bool,
+    ) -> Result<(PhysicalPlan, Price), CompileError> {
         let mut out = Extraction {
             // Room for two nodes per memo group: emitted plans hold about
             // 1.4 (a winner plus its exchanges and pre-reductions, over
             // groups extraction never reaches), and no default compile of
             // `fresh_daily`'s recurring plans needs more than 2.
-            plan: PhysicalPlan::with_capacity(2 * memo.group_count(), roots.len()),
+            plan: build.then(|| PhysicalPlan::with_capacity(2 * memo.group_count(), roots.len())),
             node_of: vec![None; memo.group_count()],
             child_nodes: Vec::new(),
             edge_stats: Vec::new(),
@@ -574,7 +722,9 @@ impl Optimizer {
         };
         for &root in roots {
             let node = self.emit(memo, root, &mut out);
-            out.plan.mark_output(node);
+            if let Some(plan) = &mut out.plan {
+                plan.mark_output(node);
+            }
         }
         let Extraction {
             plan,
@@ -613,15 +763,11 @@ impl Optimizer {
         // signature only, so the delta pruner replays this exact check.
         self.plan_instability_check(&signature, template_seed, config_fingerprint)?;
 
-        debug_assert!(plan.validate().is_ok(), "extractor must emit valid plans");
-        Ok(Compiled {
-            physical: Arc::new(plan),
+        let price = Price {
             est_cost,
             signature,
-            memo_groups: memo.group_count(),
-            memo_exprs: memo.lexpr_count,
-            template_seed,
-        })
+        };
+        Ok((plan.unwrap_or_default(), price))
     }
 
     /// The tuning the runtime simulator sees for a winner: a parametric
@@ -667,40 +813,42 @@ impl Optimizer {
             if let Some(pre) = edge.pre_local {
                 let (pc, reduced) = pre_local_cost_and_rows(pre, &cstats, &out_stats);
                 out.est_cost += pc;
-                node = out.plan.add(PhysicalNode {
-                    op: physical_op(pre.kind(), &implemented.op),
-                    children: vec![node],
-                    stats: reduced,
-                    tuning: actual,
-                });
+                if let Some(plan) = &mut out.plan {
+                    node = plan.add(PhysicalNode {
+                        op: physical_op(pre.kind(), &implemented.op),
+                        children: vec![node],
+                        stats: reduced,
+                        tuning: actual,
+                    });
+                }
                 cstats = reduced;
             }
             if let Some(spec) = &edge.exchange {
                 out.est_cost += exchange_cost(spec, &cstats) * pexpr.claimed.io_mult;
                 out.any_exchange = true;
-                // True bytes moved combine the compression policy's realized
-                // ratio with the consumer's actual IO knob.
-                let mut io_mult = actual.io_mult;
-                let cpu_mult = if spec.compressed {
-                    out.any_compressed = true;
-                    io_mult *= out.compression_io;
-                    1.1
-                } else {
-                    1.0
-                };
-                let tuning = PhysicalTuning {
-                    cpu_mult,
-                    io_mult,
-                    parallelism_mult: 1.0,
-                };
-                node = out.plan.add(PhysicalNode {
-                    op: PhysicalOp::Exchange {
-                        scheme: sized_scheme(spec, &pexpr.claimed, &implemented.op, j),
-                    },
-                    children: vec![node],
-                    stats: cstats,
-                    tuning,
-                });
+                out.any_compressed |= spec.compressed;
+                if let Some(plan) = &mut out.plan {
+                    // True bytes moved combine the compression policy's
+                    // realized ratio with the consumer's actual IO knob.
+                    let (cpu_mult, io_mult) = if spec.compressed {
+                        (1.1, actual.io_mult * out.compression_io)
+                    } else {
+                        (1.0, actual.io_mult)
+                    };
+                    let tuning = PhysicalTuning {
+                        cpu_mult,
+                        io_mult,
+                        parallelism_mult: 1.0,
+                    };
+                    node = plan.add(PhysicalNode {
+                        op: PhysicalOp::Exchange {
+                            scheme: sized_scheme(spec, &pexpr.claimed, &implemented.op, j),
+                        },
+                        children: vec![node],
+                        stats: cstats,
+                        tuning,
+                    });
+                }
             }
             out.child_nodes.push(node);
             out.edge_stats.push(cstats);
@@ -712,19 +860,23 @@ impl Optimizer {
             &out.edge_stats[base..],
             &pexpr.claimed,
         );
-        let children = out.child_nodes[base..].to_vec();
+        // A price-only walk numbers no node: `node_of` then only marks the
+        // group emitted, so its cost is counted once.
+        let node = match &mut out.plan {
+            Some(plan) => plan.add(PhysicalNode {
+                op: physical_op(shape.kind, &implemented.op),
+                children: out.child_nodes[base..].to_vec(),
+                stats: out_stats,
+                tuning: actual,
+            }),
+            None => NodeId(g.0),
+        };
         out.child_nodes.truncate(base);
         out.edge_stats.truncate(base);
         if shape.elided_exchange {
             out.any_elided = true;
         }
         out.signature = out.signature.union(&pexpr.provenance);
-        let node = out.plan.add(PhysicalNode {
-            op: physical_op(shape.kind, &implemented.op),
-            children,
-            stats: out_stats,
-            tuning: actual,
-        });
         out.node_of[g.index()] = Some(node);
         node
     }
@@ -733,7 +885,8 @@ impl Optimizer {
 /// What [`Optimizer::extract`] accumulates while emitting winners, plus the
 /// template's per-template truth inputs.
 struct Extraction {
-    plan: PhysicalPlan,
+    /// The plan being built; `None` when only the price is kept.
+    plan: Option<PhysicalPlan>,
     /// Each group's emitted winner, by group index.
     node_of: Vec<Option<NodeId>>,
     /// The input nodes and input statistics of the winners being emitted,
@@ -939,7 +1092,7 @@ mod tests {
             .jobs_for_day(3);
             for job in &jobs {
                 for config in &configs {
-                    let Ok(full) = opt.search(&job.plan, config, true).1 else {
+                    let Ok(full) = opt.search::<Compiled>(&job.plan, config, true, None).1 else {
                         continue;
                     };
                     memos += 1;
@@ -972,6 +1125,57 @@ mod tests {
         assert!(memos > 1000 && mismatched > 100_000, "{memos} {mismatched}");
         // Matching roots do rewrite: the corpus reaches real matches.
         assert!(fired.len() >= 2, "the corpus exercises {fired:?}");
+    }
+
+    /// The price walk is the plan walk with node building off: over the
+    /// first 20 jobs of the compile-digest corpus at seeds 2022 and 7,
+    /// under the default configuration and every single flip, extracting a
+    /// costed memo without building a plan reads the plan compile's cost
+    /// and signature bit for bit, and builds no node.
+    #[test]
+    fn a_price_walk_reads_the_plan_walks_cost_and_signature() {
+        use scope_workload::{Workload, WorkloadConfig};
+        let opt = Optimizer::default();
+        let default = opt.default_config();
+        let configs: Vec<RuleConfig> = std::iter::once(default)
+            .chain(opt.rules().flippable().map(|rule| {
+                default.with_flip(RuleFlip {
+                    rule,
+                    enable: !default.enabled(rule),
+                })
+            }))
+            .collect();
+        let mut walks = 0;
+        for seed in [2022, 7] {
+            let jobs = Workload::new(WorkloadConfig {
+                seed,
+                num_templates: 60,
+                adhoc_per_day: 15,
+                max_instances_per_day: 2,
+                ..WorkloadConfig::default()
+            })
+            .jobs_for_day(3);
+            for job in jobs.iter().take(20) {
+                for config in &configs {
+                    let Ok(full) = opt.search::<Compiled>(&job.plan, config, true, None).1 else {
+                        continue;
+                    };
+                    let (seed, fp) = (full.compiled.template_seed, config.bits().fingerprint());
+                    let (plan, price) = opt
+                        .extract(&full.memo, &full.roots, seed, fp, false)
+                        .unwrap();
+                    assert!(plan.is_empty());
+                    assert_eq!(
+                        (price.est_cost.to_bits(), price.signature),
+                        (full.compiled.est_cost.to_bits(), full.compiled.signature),
+                        "{} under {config:?}",
+                        job.name
+                    );
+                    walks += 1;
+                }
+            }
+        }
+        assert!(walks > 9_000, "{walks}");
     }
 
     #[test]

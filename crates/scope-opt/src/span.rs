@@ -64,9 +64,10 @@ fn exploration_config(rules: &RuleSet, default_config: &RuleConfig, seen: &RuleB
 }
 
 /// Compute the span of a job with the fixpoint heuristic, bounded by
-/// `max_iterations` recompiles. The recompilation passes go through
-/// [`Optimizer::compile`], so they hit the optimizer's compile cache when it
-/// has one.
+/// `max_iterations` recompiles. The default configuration compiles through
+/// [`Optimizer::compile`] (the view build executes that plan); the
+/// exploration passes read only signatures, so they are priced, extracting
+/// no plan. Both go through the optimizer's compile cache when it has one.
 pub fn compute_span(
     optimizer: &Optimizer,
     plan: &LogicalPlan,
@@ -95,14 +96,14 @@ pub fn compute_span(
         }
         prev_config = Some(config);
         iterations += 1;
-        match optimizer.compile(plan, &config) {
-            Ok(compiled) => {
-                let new_rules = flippable_only(&compiled.signature).difference(&span);
+        match optimizer.price(plan, &config) {
+            Ok(priced) => {
+                let new_rules = flippable_only(&priced.signature).difference(&span);
                 if new_rules.is_empty() {
                     break; // signature fixpoint
                 }
                 span = span.union(&new_rules);
-                seen = seen.union(&compiled.signature);
+                seen = seen.union(&priced.signature);
             }
             Err(_) => {
                 stopped_on_failure = true;

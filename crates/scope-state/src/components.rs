@@ -585,6 +585,59 @@ impl SteeringSnapshot {
 mod tests {
     use super::*;
 
+    /// A pending event ranked from a batched input — a job block, a span
+    /// block shared behind an `Arc` and a split CSR slate — snapshots to
+    /// the bytes of the same decisions ranked unbatched over the joint
+    /// context: the export assembles the joint context it never stored.
+    #[test]
+    fn a_pending_batched_event_encodes_like_the_unbatched_one() {
+        use personalizer::{
+            CbConfig, Personalizer, RankInput, RankRequest, SlateTail, SparseSlate,
+        };
+        use std::sync::Arc;
+        let fv = |pairs: &[(u64, f64)]| FeatureVector::from_items(pairs.to_vec());
+        let job = fv(&[(1, 1.0), (2, 0.5)]);
+        let block = Arc::new(fv(&[(7, 1.0), (8, 2.0), (9, 0.25)]));
+        let actions = vec![
+            fv(&[(100, 1.0)]),
+            fv(&[(101, 1.0), (102, 1.0)]),
+            fv(&[(103, 0.5)]),
+        ];
+        let config = CbConfig::default();
+        let tail = Arc::new(SlateTail::build(&block, &actions, config.dim_bits));
+        let input = Arc::new(RankInput {
+            job: job.clone(),
+            shared: Arc::clone(&block),
+            actions: Arc::new(actions.clone()),
+            sparse: Some(Arc::new(SparseSlate::split(&job, &actions, tail))),
+        });
+        let mut joint = job.clone();
+        joint.extend_from(&block);
+        assert_eq!(*input.context(), joint);
+
+        let (batched, plain) = (Personalizer::new(config.clone()), Personalizer::new(config));
+        for seed in 0..6 {
+            let uniform = seed % 2 == 0;
+            let scores = batched.scores(&input);
+            let a = batched.rank_shared(&input, &scores, seed, uniform);
+            let b = plain.rank(&RankRequest {
+                context: joint.clone(),
+                actions: actions.clone(),
+                seed,
+                log_uniform: uniform,
+            });
+            assert_eq!((a.event_id, a.decision), (b.event_id, b.decision));
+            // Reward every other event; the rest stay pending.
+            if seed % 3 != 2 {
+                batched.reward(a.event_id, 0.75);
+                plain.reward(b.event_id, 0.75);
+            }
+        }
+        let (a, b) = (batched.export_state(), plain.export_state());
+        assert_eq!(a.pending.len(), 2);
+        assert_eq!(encode_personalizer(&a), encode_personalizer(&b));
+    }
+
     /// A small but fully-populated snapshot (every optional section
     /// present) — shared with the golden-fixture test.
     pub(crate) fn sample_snapshot() -> SteeringSnapshot {

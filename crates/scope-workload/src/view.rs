@@ -12,7 +12,7 @@ use crate::generator::JobInstance;
 use crate::naming::normalize_job_name;
 use scope_ir::ids::{production_run_seed, StableHasher};
 use scope_ir::logical::{LogicalOp, LogicalPlan};
-use scope_ir::{JobId, TemplateId};
+use scope_ir::{JobId, NodeId, TemplateId};
 use scope_opt::{CompileError, HintSet, Optimizer, RuleBits};
 use scope_runtime::{ExecutionMetrics, Executor};
 use serde::Serialize;
@@ -50,7 +50,9 @@ pub struct Table1Features {
 
 impl Table1Features {
     /// Aggregate per Table 1 from the job's logical DAG and its runtime
-    /// metrics.
+    /// metrics. Four allocations per call: the normalized name, the plan's
+    /// widths (for the roots' row lengths), and one walk's marks and stack,
+    /// reused by every output tree.
     #[must_use]
     pub fn aggregate(
         job_name: &str,
@@ -58,21 +60,35 @@ impl Table1Features {
         est_cost: f64,
         m: &ExecutionMetrics,
     ) -> Self {
-        let row_lens = plan.row_lens();
+        let widths = plan.widths();
         let mut est_cardinalities = 0.0;
         let mut row_count = 0.0;
         let mut row_len_sum = 0.0;
         let mut tree_template_min = u64::MAX;
         let trees = plan.outputs();
-        for &root in trees {
-            let tree = plan.output_tree(root);
+        // `marks[i] == tree` marks node `i` as in output tree `tree`
+        // (numbered from 1), so no tree clears the last one's marks.
+        let mut marks = vec![0u32; plan.len()];
+        let mut stack: Vec<NodeId> = Vec::with_capacity(plan.len());
+        for (tree, &root) in (1..).zip(trees) {
+            marks[root.index()] = tree;
+            stack.push(root);
+            while let Some(id) = stack.pop() {
+                for &child in &plan.node(id).children {
+                    if marks[child.index()] != tree {
+                        marks[child.index()] = tree;
+                        stack.push(child);
+                    }
+                }
+            }
             // Per-tree estimated cardinalities: sum of estimated rows over
             // the tree's operators (what the optimizer logged per tree).
-            // The tree's template: its operator tags, each followed by ','.
+            // The tree's template: its operator tags in arena order, each
+            // followed by ','.
             let mut tree_card = 0.0;
             let mut tree_sig = StableHasher::new();
-            for id in &tree {
-                let node = plan.node(*id);
+            for (i, _) in marks.iter().enumerate().filter(|&(_, &mark)| mark == tree) {
+                let node = plan.node(NodeId(i as u32));
                 tree_sig = tree_sig.write(node.op.tag().as_bytes()).write(b",");
                 if let LogicalOp::Extract { table } = &node.op {
                     tree_card += table.rows.estimated;
@@ -83,7 +99,7 @@ impl Table1Features {
             // by a fixed per-operator heuristic are already folded into the
             // optimizer; here we log the estimated root cardinality proxy.
             row_count += tree_card;
-            row_len_sum += f64::from(row_lens[root.index()]);
+            row_len_sum += f64::from(plan.row_len(&widths, root));
             tree_template_min = tree_template_min.min(tree_sig.finish());
         }
         let ntrees = trees.len().max(1) as f64;
