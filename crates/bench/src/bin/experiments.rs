@@ -11,7 +11,7 @@
 //! `--threads N` runs the pipeline's compile-bound stages on `N` worker
 //! threads (`0` = all cores); results are bit-identical to the serial
 //! default. `--cache on|off` toggles the compile-result cache, `--exec-cache
-//! on|off` the execution-result cache, `--delta-compile on|off` delta
+//! on|off` the stage-graph memo, `--delta-compile on|off` delta
 //! treatment compilation, and `--feature-cache on|off` the span-feature
 //! cache — all bit-identical either way, only throughput differs (all on by
 //! default). `--snapshot-every N` writes a durable-state snapshot to

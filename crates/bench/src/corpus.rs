@@ -2,7 +2,7 @@
 //! built once per experiment run.
 
 use scope_ir::ids::combine;
-use scope_opt::{compute_span, Optimizer, RuleConfig, RuleFlip, SpanResult};
+use scope_opt::{compute_span_with_cost, Optimizer, RuleConfig, RuleFlip, SpanResult};
 use scope_runtime::Cluster;
 use scope_workload::{JobInstance, LiteralPolicy, Workload, WorkloadConfig};
 
@@ -43,13 +43,12 @@ impl Env {
     /// Jobs of `day` with non-empty spans and their default costs.
     #[must_use]
     pub fn spanned_jobs(&self, day: u32) -> Vec<SpannedJob> {
-        let default = self.optimizer.default_config();
         self.workload
             .jobs_for_day(day)
             .into_iter()
             .filter_map(|job| {
-                let default_cost = self.optimizer.compile(&job.plan, &default).ok()?.est_cost;
-                let span = compute_span(&self.optimizer, &job.plan, 6).ok()?;
+                let (span, default_cost) =
+                    compute_span_with_cost(&self.optimizer, &job.plan, 6).ok()?;
                 if span.is_empty() {
                     return None;
                 }

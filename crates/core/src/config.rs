@@ -12,7 +12,7 @@
 //! |----------------------|-----------------------------------|--------|
 //! | `--threads N`        | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`PipelineConfig::parallelism`]), which all run on the crate's one ordered parallel map (`stages::par_map`); unset or `1` = serial, inline on the caller's thread |
 //! | `--cache V`          | `on`/`1`/`true`, `off`/`0`/`false`| Compile-result cache ([`PipelineConfig::cache`], on by default) shared across view building, span fixpoint, recommendation, flighting, and days |
-//! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
+//! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes each physical plan's stage graph |
 //! | `--delta-compile V`  | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`PipelineConfig::delta`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles |
 //! | `--feature-cache V`  | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`PipelineConfig::feature_cache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block and the action slate are built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day |
 //! | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`], installed with [`crate::simulation::ProductionSim::set_snapshot_policy`]): write the full steering state to `results/snapshots/<experiment>.qosnap` at every Nth day boundary; the write cost lands in `DailyReport.timings.snapshot_ns` |
@@ -79,19 +79,19 @@ pub struct PipelineConfig {
     /// byte-identical to uncached ones — the cache is purely a throughput
     /// knob, like `parallelism`).
     pub cache: CacheConfig,
-    /// Execution-result cache over every simulated run of the closed loop
-    /// (production view builds, counterfactual default runs, flighting
-    /// baseline/treatment pairs). Execution is deterministic given the plan
-    /// and seeds, so — exactly like `cache` — this is a throughput knob
-    /// that never changes steering outputs.
+    /// Execution cache (the stage-graph memo) under every simulated run of
+    /// the closed loop (production view builds, counterfactual default runs,
+    /// flighting baseline/treatment pairs). A stage graph depends on the plan
+    /// alone, so — exactly like `cache` — this is a throughput knob that
+    /// never changes steering outputs.
     pub exec_cache: ExecCacheConfig,
     /// Delta treatment compilation over the recommendation/flighting
     /// slates: each plan's default compilation is frozen as a shared
     /// `scope_opt::delta::BaseMemo` and rule-flip treatments are priced
     /// incrementally against it. Byte-identical to from-scratch compiles
     /// (asserted in `tests/delta_equivalence.rs` and
-    /// `tests/determinism.rs`), so — like the two result caches — a pure
-    /// throughput knob.
+    /// `tests/determinism.rs`), so — like the compile and execution caches
+    /// — a pure throughput knob.
     pub delta: DeltaConfig,
     /// Span-feature cache over the CB context's span co-occurrence block
     /// (built per template, memoized across jobs and days). Featurization

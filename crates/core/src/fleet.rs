@@ -7,7 +7,7 @@
 //! [`Tenant`]s, each owning a full per-tenant steering loop (workload
 //! identity, SIS namespace, Personalizer bandit state, explored set,
 //! regression monitor, snapshot path), all layered over ONE process-wide
-//! [`SharedCaches`] — compile results, execution results, delta base memos,
+//! [`SharedCaches`] — compile results, stage graphs, delta base memos,
 //! and span features are shared across tenants because every key is
 //! tenant-invariant (see [`SharedCaches`] for the argument).
 //!

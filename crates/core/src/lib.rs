@@ -36,10 +36,10 @@
 //! `scope_runtime::ExecutionCache`; [`DailyReport::compile_cache`],
 //! [`DailyReport::exec_cache`], and [`DailyReport::delta_compile`]
 //! attribute the traffic, and [`DailyReport::timings`] carries per-stage
-//! wall clocks. Throughput knobs (worker threads, the two result caches,
-//! delta compilation, the workload's literal-redraw policy) are catalogued
-//! in the [`config`] module's knob table; see `ARCHITECTURE.md` at the
-//! repo root for the crate map and the determinism contract, and
+//! wall clocks. Throughput knobs (worker threads, the compile and execution
+//! caches, delta compilation, the workload's literal-redraw policy) are
+//! catalogued in the [`config`] module's knob table; see `ARCHITECTURE.md`
+//! at the repo root for the crate map and the determinism contract, and
 //! `PERFORMANCE.md` for the measured trajectory.
 //!
 //! # Quick start

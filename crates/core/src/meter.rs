@@ -36,11 +36,11 @@ use std::time::Instant;
 /// repeats (`feature_gen`/`flight`) hit.
 ///
 /// Two instantiations ride in [`DailyReport`]: [`CacheCounters`] (the
-/// compile-result cache) and [`ExecCounters`] (the execution-result cache,
-/// whose [`ExecStats`] has two levels — `results`, whole simulated runs
-/// replayed, and `graphs`, memoized stage-graph builds consulted on result
-/// misses; only view building, counterfactuals and flighting execute plans,
-/// so its other slots stay zero in a single-tenant loop).
+/// compile-result cache) and [`ExecCounters`] (the execution cache, whose
+/// [`ExecStats`] counts `graphs`, one stage-graph memo lookup per execution,
+/// and `results`, the same executions as misses; only view building,
+/// counterfactuals and flighting execute plans, so its other slots stay zero
+/// in a single-tenant loop).
 ///
 /// *Observability* counters, not steering outputs: cached results are
 /// byte-identical to recomputation, but which lookup hits can depend on
@@ -76,7 +76,7 @@ impl<S: Copy + std::ops::Add<Output = S>> StageCounters<S> {
 
 /// Per-stage compile-result-cache telemetry of one day.
 pub type CacheCounters = StageCounters<CacheStats>;
-/// Per-stage execution-result-cache telemetry of one day.
+/// Per-stage execution-cache telemetry of one day.
 pub type ExecCounters = StageCounters<ExecStats>;
 
 /// Wall-clock time of each phase of one simulated day, in nanoseconds —

@@ -50,7 +50,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use scope_ir::ids::{combine, Salt, CB_ACT_RANK_SALT, CB_TRAIN_RANK_SALT, UNIFORM_PICK_SALT};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
-use scope_opt::{compute_span, CompileError, Hint, Optimizer, RuleFlip, SpanResult};
+use scope_opt::{compute_span_with_cost, CompileError, Hint, Optimizer, RuleFlip, SpanResult};
 use scope_workload::ViewRow;
 use sis::HintFile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -138,15 +138,8 @@ pub(crate) fn compute_template_span(
     plan: &LogicalPlan,
     max_iterations: usize,
 ) -> Option<(SpanResult, f64)> {
-    let default_cost = optimizer
-        .compile(plan, &optimizer.default_config())
-        .ok()?
-        .est_cost;
-    let span = compute_span(optimizer, plan, max_iterations).ok()?;
-    if span.is_empty() {
-        return None;
-    }
-    Some((span, default_cost))
+    let (span, default_cost) = compute_span_with_cost(optimizer, plan, max_iterations).ok()?;
+    (!span.is_empty()).then_some((span, default_cost))
 }
 
 /// One recurring job that cleared Feature Generation: its span plus the

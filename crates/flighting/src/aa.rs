@@ -6,9 +6,8 @@ use scope_ir::physical::PhysicalPlan;
 use scope_runtime::{ExecutionMetrics, Executor};
 
 /// Run a compiled plan `n` times with fresh run seeds. Generic over
-/// [`Executor`]: the A/A seed schedule is fixed, so re-probing the same plan
-/// through a `scope_runtime::CachingExecutor` replays earlier runs instead
-/// of re-simulating them.
+/// [`Executor`]: through a `scope_runtime::CachingExecutor`, every run after
+/// the first reuses the plan's memoized stage graph.
 #[must_use]
 pub fn run_aa<E: Executor>(
     plan: &PhysicalPlan,
@@ -59,7 +58,8 @@ mod tests {
     fn aa_runs_share_data_volume_but_not_latency() {
         let plan = compiled();
         let runs = run_aa(&plan, &Cluster::default(), 9, 10);
-        // A cached executor replays the identical A/A series.
+        // A cached executor runs the identical A/A series, twice, on one
+        // memoized stage graph.
         let cached = scope_runtime::CachingExecutor::with_config(
             Cluster::default(),
             scope_runtime::ExecCacheConfig::default(),
@@ -68,7 +68,12 @@ mod tests {
         let replay = run_aa(&plan, &cached, 9, 10);
         assert_eq!(runs, warmup);
         assert_eq!(runs, replay);
-        assert_eq!(cached.stats().results.hits, 10, "the re-probe is free");
+        let graphs = cached.stats().graphs;
+        assert_eq!(
+            (graphs.misses, graphs.hits),
+            (1, 19),
+            "one graph for 20 runs"
+        );
         assert_eq!(runs.len(), 10);
         let first = &runs[0];
         for r in &runs[1..] {

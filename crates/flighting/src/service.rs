@@ -98,8 +98,8 @@ impl FlightingService {
         requests: &[FlightRequest],
     ) -> (Vec<FlightOutcome>, BudgetTracker) {
         debug_assert_eq!(
-            executor.cluster().epoch(),
-            self.cluster.epoch(),
+            executor.cluster().variance,
+            self.cluster.variance,
             "flight executor runs on a different cluster than the service \
              describes — flights would be measured under the wrong noise"
         );

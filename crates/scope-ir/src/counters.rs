@@ -1,8 +1,8 @@
 //! Shared cache-telemetry counters.
 //!
 //! One counter vocabulary for every result cache in the workspace: the
-//! compile-result cache (`scope_opt::CompileCache`) and the execution-result
-//! cache (`scope_runtime::ExecutionCache`) both report [`CacheStats`], so
+//! compile-result cache (`scope_opt::CompileCache`) and the execution cache
+//! (`scope_runtime::ExecutionCache`) both report [`CacheStats`], so
 //! per-stage attribution, deltas, and roll-ups compose the same way on both
 //! sides of the pipeline.
 

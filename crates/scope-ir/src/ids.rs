@@ -7,9 +7,9 @@
 //! every salt is a named constant of this module. The *named* seed helpers
 //! below ([`production_run_seed`], [`aa_run_seed`], the flighting seeds, and
 //! the executor's internal stream seeds) are the salted derivations more
-//! than one crate needs — the execution-result cache keys on the very same
-//! `(job_seed, run_seed)` values these helpers produce, so cache and call
-//! sites must share one vocabulary.
+//! than one crate needs — every execution's noise derives from the very same
+//! `(job_seed, run_seed)` values these helpers produce, so the executor and
+//! its call sites must share one vocabulary.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -63,9 +63,9 @@ impl fmt::Display for TemplateId {
 ///
 /// [`hash_value`] is the reference walk over a materialized [`serde::Value`]
 /// tree. No fingerprint calls it any more — [`crate::LogicalPlan`],
-/// [`crate::PhysicalPlan`], the cluster epochs and the memo's dedup key all
-/// use `structural_hash`, which returns the same bits without building the
-/// tree — it is kept as the oracle `tests/structural_hash.rs` compares against.
+/// [`crate::PhysicalPlan`] and the memo's dedup key all use
+/// `structural_hash`, which returns the same bits without building the tree
+/// — it is kept as the oracle `tests/structural_hash.rs` compares against.
 ///
 /// The raw mixer, `serde::hash::mix64`, is banned by `clippy.toml` outside
 /// this module and the structural walk: data goes through [`combine`], a
@@ -189,10 +189,6 @@ salts! {
     pub LOGICAL_FP_SALT = 0x05ca_1ab1_e0dd_ba11;
     /// Salt of [`crate::PhysicalPlan::fingerprint`] (the execution-cache key).
     pub PHYSICAL_FP_SALT = 0x0e8e_c0de_5ca1_ab1e;
-    /// Salt of the cluster *hardware* config epoch (stage-graph memo sharing).
-    pub CLUSTER_CONFIG_EPOCH_SALT = 0xc105_7e40_0000_0001;
-    /// Salt of the cluster *variance-model* half of the execution epoch.
-    pub CLUSTER_VARIANCE_EPOCH_SALT = 0x0e8e_0000_0000_0002;
     /// Salt of the optimizer memo's expression dedup key (`scope_opt::memo`).
     pub MEMO_EXPR_KEY_SALT = 0x3e30_de00_0000_0003;
 
@@ -424,8 +420,6 @@ mod tests {
             (SLATE_ACTION_SENTINEL, 0xAC710),
             (LOGICAL_FP_SALT, 0x05ca_1ab1_e0dd_ba11),
             (PHYSICAL_FP_SALT, 0x0e8e_c0de_5ca1_ab1e),
-            (CLUSTER_CONFIG_EPOCH_SALT, 0xc105_7e40_0000_0001),
-            (CLUSTER_VARIANCE_EPOCH_SALT, 0x0e8e_0000_0000_0002),
             (MEMO_EXPR_KEY_SALT, 0x3e30_de00_0000_0003),
             (RULE_CLAIM_CPU_SALT, 1),
             (RULE_CLAIM_IO_SALT, 2),

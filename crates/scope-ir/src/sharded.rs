@@ -8,7 +8,7 @@
 //! key distributions stay visible (one hot shard churning at capacity used
 //! to look identical to uniform pressure when the counter was cache-wide).
 //! [`ShardedCache`] is that shape extracted once; the compile-result cache
-//! (`scope_opt::CompileCache`), both maps of the execution-result cache
+//! (`scope_opt::CompileCache`), the execution cache's stage-graph memo
 //! (`scope_runtime::ExecutionCache`), the delta compiler's base-memo cache,
 //! and the span-feature cache all build on it.
 //!

@@ -74,7 +74,7 @@ const CAPACITY: usize = 1 << 14;
 /// fan-outs).
 const SHARDS: usize = 16;
 
-/// The shared counter vocabulary (also used by the execution-result cache in
+/// The shared counter vocabulary (also used by the execution cache in
 /// `scope-runtime`); re-exported here so compile-cache callers keep writing
 /// `scope_opt::CacheStats`.
 pub use scope_ir::counters::CacheStats;

@@ -73,4 +73,4 @@ pub use delta::{BaseMemo, DeltaCompiler, DeltaConfig, DeltaStats, PricedTreatmen
 pub use hints::{Hint, HintSet};
 pub use registry::{RuleCategory, RuleDef, RuleSet};
 pub use search::{BudgetedCompile, CompileBudget, CompileError, Compiled, Optimizer};
-pub use span::{compute_span, SpanResult};
+pub use span::{compute_span, compute_span_with_cost, SpanResult};

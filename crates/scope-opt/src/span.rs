@@ -73,6 +73,17 @@ pub fn compute_span(
     plan: &LogicalPlan,
     max_iterations: usize,
 ) -> Result<SpanResult, CompileError> {
+    compute_span_with_cost(optimizer, plan, max_iterations).map(|(span, _)| span)
+}
+
+/// [`compute_span`] plus the default configuration's estimated cost, read
+/// off the fixpoint's own default compile, so a caller that needs both
+/// compiles the default once.
+pub fn compute_span_with_cost(
+    optimizer: &Optimizer,
+    plan: &LogicalPlan,
+    max_iterations: usize,
+) -> Result<(SpanResult, f64), CompileError> {
     let rules = optimizer.rules();
     let default_config = optimizer.default_config();
     let default = optimizer.compile(plan, &default_config)?;
@@ -112,12 +123,13 @@ pub fn compute_span(
         }
     }
 
-    Ok(SpanResult {
+    let span = SpanResult {
         span,
         default_signature: default.signature,
         iterations,
         stopped_on_failure,
-    })
+    };
+    Ok((span, default.est_cost))
 }
 
 #[cfg(test)]

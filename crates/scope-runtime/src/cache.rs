@@ -1,49 +1,45 @@
-//! Sharded, concurrent execution-result cache — the execution-side mirror of
+//! Sharded, concurrent stage-graph memo — the execution-side mirror of
 //! `scope_opt`'s compile-result cache.
 //!
 //! The steering loop re-executes the same physical plans over and over: the
 //! production view runs a recurring script's plan every day, counterfactual
 //! default runs replay the default plan beside every hinted run, flighting
 //! executes the baseline plan the view already ran, and A/A probes re-run one
-//! plan with a fixed seed schedule. Execution is deterministic — the metrics
-//! depend only on the plan bytes, the cluster model, and `(job_seed,
-//! run_seed)` — so those tuples are perfect cache keys: a cached run is
-//! bit-identical to a fresh one.
+//! plan with a fixed seed schedule. Every uncached `execute` call rebuilds
+//! the plan's stage graph, and the graph depends on the plan alone (the
+//! hardware model is constant), so [`ExecutionCache`] memoizes it keyed by
+//! [`PhysicalPlan::fingerprint`]. One graph serves every cluster —
+//! production, pre-production and the deterministic test cluster differ only
+//! in noise — and a cached execution is [`execute_stages`] on the memoized
+//! graph: bit-identical to [`execute`].
 //!
-//! [`ExecutionCache`] memoizes at two levels, both N-way lock-sharded:
+//! Whole runs are not cached. The closed loop draws fresh run seeds every
+//! day, so a result keyed by its seeds answered no execution at all on three
+//! of the four benchmark workloads, and on the fourth, whose tenants repeat
+//! each other's runs, it was worth less than the 1.1x jobs/s it had to earn
+//! (PERFORMANCE.md records the pairs).
 //!
-//! * **stage graphs** keyed by `(plan fingerprint, hardware epoch)` — every
-//!   uncached `execute` call rebuilds the stage graph even for a plan it has
-//!   executed before, and the graph depends only on the plan and the
-//!   [`ClusterConfig`], so graphs are shared even across clusters that
-//!   differ only in noise (production vs pre-production);
-//! * **execution metrics** keyed by `(plan fingerprint, job_seed, run_seed,
-//!   cluster epoch)` — the full result of one simulated run, replayed on
-//!   repeat executions (the cluster epoch folds in the variance model, so
-//!   environments never cross-contaminate).
-//!
-//! [`CachingExecutor`] packages a [`Cluster`] with an optional shared cache
+//! [`CachingExecutor`] packages a [`Cluster`] with an optional shared memo
 //! behind the [`Executor`] trait, so view building, counterfactual runs,
-//! flighting, and probes all share one cache without caring whether it is
+//! flighting, and probes all share one memo without caring whether it is
 //! enabled. On the compile side there is no such wrapper: the optimizer
 //! owns its compile cache.
 
-use crate::cluster::{Cluster, ClusterConfig};
+use crate::cluster::Cluster;
 use crate::executor::{execute, execute_stages, Executor};
 use crate::metrics::ExecutionMetrics;
 use crate::stage::StageGraph;
 use scope_ir::counters::CacheStats;
-use scope_ir::ids::combine;
 use scope_ir::physical::PhysicalPlan;
 use scope_ir::sharded::ShardedCache;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// The execution-result cache's one knob.
+/// The execution cache's one knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExecCacheConfig {
-    /// Master switch. Disabled, every execution goes straight to the
-    /// simulator (the pre-cache behavior, bit-for-bit).
+    /// Master switch. Disabled, every execution builds its stage graph
+    /// afresh (the pre-cache behavior, bit-for-bit).
     pub enabled: bool,
 }
 
@@ -61,24 +57,21 @@ impl ExecCacheConfig {
     }
 }
 
-/// Maximum cached execution results across all shards. `ExecutionMetrics`
-/// is a flat 80-byte struct, so even the full capacity is a few MB; sized
-/// for ~weeks of simulated days.
-const RESULT_CAPACITY: usize = 1 << 15;
 /// Maximum memoized stage graphs across all shards: one graph per distinct
-/// physical plan actually executed. Bounded separately because one graph
-/// serves many `(seeds, epoch)` results and graphs are the heavier objects.
+/// physical plan actually executed.
 const GRAPH_CAPACITY: usize = 1 << 13;
-/// Lock shards of each memo level.
+/// Lock shards of the memo.
 const SHARDS: usize = 16;
 
-/// Counters of the two memo levels, snapshotted together. `results` counts
-/// whole-run replays (each `execute` call is exactly one lookup); `graphs`
-/// counts stage-graph memo lookups (consulted only on result misses, so
-/// `graphs.lookups() == results.misses` for a purely cache-driven workload).
+/// Execution-cache counters. `graphs` counts stage-graph memo lookups, one
+/// per cached execution. `results` is the spelling the benchmark harness
+/// reads for its `scope-runtime.result_hit_ratio` (ROADMAP 1a retires it),
+/// kept the way `scope_opt::CachingOptimizer` is: it counts every
+/// execution as one miss, with no hits and no inserts, because no whole run
+/// is replayed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Full execution-result replays.
+    /// One miss per execution (`misses == graphs.lookups()`).
     pub results: CacheStats,
     /// Stage-graph memoization.
     pub graphs: CacheStats,
@@ -97,31 +90,7 @@ impl ExecStats {
     /// Executions that consulted the cache (one per `execute` call).
     #[must_use]
     pub fn lookups(&self) -> u64 {
-        self.results.lookups()
-    }
-
-    /// Executions answered without running the simulator at all.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.results.hits
-    }
-
-    /// Fraction of executions that skipped *some* work: a full-result replay
-    /// or at least a memoized stage graph.
-    #[must_use]
-    pub fn partial_hit_rate(&self) -> f64 {
-        let lookups = self.results.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            (self.results.hits + self.graphs.hits) as f64 / lookups as f64
-        }
-    }
-
-    /// Fraction of executions answered entirely from cache.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.results.hit_rate()
+        self.graphs.lookups()
     }
 }
 
@@ -136,52 +105,27 @@ impl std::ops::Add for ExecStats {
     }
 }
 
-impl std::iter::Sum for ExecStats {
-    fn sum<I: Iterator<Item = ExecStats>>(iter: I) -> ExecStats {
-        iter.fold(ExecStats::default(), std::ops::Add::add)
-    }
-}
-
-/// Result key: exact plan identity + both seeds + the full-environment
-/// epoch.
-type ResultKey = (u64, u64, u64, u64);
-/// Graph key: exact plan identity + the hardware-only epoch.
-type GraphKey = (u64, u64);
-
-fn result_key_hash(key: &ResultKey) -> u64 {
-    combine(combine(key.0, key.1), combine(key.2, key.3))
-}
-
-fn graph_key_hash(key: &GraphKey) -> u64 {
-    combine(key.0, key.1)
-}
-
-/// The sharded execution-result cache: two [`ShardedCache`]s (the
-/// workspace-wide lock-sharded, self-counting FIFO cache), one per memo
-/// level. `&ExecutionCache` is `Sync`; one instance is
-/// shared (via `Arc`) by every [`CachingExecutor`] of a simulation —
-/// production and pre-production alike — the way one `CompileCache` spans
-/// every compile of the pipeline.
+/// The stage-graph memo: one [`ShardedCache`] (the workspace-wide
+/// lock-sharded, self-counting FIFO cache) keyed by the physical plan's
+/// fingerprint. `&ExecutionCache` is `Sync`; one instance is shared (via
+/// `Arc`) by every [`CachingExecutor`] of a simulation — production and
+/// pre-production alike — the way one `CompileCache` spans every compile of
+/// the pipeline.
 #[derive(Debug)]
 pub struct ExecutionCache {
-    results: ShardedCache<ResultKey, ExecutionMetrics>,
-    graphs: ShardedCache<GraphKey, Arc<StageGraph>>,
+    graphs: ShardedCache<u64, Arc<StageGraph>>,
 }
 
 impl Default for ExecutionCache {
     fn default() -> Self {
-        Self::sized(RESULT_CAPACITY, GRAPH_CAPACITY, SHARDS)
+        // The fingerprint is already a well-mixed hash: it picks the shard.
+        Self {
+            graphs: ShardedCache::new(GRAPH_CAPACITY, SHARDS, |fingerprint| *fingerprint),
+        }
     }
 }
 
 impl ExecutionCache {
-    fn sized(capacity: usize, graph_capacity: usize, shards: usize) -> Self {
-        Self {
-            results: ShardedCache::new(capacity, shards, result_key_hash),
-            graphs: ShardedCache::new(graph_capacity, shards, graph_key_hash),
-        }
-    }
-
     /// Build a shareable cache per `config`, or `None` when disabled — the
     /// shape [`CachingExecutor::new`] and the pipeline plumbing consume.
     #[must_use]
@@ -189,87 +133,35 @@ impl ExecutionCache {
         config.enabled.then(Arc::default)
     }
 
-    /// The memoized stage graph of `plan` on hardware `config` (epoch
-    /// `config_epoch`), building and caching it on first sight.
-    pub fn stage_graph(
-        &self,
-        plan: &PhysicalPlan,
-        config_epoch: u64,
-        config: &ClusterConfig,
-    ) -> Arc<StageGraph> {
+    /// The memoized stage graph of `plan`, building and caching it on first
+    /// sight. The build runs outside any lock.
+    fn stage_graph(&self, plan: &PhysicalPlan) -> Arc<StageGraph> {
         self.graphs
-            .get_or_insert_with((plan.fingerprint(), config_epoch), || {
-                Arc::new(StageGraph::build(plan, config))
-            })
+            .get_or_insert_with(plan.fingerprint(), || Arc::new(StageGraph::build(plan)))
     }
 
-    /// The cached execution entry point: replay the stored metrics for
-    /// `(plan, seeds, cluster)` or execute (on a memoized stage graph),
-    /// store, and return them. Execution runs *outside* any lock.
-    pub fn execute(
-        &self,
-        plan: &PhysicalPlan,
-        cluster: &Cluster,
-        config_epoch: u64,
-        cluster_epoch: u64,
-        job_seed: u64,
-        run_seed: u64,
-    ) -> ExecutionMetrics {
-        let key = (plan.fingerprint(), job_seed, run_seed, cluster_epoch);
-        self.results.get_or_insert_with(key, || {
-            let graph = self.stage_graph(plan, config_epoch, &cluster.config);
-            execute_stages(&graph, cluster, job_seed, run_seed)
-        })
-    }
-
-    /// Snapshot of the monotonic counters of both memo levels.
+    /// Snapshot of the monotonic counters (`results` derived, see
+    /// [`ExecStats`]).
     #[must_use]
     pub fn stats(&self) -> ExecStats {
+        let graphs = self.graphs.stats();
         ExecStats {
-            results: self.results.stats(),
-            graphs: self.graphs.stats(),
+            results: CacheStats {
+                misses: graphs.lookups(),
+                ..CacheStats::default()
+            },
+            graphs,
         }
-    }
-
-    /// Live cached results across all shards (stage graphs are counted by
-    /// [`ExecutionCache::graph_len`], not here).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Live memoized stage graphs across all shards.
-    #[must_use]
-    pub fn graph_len(&self) -> usize {
-        self.graphs.len()
-    }
-
-    /// No cached *results* (`len() == 0`); memoized stage graphs alone do
-    /// not make the cache non-empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every entry (counters keep running).
-    pub fn clear(&self) {
-        self.results.clear();
-        self.graphs.clear();
     }
 }
 
 /// A [`Cluster`] plus an optional shared [`ExecutionCache`], behind the same
 /// [`Executor`] interface as the bare cluster. This is what the simulation
 /// holds — one per environment (production, pre-production), all pointing at
-/// one cache; the cluster epochs baked in at construction keep their entries
-/// apart while letting them share stage graphs.
+/// one memo, whose graphs they share.
 #[derive(Debug, Clone)]
 pub struct CachingExecutor {
     cluster: Cluster,
-    /// Hardware-only epoch (stage-graph sharing).
-    config_epoch: u64,
-    /// Full-environment epoch (result isolation).
-    cluster_epoch: u64,
     cache: Option<Arc<ExecutionCache>>,
 }
 
@@ -277,12 +169,7 @@ impl CachingExecutor {
     /// Wrap `cluster` over an optional shared cache (`None` = pass-through).
     #[must_use]
     pub fn new(cluster: Cluster, cache: Option<Arc<ExecutionCache>>) -> Self {
-        Self {
-            config_epoch: cluster.config_epoch(),
-            cluster_epoch: cluster.epoch(),
-            cluster,
-            cache,
-        }
+        Self { cluster, cache }
     }
 
     /// An executor with its own private cache per `config` (`enabled:
@@ -322,14 +209,9 @@ impl Executor for CachingExecutor {
 
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
         match &self.cache {
-            Some(cache) => cache.execute(
-                plan,
-                &self.cluster,
-                self.config_epoch,
-                self.cluster_epoch,
-                job_seed,
-                run_seed,
-            ),
+            Some(cache) => {
+                execute_stages(&cache.stage_graph(plan), &self.cluster, job_seed, run_seed)
+            }
             None => execute(plan, &self.cluster, job_seed, run_seed),
         }
     }
@@ -362,23 +244,39 @@ mod tests {
         std::sync::Arc::unwrap_or_clone(opt.compile(&plan, &opt.default_config()).unwrap().physical)
     }
 
+    /// Every cached execution equals `execute` bit for bit, across run
+    /// seeds and across the production, pre-production and deterministic
+    /// clusters, and all of them share one stage graph per plan.
     #[test]
     fn cached_execution_replays_bit_identically() {
-        let plan = physical(1e7);
-        let cluster = Cluster::default();
-        let cached = CachingExecutor::with_config(cluster.clone(), ExecCacheConfig::default());
-        let direct = execute(&plan, &cluster, 3, 9);
-        let first = cached.execute(&plan, 3, 9);
-        let second = cached.execute(&plan, 3, 9);
-        assert_eq!(first, direct, "the cache is transparent");
-        assert_eq!(second, direct, "the replay is bit-identical");
-        let stats = cached.stats();
-        assert_eq!((stats.results.hits, stats.results.misses), (1, 1));
+        let plans = [physical(1e6), physical(1e9)];
+        assert_ne!(plans[0].fingerprint(), plans[1].fingerprint());
+        let cache = ExecutionCache::shared(ExecCacheConfig::default()).unwrap();
+        let clusters = [
+            Cluster::default(),
+            Cluster::preproduction(),
+            Cluster::deterministic(),
+        ];
+        let mut runs = 0;
+        for cluster in clusters {
+            let cached = CachingExecutor::new(cluster.clone(), Some(Arc::clone(&cache)));
+            for plan in &plans {
+                for run_seed in 0..4 {
+                    let got = cached.execute(plan, 7, run_seed);
+                    let want = execute(plan, &cluster, 7, run_seed);
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{cluster:?}");
+                    runs += 1;
+                }
+            }
+        }
+        let stats = cache.stats();
         assert_eq!(
-            (stats.graphs.hits, stats.graphs.misses),
-            (0, 1),
-            "one graph built, consulted only on the result miss"
+            (stats.graphs.hits, stats.graphs.misses, stats.graphs.inserts),
+            (runs - 2, 2, 2),
+            "one graph per plan"
         );
+        // The harness's `result_hit_ratio` divides by this.
+        assert_eq!(stats.results.lookups(), runs);
     }
 
     #[test]
@@ -386,27 +284,22 @@ mod tests {
         let plan = physical(1e7);
         let cached = CachingExecutor::with_config(Cluster::default(), ExecCacheConfig::default());
         for run in 0..5 {
-            let a = cached.execute(&plan, 7, run);
-            let b = execute(&plan, cached.cluster(), 7, run);
-            assert_eq!(a, b, "fresh run seeds stay transparent");
+            let _ = cached.execute(&plan, 7, run);
         }
         let stats = cached.stats();
-        assert_eq!(stats.results.misses, 5, "every run seed is a new result");
         assert_eq!(
             (stats.graphs.hits, stats.graphs.misses),
             (4, 1),
-            "the stage graph is built once and replayed four times"
+            "the stage graph is built once and reused four times"
         );
-        let cache = cached.cache().unwrap();
-        assert_eq!(cache.graph_len(), 1);
-        assert_eq!(cache.len(), 5);
-        // `len`/`is_empty` speak for the results only: with just the stage
-        // graph memoized, the cache holds no result.
-        let graph_only = ExecutionCache::default();
-        let cluster = cached.cluster();
-        let _ = graph_only.stage_graph(&plan, cluster.config_epoch(), &cluster.config);
-        assert_eq!((graph_only.graph_len(), graph_only.len()), (1, 0));
-        assert!(graph_only.is_empty());
+        assert_eq!(
+            stats.results,
+            CacheStats {
+                misses: 5,
+                ..CacheStats::default()
+            },
+            "every execution counts as one result miss, and nothing else"
+        );
     }
 
     #[test]
@@ -417,19 +310,10 @@ mod tests {
         let preprod = CachingExecutor::new(Cluster::preproduction(), Some(Arc::clone(&cache)));
         let a = prod.execute(&plan, 1, 1);
         let b = preprod.execute(&plan, 1, 1);
-        assert_ne!(
-            a.latency_sec, b.latency_sec,
-            "pre-production is noisier; same key on a shared cache would \
-             wrongly replay the production result"
-        );
+        assert_ne!(a.latency_sec, b.latency_sec, "pre-production is noisier");
         assert_eq!(b, execute(&plan, preprod.cluster(), 1, 1));
         let stats = cache.stats();
-        assert_eq!(stats.results.hits, 0, "distinct epochs, distinct entries");
-        assert_eq!(
-            (stats.graphs.hits, stats.graphs.misses),
-            (1, 1),
-            "identical hardware shares the memoized stage graph"
-        );
+        assert_eq!((stats.graphs.hits, stats.graphs.misses), (1, 1));
     }
 
     #[test]
@@ -444,45 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_evicts_results_fifo() {
-        let plan = physical(1e6);
-        let cache = ExecutionCache::sized(2, 0, 1);
-        let cluster = Cluster::default();
-        let (ce, ee) = (cluster.config_epoch(), cluster.epoch());
-        for run in 0..3 {
-            let _ = cache.execute(&plan, &cluster, ce, ee, 1, run);
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().results.evictions, 1);
-        // Oldest (run 0) was evicted: looking it up again misses...
-        let before = cache.stats();
-        let _ = cache.execute(&plan, &cluster, ce, ee, 1, 0);
-        assert_eq!(cache.stats().since(&before).results.misses, 1);
-        // ...while the newest still hits.
-        let before = cache.stats();
-        let _ = cache.execute(&plan, &cluster, ce, ee, 1, 2);
-        assert_eq!(cache.stats().since(&before).results.hits, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn distinct_plans_and_seeds_get_distinct_entries() {
-        let small = physical(1e6);
-        let big = physical(1e9);
-        assert_ne!(small.fingerprint(), big.fingerprint());
-        let cached = CachingExecutor::with_config(Cluster::default(), ExecCacheConfig::default());
-        let _ = cached.execute(&small, 1, 1);
-        let _ = cached.execute(&big, 1, 1);
-        let _ = cached.execute(&small, 2, 1);
-        let _ = cached.execute(&small, 1, 2);
-        let cache = cached.cache().unwrap();
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.graph_len(), 2);
-        assert_eq!(cached.stats().results.hits, 0);
-    }
-
-    #[test]
     fn config_defaults_and_serde() {
         let c = ExecCacheConfig::default();
         assert!(c.enabled);
@@ -494,26 +339,19 @@ mod tests {
     fn exec_stats_roll_up() {
         let a = ExecStats {
             results: CacheStats {
-                hits: 2,
-                misses: 2,
-                inserts: 2,
-                evictions: 0,
+                misses: 4,
+                ..CacheStats::default()
             },
             graphs: CacheStats {
-                hits: 1,
+                hits: 3,
                 misses: 1,
                 inserts: 1,
                 evictions: 0,
             },
         };
         assert_eq!(a.lookups(), 4);
-        assert_eq!(a.hits(), 2);
-        assert!((a.hit_rate() - 0.5).abs() < 1e-12);
-        assert!((a.partial_hit_rate() - 0.75).abs() < 1e-12);
         let sum = a + a;
-        assert_eq!(sum.results.hits, 4);
+        assert_eq!((sum.results.misses, sum.graphs.hits), (8, 6));
         assert_eq!(sum.since(&a), a);
-        let total: ExecStats = [a, a].into_iter().sum();
-        assert_eq!(total, sum);
     }
 }

@@ -1,50 +1,34 @@
-//! Cluster hardware model and the cloud variance model.
+//! The simulated cluster: a constant hardware model and the cloud variance
+//! model.
+//!
+//! The hardware model has no settings: every cluster the loop runs on
+//! (production, pre-production, the deterministic test cluster) has the same
+//! hardware and differs only in noise, so a plan's stage graph is a function
+//! of the plan alone and one memoized graph serves them all.
 
-use scope_ir::ids::{combine, CLUSTER_CONFIG_EPOCH_SALT, CLUSTER_VARIANCE_EPOCH_SALT};
-use serde::Serialize;
-
-/// Hardware constants of the simulated cluster.
-#[derive(Debug, Clone, Serialize)]
-pub struct ClusterConfig {
-    /// Per-vertex IO bandwidth, bytes/sec (reads and exchange traffic).
-    pub io_bandwidth: f64,
-    /// Per-vertex write bandwidth, bytes/sec.
-    pub write_bandwidth: f64,
-    /// Per-vertex CPU throughput, work-units/sec.
-    pub cpu_speed: f64,
-    /// Input bytes one scan vertex is responsible for (extent sizing).
-    pub bytes_per_scan_task: f64,
-    /// Hard cap on stage parallelism.
-    pub max_parallelism: u32,
-    /// Concurrent containers allotted to one job ("tokens", §2.1). Stages
-    /// wider than this run in waves: `ceil(P / tokens)` rounds of vertices.
-    /// This is why vertex reductions translate into latency reductions —
-    /// fewer vertices means fewer scheduling waves for the same tokens.
-    pub tokens_per_job: u32,
-    /// Fixed scheduling/startup cost charged per vertex (PN seconds).
-    pub vertex_overhead_sec: f64,
-    /// Fixed per-stage startup latency (seconds).
-    pub stage_startup_sec: f64,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            io_bandwidth: 1.0e8,         // 100 MB/s
-            write_bandwidth: 8.0e7,      // 80 MB/s
-            cpu_speed: 2.5e7,            // 25M row-ops/s: PNhours is IO-heavy
-            bytes_per_scan_task: 2.56e8, // 256 MB extents
-            max_parallelism: 256,
-            tokens_per_job: 24,
-            vertex_overhead_sec: 1.0,
-            stage_startup_sec: 4.0,
-        }
-    }
-}
+/// Per-vertex IO bandwidth, bytes/sec (reads and exchange traffic).
+pub(crate) const IO_BANDWIDTH: f64 = 1.0e8; // 100 MB/s
+/// Per-vertex write bandwidth, bytes/sec.
+pub(crate) const WRITE_BANDWIDTH: f64 = 8.0e7; // 80 MB/s
+/// Per-vertex CPU throughput, work-units/sec.
+pub(crate) const CPU_SPEED: f64 = 2.5e7; // 25M row-ops/s: PNhours is IO-heavy
+/// Input bytes one scan vertex is responsible for (extent sizing).
+pub(crate) const BYTES_PER_SCAN_TASK: f64 = 2.56e8; // 256 MB extents
+/// Hard cap on stage parallelism.
+pub(crate) const MAX_PARALLELISM: u32 = 256;
+/// Concurrent containers allotted to one job ("tokens", §2.1). Stages wider
+/// than this run in waves: `ceil(P / tokens)` rounds of vertices. This is
+/// why vertex reductions translate into latency reductions — fewer vertices
+/// means fewer scheduling waves for the same tokens.
+pub(crate) const TOKENS_PER_JOB: u32 = 24;
+/// Fixed scheduling/startup cost charged per vertex (PN seconds).
+pub(crate) const VERTEX_OVERHEAD_SEC: f64 = 1.0;
+/// Fixed per-stage startup latency (seconds).
+pub(crate) const STAGE_STARTUP_SEC: f64 = 4.0;
 
 /// Cloud variance model (paper §5.1). All noise is multiplicative and drawn
 /// per (job, run) from deterministic seeds, so experiments are reproducible.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarianceModel {
     /// Lognormal sigma of per-vertex *duration* noise (drives latency:
     /// stages wait for their slowest vertex).
@@ -103,49 +87,19 @@ impl VarianceModel {
     }
 }
 
-/// A simulated cluster: hardware constants plus variance model.
-#[derive(Debug, Clone, Default)]
+/// A simulated cluster: the constant hardware model plus a variance model.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cluster {
-    pub config: ClusterConfig,
     pub variance: VarianceModel,
 }
 
 impl Cluster {
-    #[must_use]
-    pub fn new(config: ClusterConfig, variance: VarianceModel) -> Self {
-        Self { config, variance }
-    }
-
     /// Cluster with no run-to-run noise.
     #[must_use]
     pub fn deterministic() -> Self {
         Self {
-            config: ClusterConfig::default(),
             variance: VarianceModel::none(),
         }
-    }
-
-    /// Stable fingerprint of the *hardware* constants only. Stage graphs
-    /// depend on the plan and [`ClusterConfig`] but not on the variance
-    /// model, so this is the epoch under which memoized stage graphs can be
-    /// shared — e.g. between the production and pre-production clusters,
-    /// which differ only in noise.
-    #[must_use]
-    pub fn config_epoch(&self) -> u64 {
-        CLUSTER_CONFIG_EPOCH_SALT.fingerprint(&self.config).max(1)
-    }
-
-    /// Stable fingerprint of the full execution environment (hardware *and*
-    /// variance model). Execution metrics depend on both, so this is the
-    /// epoch in the execution-result cache key: reconfiguring a cluster
-    /// yields a fresh epoch and implicitly invalidates its cached results.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        combine(
-            self.config_epoch(),
-            CLUSTER_VARIANCE_EPOCH_SALT.fingerprint(&self.variance),
-        )
-        .max(1)
     }
 
     /// The pre-production (flighting) environment: same hardware model but
@@ -155,7 +109,6 @@ impl Cluster {
     #[must_use]
     pub fn preproduction() -> Self {
         Self {
-            config: ClusterConfig::default(),
             variance: VarianceModel {
                 vertex_sigma: 0.40,
                 straggler_prob: 0.05,
@@ -173,50 +126,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_config_is_sane() {
-        let c = ClusterConfig::default();
-        assert!(c.io_bandwidth > 0.0 && c.cpu_speed > 0.0);
-        assert!(c.max_parallelism >= 1);
-    }
-
-    #[test]
-    fn epochs_distinguish_environments_but_share_hardware() {
-        let prod = Cluster::default();
-        let preprod = Cluster::preproduction();
-        let quiet = Cluster::deterministic();
-        // Same hardware model => stage graphs are shareable.
-        assert_eq!(prod.config_epoch(), preprod.config_epoch());
-        assert_eq!(prod.config_epoch(), quiet.config_epoch());
-        // Different noise => execution results are not.
-        assert_ne!(prod.epoch(), preprod.epoch());
-        assert_ne!(prod.epoch(), quiet.epoch());
-        // Epochs are stable across reconstructions.
-        assert_eq!(prod.epoch(), Cluster::default().epoch());
-        // A hardware change shifts both epochs.
-        let mut fat = Cluster::default();
-        fat.config.tokens_per_job *= 2;
-        assert_ne!(fat.config_epoch(), prod.config_epoch());
-        assert_ne!(fat.epoch(), prod.epoch());
-    }
-
-    /// Literal values recorded at the last commit that computed epochs by
-    /// serializing (PR 23): they key the stage-graph memo and the
-    /// execution-result cache, so a change here is a deliberate re-key. The
-    /// oracle comparison holds in release too, where no `debug_assert` runs.
-    #[test]
-    fn epochs_keep_their_pinned_values() {
-        let prod = Cluster::default();
-        assert_eq!(prod.config_epoch(), 0x008b_2fb3_18b2_13ea);
-        assert_eq!(prod.epoch(), 0x875e_63c3_1373_dbd6);
-        assert_eq!(Cluster::deterministic().epoch(), 0xa363_544d_18ef_a5f3);
-        assert_eq!(Cluster::preproduction().epoch(), 0xbb8e_ac17_905f_ab0e);
-        assert_eq!(
-            prod.config_epoch(),
-            scope_ir::ids::hash_value(&prod.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT.value())
-        );
-    }
 
     #[test]
     fn none_variance_is_noise_free() {

@@ -1,13 +1,16 @@
 //! Job execution: schedule the stage graph on the cluster, inject cloud
 //! variance, and report runtime metrics.
 //!
-//! Execution is a *pure function* of the plan bytes, the cluster model, and
-//! the two seeds — the property the [`Executor`] trait and the
-//! execution-result cache ([`crate::CachingExecutor`]) are built on. Callers
+//! Execution is a *pure function* of the plan bytes, the cluster's variance
+//! model, and the two seeds — the property the [`Executor`] trait and the
+//! stage-graph memo ([`crate::CachingExecutor`]) are built on. Callers
 //! that execute plans should be generic over [`Executor`] so a shared
 //! [`crate::ExecutionCache`] can sit behind any of them.
 
-use crate::cluster::Cluster;
+use crate::cluster::{
+    Cluster, CPU_SPEED, IO_BANDWIDTH, STAGE_STARTUP_SEC, TOKENS_PER_JOB, VERTEX_OVERHEAD_SEC,
+    WRITE_BANDWIDTH,
+};
 use crate::metrics::ExecutionMetrics;
 use crate::stage::StageGraph;
 use rand::rngs::StdRng;
@@ -17,15 +20,15 @@ use scope_ir::physical::PhysicalPlan;
 
 /// Something that can execute physical plans. `job_seed` identifies the job
 /// instance (its data layout); `run_seed` identifies the run — the executor
-/// carries the cluster (hardware + variance model) it runs on.
+/// carries the cluster (its variance model) it runs on.
 ///
 /// The contract every implementation must honor: **execution is
 /// deterministic given `(plan, job_seed, run_seed)`** — same inputs, same
 /// metrics, bit for bit. A bare [`Cluster`] executes directly;
-/// [`crate::CachingExecutor`] memoizes stage graphs and execution
-/// results behind the same interface, which the contract makes invisible.
+/// [`crate::CachingExecutor`] memoizes stage graphs behind the same
+/// interface, which the contract makes invisible.
 pub trait Executor {
-    /// The cluster (hardware + variance model) this executor runs on.
+    /// The cluster (variance model) this executor runs on.
     /// Callers that pair an executor with an environment descriptor (e.g.
     /// `flighting::FlightingService`) use this to check the two agree.
     fn cluster(&self) -> &Cluster;
@@ -57,11 +60,11 @@ pub fn execute(
     job_seed: u64,
     run_seed: u64,
 ) -> ExecutionMetrics {
-    let graph = StageGraph::build(plan, &cluster.config);
+    let graph = StageGraph::build(plan);
     execute_stages(&graph, cluster, job_seed, run_seed)
 }
 
-/// Execute a pre-built stage graph (the execution cache runs memoized ones).
+/// Execute a pre-built stage graph (a cached execution runs a memoized one).
 #[must_use]
 pub fn execute_stages(
     graph: &StageGraph,
@@ -69,7 +72,6 @@ pub fn execute_stages(
     job_seed: u64,
     run_seed: u64,
 ) -> ExecutionMetrics {
-    let cfg = &cluster.config;
     let var = &cluster.variance;
     let base_seed = exec_base_seed(job_seed, run_seed);
     let mut run_rng = StdRng::seed_from_u64(base_seed);
@@ -106,9 +108,9 @@ pub fn execute_stages(
         let mut rng = StdRng::seed_from_u64(exec_stage_seed(base_seed, sid as u64));
         let p = f64::from(stage.parallelism.max(1));
         // Deterministic base resource times.
-        let read_sec = stage.work.read / cfg.io_bandwidth;
-        let write_sec = stage.work.written / cfg.write_bandwidth;
-        let base_cpu_sec = stage.work.cpu / cfg.cpu_speed;
+        let read_sec = stage.work.read / IO_BANDWIDTH;
+        let write_sec = stage.work.written / WRITE_BANDWIDTH;
+        let base_cpu_sec = stage.work.cpu / CPU_SPEED;
 
         // PNhours CPU component: per-vertex noise averages out; sample the
         // mean of `parallelism` lognormals cheaply via sampling each vertex
@@ -142,13 +144,13 @@ pub fn execute_stages(
         // job's token allowance forces stages wider than it to run in waves
         // (fewer vertices => fewer waves => lower latency, §2.1/§5.5).
         let per_vertex = (stage_cpu_sec + stage_io_sec) / p;
-        let waves = (p / f64::from(cfg.tokens_per_job.max(1))).ceil().max(1.0);
+        let waves = (p / f64::from(TOKENS_PER_JOB)).ceil().max(1.0);
         let worst = if var.vertex_sigma > 0.0 || var.straggler_prob > 0.0 {
             worst_vertex_multiplier(&mut rng, vertices.min(512), var)
         } else {
             1.0
         };
-        let mut duration = per_vertex * waves * worst + cfg.stage_startup_sec;
+        let mut duration = per_vertex * waves * worst + STAGE_STARTUP_SEC;
 
         // Retry waves re-charge a fraction of the stage.
         if var.retry_prob > 0.0 && rng.random::<f64>() < var.retry_prob {
@@ -160,7 +162,7 @@ pub fn execute_stages(
         let start = stage.inputs.iter().map(|&i| finish[i]).fold(0.0, f64::max);
         finish[sid] = start + duration;
 
-        cpu_sec_total += stage_cpu_sec + f64::from(stage.parallelism) * cfg.vertex_overhead_sec;
+        cpu_sec_total += stage_cpu_sec + f64::from(stage.parallelism) * VERTEX_OVERHEAD_SEC;
         io_sec_total += stage_io_sec;
         data_read += stage.work.read;
         data_written += stage.work.written;
@@ -425,13 +427,12 @@ mod tests {
     #[test]
     fn straggler_free_model_still_noisy_but_milder() {
         let plan = physical(3e7);
-        let mild = Cluster::new(
-            Default::default(),
-            VarianceModel {
+        let mild = Cluster {
+            variance: VarianceModel {
                 straggler_prob: 0.0,
                 ..VarianceModel::default()
             },
-        );
+        };
         let full = Cluster::default();
         let spread = |cluster: &Cluster| {
             let xs: Vec<f64> = (0..40)

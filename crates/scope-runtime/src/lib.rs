@@ -8,7 +8,9 @@
 //! of CPU and I/O time over all vertices, §2.1), **vertices**, **DataRead**,
 //! **DataWritten**, and memory. Ground truth comes from the *actual* side of
 //! the plan's dual statistics and the *actual* tuning knobs — the optimizer's
-//! estimates are never consulted here.
+//! estimates are never consulted here. The hardware model is constant
+//! (crate-private constants in `cluster`); clusters differ only in their
+//! [`VarianceModel`].
 //!
 //! The cloud-variance model reproduces the paper's §5.1 findings by
 //! construction rather than by curve fitting:
@@ -24,9 +26,9 @@
 //! Execution is deterministic given `(plan, cluster, job_seed, run_seed)`,
 //! which the [`Executor`] trait turns into an architecture: call sites are
 //! generic over it, a bare [`Cluster`] executes directly, and
-//! [`CachingExecutor`] memoizes stage graphs and whole execution results in
-//! a shared [`ExecutionCache`] — bit-identically, the execution-side mirror
-//! of `scope_opt`'s compile-result cache.
+//! [`CachingExecutor`] memoizes stage graphs, keyed by the plan alone, in a
+//! shared [`ExecutionCache`] — bit-identically, the execution-side mirror of
+//! `scope_opt`'s compile-result cache.
 
 pub mod cache;
 pub mod cluster;
@@ -35,7 +37,7 @@ pub mod metrics;
 pub mod stage;
 
 pub use cache::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache};
-pub use cluster::{Cluster, ClusterConfig, VarianceModel};
+pub use cluster::{Cluster, VarianceModel};
 pub use executor::{execute, Executor};
 pub use metrics::{rel_delta, ExecutionMetrics};
 pub use stage::{StageGraph, StageWork};

@@ -5,7 +5,7 @@
 //! knobs are used throughout — this module is the ground truth the optimizer
 //! never sees.
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{BYTES_PER_SCAN_TASK, MAX_PARALLELISM};
 use rustc_hash::FxHashMap;
 use scope_ir::physical::{Partitioning, PhysicalOp, PhysicalPlan};
 use scope_ir::NodeId;
@@ -60,9 +60,11 @@ impl StageGraph {
     /// Build the stage graph of a plan. Stages are maximal regions connected
     /// by non-exchange edges; each Exchange node joins its *consumer's*
     /// stage (it models the read side of the shuffle), while its child stays
-    /// in the producer stage.
+    /// in the producer stage. The graph depends on the plan alone (the
+    /// hardware model is constant), which is what lets one memoized graph
+    /// serve every cluster.
     #[must_use]
-    pub fn build(plan: &PhysicalPlan, cluster: &ClusterConfig) -> StageGraph {
+    pub fn build(plan: &PhysicalPlan) -> StageGraph {
         let order = plan.topo_order();
         // Union-find over arena slots.
         let mut parent: Vec<usize> = (0..plan.len()).collect();
@@ -160,15 +162,15 @@ impl StageGraph {
                     PhysicalOp::TableScan { .. } => {
                         let bytes = node.stats.actual_bytes() * node.tuning.io_mult;
                         work.read += bytes;
-                        let scan_par = (bytes / cluster.bytes_per_scan_task).ceil().max(1.0) as u32;
+                        let scan_par = (bytes / BYTES_PER_SCAN_TASK).ceil().max(1.0) as u32;
                         parallelism = parallelism
-                            .max(scan_par.min(cluster.max_parallelism))
+                            .max(scan_par.min(MAX_PARALLELISM))
                             .max(
                                 (scan_par as f64 * node.tuning.parallelism_mult)
                                     .round()
                                     .max(1.0) as u32,
                             )
-                            .min(cluster.max_parallelism);
+                            .min(MAX_PARALLELISM);
                     }
                     PhysicalOp::OutputExec { .. } => {
                         work.written += node.stats.actual_bytes() * node.tuning.io_mult;
@@ -181,7 +183,7 @@ impl StageGraph {
                     }
                 }
             }
-            stages[sid].parallelism = parallelism.min(cluster.max_parallelism);
+            stages[sid].parallelism = parallelism.min(MAX_PARALLELISM);
             stages[sid].work.cpu += work.cpu;
             stages[sid].work.read += work.read;
             stages[sid].work.written += work.written;
@@ -276,7 +278,7 @@ mod tests {
     #[test]
     fn stage_graph_has_multiple_stages_for_distributed_plan() {
         let plan = compiled_plan(SCRIPT);
-        let g = StageGraph::build(&plan, &ClusterConfig::default());
+        let g = StageGraph::build(&plan);
         assert!(
             g.stages.len() >= 2,
             "join+agg plan must cross stages: {}",
@@ -289,7 +291,7 @@ mod tests {
     #[test]
     fn every_node_is_in_exactly_one_stage() {
         let plan = compiled_plan(SCRIPT);
-        let g = StageGraph::build(&plan, &ClusterConfig::default());
+        let g = StageGraph::build(&plan);
         let mut seen = std::collections::HashSet::new();
         for s in &g.stages {
             for m in &s.members {
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn vertices_and_tokens_are_positive_and_consistent() {
         let plan = compiled_plan(SCRIPT);
-        let g = StageGraph::build(&plan, &ClusterConfig::default());
+        let g = StageGraph::build(&plan);
         assert!(g.vertices() >= g.stages.len() as u64);
         assert!(g.tokens() <= g.vertices());
         assert!(g.tokens() >= 1);
@@ -311,7 +313,7 @@ mod tests {
     #[test]
     fn work_profile_accounts_reads_and_writes() {
         let plan = compiled_plan(SCRIPT);
-        let g = StageGraph::build(&plan, &ClusterConfig::default());
+        let g = StageGraph::build(&plan);
         let total_read: f64 = g.stages.iter().map(|s| s.work.read).sum();
         let total_written: f64 = g.stages.iter().map(|s| s.work.written).sum();
         assert!(total_read > 0.0, "scans read data");
@@ -323,8 +325,8 @@ mod tests {
     #[test]
     fn stage_graph_is_deterministic() {
         let plan = compiled_plan(SCRIPT);
-        let a = StageGraph::build(&plan, &ClusterConfig::default());
-        let b = StageGraph::build(&plan, &ClusterConfig::default());
+        let a = StageGraph::build(&plan);
+        let b = StageGraph::build(&plan);
         assert_eq!(a.vertices(), b.vertices());
         assert_eq!(a.stages.len(), b.stages.len());
         for (x, y) in a.stages.iter().zip(b.stages.iter()) {
@@ -350,13 +352,13 @@ mod tests {
             let plan = bind_script(src, &Catalog::default()).unwrap();
             let opt = Optimizer::default();
             let c = opt.compile(&plan, &opt.default_config()).unwrap();
-            StageGraph::build(&c.physical, &ClusterConfig::default()).vertices()
+            StageGraph::build(&c.physical).vertices()
         };
         let big = {
             let plan = bind_script(src, &catalog).unwrap();
             let opt = Optimizer::default();
             let c = opt.compile(&plan, &opt.default_config()).unwrap();
-            StageGraph::build(&c.physical, &ClusterConfig::default()).vertices()
+            StageGraph::build(&c.physical).vertices()
         };
         assert!(big > small, "big {big} vs small {small}");
     }

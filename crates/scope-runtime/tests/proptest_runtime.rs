@@ -64,7 +64,7 @@ proptest! {
     fn stage_graph_accounts_all_vertices(seed in 0u64..2000) {
         let Some(plan) = compiled(seed, 0) else { return Ok(()) };
         let cluster = Cluster::default();
-        let graph = StageGraph::build(&plan, &cluster.config);
+        let graph = StageGraph::build(&plan);
         let m = execute(&plan, &cluster, seed, 0);
         prop_assert_eq!(m.vertices, graph.vertices());
         prop_assert_eq!(m.tokens, graph.tokens());

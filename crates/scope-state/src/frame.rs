@@ -57,7 +57,7 @@ pub mod section {
     /// Reserved for the compile-result cache (warm; never written — the
     /// cache is a pure function of the plans it sees).
     pub const COMPILE_CACHE: u16 = 0x8002;
-    /// Reserved for the execution-result cache (warm; never written).
+    /// Reserved for the execution cache (warm; never written).
     pub const EXEC_CACHE: u16 = 0x8003;
     /// Reserved for the span-feature cache (warm; never written).
     pub const FEATURE_CACHE: u16 = 0x8004;

@@ -129,8 +129,8 @@ fn main() {
     );
 
     // 5. Execute default vs steered on the simulated cluster, through the
-    // Executor trait and its execution-result cache (bit-identical to the
-    // plain `Cluster`).
+    // Executor trait and its stage-graph memo (bit-identical to the plain
+    // `Cluster`).
     let executor = CachingExecutor::with_config(Cluster::default(), ExecCacheConfig::default());
     let base = executor.execute(&compiled.physical, 42, 1);
     println!(

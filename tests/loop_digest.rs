@@ -28,10 +28,14 @@
 //! at every shape and seed. The output folds were recorded before
 //! recommendation and the span fixpoint began keeping a treatment's price
 //! instead of its plan, a change that moved neither fold at any shape or
-//! seed. A moved output fold means some steering output, hint file or
-//! comparison changed; a moved exact fold alone means an exact counter or
-//! snapshot byte did. A change that means to move one re-records it here
-//! and says why.
+//! seed. The exact folds were re-recorded once more when the execution cache
+//! became one stage-graph memo and the span fixpoint's default compile the
+//! only one per template: that moved the reports' `exec_cache` and
+//! `compile_cache` counters alone, and the exact fold with those two fields
+//! masked stayed the same at every shape and seed. A moved output fold
+//! means some steering output, hint file or comparison changed; a moved
+//! exact fold alone means an exact counter or snapshot byte did. A change
+//! that means to move one re-records it here and says why.
 
 use qo_advisor::{
     DailyReport, DayOutcome, Fleet, FleetConfig, PipelineConfig, ProductionSim, SnapshotPolicy,
@@ -352,8 +356,8 @@ fn recurring_daily_loop_is_byte_identical() {
             pin(run_daily(&RECURRING_DAILY, 7))
         ),
         (
-            (0x0a69_dfcf_7120_a838, 0x5b7c_eb40_a6b0_43b9),
-            (0xa991_133f_7765_21d4, 0x612d_b0c4_c8bd_80de)
+            (0x0a69_dfcf_7120_a838, 0xfb2d_d5aa_0f1d_54fa),
+            (0xa991_133f_7765_21d4, 0x932b_926a_cc14_0659)
         )
     );
 }
@@ -366,8 +370,8 @@ fn fresh_daily_loop_is_byte_identical() {
             pin(run_daily(&FRESH_DAILY, 7))
         ),
         (
-            (0x6f39_8ba1_7d36_17cf, 0xcaf3_929e_c281_ccf6),
-            (0x5f41_964b_71e2_242d, 0xb074_7f1b_6ef5_079e)
+            (0x6f39_8ba1_7d36_17cf, 0x17a1_4adf_aadf_d366),
+            (0x5f41_964b_71e2_242d, 0x2e1d_2b45_51c3_1e83)
         )
     );
 }
@@ -377,8 +381,8 @@ fn fleet_zipf_loop_is_byte_identical_at_one_and_two_workers() {
     assert_eq!(
         (pin(fleet_digest(2022)), pin(fleet_digest(7))),
         (
-            (0x2b23_785b_67be_e1cd, 0x97cf_7098_00e3_e87e),
-            (0xb134_edda_f935_b860, 0xd496_ce43_7381_4bd6)
+            (0x2b23_785b_67be_e1cd, 0x4029_4372_8f95_79c2),
+            (0xb134_edda_f935_b860, 0xf59a_e77c_5682_8ad6)
         )
     );
 }
@@ -391,8 +395,8 @@ fn durable_restart_loop_is_byte_identical() {
             pin(run_daily(&DURABLE_RESTART, 7))
         ),
         (
-            (0x0a69_dfcf_7120_a838, 0xe273_dad7_0f6f_750e),
-            (0xa991_133f_7765_21d4, 0x3f1c_6aa8_7c5b_0400)
+            (0x0a69_dfcf_7120_a838, 0x6333_abf3_c1b6_b9be),
+            (0xa991_133f_7765_21d4, 0x8380_1ec5_418f_0075)
         )
     );
 }
