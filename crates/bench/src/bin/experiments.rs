@@ -29,6 +29,7 @@
 //! factor, where the crossovers fall — is the reproduction target.
 
 use flighting::{FlightBudget, FlightRequest, FlightingService};
+use qo_advisor::config::VALIDATION_THRESHOLD;
 use qo_advisor::{
     aggregate_impact, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
     RecommendStrategy, SnapshotPolicy, ValidationModel, ValidationSample,
@@ -205,13 +206,10 @@ fn fig2_fig4(knobs: &Knobs) {
     println!("\n=== Figures 2 & 4: recurring-job stability (week0 vs week1) ===");
     let env = Env::standard(2022, 60, knobs.literals);
     let default = env.default_config();
-    let mut svc = FlightingService::new(
-        Cluster::preproduction(),
-        FlightBudget {
-            queue_size: usize::MAX,
-            ..FlightBudget::default()
-        },
-    );
+    let mut svc = FlightingService::new(FlightBudget {
+        queue_size: usize::MAX,
+        ..FlightBudget::default()
+    });
     let preprod_exec = Cluster::preproduction();
 
     // Every estimated-cost-improving span flip of two days of jobs (the
@@ -326,13 +324,10 @@ fn fig6(knobs: &Knobs) {
     println!("\n=== Figure 6: estimated-cost delta vs latency delta ===");
     let env = Env::standard(2022, 60, knobs.literals);
     let default = env.default_config();
-    let mut svc = FlightingService::new(
-        Cluster::preproduction(),
-        FlightBudget {
-            queue_size: usize::MAX,
-            ..FlightBudget::default()
-        },
-    );
+    let mut svc = FlightingService::new(FlightBudget {
+        queue_size: usize::MAX,
+        ..FlightBudget::default()
+    });
     let preprod_exec = Cluster::preproduction();
     let mut est = Vec::new();
     let mut lat = Vec::new();
@@ -396,13 +391,10 @@ fn fig6(knobs: &Knobs) {
 /// Gather (DataRead delta, DataWritten delta, PN delta) flighting samples.
 fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<ValidationSample> {
     let default = env.default_config();
-    let mut svc = FlightingService::new(
-        Cluster::preproduction(),
-        FlightBudget {
-            queue_size: usize::MAX,
-            ..FlightBudget::default()
-        },
-    );
+    let mut svc = FlightingService::new(FlightBudget {
+        queue_size: usize::MAX,
+        ..FlightBudget::default()
+    });
     let preprod_exec = Cluster::preproduction();
     let mut samples = Vec::new();
     for day in days {
@@ -529,7 +521,7 @@ fn fig9(knobs: &Knobs) {
 
     let passing: Vec<&ValidationSample> = test
         .iter()
-        .filter(|s| model.predict(s.data_read_delta, s.data_written_delta) < -0.1)
+        .filter(|s| model.predict(s.data_read_delta, s.data_written_delta) < VALIDATION_THRESHOLD)
         .collect();
     let below_01 =
         passing.iter().filter(|s| s.pn_delta < -0.1).count() as f64 / passing.len().max(1) as f64;
@@ -649,13 +641,10 @@ fn table3(knobs: &Knobs) {
         .run_day(&view, eval_day)
         .expect("pipeline day runs");
 
-    let mut random = QoAdvisor::new(
-        FlightingService::new(Cluster::preproduction(), FlightBudget::default()),
-        PipelineConfig {
-            strategy: RecommendStrategy::UniformRandom,
-            ..knobs.pipeline.clone()
-        },
-    );
+    let mut random = QoAdvisor::new(PipelineConfig {
+        strategy: RecommendStrategy::UniformRandom,
+        ..knobs.pipeline.clone()
+    });
     let report_rand = random.run_day(&view, eval_day).expect("pipeline day runs");
 
     let pct = |n: usize, d: usize| 100.0 * n as f64 / d.max(1) as f64;
@@ -735,7 +724,6 @@ fn ablation_cost_gate(knobs: &Knobs) {
     println!("\n=== §5.2 ablation: estimated-cost gate removed ===");
     // A realistic (tight) daily flighting budget.
     let tight = FlightBudget {
-        max_job_seconds: 24.0 * 3600.0,
         total_seconds: 6.0 * 3600.0,
         queue_size: 64,
     };
@@ -864,13 +852,10 @@ fn ablation_span_features(knobs: &Knobs) {
 fn negi_maintenance_cost(knobs: &Knobs) {
     println!("\n=== §2.2 maintenance cost: Negi et al. 2021 vs QO-Advisor ===");
     let env = Env::standard(2022, 60, knobs.literals);
-    let mut svc = FlightingService::new(
-        Cluster::preproduction(),
-        FlightBudget {
-            queue_size: usize::MAX,
-            ..FlightBudget::default()
-        },
-    );
+    let mut svc = FlightingService::new(FlightBudget {
+        queue_size: usize::MAX,
+        ..FlightBudget::default()
+    });
     let preprod_exec = Cluster::preproduction();
     // A scaled-down heuristic (200 samples instead of 1000) keeps the bench
     // quick; the printed numbers extrapolate linearly.

@@ -184,7 +184,7 @@ mod tests {
             })
             .expect("some job has a span");
         let span = compute_span(&optimizer, &job.plan, 6).unwrap();
-        let flighting = FlightingService::new(Cluster::default(), FlightBudget::default());
+        let flighting = FlightingService::new(FlightBudget::default());
         (
             optimizer,
             flighting,

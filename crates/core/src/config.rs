@@ -29,6 +29,14 @@ use scope_opt::{CacheConfig, DeltaConfig};
 use scope_runtime::ExecCacheConfig;
 use serde::Serialize;
 
+/// Reward clipping bound (§4.2): the bandit's reward is the cost ratio
+/// `default / recompiled`, clipped at 2.0 as in the paper.
+pub const REWARD_CLIP: f64 = 2.0;
+
+/// Validation threshold on the predicted PNhours delta (§4.3): only flights
+/// whose predicted delta is below −0.1 publish a hint, as in the paper.
+pub const VALIDATION_THRESHOLD: f64 = -0.1;
+
 /// How the Recommendation task chooses flips (Table 3 compares these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RecommendStrategy {
@@ -100,13 +108,9 @@ pub struct PipelineConfig {
     pub feature_cache: FeatureCacheConfig,
     /// Contextual bandit hyper-parameters.
     pub cb: CbConfig,
-    /// Flighting budget per daily batch.
+    /// Flighting budget per daily batch: the advisor's flighting service
+    /// is built from it.
     pub flight_budget: FlightBudget,
-    /// Validation threshold on predicted PNhours delta: only jobs whose
-    /// predicted delta is below this pass (§4.3; paper uses −0.1).
-    pub validation_threshold: f64,
-    /// Reward clipping bound (§4.2; paper clips the cost ratio at 2.0).
-    pub reward_clip: f64,
     /// Maximum span-fixpoint recompilation passes.
     pub span_max_iterations: usize,
     /// Prune recommendations whose recompiled estimated cost is not better
@@ -139,8 +143,6 @@ impl Default for PipelineConfig {
             feature_cache: FeatureCacheConfig::default(),
             cb: CbConfig::default(),
             flight_budget: FlightBudget::default(),
-            validation_threshold: -0.1,
-            reward_clip: 2.0,
             span_max_iterations: 6,
             est_cost_gate: true,
             max_flights_per_day: 48,
@@ -159,11 +161,8 @@ mod tests {
     fn defaults_match_paper_settings() {
         let c = PipelineConfig::default();
         assert_eq!(c.strategy, RecommendStrategy::ContextualBandit);
-        assert!(
-            (c.validation_threshold + 0.1).abs() < 1e-12,
-            "paper threshold is -0.1"
-        );
-        assert!((c.reward_clip - 2.0).abs() < 1e-12, "paper clips at 2.0");
+        assert_eq!(VALIDATION_THRESHOLD, -0.1, "paper threshold is -0.1");
+        assert_eq!(REWARD_CLIP, 2.0, "paper clips at 2.0");
         assert!(c.est_cost_gate, "cost gate on by default (§5.2)");
     }
 }

@@ -7,9 +7,10 @@
 //! [`Tenant`]s, each owning a full per-tenant steering loop (workload
 //! identity, SIS namespace, Personalizer bandit state, explored set,
 //! regression monitor, snapshot path), all layered over ONE process-wide
-//! [`SharedCaches`] — compile results, stage graphs, delta base memos,
-//! and span features are shared across tenants because every key is
-//! tenant-invariant (see [`SharedCaches`] for the argument).
+//! set of caches (the crate-private `pipeline::SharedCaches`) — compile
+//! results, stage graphs, delta base memos, and span features are shared
+//! across tenants because every key is tenant-invariant (its docs give the
+//! argument).
 //!
 //! # One day loop
 //!
@@ -65,7 +66,6 @@
 use crate::config::PipelineConfig;
 use crate::day::{self, TenantView};
 use crate::meter::{Lap, Stage};
-use crate::monitoring::MonitorConfig;
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
 use crate::snapshot::SnapshotPolicy;
@@ -106,7 +106,7 @@ pub struct FleetConfig {
     /// Streaming-pipeline shape.
     pub stream: StreamConfig,
     /// No effect: every fleet's tenants share one process-wide
-    /// [`SharedCaches`]. Kept only because the benchmark harness spells it;
+    /// set of caches. Kept only because the benchmark harness spells it;
     /// the isolated control regime is N independent [`ProductionSim`]s.
     pub isolated_caches: bool,
 }
@@ -198,7 +198,7 @@ impl Fleet {
                     workload,
                     config.pipeline.clone(),
                     sis,
-                    &shared,
+                    shared.clone(),
                 ),
             })
             .collect();
@@ -208,15 +208,6 @@ impl Fleet {
             stream: config.stream,
             metrics: FleetMetrics::default(),
         }
-    }
-
-    /// Enable the §8 optimistic-monitoring loop on every tenant.
-    #[must_use]
-    pub fn with_monitoring(mut self, config: &MonitorConfig) -> Self {
-        for tenant in &mut self.tenants {
-            tenant.sim.monitor = Some(crate::monitoring::RegressionMonitor::new(config.clone()));
-        }
-        self
     }
 
     /// Install per-tenant snapshot policies: tenant `t` snapshots to

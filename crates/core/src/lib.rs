@@ -86,8 +86,8 @@ pub use fleet::{
     StreamConfig, Tenant,
 };
 pub use meter::{CacheCounters, ExecCounters, StageCounters, StageTimings};
-pub use monitoring::{MonitorConfig, RegressionMonitor};
-pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation, SharedCaches};
+pub use monitoring::RegressionMonitor;
+pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation};
 pub use scope_opt::{CacheConfig, CacheStats, DeltaConfig, DeltaStats};
 pub use scope_runtime::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache, Executor};
 pub use scope_state::{SnapshotError, SteeringSnapshot};

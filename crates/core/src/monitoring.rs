@@ -6,53 +6,39 @@
 //! The monitor keeps a rolling PNhours baseline per template from the
 //! telemetry of *unhinted* runs; once a hint deploys, each hinted production
 //! run is compared against that baseline. A hint that regresses in
-//! `revert_after` consecutive observations is reverted (removed from SIS) —
+//! [`REVERT_AFTER`] consecutive observations is reverted (removed from SIS) —
 //! turning the one-shot validation gate into a closed feedback loop and
 //! allowing a looser (or even optimistic) validation threshold.
 
 use rustc_hash::FxHashMap;
 use scope_ir::TemplateId;
 use scope_workload::ViewRow;
-use serde::Serialize;
 
-/// Monitor configuration.
-#[derive(Debug, Clone, Serialize)]
-pub struct MonitorConfig {
-    /// Relative PNhours increase over the baseline that counts as a
-    /// regression observation (production noise is ~5%, so 0.08 means a
-    /// hinted run ran at least 8% hotter than the template's baseline).
-    pub regression_margin: f64,
-    /// Consecutive regression observations before the hint is reverted.
-    pub revert_after: u32,
-    /// Exponential-moving-average factor for the per-template baseline.
-    pub baseline_alpha: f64,
-}
+/// Relative PNhours increase over the baseline that counts as a regression
+/// observation (production noise is ~5%, so 0.08 means a hinted run ran at
+/// least 8% hotter than the template's baseline).
+pub const REGRESSION_MARGIN: f64 = 0.08;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            regression_margin: 0.08,
-            revert_after: 2,
-            baseline_alpha: 0.3,
-        }
+/// Consecutive regression observations before the hint is reverted.
+pub const REVERT_AFTER: u32 = 2;
+
+/// Exponential-moving-average factor for the per-template baseline.
+pub const BASELINE_ALPHA: f64 = 0.3;
+
+/// Stable fingerprint of the monitor's tuning — every constant above changes
+/// revert decisions, so all of them are part of the snapshot identity
+/// checked by `ProductionSim::import_state`. It hashes the same words the
+/// retired per-monitor settings did, so older snapshots keep restoring.
+pub(crate) fn tuning_fingerprint() -> u64 {
+    let mut bytes = Vec::with_capacity(24);
+    for knob in [
+        REGRESSION_MARGIN.to_bits(),
+        u64::from(REVERT_AFTER),
+        BASELINE_ALPHA.to_bits(),
+    ] {
+        bytes.extend_from_slice(&knob.to_le_bytes());
     }
-}
-
-impl MonitorConfig {
-    /// Stable fingerprint of the monitor's knobs — every field changes
-    /// revert decisions, so all of them are part of the snapshot identity
-    /// checked by `ProductionSim::import_state`.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(24);
-        for knob in [
-            self.regression_margin.to_bits(),
-            u64::from(self.revert_after),
-            self.baseline_alpha.to_bits(),
-        ] {
-            bytes.extend_from_slice(&knob.to_le_bytes());
-        }
-        scope_ir::ids::stable_hash64(&bytes)
-    }
+    scope_ir::ids::stable_hash64(&bytes)
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,24 +53,14 @@ struct TemplateState {
 /// Rolling per-template regression monitor.
 #[derive(Debug, Default)]
 pub struct RegressionMonitor {
-    config: MonitorConfig,
     templates: FxHashMap<TemplateId, TemplateState>,
     /// Templates reverted so far (diagnostics).
     pub reverted: Vec<TemplateId>,
 }
 
 impl RegressionMonitor {
-    #[must_use]
-    pub fn new(config: MonitorConfig) -> Self {
-        Self {
-            config,
-            templates: FxHashMap::default(),
-            reverted: Vec::new(),
-        }
-    }
-
     /// Ingest one day's view rows; returns the templates whose hints should
-    /// be reverted (regressed `revert_after` times in a row).
+    /// be reverted (regressed [`REVERT_AFTER`] times in a row).
     pub fn observe_day(&mut self, view: &[ViewRow]) -> Vec<TemplateId> {
         let mut reverts = Vec::new();
         for row in view {
@@ -97,10 +73,10 @@ impl RegressionMonitor {
                     // No baseline yet: cannot judge; skip.
                     continue;
                 }
-                let threshold = state.baseline_pn * (1.0 + self.config.regression_margin);
+                let threshold = state.baseline_pn * (1.0 + REGRESSION_MARGIN);
                 if row.metrics.pn_hours > threshold {
                     state.consecutive_regressions += 1;
-                    if state.consecutive_regressions >= self.config.revert_after
+                    if state.consecutive_regressions >= REVERT_AFTER
                         && !self.reverted.contains(&row.template)
                     {
                         reverts.push(row.template);
@@ -111,7 +87,7 @@ impl RegressionMonitor {
                 }
             } else {
                 // Unhinted run: update the baseline EMA.
-                let a = self.config.baseline_alpha;
+                let a = BASELINE_ALPHA;
                 state.baseline_pn = if state.observations == 0 {
                     row.metrics.pn_hours
                 } else {
@@ -123,15 +99,10 @@ impl RegressionMonitor {
         reverts
     }
 
-    /// The snapshot-identity fingerprint of this monitor's configuration.
-    pub(crate) fn config_fingerprint(&self) -> u64 {
-        self.config.fingerprint()
-    }
-
     /// Export the monitor's durable state (snapshot path; `scope-state`).
-    /// The config itself is construction-time and not exported — only its
-    /// fingerprint travels, so a restore under different monitor tuning is
-    /// a typed mismatch instead of a silent divergence.
+    /// The tuning is constant and not exported — only its fingerprint
+    /// travels, so a restore under different monitor tuning is a typed
+    /// mismatch instead of a silent divergence.
     #[must_use]
     pub fn export_state(&self) -> scope_state::MonitorState {
         #[expect(
@@ -150,15 +121,14 @@ impl RegressionMonitor {
             .collect();
         templates.sort_by_key(|t| t.template);
         scope_state::MonitorState {
-            config_fingerprint: self.config.fingerprint(),
+            config_fingerprint: tuning_fingerprint(),
             templates,
             reverted: self.reverted.clone(),
         }
     }
 
     /// Replace the monitor's per-template baselines and revert log with a
-    /// snapshot's ([`RegressionMonitor::export_state`] round-trip). The
-    /// config is kept as constructed.
+    /// snapshot's ([`RegressionMonitor::export_state`] round-trip).
     pub fn restore_state(&mut self, state: &scope_state::MonitorState) {
         self.templates = state
             .templates
@@ -232,7 +202,7 @@ mod tests {
 
     #[test]
     fn builds_baseline_from_unhinted_runs() {
-        let mut m = RegressionMonitor::new(MonitorConfig::default());
+        let mut m = RegressionMonitor::default();
         m.observe_day(&[row(1, 10.0, false), row(1, 12.0, false)]);
         let b = m.baseline(TemplateId(1)).unwrap();
         assert!(b > 10.0 && b < 12.0, "EMA between observations: {b}");
@@ -240,11 +210,7 @@ mod tests {
 
     #[test]
     fn reverts_after_consecutive_regressions() {
-        let mut m = RegressionMonitor::new(MonitorConfig {
-            regression_margin: 0.10,
-            revert_after: 2,
-            baseline_alpha: 0.5,
-        });
+        let mut m = RegressionMonitor::default();
         m.observe_day(&[row(1, 10.0, false)]);
         // First regression observation: no revert yet.
         let r1 = m.observe_day(&[row(1, 12.0, true)]);
@@ -259,11 +225,7 @@ mod tests {
 
     #[test]
     fn good_hinted_runs_reset_the_streak() {
-        let mut m = RegressionMonitor::new(MonitorConfig {
-            regression_margin: 0.10,
-            revert_after: 2,
-            baseline_alpha: 0.5,
-        });
+        let mut m = RegressionMonitor::default();
         m.observe_day(&[row(1, 10.0, false)]);
         assert!(m.observe_day(&[row(1, 12.0, true)]).is_empty());
         // An improved run breaks the streak...
@@ -274,7 +236,7 @@ mod tests {
 
     #[test]
     fn hinted_runs_without_baseline_are_skipped() {
-        let mut m = RegressionMonitor::new(MonitorConfig::default());
+        let mut m = RegressionMonitor::default();
         let r = m.observe_day(&[row(7, 99.0, true)]);
         assert!(r.is_empty());
         assert!(m.baseline(TemplateId(7)).is_none());

@@ -93,7 +93,7 @@ impl From<scope_state::SnapshotError> for PipelineError {
 /// for the miss. That is what makes cross-tenant sharing a pure throughput
 /// knob (see `crate::fleet` and the determinism tests pinning it).
 #[derive(Clone, Default)]
-pub struct SharedCaches {
+pub(crate) struct SharedCaches {
     /// The optimizer with its compile-result cache and delta compiler. Its
     /// clones share both, so every holder reads the same caches.
     pub optimizer: Optimizer,
@@ -104,9 +104,8 @@ pub struct SharedCaches {
 }
 
 impl SharedCaches {
-    /// The caches `config` enables, each at its fixed size — the same
-    /// construction [`QoAdvisor::new`] performs privately, hoisted out so N
-    /// advisors can point at one instance.
+    /// The caches `config` enables, each at its fixed size: one per advisor
+    /// ([`QoAdvisor::new`]) or one for a whole fleet.
     #[must_use]
     pub fn from_config(config: &PipelineConfig) -> Self {
         Self {
@@ -250,30 +249,20 @@ impl DailyReport {
 /// per-day work is decomposed into the five stage functions of
 /// `crate::stages`, which access this state directly.
 pub struct QoAdvisor {
-    /// The optimizer with the shared compile-result cache: every compile
-    /// of the five stages (span fixpoint, recommendation recompiles,
-    /// flighting's validation compiles) goes through it, so a
-    /// `(plan, configuration)` pair is compiled at most once across stages
-    /// *and* days.
-    pub(crate) optimizer: Optimizer,
-    /// The sim-wide execution cache, mirroring the compile cache: every
-    /// executor built via [`QoAdvisor::executor_for`] (the production
-    /// cluster's, the pre-production one below) shares it, so a plan
-    /// executed anywhere in the loop leaves its stage graph behind for
-    /// everyone. `None` when `config.exec_cache` is disabled.
-    pub(crate) exec_cache: Option<Arc<ExecutionCache>>,
-    /// The pre-production executor flighting runs on (the flighting
-    /// service's cluster behind the shared execution cache).
+    /// Every cache of the loop. Each compile of the five stages (span
+    /// fixpoint, recommendation recompiles, flighting's validation compiles)
+    /// goes through its optimizer, so a `(plan, configuration)` pair is
+    /// compiled at most once across stages *and* days; every executor built
+    /// via [`QoAdvisor::executor_for`] (the production cluster's, the
+    /// pre-production one below) shares its stage-graph memo; and
+    /// Recommendation builds each template's span co-occurrence block once
+    /// through its feature cache. A fleet of advisors shares one.
+    pub(crate) caches: SharedCaches,
+    /// The pre-production executor flighting runs on: the pre-production
+    /// cluster behind the shared execution cache.
     pub(crate) preprod_exec: CachingExecutor,
     pub(crate) flighting: FlightingService,
     pub(crate) personalizer: Personalizer,
-    /// The span-feature cache behind Recommendation's context construction:
-    /// the template-stable span co-occurrence block is built once per
-    /// template and reused across jobs and days. `None` when
-    /// `config.feature_cache` is disabled. Behind an `Arc` so a fleet of
-    /// advisors can share one process-wide cache (the keys are
-    /// tenant-invariant: content-derived template ids × span fingerprints).
-    pub(crate) feature_cache: Option<Arc<FeatureCache>>,
     pub(crate) validation: Option<ValidationModel>,
     pub(crate) sis: SisStore,
     pub(crate) config: PipelineConfig,
@@ -285,37 +274,32 @@ pub struct QoAdvisor {
 }
 
 impl QoAdvisor {
-    /// A single-tenant advisor: an in-memory SIS store and private caches
-    /// per `config`.
+    /// A single-tenant advisor: an in-memory SIS store, private caches per
+    /// `config`, and flights within `config.flight_budget` on the
+    /// pre-production cluster.
     #[must_use]
-    pub fn new(flighting: FlightingService, config: PipelineConfig) -> Self {
+    pub fn new(config: PipelineConfig) -> Self {
         let caches = SharedCaches::from_config(&config);
-        Self::with_shared_caches(flighting, config, SisStore::in_memory(), &caches)
+        Self::with_shared_caches(config, SisStore::in_memory(), caches)
     }
 
     /// An advisor publishing into `sis` with every cache layer pointing at
     /// caches owned elsewhere — the fleet path, where N advisors share one
     /// process-wide [`SharedCaches`]. Caches are throughput knobs, never
-    /// behavior knobs (the PR 1 contract), and the shared keys are
-    /// tenant-invariant (see [`SharedCaches`]), so an advisor built this way
-    /// produces byte-identical reports and hint files to one built with
-    /// private caches — or none at all.
-    #[must_use]
-    pub fn with_shared_caches(
-        flighting: FlightingService,
+    /// behavior knobs, and the shared keys are tenant-invariant (see
+    /// [`SharedCaches`]), so an advisor built this way produces
+    /// byte-identical reports and hint files to one built with private
+    /// caches — or none at all.
+    pub(crate) fn with_shared_caches(
         config: PipelineConfig,
         sis: SisStore,
-        caches: &SharedCaches,
+        caches: SharedCaches,
     ) -> Self {
-        let exec_cache = caches.exec.clone();
-        let preprod_exec = CachingExecutor::new(flighting.cluster().clone(), exec_cache.clone());
         Self {
-            optimizer: caches.optimizer.clone(),
-            exec_cache,
-            preprod_exec,
-            flighting,
+            preprod_exec: CachingExecutor::new(Cluster::preproduction(), caches.exec.clone()),
+            flighting: FlightingService::new(config.flight_budget.clone()),
+            caches,
             personalizer: Personalizer::new(config.cb.clone()),
-            feature_cache: caches.feature.clone(),
             validation: None,
             sis,
             config,
@@ -361,19 +345,19 @@ impl QoAdvisor {
     /// compile once per literal epoch instead of once per day.
     #[must_use]
     pub fn caching_optimizer(&self) -> &Optimizer {
-        &self.optimizer
+        &self.caches.optimizer
     }
 
     /// Lifetime compile-cache counters (all-zero when the cache is off).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.optimizer.stats()
+        self.caches.compile_stats()
     }
 
     /// Lifetime delta-compilation counters (all-zero when `delta` is off).
     #[must_use]
     pub fn delta_stats(&self) -> scope_opt::DeltaStats {
-        self.optimizer.delta_stats()
+        self.caches.optimizer.delta_stats()
     }
 
     /// Build an executor over `cluster` that shares the advisor's
@@ -383,14 +367,15 @@ impl QoAdvisor {
     /// behind ONE cache — the execution-side mirror of
     /// [`QoAdvisor::caching_optimizer`].
     #[must_use]
-    pub fn executor_for(&self, cluster: Cluster) -> CachingExecutor {
-        CachingExecutor::new(cluster, self.exec_cache.clone())
+    pub(crate) fn executor_for(&self, cluster: Cluster) -> CachingExecutor {
+        CachingExecutor::new(cluster, self.caches.exec.clone())
     }
 
     /// Lifetime execution-cache counters (all-zero when the cache is off).
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
-        self.exec_cache
+        self.caches
+            .exec
             .as_ref()
             .map(|cache| cache.stats())
             .unwrap_or_default()
@@ -400,10 +385,7 @@ impl QoAdvisor {
     /// off).
     #[must_use]
     pub fn feature_stats(&self) -> CacheStats {
-        self.feature_cache
-            .as_deref()
-            .map(FeatureCache::stats)
-            .unwrap_or_default()
+        self.caches.feature_stats()
     }
 
     #[must_use]
@@ -430,7 +412,7 @@ impl QoAdvisor {
     /// Task 1 — Feature Generation: span (cached per template) plus the
     /// default-configuration estimated cost.
     fn span_for(&mut self, template: TemplateId, plan: &LogicalPlan) -> Option<(SpanResult, f64)> {
-        let optimizer = &self.optimizer;
+        let optimizer = &self.caches.optimizer;
         let iterations = self.config.span_max_iterations;
         self.span_cache
             .entry(template)
@@ -489,7 +471,7 @@ impl QoAdvisor {
         day: u32,
         max_flights: usize,
     ) -> Vec<ValidationSample> {
-        let default_config = self.optimizer.default_config();
+        let default_config = self.caches.optimizer.default_config();
         let mut requests = Vec::new();
         for row in view.iter().filter(|r| r.recurring) {
             if requests.len() >= max_flights {
@@ -511,7 +493,7 @@ impl QoAdvisor {
         }
         let (outcomes, _) =
             self.flighting
-                .flight_batch(&self.optimizer, &self.preprod_exec, &requests);
+                .flight_batch(&self.caches.optimizer, &self.preprod_exec, &requests);
         outcomes
             .iter()
             .filter_map(|o| o.measurement())
@@ -528,19 +510,13 @@ impl QoAdvisor {
 mod tests {
     use super::*;
     use crate::config::RecommendStrategy;
-    use flighting::FlightBudget;
-    use scope_runtime::Cluster;
     use scope_workload::{build_view, Workload, WorkloadConfig};
 
     fn advisor(strategy: RecommendStrategy) -> QoAdvisor {
-        let flighting = FlightingService::new(Cluster::default(), FlightBudget::default());
-        QoAdvisor::new(
-            flighting,
-            PipelineConfig {
-                strategy,
-                ..PipelineConfig::default()
-            },
-        )
+        QoAdvisor::new(PipelineConfig {
+            strategy,
+            ..PipelineConfig::default()
+        })
     }
 
     fn day_view(advisor: &QoAdvisor, seed: u64, day: u32) -> Vec<ViewRow> {
@@ -670,13 +646,10 @@ mod tests {
         );
 
         // Same day, cache disabled: zero telemetry, byte-identical steering.
-        let mut off = QoAdvisor::new(
-            FlightingService::new(Cluster::default(), FlightBudget::default()),
-            PipelineConfig {
-                cache: CacheConfig::disabled(),
-                ..PipelineConfig::default()
-            },
-        );
+        let mut off = QoAdvisor::new(PipelineConfig {
+            cache: CacheConfig::disabled(),
+            ..PipelineConfig::default()
+        });
         let report_off = off.run_day(&view, 0).unwrap();
         assert_eq!(report_off.compile_cache, CacheCounters::default());
         assert_eq!(off.cache_stats(), scope_opt::CacheStats::default());
@@ -690,6 +663,51 @@ mod tests {
             normalized, report_off,
             "the cache must never change what the pipeline decides"
         );
+    }
+
+    /// The advisor flies within its config's budget. Ungated random flips
+    /// flight most spanned templates of a day; under the default budget
+    /// they burn far more than the experiments' tight 6 h total, which
+    /// stops the same day's flights at that total.
+    #[test]
+    fn flights_stay_within_the_configured_budget() {
+        let tight = flighting::FlightBudget {
+            total_seconds: 6.0 * 3600.0,
+            queue_size: 64,
+        };
+        let day = |flight_budget: flighting::FlightBudget| {
+            let mut qa = QoAdvisor::new(PipelineConfig {
+                strategy: RecommendStrategy::UniformRandom,
+                est_cost_gate: false,
+                max_flights_per_day: 64,
+                flight_budget,
+                ..PipelineConfig::default()
+            });
+            let w = Workload::new(WorkloadConfig {
+                seed: 2022,
+                num_templates: 60,
+                adhoc_per_day: 0,
+                max_instances_per_day: 1,
+                ..WorkloadConfig::default()
+            });
+            let view = build_view(
+                &w.jobs_for_day(0),
+                &Optimizer::default(),
+                &qa.sis().snapshot(),
+                &Cluster::default(),
+            )
+            .unwrap();
+            qa.run_day(&view, 0).unwrap()
+        };
+        let generous = day(flighting::FlightBudget::default());
+        assert!(
+            generous.flight_seconds_used > tight.total_seconds,
+            "{} s flown under the default budget",
+            generous.flight_seconds_used
+        );
+        let report = day(tight.clone());
+        assert!(report.flight_seconds_used <= tight.total_seconds);
+        assert!(report.flight_timeout > generous.flight_timeout);
     }
 
     #[test]

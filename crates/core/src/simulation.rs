@@ -6,10 +6,9 @@
 use crate::config::PipelineConfig;
 use crate::day;
 use crate::meter::Stage;
-use crate::monitoring::{MonitorConfig, RegressionMonitor};
+use crate::monitoring::RegressionMonitor;
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, SharedCaches};
 use crate::validation_model::{ValidationModel, ValidationSample};
-use flighting::FlightingService;
 use scope_ir::ids::production_run_seed;
 use scope_ir::{JobId, TemplateId};
 use scope_runtime::{CachingExecutor, Cluster, ExecutionMetrics, Executor};
@@ -132,7 +131,7 @@ impl ProductionSim {
         sis: sis::SisStore,
     ) -> Self {
         let caches = SharedCaches::from_config(&pipeline);
-        Self::with_shared_caches(workload, pipeline, sis, &caches)
+        Self::with_shared_caches(workload, pipeline, sis, caches)
     }
 
     /// Like [`ProductionSim::with_sis_store`] but layering the advisor over
@@ -141,16 +140,13 @@ impl ProductionSim {
     /// shared keys are tenant-invariant (see [`SharedCaches`]), so this sim's
     /// reports and published hints are byte-identical to a privately-cached
     /// one's.
-    #[must_use]
-    pub fn with_shared_caches(
+    pub(crate) fn with_shared_caches(
         workload: WorkloadConfig,
         pipeline: PipelineConfig,
         sis: sis::SisStore,
-        caches: &SharedCaches,
+        caches: SharedCaches,
     ) -> Self {
-        let flighting =
-            FlightingService::new(Cluster::preproduction(), pipeline.flight_budget.clone());
-        let advisor = QoAdvisor::with_shared_caches(flighting, pipeline, sis, caches);
+        let advisor = QoAdvisor::with_shared_caches(pipeline, sis, caches);
         let prod_exec = advisor.executor_for(Cluster::default());
         Self {
             workload: Workload::new(workload),
@@ -175,8 +171,8 @@ impl ProductionSim {
     /// hinted jobs is compared against per-template baselines, and hints
     /// that regress repeatedly are reverted from SIS.
     #[must_use]
-    pub fn with_monitoring(mut self, config: MonitorConfig) -> Self {
-        self.monitor = Some(RegressionMonitor::new(config));
+    pub fn with_monitoring(mut self) -> Self {
+        self.monitor = Some(RegressionMonitor::default());
         self
     }
 
@@ -592,7 +588,7 @@ mod tests {
             };
             let sis = sis::SisStore::at_dir(root.join(name)).unwrap();
             let mut sim = ProductionSim::with_sis_store(workload, PipelineConfig::default(), sis)
-                .with_monitoring(MonitorConfig::default());
+                .with_monitoring();
             sim.bootstrap_validation_model(2, 8).unwrap();
             sim
         };

@@ -15,7 +15,8 @@
 //! truncated, or mismatched snapshot leaves the process exactly as it was
 //! and surfaces a typed [`SnapshotError`].
 
-use crate::config::{PipelineConfig, RecommendStrategy};
+use crate::config::{PipelineConfig, RecommendStrategy, REWARD_CLIP, VALIDATION_THRESHOLD};
+use crate::monitoring::tuning_fingerprint;
 use crate::pipeline::{PipelineError, QoAdvisor};
 use crate::simulation::ProductionSim;
 use crate::validation_model::ValidationModel;
@@ -66,8 +67,8 @@ fn literals_id(policy: LiteralPolicy) -> LiteralsId {
 
 /// Stable fingerprint of every *output-affecting* pipeline knob, carried in
 /// the snapshot's META section and checked on restore: a snapshot resumed
-/// under different tuning (bandit hyper-parameters, flight budget,
-/// validation threshold, …) would silently diverge from the uninterrupted
+/// under different tuning (bandit hyper-parameters, flight budget, span
+/// limits, …) would silently diverge from the uninterrupted
 /// run, so a disagreement is a typed [`SnapshotError::Mismatch`].
 ///
 /// Throughput-only knobs are deliberately **excluded** — `parallelism`, the
@@ -86,11 +87,14 @@ fn pipeline_fingerprint(config: &PipelineConfig) -> u64 {
         config.cb.learning_rate.to_bits(),
         u64::from(config.cb.dim_bits),
         config.cb.max_importance.to_bits(),
-        config.flight_budget.max_job_seconds.to_bits(),
+        // The per-flight cap, validation threshold and reward clip are
+        // constants that hash in their retired settings' slots, so every
+        // earlier snapshot's fingerprint holds.
+        flighting::MAX_JOB_SECONDS.to_bits(),
         config.flight_budget.total_seconds.to_bits(),
         config.flight_budget.queue_size as u64,
-        config.validation_threshold.to_bits(),
-        config.reward_clip.to_bits(),
+        VALIDATION_THRESHOLD.to_bits(),
+        REWARD_CLIP.to_bits(),
         config.span_max_iterations as u64,
         u64::from(config.est_cost_gate),
         config.max_flights_per_day as u64,
@@ -198,8 +202,8 @@ impl QoAdvisor {
                 what: format!(
                     "pipeline configuration differs: snapshot fingerprint \
                      {:#018x}, process {ours:#018x} (an output-affecting knob \
-                     — bandit hyper-parameters, flight budget, validation \
-                     threshold, … — changed between snapshot and restore)",
+                     — bandit hyper-parameters, flight budget, span \
+                     limits, … — changed between snapshot and restore)",
                     snap.meta.config_fingerprint
                 ),
             });
@@ -293,8 +297,8 @@ impl ProductionSim {
             }
         }
         match (&self.monitor, &snap.monitor) {
-            (Some(monitor), Some(state)) => {
-                let ours = monitor.config_fingerprint();
+            (Some(_), Some(state)) => {
+                let ours = tuning_fingerprint();
                 if state.config_fingerprint != ours {
                     return Err(SnapshotError::Mismatch {
                         what: format!(
@@ -393,7 +397,6 @@ impl ProductionSim {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::monitoring::MonitorConfig;
     use scope_state::FORMAT_VERSION;
 
     fn small_sim() -> ProductionSim {
@@ -448,7 +451,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_monitor_presence_mismatch() {
-        let mut monitored = small_sim().with_monitoring(MonitorConfig::default());
+        let mut monitored = small_sim().with_monitoring();
         monitored.run(1).unwrap();
         let snap = monitored.export_state();
         let mut plain = small_sim();
@@ -460,7 +463,7 @@ mod tests {
         let mut plain2 = small_sim();
         plain2.run(1).unwrap();
         let snap2 = plain2.export_state();
-        let mut monitored2 = small_sim().with_monitoring(MonitorConfig::default());
+        let mut monitored2 = small_sim().with_monitoring();
         assert!(matches!(
             monitored2.import_state(&snap2).unwrap_err(),
             SnapshotError::Mismatch { .. }
@@ -481,7 +484,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
             PipelineConfig {
-                validation_threshold: -0.2,
+                max_flights_per_day: 47,
                 ..PipelineConfig::default()
             },
         ] {
@@ -557,13 +560,13 @@ mod tests {
 
     #[test]
     fn restore_rejects_different_monitor_tuning() {
-        let mut monitored = small_sim().with_monitoring(MonitorConfig::default());
+        // The tuning is constant, so a snapshot from other tuning is one
+        // whose monitor fingerprint differs.
+        let mut monitored = small_sim().with_monitoring();
         monitored.run(1).unwrap();
-        let snap = monitored.export_state();
-        let mut retuned = small_sim().with_monitoring(MonitorConfig {
-            regression_margin: 0.20,
-            ..MonitorConfig::default()
-        });
+        let mut snap = monitored.export_state();
+        snap.monitor.as_mut().unwrap().config_fingerprint ^= 1;
+        let mut retuned = small_sim().with_monitoring();
         let err = retuned.import_state(&snap).unwrap_err();
         assert!(matches!(err, SnapshotError::Mismatch { .. }), "{err:?}");
     }

@@ -42,7 +42,7 @@
 //! cache and the delta compiler — like the thread count — are throughput
 //! knobs, never behavior knobs.
 
-use crate::config::RecommendStrategy;
+use crate::config::{RecommendStrategy, REWARD_CLIP, VALIDATION_THRESHOLD};
 use crate::features::{job_features, reward_from_costs, SpanFeatures};
 use crate::pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation};
 use personalizer::{RankInput, SparseSlate};
@@ -189,7 +189,7 @@ pub(crate) fn feature_gen<'v>(
         }
     }
 
-    let optimizer = &qa.optimizer;
+    let optimizer = &qa.caches.optimizer;
     let iterations = qa.config.span_max_iterations;
     let workers = qa.config.parallelism.threads.unwrap_or(1); // unset = serial
     let computed = par_map(workers, &pending, |(_, plan)| {
@@ -246,7 +246,7 @@ pub(crate) fn recommend(
     day: u32,
     report: &mut DailyReport,
 ) -> Result<Vec<Recommendation>, PipelineError> {
-    let default_config = qa.optimizer.default_config();
+    let default_config = qa.caches.optimizer.default_config();
 
     // Phase 1: context + action slates are pure per-job features — fan out.
     // The template-stable half — the span block and the action slate —
@@ -261,9 +261,9 @@ pub(crate) fn recommend(
     // template's span block (one `Arc`, never copied per job): both of its
     // ranks, and the pending events they log, hold that `Arc` instead of
     // copies.
-    let optimizer = &qa.optimizer;
+    let optimizer = &qa.caches.optimizer;
     let config = &qa.config;
-    let feature_cache = qa.feature_cache.as_ref();
+    let feature_cache = qa.caches.feature.as_ref();
     let workers = config.parallelism.threads.unwrap_or(1); // unset = serial
     let batch = config.strategy == RecommendStrategy::ContextualBandit && config.cb.batch_rank;
     let inputs: Vec<(Arc<RankInput>, Arc<SpanFeatures>)> = par_map(workers, jobs, |job| {
@@ -396,7 +396,7 @@ pub(crate) fn recommend(
                 None => 1.0, // no-op: cost ratio is exactly 1
                 Some(flip) => {
                     let cost = cost_of(i, flip).and_then(|cost| cost.as_ref().ok().copied());
-                    reward_from_costs(default_cost, cost, qa.config.reward_clip)
+                    reward_from_costs(default_cost, cost, REWARD_CLIP)
                 }
             };
             qa.personalizer.reward(event, reward);
@@ -426,11 +426,7 @@ pub(crate) fn recommend(
                         if let Some(event) = event {
                             qa.personalizer.reward(
                                 event,
-                                reward_from_costs(
-                                    default_cost,
-                                    Some(new_cost),
-                                    qa.config.reward_clip,
-                                ),
+                                reward_from_costs(default_cost, Some(new_cost), REWARD_CLIP),
                             );
                         }
                         let rel = (new_cost - default_cost) / default_cost.max(1e-12);
@@ -496,7 +492,7 @@ pub(crate) fn flight(
             .then(a.template.cmp(&b.template))
     });
     reps.truncate(qa.config.max_flights_per_day);
-    let default_config = qa.optimizer.default_config();
+    let default_config = qa.caches.optimizer.default_config();
     let requests: Vec<flighting::FlightRequest> = reps
         .iter()
         .map(|r| flighting::FlightRequest {
@@ -507,9 +503,9 @@ pub(crate) fn flight(
             treatment: default_config.with_flip(r.flip),
         })
         .collect();
-    let (outcomes, tracker) = qa
-        .flighting
-        .flight_batch(&qa.optimizer, &qa.preprod_exec, &requests);
+    let (outcomes, tracker) =
+        qa.flighting
+            .flight_batch(&qa.caches.optimizer, &qa.preprod_exec, &requests);
     report.flighted = requests.len();
     report.flight_seconds_used = tracker.used_seconds;
     for r in &reps {
@@ -534,11 +530,11 @@ pub(crate) fn validate(
                     Some(model) => model.accepts(
                         m.data_read_delta(),
                         m.data_written_delta(),
-                        qa.config.validation_threshold,
+                        VALIDATION_THRESHOLD,
                     ),
                     // Without a trained model, fall back to the raw (noisy)
                     // single-flight measurement.
-                    None => m.pn_delta() < qa.config.validation_threshold,
+                    None => m.pn_delta() < VALIDATION_THRESHOLD,
                 };
                 if ok {
                     report.validated += 1;

@@ -2,11 +2,13 @@
 
 use serde::Serialize;
 
+/// Maximum simulated seconds one flight may take (paper: 24 hours). A flight
+/// whose baseline or treatment run exceeds it times out.
+pub const MAX_JOB_SECONDS: f64 = 24.0 * 3600.0;
+
 /// Budget configuration.
 #[derive(Debug, Clone, Serialize)]
 pub struct FlightBudget {
-    /// Maximum simulated seconds one flight may take (paper: 24 hours).
-    pub max_job_seconds: f64,
     /// Total simulated seconds available across all flights.
     pub total_seconds: f64,
     /// Fixed queue size — at most this many jobs are accepted per batch.
@@ -16,7 +18,6 @@ pub struct FlightBudget {
 impl Default for FlightBudget {
     fn default() -> Self {
         Self {
-            max_job_seconds: 24.0 * 3600.0,
             total_seconds: 40.0 * 24.0 * 3600.0,
             queue_size: 64,
         }
@@ -57,7 +58,6 @@ mod tests {
     #[test]
     fn charging_respects_total_budget() {
         let budget = FlightBudget {
-            max_job_seconds: 100.0,
             total_seconds: 250.0,
             queue_size: 8,
         };
@@ -72,11 +72,7 @@ mod tests {
 
     #[test]
     fn default_budget_matches_paper_thresholds() {
-        let b = FlightBudget::default();
-        assert!(
-            (b.max_job_seconds - 86_400.0).abs() < 1e-9,
-            "24-hour per-job cap"
-        );
-        assert!(b.queue_size > 0);
+        assert_eq!(MAX_JOB_SECONDS, 86_400.0, "24-hour per-job cap");
+        assert!(FlightBudget::default().queue_size > 0);
     }
 }

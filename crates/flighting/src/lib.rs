@@ -18,6 +18,6 @@ pub mod outcome;
 pub mod service;
 
 pub use aa::run_aa;
-pub use budget::{BudgetTracker, FlightBudget};
+pub use budget::{BudgetTracker, FlightBudget, MAX_JOB_SECONDS};
 pub use outcome::{FlightMeasurement, FlightOutcome};
 pub use service::{FlightRequest, FlightingService};

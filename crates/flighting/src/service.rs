@@ -1,12 +1,12 @@
 //! The flighting service proper: queued A/B runs under budget.
 
-use crate::budget::{BudgetTracker, FlightBudget};
+use crate::budget::{BudgetTracker, FlightBudget, MAX_JOB_SECONDS};
 use crate::outcome::{FlightMeasurement, FlightOutcome};
 use scope_ir::ids::{flight_baseline_run_seed, flight_treatment_run_seed, preflight_draw, unit};
 use scope_ir::logical::LogicalPlan;
 use scope_ir::TemplateId;
 use scope_opt::{Optimizer, RuleConfig};
-use scope_runtime::{Cluster, Executor};
+use scope_runtime::Executor;
 use std::sync::Arc;
 
 /// One flighting request: a job and the two configurations to compare.
@@ -19,15 +19,12 @@ pub struct FlightRequest {
     pub treatment: RuleConfig,
 }
 
-/// The pre-production flighting environment.
+/// The pre-production flighting environment: its budget and its noise
+/// position. The cluster flights run on is the [`Executor`] handed to
+/// [`FlightingService::flight_batch`], so a shared execution cache can sit
+/// behind it.
 #[derive(Debug)]
 pub struct FlightingService {
-    /// Descriptor of the pre-production cluster flights run on. Execution
-    /// itself goes through the [`Executor`] handed to
-    /// [`FlightingService::flight_batch`], so a shared execution cache can
-    /// sit behind it; callers build that executor from this cluster (see
-    /// `qo_advisor::QoAdvisor`).
-    cluster: Cluster,
     budget: FlightBudget,
     /// Deterministic per-batch salt so different days see fresh noise.
     batch_salt: u64,
@@ -35,24 +32,11 @@ pub struct FlightingService {
 
 impl FlightingService {
     #[must_use]
-    pub fn new(cluster: Cluster, budget: FlightBudget) -> Self {
+    pub fn new(budget: FlightBudget) -> Self {
         Self {
-            cluster,
             budget,
             batch_salt: 0,
         }
-    }
-
-    /// The pre-production cluster this service describes (what flight
-    /// executors should be built over).
-    #[must_use]
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    #[must_use]
-    pub fn budget(&self) -> &FlightBudget {
-        &self.budget
     }
 
     /// The current batch salt — the service's only cross-day RNG position
@@ -85,24 +69,19 @@ impl FlightingService {
     /// Flight a batch of requests **in the given order** (callers order by
     /// estimated cost delta so the most promising jobs flight first, §4.3).
     /// Returns one outcome per request plus the final budget accounting.
-    /// Passing the pipeline's cached [`Optimizer`] lets the validation
-    /// recompiles reuse its compile-result cache, and passing a
-    /// `scope_runtime::CachingExecutor` lets the baseline/treatment runs
-    /// share its execution cache (the baseline plan is usually the very
-    /// default plan the production view already executed, so at least its
-    /// stage graph is a lookup).
+    /// Both runs of every flight execute on `executor`: it is the
+    /// pre-production cluster. Passing the pipeline's cached [`Optimizer`]
+    /// lets the validation recompiles reuse its compile-result cache, and
+    /// passing a `scope_runtime::CachingExecutor` lets the
+    /// baseline/treatment runs share its execution cache (the baseline plan
+    /// is usually the very default plan the production view already
+    /// executed, so at least its stage graph is a lookup).
     pub fn flight_batch<E: Executor>(
         &mut self,
         optimizer: &Optimizer,
         executor: &E,
         requests: &[FlightRequest],
     ) -> (Vec<FlightOutcome>, BudgetTracker) {
-        debug_assert_eq!(
-            executor.cluster().variance,
-            self.cluster.variance,
-            "flight executor runs on a different cluster than the service \
-             describes — flights would be measured under the wrong noise"
-        );
         self.batch_salt = self.batch_salt.wrapping_add(1);
         let mut tracker = BudgetTracker::default();
         let mut outcomes = Vec::with_capacity(requests.len());
@@ -157,11 +136,9 @@ impl FlightingService {
             let base_m = executor.execute(&baseline.physical, req.job_seed, run_a);
             let treat_m = executor.execute(&treatment.physical, req.job_seed, run_b);
             let elapsed = base_m.latency_sec + treat_m.latency_sec;
-            if base_m.latency_sec > self.budget.max_job_seconds
-                || treat_m.latency_sec > self.budget.max_job_seconds
-            {
+            if base_m.latency_sec > MAX_JOB_SECONDS || treat_m.latency_sec > MAX_JOB_SECONDS {
                 // Charge what we burned discovering the timeout.
-                let capped = elapsed.min(2.0 * self.budget.max_job_seconds);
+                let capped = elapsed.min(2.0 * MAX_JOB_SECONDS);
                 let _ = tracker.try_charge(capped, &self.budget);
                 outcomes.push(FlightOutcome::Timeout);
                 continue;
@@ -183,6 +160,7 @@ impl FlightingService {
 mod tests {
     use super::*;
     use scope_opt::RuleFlip;
+    use scope_runtime::Cluster;
     use scope_workload::{Workload, WorkloadConfig};
 
     fn requests(n: usize) -> (Optimizer, Vec<FlightRequest>) {
@@ -216,7 +194,7 @@ mod tests {
     #[test]
     fn successful_flights_return_measurements() {
         let (optimizer, reqs) = requests(12);
-        let mut svc = FlightingService::new(Cluster::default(), FlightBudget::default());
+        let mut svc = FlightingService::new(FlightBudget::default());
         let (outcomes, tracker) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
         assert_eq!(outcomes.len(), reqs.len());
         let successes = outcomes.iter().filter(|o| o.is_success()).count();
@@ -233,17 +211,47 @@ mod tests {
         }
     }
 
+    /// Flights are measured on the executor handed to `flight_batch`: on a
+    /// noise-free cluster each success is exactly the direct runs of its two
+    /// compiled plans there, and the same batch on a noisy cluster differs.
+    #[test]
+    fn flights_measure_on_the_executor_they_are_handed() {
+        let (optimizer, reqs) = requests(12);
+        let quiet = Cluster::deterministic();
+        let batch = |executor: &Cluster| {
+            let mut svc = FlightingService::new(FlightBudget::default());
+            svc.flight_batch(&optimizer, executor, &reqs).0
+        };
+        let outcomes = batch(&quiet);
+        assert_ne!(outcomes, batch(&Cluster::default()));
+        let mut checked = 0;
+        for (req, outcome) in reqs.iter().zip(&outcomes) {
+            let FlightOutcome::Success(m) = outcome else {
+                continue;
+            };
+            let run = |config, run_seed| {
+                let plan = optimizer.compile(&req.plan, config).unwrap().physical;
+                quiet.execute(&plan, req.job_seed, run_seed)
+            };
+            // The first batch of a fresh service runs at salt 1.
+            let seeds = (
+                flight_baseline_run_seed(req.job_seed, 1),
+                flight_treatment_run_seed(req.job_seed, 1),
+            );
+            assert_eq!(m.baseline, run(&req.baseline, seeds.0));
+            assert_eq!(m.treatment, run(&req.treatment, seeds.1));
+            checked += 1;
+        }
+        assert!(checked > 0, "some flight succeeds");
+    }
+
     #[test]
     fn tight_budget_times_out_tail_jobs() {
         let (optimizer, reqs) = requests(14);
-        let mut svc = FlightingService::new(
-            Cluster::default(),
-            FlightBudget {
-                max_job_seconds: 86_400.0,
-                total_seconds: 1_500.0,
-                queue_size: 64,
-            },
-        );
+        let mut svc = FlightingService::new(FlightBudget {
+            total_seconds: 1_500.0,
+            queue_size: 64,
+        });
         let (outcomes, tracker) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
         let timeouts = outcomes
             .iter()
@@ -256,13 +264,10 @@ mod tests {
     #[test]
     fn queue_size_caps_accepted_jobs() {
         let (optimizer, reqs) = requests(10);
-        let mut svc = FlightingService::new(
-            Cluster::default(),
-            FlightBudget {
-                queue_size: 3,
-                ..FlightBudget::default()
-            },
-        );
+        let mut svc = FlightingService::new(FlightBudget {
+            queue_size: 3,
+            ..FlightBudget::default()
+        });
         let (outcomes, _) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
         let past_queue = &outcomes[3.min(outcomes.len())..];
         assert!(past_queue
@@ -273,7 +278,7 @@ mod tests {
     #[test]
     fn some_jobs_fail_or_filter_deterministically() {
         let (optimizer, reqs) = requests(40);
-        let mut svc = FlightingService::new(Cluster::default(), FlightBudget::default());
+        let mut svc = FlightingService::new(FlightBudget::default());
         let (outcomes, _) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
         let failures = outcomes
             .iter()
@@ -287,7 +292,7 @@ mod tests {
     fn batches_see_fresh_noise_but_service_is_deterministic() {
         let (optimizer, reqs) = requests(6);
         let run = || {
-            let mut svc = FlightingService::new(Cluster::default(), FlightBudget::default());
+            let mut svc = FlightingService::new(FlightBudget::default());
             let (o1, _) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
             let (o2, _) = svc.flight_batch(&optimizer, &Cluster::default(), &reqs);
             (o1, o2)

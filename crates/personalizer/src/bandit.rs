@@ -173,19 +173,6 @@ impl ContextualBandit {
         }
     }
 
-    /// Greedy exploitation (used when deploying the final recommendation).
-    #[must_use]
-    pub fn rank_greedy(&self, context: &FeatureVector, actions: &[FeatureVector]) -> RankDecision {
-        assert!(!actions.is_empty(), "rank needs at least one action");
-        let scores = self.scores(context, actions);
-        let chosen = argmax(&scores);
-        RankDecision {
-            chosen,
-            probability: 1.0,
-            scores,
-        }
-    }
-
     /// Off-policy reward update: inverse-propensity-weighted regression of
     /// the chosen action's joint features toward the observed reward.
     pub fn reward(
@@ -300,8 +287,8 @@ mod tests {
             let r = truth(ctx_name, d.chosen);
             cb.reward(&ctx, &actions[d.chosen], r, d.probability);
         }
-        assert_eq!(cb.rank_greedy(&context("A"), &actions).chosen, 0);
-        assert_eq!(cb.rank_greedy(&context("B"), &actions).chosen, 1);
+        assert_eq!(argmax(&cb.scores(&context("A"), &actions)), 0);
+        assert_eq!(argmax(&cb.scores(&context("B"), &actions)), 1);
     }
 
     #[test]

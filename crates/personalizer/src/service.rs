@@ -315,11 +315,6 @@ impl Personalizer {
         }
     }
 
-    /// Greedy decision without logging (deployment-time inference).
-    pub fn best_action(&self, context: &FeatureVector, actions: &[FeatureVector]) -> RankDecision {
-        self.lock().bandit.rank_greedy(context, actions)
-    }
-
     /// Events absorbed so far.
     pub fn events(&self) -> u64 {
         self.lock().bandit.events
@@ -447,9 +442,9 @@ mod tests {
             let r = if resp.decision.chosen == 2 { 1.0 } else { 0.0 };
             svc.reward(resp.event_id, r);
         }
-        let best = svc.best_action(&fv("ctx"), &[fv("a0"), fv("a1"), fv("a2")]);
-        assert_eq!(best.chosen, 2);
-        assert!((best.probability - 1.0).abs() < 1e-12);
+        let scores = svc.scores(&shared(&request(0, false), 16));
+        let best = (0..scores.len()).max_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+        assert_eq!(best, Some(2));
     }
 
     /// `request`'s features as one shared input, with its CSR slate.

@@ -203,10 +203,6 @@ impl CachingExecutor {
 }
 
 impl Executor for CachingExecutor {
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
         match &self.cache {
             Some(cache) => {

@@ -28,11 +28,6 @@ use scope_ir::physical::PhysicalPlan;
 /// [`crate::CachingExecutor`] memoizes stage graphs behind the same
 /// interface, which the contract makes invisible.
 pub trait Executor {
-    /// The cluster (variance model) this executor runs on.
-    /// Callers that pair an executor with an environment descriptor (e.g.
-    /// `flighting::FlightingService`) use this to check the two agree.
-    fn cluster(&self) -> &Cluster;
-
     /// Execute a physical plan under `(job_seed, run_seed)`.
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics;
 }
@@ -41,10 +36,6 @@ pub trait Executor {
 /// it, no caching. This keeps ad-hoc call sites (tests, examples, one-shot
 /// probes) free of wrapper noise.
 impl Executor for Cluster {
-    fn cluster(&self) -> &Cluster {
-        self
-    }
-
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
         execute(plan, self, job_seed, run_seed)
     }

@@ -103,9 +103,9 @@ pub struct MonitorTemplateState {
 /// the revert log in observation order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorState {
-    /// Stable fingerprint of the `MonitorConfig` the baselines were built
-    /// under (margin, revert threshold, EMA factor — every field changes
-    /// revert decisions). Checked on restore like the pipeline fingerprint
+    /// Stable fingerprint of the monitor tuning the baselines were built
+    /// under (margin, revert threshold, EMA factor — each changes revert
+    /// decisions). Checked on restore like the pipeline fingerprint
     /// in [`MetaState`].
     pub config_fingerprint: u64,
     pub templates: Vec<MonitorTemplateState>,

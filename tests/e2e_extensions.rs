@@ -2,7 +2,7 @@
 //! the paper's pipeline: stateful skip-explored mode, hint reversion, and
 //! the optimistic post-deployment monitoring loop.
 
-use qo_advisor::{MonitorConfig, PipelineConfig, ProductionSim};
+use qo_advisor::{PipelineConfig, ProductionSim};
 use scope_workload::WorkloadConfig;
 
 fn workload(seed: u64) -> WorkloadConfig {
@@ -74,8 +74,8 @@ fn revert_hint_removes_sis_entry_and_bumps_version() {
 
 #[test]
 fn monitoring_loop_runs_and_never_reverts_healthy_hints_spuriously() {
-    let mut with_monitor = ProductionSim::new(workload(2024), PipelineConfig::default())
-        .with_monitoring(MonitorConfig::default());
+    let mut with_monitor =
+        ProductionSim::new(workload(2024), PipelineConfig::default()).with_monitoring();
     with_monitor.bootstrap_validation_model(4, 16).unwrap();
     let outcomes = with_monitor.run(12).unwrap();
     let reverted: usize = outcomes.iter().map(|o| o.reverted.len()).sum();

@@ -3,7 +3,7 @@
 //! arm from its own uniformly logged rank/reward events.
 
 use flighting::{FlightBudget, FlightOutcome, FlightRequest, FlightingService};
-use personalizer::{CbConfig, Personalizer, RankRequest};
+use personalizer::{CbConfig, Personalizer, RankInput, RankRequest};
 use qo_advisor::{ValidationModel, ValidationSample};
 use scope_opt::{compute_span, Optimizer, RuleFlip};
 use scope_runtime::Cluster;
@@ -21,7 +21,7 @@ fn flighting_results_train_a_useful_validation_model() {
         ..WorkloadConfig::default()
     });
     let default = optimizer.default_config();
-    let mut svc = FlightingService::new(Cluster::preproduction(), FlightBudget::default());
+    let mut svc = FlightingService::new(FlightBudget::default());
     let mut samples = Vec::new();
     for day in 0..6u32 {
         let mut requests = Vec::new();
@@ -96,7 +96,7 @@ fn flight_outcomes_cover_the_paper_taxonomy() {
             treatment: default,
         })
         .collect();
-    let mut svc = FlightingService::new(Cluster::preproduction(), FlightBudget::default());
+    let mut svc = FlightingService::new(FlightBudget::default());
     let (outcomes, _) = svc.flight_batch(&optimizer, &Cluster::preproduction(), &requests);
     let success = outcomes.iter().filter(|o| o.is_success()).count();
     let nonsuccess = outcomes.len() - success;
@@ -163,6 +163,12 @@ fn bandit_learns_the_paying_arm_from_a_uniform_log() {
         let reward = if resp.decision.chosen == 2 { 1.0 } else { 0.0 };
         svc.reward(resp.event_id, reward);
     }
-    let best = svc.best_action(&ctx, &actions);
-    assert_eq!(best.chosen, 2);
+    let scores = svc.scores(&RankInput {
+        job: ctx,
+        shared: Default::default(),
+        actions: actions.into(),
+        sparse: None,
+    });
+    let best = (0..scores.len()).max_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    assert_eq!(best, Some(2));
 }
