@@ -205,9 +205,11 @@ pub struct DailyReport {
     /// neighbours' traffic. Telemetry only, and not fixed here: per-tenant
     /// attribution needs a recorder on the lookup path (ROADMAP item 4a).
     pub compile_cache: CacheCounters,
-    /// Execution-result-cache telemetry, attributed the same way — with the
-    /// same shared-cache caveat as `compile_cache` (all-zero when the cache
-    /// is off; zeroed in reproducibility comparisons).
+    /// Stage-graph memo telemetry of the execution cache (graph lookups,
+    /// and the same executions counted as result misses), attributed the
+    /// same way — with the same shared-cache caveat as `compile_cache`
+    /// (all-zero when the cache is off; zeroed in reproducibility
+    /// comparisons).
     pub exec_cache: ExecCounters,
     /// Delta-compilation telemetry: how the day's treatment slates were
     /// resolved (pruned / delta / full) and the base-memo cache traffic.

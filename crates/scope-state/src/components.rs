@@ -1,9 +1,14 @@
-//! Per-component codecs and the [`SteeringSnapshot`] aggregate.
+//! Per-component state, its wire layouts, and the [`SteeringSnapshot`]
+//! aggregate.
 //!
-//! Each component's durable state has a plain-data struct here plus an
-//! `encode`/`decode` pair over the primitive codecs. The structs are
-//! deliberately decoupled from the live service types (`qo_advisor`
-//! converts): the format must stay stable even when the services refactor.
+//! Each component's durable state is a plain-data struct here. One
+//! `record!` block lists every struct's fields in wire order, which gives
+//! each its [`Field`] impl, and a few hand-written impls cover the types
+//! that are not plain field lists (`LiteralsId`, `RuleBits`,
+//! `FeatureVector`). A section is `codec::encode` / `codec::decode` of its
+//! struct. The structs are deliberately decoupled from the live service
+//! types (`qo_advisor` converts): the format must stay stable even when the
+//! services refactor.
 //!
 //! What is **authoritative** vs **warm** follows the determinism contract:
 //! the compile cache, execution cache, span-feature cache, and delta base
@@ -15,7 +20,7 @@
 //! identity travels, and a restore into a differently-configured process is
 //! a typed [`SnapshotError::Mismatch`].
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{decode, encode, record, write_seq, Field, Reader};
 use crate::error::SnapshotError;
 use crate::frame::{atomic_write, section, FrameReader, FrameWriter};
 use personalizer::{FeatureVector, LinearModel, PendingEventState, PersonalizerState};
@@ -145,344 +150,122 @@ pub struct SteeringSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Component codecs.
+// Layouts: each type's fields in wire order, written once.
 
-fn encode_rule_bits(w: &mut Writer, bits: &RuleBits) {
-    for word in bits.words() {
-        w.put_u64(word);
+record! {
+    WorkloadIdentity {
+        seed: u64,
+        num_templates: u64,
+        adhoc_per_day: u64,
+        max_instances_per_day: u32,
+        literals: LiteralsId,
     }
+    MetaState { day: u32, config_fingerprint: u64, workload: Option<WorkloadIdentity> }
+    SisState { version: u32, hints: Vec<Hint> }
+    Hint { template: TemplateId, flip: RuleFlip }
+    RuleFlip { rule: RuleId, enable: bool }
+    PersonalizerState {
+        dim_bits: u32,
+        weights: Vec<(u32, f64)>,
+        updates: u64,
+        events: u64,
+        next_event: u64,
+        pending: Vec<PendingEventState>,
+    }
+    PendingEventState {
+        event_id: u64,
+        context: FeatureVector,
+        action: FeatureVector,
+        probability: f64,
+    }
+    FlightingState { batch_salt: u64 }
+    ValidationState { intercept: f64, w_read: f64, w_written: f64 }
+    ExploredState { templates: Vec<TemplateId> }
+    MonitorState {
+        config_fingerprint: u64,
+        templates: Vec<MonitorTemplateState>,
+        reverted: Vec<TemplateId>,
+    }
+    MonitorTemplateState {
+        template: TemplateId,
+        baseline_pn: f64,
+        observations: u32,
+        consecutive_regressions: u32,
+    }
+    SpanCacheState { entries: Vec<(TemplateId, Option<SpanCacheEntry>)> }
+    SpanCacheEntry { result: SpanResult, default_cost: f64 }
+    SpanResult {
+        span: RuleBits,
+        default_signature: RuleBits,
+        iterations: usize,
+        stopped_on_failure: bool,
+    }
+    TemplateId { 0: u64 }
+    RuleId { 0: u16 }
 }
 
-fn decode_rule_bits(r: &mut Reader<'_>) -> Result<RuleBits, SnapshotError> {
-    let mut words = [0u64; RULE_COUNT / 64];
-    for word in &mut words {
-        *word = r.take_u64()?;
-    }
-    Ok(RuleBits::from_words(words))
-}
+/// A tag byte (0 fresh, 1 sticky, 2 mixed), then the variant's field.
+impl Field for LiteralsId {
+    const MIN_BYTES: usize = 1;
 
-pub(crate) fn encode_meta(state: &MetaState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(state.day);
-    w.put_u64(state.config_fingerprint);
-    w.put_bool(state.workload.is_some());
-    if let Some(wl) = &state.workload {
-        w.put_u64(wl.seed);
-        w.put_u64(wl.num_templates);
-        w.put_u64(wl.adhoc_per_day);
-        w.put_u32(wl.max_instances_per_day);
-        match wl.literals {
-            LiteralsId::Fresh => w.put_u8(0),
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            LiteralsId::Fresh => 0u8.put(out),
             LiteralsId::Sticky { redraw_every_days } => {
-                w.put_u8(1);
-                w.put_u32(redraw_every_days);
+                1u8.put(out);
+                redraw_every_days.put(out);
             }
             LiteralsId::Mixed { sticky_fraction } => {
-                w.put_u8(2);
-                w.put_f64(sticky_fraction);
+                2u8.put(out);
+                sticky_fraction.put(out);
             }
         }
     }
-    w.into_bytes()
-}
 
-pub(crate) fn decode_meta(bytes: &[u8]) -> Result<MetaState, SnapshotError> {
-    let mut r = Reader::new(bytes, "meta section");
-    let day = r.take_u32()?;
-    let config_fingerprint = r.take_u64()?;
-    let workload = if r.take_bool()? {
-        let seed = r.take_u64()?;
-        let num_templates = r.take_u64()?;
-        let adhoc_per_day = r.take_u64()?;
-        let max_instances_per_day = r.take_u32()?;
-        let literals = match r.take_u8()? {
+    fn take(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match u8::take(r)? {
             0 => LiteralsId::Fresh,
             1 => LiteralsId::Sticky {
-                redraw_every_days: r.take_u32()?,
+                redraw_every_days: u32::take(r)?,
             },
             2 => LiteralsId::Mixed {
-                sticky_fraction: r.take_f64()?,
+                sticky_fraction: f64::take(r)?,
             },
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("meta section: unknown literal-policy tag {tag}"),
-                })
-            }
-        };
-        Some(WorkloadIdentity {
-            seed,
-            num_templates,
-            adhoc_per_day,
-            max_instances_per_day,
-            literals,
+            tag => return Err(r.corrupt(format_args!("unknown literal-policy tag {tag}"))),
         })
-    } else {
-        None
-    };
-    r.finish()?;
-    Ok(MetaState {
-        day,
-        config_fingerprint,
-        workload,
-    })
-}
-
-pub(crate) fn encode_sis(state: &SisState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(state.version);
-    w.put_len(state.hints.len());
-    for h in &state.hints {
-        w.put_u64(h.template.0);
-        w.put_u16(h.flip.rule.0);
-        w.put_bool(h.flip.enable);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_sis(bytes: &[u8]) -> Result<SisState, SnapshotError> {
-    let mut r = Reader::new(bytes, "sis section");
-    let version = r.take_u32()?;
-    let n = r.take_len(8 + 2 + 1)?;
-    let mut hints = Vec::with_capacity(n);
-    for _ in 0..n {
-        let template = TemplateId(r.take_u64()?);
-        let rule = RuleId(r.take_u16()?);
-        let enable = r.take_bool()?;
-        hints.push(Hint {
-            template,
-            flip: RuleFlip { rule, enable },
-        });
-    }
-    r.finish()?;
-    Ok(SisState { version, hints })
-}
-
-fn encode_feature_vector(w: &mut Writer, fv: &FeatureVector) {
-    w.put_len(fv.items().len());
-    for &(key, value) in fv.items() {
-        w.put_u64(key);
-        w.put_f64(value);
     }
 }
 
-fn decode_feature_vector(r: &mut Reader<'_>) -> Result<FeatureVector, SnapshotError> {
-    let n = r.take_len(8 + 8)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = r.take_u64()?;
-        let value = r.take_f64()?;
-        items.push((key, value));
-    }
-    Ok(FeatureVector::from_items(items))
-}
+/// The bit set's words in order; no length prefix (it is fixed).
+impl Field for RuleBits {
+    const MIN_BYTES: usize = RULE_COUNT / 8;
 
-pub(crate) fn encode_personalizer(state: &PersonalizerState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u32(state.dim_bits);
-    w.put_len(state.weights.len());
-    for &(slot, weight) in &state.weights {
-        w.put_u32(slot);
-        w.put_f64(weight);
-    }
-    w.put_u64(state.updates);
-    w.put_u64(state.events);
-    w.put_u64(state.next_event);
-    w.put_len(state.pending.len());
-    for p in &state.pending {
-        w.put_u64(p.event_id);
-        encode_feature_vector(&mut w, &p.context);
-        encode_feature_vector(&mut w, &p.action);
-        w.put_f64(p.probability);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_personalizer(bytes: &[u8]) -> Result<PersonalizerState, SnapshotError> {
-    let mut r = Reader::new(bytes, "personalizer section");
-    let dim_bits = r.take_u32()?;
-    let n_weights = r.take_len(4 + 8)?;
-    let mut weights = Vec::with_capacity(n_weights);
-    for _ in 0..n_weights {
-        weights.push((r.take_u32()?, r.take_f64()?));
-    }
-    // One encoding per table, or export → restore → export is no fixpoint.
-    LinearModel::check_sparse(dim_bits, &weights).map_err(|e| SnapshotError::Corrupt {
-        what: format!("personalizer section: {e}"),
-    })?;
-    let updates = r.take_u64()?;
-    let events = r.take_u64()?;
-    let next_event = r.take_u64()?;
-    let n_pending = r.take_len(8 + 4 + 4 + 8)?;
-    let mut pending = Vec::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        let event_id = r.take_u64()?;
-        let context = decode_feature_vector(&mut r)?;
-        let action = decode_feature_vector(&mut r)?;
-        let probability = r.take_f64()?;
-        pending.push(PendingEventState {
-            event_id,
-            context,
-            action,
-            probability,
-        });
-    }
-    r.finish()?;
-    Ok(PersonalizerState {
-        dim_bits,
-        weights,
-        updates,
-        events,
-        next_event,
-        pending,
-    })
-}
-
-pub(crate) fn encode_flighting(state: &FlightingState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(state.batch_salt);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_flighting(bytes: &[u8]) -> Result<FlightingState, SnapshotError> {
-    let mut r = Reader::new(bytes, "flighting section");
-    let batch_salt = r.take_u64()?;
-    r.finish()?;
-    Ok(FlightingState { batch_salt })
-}
-
-pub(crate) fn encode_validation(state: &ValidationState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_f64(state.intercept);
-    w.put_f64(state.w_read);
-    w.put_f64(state.w_written);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_validation(bytes: &[u8]) -> Result<ValidationState, SnapshotError> {
-    let mut r = Reader::new(bytes, "validation section");
-    let intercept = r.take_f64()?;
-    let w_read = r.take_f64()?;
-    let w_written = r.take_f64()?;
-    r.finish()?;
-    Ok(ValidationState {
-        intercept,
-        w_read,
-        w_written,
-    })
-}
-
-pub(crate) fn encode_explored(state: &ExploredState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_len(state.templates.len());
-    for t in &state.templates {
-        w.put_u64(t.0);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_explored(bytes: &[u8]) -> Result<ExploredState, SnapshotError> {
-    let mut r = Reader::new(bytes, "explored section");
-    let n = r.take_len(8)?;
-    let mut templates = Vec::with_capacity(n);
-    for _ in 0..n {
-        templates.push(TemplateId(r.take_u64()?));
-    }
-    r.finish()?;
-    Ok(ExploredState { templates })
-}
-
-pub(crate) fn encode_monitor(state: &MonitorState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(state.config_fingerprint);
-    w.put_len(state.templates.len());
-    for t in &state.templates {
-        w.put_u64(t.template.0);
-        w.put_f64(t.baseline_pn);
-        w.put_u32(t.observations);
-        w.put_u32(t.consecutive_regressions);
-    }
-    w.put_len(state.reverted.len());
-    for t in &state.reverted {
-        w.put_u64(t.0);
-    }
-    w.into_bytes()
-}
-
-pub(crate) fn decode_monitor(bytes: &[u8]) -> Result<MonitorState, SnapshotError> {
-    let mut r = Reader::new(bytes, "monitor section");
-    let config_fingerprint = r.take_u64()?;
-    let n = r.take_len(8 + 8 + 4 + 4)?;
-    let mut templates = Vec::with_capacity(n);
-    for _ in 0..n {
-        let template = TemplateId(r.take_u64()?);
-        let baseline_pn = r.take_f64()?;
-        let observations = r.take_u32()?;
-        let consecutive_regressions = r.take_u32()?;
-        templates.push(MonitorTemplateState {
-            template,
-            baseline_pn,
-            observations,
-            consecutive_regressions,
-        });
-    }
-    let n_rev = r.take_len(8)?;
-    let mut reverted = Vec::with_capacity(n_rev);
-    for _ in 0..n_rev {
-        reverted.push(TemplateId(r.take_u64()?));
-    }
-    r.finish()?;
-    Ok(MonitorState {
-        config_fingerprint,
-        templates,
-        reverted,
-    })
-}
-
-pub(crate) fn encode_span_cache(state: &SpanCacheState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_len(state.entries.len());
-    for (template, entry) in &state.entries {
-        w.put_u64(template.0);
-        w.put_bool(entry.is_some());
-        if let Some(e) = entry {
-            encode_rule_bits(&mut w, &e.result.span);
-            encode_rule_bits(&mut w, &e.result.default_signature);
-            w.put_u64(e.result.iterations as u64);
-            w.put_bool(e.result.stopped_on_failure);
-            w.put_f64(e.default_cost);
+    fn put(&self, out: &mut Vec<u8>) {
+        for word in self.words() {
+            word.put(out);
         }
     }
-    w.into_bytes()
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        let mut words = [0u64; RULE_COUNT / 64];
+        for word in &mut words {
+            *word = u64::take(r)?;
+        }
+        Ok(RuleBits::from_words(words))
+    }
 }
 
-pub(crate) fn decode_span_cache(bytes: &[u8]) -> Result<SpanCacheState, SnapshotError> {
-    let mut r = Reader::new(bytes, "span-cache section");
-    let n = r.take_len(8 + 1)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let template = TemplateId(r.take_u64()?);
-        let entry = if r.take_bool()? {
-            let span = decode_rule_bits(&mut r)?;
-            let default_signature = decode_rule_bits(&mut r)?;
-            let iterations = r.take_u64()? as usize;
-            let stopped_on_failure = r.take_bool()?;
-            let default_cost = r.take_f64()?;
-            Some(SpanCacheEntry {
-                result: SpanResult {
-                    span,
-                    default_signature,
-                    iterations,
-                    stopped_on_failure,
-                },
-                default_cost,
-            })
-        } else {
-            None
-        };
-        entries.push((template, entry));
+/// Its `(key, value)` items as a `Vec`.
+impl Field for FeatureVector {
+    const MIN_BYTES: usize = <Vec<(u64, f64)>>::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        write_seq(self.items(), out);
     }
-    r.finish()?;
-    Ok(SpanCacheState { entries })
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+        Ok(FeatureVector::from_items(Vec::take(r)?))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -493,22 +276,19 @@ impl SteeringSnapshot {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut frame = FrameWriter::new();
-        frame.push(section::META, encode_meta(&self.meta));
-        frame.push(section::SIS, encode_sis(&self.sis));
-        frame.push(
-            section::PERSONALIZER,
-            encode_personalizer(&self.personalizer),
-        );
-        frame.push(section::FLIGHTING, encode_flighting(&self.flighting));
+        frame.push(section::META, encode(&self.meta));
+        frame.push(section::SIS, encode(&self.sis));
+        frame.push(section::PERSONALIZER, encode(&self.personalizer));
+        frame.push(section::FLIGHTING, encode(&self.flighting));
         if let Some(v) = &self.validation {
-            frame.push(section::VALIDATION, encode_validation(v));
+            frame.push(section::VALIDATION, encode(v));
         }
-        frame.push(section::EXPLORED, encode_explored(&self.explored));
+        frame.push(section::EXPLORED, encode(&self.explored));
         if let Some(m) = &self.monitor {
-            frame.push(section::MONITOR, encode_monitor(m));
+            frame.push(section::MONITOR, encode(m));
         }
         if let Some(s) = &self.span_cache {
-            frame.push_warm(section::SPAN_CACHE, encode_span_cache(s));
+            frame.push_warm(section::SPAN_CACHE, encode(s));
         }
         frame.to_bytes()
     }
@@ -538,24 +318,39 @@ impl SteeringSnapshot {
                 });
             }
         }
-        let meta = decode_meta(frame.require(section::META, "meta")?)?;
-        let sis = decode_sis(frame.require(section::SIS, "sis")?)?;
-        let personalizer =
-            decode_personalizer(frame.require(section::PERSONALIZER, "personalizer")?)?;
-        let flighting = decode_flighting(frame.require(section::FLIGHTING, "flighting")?)?;
-        let validation = match frame.section(section::VALIDATION) {
-            Some(s) => Some(decode_validation(&s.payload)?),
-            None => None,
-        };
-        let explored = decode_explored(frame.require(section::EXPLORED, "explored")?)?;
-        let monitor = match frame.section(section::MONITOR) {
-            Some(s) => Some(decode_monitor(&s.payload)?),
-            None => None,
-        };
-        let span_cache = match frame.section(section::SPAN_CACHE) {
-            Some(s) => Some(decode_span_cache(&s.payload)?),
-            None => None,
-        };
+        fn optional<T: Field>(
+            frame: &FrameReader,
+            id: u16,
+            what: &'static str,
+        ) -> Result<Option<T>, SnapshotError> {
+            frame
+                .section(id)
+                .map(|s| decode(&s.payload, what))
+                .transpose()
+        }
+        let meta = decode(frame.require(section::META, "meta")?, "meta section")?;
+        let sis = decode(frame.require(section::SIS, "sis")?, "sis section")?;
+        let personalizer: PersonalizerState = decode(
+            frame.require(section::PERSONALIZER, "personalizer")?,
+            "personalizer section",
+        )?;
+        // One encoding per table, or export → restore → export is no fixpoint.
+        LinearModel::check_sparse(personalizer.dim_bits, &personalizer.weights).map_err(|e| {
+            SnapshotError::Corrupt {
+                what: format!("personalizer section: {e}"),
+            }
+        })?;
+        let flighting = decode(
+            frame.require(section::FLIGHTING, "flighting")?,
+            "flighting section",
+        )?;
+        let validation = optional(&frame, section::VALIDATION, "validation section")?;
+        let explored = decode(
+            frame.require(section::EXPLORED, "explored")?,
+            "explored section",
+        )?;
+        let monitor = optional(&frame, section::MONITOR, "monitor section")?;
+        let span_cache = optional(&frame, section::SPAN_CACHE, "span-cache section")?;
         Ok(Self {
             meta,
             sis,
@@ -635,7 +430,7 @@ mod tests {
         }
         let (a, b) = (batched.export_state(), plain.export_state());
         assert_eq!(a.pending.len(), 2);
-        assert_eq!(encode_personalizer(&a), encode_personalizer(&b));
+        assert_eq!(encode(&a), encode(&b));
     }
 
     /// A small but fully-populated snapshot (every optional section
@@ -732,6 +527,20 @@ mod tests {
         }
     }
 
+    /// Each collection element's derived lower bound equals the size the
+    /// v3 decoder hard-coded, so a hostile count is refused exactly as
+    /// before.
+    #[test]
+    fn derived_element_bounds_match_the_v3_layout() {
+        assert_eq!(Hint::MIN_BYTES, 11);
+        assert_eq!(<(u32, f64)>::MIN_BYTES, 12);
+        assert_eq!(PendingEventState::MIN_BYTES, 24);
+        assert_eq!(MonitorTemplateState::MIN_BYTES, 24);
+        assert_eq!(<(TemplateId, Option<SpanCacheEntry>)>::MIN_BYTES, 9);
+        assert_eq!(<(u64, f64)>::MIN_BYTES, 16);
+        assert_eq!(TemplateId::MIN_BYTES, 8);
+    }
+
     #[test]
     fn full_snapshot_round_trips() {
         let snap = sample_snapshot();
@@ -753,7 +562,7 @@ mod tests {
     #[test]
     fn missing_authoritative_section_is_corrupt() {
         let mut frame = FrameWriter::new();
-        frame.push(section::META, encode_meta(&sample_snapshot().meta));
+        frame.push(section::META, encode(&sample_snapshot().meta));
         let err = SteeringSnapshot::from_bytes(&frame.to_bytes()).unwrap_err();
         assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err:?}");
     }
@@ -762,20 +571,17 @@ mod tests {
     fn unknown_warm_section_is_skipped_but_authoritative_is_not() {
         let snap = sample_snapshot();
         let mut frame = FrameWriter::new();
-        frame.push(section::META, encode_meta(&snap.meta));
-        frame.push(section::SIS, encode_sis(&snap.sis));
-        frame.push(
-            section::PERSONALIZER,
-            encode_personalizer(&snap.personalizer),
-        );
-        frame.push(section::FLIGHTING, encode_flighting(&snap.flighting));
-        frame.push(section::EXPLORED, encode_explored(&snap.explored));
+        frame.push(section::META, encode(&snap.meta));
+        frame.push(section::SIS, encode(&snap.sis));
+        frame.push(section::PERSONALIZER, encode(&snap.personalizer));
+        frame.push(section::FLIGHTING, encode(&snap.flighting));
+        frame.push(section::EXPLORED, encode(&snap.explored));
         frame.push_warm(0x9999, vec![1, 2, 3]);
         let decoded = SteeringSnapshot::from_bytes(&frame.to_bytes()).unwrap();
         assert_eq!(decoded.sis, snap.sis);
 
         let mut bad = FrameWriter::new();
-        bad.push(section::META, encode_meta(&snap.meta));
+        bad.push(section::META, encode(&snap.meta));
         bad.push(0x0777, vec![1, 2, 3]);
         assert!(matches!(
             SteeringSnapshot::from_bytes(&bad.to_bytes()).unwrap_err(),

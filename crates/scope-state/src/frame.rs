@@ -1,7 +1,7 @@
 //! The snapshot container format: magic, format version, and checksummed
 //! length-prefixed sections. See the crate docs for the byte layout.
 
-use crate::codec::Reader;
+use crate::codec::{Field, Reader};
 use crate::error::SnapshotError;
 use scope_ir::ids::stable_hash64;
 use std::path::Path;
@@ -114,23 +114,16 @@ impl FrameWriter {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        FORMAT_VERSION.put(&mut out);
+        (self.sections.len() as u32).put(&mut out);
         for s in &self.sections {
-            out.extend_from_slice(&s.id.to_le_bytes());
-            out.extend_from_slice(&s.flags.to_le_bytes());
-            out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+            s.id.put(&mut out);
+            s.flags.put(&mut out);
+            (s.payload.len() as u64).put(&mut out);
             out.extend_from_slice(&s.payload);
-            out.extend_from_slice(&stable_hash64(&s.payload).to_le_bytes());
+            stable_hash64(&s.payload).put(&mut out);
         }
         out
-    }
-
-    /// Write the framed bytes to `path` atomically (temp sibling, fsync,
-    /// rename): a crash mid-write leaves any previous snapshot at `path`
-    /// intact.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        atomic_write(path.as_ref(), &self.to_bytes())
     }
 }
 
@@ -180,7 +173,7 @@ impl FrameReader {
             return Err(SnapshotError::BadMagic);
         }
         let mut r = Reader::new(&bytes[MAGIC.len()..], "format version");
-        let version = r.take_u32()?;
+        let version = u32::take(&mut r)?;
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
@@ -188,22 +181,22 @@ impl FrameReader {
             });
         }
         r.set_context("section count");
-        let count = r.take_u32()?;
+        let count = u32::take(&mut r)?;
         let mut sections: Vec<SectionFrame> = Vec::new();
         for _ in 0..count {
             r.set_context("section header");
-            let id = r.take_u16()?;
-            let flags = r.take_u16()?;
-            let len = r.take_u64()?;
+            let id = u16::take(&mut r)?;
+            let flags = u16::take(&mut r)?;
+            let len = u64::take(&mut r)?;
             if len > r.remaining() as u64 {
                 return Err(SnapshotError::Truncated {
                     what: "section payload",
                 });
             }
             r.set_context("section payload");
-            let payload = r.take_bytes(len as usize)?.to_vec();
+            let payload = r.bytes(len as usize)?.to_vec();
             r.set_context("section checksum");
-            let stored = r.take_u64()?;
+            let stored = u64::take(&mut r)?;
             if stored != stable_hash64(&payload) {
                 return Err(SnapshotError::ChecksumMismatch { section: id });
             }
@@ -220,11 +213,6 @@ impl FrameReader {
             });
         }
         Ok(Self { sections })
-    }
-
-    pub fn read_from(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
     }
 
     #[must_use]
@@ -326,14 +314,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.qosnap");
 
-        let mut w1 = FrameWriter::new();
-        w1.push(section::META, vec![1]);
-        w1.write_to(&path).unwrap();
-        let mut w2 = FrameWriter::new();
-        w2.push(section::META, vec![2, 3]);
-        w2.write_to(&path).unwrap();
+        atomic_write(&path, &[1]).unwrap();
+        atomic_write(&path, &[2, 3]).unwrap();
 
-        assert_eq!(std::fs::read(&path).unwrap(), w2.to_bytes());
+        assert_eq!(std::fs::read(&path).unwrap(), vec![2, 3]);
         assert!(
             !dir.join("state.qosnap.tmp").exists(),
             "the temp file must be renamed away, not left behind"
@@ -347,22 +331,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.qosnap");
 
-        let mut good = FrameWriter::new();
-        good.push(section::META, vec![1, 2, 3]);
-        good.write_to(&path).unwrap();
+        let good = two_section_bytes();
+        atomic_write(&path, &good).unwrap();
 
         // Block the temp-file slot with a directory: the write must fail
         // with a typed Io error while the live snapshot stays readable.
         std::fs::create_dir(dir.join("state.qosnap.tmp")).unwrap();
-        let mut next = FrameWriter::new();
-        next.push(section::META, vec![9]);
         assert!(matches!(
-            next.write_to(&path).unwrap_err(),
+            atomic_write(&path, &[9]).unwrap_err(),
             SnapshotError::Io(_)
         ));
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            good.to_bytes(),
+            good,
             "a failed write must never touch the previous snapshot"
         );
         std::fs::remove_dir_all(&dir).unwrap();

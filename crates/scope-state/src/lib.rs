@@ -2,9 +2,9 @@
 // unwrap freely.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //! **scope-state**: the durable-state snapshot subsystem of the steering
-//! loop — a versioned, length-prefixed, checksummed on-disk format with
-//! per-component codecs for everything the loop must carry across a process
-//! restart.
+//! loop — a versioned, length-prefixed, checksummed on-disk format for
+//! everything the loop must carry across a process restart, in which each
+//! type's byte layout is written once ([`codec::Field`]).
 //!
 //! The paper's pipeline is a long-lived production service whose value
 //! lives in warm state: the bandit model, the SIS hint store, and the

@@ -11,6 +11,7 @@ use personalizer::{FeatureVector, PendingEventState, PersonalizerState};
 use proptest::prelude::*;
 use scope_ir::TemplateId;
 use scope_opt::{Hint, RuleBits, RuleFlip, RuleId, SpanResult, RULE_COUNT};
+use scope_state::codec::{encode, Field};
 use scope_state::{
     ExploredState, FlightingState, LiteralsId, MetaState, MonitorState, MonitorTemplateState,
     SisState, SpanCacheEntry, SpanCacheState, SteeringSnapshot, ValidationState, WorkloadIdentity,
@@ -348,6 +349,47 @@ proptest! {
     #[test]
     fn encoding_is_deterministic(snap in snapshot()) {
         prop_assert_eq!(snap.to_bytes(), snap.to_bytes());
+    }
+}
+
+/// Whether `value` encodes to at least its type's `MIN_BYTES`: the bound
+/// `Reader::take_len` refuses a hostile element count by.
+fn fits_its_bound<T: Field>(value: &T) -> bool {
+    encode(value).len() >= T::MIN_BYTES
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every section, and every element of every collection in it, encodes
+    // to at least its derived `MIN_BYTES`. A bound above a real encoding
+    // would refuse a valid snapshot; this holds it for every section.
+    #[test]
+    fn every_value_encodes_to_at_least_its_min_bytes(snap in snapshot()) {
+        let s = &snap;
+        prop_assert!(fits_its_bound(&s.meta) && fits_its_bound(&s.sis));
+        prop_assert!(fits_its_bound(&s.personalizer) && fits_its_bound(&s.flighting));
+        prop_assert!(fits_its_bound(&s.validation) && fits_its_bound(&s.explored));
+        prop_assert!(fits_its_bound(&s.monitor) && fits_its_bound(&s.span_cache));
+        prop_assert!(s.meta.workload.iter().all(fits_its_bound));
+        prop_assert!(s.validation.iter().all(fits_its_bound));
+        prop_assert!(s.sis.hints.iter().all(fits_its_bound));
+        prop_assert!(s.personalizer.weights.iter().all(fits_its_bound));
+        for p in &s.personalizer.pending {
+            prop_assert!(fits_its_bound(p));
+            prop_assert!(p.context.items().iter().all(fits_its_bound));
+            prop_assert!(p.action.items().iter().all(fits_its_bound));
+        }
+        prop_assert!(s.explored.templates.iter().all(fits_its_bound));
+        if let Some(m) = &s.monitor {
+            prop_assert!(fits_its_bound(m));
+            prop_assert!(m.templates.iter().all(fits_its_bound));
+            prop_assert!(m.reverted.iter().all(fits_its_bound));
+        }
+        if let Some(c) = &s.span_cache {
+            prop_assert!(fits_its_bound(c) && c.entries.iter().all(fits_its_bound));
+            prop_assert!(c.entries.iter().flat_map(|(_, e)| e).all(fits_its_bound));
+        }
     }
 }
 
