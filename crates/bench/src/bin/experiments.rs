@@ -14,13 +14,9 @@
 //! on|off` the stage-graph memo, `--delta-compile on|off` delta
 //! treatment compilation, and `--feature-cache on|off` the span-feature
 //! cache — all bit-identical either way, only throughput differs (all on by
-//! default). `--snapshot-every N` writes a durable-state snapshot to
-//! `results/snapshots/<experiment>.qosnap` after every `N`-th simulated day
-//! of the closed-loop experiments (0 = never, the default) — outputs are
-//! bit-identical either way; the write cost lands in each day's
-//! `timings.snapshot_ns`. `--literals fresh|sticky[:days]|mixed:fraction`
-//! selects the workload's literal-redraw policy (it changes the workload, so
-//! only compare runs with the same policy).
+//! default). `--literals fresh|sticky[:days]|mixed:fraction` selects the
+//! workload's literal-redraw policy (it changes the workload, so only compare
+//! runs with the same policy).
 //!
 //! Each experiment writes its raw series to `results/<name>.csv` and prints
 //! a summary row comparing the paper's reported shape with the measured one.
@@ -28,16 +24,16 @@
 //! not SCOPE's production fleet); the *shape* — who wins, by roughly what
 //! factor, where the crossovers fall — is the reproduction target.
 
-use flighting::{FlightBudget, FlightRequest, FlightingService};
+use flighting::FlightBudget;
 use qo_advisor::config::VALIDATION_THRESHOLD;
 use qo_advisor::{
-    aggregate_impact, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
-    RecommendStrategy, SnapshotPolicy, ValidationModel, ValidationSample,
+    aggregate_impact, DailyReport, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
+    RecommendStrategy, ValidationModel, ValidationSample,
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
 use scope_ir::ids::HOLDOUT_RUN_SALT;
-use scope_runtime::{Cluster, Executor};
+use scope_runtime::Executor;
 use scope_workload::{build_view, LiteralPolicy, WorkloadConfig};
 
 /// The run-wide knobs: defaults overridden by the command line.
@@ -45,10 +41,9 @@ struct Knobs {
     /// The base pipeline configuration every experiment derives from:
     /// defaults plus the CLI-selected parallelism and cache knobs.
     pipeline: PipelineConfig,
-    /// The literal-redraw policy of every simulated workload.
-    literals: LiteralPolicy,
-    /// Day-boundary snapshot cadence of the closed-loop experiments (0 = never).
-    snapshot_every: u32,
+    /// The one workload every experiment simulates: a fixed shape plus the
+    /// CLI-selected literal-redraw policy.
+    workload: WorkloadConfig,
 }
 
 fn switch(value: &str) -> Result<bool, String> {
@@ -90,12 +85,8 @@ const FLAGS: &[(&str, SetKnob)] = &[
         k.pipeline.feature_cache.enabled = switch(v)?;
         Ok(())
     }),
-    ("--snapshot-every", |k, v| {
-        k.snapshot_every = integer(v)?;
-        Ok(())
-    }),
     ("--literals", |k, v| {
-        k.literals = v.parse()?;
+        k.workload.literals = v.parse()?;
         Ok(())
     }),
 ];
@@ -116,14 +107,31 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["negi-cost"], negi_maintenance_cost),
 ];
 
+/// The recommendation outcomes a day's report counts, by CSV name: Table 3's
+/// first rows and the §6 ablation's columns.
+fn outcomes(r: &DailyReport) -> [(&'static str, usize); 5] {
+    [
+        ("lower_cost", r.lower_cost),
+        ("equal_cost", r.equal_cost),
+        ("higher_cost", r.higher_cost),
+        ("recompile_failures", r.recompile_failures),
+        ("noop", r.noop_chosen),
+    ]
+}
+
 /// Parse the command line (program name already stripped) into the knobs
 /// and the selected experiment name (`all` when none is given). Flags may
 /// come before or after the name.
 fn parse_args(args: &[String]) -> Result<(Knobs, String), String> {
     let mut knobs = Knobs {
         pipeline: PipelineConfig::default(),
-        literals: LiteralPolicy::FreshEachRun,
-        snapshot_every: 0,
+        workload: WorkloadConfig {
+            seed: 2022,
+            num_templates: 60,
+            adhoc_per_day: 15,
+            max_instances_per_day: 2,
+            literals: LiteralPolicy::FreshEachRun,
+        },
     };
     let mut which: Option<&String> = None;
     let mut args = args.iter();
@@ -150,44 +158,6 @@ fn parse_args(args: &[String]) -> Result<(Knobs, String), String> {
     Ok((knobs, which.to_string()))
 }
 
-impl Knobs {
-    /// The base workload every simulation experiment derives from: the
-    /// given shape plus the CLI-selected literal-redraw policy.
-    fn workload_config(
-        &self,
-        seed: u64,
-        num_templates: usize,
-        adhoc_per_day: usize,
-        max_instances_per_day: u32,
-    ) -> WorkloadConfig {
-        WorkloadConfig {
-            seed,
-            num_templates,
-            adhoc_per_day,
-            max_instances_per_day,
-            literals: self.literals,
-        }
-    }
-
-    /// Install the CLI-selected snapshot policy on a closed-loop
-    /// simulation, writing to `results/snapshots/<name>.qosnap`. No-op
-    /// unless `--snapshot-every` selected a cadence.
-    fn apply_snapshot_policy(&self, sim: &mut ProductionSim, name: &str) {
-        if self.snapshot_every == 0 {
-            return;
-        }
-        let dir = std::path::Path::new("results").join("snapshots");
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-        sim.set_snapshot_policy(Some(SnapshotPolicy {
-            path: dir.join(format!("{name}.qosnap")),
-            every: self.snapshot_every,
-        }));
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (knobs, which) = parse_args(&args).unwrap_or_else(|e| {
@@ -204,13 +174,7 @@ fn main() {
 /// Figures 2 and 4: week-over-week instability of single A/B savings.
 fn fig2_fig4(knobs: &Knobs) {
     println!("\n=== Figures 2 & 4: recurring-job stability (week0 vs week1) ===");
-    let env = Env::standard(2022, 60, knobs.literals);
-    let default = env.default_config();
-    let mut svc = FlightingService::new(FlightBudget {
-        queue_size: usize::MAX,
-        ..FlightBudget::default()
-    });
-    let preprod_exec = Cluster::preproduction();
+    let mut env = Env::new(knobs.workload.clone());
 
     // Every estimated-cost-improving span flip of two days of jobs (the
     // candidates the early pipeline would have A/B-tested).
@@ -219,19 +183,13 @@ fn fig2_fig4(knobs: &Knobs) {
         for j in &env.spanned_jobs(day) {
             for (flip, cost) in env.recompile_span(j) {
                 if cost.is_some_and(|c| c < j.default_cost) {
-                    requests.push(FlightRequest {
-                        template: j.job.template,
-                        plan: j.job.plan.clone(),
-                        job_seed: j.job.job_seed,
-                        baseline: default,
-                        treatment: default.with_flip(flip),
-                    });
+                    requests.push(env.request(j, flip));
                 }
             }
         }
     }
-    let (week0, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
-    let (week1, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
+    let week0 = env.flight(&requests);
+    let week1 = env.flight(&requests);
 
     let mut rows = Vec::new();
     let mut lat = Vec::new();
@@ -277,7 +235,7 @@ fn fig2_fig4(knobs: &Knobs) {
 /// Figures 3 and 5: A/A variance of latency vs PNhours.
 fn fig3_fig5(knobs: &Knobs) {
     println!("\n=== Figures 3 & 5: A/A variance (10 runs per job) ===");
-    let env = Env::standard(2022, 60, knobs.literals);
+    let env = Env::new(knobs.workload.clone());
     let default = env.default_config();
     let jobs = env.workload.jobs_for_day(0);
     let mut points = Vec::new();
@@ -322,13 +280,7 @@ fn fig3_fig5(knobs: &Knobs) {
 /// Figure 6: estimated-cost deltas do not predict latency deltas.
 fn fig6(knobs: &Knobs) {
     println!("\n=== Figure 6: estimated-cost delta vs latency delta ===");
-    let env = Env::standard(2022, 60, knobs.literals);
-    let default = env.default_config();
-    let mut svc = FlightingService::new(FlightBudget {
-        queue_size: usize::MAX,
-        ..FlightBudget::default()
-    });
-    let preprod_exec = Cluster::preproduction();
+    let mut env = Env::new(knobs.workload.clone());
     let mut est = Vec::new();
     let mut lat = Vec::new();
     // ~5 days of jobs, every lower-estimate flip per job (paper: 950 jobs
@@ -344,17 +296,10 @@ fn fig6(knobs: &Knobs) {
                     continue;
                 }
                 deltas.push(cost / j.default_cost - 1.0);
-                requests.push(FlightRequest {
-                    template: j.job.template,
-                    plan: j.job.plan.clone(),
-                    job_seed: j.job.job_seed,
-                    baseline: default,
-                    treatment: default.with_flip(flip),
-                });
+                requests.push(env.request(j, flip));
             }
         }
-        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
-        for (d, o) in deltas.iter().zip(outcomes.iter()) {
+        for (d, o) in deltas.iter().zip(env.flight(&requests).iter()) {
             if let Some(m) = o.measurement() {
                 est.push(*d);
                 lat.push(m.latency_delta());
@@ -389,32 +334,16 @@ fn fig6(knobs: &Knobs) {
 }
 
 /// Gather (DataRead delta, DataWritten delta, PN delta) flighting samples.
-fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<ValidationSample> {
-    let default = env.default_config();
-    let mut svc = FlightingService::new(FlightBudget {
-        queue_size: usize::MAX,
-        ..FlightBudget::default()
-    });
-    let preprod_exec = Cluster::preproduction();
+fn gather_samples(env: &mut Env, days: std::ops::Range<u32>, salt: u64) -> Vec<ValidationSample> {
     let mut samples = Vec::new();
     for day in days {
-        let jobs = env.spanned_jobs(day);
-        let requests: Vec<FlightRequest> = jobs
+        let requests: Vec<_> = env
+            .spanned_jobs(day)
             .iter()
-            .map(|j| {
-                let flip = env.random_flip(j, salt ^ u64::from(day));
-                FlightRequest {
-                    template: j.job.template,
-                    plan: j.job.plan.clone(),
-                    job_seed: j.job.job_seed,
-                    baseline: default,
-                    treatment: default.with_flip(flip),
-                }
-            })
+            .map(|j| env.request(j, env.random_flip(j, salt ^ u64::from(day))))
             .collect();
-        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
         samples.extend(
-            outcomes
+            env.flight(&requests)
                 .iter()
                 .filter_map(|o| o.measurement())
                 .map(|m| ValidationSample {
@@ -430,8 +359,8 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
 /// Figures 7 and 8: DataRead/DataWritten deltas correlate with PN deltas.
 fn fig7_fig8(knobs: &Knobs) {
     println!("\n=== Figures 7 & 8: data deltas predict PNhours deltas ===");
-    let env = Env::standard(2022, 60, knobs.literals);
-    let samples = gather_samples(&env, 0..3, 0x77);
+    let mut env = Env::new(knobs.workload.clone());
+    let samples = gather_samples(&mut env, 0..3, 0x77);
     let rows: Vec<String> = samples
         .iter()
         .map(|s| {
@@ -470,11 +399,11 @@ fn fig7_fig8(knobs: &Knobs) {
 /// Figure 9: validation-model accuracy on held-out days.
 fn fig9(knobs: &Knobs) {
     println!("\n=== Figure 9: validation model, predicted vs actual PN delta ===");
-    let env = Env::standard(2022, 60, knobs.literals);
-    // Train on a 14-day window of random pre-production flights (Â§4.3);
+    let mut env = Env::new(knobs.workload.clone());
+    // Train on a 14-day window of random pre-production flights (§4.3);
     // evaluate against what actually happens in *production*: paired
     // default/flip runs of later days' jobs on the production cluster.
-    let train = gather_samples(&env, 0..14, 0x7A11);
+    let train = gather_samples(&mut env, 0..14, 0x7A11);
     let model = ValidationModel::fit(&train).expect("enough training samples");
     let default = env.default_config();
     let mut test = Vec::new();
@@ -550,11 +479,7 @@ fn fig9(knobs: &Knobs) {
 /// Table 2 and Figures 10-12: end-to-end production impact.
 fn table2_and_figs(knobs: &Knobs) {
     println!("\n=== Table 2 + Figures 10-12: pre-production impact of QO-Advisor ===");
-    let mut sim = ProductionSim::new(
-        knobs.workload_config(2022, 60, 15, 2),
-        knobs.pipeline.clone(),
-    );
-    knobs.apply_snapshot_policy(&mut sim, "table2");
+    let mut sim = ProductionSim::new(knobs.workload.clone(), knobs.pipeline.clone());
     sim.bootstrap_validation_model(5, 24)
         .expect("generated workloads compile on the default path");
     let outcomes = sim
@@ -616,10 +541,8 @@ fn table2_and_figs(knobs: &Knobs) {
 /// Table 3: contextual bandit vs uniform-random rule flips.
 fn table3(knobs: &Knobs) {
     println!("\n=== Table 3: random vs CB rule flips ===");
-    let wl = knobs.workload_config(2022, 60, 15, 2);
     // Train the CB through the daily loop.
-    let mut sim = ProductionSim::new(wl.clone(), knobs.pipeline.clone());
-    knobs.apply_snapshot_policy(&mut sim, "table3");
+    let mut sim = ProductionSim::new(knobs.workload.clone(), knobs.pipeline.clone());
     sim.bootstrap_validation_model(3, 16)
         .expect("generated workloads compile on the default path");
     for _ in 0..30 {
@@ -650,33 +573,21 @@ fn table3(knobs: &Knobs) {
     let pct = |n: usize, d: usize| 100.0 * n as f64 / d.max(1) as f64;
     let n_cb = report_cb.jobs_with_span;
     let n_rd = report_rand.jobs_with_span;
-    let rows = vec![
-        format!(
-            "lower_cost,{},{}",
-            report_rand.lower_cost, report_cb.lower_cost
-        ),
-        format!(
-            "equal_cost,{},{}",
-            report_rand.equal_cost, report_cb.equal_cost
-        ),
-        format!(
-            "higher_cost,{},{}",
-            report_rand.higher_cost, report_cb.higher_cost
-        ),
-        format!(
-            "recompile_failures,{},{}",
-            report_rand.recompile_failures, report_cb.recompile_failures
-        ),
-        format!("noop,{},{}", report_rand.noop_chosen, report_cb.noop_chosen),
-        format!(
-            "total_default_cost,{},{}",
-            report_rand.total_default_cost, report_cb.total_default_cost
-        ),
-        format!(
-            "total_chosen_cost,{},{}",
-            report_rand.total_chosen_cost, report_cb.total_chosen_cost
-        ),
-    ];
+    let rows: Vec<String> = outcomes(&report_rand)
+        .into_iter()
+        .zip(outcomes(&report_cb))
+        .map(|((name, rand), (_, cb))| format!("{name},{rand},{cb}"))
+        .chain([
+            format!(
+                "total_default_cost,{},{}",
+                report_rand.total_default_cost, report_cb.total_default_cost
+            ),
+            format!(
+                "total_chosen_cost,{},{}",
+                report_rand.total_chosen_cost, report_cb.total_chosen_cost
+            ),
+        ])
+        .collect();
     write_csv("table3_random_vs_cb.csv", "metric,random,cb", &rows);
 
     println!("  spanned jobs: random {n_rd}, cb {n_cb} (paper: ~66% non-empty span)");
@@ -728,9 +639,8 @@ fn ablation_cost_gate(knobs: &Knobs) {
         queue_size: 64,
     };
     let run_one = |gate: bool| {
-        let wl = knobs.workload_config(2022, 60, 15, 2);
         let mut sim = ProductionSim::new(
-            wl,
+            knobs.workload.clone(),
             PipelineConfig {
                 strategy: RecommendStrategy::UniformRandom,
                 est_cost_gate: gate,
@@ -779,12 +689,11 @@ fn ablation_cost_gate(knobs: &Knobs) {
 /// recommendation quality on identical jobs.
 fn ablation_span_features(knobs: &Knobs) {
     println!("\n=== §6 ablation: span features in the CB context ===");
-    let wl = knobs.workload_config(2022, 60, 15, 2);
     // Accumulate the acting-policy quality over the back half of training
     // (the first half is warm-up for both variants).
     let run_policy = |span_features: bool| {
         let mut sim = ProductionSim::new(
-            wl.clone(),
+            knobs.workload.clone(),
             PipelineConfig {
                 span_features,
                 ..knobs.pipeline.clone()
@@ -792,53 +701,34 @@ fn ablation_span_features(knobs: &Knobs) {
         );
         sim.bootstrap_validation_model(3, 16)
             .expect("generated workloads compile on the default path");
-        let mut acc = qo_advisor::DailyReport::default();
+        let mut acc = [0usize; 5];
         for i in 0..26 {
             let out = sim
                 .advance_day()
                 .expect("generated workloads compile on the default path");
             if i >= 13 {
-                acc.lower_cost += out.report.lower_cost;
-                acc.equal_cost += out.report.equal_cost;
-                acc.higher_cost += out.report.higher_cost;
-                acc.recompile_failures += out.report.recompile_failures;
-                acc.noop_chosen += out.report.noop_chosen;
+                for (sum, (_, count)) in acc.iter_mut().zip(outcomes(&out.report)) {
+                    *sum += count;
+                }
             }
         }
         acc
     };
     let with = run_policy(true);
     let without = run_policy(false);
+    let row = |config: &str, acc: &[usize]| {
+        let counts: Vec<String> = acc.iter().map(usize::to_string).collect();
+        format!("{config},{}", counts.join(","))
+    };
     write_csv(
         "ablation_span_features.csv",
         "config,lower,equal,higher,fail,noop",
-        &[
-            format!(
-                "with_span,{},{},{},{},{}",
-                with.lower_cost,
-                with.equal_cost,
-                with.higher_cost,
-                with.recompile_failures,
-                with.noop_chosen
-            ),
-            format!(
-                "without_span,{},{},{},{},{}",
-                without.lower_cost,
-                without.equal_cost,
-                without.higher_cost,
-                without.recompile_failures,
-                without.noop_chosen
-            ),
-        ],
+        &[row("with_span", &with), row("without_span", &without)],
     );
-    println!(
-        "  with span features:    lower {:>3}  higher {:>3}  fail {:>2}",
-        with.lower_cost, with.higher_cost, with.recompile_failures
-    );
-    println!(
-        "  without span features: lower {:>3}  higher {:>3}  fail {:>2}",
-        without.lower_cost, without.higher_cost, without.recompile_failures
-    );
+    let [lower, _, higher, fail, _] = with;
+    println!("  with span features:    lower {lower:>3}  higher {higher:>3}  fail {fail:>2}");
+    let [lower, _, higher, fail, _] = without;
+    println!("  without span features: lower {lower:>3}  higher {higher:>3}  fail {fail:>2}");
     println!(
         "  (paper §6: complete-span context features were \"critical to our success\";\n   \
          expect the stripped model to find fewer lower-cost flips and/or regress more)"
@@ -851,12 +741,7 @@ fn ablation_span_features(knobs: &Knobs) {
 /// template).
 fn negi_maintenance_cost(knobs: &Knobs) {
     println!("\n=== §2.2 maintenance cost: Negi et al. 2021 vs QO-Advisor ===");
-    let env = Env::standard(2022, 60, knobs.literals);
-    let mut svc = FlightingService::new(FlightBudget {
-        queue_size: usize::MAX,
-        ..FlightBudget::default()
-    });
-    let preprod_exec = Cluster::preproduction();
+    let mut env = Env::new(knobs.workload.clone());
     // A scaled-down heuristic (200 samples instead of 1000) keeps the bench
     // quick; the printed numbers extrapolate linearly.
     let heuristic = qo_advisor::Negi2021 {
@@ -873,8 +758,8 @@ fn negi_maintenance_cost(knobs: &Knobs) {
     for j in jobs.iter().take(take) {
         let out = heuristic.search(
             &env.optimizer,
-            &mut svc,
-            &preprod_exec,
+            &mut env.flights,
+            &env.preprod,
             j.job.template,
             &j.job.plan,
             j.job.job_seed,
@@ -930,11 +815,7 @@ mod tests {
             format!("{:?}", knobs.pipeline),
             format!("{:?}", PipelineConfig::default())
         );
-        assert_eq!(knobs.snapshot_every, 0);
-        assert_eq!(
-            knobs.workload_config(1, 2, 3, 4).literals,
-            WorkloadConfig::default().literals
-        );
+        assert_eq!(knobs.workload.literals, WorkloadConfig::default().literals);
     }
 
     #[test]
@@ -951,8 +832,6 @@ mod tests {
             "false",
             "--feature-cache",
             "off",
-            "--snapshot-every",
-            "5",
             "--literals",
             "sticky:7",
         ])
@@ -967,8 +846,7 @@ mod tests {
             cfg.feature_cache,
             qo_advisor::FeatureCacheConfig::disabled()
         );
-        assert_eq!(knobs.snapshot_every, 5);
-        let wl = knobs.workload_config(2022, 60, 15, 2);
+        let wl = &knobs.workload;
         assert_eq!(
             wl.literals,
             LiteralPolicy::Sticky {
@@ -1005,7 +883,10 @@ mod tests {
             (&["--threads"][..], "requires a value"),
             (&["table2", "--literals"], "requires a value"),
             (&["--threads", "many"], "expected an integer"),
-            (&["--snapshot-every", "-1"], "expected an integer"),
+            (
+                &["--snapshot-every", "-1"],
+                "unknown flag `--snapshot-every`",
+            ),
             (&["--cache", "maybe"], "expected on|off"),
             (
                 &["--compile-budget", "48"],

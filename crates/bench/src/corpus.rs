@@ -1,10 +1,11 @@
 //! Shared experiment corpora: jobs, spans, and per-flip recompile results,
 //! built once per experiment run.
 
+use flighting::{FlightBudget, FlightOutcome, FlightRequest, FlightingService};
 use scope_ir::ids::combine;
 use scope_opt::{compute_span_with_cost, Optimizer, RuleConfig, RuleFlip, SpanResult};
 use scope_runtime::Cluster;
-use scope_workload::{JobInstance, LiteralPolicy, Workload, WorkloadConfig};
+use scope_workload::{JobInstance, Workload, WorkloadConfig};
 
 /// A job plus its span and default compilation cost.
 pub struct SpannedJob {
@@ -13,31 +14,53 @@ pub struct SpannedJob {
     pub default_cost: f64,
 }
 
-/// The standard experiment environment.
+/// The experiment environment: one workload, the production cluster, and
+/// an unbounded flighting service on the pre-production cluster.
 pub struct Env {
     pub optimizer: Optimizer,
     pub cluster: Cluster,
     pub workload: Workload,
+    pub flights: FlightingService,
+    pub preprod: Cluster,
 }
 
 impl Env {
-    /// Deterministic environment used by every experiment (the "production
-    /// SCOPE workload" of the evaluation), under the given literal-redraw
-    /// policy — callers plumb the CLI-selected policy here so `--literals`
-    /// really does govern every simulated workload of a run.
+    /// A fresh environment over `config` (the "production SCOPE workload"
+    /// of the evaluation). Its flighting service has flown no batch yet, so
+    /// the same batches flown in the same order replay the same outcomes.
     #[must_use]
-    pub fn standard(seed: u64, num_templates: usize, literals: LiteralPolicy) -> Env {
+    pub fn new(config: WorkloadConfig) -> Env {
         Env {
             optimizer: Optimizer::default(),
             cluster: Cluster::default(),
-            workload: Workload::new(WorkloadConfig {
-                seed,
-                num_templates,
-                adhoc_per_day: num_templates / 4,
-                max_instances_per_day: 2,
-                literals,
+            workload: Workload::new(config),
+            flights: FlightingService::new(FlightBudget {
+                queue_size: usize::MAX,
+                ..FlightBudget::default()
             }),
+            preprod: Cluster::preproduction(),
         }
+    }
+
+    /// A request to fly `job`: the default configuration against the
+    /// default with `flip`.
+    #[must_use]
+    pub fn request(&self, job: &SpannedJob, flip: RuleFlip) -> FlightRequest {
+        let default = self.default_config();
+        FlightRequest {
+            template: job.job.template,
+            plan: job.job.plan.clone(),
+            job_seed: job.job.job_seed,
+            baseline: default,
+            treatment: default.with_flip(flip),
+        }
+    }
+
+    /// Fly one batch on the pre-production cluster; one outcome per request.
+    pub fn flight(&mut self, requests: &[FlightRequest]) -> Vec<FlightOutcome> {
+        self.flights
+            .flight_batch(&self.optimizer, &self.preprod, requests)
+            .0
     }
 
     /// Jobs of `day` with non-empty spans and their default costs.

@@ -3,4 +3,4 @@
 pub mod corpus;
 pub mod stats;
 
-pub use stats::{mean, pearson, percentile, polyfit1, stddev};
+pub use stats::{mean, pearson, percentile, polyfit1};

@@ -9,16 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (0 for < 2 points).
-#[must_use]
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Pearson correlation coefficient (0 when undefined).
 #[must_use]
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
@@ -90,7 +80,6 @@ mod tests {
     fn mean_and_stddev_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138).abs() < 1e-3);
     }
 
     #[test]

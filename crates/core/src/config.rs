@@ -4,8 +4,8 @@
 //!
 //! The `experiments` binary (`crates/bench/src/bin/experiments.rs`) is the
 //! one command-line knob surface; nothing reads environment variables. Every
-//! flag below except `--literals` is a *throughput or operational* switch
-//! that never changes steering outputs (see `tests/determinism.rs`);
+//! flag below except `--literals` is a *throughput* switch that never
+//! changes steering outputs (see `tests/determinism.rs`);
 //! `--literals` changes the generated workload itself.
 //!
 //! | `experiments` flag   | Values                            | Effect |
@@ -15,7 +15,6 @@
 //! | `--exec-cache V`     | `on`/`1`/`true`, `off`/`0`/`false`| Execution cache ([`PipelineConfig::exec_cache`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes each physical plan's stage graph |
 //! | `--delta-compile V`  | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`PipelineConfig::delta`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles |
 //! | `--feature-cache V`  | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`PipelineConfig::feature_cache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block and the action slate are built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day |
-//! | `--snapshot-every N` | integer N days (`0` = never, default) | Durable-state snapshot cadence ([`crate::snapshot::SnapshotPolicy`], installed with [`crate::simulation::ProductionSim::set_snapshot_policy`]): write the full steering state to `results/snapshots/<experiment>.qosnap` at every Nth day boundary; the write cost lands in `DailyReport.timings.snapshot_ns` |
 //! | `--literals P`       | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::WorkloadConfig::literals`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
 //!
 //! Fleet scale (tenant count, fleet-day workers) is set programmatically

@@ -68,7 +68,6 @@ use crate::day::{self, TenantView};
 use crate::meter::{Lap, Stage};
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
-use crate::snapshot::SnapshotPolicy;
 use crate::stages::par_map;
 use scope_ir::ids::tenant_workload_seed;
 use scope_ir::LatencyHistogram;
@@ -207,17 +206,6 @@ impl Fleet {
             shared,
             stream: config.stream,
             metrics: FleetMetrics::default(),
-        }
-    }
-
-    /// Install per-tenant snapshot policies: tenant `t` snapshots to
-    /// `dir/tenant-NNN.qosnap` after every `every`-th of its days.
-    pub fn set_snapshot_policies(&mut self, dir: impl AsRef<Path>, every: u32) {
-        for tenant in &mut self.tenants {
-            tenant.sim.set_snapshot_policy(Some(SnapshotPolicy {
-                path: dir.as_ref().join(format!("tenant-{:03}.qosnap", tenant.id)),
-                every,
-            }));
         }
     }
 

@@ -30,30 +30,20 @@ use scope_state::{
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use std::path::{Path, PathBuf};
 
-/// When to write snapshots during [`ProductionSim::advance_day`]: after
-/// every `every`-th completed day, to `path` (atomically overwritten each
-/// time). `every = 1` snapshots at every day boundary — the crash-recovery
-/// regime of `tests/snapshot_recovery.rs` and the `recovery` bin.
+/// Where [`ProductionSim::advance_day`] writes a snapshot after every
+/// completed day: `path`, atomically overwritten each time — the
+/// crash-recovery regime of `tests/snapshot_recovery.rs` and the `recovery`
+/// bin.
 #[derive(Debug, Clone)]
 pub struct SnapshotPolicy {
     pub path: PathBuf,
-    pub every: u32,
 }
 
 impl SnapshotPolicy {
     /// Snapshot to `path` at every day boundary.
     #[must_use]
     pub fn every_day(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            every: 1,
-        }
-    }
-
-    /// Does a snapshot fire once `completed_days` days have finished?
-    #[must_use]
-    pub fn fires_after(&self, completed_days: u32) -> bool {
-        self.every > 0 && completed_days.is_multiple_of(self.every)
+        Self { path: path.into() }
     }
 }
 
@@ -366,8 +356,8 @@ impl ProductionSim {
     }
 
     /// Install (or clear) a snapshot policy:
-    /// [`ProductionSim::advance_day`] then writes a snapshot at matching
-    /// day boundaries and records the cost in
+    /// [`ProductionSim::advance_day`] then writes a snapshot at every day
+    /// boundary and records the cost in
     /// [`crate::StageTimings::snapshot_ns`].
     pub fn set_snapshot_policy(&mut self, policy: Option<SnapshotPolicy>) {
         self.snapshot_policy = policy;
@@ -375,14 +365,11 @@ impl ProductionSim {
 
     /// The day-boundary hook called by [`ProductionSim::advance_day`] after
     /// the day counter advances. Returns the wall-clock nanoseconds spent
-    /// writing (zero when no snapshot fired).
+    /// writing (zero when no policy is installed).
     pub(crate) fn snapshot_if_due(&self) -> Result<u64, PipelineError> {
         let Some(policy) = &self.snapshot_policy else {
             return Ok(0);
         };
-        if !policy.fires_after(self.day) {
-            return Ok(0);
-        }
         #[expect(
             clippy::disallowed_methods,
             reason = "snapshot-cost wall-clock telemetry only; timings are zeroed before every byte-identity comparison"
@@ -656,23 +643,6 @@ mod tests {
             bytes <= 64 * 1024 + 12 * nonzero_slots,
             "{bytes}-byte snapshot for {nonzero_slots} learned weights"
         );
-    }
-
-    #[test]
-    fn policy_fires_on_multiples_only() {
-        let p = SnapshotPolicy {
-            path: PathBuf::from("x"),
-            every: 3,
-        };
-        assert!(!p.fires_after(1));
-        assert!(!p.fires_after(2));
-        assert!(p.fires_after(3));
-        assert!(p.fires_after(6));
-        let off = SnapshotPolicy {
-            path: PathBuf::from("x"),
-            every: 0,
-        };
-        assert!(!off.fires_after(3));
     }
 
     /// A moved fingerprint makes every snapshot written before the move fail

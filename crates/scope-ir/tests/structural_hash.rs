@@ -124,7 +124,8 @@ fn every_primitive_and_container_streams_like_the_tree() {
     assert_streams_like_the_tree(&(1u8, -2i16, 3.0f32, Some(false)));
 }
 
-/// The bench corpus (`qo_bench::corpus::Env::standard(2022, 60, ..)`), day 0.
+/// The bench corpus (`experiments`' one workload: seed 2022, 60 templates),
+/// day 0.
 fn corpus() -> Vec<scope_workload::JobInstance> {
     Workload::new(WorkloadConfig {
         seed: 2022,

@@ -36,7 +36,7 @@ const ALL_TRANSFORMS: [(usize, usize); 91] = [
 ];
 
 fn memo_sizes(optimizer: &Optimizer, config: &RuleConfig) -> Vec<(usize, usize)> {
-    // The bench corpus (`qo_bench::corpus::Env::standard(2022, 60, ..)`).
+    // The bench corpus (`experiments`' one workload: seed 2022, 60 templates).
     Workload::new(WorkloadConfig {
         seed: 2022,
         num_templates: 60,

@@ -19,48 +19,20 @@
 //! steering outputs. `DailyReport::steering` defaults them; everything
 //! else must match to the byte.
 
+mod common;
+
+use common::{hint_files, sticky_workload, workload, TempTree};
 use qo_advisor::ProductionSim;
 use qo_advisor::{
     CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, ExecCacheConfig,
     ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig,
 };
-use scope_workload::{LiteralPolicy, Workload, WorkloadConfig};
+use scope_workload::{Workload, WorkloadConfig};
 use sis::SisStore;
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeSet;
+use std::path::Path;
 
 const DAYS: u32 = 3;
-
-fn workload() -> WorkloadConfig {
-    // Parameters chosen so the 3-day run publishes several hint files —
-    // otherwise the file comparison below would be vacuous.
-    WorkloadConfig {
-        seed: 99,
-        num_templates: 24,
-        adhoc_per_day: 3,
-        max_instances_per_day: 1,
-        ..WorkloadConfig::default()
-    }
-}
-
-fn sticky_workload() -> WorkloadConfig {
-    WorkloadConfig {
-        literals: LiteralPolicy::Sticky {
-            redraw_every_days: 0,
-        },
-        ..workload()
-    }
-}
-
-/// Removes the test's temp tree on drop, so hint-file directories do not
-/// accumulate in the system temp dir even when an assertion fails.
-struct TempTree(PathBuf);
-
-impl Drop for TempTree {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Run a fresh DAYS-day simulation of `wl` under `config` publishing hint
 /// files into `sis_dir`; returns every daily report.
@@ -118,24 +90,9 @@ fn steering(reports: &[DailyReport]) -> Vec<DailyReport> {
     reports.iter().map(DailyReport::steering).collect()
 }
 
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
-        .collect()
-}
-
 #[test]
 fn reports_and_hint_files_are_identical_at_any_thread_count() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-determinism-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("determinism");
 
     let serial_dir = base.0.join("serial");
     let baseline_reports = steering(&run_sim(None, CacheConfig::default(), &serial_dir));
@@ -164,9 +121,7 @@ fn reports_and_hint_files_are_identical_at_any_thread_count() {
 
 #[test]
 fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-cache-determinism-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("cache-determinism");
 
     // Baseline: the pre-cache pipeline (serial, both caches and delta off).
     let off_dir = base.0.join("off");
@@ -221,9 +176,7 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
 /// this isolates the execution cache.)
 #[test]
 fn reports_and_hint_files_are_identical_with_exec_cache_on_and_off() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-exec-determinism-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("exec-determinism");
 
     for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
         let off_dir = base.0.join(format!("{policy}-off"));
@@ -281,10 +234,7 @@ fn reports_and_hint_files_are_identical_with_exec_cache_on_and_off() {
 /// at any thread count.
 #[test]
 fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
-    let base = TempTree(
-        std::env::temp_dir().join(format!("qo-sticky-determinism-{}", std::process::id())),
-    );
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("sticky-determinism");
 
     let off_dir = base.0.join("off");
     let off_reports = run_sim_of(
@@ -380,9 +330,7 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
 /// produced, `RuleInstability` failures included.)
 #[test]
 fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-delta-determinism-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("delta-determinism");
 
     for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
         let off_dir = base.0.join(format!("{policy}-off"));
@@ -447,10 +395,7 @@ fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
 /// the bandit's decisions (and with them everything downstream) drift.
 #[test]
 fn reports_and_hint_files_are_identical_with_feature_cache_and_batch_rank_on_and_off() {
-    let base = TempTree(
-        std::env::temp_dir().join(format!("qo-feature-determinism-{}", std::process::id())),
-    );
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("feature-determinism");
 
     let config_with = |threads: Option<usize>, fc: bool, br: bool| {
         let mut config = PipelineConfig {

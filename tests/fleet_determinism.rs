@@ -28,12 +28,15 @@
 //!     compile+feature hit rate ≥ 1.2x over the same tenants run alone as
 //!     independent, privately cached sims.
 
+mod common;
+
+use common::{hint_files, workload, TempTree};
 use qo_advisor::fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, StreamConfig,
 };
 use qo_advisor::{
     CacheConfig, CacheStats, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
-    PipelineConfig, ProductionSim,
+    PipelineConfig, ProductionSim, SnapshotPolicy,
 };
 use scope_workload::WorkloadConfig;
 use sis::SisStore;
@@ -42,18 +45,6 @@ use std::path::{Path, PathBuf};
 
 const DAYS: u32 = 3;
 const TENANTS: usize = 3;
-
-fn workload() -> WorkloadConfig {
-    // Same parameters as tests/determinism.rs: several hint files get
-    // published, so the file comparisons below are not vacuous.
-    WorkloadConfig {
-        seed: 99,
-        num_templates: 24,
-        adhoc_per_day: 3,
-        max_instances_per_day: 1,
-        ..WorkloadConfig::default()
-    }
-}
 
 fn config_with(caches: bool) -> PipelineConfig {
     if caches {
@@ -67,39 +58,6 @@ fn config_with(caches: bool) -> PipelineConfig {
             ..PipelineConfig::default()
         }
     }
-}
-
-/// Removes the test's temp tree on drop, so hint-file directories and
-/// snapshot files do not accumulate in the system temp dir even when an
-/// assertion fails.
-struct TempTree(PathBuf);
-
-impl TempTree {
-    fn new(name: &str) -> Self {
-        let root = std::env::temp_dir().join(format!("qo-fleet-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create temp tree");
-        Self(root)
-    }
-}
-
-impl Drop for TempTree {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
-        .collect()
 }
 
 /// `days` fleet days over per-tenant SIS dirs under `root`; returns the
@@ -188,7 +146,7 @@ fn assert_tenants_match_references(
 /// stream worker counts, and overlapping/disjoint tenant populations.
 #[test]
 fn fleet_tenants_match_isolated_single_tenant_sims() {
-    let tree = TempTree::new("isolation");
+    let tree = TempTree::new("fleet-isolation");
     let overlapping = overlapping_workloads(TENANTS, &workload());
     let disjoint = disjoint_workloads(TENANTS, &workload());
     // A tenant count the worker count does not divide: the per-tenant
@@ -248,21 +206,26 @@ fn fleet_tenants_match_isolated_single_tenant_sims() {
 fn mid_fleet_snapshot_restore_resumes_byte_identical() {
     const TOTAL_DAYS: u32 = 4;
     const BOUNDARY: u32 = 2;
-    let tree = TempTree::new("restore");
+    let tree = TempTree::new("fleet-restore");
     let workloads = overlapping_workloads(TENANTS, &workload());
     let config = FleetConfig {
         pipeline: config_with(true),
         ..FleetConfig::default()
     };
 
-    // Golden: snapshots every BOUNDARY days; replicate snapshots + hint
+    // Golden: every tenant snapshots every day; replicate snapshots + hint
     // trees at the boundary (before later snapshots overwrite the files).
     let golden_root = tree.0.join("golden-sis");
     let snap_dir = tree.0.join("snaps");
     std::fs::create_dir_all(&snap_dir).expect("create snapshot dir");
     let mut golden = Fleet::with_sis_root(workloads.clone(), &config, &golden_root)
         .expect("create tenant sis dirs");
-    golden.set_snapshot_policies(&snap_dir, BOUNDARY);
+    for tenant in golden.tenants_mut() {
+        let snap = snap_dir.join(format!("tenant-{:03}.qosnap", tenant.id));
+        tenant
+            .sim
+            .set_snapshot_policy(Some(SnapshotPolicy::every_day(snap)));
+    }
     let mut golden_tail: Vec<Vec<DailyReport>> = vec![Vec::new(); TENANTS];
     let boundary_snaps = tree.0.join("boundary-snaps");
     let boundary_sis = tree.0.join("boundary-sis");
@@ -333,7 +296,7 @@ fn mid_fleet_snapshot_restore_resumes_byte_identical() {
 /// zero; and `StageTimings::total_ns` includes the field.
 #[test]
 fn restore_cost_is_billed_into_the_resumed_day() {
-    let tree = TempTree::new("billing");
+    let tree = TempTree::new("fleet-billing");
     let snap = tree.0.join("state.qosnap");
     let mut sim = ProductionSim::new(workload(), config_with(true));
     for _ in 0..2 {

@@ -37,6 +37,9 @@
 //! exact fold alone means an exact counter or snapshot byte did. A change
 //! that means to move one re-records it here and says why.
 
+mod common;
+
+use common::{hint_files, TempTree};
 use qo_advisor::{
     DailyReport, DayOutcome, Fleet, FleetConfig, PipelineConfig, ProductionSim, SnapshotPolicy,
     StageTimings, StreamConfig,
@@ -45,8 +48,7 @@ use scope_ir::ids::{combine, stable_hash64};
 use scope_opt::{CompileBudget, Optimizer};
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -168,27 +170,6 @@ impl Shape {
     }
 }
 
-/// A private scratch directory, removed on drop.
-struct TempTree(PathBuf);
-
-impl TempTree {
-    fn new(name: &str, seed: u64, workers: usize) -> Self {
-        let root = std::env::temp_dir().join(format!(
-            "qo-loop-digest-{name}-{seed}-{workers}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).expect("create temp tree");
-        Self(root)
-    }
-}
-
-impl Drop for TempTree {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// Two folds of one run: `outputs` sees only what the byte-identity
 /// contract covers at any worker count, `exact` sees everything.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -224,14 +205,7 @@ impl Digest {
 
     /// Every hint file under `dir`, by sorted name; returns how many.
     fn hint_files(&mut self, dir: &Path) -> usize {
-        let files: BTreeMap<String, Vec<u8>> = std::fs::read_dir(dir)
-            .expect("sis dir exists")
-            .map(|entry| {
-                let entry = entry.expect("readable dir entry");
-                let bytes = std::fs::read(entry.path()).expect("readable hint file");
-                (entry.file_name().to_string_lossy().into_owned(), bytes)
-            })
-            .collect();
+        let files = hint_files(dir);
         for (name, bytes) in &files {
             self.output(name.as_bytes());
             self.output(bytes);
@@ -265,7 +239,7 @@ fn bootstrap(sim: &mut ProductionSim, shape: &Shape) {
 }
 
 fn run_daily(shape: &Shape, seed: u64) -> Digest {
-    let tmp = TempTree::new(shape.name, seed, 1);
+    let tmp = TempTree::new(&format!("loop-digest-{}-{seed}-1", shape.name));
     let sis_dir = tmp.0.join("sis");
     let snapshot = tmp.0.join("state.qosnap");
     let config = shape.tenant_configs(seed).remove(0);
@@ -301,7 +275,7 @@ fn run_daily(shape: &Shape, seed: u64) -> Digest {
 }
 
 fn run_fleet(shape: &Shape, seed: u64, workers: usize) -> Digest {
-    let tmp = TempTree::new(shape.name, seed, workers);
+    let tmp = TempTree::new(&format!("loop-digest-{}-{seed}-{workers}", shape.name));
     let config = FleetConfig {
         pipeline: shape.pipeline(),
         stream: StreamConfig {

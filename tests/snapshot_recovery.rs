@@ -22,35 +22,16 @@
 //!   * cross: fresh + sticky literals × caches on/off × 1/8 worker
 //!     threads over a 6-day run, killed at every boundary 1..=5.
 
+mod common;
+
+use common::{hint_files, sticky_workload, workload, TempTree};
 use qo_advisor::{
     CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig, ParallelismConfig,
     PipelineConfig, ProductionSim, SnapshotPolicy,
 };
-use scope_workload::{LiteralPolicy, WorkloadConfig};
+use scope_workload::WorkloadConfig;
 use sis::SisStore;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-fn workload() -> WorkloadConfig {
-    // Same parameters as tests/determinism.rs: several hint files get
-    // published, so the file comparison below is not vacuous.
-    WorkloadConfig {
-        seed: 99,
-        num_templates: 24,
-        adhoc_per_day: 3,
-        max_instances_per_day: 1,
-        ..WorkloadConfig::default()
-    }
-}
-
-fn sticky_workload() -> WorkloadConfig {
-    WorkloadConfig {
-        literals: LiteralPolicy::Sticky {
-            redraw_every_days: 0,
-        },
-        ..workload()
-    }
-}
+use std::path::Path;
 
 fn config_with(threads: Option<usize>, caches: bool) -> PipelineConfig {
     if caches {
@@ -68,30 +49,6 @@ fn config_with(threads: Option<usize>, caches: bool) -> PipelineConfig {
             ..PipelineConfig::default()
         }
     }
-}
-
-/// Removes the test's temp tree on drop, so snapshot files and hint-file
-/// directories do not accumulate in the system temp dir even when an
-/// assertion fails.
-struct TempTree(PathBuf);
-
-impl Drop for TempTree {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
-        .collect()
 }
 
 fn fresh_sim(wl: &WorkloadConfig, config: &PipelineConfig, sis_dir: &Path) -> ProductionSim {
@@ -210,10 +167,7 @@ fn assert_kill_restore_equivalence(
 /// day boundary.
 #[test]
 fn sticky_20_day_run_survives_a_kill_at_every_boundary() {
-    let base = TempTree(
-        std::env::temp_dir().join(format!("qo-snapshot-exhaustive-{}", std::process::id())),
-    );
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("snapshot-exhaustive");
 
     const DAYS: u32 = 20;
     assert_kill_restore_equivalence(
@@ -231,9 +185,7 @@ fn sticky_20_day_run_survives_a_kill_at_every_boundary() {
 /// headline leg so the full 8-regime cross stays cheap in debug builds.
 #[test]
 fn kill_restore_equivalence_across_literals_caches_and_threads() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-snapshot-cross-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
+    let base = TempTree::new("snapshot-cross");
 
     const DAYS: u32 = 6;
     for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
@@ -263,10 +215,7 @@ fn kill_restore_equivalence_across_literals_caches_and_threads() {
 /// telemetry and the file's freshness).
 #[test]
 fn snapshot_policy_bills_timing_and_keeps_the_file_current() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-snapshot-policy-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
-    std::fs::create_dir_all(&base.0).expect("create temp tree");
+    let base = TempTree::new("snapshot-policy");
 
     let snap = base.0.join("state.qosnap");
     let mut sim = fresh_sim(
